@@ -1,0 +1,51 @@
+"""Replay recorded CLI answers: every command below must print the same
+`query`, `result` and `chain` as when the records were written.
+
+The records in golden/cli_records.json were produced by the engine before
+the tensor-realization refactor; they guard that the refactor kept every
+output.  `stats` is left out because it holds timing.
+"""
+
+import json
+from pathlib import Path
+
+import pytest
+
+from ntl.cli import main
+
+RECORDS = Path(__file__).parent / "golden" / "cli_records.json"
+
+COMMANDS = (
+    [("invariant", kind, "--group", g)
+     for g in ("S3", "D4", "Q8", "A4")
+     for kind in ("j2", "delta", "delta-tilde", "schur", "stable-pi2",
+                  "pi4-s2")]
+    + [("tensors", "--group", "Q8"),
+       ("tensor", "--group", "C4", "--other", "C6", "--trivial-actions"),
+       ("pushout", "--group", "C2xC2", "--m", "a,b", "--n", "a,b"),
+       ("three-connected", "--group", "C6", "--m", "a^3", "--n", "a^2"),
+       ("thmc", "--group", "A4"),
+       ("finiteness", "--group", "C2xC6"),
+       ("exponent-check", "--group", "Q8")])
+
+
+def replay(argv, capsys) -> dict:
+    rc = main(list(argv) + ["--json"])
+    record = json.loads(capsys.readouterr().out)
+    assert rc == 0
+    record.pop("stats")
+    return record
+
+
+@pytest.fixture(scope="module")
+def records():
+    return json.loads(RECORDS.read_text(encoding="utf-8"))
+
+
+def test_every_command_is_recorded(records):
+    assert sorted(records) == sorted(" ".join(a) for a in COMMANDS)
+
+
+@pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
+def test_replay_matches_record(argv, records, capsys):
+    assert replay(argv, capsys) == records[" ".join(argv)]
