@@ -20,17 +20,16 @@ from .groups import (Homomorphism, RealizedGroup, Subgroup, abelian_structure,
 from .homotopy import (BoundReport, PushoutInput, TriadInput,
                        bound_pushout_pi3, bound_theorem_A, bound_theorem_B,
                        burnside_exponent_check, finiteness_report,
-                       pi3_suspension_K, pi4_double_suspension, pushout_EM,
-                       schur_multiplier, stable_pi2_K, theoremC_report,
-                       three_connected_check, triad_group, wedge_pi3)
+                       pi3_suspension_K, pushout_EM, schur_multiplier,
+                       stable_pi2_K, theoremC_report, three_connected_check,
+                       triad_group, wedge_pi3)
 from .parsing import (ActionSpec, parse_action, parse_file, parse_group,
                       parse_words_text, print_action, print_presentation)
 from .report import serialize_report
-from .tensor import (CompatibleActionPair, EtaRealization, TensorSet,
-                     abelian_tensor_oracle, build_eta, build_nu,
-                     conjugation_pair, delta, delta_tilde, j2, kappa,
-                     tensor_direct, tensor_set, trivial_pair,
-                     validate_compatibility)
+from .tensor import (CompatibleActionPair, TensorRealization, TensorSet,
+                     build_direct, build_eta, build_nu, conjugation_pair,
+                     delta, delta_tilde, j2, tensor_direct, tensor_set,
+                     trivial_pair, validate_compatibility)
 from .words import Presentation, Word, commutator, conjugate
 
 __version__ = "0.1.0"

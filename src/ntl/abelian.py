@@ -193,9 +193,3 @@ def abelian_invariants(matrix: Sequence[Sequence[int]],
     rank = sum(1 for d in diag if d)
     free = ncols - rank
     return AbelianInvariants(tuple(torsion) + (0,) * free)
-
-
-def tensor_invariants(a: AbelianInvariants,
-                      b: AbelianInvariants) -> AbelianInvariants:
-    """Tensor product of finitely generated abelian groups."""
-    return a.tensor(b)

@@ -16,21 +16,21 @@ from dataclasses import dataclass, field
 from pathlib import Path
 
 from .catalog import CatalogEntry, catalog_lookup, realize_entry
-from .coset import (DEFAULT_MAX_COSETS, EnumerationBudget,
-                    realize_presentation)
+from .coset import EnumerationBudget, default_budget, realize_presentation
 from .errors import NtlError
 from .groups import (RealizedGroup, abelian_structure, closure,
-                     subgroup_as_group, subgroup_quotient)
+                     subgroup_as_group)
 from .homotopy import (PushoutInput, TriadInput, bound_pushout_pi3,
                        bound_theorem_A, bound_theorem_B,
                        burnside_exponent_check, finiteness_report,
-                       pushout_EM, resolve_subject, theoremC_report,
+                       pi3_suspension_K, pushout_EM, resolve_subject,
+                       schur_multiplier, stable_pi2_K, theoremC_report,
                        three_connected_check, triad_group, wedge_pi3)
 from .parsing import parse_file, parse_words_text
 from .report import (group_result, invariants_result, render_text,
                      serialize_report)
 from .tensor import (build_eta, build_nu, conjugation_pair, delta,
-                     delta_tilde, j2, tensor_set, trivial_pair,
+                     delta_tilde, tensor_set, trivial_pair,
                      validate_compatibility)
 from .verification import run_catalog_suite, run_file_suite
 
@@ -43,7 +43,7 @@ class _UsageError(Exception):
 class RunConfig:
     command: str
     args: argparse.Namespace
-    budget: EnumerationBudget
+    budget: EnumerationBudget | None
     json_out: bool
     stats: list = field(default_factory=list)
 
@@ -51,13 +51,16 @@ class RunConfig:
         self.stats.append(stats)
 
 
-def _budget_from(args: argparse.Namespace) -> EnumerationBudget:
+def _budget_from(args: argparse.Namespace) -> EnumerationBudget | None:
+    """The budget the flags ask for; None without flags, so that every
+    enumeration falls back to `default_budget()`."""
     max_cosets = getattr(args, "max_cosets", None)
+    budget_ms = getattr(args, "budget_ms", None)
+    if max_cosets is None and budget_ms is None:
+        return None
     if max_cosets is None:
-        env = os.environ.get("NTL_MAX_COSETS")
-        max_cosets = int(env) if env else DEFAULT_MAX_COSETS
-    return EnumerationBudget(max_cosets=max_cosets,
-                             max_time_ms=getattr(args, "budget_ms", None))
+        max_cosets = default_budget().max_cosets
+    return EnumerationBudget(max_cosets=max_cosets, max_time_ms=budget_ms)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -232,44 +235,41 @@ def _subgroup_from_words(g: RealizedGroup, text: str):
 
 def _cmd_tensor(cfg: RunConfig) -> dict:
     pair, query = _pair_inputs(cfg)
-    e = build_eta(pair, cfg.budget)
-    cfg.track(e.stats)
-    ts = tensor_set(e)
+    r = build_eta(pair, cfg.budget)
+    cfg.track(r.stats)
     return {"query": query,
-            "result": group_result(e.tensor_group, tensor_count_m=ts.m)}
+            "result": group_result(r.group, tensor_count_m=tensor_set(r).m)}
 
 
 def _cmd_eta(cfg: RunConfig) -> dict:
     pair, query = _pair_inputs(cfg)
-    e = build_eta(pair, cfg.budget)
-    cfg.track(e.stats)
-    ts = tensor_set(e)
-    chain = [f"decomposition: {e.eta.order} = {e.tensor.order} * "
+    r = build_eta(pair, cfg.budget)
+    cfg.track(r.stats)
+    chain = [f"decomposition: {r.eta.order} = {r.group.order} * "
              f"{pair.g.order} * {pair.h.order}"]
     return {"query": query,
-            "result": group_result(e.eta, tensor_count_m=ts.m),
+            "result": group_result(r.eta, tensor_count_m=tensor_set(r).m),
             "chain": chain}
 
 
 def _cmd_nu(cfg: RunConfig) -> dict:
     entry = _load_entry(cfg.args.group)
     g = _realize(entry, cfg)
-    e = build_nu(g, cfg.budget)
-    cfg.track(e.stats)
-    ts = tensor_set(e)
-    chain = [f"decomposition: {e.eta.order} = {e.tensor.order} * "
+    r = build_nu(g, cfg.budget)
+    cfg.track(r.stats)
+    chain = [f"decomposition: {r.eta.order} = {r.group.order} * "
              f"{g.order} * {g.order}"]
     return {"query": {"group": g.name, "actions": "conjugation"},
-            "result": group_result(e.eta, tensor_count_m=ts.m),
+            "result": group_result(r.eta, tensor_count_m=tensor_set(r).m),
             "chain": chain}
 
 
 def _cmd_tensors(cfg: RunConfig) -> dict:
     pair, query = _pair_inputs(cfg)
-    e = build_eta(pair, cfg.budget)
-    cfg.track(e.stats)
-    ts = tensor_set(e)
-    chain = [f"tensor subgroup order {e.tensor.order}; "
+    r = build_eta(pair, cfg.budget)
+    cfg.track(r.stats)
+    ts = tensor_set(r)
+    chain = [f"tensor subgroup order {r.group.order}; "
              f"{ts.m} distinct tensors"]
     g, h = pair.g, pair.h
     shown = 0
@@ -281,30 +281,30 @@ def _cmd_tensors(cfg: RunConfig) -> dict:
         chain.append(f"[{g.element_str(a)}, {h.element_str(b)}~]")
         shown += 1
     return {"query": query,
-            "result": group_result(e.tensor_group, tensor_count_m=ts.m),
+            "result": group_result(r.group, tensor_count_m=ts.m),
             "chain": chain}
 
 
 def _cmd_invariant(cfg: RunConfig) -> dict:
     entry = _load_entry(cfg.args.group)
     g = _realize(entry, cfg)
-    e = build_nu(g, cfg.budget)
-    cfg.track(e.stats)
+    r = build_nu(g, cfg.budget)
+    cfg.track(r.stats)
     kind = cfg.args.kind
     if kind == "j2":
-        grp, _ = subgroup_as_group(j2(e))
+        grp = pi3_suspension_K(r)
         chain = ["kernel of the derived map inside the tensor square"]
     elif kind == "delta":
-        grp, _ = subgroup_as_group(delta(e))
+        grp, _ = subgroup_as_group(delta(r))
         chain = ["subgroup generated by the square tensors"]
     elif kind == "delta-tilde":
-        grp, _ = subgroup_as_group(delta_tilde(e))
+        grp, _ = subgroup_as_group(delta_tilde(r))
         chain = ["subgroup generated by the symmetrized tensors"]
     elif kind == "schur":
-        grp, _, _ = subgroup_quotient(j2(e), delta(e))
+        grp = schur_multiplier(r)
         chain = ["second homology: derived-map kernel over the diagonal"]
     else:  # stable-pi2 | pi4-s2
-        grp, _, _ = subgroup_quotient(j2(e), delta_tilde(e))
+        grp = stable_pi2_K(r)
         chain = ["derived-map kernel over the symmetrized diagonal"]
     return {"query": {"group": g.name, "invariant": kind},
             "result": group_result(grp), "chain": chain}
@@ -380,6 +380,8 @@ def _cmd_thmc(cfg: RunConfig) -> dict:
     entry = _load_entry(cfg.args.group)
     subject = entry if entry.known_facts else entry.presentation
     rep = theoremC_report(subject, cfg.budget)
+    if rep.stats is not None:
+        cfg.track(rep.stats)
     labels = {
         "a": "the group is finite",
         "b": "the set of tensors is finite",
@@ -407,6 +409,8 @@ def _cmd_finiteness(cfg: RunConfig) -> dict:
     entry = _load_entry(cfg.args.group)
     subject = entry if entry.known_facts else entry.presentation
     rep = finiteness_report(subject, cfg.budget)
+    if rep.stats is not None:
+        cfg.track(rep.stats)
     if not rep.determined:
         return {"query": {"group": rep.name},
                 "result": {"order": "undetermined"},
@@ -447,7 +451,9 @@ def _cmd_bound(cfg: RunConfig) -> dict:
 def _cmd_exponent_check(cfg: RunConfig) -> dict:
     entry = _load_entry(cfg.args.group)
     g = _realize(entry, cfg)
-    rep = burnside_exponent_check(g, cfg.budget)
+    r = build_nu(g, cfg.budget)
+    cfg.track(r.stats)
+    rep = burnside_exponent_check(r)
     chain = [
         f"tensor square exponent: {rep.tensor_exponent}",
         f"small-exponent criterion applies: "
@@ -469,9 +475,8 @@ def _cmd_verify(cfg: RunConfig) -> int:
         text = Path(args.file).read_text(encoding="utf-8")
         results = run_file_suite(text, cfg.budget)
     else:
-        fault = bool(args.fault_skip_eta_relators)
-        budget = cfg.budget if args.max_cosets or args.budget_ms else None
-        results = run_catalog_suite(budget=budget, fault=fault)
+        results = run_catalog_suite(
+            budget=cfg.budget, fault=bool(args.fault_skip_eta_relators))
     ok = all(r.passed for r in results)
     if cfg.json_out:
         record = {"checks": [{"name": r.name, "passed": r.passed,

@@ -92,8 +92,7 @@ def _dedup(seqs) -> list[tuple[int, ...]]:
 
 
 class _Enumerator:
-    def __init__(self, p: Presentation, subgroup_words, budget, defining,
-                 strategy: str = "hlt"):
+    def __init__(self, p: Presentation, subgroup_words, budget, defining):
         self.width = 2 * p.ngens
         all_letters = [word_letters(w) for w in p.relators]
         if defining is None:
@@ -105,7 +104,6 @@ class _Enumerator:
         self.subgroup_letters = _dedup([word_letters(w)
                                         for w in subgroup_words])
         self.budget = budget
-        self.strategy = strategy
         self.t0 = time.monotonic()
         self.tab: list[list[int]] = [[-1] * self.width]
         self.uf: list[int] = [0]
@@ -213,40 +211,6 @@ class _Enumerator:
                 return
             self._define(f, w[i])
 
-    def _scan_only(self, alpha: int, w: tuple[int, ...]) -> bool:
-        """Scan without defining: close a length-one gap, merge on overlap.
-        Returns True when the table changed."""
-        tab = self.tab
-        i, j = 0, len(w) - 1
-        f = b = alpha
-        while i <= j:
-            d = tab[f][w[i]]
-            if d < 0:
-                break
-            f = d
-            i += 1
-        if i > j:
-            if f != b:
-                self._coincidence(f, b)
-                return True
-            return False
-        while j >= i:
-            d = tab[b][w[j] ^ 1]
-            if d < 0:
-                break
-            b = d
-            j -= 1
-        if j < i:
-            self._coincidence(f, b)
-            return True
-        if j == i:
-            tab[f][w[i]] = b
-            tab[b][w[i] ^ 1] = f
-            self._touched.append(f)
-            self._touched.append(b)
-            return True
-        return False
-
     # -- phases --------------------------------------------------------------
 
     def _hlt_pass(self):
@@ -266,39 +230,6 @@ class _Enumerator:
                     if row[x] < 0:
                         self._define(alpha, x)
             alpha += 1
-
-    def _felsch_pass(self):
-        """Deduction-driven definition order: propagate consequences of every
-        new entry, and only when nothing follows define the first undefined
-        entry in row-major order.  Much slower than HLT; kept as the
-        cross-checking alternative."""
-        self._touched = [0]
-        uf = self.uf
-        while True:
-            while self._touched:
-                alpha = self._find(self._touched.pop())
-                for w in self.defining:
-                    if uf[alpha] != alpha:
-                        self._touched.append(self._find(alpha))
-                        break
-                    self._scan_only(alpha, w)
-            hole = None
-            for alpha in range(len(self.tab)):
-                if uf[alpha] != alpha:
-                    continue
-                row = self.tab[alpha]
-                for x in range(self.width):
-                    if row[x] < 0:
-                        hole = (alpha, x)
-                        break
-                if hole:
-                    break
-            if hole is None:
-                return
-            alpha, x = hole
-            beta = self._define(alpha, x)
-            self._touched.append(alpha)
-            self._touched.append(beta)
 
     def _compress(self):
         total = len(self.tab)
@@ -337,10 +268,8 @@ class _Enumerator:
     def run(self):
         for w in self.subgroup_letters:
             self._scan_and_fill(0, w)
-        fill = self._felsch_pass if self.strategy == "felsch" \
-            else self._hlt_pass
         while True:
-            fill()
+            self._hlt_pass()
             live, cols = self._compress()
             hit = self._find_violation(cols, live.size)
             if hit is None:
@@ -365,33 +294,28 @@ def enumerate_cosets(p: Presentation,
                      subgroup_words: tuple[Word, ...] = (),
                      budget: EnumerationBudget | None = None,
                      defining_count: int | None = None,
-                     strategy: str = "hlt",
                      ) -> tuple[CosetTable, EnumerationStats]:
     """Enumerate cosets of <subgroup_words> in the presented group.
 
     `defining_count` marks how many leading relators drive definitions; all
-    relators are enforced regardless.  `strategy` picks the definition
-    order: "hlt" (default) or the slower deduction-driven "felsch" used for
-    cross-checking.  Raises BudgetExceeded rather than ever returning a
-    truncated table.
+    relators are enforced regardless.  Raises BudgetExceeded rather than
+    ever returning a truncated table.
     """
     if budget is None:
         budget = default_budget()
-    if strategy not in ("hlt", "felsch"):
-        raise ValueError(f"unknown enumeration strategy {strategy!r}")
     for w in subgroup_words:
         if w.max_generator() >= p.ngens:
             raise InternalInconsistency("subgroup word out of range")
     try:
         rows, n, stats = _Enumerator(p, subgroup_words, budget,
-                                     defining_count, strategy).run()
+                                     defining_count).run()
     except BudgetExceeded:
         if defining_count is None or defining_count >= len(p.relators):
             raise
         # The defining hint may present a larger (even infinite) group;
         # retry once with every relator driving definitions.
-        rows, n, stats = _Enumerator(p, subgroup_words, budget, None,
-                                     strategy).run()
+        rows, n, stats = _Enumerator(p, subgroup_words, budget,
+                                     None).run()
     table = CosetTable(rows=rows, coset_count=n, complete=True,
                        presentation=p)
     return table, stats

@@ -466,11 +466,6 @@ def subgroup_as_group(s: Subgroup) -> tuple[RealizedGroup, "Homomorphism"]:
     return grp, incl
 
 
-def subgroup_abelian_invariants(s: Subgroup) -> AbelianInvariants:
-    grp, _ = subgroup_as_group(s)
-    return grp.abelianization()
-
-
 def subgroup_quotient(outer: Subgroup, inner: Subgroup
                       ) -> tuple[RealizedGroup, "Homomorphism", RealizedGroup]:
     """Realize outer/inner for inner <= outer <= parent.

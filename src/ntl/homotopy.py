@@ -15,15 +15,16 @@ import numpy as np
 
 from .abelian import AbelianInvariants, abelian_invariants
 from .catalog import CatalogEntry, realize_entry
-from .coset import EnumerationBudget, realize_presentation
+from .coset import (EnumerationBudget, EnumerationStats,
+                    realize_presentation)
 from .errors import (BudgetExceeded, InternalInconsistency,
                      NotGeneratingPair, NotNormal, Undecided)
 from .groups import (RealizedGroup, Subgroup, abelian_structure,
                      closure, commutator_subgroup, derived_subgroup,
                      intersection, subgroup_as_group, subgroup_exponent,
-                     subgroup_from_members, subgroup_quotient)
-from .tensor import (CompatibleActionPair, EtaRealization, _validate_tables,
-                     abelian_tensor_oracle, build_eta, build_nu, delta,
+                     subgroup_quotient)
+from .tensor import (CompatibleActionPair, TensorRealization,
+                     _validate_tables, build_eta, build_nu, delta,
                      delta_tilde, j2, tensor_set)
 from .words import Presentation
 
@@ -83,8 +84,7 @@ def triad_group(t: TriadInput,
                 ) -> tuple[RealizedGroup, int]:
     """The triad group in dimension p+q+1: the tensor product of the two
     relative groups under their mutual actions."""
-    e = build_eta(t.actions, budget)
-    return e.tensor_group, t.p + t.q + 1
+    return build_eta(t.actions, budget).group, t.p + t.q + 1
 
 
 def bound_theorem_A(a: int, b: int, c: int, t: int) -> BoundReport:
@@ -133,49 +133,32 @@ def wedge_pi3(g_inv: AbelianInvariants,
               h_inv: AbelianInvariants) -> AbelianInvariants:
     """pi_3 of a wedge of two simply-connected Eilenberg-MacLane spaces
     K(G,2) v K(H,2): the tensor product of the two abelian groups."""
-    return abelian_tensor_oracle(g_inv, h_inv)
+    return g_inv.tensor(h_inv)
 
 
 # -- suspension invariants ----------------------------------------------------
 
 
-def pi3_suspension_K(g: RealizedGroup,
-                     budget: EnumerationBudget | None = None,
-                     build: EtaRealization | None = None) -> RealizedGroup:
+def pi3_suspension_K(r: TensorRealization) -> RealizedGroup:
     """pi_3 of the suspension of K(G,1): the kernel of the derived map
     inside the tensor square, realized as a group."""
-    e = build if build is not None else build_nu(g, budget)
-    grp, _ = subgroup_as_group(j2(e))
+    grp, _ = subgroup_as_group(j2(r))
     return grp
 
 
-def schur_multiplier(g: RealizedGroup,
-                     budget: EnumerationBudget | None = None,
-                     build: EtaRealization | None = None) -> RealizedGroup:
+def schur_multiplier(r: TensorRealization) -> RealizedGroup:
     """Second homology, realized as the quotient of the derived-map kernel
     by the diagonal subgroup."""
-    e = build if build is not None else build_nu(g, budget)
-    q, _, _ = subgroup_quotient(j2(e), delta(e))
+    q, _, _ = subgroup_quotient(j2(r), delta(r))
     return q
 
 
-def stable_pi2_K(g: RealizedGroup,
-                 budget: EnumerationBudget | None = None,
-                 build: EtaRealization | None = None) -> RealizedGroup:
+def stable_pi2_K(r: TensorRealization) -> RealizedGroup:
     """Second stable homotopy group of K(G,1): the quotient of the
-    derived-map kernel by the symmetrized diagonal subgroup."""
-    e = build if build is not None else build_nu(g, budget)
-    q, _, _ = subgroup_quotient(j2(e), delta_tilde(e))
+    derived-map kernel by the symmetrized diagonal subgroup.  It is also
+    pi_4 of the double suspension of K(G,1)."""
+    q, _, _ = subgroup_quotient(j2(r), delta_tilde(r))
     return q
-
-
-def pi4_double_suspension(g: RealizedGroup,
-                          budget: EnumerationBudget | None = None,
-                          build: EtaRealization | None = None
-                          ) -> RealizedGroup:
-    """pi_4 of the double suspension of K(G,1); in this regime it coincides
-    with the second stable homotopy group."""
-    return stable_pi2_K(g, budget, build)
 
 
 # -- homotopy pushout ----------------------------------------------------------
@@ -185,14 +168,13 @@ def pi4_double_suspension(g: RealizedGroup,
 class PushoutResult:
     pi2: RealizedGroup
     pi3: RealizedGroup
-    build: EtaRealization
+    build: TensorRealization
 
 
 def _conjugation_pair_between(g: RealizedGroup, m: Subgroup, n: Subgroup
-                              ) -> tuple[CompatibleActionPair,
-                                         RealizedGroup, RealizedGroup]:
-    m_grp, m_incl = subgroup_as_group(m)
-    n_grp, n_incl = subgroup_as_group(n)
+                              ) -> CompatibleActionPair:
+    m_grp, _ = subgroup_as_group(m)
+    n_grp, _ = subgroup_as_group(n)
     m_mem = m.members_array()
     n_mem = n.members_array()
     m_on_n = np.empty((m.order, n.order), dtype=np.int64)
@@ -209,9 +191,9 @@ def _conjugation_pair_between(g: RealizedGroup, m: Subgroup, n: Subgroup
                 raise InternalInconsistency(
                     "conjugation escapes the first subgroup")
             n_on_m[b, a] = int(np.searchsorted(m_mem, w))
-    pair = _validate_tables(m_grp, n_grp, m_on_n, n_on_m,
-                            "conjugation inside the parent")
-    return pair, m_grp, n_grp
+    return _validate_tables(m_grp, n_grp, m_on_n, n_on_m,
+                            "conjugation inside the parent",
+                            (g, m_mem, n_mem))
 
 
 def pushout_EM(p: PushoutInput,
@@ -228,19 +210,10 @@ def pushout_EM(p: PushoutInput,
     if not set(comm.members) <= set(inter.members):
         raise InternalInconsistency("[M,N] is not inside M cap N")
     pi2, _, _ = subgroup_quotient(inter, comm)
-    pair, m_grp, n_grp = _conjugation_pair_between(g, m, n)
-    e = build_eta(pair, budget,
-                  kappa_target=(g, m.members_array(), n.members_array()),
+    r = build_eta(_conjugation_pair_between(g, m, n), budget,
                   name=f"eta({g.name}|M,N)")
-    mem = e.tensor.members_array()
-    image = set(int(v) for v in np.unique(e.theta[mem]))
-    if image != set(comm.members):
-        raise InternalInconsistency(
-            "derived-map image differs from [M,N] in the parent")
-    inside = mem[e.theta[mem] == 0]
-    ker = subgroup_from_members(e.eta, (int(v) for v in inside))
-    pi3, _ = subgroup_as_group(ker)
-    return PushoutResult(pi2=pi2, pi3=pi3, build=e)
+    pi3, _ = subgroup_as_group(j2(r))
+    return PushoutResult(pi2=pi2, pi3=pi3, build=r)
 
 
 @dataclass(frozen=True)
@@ -345,13 +318,19 @@ class FinitenessReport:
     delta_invariants: AbelianInvariants | None
     embedding_holds: bool | None
     note: str = ""
+    stats: EnumerationStats | None = None
 
 
 def finiteness_report(subject,
                       budget: EnumerationBudget | None = None
                       ) -> FinitenessReport:
     """Report |G^ab|, |G'|, the tensor count m, the tensor-square order, and
-    check the divisibility embedding of G^ab into the diagonal subgroup."""
+    check the divisibility embedding of G^ab into the diagonal subgroup.
+
+    A `TensorRealization` subject is taken as the tensor square of its
+    group and used as it is; any other subject is resolved and built."""
+    if isinstance(subject, TensorRealization):
+        return _finite_report(subject.pair.g.name, subject)
     try:
         resolved = resolve_subject(subject, budget)
     except BudgetExceeded as exc:
@@ -370,26 +349,23 @@ def finiteness_report(subject,
             tensor_count_m=None, tensor_order=None,
             delta_invariants=None, embedding_holds=None,
             note=f"abelian fast path; tensor square {tensor} is infinite")
-    g = resolved.group
-    e = build_nu(g, budget)
-    ts = tensor_set(e)
+    return _finite_report(resolved.name, build_nu(resolved.group, budget))
+
+
+def _finite_report(name: str, r: TensorRealization) -> FinitenessReport:
+    g = r.pair.g
     gab = g.abelianization()
-    dsub = delta(e)
-    dgrp, _ = subgroup_as_group(dsub)
+    dgrp, _ = subgroup_as_group(delta(r))
     if not dgrp.is_abelian():
         raise InternalInconsistency("diagonal subgroup is not abelian")
     dinv = abelian_structure(dgrp)
-    embeds = gab.divides_into(dinv)
-    if not embeds:
-        raise InternalInconsistency(
-            f"{g.name}: abelianization {gab} does not divide into the "
-            f"diagonal subgroup {dinv}")
     return FinitenessReport(
-        name=resolved.name, determined=True, finite=True,
+        name=name, determined=True, finite=True,
         gab_order=gab.order(), gab_invariants=gab,
         gprime_order=derived_subgroup(g).order,
-        tensor_count_m=ts.m, tensor_order=e.tensor.order,
-        delta_invariants=dinv, embedding_holds=embeds)
+        tensor_count_m=tensor_set(r).m, tensor_order=r.group.order,
+        delta_invariants=dinv, embedding_holds=gab.divides_into(dinv),
+        stats=r.stats)
 
 
 _PROPERTY_KEYS = ("a", "b", "c", "d", "e", "f", "g")
@@ -403,11 +379,12 @@ class TheoremCReport:
     finite: bool
     witness: str = ""
     evidence: dict[str, int] = field(default_factory=dict)
+    stats: EnumerationStats | None = None
 
 
 def theoremC_report(subject,
-                    budget: EnumerationBudget | None = None,
-                    build: EtaRealization | None = None) -> TheoremCReport:
+                    budget: EnumerationBudget | None = None
+                    ) -> TheoremCReport:
     """Evaluate the seven equivalent finiteness properties of a finitely
     generated group and check they agree.
 
@@ -417,8 +394,11 @@ def theoremC_report(subject,
     (g) tensor square locally finite.  Local finiteness and periodicity
     specialize to finiteness in the realized regime; the infinite regime
     is decided only via the abelian fast path, with an explicit
-    infinite-order tensor as witness.
+    infinite-order tensor as witness.  A `TensorRealization` subject is
+    taken as the tensor square of its group and used as it is.
     """
+    if isinstance(subject, TensorRealization):
+        return _finite_theoremC(subject.pair.g.name, subject)
     try:
         resolved = resolve_subject(subject, budget)
     except BudgetExceeded as exc:
@@ -434,32 +414,35 @@ def theoremC_report(subject,
             finite=False,
             witness=(f"{witness_gen}(x){witness_gen} has infinite order "
                      f"in the tensor square {inv.tensor(inv)}"))
-    g = resolved.group
-    e = build if build is not None and build.is_nu else build_nu(g, budget)
-    ts = tensor_set(e)
-    jsub = j2(e)
-    dsub = delta(e)
-    dtsub = delta_tilde(e)
+    return _finite_theoremC(resolved.name, build_nu(resolved.group, budget))
+
+
+def _finite_theoremC(name: str, r: TensorRealization) -> TheoremCReport:
+    g = r.pair.g
+    ts = tensor_set(r)
+    jsub = j2(r)
+    dsub = delta(r)
+    dtsub = delta_tilde(r)
     gprime = derived_subgroup(g)
     # Every witness object was materialized as a finite group, which decides
     # each property affirmatively in the realized regime.
     evidence = {"group_order": g.order, "tensor_count_m": ts.m,
-                "tensor_order": e.tensor.order,
+                "tensor_order": r.group.order,
                 "derived_order": gprime.order, "j2_order": jsub.order,
                 "delta_order": dsub.order, "delta_tilde_order": dtsub.order}
     props = {
         "a": g.order >= 1,
         "b": ts.m >= 1,
-        "c": e.tensor.order >= 1,
+        "c": r.group.order >= 1,
         "d": gprime.order >= 1 and subgroup_exponent(jsub) >= 1,
         "e": gprime.order >= 1 and subgroup_exponent(dsub) >= 1,
         "f": gprime.order >= 1 and subgroup_exponent(dtsub) >= 1,
-        "g": e.tensor.order >= 1,
+        "g": r.group.order >= 1,
     }
     unanimous = len(set(props.values())) == 1
     return TheoremCReport(
-        name=resolved.name, properties=props, unanimous=unanimous,
-        finite=True, evidence=evidence)
+        name=name, properties=props, unanimous=unanimous,
+        finite=True, evidence=evidence, stats=r.stats)
 
 
 @dataclass(frozen=True)
@@ -471,15 +454,12 @@ class ExponentReport:
     consistent: bool
 
 
-def burnside_exponent_check(g: RealizedGroup,
-                            budget: EnumerationBudget | None = None,
-                            build: EtaRealization | None = None
-                            ) -> ExponentReport:
+def burnside_exponent_check(r: TensorRealization) -> ExponentReport:
     """Exponent of the tensor square; when it lies in {2,3,4,6} the small
     exponent criterion applies and finiteness of G is recorded as a
     consistency check."""
-    e = build if build is not None else build_nu(g, budget)
-    exp = e.tensor_group.exponent()
+    g = r.pair.g
+    exp = r.group.exponent()
     applicable = exp in (2, 3, 4, 6)
     return ExponentReport(
         name=g.name, tensor_exponent=exp, applicable=applicable,

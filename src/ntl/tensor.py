@@ -5,25 +5,27 @@ eta(G,H) is presented on the full element sets of both factors: Cayley
 multiplication relators for each factor plus the two commutator-action
 relator families quantified over every element triple.  The subgroup
 generated by the commutators [g, h~] inside eta(G,H) is the non-abelian
-tensor product; `tensor_direct` builds the same group a second way from the
+tensor product; `build_direct` builds the same group a second way from the
 biadditivity presentation on |G|*|H| symbols, serving as a cross-check.
+Both routes return a `TensorRealization`, and the invariants below (the
+tensor set, J2, the diagonal and the symmetrized diagonal) are functions of
+it that never look inside eta.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+import functools
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .abelian import AbelianInvariants, tensor_invariants
 from .coset import (EnumerationBudget, EnumerationStats, enumerate_cosets,
                     regular_representation)
 from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
 from .groups import (Homomorphism, RealizedGroup, Subgroup, closure,
-                     derived_subgroup, subgroup_as_group,
-                     subgroup_from_members)
+                     commutator_subgroup, subgroup_as_group)
 from .parsing import ActionSpec
 from .words import Presentation, Word, commutator, conjugate
 
@@ -36,16 +38,23 @@ class CompatibleActionPair:
 
     g_on_h[x, b] is the image of the H-element b under the G-element x;
     h_on_g[y, a] is the image of the G-element a under the H-element y.
+    `ambient`, when set, is a group P with element maps G -> P and H -> P
+    under which both actions are conjugation in P; P is the target of the
+    derived map a(x)b |-> [a, b].
     """
 
     g: RealizedGroup
     h: RealizedGroup
     g_on_h: np.ndarray
     h_on_g: np.ndarray
+    ambient: tuple[RealizedGroup, np.ndarray, np.ndarray] | None = None
 
     def __post_init__(self):
         self.g_on_h.setflags(write=False)
         self.h_on_g.setflags(write=False)
+        if self.ambient is not None:
+            for images in self.ambient[1:]:
+                images.setflags(write=False)
 
 
 def _automorphism_failure(target: RealizedGroup, perm: np.ndarray) -> bool:
@@ -100,7 +109,8 @@ def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
 
 def _validate_tables(g: RealizedGroup, h: RealizedGroup,
                      g_on_h: np.ndarray, h_on_g: np.ndarray,
-                     label: str) -> CompatibleActionPair:
+                     label: str,
+                     ambient: tuple | None = None) -> CompatibleActionPair:
     """Run every element-level check and wrap the tables.
 
     Per-element automorphism first, then the two compatibility identities
@@ -150,7 +160,7 @@ def _validate_tables(g: RealizedGroup, h: RealizedGroup,
                         f"(fails at {actor.element_str(x)}, "
                         f"{actor.element_str(y)})")
     return CompatibleActionPair(g, h, g_on_h.astype(np.int64),
-                                h_on_g.astype(np.int64))
+                                h_on_g.astype(np.int64), ambient)
 
 
 def validate_compatibility(g: RealizedGroup, h: RealizedGroup,
@@ -181,47 +191,80 @@ def _conjugation_table(g: RealizedGroup) -> np.ndarray:
 def conjugation_pair(g: RealizedGroup) -> CompatibleActionPair:
     """Both actions by conjugation inside the same group."""
     table = _conjugation_table(g)
-    return _validate_tables(g, g, table, table, "conjugation actions")
+    ident = np.arange(g.order, dtype=np.int64)
+    return _validate_tables(g, g, table, table, "conjugation actions",
+                            (g, ident, ident))
 
 
-@dataclass
-class EtaRealization:
-    """A realized eta(G,H) with its embeddings and tensor subgroup."""
+@dataclass(frozen=True, eq=False)
+class TensorRealization:
+    """A realized tensor product T, from either route.
 
-    eta: RealizedGroup
-    embed_g: Homomorphism
-    embed_h_phi: Homomorphism
-    tensor: Subgroup
-    tensor_group: RealizedGroup
-    tensor_inclusion: Homomorphism
+    `sym[a, b]` is the element a(x)b of T.  `derived` is the map
+    T -> P, a(x)b |-> [a, b], into the pair's ambient group P, verified as a
+    homomorphism with the commutator subgroup as its image; it is None when
+    the pair has no ambient group.  `eta` is the commutator pairing group on
+    the eta route and None on the direct route.  The invariants below are
+    computed from `group`, `sym` and `derived` alone, once per realization.
+    """
+
     pair: CompatibleActionPair
     presentation: Presentation
     stats: EnumerationStats
-    is_square: bool
-    is_nu: bool
-    base: RealizedGroup | None
-    theta: np.ndarray | None
-    faulted: bool
+    group: RealizedGroup
+    sym: np.ndarray
+    derived: Homomorphism | None
+    eta: RealizedGroup | None = None
+    _memo: dict = field(default_factory=dict, init=False, repr=False)
+
+    def __post_init__(self):
+        self.sym.setflags(write=False)
 
 
 @dataclass(frozen=True)
 class TensorSet:
-    """All values [a, b~] inside the tensor subgroup, with witnesses."""
+    """All values a(x)b inside T, with witnesses."""
 
     elements: tuple[int, ...]
     m: int
     witness: dict[int, tuple[int, int]]
 
 
-def _unique_in_order(values) -> list[int]:
-    seen = set()
-    out = []
-    for v in values:
-        v = int(v)
-        if v not in seen:
-            seen.add(v)
-            out.append(v)
-    return out
+def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
+                 sym: np.ndarray) -> Homomorphism | None:
+    """a(x)b |-> [a, b] into the ambient group, spread over T along a
+    breadth-first spanning tree on the symbols, then verified."""
+    if pair.ambient is None:
+        return None
+    base, g_in, h_in = pair.ambient
+    tab = base.table
+    inv = base.inverse
+    want = tab[tab[inv[g_in][:, None], inv[h_in][None, :]],
+               tab[g_in[:, None], h_in[None, :]]].astype(np.int64)
+    steps = dict(zip(sym.ravel().tolist(), want.ravel().tolist()))
+    images = np.full(group.order, -1, dtype=np.int64)
+    images[0] = 0
+    frontier = [0]
+    while frontier:
+        nxt = []
+        for x in frontier:
+            for s, w in steps.items():
+                y = group.mul(x, s)
+                if images[y] < 0:
+                    images[y] = base.mul(int(images[x]), w)
+                    nxt.append(y)
+        frontier = nxt
+    if (images < 0).any():
+        raise InternalInconsistency("the symbols a(x)b do not generate T")
+    derived = Homomorphism(group, base, images)
+    if not np.array_equal(derived.images[sym], want):
+        raise InternalInconsistency("the derived map does not send a(x)b "
+                                    "to [a, b]")
+    comm = commutator_subgroup(closure(base, g_in), closure(base, h_in))
+    if derived.image_members() != comm.members:
+        raise InternalInconsistency(
+            "derived-map image differs from the commutator subgroup")
+    return derived
 
 
 def build_eta(pair: CompatibleActionPair,
@@ -230,10 +273,9 @@ def build_eta(pair: CompatibleActionPair,
               cap: int = ETA_SIZE_CAP,
               relator_scope: str = "elements",
               skip_pairing_relators: bool = False,
-              kappa_target: tuple | None = None,
-              is_nu: bool = False,
-              name: str | None = None) -> EtaRealization:
-    """Realize eta(G,H) for a compatible pair.
+              name: str | None = None) -> TensorRealization:
+    """Realize eta(G,H) for a compatible pair; T is the subgroup generated
+    by the commutators [a, b~].
 
     `relator_scope="generators"` is the opt-in variant that quantifies the
     commutator-action relator families over generator triples only; its
@@ -250,9 +292,7 @@ def build_eta(pair: CompatibleActionPair,
         raise CapExceeded(
             f"|G|*|H| = {ng * nh} exceeds the build cap {cap}")
     if name is None:
-        kind = "nu" if is_nu else "eta"
-        name = f"{kind}({g.name})" if is_nu else f"eta({g.name},{h.name})"
-
+        name = f"eta({g.name},{h.name})"
     def x(a: int) -> int:
         return a
 
@@ -261,8 +301,8 @@ def build_eta(pair: CompatibleActionPair,
 
     gens = tuple(f"g{i}" for i in range(ng)) + tuple(
         f"h{j}" for j in range(nh))
-    ggens = _unique_in_order(g.generator_images)
-    hgens = _unique_in_order(h.generator_images)
+    ggens = list(dict.fromkeys(g.generator_images))
+    hgens = list(dict.fromkeys(h.generator_images))
 
     def cayley(offset, grp, seconds):
         tab = grp.table
@@ -319,16 +359,15 @@ def build_eta(pair: CompatibleActionPair,
                                     defining_count=defining_count)
     eta = regular_representation(table, presentation)
 
-    embed_g_images = list(eta.generator_images[:ng])
-    embed_h_images = list(eta.generator_images[ng:])
-    embed_g = Homomorphism(g, eta, embed_g_images)
-    embed_h = Homomorphism(h, eta, embed_h_images)
-    tensors = _unique_in_order(
-        eta.comm(embed_g_images[a], embed_h_images[b])
-        for a in range(ng) for b in range(nh))
-    tensor_sub = closure(eta, tensors)
+    eg = np.asarray(eta.generator_images[:ng], dtype=np.int64)
+    eh = np.asarray(eta.generator_images[ng:], dtype=np.int64)
+    tab = eta.table
+    comms = tab[tab[eta.inverse[eg][:, None], eta.inverse[eh][None, :]],
+                tab[eg[:, None], eh[None, :]]].astype(np.int64)
+    tensor_sub = closure(eta, np.unique(comms))
     if not skip_pairing_relators:
-        if not (embed_g.is_injective() and embed_h.is_injective()):
+        if not (Homomorphism(g, eta, eg).is_injective()
+                and Homomorphism(h, eta, eh).is_injective()):
             raise InternalInconsistency(
                 f"{name}: factor embeddings are not injective")
         if eta.order != tensor_sub.order * ng * nh:
@@ -338,49 +377,26 @@ def build_eta(pair: CompatibleActionPair,
         if not tensor_sub.is_normal():
             raise InternalInconsistency(
                 f"{name}: tensor subgroup is not normal")
-    tensor_group, tensor_incl = subgroup_as_group(tensor_sub)
-
-    theta = None
-    base = None
-    if kappa_target is not None:
-        base, g_elt, h_elt = kappa_target
-        imgs = [int(g_elt[a]) for a in range(ng)] + \
-            [int(h_elt[b]) for b in range(nh)]
-        for w in presentation.relators:
-            if base.evaluate(w, imgs) != 0:
-                raise InternalInconsistency(
-                    f"{name}: a defining relator does not vanish in "
-                    f"{base.name!r}; the derived map is ill-defined")
-        theta = np.fromiter(
-            (base.evaluate(w, imgs) for w in eta.element_words),
-            dtype=np.int64, count=eta.order)
-        theta.setflags(write=False)
-
-    return EtaRealization(
-        eta=eta, embed_g=embed_g, embed_h_phi=embed_h, tensor=tensor_sub,
-        tensor_group=tensor_group, tensor_inclusion=tensor_incl,
-        pair=pair, presentation=presentation, stats=stats,
-        is_square=pair.g is pair.h, is_nu=is_nu, base=base, theta=theta,
-        faulted=skip_pairing_relators)
+    group, _ = subgroup_as_group(tensor_sub)
+    sym = np.searchsorted(tensor_sub.members_array(), comms)
+    return TensorRealization(pair, presentation, stats, group, sym,
+                             _derived_map(pair, group, sym), eta)
 
 
 def build_nu(g: RealizedGroup,
              budget: EnumerationBudget | None = None,
              *,
              cap: int = ETA_SIZE_CAP,
-             relator_scope: str = "elements",
-             skip_pairing_relators: bool = False) -> EtaRealization:
-    """eta(G,G) with both actions by conjugation, plus the derived map."""
-    pair = conjugation_pair(g)
-    ident = np.arange(g.order)
-    return build_eta(pair, budget, cap=cap, relator_scope=relator_scope,
-                     skip_pairing_relators=skip_pairing_relators,
-                     kappa_target=(g, ident, ident), is_nu=True)
+             relator_scope: str = "elements") -> TensorRealization:
+    """nu(G) = eta(G,G) with both actions by conjugation; T is the tensor
+    square and the derived map lands in G."""
+    return build_eta(conjugation_pair(g), budget, cap=cap,
+                     relator_scope=relator_scope, name=f"nu({g.name})")
 
 
-def tensor_direct(pair: CompatibleActionPair,
-                  budget: EnumerationBudget | None = None,
-                  cap: int = ETA_SIZE_CAP) -> RealizedGroup:
+def build_direct(pair: CompatibleActionPair,
+                 budget: EnumerationBudget | None = None,
+                 cap: int = ETA_SIZE_CAP) -> TensorRealization:
     """The tensor product from its own biadditivity presentation on the
     symbols a(x)b, an independent route used to cross-check the
     eta-subgroup construction."""
@@ -413,94 +429,72 @@ def tensor_direct(pair: CompatibleActionPair,
                                          (t(ap, bp), 1))))
     name = f"tensor({g.name},{h.name})"
     presentation = Presentation(name, gens, tuple(relators))
-    table, _ = enumerate_cosets(presentation, (), budget)
-    return regular_representation(table, presentation)
+    table, stats = enumerate_cosets(presentation, (), budget)
+    group = regular_representation(table, presentation)
+    sym = np.asarray(group.generator_images, dtype=np.int64).reshape(ng, nh)
+    return TensorRealization(pair, presentation, stats, group, sym,
+                             _derived_map(pair, group, sym))
 
 
-def abelian_tensor_oracle(a: AbelianInvariants,
-                          b: AbelianInvariants) -> AbelianInvariants:
-    """Classical reduction: with trivial actions the tensor product is the
-    tensor product of the abelianizations over the integers."""
-    return tensor_invariants(a, b)
+def tensor_direct(pair: CompatibleActionPair,
+                  budget: EnumerationBudget | None = None,
+                  cap: int = ETA_SIZE_CAP) -> RealizedGroup:
+    """The group T of `build_direct` alone, generated by the symbols a(x)b
+    in row-major order (perfbench/make_expected.py reads its order and
+    generator images)."""
+    return build_direct(pair, budget, cap).group
 
 
-def tensor_set(e: EtaRealization) -> TensorSet:
-    """All tensors [a, b~], with the first witnessing pair per value."""
-    eg = e.embed_g.images
-    eh = e.embed_h_phi.images
-    eta = e.eta
-    witness: dict[int, tuple[int, int]] = {}
-    order: list[int] = []
-    for a in range(e.pair.g.order):
-        for b in range(e.pair.h.order):
-            v = eta.comm(int(eg[a]), int(eh[b]))
-            if v not in witness:
-                witness[v] = (a, b)
-                order.append(v)
-    elements = tuple(sorted(order))
-    return TensorSet(elements=elements, m=len(elements), witness=witness)
+def _memoized(fn):
+    """Compute an invariant once per realization; realizations are
+    immutable, so the cached value can be shared."""
+    @functools.wraps(fn)
+    def once(r: TensorRealization):
+        if fn.__name__ not in r._memo:
+            r._memo[fn.__name__] = fn(r)
+        return r._memo[fn.__name__]
+    return once
 
 
-def _require_square(e: EtaRealization, what: str):
-    if not e.is_square:
+def _require_square(r: TensorRealization, what: str):
+    if r.pair.g is not r.pair.h:
         raise InternalInconsistency(
             f"{what} needs a square build (same group on both sides)")
 
 
-def _require_based(e: EtaRealization, what: str):
-    if e.theta is None or e.base is None:
+@_memoized
+def tensor_set(r: TensorRealization) -> TensorSet:
+    """All tensors a(x)b, with the first witnessing pair (row-major) per
+    value."""
+    values, first = np.unique(r.sym, return_index=True)
+    nh = r.sym.shape[1]
+    witness = {int(v): divmod(int(i), nh) for v, i in zip(values, first)}
+    return TensorSet(elements=tuple(witness), m=len(witness),
+                     witness=witness)
+
+
+@_memoized
+def j2(r: TensorRealization) -> Subgroup:
+    """Kernel of the derived map, a normal subgroup of T."""
+    if r.derived is None:
         raise InternalInconsistency(
-            f"{what} needs a build with a recorded derived-map target")
+            "j2 needs a build with a derived-map target")
+    return r.derived.kernel()
 
 
-def kappa(e: EtaRealization) -> Homomorphism:
-    """Derived map [G,G~] -> G, [g,h~] |-> [g,h], on the tensor subgroup."""
-    _require_based(e, "kappa")
-    if e.is_nu and not e.faulted:
-        base = e.base
-        image = set(int(v) for v in
-                    np.unique(e.theta[e.tensor.members_array()]))
-        if image != set(derived_subgroup(base).members):
-            raise InternalInconsistency(
-                "derived map image differs from the derived subgroup")
-    mem = e.tensor.members_array()
-    return Homomorphism(e.tensor_group, e.base, e.theta[mem])
+@_memoized
+def delta(r: TensorRealization) -> Subgroup:
+    """Diagonal subgroup, generated by the square tensors a(x)a."""
+    _require_square(r, "the diagonal subgroup")
+    return closure(r.group, np.unique(np.diagonal(r.sym)))
 
 
-def j2(e: EtaRealization) -> Subgroup:
-    """Kernel of the derived map, as a subgroup of eta."""
-    _require_based(e, "j2")
-    mem = e.tensor.members_array()
-    inside = mem[e.theta[mem] == 0]
-    return subgroup_from_members(e.eta, (int(v) for v in inside))
-
-
-def delta(e: EtaRealization) -> Subgroup:
-    """Diagonal subgroup, generated by the square tensors [g, g~]."""
-    _require_square(e, "the diagonal subgroup")
-    eg = e.embed_g.images
-    eh = e.embed_h_phi.images
-    vals = [e.eta.comm(int(eg[a]), int(eh[a]))
-            for a in range(e.pair.g.order)]
-    return closure(e.eta, _unique_in_order(vals))
-
-
-def delta_tilde(e: EtaRealization) -> Subgroup:
-    """Subgroup generated by the symmetrized tensors [g,h~][h,g~]."""
-    _require_square(e, "the symmetrized diagonal subgroup")
-    eg = e.embed_g.images
-    eh = e.embed_h_phi.images
-    eta = e.eta
-    n = e.pair.g.order
-    vals = []
-    for a in range(n):
-        for b in range(n):
-            vals.append(eta.mul(eta.comm(int(eg[a]), int(eh[b])),
-                                eta.comm(int(eg[b]), int(eh[a]))))
-    sub = closure(eta, _unique_in_order(vals))
-    if e.theta is not None:
-        bad = [v for v in sub.members if e.theta[v] != 0]
-        if bad:
-            raise InternalInconsistency(
-                "symmetrized diagonal escapes the derived-map kernel")
+@_memoized
+def delta_tilde(r: TensorRealization) -> Subgroup:
+    """Subgroup generated by the symmetrized tensors (a(x)b)(b(x)a)."""
+    _require_square(r, "the symmetrized diagonal subgroup")
+    sub = closure(r.group, np.unique(r.group.table[r.sym, r.sym.T]))
+    if r.derived is not None and r.derived.images[sub.members_array()].any():
+        raise InternalInconsistency(
+            "symmetrized diagonal escapes the derived-map kernel")
     return sub

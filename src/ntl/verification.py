@@ -8,22 +8,25 @@ never repeated across criteria.
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from math import gcd
+
+import numpy as np
 
 from .abelian import AbelianInvariants
 from .catalog import (CatalogEntry, catalog_lookup, finite_corpus,
                       realize_entry)
 from .coset import EnumerationBudget, EnumerationStats
 from .errors import NtlError
-from .groups import (RealizedGroup, abelian_structure, closure,
-                     derived_subgroup, subgroup_as_group, subgroup_quotient)
+from .groups import RealizedGroup, closure, derived_subgroup
 from .homotopy import (PushoutInput, bound_pushout_pi3, bound_theorem_A,
-                       bound_theorem_B, burnside_exponent_check, pushout_EM,
-                       theoremC_report, three_connected_check, wedge_pi3)
+                       bound_theorem_B, burnside_exponent_check,
+                       finiteness_report, pushout_EM, schur_multiplier,
+                       stable_pi2_K, theoremC_report, three_connected_check,
+                       wedge_pi3)
 from .parsing import parse_file
-from .tensor import (build_eta, build_nu, delta, delta_tilde, j2, kappa,
-                     tensor_direct, tensor_set, trivial_pair)
+from .tensor import (TensorRealization, build_direct, build_eta, build_nu,
+                     delta, delta_tilde, j2, tensor_set, trivial_pair)
 
 FAULT_BUDGET = EnumerationBudget(max_cosets=20_000)
 
@@ -40,8 +43,31 @@ class CheckResult:
         return f"{mark}  {self.name}: {self.detail} [{self.elapsed_ms} ms]"
 
 
-def _group_fingerprint(g: RealizedGroup) -> AbelianInvariants:
-    return g.abelianization()
+@dataclass(frozen=True)
+class RouteProfile:
+    """What one route gives for a tensor product.  The derived-map fields
+    (|J2|, |D|, |Dt|, H2 = J2/D and pi2S = J2/Dt) are None for a build
+    without a derived map."""
+
+    order: int
+    invariants: AbelianInvariants
+    m: int
+    j2_order: int | None = None
+    delta_order: int | None = None
+    delta_tilde_order: int | None = None
+    schur: AbelianInvariants | None = None
+    stable: AbelianInvariants | None = None
+
+
+def _route_profile(r: TensorRealization) -> RouteProfile:
+    prof = RouteProfile(r.group.order, r.group.abelianization(),
+                        tensor_set(r).m)
+    if r.derived is None:
+        return prof
+    return replace(prof, j2_order=j2(r).order, delta_order=delta(r).order,
+                   delta_tilde_order=delta_tilde(r).order,
+                   schur=schur_multiplier(r).abelianization(),
+                   stable=stable_pi2_K(r).abelianization())
 
 
 @dataclass
@@ -51,11 +77,8 @@ class PairProfile:
     g_order: int
     h_order: int
     eta_order: int
-    tensor_order: int
-    tensor_invariants: AbelianInvariants
-    m: int
-    direct_order: int
-    direct_invariants: AbelianInvariants
+    eta_route: RouteProfile
+    direct_route: RouteProfile
     oracle_invariants: AbelianInvariants
     decomposition_ok: bool
     stats: EnumerationStats
@@ -66,22 +89,11 @@ class NuProfile:
     name: str
     group_order: int
     eta_order: int
-    tensor_order: int
-    tensor_invariants: AbelianInvariants
-    tensor_exponent: int
-    m: int
+    eta_route: RouteProfile
+    direct_route: RouteProfile
     gab: AbelianInvariants
     gprime_order: int
-    j2_order: int
-    delta_order: int
-    delta_tilde_order: int
-    schur_order: int
-    schur_invariants: AbelianInvariants
-    stable_order: int
-    stable_invariants: AbelianInvariants
     delta_invariants: AbelianInvariants
-    direct_order: int
-    direct_invariants: AbelianInvariants
     decomposition_ok: bool
     tensorset_generates: bool
     structural: dict[str, bool]
@@ -120,6 +132,10 @@ def nu_corpus() -> list[CatalogEntry]:
     return [e for e in finite_corpus() if e.known_facts["order"] <= 12]
 
 
+def _ms_since(t0: float) -> int:
+    return int((time.monotonic() - t0) * 1000)
+
+
 def _profile_pair(a: CatalogEntry, b: CatalogEntry,
                   budget: EnumerationBudget | None,
                   store: ProfileStore) -> PairProfile:
@@ -127,23 +143,19 @@ def _profile_pair(a: CatalogEntry, b: CatalogEntry,
     h = realize_entry(b, budget)
     pair = trivial_pair(g, h)
     t0 = time.monotonic()
-    e = build_eta(pair, budget)
-    ts = tensor_set(e)
-    tinv = _group_fingerprint(e.tensor_group)
-    store.eta_build_ms += int((time.monotonic() - t0) * 1000)
+    r = build_eta(pair, budget)
+    eta_route = _route_profile(r)
+    store.eta_build_ms += _ms_since(t0)
     t0 = time.monotonic()
-    direct = tensor_direct(pair, budget)
-    store.direct_build_ms += int((time.monotonic() - t0) * 1000)
+    direct = build_direct(pair, budget)
+    store.direct_build_ms += _ms_since(t0)
     return PairProfile(
         gname=a.name, hname=b.name, g_order=g.order, h_order=h.order,
-        eta_order=e.eta.order, tensor_order=e.tensor.order,
-        tensor_invariants=tinv, m=ts.m,
-        direct_order=direct.order,
-        direct_invariants=direct.abelianization(),
+        eta_order=r.eta.order, eta_route=eta_route,
+        direct_route=_route_profile(direct),
         oracle_invariants=g.abelianization().tensor(h.abelianization()),
-        decomposition_ok=(e.eta.order ==
-                          e.tensor.order * g.order * h.order),
-        stats=e.stats)
+        decomposition_ok=(r.eta.order == r.group.order * g.order * h.order),
+        stats=r.stats)
 
 
 def _profile_nu(entry: CatalogEntry,
@@ -151,74 +163,45 @@ def _profile_nu(entry: CatalogEntry,
                 store: ProfileStore) -> NuProfile:
     g = realize_entry(entry, budget)
     t0 = time.monotonic()
-    e = build_nu(g, budget)
-    build_ms = int((time.monotonic() - t0) * 1000)
+    r = build_nu(g, budget)
+    build_ms = _ms_since(t0)
     store.eta_build_ms += build_ms
-
-    ts = tensor_set(e)
-    jsub = j2(e)
-    dsub = delta(e)
-    dtsub = delta_tilde(e)
-    gprime = derived_subgroup(g)
-    kap = kappa(e)
-    incl = e.tensor_inclusion
-
-    structural: dict[str, bool] = {}
-    ker_parent = sorted(int(incl.images[x]) for x in kap.kernel().members)
-    structural["j2_is_kappa_kernel"] = ker_parent == list(jsub.members)
-    structural["kappa_image_is_derived"] = (
-        list(kap.image_members()) == list(gprime.members))
-
-    schur, proj_s, j2grp = subgroup_quotient(jsub, dsub)
-    j2mem = jsub.members_array()
-    structural["delta_is_schur_kernel"] = (
-        sorted(int(j2mem[x]) for x in proj_s.kernel().members)
-        == list(dsub.members))
-    stable, proj_t, _ = subgroup_quotient(jsub, dtsub)
-    structural["delta_tilde_is_stable_kernel"] = (
-        sorted(int(j2mem[x]) for x in proj_t.kernel().members)
-        == list(dtsub.members))
-    structural["j2_normal"] = jsub.is_normal()
-    structural["delta_normal"] = dsub.is_normal()
-    structural["delta_tilde_normal"] = dtsub.is_normal()
-
-    dgrp, _ = subgroup_as_group(dsub)
-    dinv = abelian_structure(dgrp)
-    gab = g.abelianization()
-
     t0 = time.monotonic()
-    direct = tensor_direct(e.pair, budget)
-    store.direct_build_ms += int((time.monotonic() - t0) * 1000)
+    direct = build_direct(r.pair, budget)
+    store.direct_build_ms += _ms_since(t0)
 
-    thmc = theoremC_report(g, budget, build=e)
-    expo = burnside_exponent_check(g, budget, build=e)
-
-    regen = closure(e.eta, ts.elements)
+    jsub, dsub, dtsub = j2(r), delta(r), delta_tilde(r)
+    gprime = derived_subgroup(g)
+    structural = {
+        "j2_is_kappa_kernel": (
+            list(jsub.members) == np.flatnonzero(r.derived.images == 0)
+            .tolist()),
+        "kappa_image_is_derived": (
+            r.derived.image_members() == gprime.members),
+        "delta_in_j2": set(dsub.members) <= set(jsub.members),
+        "delta_tilde_in_j2": set(dtsub.members) <= set(jsub.members),
+        "j2_normal": jsub.is_normal(),
+        "delta_normal": dsub.is_normal(),
+        "delta_tilde_normal": dtsub.is_normal(),
+    }
+    thmc = theoremC_report(r)
+    fin = finiteness_report(r)
+    expo = burnside_exponent_check(r)
+    regen = closure(r.group, tensor_set(r).elements)
     return NuProfile(
-        name=entry.name, group_order=g.order, eta_order=e.eta.order,
-        tensor_order=e.tensor.order,
-        tensor_invariants=_group_fingerprint(e.tensor_group),
-        tensor_exponent=expo.tensor_exponent, m=ts.m, gab=gab,
-        gprime_order=gprime.order, j2_order=jsub.order,
-        delta_order=dsub.order, delta_tilde_order=dtsub.order,
-        schur_order=schur.order,
-        schur_invariants=abelian_structure(schur) if schur.is_abelian()
-        else _group_fingerprint(schur),
-        stable_order=stable.order,
-        stable_invariants=abelian_structure(stable) if stable.is_abelian()
-        else _group_fingerprint(stable),
-        delta_invariants=dinv,
-        direct_order=direct.order,
-        direct_invariants=direct.abelianization(),
-        decomposition_ok=(e.eta.order == e.tensor.order * g.order ** 2),
-        tensorset_generates=(regen.members == e.tensor.members),
+        name=entry.name, group_order=g.order, eta_order=r.eta.order,
+        eta_route=_route_profile(r), direct_route=_route_profile(direct),
+        gab=fin.gab_invariants, gprime_order=gprime.order,
+        delta_invariants=fin.delta_invariants,
+        decomposition_ok=(r.eta.order == r.group.order * g.order ** 2),
+        tensorset_generates=(regen.order == r.group.order),
         structural=structural,
-        embedding_holds=gab.divides_into(dinv),
+        embedding_holds=fin.embedding_holds,
         thmc_properties=thmc.properties,
         thmc_unanimous=thmc.unanimous,
         exponent_applicable=expo.applicable,
         exponent_value=expo.tensor_exponent,
-        stats=e.stats, build_ms=build_ms)
+        stats=r.stats, build_ms=build_ms)
 
 
 def build_profiles(budget: EnumerationBudget | None = None) -> ProfileStore:
@@ -237,7 +220,7 @@ def _timed(fn):
     def wrapper(*args, **kwargs) -> CheckResult:
         t0 = time.monotonic()
         result = fn(*args, **kwargs)
-        result.elapsed_ms += int((time.monotonic() - t0) * 1000)
+        result.elapsed_ms += _ms_since(t0)
         return result
     return wrapper
 
@@ -262,18 +245,14 @@ def check_decomposition(store: ProfileStore) -> CheckResult:
 
 @_timed
 def check_route_equivalence(store: ProfileStore) -> CheckResult:
-    bad = []
-    for p in store.pairs.values():
-        if (p.tensor_order != p.direct_order
-                or p.tensor_invariants != p.direct_invariants):
-            bad.append(f"{p.gname}x{p.hname}")
-    for p in store.nus.values():
-        if (p.tensor_order != p.direct_order
-                or p.tensor_invariants != p.direct_invariants):
-            bad.append(p.name)
+    bad = [f"{p.gname}x{p.hname}" for p in store.pairs.values()
+           if p.eta_route != p.direct_route]
+    bad += [p.name for p in store.nus.values()
+            if p.eta_route != p.direct_route]
     within = store.direct_build_ms <= 60_000
-    detail = (f"order and abelian invariants agree on "
-              f"{len(store.pairs) + len(store.nus)} builds, "
+    detail = (f"order, abelian invariants and m agree on "
+              f"{len(store.pairs) + len(store.nus)} builds, and |J2|, |D|, "
+              f"|Dt|, H2 and pi2S on the {len(store.nus)} tensor squares; "
               f"direct route took {store.direct_build_ms} ms")
     if bad:
         detail = f"routes disagree on {', '.join(bad)}; " + detail
@@ -292,11 +271,11 @@ def check_abelian_reduction(budget: EnumerationBudget | None,
         for n in range(1, 13):
             gn = realize_entry(catalog_lookup(f"C{n}"), budget)
             pair = trivial_pair(gm, gn)
-            e = build_eta(pair, budget)
+            t = build_eta(pair, budget).group
             want = AbelianInvariants.from_cyclic_orders([gcd(m, n)])
-            got = _group_fingerprint(e.tensor_group)
-            if (got != want or not e.tensor_group.is_abelian()
-                    or e.tensor.order != (want.order() or 0)):
+            got = t.abelianization()
+            if (got != want or not t.is_abelian()
+                    or t.order != (want.order() or 0)):
                 bad.append(f"C{m}(x)C{n}: got {got}, want {want}")
     oracle_checked = 0
     if store is not None:
@@ -304,10 +283,10 @@ def check_abelian_reduction(budget: EnumerationBudget | None,
         # abelianizations, so every corpus pair must match the oracle.
         for p in store.pairs.values():
             oracle_checked += 1
-            if p.tensor_invariants != p.oracle_invariants:
-                bad.append(f"{p.gname}(x){p.hname}: {p.tensor_invariants} "
+            if p.eta_route.invariants != p.oracle_invariants:
+                bad.append(f"{p.gname}(x){p.hname}: {p.eta_route.invariants} "
                            f"vs oracle {p.oracle_invariants}")
-    elapsed = int((time.monotonic() - t0) * 1000)
+    elapsed = _ms_since(t0)
     ok = not bad and elapsed <= 30_000
     detail = (f"144 cyclic pairs against the gcd oracle in {elapsed} ms; "
               f"{oracle_checked} corpus pairs re-checked against the "
@@ -322,7 +301,7 @@ def check_tensor_counts(store: ProfileStore) -> CheckResult:
     bad = []
     for n in range(1, 13):
         want = len({(i * j) % n for i in range(n) for j in range(n)})
-        got = store.nus[f"C{n}"].m
+        got = store.nus[f"C{n}"].eta_route.m
         if got != want:
             bad.append(f"C{n}: m={got}, bilinear image {want}")
     return CheckResult(
@@ -335,11 +314,12 @@ def check_tensor_counts(store: ProfileStore) -> CheckResult:
 def check_exact_sequences(store: ProfileStore) -> CheckResult:
     bad = []
     for p in store.nus.values():
-        if p.tensor_order != p.j2_order * p.gprime_order:
+        q = p.eta_route
+        if q.order != q.j2_order * p.gprime_order:
             bad.append(f"{p.name}: |T| != |J2||G'|")
-        if p.j2_order != p.delta_order * p.schur_order:
+        if q.j2_order != q.delta_order * q.schur.order():
             bad.append(f"{p.name}: |J2| != |D||H2|")
-        if p.j2_order != p.delta_tilde_order * p.stable_order:
+        if q.j2_order != q.delta_tilde_order * q.stable.order():
             bad.append(f"{p.name}: |J2| != |Dt||J2/Dt|")
         for key, ok in p.structural.items():
             if not ok:
@@ -358,12 +338,12 @@ def check_schur_oracle(store: ProfileStore) -> CheckResult:
     for name in [f"C{n}" for n in range(1, 13)] + ["C2xC2", "C2xC4"]:
         p = store.nus[name]
         oracle = p.gab.exterior_square()
-        if p.schur_invariants != oracle:
-            bad.append(f"{name}: H2={p.schur_invariants}, oracle {oracle}")
+        if p.eta_route.schur != oracle:
+            bad.append(f"{name}: H2={p.eta_route.schur}, oracle {oracle}")
     for p in store.nus.values():
         entry = catalog_lookup(p.name)
         if entry.abelian:
-            if p.schur_invariants != p.gab.exterior_square():
+            if p.eta_route.schur != p.gab.exterior_square():
                 bad.append(f"{p.name} (abelian sweep)")
     return CheckResult(
         "criterion 6: Schur multipliers match the exterior-square oracle",
@@ -374,15 +354,12 @@ def check_schur_oracle(store: ProfileStore) -> CheckResult:
 
 @_timed
 def check_stable_pi2(store: ProfileStore) -> CheckResult:
-    c2 = store.nus["C2"]
-    c3 = store.nus["C3"]
-    ok = (c2.stable_order == 2
-          and c2.stable_invariants == AbelianInvariants((2,))
-          and c3.stable_order == 1)
+    c2 = store.nus["C2"].eta_route.stable
+    c3 = store.nus["C3"].eta_route.stable
+    ok = c2.order() == 2 and c2 == AbelianInvariants((2,)) and c3.order() == 1
     return CheckResult(
         "criterion 7: second stable homotopy of K(C2,1) and K(C3,1)", ok,
-        f"pi2S(K(C2,1))={c2.stable_invariants}, "
-        f"pi2S(K(C3,1)) order {c3.stable_order}")
+        f"pi2S(K(C2,1))={c2}, pi2S(K(C3,1)) order {c3.order()}")
 
 
 @_timed
@@ -467,31 +444,32 @@ def check_performance(store: ProfileStore) -> CheckResult:
         f"{worst.stats}" if not slow else "; ".join(slow))
 
 
-@_timed
-def check_negative_control(budget: EnumerationBudget | None) -> CheckResult:
-    """Rebuild the criterion-1 corpus with the pairing relators dropped; the
-    decomposition check must break somewhere, or the suite is blind."""
-    fault_budget = budget or FAULT_BUDGET
+def _fault_scan(budget: EnumerationBudget | None) -> tuple[bool, str]:
+    """Rebuild the criterion-1 corpus with the pairing relators dropped.
+    Returns whether the decomposition check broke, with the first pair where
+    it did."""
     for a, b in pair_corpus():
         g = realize_entry(a)
         h = realize_entry(b)
-        pair = trivial_pair(g, h)
         try:
-            e = build_eta(pair, fault_budget, skip_pairing_relators=True)
+            r = build_eta(trivial_pair(g, h), budget or FAULT_BUDGET,
+                          skip_pairing_relators=True)
         except NtlError as exc:
-            return CheckResult(
-                "criterion 13: negative control",
-                True,
-                f"fault exposed at {a.name}(x){b.name}: {exc.code} "
-                "breaks the decomposition check")
-        if e.eta.order != e.tensor.order * g.order * h.order:
-            return CheckResult(
-                "criterion 13: negative control", True,
-                f"fault exposed at {a.name}(x){b.name}: "
-                f"|eta|={e.eta.order} != {e.tensor.order}*{g.order}"
-                f"*{h.order}")
-    return CheckResult("criterion 13: negative control", False,
-                       "dropping the pairing relators went unnoticed")
+            return True, (f"fault exposed at {a.name}(x){b.name}: "
+                          f"{exc.code}: {exc}")
+        if r.eta.order != r.group.order * g.order * h.order:
+            return True, (f"fault exposed at {a.name}(x){b.name}: "
+                          f"|eta|={r.eta.order} != {r.group.order}"
+                          f"*{g.order}*{h.order}")
+    return False, "dropping the pairing relators went unnoticed"
+
+
+@_timed
+def check_negative_control(budget: EnumerationBudget | None) -> CheckResult:
+    """The fault must break the decomposition check somewhere, or the suite
+    is blind."""
+    exposed, detail = _fault_scan(budget)
+    return CheckResult("criterion 13: negative control", exposed, detail)
 
 
 @_timed
@@ -512,9 +490,9 @@ def check_generator_scope_variant(store: ProfileStore,
     bad = []
     for name, p in store.nus.items():
         g = realize_entry(catalog_lookup(name), budget)
-        e = build_nu(g, budget, relator_scope="generators")
-        if e.eta.order != p.eta_order:
-            bad.append(f"{name}: {e.eta.order} != {p.eta_order}")
+        r = build_nu(g, budget, relator_scope="generators")
+        if r.eta.order != p.eta_order:
+            bad.append(f"{name}: {r.eta.order} != {p.eta_order}")
     return CheckResult(
         "invariant: generator-scope variant matches the full build",
         not bad, f"orders agree on {len(store.nus)} groups" if not bad
@@ -531,30 +509,10 @@ def run_catalog_suite(budget: EnumerationBudget | None = None,
     the suite's sensitivity and exits nonzero.
     """
     if fault:
-        fault_budget = budget or FAULT_BUDGET
-        results = []
-        for a, b in pair_corpus():
-            g = realize_entry(a)
-            h = realize_entry(b)
-            pair = trivial_pair(g, h)
-            try:
-                e = build_eta(pair, fault_budget,
-                              skip_pairing_relators=True)
-                ok = e.eta.order == e.tensor.order * g.order * h.order
-                detail = (f"|eta({a.name},{b.name})| = {e.eta.order} vs "
-                          f"{e.tensor.order}*{g.order}*{h.order}")
-            except NtlError as exc:
-                ok = False
-                detail = f"{a.name}(x){b.name}: {exc.code}: {exc}"
-            if not ok:
-                results.append(CheckResult(
-                    "criterion 1: decomposition identity (fault injected)",
-                    False, detail))
-                return results
-        results.append(CheckResult(
-            "criterion 1: decomposition identity (fault injected)", True,
-            "fault went unnoticed"))
-        return results
+        exposed, detail = _fault_scan(budget)
+        return [CheckResult(
+            "criterion 1: decomposition identity (fault injected)",
+            not exposed, detail)]
 
     store = build_profiles(budget)
     results = [
@@ -594,35 +552,35 @@ def run_file_suite(text: str,
         except NtlError as exc:
             results.append(CheckResult(
                 f"{name}: realization", False, f"{exc.code}: {exc}",
-                int((time.monotonic() - t0) * 1000)))
+                _ms_since(t0)))
             continue
         realized[name] = grp
         results.append(CheckResult(
             f"{name}: realization", True,
             f"order {grp.order}, {stats.cosets_defined} cosets defined",
-            int((time.monotonic() - t0) * 1000)))
+            _ms_since(t0)))
         if grp.order ** 2 > 144:
             results.append(CheckResult(
                 f"{name}: conjugation build", True,
                 "skipped: square build exceeds the size cap"))
             continue
         t0 = time.monotonic()
-        e = build_nu(grp, budget)
-        direct = tensor_direct(e.pair, budget)
-        ok = (e.eta.order == e.tensor.order * grp.order ** 2
-              and direct.order == e.tensor.order)
-        jsub = j2(e)
-        dsub = delta(e)
-        prods = (e.tensor.order == jsub.order * derived_subgroup(grp).order
+        r = build_nu(grp, budget)
+        direct = build_direct(r.pair, budget)
+        ok = (r.eta.order == r.group.order * grp.order ** 2
+              and direct.group.order == r.group.order)
+        jsub = j2(r)
+        dsub = delta(r)
+        prods = (r.group.order == jsub.order * derived_subgroup(grp).order
                  and jsub.order % dsub.order == 0)
-        thmc = theoremC_report(grp, budget, build=e)
+        thmc = theoremC_report(r)
         results.append(CheckResult(
             f"{name}: conjugation build", ok and prods and thmc.unanimous,
-            f"|T|={e.tensor.order}, decomposition "
+            f"|T|={r.group.order}, decomposition "
             f"{'holds' if ok else 'FAILS'}, sequences "
             f"{'hold' if prods else 'FAIL'}, seven-property "
             f"{'unanimous' if thmc.unanimous else 'split'}",
-            int((time.monotonic() - t0) * 1000)))
+            _ms_since(t0)))
     for spec in actions:
         results.append(CheckResult(
             f"action {spec.name}: parsed", True,

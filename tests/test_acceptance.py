@@ -5,10 +5,13 @@ tensor route) are computed once per session; every criterion check reads
 from that store at its stated tolerance.  Run with `-s` to see the lines.
 """
 
+from dataclasses import replace
+
 import pytest
 
 from ntl.coset import EnumerationBudget
-from ntl.verification import (build_profiles, check_abelian_reduction,
+from ntl.verification import (ProfileStore, build_profiles,
+                              check_abelian_reduction,
                               check_bound_arithmetic, check_decomposition,
                               check_exact_sequences, check_negative_control,
                               check_pushout, check_performance,
@@ -38,6 +41,23 @@ def test_criterion_01_decomposition_identity(store):
 def test_criterion_02_route_equivalence(store):
     r = _gate(check_route_equivalence(store))
     assert r.elapsed_ms <= 60_000
+
+
+def test_criterion_02_fails_when_a_route_swaps_the_diagonals(store):
+    def swap(route):
+        return replace(route, delta_order=route.delta_tilde_order,
+                       delta_tilde_order=route.delta_order,
+                       schur=route.stable, stable=route.schur)
+
+    faulted = ProfileStore(
+        pairs=store.pairs,
+        nus={name: replace(p, direct_route=swap(p.direct_route))
+             for name, p in store.nus.items()},
+        eta_build_ms=store.eta_build_ms,
+        direct_build_ms=store.direct_build_ms)
+    r = check_route_equivalence(faulted)
+    assert not r.passed
+    assert "C2" in r.detail.split(";")[0]
 
 
 def test_criterion_03_abelian_reduction(store):

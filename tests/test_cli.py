@@ -2,7 +2,8 @@ import json
 
 import pytest
 
-from ntl.cli import main
+from ntl.cli import _budget_from, build_parser, main
+from ntl.coset import EnumerationBudget
 from ntl.errors import ALL_ERRORS
 
 
@@ -120,6 +121,18 @@ class TestBasicCommands:
         rc, record, _ = run_json(capsys, "bound", "pushout", "2", "3", "4")
         assert record["result"]["order"] == 24
 
+    def test_thmc_reports_the_nu_build(self, capsys):
+        _, thmc, _ = run_json(capsys, "thmc", "--group", "S3")
+        _, nu, _ = run_json(capsys, "nu", "--group", "S3")
+        assert thmc["stats"]["cosets_defined"] == \
+            nu["stats"]["cosets_defined"] == 2487
+
+    def test_finiteness_reports_the_nu_build(self, capsys):
+        _, fin, _ = run_json(capsys, "finiteness", "--group", "C2xC2")
+        _, nu, _ = run_json(capsys, "nu", "--group", "C2xC2")
+        assert fin["stats"]["cosets_defined"] == \
+            nu["stats"]["cosets_defined"] > 0
+
     def test_exponent_check(self, capsys):
         rc, record, _ = run_json(capsys, "exponent-check", "--group", "C5")
         assert rc == 0
@@ -232,6 +245,20 @@ class TestFilesAndEnv:
                                  "--max-cosets", "100000")
         assert rc == 0
         assert record["result"]["order"] == 64
+
+    def test_env_budget_reaches_verify(self, capsys, monkeypatch):
+        monkeypatch.setenv("NTL_MAX_COSETS", "40")
+        rc, _, err = run(capsys, "verify")
+        assert rc == 1
+        assert "BudgetExceeded" in err
+
+    def test_no_budget_flag_defers_to_the_environment(self, monkeypatch):
+        monkeypatch.setenv("NTL_MAX_COSETS", "40")
+        assert _budget_from(build_parser().parse_args(["nu", "--group",
+                                                       "C2"])) is None
+        budget = _budget_from(build_parser().parse_args(
+            ["nu", "--group", "C2", "--budget-ms", "500"]))
+        assert budget == EnumerationBudget(max_cosets=40, max_time_ms=500)
 
     def test_verify_file_scope(self, capsys, tmp_path):
         f = tmp_path / "one.grp"

@@ -7,8 +7,8 @@ from ntl.groups import abelian_structure, closure, derived_subgroup
 from ntl.homotopy import (PushoutInput, TriadInput, bound_pushout_pi3,
                           bound_theorem_A, bound_theorem_B,
                           burnside_exponent_check, finiteness_report,
-                          pi3_suspension_K, pi4_double_suspension,
-                          pushout_EM, schur_multiplier, stable_pi2_K,
+                          pi3_suspension_K, pushout_EM, schur_multiplier,
+                          stable_pi2_K,
                           theoremC_report, three_connected_check,
                           triad_group, wedge_pi3)
 from ntl.tensor import build_nu, trivial_pair
@@ -88,33 +88,28 @@ class TestWedge:
 class TestSuspension:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic(self, n):
-        grp = pi3_suspension_K(cyc(n))
+        grp = pi3_suspension_K(build_nu(cyc(n)))
         assert grp.order == n
         if n > 1:
             assert abelian_structure(grp).factors == (n,)
 
     def test_s3_kernel_index(self):
         s3 = realize_name("S3")
-        e = build_nu(s3)
-        grp = pi3_suspension_K(s3, build=e)
-        assert grp.order * 3 == e.tensor.order
+        r = build_nu(s3)
+        grp = pi3_suspension_K(r)
+        assert grp.order * 3 == r.group.order
 
     @pytest.mark.parametrize("name,want", [("C2xC2", (2,)),
                                            ("C2xC4", (2,)), ("C9", ())])
     def test_schur_values(self, name, want):
-        grp = schur_multiplier(realize_name(name))
+        grp = schur_multiplier(build_nu(realize_name(name)))
         assert abelian_structure(grp).factors == want
 
     def test_stable_pi2(self):
-        assert abelian_structure(stable_pi2_K(cyc(2))).factors == (2,)
-        assert stable_pi2_K(cyc(3)).order == 1
-        assert stable_pi2_K(cyc(1)).order == 1
-
-    def test_pi4_names_the_same_group(self):
-        g = cyc(6)
-        e = build_nu(g)
-        assert pi4_double_suspension(g, build=e).order == \
-            stable_pi2_K(g, build=e).order
+        assert abelian_structure(
+            stable_pi2_K(build_nu(cyc(2)))).factors == (2,)
+        assert stable_pi2_K(build_nu(cyc(3))).order == 1
+        assert stable_pi2_K(build_nu(cyc(1))).order == 1
 
 
 class TestPushout:
@@ -175,7 +170,7 @@ class TestPushout:
         res = pushout_EM(PushoutInput(s3, a3, whole))
         # M cap N = A3, [M,N] = A3, so pi2 dies; pi3 = ker([A3,S3~] -> S3)
         assert res.pi2.order == 1
-        assert res.build.tensor.order % res.pi3.order == 0
+        assert res.build.group.order % res.pi3.order == 0
 
 
 class TestFiniteness:
@@ -200,6 +195,14 @@ class TestFiniteness:
         assert rep.gprime_order == 1
         assert rep.tensor_count_m == 1
         assert rep.tensor_order == 1
+
+    def test_realization_subject_reuses_the_build(self):
+        r = build_nu(realize_name("S3"))
+        rep = finiteness_report(r)
+        assert rep.stats is r.stats
+        assert rep.tensor_order == r.group.order
+        fresh = finiteness_report(realize_name("S3"))
+        assert rep.delta_invariants == fresh.delta_invariants == inv(2)
 
     def test_infinite_fast_path(self):
         rep = finiteness_report(catalog_lookup("Z"))
@@ -233,6 +236,16 @@ class TestTheoremC:
         assert "a(x)a" in rep.witness
         assert "infinite order" in rep.witness
 
+    def test_realization_subject_reuses_the_build(self):
+        s3 = realize_name("S3")
+        r = build_nu(s3)
+        rep = theoremC_report(r)
+        assert rep.stats is r.stats
+        fresh = theoremC_report(s3)
+        assert rep.properties == fresh.properties
+        assert rep.evidence == fresh.evidence
+        assert rep.stats.cosets_defined == fresh.stats.cosets_defined
+
     def test_free_rank_two_undecided(self):
         with pytest.raises(Undecided):
             theoremC_report(catalog_lookup("F2"))
@@ -240,24 +253,24 @@ class TestTheoremC:
 
 class TestBurnsideExponent:
     def test_c2_applies(self):
-        rep = burnside_exponent_check(cyc(2))
+        rep = burnside_exponent_check(build_nu(cyc(2)))
         assert rep.tensor_exponent == 2
         assert rep.applicable
         assert rep.consistent
 
     def test_c5_does_not_apply(self):
-        rep = burnside_exponent_check(cyc(5))
+        rep = burnside_exponent_check(build_nu(cyc(5)))
         assert rep.tensor_exponent == 5
         assert not rep.applicable
 
     def test_trivial_group(self):
-        rep = burnside_exponent_check(cyc(1))
+        rep = burnside_exponent_check(build_nu(cyc(1)))
         assert rep.tensor_exponent == 1
         assert not rep.applicable
 
     @pytest.mark.parametrize("name,expo", [("C4", 4), ("C6", 6),
                                            ("C2xC2", 2), ("S3", 6)])
     def test_small_exponents(self, name, expo):
-        rep = burnside_exponent_check(realize_name(name))
+        rep = burnside_exponent_check(build_nu(realize_name(name)))
         assert rep.tensor_exponent == expo
         assert rep.applicable == (expo in (2, 3, 4, 6))

@@ -8,13 +8,12 @@ from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
                         InternalInconsistency, NotActionHomomorphism,
                         NotAutomorphism)
 from ntl.coset import EnumerationBudget
-from ntl.groups import (closure, derived_subgroup,
-                        subgroup_abelian_invariants)
+from ntl.groups import (Homomorphism, closure, derived_subgroup,
+                        subgroup_as_group)
 from ntl.parsing import parse_action
-from ntl.tensor import (abelian_tensor_oracle, build_eta, build_nu,
-                        conjugation_pair, delta, delta_tilde, j2, kappa,
-                        tensor_direct, tensor_set, trivial_pair,
-                        validate_compatibility)
+from ntl.tensor import (build_direct, build_eta, build_nu, conjugation_pair,
+                        delta, delta_tilde, j2, tensor_direct, tensor_set,
+                        trivial_pair, validate_compatibility)
 
 SMALL = ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "D4", "Q8"]
 
@@ -75,39 +74,54 @@ class TestCompatibility:
 
 class TestBuildEta:
     def test_eta_of_trivial_pair(self):
-        e = build_eta(trivial_pair(cyc(1), cyc(1)))
-        assert e.eta.order == 1
-        assert e.tensor.order == 1
+        r = build_eta(trivial_pair(cyc(1), cyc(1)))
+        assert r.eta.order == 1
+        assert r.group.order == 1
 
     def test_nu_c2(self):
-        e = build_nu(cyc(2))
-        assert e.eta.order == 8
-        assert e.tensor.order == 2
+        r = build_nu(cyc(2))
+        assert r.eta.order == 8
+        assert r.group.order == 2
 
     def test_nu_c3(self):
-        e = build_nu(cyc(3))
-        assert e.eta.order == 27
-        assert e.tensor.order == 3
+        r = build_nu(cyc(3))
+        assert r.eta.order == 27
+        assert r.group.order == 3
 
     def test_eta_c2_c3_trivial(self):
-        e = build_eta(trivial_pair(cyc(2), cyc(3)))
-        assert e.eta.order == 6
-        assert e.tensor.order == 1
+        r = build_eta(trivial_pair(cyc(2), cyc(3)))
+        assert r.eta.order == 6
+        assert r.group.order == 1
 
     def test_nu_s3_decomposition_and_cross_route(self):
         s3 = realize_name("S3")
-        e = build_nu(s3)
-        assert e.eta.order == e.tensor.order * 36
-        direct = tensor_direct(e.pair)
-        assert direct.order == e.tensor.order
-        assert direct.abelianization() == \
-            subgroup_abelian_invariants(e.tensor)
+        r = build_nu(s3)
+        assert r.eta.order == r.group.order * 36
+        direct = build_direct(r.pair)
+        assert direct.eta is None
+        assert direct.group.order == r.group.order
+        assert direct.group.abelianization() == r.group.abelianization()
+        assert tensor_direct(r.pair).order == r.group.order
 
     def test_embeddings(self):
-        e = build_eta(trivial_pair(cyc(4), cyc(6)))
-        assert e.embed_g.is_injective()
-        assert e.embed_h_phi.is_injective()
-        assert e.tensor.is_normal()
+        g, h = cyc(4), cyc(6)
+        r = build_eta(trivial_pair(g, h))
+        gens = r.eta.generator_images
+        assert Homomorphism(g, r.eta, gens[:4]).is_injective()
+        assert Homomorphism(h, r.eta, gens[4:]).is_injective()
+        assert _tensor_in_eta(r).is_normal()
+
+    @pytest.mark.parametrize("name", ["C3", "S3", "Q8"])
+    def test_symbols_are_the_eta_commutators(self, name):
+        g = realize_name(name)
+        r = build_nu(g)
+        _, incl = subgroup_as_group(_tensor_in_eta(r))
+        gens = r.eta.generator_images
+        for a in range(g.order):
+            for b in range(g.order):
+                want = r.eta.comm(gens[a], gens[g.order + b])
+                assert incl(int(r.sym[a, b])) == want
+        assert not r.sym.flags.writeable
 
     def test_cap(self):
         pair = trivial_pair(cyc(4), cyc(6))
@@ -122,8 +136,8 @@ class TestBuildEta:
 
     def test_fault_flag_harmless_on_trivial_factor(self):
         pair = trivial_pair(cyc(1), cyc(4))
-        e = build_eta(pair, skip_pairing_relators=True)
-        assert e.eta.order == 4
+        r = build_eta(pair, skip_pairing_relators=True)
+        assert r.eta.order == 4
 
     @pytest.mark.parametrize("name", ["C4", "C2xC2", "S3", "D4", "Q8"])
     def test_generator_scope_matches_full_build(self, name):
@@ -131,7 +145,7 @@ class TestBuildEta:
         full = build_nu(g)
         lean = build_nu(g, relator_scope="generators")
         assert lean.eta.order == full.eta.order
-        assert lean.tensor.order == full.tensor.order
+        assert lean.group.order == full.group.order
 
 
 class TestTensorDirect:
@@ -149,117 +163,138 @@ class TestTensorDirect:
     @pytest.mark.parametrize("n", [1, 2, 3, 4, 5, 6])
     def test_abelian_reduction_both_routes(self, m, n):
         pair = trivial_pair(cyc(m), cyc(n))
-        e = build_eta(pair)
+        r = build_eta(pair)
         direct = tensor_direct(pair)
-        want = abelian_tensor_oracle(
-            AbelianInvariants.from_cyclic_orders([m]),
+        want = AbelianInvariants.from_cyclic_orders([m]).tensor(
             AbelianInvariants.from_cyclic_orders([n]))
-        assert e.tensor.order == (want.order() or 0)
+        assert r.group.order == (want.order() or 0)
         assert direct.order == (want.order() or 0)
-        assert subgroup_abelian_invariants(e.tensor) == want
+        assert r.group.abelianization() == want
         assert direct.abelianization() == want
 
     def test_nonabelian_pair_reduces_to_abelianizations(self):
         s3 = realize_name("S3")
         pair = trivial_pair(s3, s3)
-        e = build_eta(pair)
-        want = abelian_tensor_oracle(s3.abelianization(),
-                                     s3.abelianization())
-        assert subgroup_abelian_invariants(e.tensor) == want
+        r = build_eta(pair)
+        want = s3.abelianization().tensor(s3.abelianization())
+        assert r.group.abelianization() == want
 
 
 class TestTensorSet:
     def test_trivial_pair_single_tensor(self):
-        e = build_eta(trivial_pair(cyc(1), cyc(1)))
-        assert tensor_set(e).m == 1
+        r = build_eta(trivial_pair(cyc(1), cyc(1)))
+        assert tensor_set(r).m == 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic_count_matches_bilinear_image(self, n):
-        e = build_nu(cyc(n))
-        ts = tensor_set(e)
+        r = build_nu(cyc(n))
+        ts = tensor_set(r)
         oracle = len({(i * j) % n for i in range(n) for j in range(n)})
         assert ts.m == oracle == n
 
     @pytest.mark.parametrize("name", SMALL)
     def test_subset_bound_and_generation(self, name):
-        e = build_nu(realize_name(name))
-        ts = tensor_set(e)
-        assert ts.m <= e.tensor.order
-        regen = closure(e.eta, ts.elements)
-        assert regen.members == e.tensor.members
+        r = build_nu(realize_name(name))
+        ts = tensor_set(r)
+        assert ts.m <= r.group.order
+        regen = closure(r.group, r.sym.ravel())
+        assert regen.order == r.group.order
+        _, incl = subgroup_as_group(_tensor_in_eta(r))
+        assert closure(r.eta, incl.images[list(ts.elements)]).members == \
+            _tensor_in_eta(r).members
 
     def test_witnesses_evaluate_back(self):
-        e = build_nu(realize_name("S3"))
-        ts = tensor_set(e)
+        r = build_nu(realize_name("S3"))
+        ts = tensor_set(r)
+        _, incl = subgroup_as_group(_tensor_in_eta(r))
+        gens = r.eta.generator_images
         for elt, (a, b) in ts.witness.items():
-            got = e.eta.comm(int(e.embed_g.images[a]),
-                             int(e.embed_h_phi.images[b]))
-            assert got == elt
+            assert int(r.sym[a, b]) == elt
+            got = r.eta.comm(gens[a], gens[6 + b])
+            assert got == incl(elt)
         assert 0 in ts.elements
 
 
 class TestDerivedMap:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic_kernel_is_everything(self, n):
-        e = build_nu(cyc(n))
-        sub = j2(e)
-        assert sub.order == e.tensor.order == n
+        r = build_nu(cyc(n))
+        sub = j2(r)
+        assert sub.order == r.group.order == n
 
     def test_s3_kernel_index(self):
-        e = build_nu(realize_name("S3"))
-        assert e.tensor.order == j2(e).order * 3
+        r = build_nu(realize_name("S3"))
+        assert r.group.order == j2(r).order * 3
 
     def test_trivial_group(self):
-        e = build_nu(cyc(1))
-        assert j2(e).order == 1
+        r = build_nu(cyc(1))
+        assert j2(r).order == 1
 
     def test_kappa_image_is_derived_subgroup(self):
         s3 = realize_name("S3")
-        e = build_nu(s3)
-        kap = kappa(e)
-        assert sorted(kap.image_members()) == \
+        r = build_nu(s3)
+        assert sorted(r.derived.image_members()) == \
             list(derived_subgroup(s3).members)
+        for a in range(s3.order):
+            for b in range(s3.order):
+                assert r.derived(int(r.sym[a, b])) == s3.comm(a, b)
+
+    def test_direct_route_derived_map_matches(self):
+        s3 = realize_name("S3")
+        r = build_direct(conjugation_pair(s3))
+        assert r.derived.image_members() == derived_subgroup(s3).members
+        assert j2(r).order == build_nu(s3).group.order // 3
 
     def test_kappa_needs_based_build(self):
-        e = build_eta(trivial_pair(cyc(2), cyc(3)))
+        r = build_eta(trivial_pair(cyc(2), cyc(3)))
+        assert r.derived is None
         with pytest.raises(InternalInconsistency):
-            kappa(e)
+            j2(r)
 
 
 class TestDiagonals:
     def test_delta_c2_is_c2(self):
-        e = build_nu(cyc(2))
-        assert delta(e).order == 2
+        r = build_nu(cyc(2))
+        assert delta(r).order == 2
 
     def test_delta_tilde_c2_trivial(self):
-        e = build_nu(cyc(2))
-        assert delta_tilde(e).order == 1
+        r = build_nu(cyc(2))
+        assert delta_tilde(r).order == 1
 
     def test_delta_trivial_group(self):
-        e = build_nu(cyc(1))
-        assert delta(e).order == 1
+        r = build_nu(cyc(1))
+        assert delta(r).order == 1
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_cyclic_diagonals_match_bilinear_values(self, n):
-        e = build_nu(cyc(n))
+        r = build_nu(cyc(n))
         # [i, j~] has bilinear value i*j; the diagonal is generated by the
         # squares, the symmetrized diagonal by the doubled products.
         sq = {(i * i) % n for i in range(n)}
         dbl = {(2 * i * j) % n for i in range(n) for j in range(n)}
         want_delta = len({(k * s) % n for s in _span(sq, n) for k in [1]})
-        assert delta(e).order == len(_span(sq, n))
-        assert delta_tilde(e).order == len(_span(dbl, n))
-        assert want_delta == delta(e).order
+        assert delta(r).order == len(_span(sq, n))
+        assert delta_tilde(r).order == len(_span(dbl, n))
+        assert want_delta == delta(r).order
 
     @pytest.mark.parametrize("name", SMALL)
     def test_normal_and_nested(self, name):
-        e = build_nu(realize_name(name))
-        jsub, dsub, dtsub = j2(e), delta(e), delta_tilde(e)
+        r = build_nu(realize_name(name))
+        jsub, dsub, dtsub = j2(r), delta(r), delta_tilde(r)
         assert set(dtsub.members) <= set(jsub.members)
-        assert set(dsub.members) <= set(e.tensor.members)
+        assert set(dsub.members) <= set(range(r.group.order))
         assert jsub.is_normal()
         assert dsub.is_normal()
         assert dtsub.is_normal()
+
+
+def _tensor_in_eta(r):
+    """The subgroup of eta generated by the commutators [a, b~]."""
+    gens = r.eta.generator_images
+    ng = r.pair.g.order
+    return closure(r.eta, [r.eta.comm(gens[a], gens[ng + b])
+                           for a in range(ng)
+                           for b in range(r.pair.h.order)])
 
 
 def _span(values, n):
@@ -276,7 +311,6 @@ def _span(values, n):
 class TestOracle:
     def test_known_values(self):
         c = AbelianInvariants.from_cyclic_orders
-        assert abelian_tensor_oracle(c([4]), c([6])) == c([2])
-        assert abelian_tensor_oracle(c([2, 2]), c([2, 2])).factors == \
-            (2, 2, 2, 2)
-        assert abelian_tensor_oracle(c([0]), c([7])) == c([7])
+        assert c([4]).tensor(c([6])) == c([2])
+        assert c([2, 2]).tensor(c([2, 2])).factors == (2, 2, 2, 2)
+        assert c([0]).tensor(c([7])) == c([7])
