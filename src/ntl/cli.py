@@ -47,8 +47,8 @@ class RunConfig:
     json_out: bool
     stats: list = field(default_factory=list)
 
-    def track(self, stats) -> None:
-        self.stats.append(stats)
+    def track(self, *stats) -> None:
+        self.stats.extend(s for s in stats if s is not None)
 
 
 def _budget_from(args: argparse.Namespace) -> EnumerationBudget | None:
@@ -328,6 +328,7 @@ def _cmd_wedge(cfg: RunConfig) -> dict:
     for entry in entries:
         resolved = resolve_subject(entry if entry.known_facts
                                    else entry.presentation, cfg.budget)
+        cfg.track(resolved.stats)
         if resolved.group is not None:
             if not resolved.group.is_abelian():
                 from .errors import NotAbelian
@@ -380,8 +381,7 @@ def _cmd_thmc(cfg: RunConfig) -> dict:
     entry = _load_entry(cfg.args.group)
     subject = entry if entry.known_facts else entry.presentation
     rep = theoremC_report(subject, cfg.budget)
-    if rep.stats is not None:
-        cfg.track(rep.stats)
+    cfg.track(rep.group_stats, rep.stats)
     labels = {
         "a": "the group is finite",
         "b": "the set of tensors is finite",
@@ -397,8 +397,7 @@ def _cmd_thmc(cfg: RunConfig) -> dict:
     if rep.witness:
         chain.append(f"witness: {rep.witness}")
     if rep.finite:
-        g = _realize(entry, cfg)
-        result = group_result(g,
+        result = group_result(rep.group,
                               tensor_count_m=rep.evidence["tensor_count_m"])
     else:
         result = {"order": "infinite"}
@@ -409,8 +408,7 @@ def _cmd_finiteness(cfg: RunConfig) -> dict:
     entry = _load_entry(cfg.args.group)
     subject = entry if entry.known_facts else entry.presentation
     rep = finiteness_report(subject, cfg.budget)
-    if rep.stats is not None:
-        cfg.track(rep.stats)
+    cfg.track(rep.group_stats, rep.stats)
     if not rep.determined:
         return {"query": {"group": rep.name},
                 "result": {"order": "undetermined"},
@@ -426,9 +424,9 @@ def _cmd_finiteness(cfg: RunConfig) -> dict:
             f"{list(rep.delta_invariants.factors)}: "
             f"{str(rep.embedding_holds).lower()}",
         ]
-        g = _realize(entry, cfg)
         return {"query": {"group": rep.name},
-                "result": group_result(g, tensor_count_m=rep.tensor_count_m),
+                "result": group_result(rep.group,
+                                       tensor_count_m=rep.tensor_count_m),
                 "chain": chain}
     return {"query": {"group": rep.name},
             "result": invariants_result(rep.gab_invariants),

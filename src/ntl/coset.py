@@ -22,7 +22,7 @@ import numpy as np
 
 from .errors import (BudgetExceeded, CapExceeded, IncompleteTable,
                      InternalInconsistency)
-from .groups import GROUP_ORDER_CAP, RealizedGroup, _table_dtype
+from .groups import GROUP_ORDER_CAP, RealizedGroup, _table_dtype, _walk
 from .words import Presentation, Word
 
 DEFAULT_MAX_COSETS = 2_000_000
@@ -336,49 +336,23 @@ def regular_representation(t: CosetTable, p: Presentation) -> RealizedGroup:
             c = int(cols[c, letter])
         if c != 0:
             raise InternalInconsistency("relator open at the identity coset")
-    if n == 1:
-        return RealizedGroup(p.name, np.zeros((1, 1), dtype=np.int16),
-                             [0] * ngens, source_presentation=p)
-    # Breadth-first spanning tree over positive generator columns.
-    parent = np.full(n, -1, dtype=np.int64)
-    letter = np.full(n, -1, dtype=np.int64)
-    visited = np.zeros(n, dtype=bool)
-    visited[0] = True
-    discovery = [0]
-    frontier = np.array([0], dtype=np.int64)
-    while frontier.size:
-        batches = []
-        for g in range(ngens):
-            tcol = cols[frontier, 2 * g].astype(np.int64)
-            fresh = ~visited[tcol]
-            if not fresh.any():
-                continue
-            tt, ff = tcol[fresh], frontier[fresh]
-            uniq, first = np.unique(tt, return_index=True)
-            visited[uniq] = True
-            parent[uniq] = ff[first]
-            letter[uniq] = g
-            batches.append(uniq)
-        frontier = (np.concatenate(batches) if batches
-                    else np.array([], dtype=np.int64))
-        discovery.extend(int(x) for x in frontier)
-    if not visited.all():
+    # Breadth-first spanning tree over the positive generator columns.
+    tree = _walk(cols, range(0, 2 * ngens, 2))
+    if len(tree) + 1 != n:
         raise InternalInconsistency("coset table is not transitive")
-    # Left-multiplication rows for generators, then for all elements:
-    # an element a = parent * g satisfies (a.d) = (parent.(g.d)).
-    dtype = _table_dtype(n)
-    gen_rows = np.empty((ngens, n), dtype=np.int64)
-    for g in range(ngens):
-        row = gen_rows[g]
-        row[0] = cols[0, 2 * g]
-        for d in discovery[1:]:
-            row[d] = cols[row[parent[d]], 2 * letter[d]]
-    table = np.empty((n, n), dtype=dtype)
+    # left[d, g] = g.d for every generator g, spread along the tree edges
+    # d = c.h as g.d = (g.c).h; then a = c.h multiplies as a.x = c.(h.x).
+    images = cols[0, 0::2].astype(np.int64)
+    left = np.empty((n, ngens), dtype=np.int64)
+    left[0] = images
+    for d, c, h in tree:
+        left[d] = cols[left[c], 2 * h]
+    table = np.empty((n, n), dtype=_table_dtype(n))
     table[0] = np.arange(n)
-    for a in discovery[1:]:
-        table[a] = table[parent[a]][gen_rows[letter[a]]]
-    images = [int(cols[0, 2 * g]) for g in range(ngens)]
-    return RealizedGroup(p.name, table, images, source_presentation=p)
+    for a, c, h in tree:
+        table[a] = table[c][left[:, h]]
+    return RealizedGroup(p.name, table, images.tolist(),
+                         source_presentation=p)
 
 
 def realize_presentation(p: Presentation,

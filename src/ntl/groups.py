@@ -28,6 +28,43 @@ def _table_dtype(order: int):
     return np.int16 if order <= np.iinfo(np.int16).max else np.int32
 
 
+def _walk(table: np.ndarray, steps: Sequence[int]
+          ) -> list[tuple[int, int, int]]:
+    """Breadth-first spanning tree from 0 of the graph x -> table[x, s].
+
+    Returns the tree's edges in discovery order as (vertex, parent, index
+    in `steps` of the step that reached it); 0 is the root and has none.
+    Each level is expanded step by step; the vertices a step reaches first
+    join the next level in increasing order, and each keeps its first
+    parent in frontier order, so the tree is canonical.
+    """
+    n = table.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    parent = np.zeros(n, dtype=np.int64)
+    via = np.zeros(n, dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int64)
+    levels = []
+    while frontier.size:
+        batches = []
+        for i, s in enumerate(steps):
+            t = table[frontier, s].astype(np.int64)
+            fresh = ~seen[t]
+            if not fresh.any():
+                continue
+            reached, first = np.unique(t[fresh], return_index=True)
+            seen[reached] = True
+            parent[reached] = frontier[fresh][first]
+            via[reached] = i
+            batches.append(reached)
+        frontier = (np.concatenate(batches) if batches
+                    else np.zeros(0, dtype=np.int64))
+        levels.append(frontier)
+    order = np.concatenate(levels)
+    return list(zip(order.tolist(), parent[order].tolist(),
+                    via[order].tolist()))
+
+
 class RealizedGroup:
     """Finite group materialized as an order x order multiplication table."""
 
@@ -52,50 +89,22 @@ class RealizedGroup:
     # -- construction internals -------------------------------------------
 
     def _bfs(self):
-        """Breadth-first search over generators: canonical words, inverses."""
-        n = self.order
+        """Canonical words and inverses along the Cayley-graph walk."""
         tab = self.table
-        step: list[int] = []
-        for g in self.generator_images:
-            if g not in step:
-                step.append(g)
-        gen_of_img = {img: self.generator_images.index(img) for img in step}
-        visited = np.zeros(n, dtype=bool)
-        visited[0] = True
-        parent = np.full(n, -1, dtype=np.int64)
-        letter = np.full(n, -1, dtype=np.int64)
-        discovery = [0]
-        frontier = np.array([0], dtype=np.int64)
-        while frontier.size:
-            batches = []
-            for img in step:
-                t = tab[frontier, img].astype(np.int64)
-                fresh = ~visited[t]
-                if not fresh.any():
-                    continue
-                tt, ff = t[fresh], frontier[fresh]
-                uniq, first = np.unique(tt, return_index=True)
-                visited[uniq] = True
-                parent[uniq] = ff[first]
-                letter[uniq] = img
-                batches.append(uniq)
-            frontier = (np.concatenate(batches) if batches
-                        else np.array([], dtype=np.int64))
-            discovery.extend(int(x) for x in frontier)
-        if not visited.all():
+        # A repeated image reaches nothing new, so each element's letter is
+        # the first generator with that image.
+        tree = _walk(tab, self.generator_images)
+        if len(tree) + 1 != self.order:
             raise InternalInconsistency(
                 f"generator images do not generate {self.name!r}")
-        words: list[Word | None] = [None] * n
+        inv_step = [int(np.nonzero(tab[s] == 0)[0][0])
+                    for s in self.generator_images]
+        words: list[Word | None] = [None] * self.order
         words[0] = Word()
-        inv = np.zeros(n, dtype=np.int64)
-        inv_img = {}
-        for img in step:
-            inv_img[img] = int(np.nonzero(tab[img] == 0)[0][0])
-        for x in discovery[1:]:
-            p = int(parent[x])
-            img = int(letter[x])
-            words[x] = words[p] * Word.gen(gen_of_img[img])
-            inv[x] = tab[inv_img[img], inv[p]]
+        inv = np.zeros(self.order, dtype=np.int64)
+        for x, p, i in tree:
+            words[x] = words[p] * Word.gen(i)
+            inv[x] = tab[inv_step[i], inv[p]]
         self.element_words: tuple[Word, ...] = tuple(words)  # type: ignore
         self.inverse = inv.astype(self.table.dtype)
 
@@ -154,13 +163,6 @@ class RealizedGroup:
             out = self.mul(out, self.power(imgs[g], e))
         return out
 
-    def element_order(self, x: int) -> int:
-        k, y = 1, x
-        while y != 0:
-            y = self.mul(y, x)
-            k += 1
-        return k
-
     def element_orders(self) -> np.ndarray:
         n = self.order
         orders = np.zeros(n, dtype=np.int64)
@@ -182,7 +184,11 @@ class RealizedGroup:
         return int(lcm(*map(int, np.unique(self.element_orders()))))
 
     def is_abelian(self) -> bool:
-        return bool(np.array_equal(self.table, self.table.T))
+        """Decided on the generators, which commute pairwise exactly when
+        the group they generate is abelian."""
+        gens = np.asarray(self.generator_images, dtype=np.int64)
+        products = self.table[np.ix_(gens, gens)]
+        return bool(np.array_equal(products, products.T))
 
     def element_str(self, x: int) -> str:
         if self.source_presentation is not None:
@@ -301,28 +307,7 @@ class Subgroup:
 
 
 def _closure_set(parent: RealizedGroup, gens: Iterable[int]) -> list[int]:
-    tab = parent.table
-    step: list[int] = []
-    for g in gens:
-        gi = int(g)
-        ginv = parent.inv(gi)
-        if gi not in step:
-            step.append(gi)
-        if ginv not in step:
-            step.append(ginv)
-    seen = {0}
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            row = tab[x]
-            for s in step:
-                y = int(row[s])
-                if y not in seen:
-                    seen.add(y)
-                    nxt.append(y)
-        frontier = nxt
-    return sorted(seen)
+    return sorted([0] + [x for x, _, _ in _walk(parent.table, list(gens))])
 
 
 def _greedy_generators(parent: RealizedGroup,
@@ -361,15 +346,6 @@ def subgroup_from_members(parent: RealizedGroup,
     return Subgroup(parent, tuple(mem), _greedy_generators(parent, mem))
 
 
-def _product_close(parent: RealizedGroup, seed: Iterable[int]) -> list[int]:
-    cur = np.unique(np.fromiter(set(seed) | {0}, dtype=np.int64))
-    while True:
-        nxt = np.unique(parent.table[np.ix_(cur, cur)].astype(np.int64))
-        if nxt.size == cur.size:
-            return cur.tolist()
-        cur = nxt
-
-
 def derived_subgroup(g: RealizedGroup) -> Subgroup:
     """Commutator subgroup, from the closure of all pairwise commutators."""
     n = g.order
@@ -382,7 +358,7 @@ def derived_subgroup(g: RealizedGroup) -> Subgroup:
         t1 = tab[inv[blk][:, None], inv[None, :]]
         t2 = tab[blk[:, None], ar[None, :]]
         comms.update(np.unique(tab[t1, t2]).tolist())
-    members = _product_close(g, comms)
+    members = _closure_set(g, comms)
     return Subgroup(g, tuple(members), _greedy_generators(g, members))
 
 
@@ -395,7 +371,7 @@ def commutator_subgroup(m: Subgroup, n: Subgroup) -> Subgroup:
     t1 = g.table[inv[a][:, None], inv[b][None, :]]
     t2 = g.table[a[:, None], b[None, :]]
     comms = np.unique(g.table[t1, t2]).tolist()
-    members = _product_close(g, comms)
+    members = _closure_set(g, comms)
     return Subgroup(g, tuple(members), _greedy_generators(g, members))
 
 
@@ -412,10 +388,8 @@ def _same_parent(m: Subgroup, n: Subgroup) -> RealizedGroup:
 
 
 def subgroup_exponent(s: Subgroup) -> int:
-    out = 1
-    for x in s.members:
-        out = lcm(out, s.parent.element_order(x))
-    return out
+    orders = s.parent.element_orders()[s.members_array()]
+    return int(lcm(*map(int, np.unique(orders))))
 
 
 def kernel(h: "Homomorphism") -> Subgroup:

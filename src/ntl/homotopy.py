@@ -255,6 +255,7 @@ class ResolvedSubject:
     group: RealizedGroup | None
     invariants: AbelianInvariants | None  # abelian fast path only
     presentation: Presentation | None
+    stats: EnumerationStats | None = None  # realizing a presentation
 
 
 def _presentation_coker(p: Presentation) -> AbelianInvariants:
@@ -284,8 +285,8 @@ def resolve_subject(subject,
             inv = _presentation_coker(subject)
             if not inv.is_finite():
                 return ResolvedSubject(subject.name, None, inv, subject)
-        group, _ = realize_presentation(subject, budget)
-        return ResolvedSubject(subject.name, group, None, subject)
+        group, stats = realize_presentation(subject, budget)
+        return ResolvedSubject(subject.name, group, None, subject, stats)
     raise TypeError(f"cannot resolve {type(subject).__name__} into a group")
 
 
@@ -318,7 +319,9 @@ class FinitenessReport:
     delta_invariants: AbelianInvariants | None
     embedding_holds: bool | None
     note: str = ""
-    stats: EnumerationStats | None = None
+    stats: EnumerationStats | None = None  # the tensor-square build
+    group: RealizedGroup | None = None
+    group_stats: EnumerationStats | None = None  # realizing `group`
 
 
 def finiteness_report(subject,
@@ -349,15 +352,16 @@ def finiteness_report(subject,
             tensor_count_m=None, tensor_order=None,
             delta_invariants=None, embedding_holds=None,
             note=f"abelian fast path; tensor square {tensor} is infinite")
-    return _finite_report(resolved.name, build_nu(resolved.group, budget))
+    return _finite_report(resolved.name, build_nu(resolved.group, budget),
+                          resolved.stats)
 
 
-def _finite_report(name: str, r: TensorRealization) -> FinitenessReport:
+def _finite_report(name: str, r: TensorRealization,
+                   group_stats: EnumerationStats | None = None
+                   ) -> FinitenessReport:
     g = r.pair.g
     gab = g.abelianization()
     dgrp, _ = subgroup_as_group(delta(r))
-    if not dgrp.is_abelian():
-        raise InternalInconsistency("diagonal subgroup is not abelian")
     dinv = abelian_structure(dgrp)
     return FinitenessReport(
         name=name, determined=True, finite=True,
@@ -365,7 +369,7 @@ def _finite_report(name: str, r: TensorRealization) -> FinitenessReport:
         gprime_order=derived_subgroup(g).order,
         tensor_count_m=tensor_set(r).m, tensor_order=r.group.order,
         delta_invariants=dinv, embedding_holds=gab.divides_into(dinv),
-        stats=r.stats)
+        stats=r.stats, group=g, group_stats=group_stats)
 
 
 _PROPERTY_KEYS = ("a", "b", "c", "d", "e", "f", "g")
@@ -379,7 +383,9 @@ class TheoremCReport:
     finite: bool
     witness: str = ""
     evidence: dict[str, int] = field(default_factory=dict)
-    stats: EnumerationStats | None = None
+    stats: EnumerationStats | None = None  # the tensor-square build
+    group: RealizedGroup | None = None
+    group_stats: EnumerationStats | None = None  # realizing `group`
 
 
 def theoremC_report(subject,
@@ -414,10 +420,13 @@ def theoremC_report(subject,
             finite=False,
             witness=(f"{witness_gen}(x){witness_gen} has infinite order "
                      f"in the tensor square {inv.tensor(inv)}"))
-    return _finite_theoremC(resolved.name, build_nu(resolved.group, budget))
+    return _finite_theoremC(resolved.name, build_nu(resolved.group, budget),
+                            resolved.stats)
 
 
-def _finite_theoremC(name: str, r: TensorRealization) -> TheoremCReport:
+def _finite_theoremC(name: str, r: TensorRealization,
+                     group_stats: EnumerationStats | None = None
+                     ) -> TheoremCReport:
     g = r.pair.g
     ts = tensor_set(r)
     jsub = j2(r)
@@ -442,7 +451,8 @@ def _finite_theoremC(name: str, r: TensorRealization) -> TheoremCReport:
     unanimous = len(set(props.values())) == 1
     return TheoremCReport(
         name=name, properties=props, unanimous=unanimous,
-        finite=True, evidence=evidence, stats=r.stats)
+        finite=True, evidence=evidence, stats=r.stats, group=g,
+        group_stats=group_stats)
 
 
 @dataclass(frozen=True)

@@ -17,13 +17,11 @@ def serialize_report(record: dict) -> str:
 def group_result(g: RealizedGroup, tensor_count_m: int | None = None) -> dict:
     """Result block for a realized group; invariants describe the
     abelianization when the group is not abelian."""
-    if g.is_abelian():
-        inv = abelian_structure(g)
-    else:
-        inv = g.abelianization()
+    abelian = g.is_abelian()
+    inv = abelian_structure(g) if abelian else g.abelianization()
     out = {
         "order": g.order,
-        "abelian": g.is_abelian(),
+        "abelian": abelian,
         "abelian_invariants": list(inv.factors),
         "exponent": g.exponent(),
     }

@@ -24,7 +24,7 @@ from .coset import (EnumerationBudget, EnumerationStats, enumerate_cosets,
 from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
-from .groups import (Homomorphism, RealizedGroup, Subgroup, closure,
+from .groups import (Homomorphism, RealizedGroup, Subgroup, _walk, closure,
                      commutator_subgroup, subgroup_as_group)
 from .parsing import ActionSpec
 from .words import Presentation, Word, commutator, conjugate
@@ -242,20 +242,13 @@ def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
     want = tab[tab[inv[g_in][:, None], inv[h_in][None, :]],
                tab[g_in[:, None], h_in[None, :]]].astype(np.int64)
     steps = dict(zip(sym.ravel().tolist(), want.ravel().tolist()))
-    images = np.full(group.order, -1, dtype=np.int64)
-    images[0] = 0
-    frontier = [0]
-    while frontier:
-        nxt = []
-        for x in frontier:
-            for s, w in steps.items():
-                y = group.mul(x, s)
-                if images[y] < 0:
-                    images[y] = base.mul(int(images[x]), w)
-                    nxt.append(y)
-        frontier = nxt
-    if (images < 0).any():
+    tree = _walk(group.table, list(steps))
+    if len(tree) + 1 != group.order:
         raise InternalInconsistency("the symbols a(x)b do not generate T")
+    step_images = list(steps.values())
+    images = np.zeros(group.order, dtype=np.int64)
+    for x, p, i in tree:
+        images[x] = tab[images[p], step_images[i]]
     derived = Homomorphism(group, base, images)
     if not np.array_equal(derived.images[sym], want):
         raise InternalInconsistency("the derived map does not send a(x)b "

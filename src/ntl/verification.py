@@ -20,10 +20,9 @@ from .coset import EnumerationBudget, EnumerationStats
 from .errors import NtlError
 from .groups import RealizedGroup, closure, derived_subgroup
 from .homotopy import (PushoutInput, bound_pushout_pi3, bound_theorem_A,
-                       bound_theorem_B, burnside_exponent_check,
-                       finiteness_report, pushout_EM, schur_multiplier,
-                       stable_pi2_K, theoremC_report, three_connected_check,
-                       wedge_pi3)
+                       bound_theorem_B, finiteness_report, pushout_EM,
+                       schur_multiplier, stable_pi2_K, theoremC_report,
+                       three_connected_check, wedge_pi3)
 from .parsing import parse_file
 from .tensor import (TensorRealization, build_direct, build_eta, build_nu,
                      delta, delta_tilde, j2, tensor_set, trivial_pair)
@@ -100,8 +99,6 @@ class NuProfile:
     embedding_holds: bool
     thmc_properties: dict[str, bool]
     thmc_unanimous: bool
-    exponent_applicable: bool
-    exponent_value: int
     stats: EnumerationStats
     build_ms: int
 
@@ -186,7 +183,6 @@ def _profile_nu(entry: CatalogEntry,
     }
     thmc = theoremC_report(r)
     fin = finiteness_report(r)
-    expo = burnside_exponent_check(r)
     regen = closure(r.group, tensor_set(r).elements)
     return NuProfile(
         name=entry.name, group_order=g.order, eta_order=r.eta.order,
@@ -199,8 +195,6 @@ def _profile_nu(entry: CatalogEntry,
         embedding_holds=fin.embedding_holds,
         thmc_properties=thmc.properties,
         thmc_unanimous=thmc.unanimous,
-        exponent_applicable=expo.applicable,
-        exponent_value=expo.tensor_exponent,
         stats=r.stats, build_ms=build_ms)
 
 

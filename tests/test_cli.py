@@ -3,7 +3,7 @@ import json
 import pytest
 
 from ntl.cli import _budget_from, build_parser, main
-from ntl.coset import EnumerationBudget
+from ntl.coset import EnumerationBudget, _Enumerator
 from ntl.errors import ALL_ERRORS
 
 
@@ -221,6 +221,25 @@ class TestFilesAndEnv:
         rc, record, _ = run_json(capsys, "nu", "--group", str(f))
         assert rc == 0
         assert record["result"]["order"] == 256
+
+    @pytest.mark.parametrize("command", ["thmc", "finiteness"])
+    def test_file_group_is_realized_once(self, capsys, tmp_path, monkeypatch,
+                                         command):
+        f = tmp_path / "k.grp"
+        f.write_text("group K { gens: a b; rels: a^2, b^2, (a b)^2; }")
+        runs = []
+        enumerate_once = _Enumerator.run
+
+        def counted(self):
+            rows, n, stats = enumerate_once(self)
+            runs.append(stats.cosets_defined)
+            return rows, n, stats
+        monkeypatch.setattr(_Enumerator, "run", counted)
+        rc, record, _ = run_json(capsys, command, "--group", str(f))
+        assert rc == 0
+        assert record["result"]["order"] == 4
+        assert runs == [4, 801]
+        assert record["stats"]["cosets_defined"] == 805
 
     def test_action_file(self, capsys, tmp_path):
         f = tmp_path / "acts.act"

@@ -6,7 +6,8 @@ import pytest
 from ntl.catalog import catalog_lookup
 from ntl.coset import (CosetTable, EnumerationBudget, enumerate_cosets,
                        realize_presentation, regular_representation)
-from ntl.errors import BudgetExceeded, IncompleteTable
+from ntl.errors import (BudgetExceeded, IncompleteTable,
+                        InternalInconsistency)
 from ntl.groups import abelian_structure, derived_subgroup
 from ntl.parsing import parse_group
 from ntl.words import Presentation, Word
@@ -168,6 +169,16 @@ class TestRegularRepresentation:
                             complete=False, presentation=p)
         with pytest.raises(IncompleteTable):
             regular_representation(broken, p)
+
+    def test_intransitive_table_rejected(self):
+        # Two copies of the C2 table side by side: every relator closes at
+        # coset 0, but cosets 2 and 3 are out of its reach.
+        p = catalog_lookup("C2").presentation
+        rows = np.array([[1, 1], [0, 0], [3, 3], [2, 2]], dtype=np.int32)
+        split = CosetTable(rows=rows, coset_count=4, complete=True,
+                           presentation=p)
+        with pytest.raises(InternalInconsistency, match="not transitive"):
+            regular_representation(split, p)
 
     def test_identity_is_index_zero(self):
         g, _ = realize_presentation(catalog_lookup("D4").presentation)

@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from ntl.catalog import realize_name
 from ntl.errors import InternalInconsistency, MixedParents, NotNormal
@@ -42,7 +44,7 @@ class TestClosure:
 
     def test_transpositions_generate_s3(self):
         s3 = realize_name("S3")
-        transpositions = [x for x in range(6) if s3.element_order(x) == 2]
+        transpositions = [x for x in range(6) if s3.element_orders()[x] == 2]
         assert closure(s3, transpositions).order == 6
 
     @pytest.mark.parametrize("name", ["D4", "Q8", "A4"])
@@ -61,6 +63,47 @@ class TestClosure:
         c6 = realize_name("C6")
         with pytest.raises(InternalInconsistency):
             subgroup_from_members(c6, [0, 1])
+
+
+WALK_GROUPS = ("C6", "S3", "D4", "Q8", "A4", "D5", "D6", "C2xC6")
+
+
+def elements(g, max_size):
+    return st.lists(st.integers(0, g.order - 1), max_size=max_size)
+
+
+class TestClosureAgainstBruteForce:
+    """closure, derived_subgroup and commutator_subgroup read the reached
+    set of a Cayley-graph walk; naive_closure multiplies until the set is
+    stable."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(WALK_GROUPS), st.data())
+    def test_closure(self, name, data):
+        g = realize_name(name)
+        gens = data.draw(elements(g, 3))
+        sub = closure(g, gens)
+        assert list(sub.members) == naive_closure(g, gens)
+        assert closure(g, sub.generators).members == sub.members
+
+    @settings(max_examples=40, deadline=None)
+    @given(st.sampled_from(WALK_GROUPS), st.data())
+    def test_derived_subgroup(self, name, data):
+        # A subgroup realized as a group of its own gives a fresh table.
+        parent = realize_name(name)
+        g, _ = subgroup_as_group(closure(parent,
+                                         data.draw(elements(parent, 2))))
+        assert list(derived_subgroup(g).members) == naive_derived(g)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.sampled_from(WALK_GROUPS), st.data())
+    def test_commutator_subgroup(self, name, data):
+        g = realize_name(name)
+        m = closure(g, data.draw(elements(g, 2)))
+        n = closure(g, data.draw(elements(g, 2)))
+        comms = {g.comm(x, y) for x in m.members for y in n.members}
+        assert list(commutator_subgroup(m, n).members) == \
+            naive_closure(g, comms)
 
 
 class TestKernelQuotient:
@@ -107,7 +150,7 @@ class TestKernelQuotient:
 
     def test_not_normal(self):
         s3 = realize_name("S3")
-        t = next(x for x in range(6) if s3.element_order(x) == 2)
+        t = next(x for x in range(6) if s3.element_orders()[x] == 2)
         with pytest.raises(NotNormal):
             quotient(s3, closure(s3, [t]))
 
@@ -164,7 +207,7 @@ class TestDerivedAndFriends:
 
     def test_element_order(self):
         q8 = realize_name("Q8")
-        orders = sorted(q8.element_order(x) for x in range(8))
+        orders = sorted(q8.element_orders()[x] for x in range(8))
         assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
@@ -209,6 +252,12 @@ class TestStructure:
         bad = np.zeros((3, 3), dtype=np.int16)
         with pytest.raises(InternalInconsistency):
             RealizedGroup("bad", bad, [1])
+
+    def test_non_generating_images_rejected(self):
+        c6 = realize_name("C6")
+        square = c6.power(c6.generator_images[0], 2)
+        with pytest.raises(InternalInconsistency, match="do not generate"):
+            RealizedGroup("C6", c6.table, [square])
 
     def test_homomorphism_guard(self):
         c4 = realize_name("C4")

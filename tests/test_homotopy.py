@@ -144,7 +144,7 @@ class TestPushout:
 
     def test_not_normal_rejected(self):
         s3 = realize_name("S3")
-        t = next(x for x in range(6) if s3.element_order(x) == 2)
+        t = next(x for x in range(6) if s3.element_orders()[x] == 2)
         bad = closure(s3, [t])
         ok = closure(s3, s3.generator_images)
         with pytest.raises(NotNormal):
