@@ -6,7 +6,8 @@ import re
 from dataclasses import dataclass, field
 from math import factorial, prod
 
-from .coset import EnumerationBudget, realize_presentation
+from .coset import (EnumerationBudget, EnumerationStats, default_budget,
+                    realize_presentation)
 from .errors import BudgetExceeded, UnknownCatalogName
 from .groups import RealizedGroup
 from .words import Presentation, Word, commutator
@@ -154,7 +155,7 @@ def finite_corpus() -> tuple[CatalogEntry, ...]:
     return tuple(e for e in catalog_entries() if not e.infinite)
 
 
-_REALIZED: dict[str, RealizedGroup] = {}
+_REALIZED: dict[str, tuple[RealizedGroup, EnumerationStats]] = {}
 
 
 def realize_entry(entry: CatalogEntry,
@@ -162,7 +163,9 @@ def realize_entry(entry: CatalogEntry,
     """Realize a catalog entry, caching by name.
 
     Entries flagged infinite are rejected up front: no coset budget can
-    complete them, and the error says so instead of spinning.
+    complete them, and the error says so instead of spinning.  A cached
+    group is returned only when its enumeration fits the budget, so a hit
+    raises the BudgetExceeded a fresh enumeration would.
     """
     if entry.infinite:
         raise BudgetExceeded(
@@ -170,14 +173,18 @@ def realize_entry(entry: CatalogEntry,
             "no coset budget can realize it")
     cached = _REALIZED.get(entry.name)
     if cached is not None:
-        return cached
-    group, _ = realize_presentation(entry.presentation, budget)
+        group, stats = cached
+        budget = budget or default_budget()
+        if stats.cosets_defined > budget.max_cosets:
+            raise budget.cosets_exhausted(stats)
+        return group
+    group, stats = realize_presentation(entry.presentation, budget)
     order = entry.known_facts.get("order")
     if order is not None and group.order != order:
         raise UnknownCatalogName(
             f"catalog entry {entry.name!r} realized to order {group.order}, "
             f"expected {order}")
-    _REALIZED[entry.name] = group
+    _REALIZED[entry.name] = group, stats
     return group
 
 

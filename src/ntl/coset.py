@@ -39,6 +39,13 @@ class EnumerationBudget:
         if self.max_time_ms is not None and self.max_time_ms <= 0:
             raise ValueError("max_time_ms must be positive")
 
+    def cosets_exhausted(self, stats: "EnumerationStats") -> BudgetExceeded:
+        """The error for an enumeration that defined more than
+        `max_cosets` cosets."""
+        return BudgetExceeded(
+            f"coset budget {self.max_cosets} exhausted "
+            "(possible infinite group or undersized budget)", stats=stats)
+
 
 def default_budget() -> EnumerationBudget:
     """Budget from the environment; NTL_MAX_COSETS overrides the default."""
@@ -124,10 +131,7 @@ class _Enumerator:
 
     def _check_budget(self):
         if self.n_defined > self.budget.max_cosets:
-            raise BudgetExceeded(
-                f"coset budget {self.budget.max_cosets} exhausted "
-                "(possible infinite group or undersized budget)",
-                stats=self._stats())
+            raise self.budget.cosets_exhausted(self._stats())
         limit = self.budget.max_time_ms
         if limit is not None and self.n_defined % 1024 == 0:
             if (time.monotonic() - self.t0) * 1000 > limit:
@@ -290,6 +294,15 @@ class _Enumerator:
             elapsed_ms=int((time.monotonic() - self.t0) * 1000))
 
 
+def _both_attempts(first: EnumerationStats,
+                   last: EnumerationStats) -> EnumerationStats:
+    return EnumerationStats(
+        cosets_defined=first.cosets_defined + last.cosets_defined,
+        cosets_final=last.cosets_final,
+        coincidences=first.coincidences + last.coincidences,
+        elapsed_ms=first.elapsed_ms + last.elapsed_ms)
+
+
 def enumerate_cosets(p: Presentation,
                      subgroup_words: tuple[Word, ...] = (),
                      budget: EnumerationBudget | None = None,
@@ -309,13 +322,20 @@ def enumerate_cosets(p: Presentation,
     try:
         rows, n, stats = _Enumerator(p, subgroup_words, budget,
                                      defining_count).run()
-    except BudgetExceeded:
+    except BudgetExceeded as first:
         if defining_count is None or defining_count >= len(p.relators):
             raise
         # The defining hint may present a larger (even infinite) group;
-        # retry once with every relator driving definitions.
-        rows, n, stats = _Enumerator(p, subgroup_words, budget,
-                                     None).run()
+        # retry once with every relator driving definitions.  The stats,
+        # returned or raised, count the work of both attempts.
+        try:
+            rows, n, stats = _Enumerator(p, subgroup_words, budget,
+                                         None).run()
+        except BudgetExceeded as exc:
+            exc.stats = exc.details["stats"] = _both_attempts(first.stats,
+                                                              exc.stats)
+            raise
+        stats = _both_attempts(first.stats, stats)
     table = CosetTable(rows=rows, coset_count=n, complete=True,
                        presentation=p)
     return table, stats

@@ -5,6 +5,8 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_invf
 
 from ntl.abelian import AbelianInvariants, abelian_invariants, smith_diagonal
+from ntl.catalog import realize_name
+from ntl.tensor import build_direct, build_nu, conjugation_pair
 
 
 def sympy_oracle(rows, ncols):
@@ -75,6 +77,45 @@ def test_invariant_under_row_and_column_permutation(data, rng):
     rng.shuffle(cols)
     permuted = [[row[j] for j in cols] for row in shuffled]
     assert abelian_invariants(permuted, ncols=nc) == base
+
+
+def sympy_diagonal(rows):
+    return [abs(int(d)) for d in sympy_invf(Matrix(rows), domain=ZZ)]
+
+
+@st.composite
+def sparse_matrices(draw):
+    """Relation matrices shaped like presentations: mostly zeros and ±1,
+    with zero rows and repeated rows mixed in."""
+    nc = draw(st.integers(1, 8))
+    entry = st.sampled_from((0, 0, 0, 0, 1, 1, -1, -1, 2, -3))
+    rows = draw(st.lists(st.lists(entry, min_size=nc, max_size=nc),
+                         min_size=1, max_size=8))
+    extra = draw(st.lists(st.integers(-1, len(rows) - 1), max_size=2))
+    rows += [[0] * nc if k < 0 else list(rows[k]) for k in extra]
+    order = draw(st.permutations(range(len(rows))))
+    return [rows[i] for i in order]
+
+
+@given(sparse_matrices())
+@settings(max_examples=300, deadline=None)
+def test_sparse_diagonal_matches_sympy(rows):
+    assert smith_diagonal(rows) == sympy_diagonal(rows)
+
+
+@pytest.mark.parametrize("route, name, shape", [
+    ("direct", "S3", (432, 36)),
+    ("eta", "S3", (504, 12)),
+    ("eta", "Q8", (1152, 16)),
+])
+def test_relation_matrices_match_sympy(route, name, shape):
+    g = realize_name(name)
+    r = (build_direct(conjugation_pair(g)) if route == "direct"
+         else build_nu(g))
+    p = r.presentation
+    rows = [w.exponent_row(p.ngens) for w in p.relators]
+    assert (len(rows), p.ngens) == shape
+    assert smith_diagonal(rows) == sympy_diagonal(rows)
 
 
 class TestInvariants:

@@ -104,9 +104,20 @@ class TestEnumerate:
         # The first relator alone presents an infinite group, forcing the
         # fallback to the full relator list.
         p = catalog_lookup("S3").presentation
-        table, _ = enumerate_cosets(
+        table, stats = enumerate_cosets(
             p, (), EnumerationBudget(max_cosets=3000), defining_count=1)
         assert table.coset_count == 6
+        assert stats.cosets_defined > 3000
+
+    def test_failed_retry_reports_both_attempts(self):
+        # <a, b | a^2, b^2> is infinite with or without the hint.
+        a, b = Word.gen(0), Word.gen(1)
+        p = Presentation("Dinf", ("a", "b"), (a ** 2, b ** 2))
+        with pytest.raises(BudgetExceeded) as info:
+            enumerate_cosets(p, (), EnumerationBudget(max_cosets=100),
+                             defining_count=1)
+        assert info.value.stats.cosets_defined == 2 * 101
+        assert info.value.details["stats"] is info.value.stats
 
     def test_lookahead_merges_on_deferred_relator(self):
         a = Word.gen(0)

@@ -249,9 +249,12 @@ class TestStructure:
         assert len(proj.kernel().members) == 2
 
     def test_associativity_guard(self):
-        bad = np.zeros((3, 3), dtype=np.int16)
-        with pytest.raises(InternalInconsistency):
-            RealizedGroup("bad", bad, [1])
+        # A loop of order 5: a Latin square with identity 0 and two-sided
+        # inverses that 1 generates, so only associativity fails.
+        bad = np.array([[0, 1, 2, 3, 4], [1, 0, 3, 4, 2], [2, 3, 4, 0, 1],
+                        [3, 4, 1, 2, 0], [4, 2, 0, 1, 3]], dtype=np.int16)
+        with pytest.raises(InternalInconsistency, match="associativity fails"):
+            RealizedGroup("bad", bad, [1, 2, 3, 4])
 
     def test_non_generating_images_rejected(self):
         c6 = realize_name("C6")
