@@ -25,7 +25,7 @@ from .homotopy import (PushoutInput, TriadInput, bound_pushout_pi3,
                        burnside_exponent_check, finiteness_report,
                        pi3_suspension_K, pushout_EM, resolve_subject,
                        schur_multiplier, stable_pi2_K, theoremC_report,
-                       three_connected_check, triad_group, wedge_pi3)
+                       three_connected_check, wedge_pi3)
 from .parsing import parse_file, parse_words_text
 from .report import (group_result, invariants_result, render_text,
                      serialize_report)
@@ -314,10 +314,12 @@ def _cmd_triad(cfg: RunConfig) -> dict:
     pair, query = _pair_inputs(cfg)
     args = cfg.args
     t = TriadInput(pair.g, pair.h, pair, args.p, args.q)
-    grp, dim = triad_group(t, cfg.budget)
+    r = build_eta(t.actions, cfg.budget)
+    cfg.track(r.stats)
     query = dict(query, p=args.p, q=args.q)
-    return {"query": query, "result": group_result(grp),
-            "chain": [f"triad group lives in dimension p+q+1 = {dim}"]}
+    return {"query": query, "result": group_result(r.group),
+            "chain": [f"triad group lives in dimension p+q+1 = "
+                      f"{t.dimension}"]}
 
 
 def _cmd_wedge(cfg: RunConfig) -> dict:

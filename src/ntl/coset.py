@@ -1,12 +1,10 @@
 """Todd-Coxeter coset enumeration and the regular representation.
 
-The strategy is HLT with row filling, in-place coincidence processing on a
-union-find over cosets, and a vectorized lookahead pass that traces every
-relator at every live coset.  A presentation may mark a leading block of
-relators as "defining"; the defining block drives coset definitions and the
-lookahead pass enforces the full relator list, merging any cosets a
-non-defining relator identifies.  The returned table is therefore always
-closed under *all* relators at *all* cosets, independent of the hint.
+The strategy is HLT with row filling and in-place coincidence processing
+on a union-find over cosets.  Every relator is scanned at every live coset,
+so the finished table is closed under all of them; a vectorized closing
+check traces every relator at every coset once more and reports an open one
+as an engine bug, never as a reason to go on enumerating.
 
 Definitions use the first undefined entry in row-major order, so identical
 inputs give identical tables and stats.
@@ -99,15 +97,9 @@ def _dedup(seqs) -> list[tuple[int, ...]]:
 
 
 class _Enumerator:
-    def __init__(self, p: Presentation, subgroup_words, budget, defining):
+    def __init__(self, p: Presentation, subgroup_words, budget):
         self.width = 2 * p.ngens
-        all_letters = [word_letters(w) for w in p.relators]
-        if defining is None:
-            defining = len(all_letters)
-        self.defining = _dedup(all_letters[:defining])
-        rest = [s for s in _dedup(all_letters[defining:])
-                if s not in set(self.defining)]
-        self.all_relators = self.defining + rest
+        self.relators = _dedup([word_letters(w) for w in p.relators])
         self.subgroup_letters = _dedup([word_letters(w)
                                         for w in subgroup_words])
         self.budget = budget
@@ -224,7 +216,7 @@ class _Enumerator:
             if uf[alpha] != alpha:
                 alpha += 1
                 continue
-            for w in self.defining:
+            for w in self.relators:
                 self._scan_and_fill(alpha, w)
                 if uf[alpha] != alpha:
                     break
@@ -250,41 +242,37 @@ class _Enumerator:
             (self.width, n), dtype=np.int64)
         if cols.size and cols.min() < 0:
             raise InternalInconsistency("live row references a dead coset")
-        return live, cols
+        return cols
 
-    def _find_violation(self, cols, n):
-        for w in self.subgroup_letters:
+    def _find_violation(self, cols) -> str | None:
+        """Describe the first subgroup word open at coset 0 or relator open
+        at some coset, if any."""
+        for k, w in enumerate(self.subgroup_letters):
             c = 0
             for letter in w:
                 c = int(cols[letter][c])
             if c != 0:
-                return np.array([0]), np.array([c])
-        ar = np.arange(n)
-        for w in self.all_relators:
+                return f"subgroup word {k} is open at coset 0"
+        ar = np.arange(cols.shape[1])
+        for k, w in enumerate(self.relators):
             v = ar
             for letter in w:
                 v = cols[letter][v]
             bad = np.nonzero(v != ar)[0]
             if bad.size:
-                return bad, v[bad]
+                return f"relator {k} is open at coset {int(bad[0])}"
         return None
 
     def run(self):
         for w in self.subgroup_letters:
             self._scan_and_fill(0, w)
-        while True:
-            self._hlt_pass()
-            live, cols = self._compress()
-            hit = self._find_violation(cols, live.size)
-            if hit is None:
-                break
-            src, dst = hit
-            for a, b in zip(src.tolist(), dst.tolist()):
-                self._coincidence(self._find(int(live[a])),
-                                  self._find(int(live[b])))
-        n = live.size
-        rows = cols.T.astype(np.int32).copy()
-        return rows, n, self._stats(final=n)
+        self._hlt_pass()
+        cols = self._compress()
+        violation = self._find_violation(cols)
+        if violation is not None:
+            raise InternalInconsistency(f"{violation} after the HLT pass")
+        n = cols.shape[1]
+        return cols.T.astype(np.int32).copy(), n, self._stats(final=n)
 
     def _stats(self, final: int | None = None) -> EnumerationStats:
         return EnumerationStats(
@@ -294,48 +282,20 @@ class _Enumerator:
             elapsed_ms=int((time.monotonic() - self.t0) * 1000))
 
 
-def _both_attempts(first: EnumerationStats,
-                   last: EnumerationStats) -> EnumerationStats:
-    return EnumerationStats(
-        cosets_defined=first.cosets_defined + last.cosets_defined,
-        cosets_final=last.cosets_final,
-        coincidences=first.coincidences + last.coincidences,
-        elapsed_ms=first.elapsed_ms + last.elapsed_ms)
-
-
 def enumerate_cosets(p: Presentation,
                      subgroup_words: tuple[Word, ...] = (),
                      budget: EnumerationBudget | None = None,
-                     defining_count: int | None = None,
                      ) -> tuple[CosetTable, EnumerationStats]:
     """Enumerate cosets of <subgroup_words> in the presented group.
 
-    `defining_count` marks how many leading relators drive definitions; all
-    relators are enforced regardless.  Raises BudgetExceeded rather than
-    ever returning a truncated table.
+    Raises BudgetExceeded rather than ever returning a truncated table.
     """
     if budget is None:
         budget = default_budget()
     for w in subgroup_words:
         if w.max_generator() >= p.ngens:
             raise InternalInconsistency("subgroup word out of range")
-    try:
-        rows, n, stats = _Enumerator(p, subgroup_words, budget,
-                                     defining_count).run()
-    except BudgetExceeded as first:
-        if defining_count is None or defining_count >= len(p.relators):
-            raise
-        # The defining hint may present a larger (even infinite) group;
-        # retry once with every relator driving definitions.  The stats,
-        # returned or raised, count the work of both attempts.
-        try:
-            rows, n, stats = _Enumerator(p, subgroup_words, budget,
-                                         None).run()
-        except BudgetExceeded as exc:
-            exc.stats = exc.details["stats"] = _both_attempts(first.stats,
-                                                              exc.stats)
-            raise
-        stats = _both_attempts(first.stats, stats)
+    rows, n, stats = _Enumerator(p, subgroup_words, budget).run()
     table = CosetTable(rows=rows, coset_count=n, complete=True,
                        presentation=p)
     return table, stats
@@ -377,8 +337,7 @@ def regular_representation(t: CosetTable, p: Presentation) -> RealizedGroup:
 
 def realize_presentation(p: Presentation,
                          budget: EnumerationBudget | None = None,
-                         defining_count: int | None = None,
                          ) -> tuple[RealizedGroup, EnumerationStats]:
     """Enumerate the trivial-subgroup table and realize the group."""
-    table, stats = enumerate_cosets(p, (), budget, defining_count)
+    table, stats = enumerate_cosets(p, (), budget)
     return regular_representation(table, p), stats

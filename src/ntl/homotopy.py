@@ -50,6 +50,11 @@ class TriadInput:
             raise InternalInconsistency(
                 "triad actions do not act on the given groups")
 
+    @property
+    def dimension(self) -> int:
+        """The dimension p+q+1 in which the triad group lives."""
+        return self.p + self.q + 1
+
 
 @dataclass(frozen=True)
 class PushoutInput:
@@ -84,7 +89,7 @@ def triad_group(t: TriadInput,
                 ) -> tuple[RealizedGroup, int]:
     """The triad group in dimension p+q+1: the tensor product of the two
     relative groups under their mutual actions."""
-    return build_eta(t.actions, budget).group, t.p + t.q + 1
+    return build_eta(t.actions, budget).group, t.dimension
 
 
 def bound_theorem_A(a: int, b: int, c: int, t: int) -> BoundReport:

@@ -2,14 +2,17 @@
 non-abelian tensor product.
 
 eta(G,H) is presented on the full element sets of both factors: Cayley
-multiplication relators for each factor plus the two commutator-action
-relator families quantified over every element triple.  The subgroup
-generated by the commutators [g, h~] inside eta(G,H) is the non-abelian
-tensor product; `build_direct` builds the same group a second way from the
-biadditivity presentation on |G|*|H| symbols, serving as a cross-check.
-Both routes return a `TensorRealization`, and the invariants below (the
-tensor set, J2, the diagonal and the symmetrized diagonal) are functions of
-it that never look inside eta.
+relators on the generator edges of each factor plus the two
+commutator-action relator families on generator triples.  The enumerated
+group is certified to be eta(G,H) with no theorem assumed: the factor
+embeddings are homomorphisms, which proves every Cayley relator, and
+`pairing_relators_hold` checks both families on every element triple in the
+realized table.  The subgroup generated by the commutators [g, h~] inside
+eta(G,H) is the non-abelian tensor product; `build_direct` builds the same
+group a second way from the biadditivity presentation on |G|*|H| symbols,
+serving as a cross-check.  Both routes return a `TensorRealization`, and
+the invariants below (the tensor set, J2, the diagonal and the symmetrized
+diagonal) are functions of it that never look inside eta.
 """
 
 from __future__ import annotations
@@ -29,7 +32,7 @@ from .groups import (Homomorphism, RealizedGroup, Subgroup, _walk, closure,
 from .parsing import ActionSpec
 from .words import Presentation, Word, commutator, conjugate
 
-ETA_SIZE_CAP = 144  # |G| * |H| bound for the defining build
+ETA_SIZE_CAP = 144  # |G| * |H| bound for the eta and direct builds
 
 
 @dataclass(frozen=True)
@@ -188,6 +191,42 @@ def _conjugation_table(g: RealizedGroup) -> np.ndarray:
     return tab[inner, ar[:, None]]
 
 
+def _pairing_commutators(pair: CompatibleActionPair, eta: RealizedGroup):
+    """The images of G and H in eta and the commutators [a, b~], indexed
+    [a, b]."""
+    ng = pair.g.order
+    eg = np.asarray(eta.generator_images[:ng], dtype=np.int64)
+    eh = np.asarray(eta.generator_images[ng:], dtype=np.int64)
+    tab = eta.table
+    comms = tab[tab[eta.inverse[eg][:, None], eta.inverse[eh][None, :]],
+                tab[eg[:, None], eh[None, :]]].astype(np.int64)
+    return eg, eh, comms
+
+
+def pairing_relators_hold(pair: CompatibleActionPair,
+                          eta: RealizedGroup) -> bool:
+    """Whether both commutator-action relator families hold in eta on every
+    element triple: [a, b~]^x = [a^x, (x.b)~] for x in G and
+    [a, b~]^y~ = [y.a, (b^y)~] for y in H.
+
+    eta is generated by the element generators of G, then those of H, as
+    `build_eta` realizes it.  All |G|^2 |H| + |G| |H|^2 identities are
+    compared at once, indexed [acting element, a, b].
+    """
+    eg, eh, comms = _pairing_commutators(pair, eta)
+    tab, inv = eta.table, eta.inverse
+    for by, a_to, b_to in (
+            (eg, _conjugation_table(pair.g)[:, :, None],
+             pair.g_on_h[:, None, :]),
+            (eh, pair.h_on_g[:, :, None],
+             _conjugation_table(pair.h)[:, None, :])):
+        lhs = tab[tab[inv[by][:, None, None], comms[None]],
+                  by[:, None, None]]
+        if not np.array_equal(lhs, comms[a_to, b_to]):
+            return False
+    return True
+
+
 def conjugation_pair(g: RealizedGroup) -> CompatibleActionPair:
     """Both actions by conjugation inside the same group."""
     table = _conjugation_table(g)
@@ -264,21 +303,20 @@ def build_eta(pair: CompatibleActionPair,
               budget: EnumerationBudget | None = None,
               *,
               cap: int = ETA_SIZE_CAP,
-              relator_scope: str = "elements",
               skip_pairing_relators: bool = False,
               name: str | None = None) -> TensorRealization:
     """Realize eta(G,H) for a compatible pair; T is the subgroup generated
     by the commutators [a, b~].
 
-    `relator_scope="generators"` is the opt-in variant that quantifies the
-    commutator-action relator families over generator triples only; its
-    output is validated against the full build by the test suite, never
-    assumed.  `skip_pairing_relators` is the test-only fault switch that
-    drops both families so the verification suite can prove its own
-    sensitivity.
+    The presentation has one generator per element of G and of H, the
+    Cayley relators on the generator edges of each factor and the two
+    commutator-action relator families on generator triples.  The realized
+    table is then certified to be eta(G,H) itself: the factor embeddings
+    prove every Cayley relator and `pairing_relators_hold` every
+    element-triple pairing relator.  `skip_pairing_relators` is the
+    test-only fault switch that drops both families, and the checks that
+    rest on them, so the verification suite can prove its own sensitivity.
     """
-    if relator_scope not in ("elements", "generators"):
-        raise ValueError(f"unknown relator scope {relator_scope!r}")
     g, h = pair.g, pair.h
     ng, nh = g.order, h.order
     if ng * nh > cap:
@@ -294,19 +332,16 @@ def build_eta(pair: CompatibleActionPair,
 
     gens = tuple(f"g{i}" for i in range(ng)) + tuple(
         f"h{j}" for j in range(nh))
-    ggens = list(dict.fromkeys(g.generator_images))
-    hgens = list(dict.fromkeys(h.generator_images))
+    # A trivial factor has no generator images; the identity stands in, so
+    # its Cayley relator g0 g0 = g0 still kills the element generator.
+    ggens = list(dict.fromkeys(g.generator_images)) or [0]
+    hgens = list(dict.fromkeys(h.generator_images)) or [0]
 
     def cayley(offset, grp, seconds):
         tab = grp.table
         return [Word.of(((offset + a, 1), (offset + b, 1),
                          (offset + int(tab[a, b]), -1)))
                 for a in range(grp.order) for b in seconds]
-
-    def cayley_rest(offset, grp, defined):
-        dset = set(defined)
-        rest = [b for b in range(grp.order) if b not in dset]
-        return cayley(offset, grp, rest)
 
     def pairing_one(gi, hi, g1):
         gp = g.conj(gi, g1)
@@ -327,42 +362,26 @@ def build_eta(pair: CompatibleActionPair,
     relators: list[Word] = []
     relators += cayley(0, g, ggens)
     relators += cayley(ng, h, hgens)
-    def_triples1 = [(gi, hi, g1) for gi in ggens for hi in hgens
-                    for g1 in ggens]
-    def_triples2 = [(gi, hi, h1) for gi in ggens for hi in hgens
-                    for h1 in hgens]
     if not skip_pairing_relators:
-        relators += [pairing_one(*t) for t in def_triples1]
-        relators += [pairing_two(*t) for t in def_triples2]
-    defining_count = len(relators)
-    relators += cayley_rest(0, g, ggens)
-    relators += cayley_rest(ng, h, hgens)
-    if not skip_pairing_relators and relator_scope == "elements":
-        seen1 = set(def_triples1)
-        seen2 = set(def_triples2)
-        relators += [pairing_one(gi, hi, g1)
-                     for gi in range(ng) for hi in range(nh)
-                     for g1 in range(ng) if (gi, hi, g1) not in seen1]
-        relators += [pairing_two(gi, hi, h1)
-                     for gi in range(ng) for hi in range(nh)
-                     for h1 in range(nh) if (gi, hi, h1) not in seen2]
+        relators += [pairing_one(gi, hi, g1) for gi in ggens
+                     for hi in hgens for g1 in ggens]
+        relators += [pairing_two(gi, hi, h1) for gi in ggens
+                     for hi in hgens for h1 in hgens]
 
     presentation = Presentation(name, gens, tuple(relators))
-    table, stats = enumerate_cosets(presentation, (), budget,
-                                    defining_count=defining_count)
+    table, stats = enumerate_cosets(presentation, (), budget)
     eta = regular_representation(table, presentation)
 
-    eg = np.asarray(eta.generator_images[:ng], dtype=np.int64)
-    eh = np.asarray(eta.generator_images[ng:], dtype=np.int64)
-    tab = eta.table
-    comms = tab[tab[eta.inverse[eg][:, None], eta.inverse[eh][None, :]],
-                tab[eg[:, None], eh[None, :]]].astype(np.int64)
+    eg, eh, comms = _pairing_commutators(pair, eta)
     tensor_sub = closure(eta, np.unique(comms))
     if not skip_pairing_relators:
         if not (Homomorphism(g, eta, eg).is_injective()
                 and Homomorphism(h, eta, eh).is_injective()):
             raise InternalInconsistency(
                 f"{name}: factor embeddings are not injective")
+        if not pairing_relators_hold(pair, eta):
+            raise InternalInconsistency(
+                f"{name}: an element-triple pairing relator fails")
         if eta.order != tensor_sub.order * ng * nh:
             raise InternalInconsistency(
                 f"{name}: order {eta.order} breaks the semidirect "
@@ -379,12 +398,11 @@ def build_eta(pair: CompatibleActionPair,
 def build_nu(g: RealizedGroup,
              budget: EnumerationBudget | None = None,
              *,
-             cap: int = ETA_SIZE_CAP,
-             relator_scope: str = "elements") -> TensorRealization:
+             cap: int = ETA_SIZE_CAP) -> TensorRealization:
     """nu(G) = eta(G,G) with both actions by conjugation; T is the tensor
     square and the derived map lands in G."""
     return build_eta(conjugation_pair(g), budget, cap=cap,
-                     relator_scope=relator_scope, name=f"nu({g.name})")
+                     name=f"nu({g.name})")
 
 
 def build_direct(pair: CompatibleActionPair,

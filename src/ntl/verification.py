@@ -25,7 +25,8 @@ from .homotopy import (PushoutInput, bound_pushout_pi3, bound_theorem_A,
                        three_connected_check, wedge_pi3)
 from .parsing import parse_file
 from .tensor import (TensorRealization, build_direct, build_eta, build_nu,
-                     delta, delta_tilde, j2, tensor_set, trivial_pair)
+                     delta, delta_tilde, j2, pairing_relators_hold,
+                     tensor_set, trivial_pair)
 
 FAULT_BUDGET = EnumerationBudget(max_cosets=20_000)
 
@@ -75,7 +76,6 @@ class PairProfile:
     hname: str
     g_order: int
     h_order: int
-    eta_order: int
     eta_route: RouteProfile
     direct_route: RouteProfile
     oracle_invariants: AbelianInvariants
@@ -87,7 +87,6 @@ class PairProfile:
 class NuProfile:
     name: str
     group_order: int
-    eta_order: int
     eta_route: RouteProfile
     direct_route: RouteProfile
     gab: AbelianInvariants
@@ -148,8 +147,7 @@ def _profile_pair(a: CatalogEntry, b: CatalogEntry,
     store.direct_build_ms += _ms_since(t0)
     return PairProfile(
         gname=a.name, hname=b.name, g_order=g.order, h_order=h.order,
-        eta_order=r.eta.order, eta_route=eta_route,
-        direct_route=_route_profile(direct),
+        eta_route=eta_route, direct_route=_route_profile(direct),
         oracle_invariants=g.abelianization().tensor(h.abelianization()),
         decomposition_ok=(r.eta.order == r.group.order * g.order * h.order),
         stats=r.stats)
@@ -185,7 +183,7 @@ def _profile_nu(entry: CatalogEntry,
     fin = finiteness_report(r)
     regen = closure(r.group, tensor_set(r).elements)
     return NuProfile(
-        name=entry.name, group_order=g.order, eta_order=r.eta.order,
+        name=entry.name, group_order=g.order,
         eta_route=_route_profile(r), direct_route=_route_profile(direct),
         gab=fin.gab_invariants, gprime_order=gprime.order,
         delta_invariants=fin.delta_invariants,
@@ -257,7 +255,7 @@ def check_route_equivalence(store: ProfileStore) -> CheckResult:
 
 @_timed
 def check_abelian_reduction(budget: EnumerationBudget | None,
-                            store: ProfileStore | None = None) -> CheckResult:
+                            store: ProfileStore) -> CheckResult:
     t0 = time.monotonic()
     bad = []
     for m in range(1, 13):
@@ -271,19 +269,16 @@ def check_abelian_reduction(budget: EnumerationBudget | None,
             if (got != want or not t.is_abelian()
                     or t.order != (want.order() or 0)):
                 bad.append(f"C{m}(x)C{n}: got {got}, want {want}")
-    oracle_checked = 0
-    if store is not None:
-        # With trivial actions the tensor product factors through the
-        # abelianizations, so every corpus pair must match the oracle.
-        for p in store.pairs.values():
-            oracle_checked += 1
-            if p.eta_route.invariants != p.oracle_invariants:
-                bad.append(f"{p.gname}(x){p.hname}: {p.eta_route.invariants} "
-                           f"vs oracle {p.oracle_invariants}")
+    # With trivial actions the tensor product factors through the
+    # abelianizations, so every corpus pair must match the oracle.
+    for p in store.pairs.values():
+        if p.eta_route.invariants != p.oracle_invariants:
+            bad.append(f"{p.gname}(x){p.hname}: {p.eta_route.invariants} "
+                       f"vs oracle {p.oracle_invariants}")
     elapsed = _ms_since(t0)
     ok = not bad and elapsed <= 30_000
     detail = (f"144 cyclic pairs against the gcd oracle in {elapsed} ms; "
-              f"{oracle_checked} corpus pairs re-checked against the "
+              f"{len(store.pairs)} corpus pairs re-checked against the "
               "abelianization oracle")
     if bad:
         detail = "; ".join(bad[:3])
@@ -396,7 +391,7 @@ def check_pushout(budget: EnumerationBudget | None) -> CheckResult:
 
 
 @_timed
-def check_wedge_prufer_analog(_: ProfileStore | None = None) -> CheckResult:
+def check_wedge_prufer_analog() -> CheckResult:
     bad = []
     for k in range(1, 6):
         for j in range(1, 6):
@@ -411,7 +406,7 @@ def check_wedge_prufer_analog(_: ProfileStore | None = None) -> CheckResult:
 
 
 @_timed
-def check_bound_arithmetic(_: ProfileStore | None = None) -> CheckResult:
+def check_bound_arithmetic() -> CheckResult:
     ra = bound_theorem_A(2, 3, 4, 5)
     rb = bound_theorem_B(2, 2)
     rp = bound_pushout_pi3(2, 3, 4)
@@ -478,24 +473,24 @@ def check_diagonal_embedding(store: ProfileStore) -> CheckResult:
 
 
 @_timed
-def check_generator_scope_variant(store: ProfileStore,
-                                  budget: EnumerationBudget | None
-                                  ) -> CheckResult:
-    bad = []
-    for name, p in store.nus.items():
-        g = realize_entry(catalog_lookup(name), budget)
-        r = build_nu(g, budget, relator_scope="generators")
-        if r.eta.order != p.eta_order:
-            bad.append(f"{name}: {r.eta.order} != {p.eta_order}")
+def check_pairing_certificate(budget: EnumerationBudget | None
+                              ) -> CheckResult:
+    """The element-triple certificate that every eta build relies on must
+    accept nu(S3)'s eta with its own conjugation actions and reject it
+    under trivial actions, or it certifies nothing."""
+    g = realize_entry(catalog_lookup("S3"), budget)
+    r = build_nu(g, budget)
+    holds = pairing_relators_hold(r.pair, r.eta)
+    rejects = not pairing_relators_hold(trivial_pair(g, g), r.eta)
     return CheckResult(
-        "invariant: generator-scope variant matches the full build",
-        not bad, f"orders agree on {len(store.nus)} groups" if not bad
-        else "; ".join(bad))
+        "invariant: element-triple certificate", holds and rejects,
+        f"certificate {'holds' if holds else 'FAILS'} on {r.eta.name} with "
+        f"its own actions and {'rejects' if rejects else 'ACCEPTS'} it "
+        "under trivial actions")
 
 
 def run_catalog_suite(budget: EnumerationBudget | None = None,
-                      fault: bool = False,
-                      include_extras: bool = True) -> list[CheckResult]:
+                      fault: bool = False) -> list[CheckResult]:
     """Run the acceptance battery over the built-in corpus.
 
     With `fault=True` the commutator-pairing relators are dropped from the
@@ -509,7 +504,7 @@ def run_catalog_suite(budget: EnumerationBudget | None = None,
             not exposed, detail)]
 
     store = build_profiles(budget)
-    results = [
+    return [
         check_decomposition(store),
         check_route_equivalence(store),
         check_abelian_reduction(budget, store),
@@ -523,11 +518,9 @@ def run_catalog_suite(budget: EnumerationBudget | None = None,
         check_bound_arithmetic(),
         check_performance(store),
         check_negative_control(None),
+        check_diagonal_embedding(store),
+        check_pairing_certificate(budget),
     ]
-    if include_extras:
-        results.append(check_diagonal_embedding(store))
-        results.append(check_generator_scope_variant(store, budget))
-    return results
 
 
 def run_file_suite(text: str,

@@ -105,8 +105,9 @@ def test_sparse_diagonal_matches_sympy(rows):
 
 @pytest.mark.parametrize("route, name, shape", [
     ("direct", "S3", (432, 36)),
-    ("eta", "S3", (504, 12)),
-    ("eta", "Q8", (1152, 16)),
+    ("eta", "S3", (40, 12)),
+    ("eta", "Q8", (48, 16)),
+    ("direct", "Q8", (1024, 64)),
 ])
 def test_relation_matrices_match_sympy(route, name, shape):
     g = realize_name(name)

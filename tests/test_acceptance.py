@@ -9,16 +9,17 @@ from dataclasses import replace
 
 import pytest
 
+from ntl import verification
 from ntl.coset import EnumerationBudget
 from ntl.verification import (ProfileStore, build_profiles,
                               check_abelian_reduction,
                               check_bound_arithmetic, check_decomposition,
                               check_exact_sequences, check_negative_control,
-                              check_pushout, check_performance,
-                              check_route_equivalence, check_schur_oracle,
-                              check_stable_pi2, check_tensor_counts,
-                              check_theoremC, check_wedge_prufer_analog,
-                              run_catalog_suite)
+                              check_pairing_certificate, check_pushout,
+                              check_performance, check_route_equivalence,
+                              check_schur_oracle, check_stable_pi2,
+                              check_tensor_counts, check_theoremC,
+                              check_wedge_prufer_analog, run_catalog_suite)
 
 
 @pytest.fixture(scope="session")
@@ -116,3 +117,22 @@ def test_criterion_13_negative_control(store):
     print(faulted[0].line())
     assert not all(c.passed for c in faulted)
     assert "criterion 1" in faulted[0].name
+
+
+def test_pairing_certificate():
+    _gate(check_pairing_certificate(None))
+
+
+def test_pairing_certificate_check_fails_on_a_blind_certificate(monkeypatch):
+    monkeypatch.setattr(verification, "pairing_relators_hold",
+                        lambda pair, eta: True)
+    r = check_pairing_certificate(None)
+    print(r.line())
+    assert not r.passed
+
+
+def test_catalog_suite_runs_fifteen_named_checks(store, monkeypatch):
+    monkeypatch.setattr(verification, "build_profiles",
+                        lambda budget=None: store)
+    names = [c.name for c in run_catalog_suite()]
+    assert len(names) == len(set(names)) == 15

@@ -83,6 +83,16 @@ class TestBasicCommands:
         assert record["result"]["order"] == 16
         assert any("pi2" in line for line in record["chain"])
 
+    def test_pushout_with_trivial_subgroup(self, capsys):
+        rc, record, _ = run_json(capsys, "pushout", "--group", "C6",
+                                 "--m", "a^6", "--n", "a^2")
+        assert rc == 0
+        assert record["result"]["order"] == 1
+        assert record["chain"] == [
+            "pi2 = (M cap N)/[M,N]: order 1, invariants []",
+            "pi3 = kernel of the derived map: order 1, invariants []"]
+        assert record["stats"]["cosets_defined"] <= 100
+
     def test_three_connected(self, capsys):
         rc, record, _ = run_json(capsys, "three-connected", "--group", "C6",
                                  "--m", "a^3", "--n", "a^2")
@@ -126,6 +136,13 @@ class TestBasicCommands:
         _, nu, _ = run_json(capsys, "nu", "--group", "S3")
         assert thmc["stats"]["cosets_defined"] == \
             nu["stats"]["cosets_defined"] == 2487
+
+    def test_triad_reports_the_eta_build(self, capsys):
+        _, triad, _ = run_json(capsys, "triad", "--group", "S3",
+                               "--other", "S3")
+        _, tensor, _ = run_json(capsys, "tensor", "--group", "S3")
+        assert triad["stats"]["cosets_defined"] == \
+            tensor["stats"]["cosets_defined"] > 0
 
     def test_finiteness_reports_the_nu_build(self, capsys):
         _, fin, _ = run_json(capsys, "finiteness", "--group", "C2xC2")

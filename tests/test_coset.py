@@ -4,8 +4,9 @@ import numpy as np
 import pytest
 
 from ntl.catalog import catalog_lookup
-from ntl.coset import (CosetTable, EnumerationBudget, enumerate_cosets,
-                       realize_presentation, regular_representation)
+from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
+                       enumerate_cosets, realize_presentation,
+                       regular_representation, word_letters)
 from ntl.errors import (BudgetExceeded, IncompleteTable,
                         InternalInconsistency)
 from ntl.groups import abelian_structure, derived_subgroup
@@ -100,31 +101,20 @@ class TestEnumerate:
             table, _ = enumerate_cosets(q)
             assert table.coset_count == base.coset_count
 
-    def test_defining_hint_with_retry(self):
-        # The first relator alone presents an infinite group, forcing the
-        # fallback to the full relator list.
-        p = catalog_lookup("S3").presentation
-        table, stats = enumerate_cosets(
-            p, (), EnumerationBudget(max_cosets=3000), defining_count=1)
-        assert table.coset_count == 6
-        assert stats.cosets_defined > 3000
-
-    def test_failed_retry_reports_both_attempts(self):
-        # <a, b | a^2, b^2> is infinite with or without the hint.
-        a, b = Word.gen(0), Word.gen(1)
-        p = Presentation("Dinf", ("a", "b"), (a ** 2, b ** 2))
-        with pytest.raises(BudgetExceeded) as info:
-            enumerate_cosets(p, (), EnumerationBudget(max_cosets=100),
-                             defining_count=1)
-        assert info.value.stats.cosets_defined == 2 * 101
-        assert info.value.details["stats"] is info.value.stats
-
-    def test_lookahead_merges_on_deferred_relator(self):
+    def test_open_relator_after_hlt_is_an_engine_bug(self, monkeypatch):
+        # Skipping one relator's scan leaves it open in a complete table,
+        # which only the closing check can see.
         a = Word.gen(0)
         p = Presentation("G", ("a",), (a ** 6, a ** 4))
-        table, stats = enumerate_cosets(p, (), defining_count=1)
-        assert table.coset_count == 2
-        assert stats.coincidences > 0
+        skipped = word_letters(a ** 4)
+        scan = _Enumerator._scan_and_fill
+        monkeypatch.setattr(
+            _Enumerator, "_scan_and_fill",
+            lambda self, alpha, w: None if w == skipped
+            else scan(self, alpha, w))
+        with pytest.raises(InternalInconsistency,
+                           match="relator 1 is open"):
+            enumerate_cosets(p)
 
     def test_every_relator_closes_at_every_coset(self):
         from ntl.coset import word_letters
@@ -154,7 +144,7 @@ class TestEnumerate:
     def test_felsch_with_subgroup_and_merges(self):
         a = Word.gen(0)
         p = Presentation("G", ("a",), (a ** 6, a ** 4))
-        table, _ = enumerate_cosets(p, defining_count=1)
+        table, _ = enumerate_cosets(p)
         assert sympy_felsch_index(p) == table.coset_count == 2
         c6 = catalog_lookup("C6").presentation
         table, _ = enumerate_cosets(c6, (a ** 2,))

@@ -11,15 +11,33 @@ from ntl.coset import EnumerationBudget
 from ntl.groups import (Homomorphism, closure, derived_subgroup,
                         subgroup_as_group)
 from ntl.parsing import parse_action
+from ntl.homotopy import PushoutInput, pushout_EM
 from ntl.tensor import (build_direct, build_eta, build_nu, conjugation_pair,
-                        delta, delta_tilde, j2, tensor_direct, tensor_set,
-                        trivial_pair, validate_compatibility)
+                        delta, delta_tilde, j2, pairing_relators_hold,
+                        tensor_direct, tensor_set, trivial_pair,
+                        validate_compatibility)
+from ntl.words import Word, commutator, conjugate
 
 SMALL = ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "D4", "Q8"]
 
 
 def cyc(n):
     return realize_name(f"C{n}")
+
+
+def _pushout_s3_a3():
+    s3 = realize_name("S3")
+    full = closure(s3, s3.generator_images)
+    return pushout_EM(PushoutInput(s3, full, derived_subgroup(s3))).build
+
+
+ELEMENT_TRIPLE_BUILDS = {
+    **{name: (lambda name=name: build_nu(realize_name(name)))
+       for name in ("C4", "C2xC2", "S3", "D4", "Q8")},
+    "S3xC2-trivial": lambda: build_eta(trivial_pair(realize_name("S3"),
+                                                    cyc(2))),
+    "S3|S3,A3-pushout": _pushout_s3_a3,
+}
 
 
 class TestCompatibility:
@@ -139,13 +157,43 @@ class TestBuildEta:
         r = build_eta(pair, skip_pairing_relators=True)
         assert r.eta.order == 4
 
-    @pytest.mark.parametrize("name", ["C4", "C2xC2", "S3", "D4", "Q8"])
-    def test_generator_scope_matches_full_build(self, name):
-        g = realize_name(name)
-        full = build_nu(g)
-        lean = build_nu(g, relator_scope="generators")
-        assert lean.eta.order == full.eta.order
-        assert lean.group.order == full.group.order
+    @pytest.mark.parametrize("build", ELEMENT_TRIPLE_BUILDS)
+    def test_element_pairing_relators_hold(self, build):
+        # Word-level evaluation of every element-triple pairing relator,
+        # none of which is in the enumerated presentation.
+        r = ELEMENT_TRIPLE_BUILDS[build]()
+        g, h = r.pair.g, r.pair.h
+
+        def x(a):
+            return Word.gen(a)
+
+        def y(b):
+            return Word.gen(g.order + b)
+
+        for a in range(g.order):
+            for b in range(h.order):
+                c = commutator(x(a), y(b))
+                for u in range(g.order):
+                    rhs = commutator(x(g.conj(a, u)),
+                                     y(int(r.pair.g_on_h[u, b])))
+                    assert r.eta.evaluate(conjugate(c, x(u)) * ~rhs) == 0
+                for v in range(h.order):
+                    rhs = commutator(x(int(r.pair.h_on_g[v, a])),
+                                     y(h.conj(b, v)))
+                    assert r.eta.evaluate(conjugate(c, y(v)) * ~rhs) == 0
+        assert pairing_relators_hold(r.pair, r.eta)
+
+    def test_certificate_rejects_foreign_actions(self):
+        s3 = realize_name("S3")
+        r = build_nu(s3)
+        assert not pairing_relators_hold(trivial_pair(s3, s3), r.eta)
+
+    def test_failed_certificate_is_an_internal_inconsistency(self,
+                                                             monkeypatch):
+        monkeypatch.setattr("ntl.tensor.pairing_relators_hold",
+                            lambda pair, eta: False)
+        with pytest.raises(InternalInconsistency, match="pairing relator"):
+            build_nu(cyc(2))
 
 
 class TestTensorDirect:
