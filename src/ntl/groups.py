@@ -2,11 +2,15 @@
 
 Elements are dense indices 0..order-1 with 0 the identity, so products are
 O(1) table lookups and every axiom stays exhaustively checkable at desk
-scale.  All values are immutable after construction.
+scale.  Associativity is certified by Light's test, on the generator images
+alone, in O(n^2 k) rather than O(n^3).  Element words are read off the
+Cayley-graph walk on first use; a group that is only checked never builds
+them.  All values are immutable after construction.
 """
 
 from __future__ import annotations
 
+import functools
 from dataclasses import dataclass
 from math import lcm
 from typing import Iterable, Sequence
@@ -65,6 +69,24 @@ def _walk(table: np.ndarray, steps: Sequence[int]
                     via[order].tolist()))
 
 
+def _light_associative(table: np.ndarray, generators: Sequence[int]) -> bool:
+    """Light's associativity test: (ab)g = a(bg) for all a, b and every
+    distinct generator image g, in O(n^2 k) instead of O(n^3).
+
+    The test is exact when 0 is a two-sided identity and right
+    multiplication by the generator images reaches every element from 0.
+    Let S be the set of c with (ab)c = a(bc) for all a, b.  S contains 0,
+    and it is closed under products: for c, d in S,
+    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  So once every
+    generator image is in S, every element the walk reaches as p*g is in S.
+    """
+    for g in dict.fromkeys(generators):
+        # lhs[a, b] = (ab)g, rhs[a, b] = a(bg)
+        if not np.array_equal(table[table, g], table[:, table[:, g]]):
+            return False
+    return True
+
+
 class RealizedGroup:
     """Finite group materialized as an order x order multiplication table."""
 
@@ -76,6 +98,11 @@ class RealizedGroup:
         if n > GROUP_ORDER_CAP:
             raise CapExceeded(
                 f"group order {n} exceeds the hard cap {GROUP_ORDER_CAP}")
+        if table.shape != (n, n):
+            raise InternalInconsistency("multiplication table is not square")
+        # Checked before the narrowing cast, which would wrap such entries.
+        if n and (table.min() < 0 or table.max() >= n):
+            raise InternalInconsistency("table entry out of range")
         self.name = name
         self.order = n
         self.table = table.astype(_table_dtype(n), copy=False)
@@ -89,42 +116,43 @@ class RealizedGroup:
     # -- construction internals -------------------------------------------
 
     def _bfs(self):
-        """Canonical words and inverses along the Cayley-graph walk."""
+        """Inverses along the Cayley-graph walk, which must reach every
+        element from 0: Light's associativity test in `_verify` rests on
+        that.  The words along the same walk are built on first use, by
+        `element_words`."""
         tab = self.table
-        # A repeated image reaches nothing new, so each element's letter is
-        # the first generator with that image.
         tree = _walk(tab, self.generator_images)
         if len(tree) + 1 != self.order:
             raise InternalInconsistency(
                 f"generator images do not generate {self.name!r}")
         inv_step = [int(np.nonzero(tab[s] == 0)[0][0])
                     for s in self.generator_images]
-        words: list[Word | None] = [None] * self.order
-        words[0] = Word()
         inv = np.zeros(self.order, dtype=np.int64)
         for x, p, i in tree:
-            words[x] = words[p] * Word.gen(i)
             inv[x] = tab[inv_step[i], inv[p]]
-        self.element_words: tuple[Word, ...] = tuple(words)  # type: ignore
         self.inverse = inv.astype(self.table.dtype)
+
+    @functools.cached_property
+    def element_words(self) -> tuple[Word, ...]:
+        """Canonical word of each element along the Cayley-graph walk."""
+        # A repeated image reaches nothing new, so each element's letter is
+        # the first generator with that image.
+        words = [Word()] * self.order
+        for x, p, i in _walk(self.table, self.generator_images):
+            words[x] = words[p] * Word.gen(i)
+        return tuple(words)
 
     def _verify(self):
         n = self.order
         tab = self.table
-        if tab.shape != (n, n):
-            raise InternalInconsistency("multiplication table is not square")
-        if n and (tab.min() < 0 or tab.max() >= n):
-            raise InternalInconsistency("table entry out of range")
         ar = np.arange(n)
         if not (np.array_equal(tab[0], ar) and np.array_equal(tab[:, 0], ar)):
             raise InternalInconsistency("index 0 is not a two-sided identity")
         if not (tab[ar, self.inverse] == 0).all():
             raise InternalInconsistency("inverse array is wrong")
-        if n <= _ASSOC_CHECK_MAX:
-            idx = tab.astype(np.int64)
-            # lhs[a,b,c] = (ab)c, rhs[a,b,c] = a(bc)
-            if not np.array_equal(tab[idx], tab[:, idx]):
-                raise InternalInconsistency("associativity fails")
+        if n <= _ASSOC_CHECK_MAX and not _light_associative(
+                tab, self.generator_images):
+            raise InternalInconsistency("associativity fails")
 
     # -- element arithmetic ------------------------------------------------
 

@@ -110,6 +110,42 @@ def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
     return table
 
 
+def _first_incompatible(a: RealizedGroup, b_on_a: np.ndarray,
+                        a_on_b: np.ndarray) -> tuple[int, int, int] | None:
+    """The lexicographically first (ai, bi, a1) at which
+    b_on_a[a_on_b[a1, bi], ai] != (b_on_a[bi, ai^(a1^-1)])^a1, or None.
+
+    One chunk per ai, in increasing order, each |B| x |A| over (bi, a1), so
+    the first failing chunk holds the first failing triple.
+    """
+    conj = _conjugation_table(a)
+    # conj_back[a1, ai] = ai^(a1^-1)
+    conj_back = conj[a.inverse.astype(np.int64)]
+    cols = np.arange(a.order)[None, :]
+    a_on_b_t = a_on_b.T
+    for ai in range(a.order):
+        lhs = b_on_a[a_on_b_t, ai]
+        rhs = conj[cols, b_on_a[:, conj_back[:, ai]]]
+        bad = np.argwhere(lhs != rhs)
+        if bad.size:
+            return ai, int(bad[0, 0]), int(bad[0, 1])
+    return None
+
+
+def _first_non_homomorphic(actor: RealizedGroup, table: np.ndarray
+                           ) -> tuple[int, int] | None:
+    """The first (x, y), row-major, at which table[xy] is not the action of
+    x followed by that of y, or None.  One |A| x |B| chunk per x."""
+    tab = actor.table
+    for x in range(actor.order):
+        # composed[y, b] = table[y, table[x, b]]
+        composed = table[:, table[x]]
+        bad = np.argwhere(table[tab[x]] != composed)
+        if bad.size:
+            return x, int(bad[0, 0])
+    return None
+
+
 def _validate_tables(g: RealizedGroup, h: RealizedGroup,
                      g_on_h: np.ndarray, h_on_g: np.ndarray,
                      label: str,
@@ -118,7 +154,8 @@ def _validate_tables(g: RealizedGroup, h: RealizedGroup,
 
     Per-element automorphism first, then the two compatibility identities
     (first violating triple reported as the witness), then the
-    homomorphism-into-automorphisms law for both actions.
+    homomorphism-into-automorphisms law for both actions.  The identities
+    and the law are checked by array operations, one chunk per first index.
     """
     for actor, target, table, what in ((g, h, g_on_h, "on the right factor"),
                                        (h, g, h_on_g, "on the left factor")):
@@ -130,38 +167,24 @@ def _validate_tables(g: RealizedGroup, h: RealizedGroup,
                     f"{label}: element {actor.element_str(x)!r} of "
                     f"{actor.name!r} does not act as an automorphism "
                     f"{what}")
-    for gi in range(g.order):
-        for hi in range(h.order):
-            for g1 in range(g.order):
-                lhs = int(h_on_g[g_on_h[g1, hi], gi])
-                rhs = g.conj(int(h_on_g[hi, g.conj(gi, g.inv(g1))]), g1)
-                if lhs != rhs:
-                    raise Incompatible(
-                        f"{label}: compatibility fails at "
-                        f"({g.element_str(gi)}, {h.element_str(hi)}, "
-                        f"{g.element_str(g1)})",
-                        witness=(gi, hi, g1))
-    for hi in range(h.order):
-        for gi in range(g.order):
-            for h1 in range(h.order):
-                lhs = int(g_on_h[h_on_g[h1, gi], hi])
-                rhs = h.conj(int(g_on_h[gi, h.conj(hi, h.inv(h1))]), h1)
-                if lhs != rhs:
-                    raise Incompatible(
-                        f"{label}: compatibility fails at "
-                        f"({h.element_str(hi)}, {g.element_str(gi)}, "
-                        f"{h.element_str(h1)})",
-                        witness=(hi, gi, h1))
+    for a, b, a_on_b, b_on_a in ((g, h, g_on_h, h_on_g),
+                                 (h, g, h_on_g, g_on_h)):
+        bad = _first_incompatible(a, b_on_a, a_on_b)
+        if bad is not None:
+            ai, bi, a1 = bad
+            raise Incompatible(
+                f"{label}: compatibility fails at "
+                f"({a.element_str(ai)}, {b.element_str(bi)}, "
+                f"{a.element_str(a1)})",
+                witness=bad)
     for actor, table, what in ((g, g_on_h, "left"), (h, h_on_g, "right")):
-        tab = actor.table
-        for x in range(actor.order):
-            for y in range(actor.order):
-                composed = table[y][table[x]]
-                if not np.array_equal(table[int(tab[x, y])], composed):
-                    raise NotActionHomomorphism(
-                        f"{label}: the {what} action is not a homomorphism "
-                        f"(fails at {actor.element_str(x)}, "
-                        f"{actor.element_str(y)})")
+        bad = _first_non_homomorphic(actor, table)
+        if bad is not None:
+            x, y = bad
+            raise NotActionHomomorphism(
+                f"{label}: the {what} action is not a homomorphism "
+                f"(fails at {actor.element_str(x)}, "
+                f"{actor.element_str(y)})")
     return CompatibleActionPair(g, h, g_on_h.astype(np.int64),
                                 h_on_g.astype(np.int64), ambient)
 

@@ -49,6 +49,17 @@ def test_words_and_inverses_match_record(name, records):
     assert record(name) == records[name]
 
 
+def test_words_are_built_on_demand(records):
+    """A build never reads eta's words; the first `element_str` builds the
+    recorded ones."""
+    assert "element_words" not in vars(build_nu(realize_name("D6")).eta)
+    eta = build_nu(realize_name("S3")).eta
+    assert "element_words" not in vars(eta)
+    words = [eta.element_str(x) for x in range(eta.order)]
+    assert "element_words" in vars(eta)
+    assert words == records["eta(nu(S3))"]["words"]
+
+
 if __name__ == "__main__":
     RECORDS.write_text(json.dumps({n: record(n) for n in NAMES}, indent=1)
                        + "\n", encoding="utf-8")

@@ -5,8 +5,8 @@ from hypothesis import strategies as st
 
 from ntl.catalog import realize_name
 from ntl.errors import InternalInconsistency, MixedParents, NotNormal
-from ntl.groups import (Homomorphism, RealizedGroup,
-                        abelian_structure, closure, commutator_subgroup,
+from ntl.groups import (Homomorphism, RealizedGroup, _light_associative,
+                        _walk, abelian_structure, closure, commutator_subgroup,
                         derived_subgroup, intersection, kernel, quotient,
                         subgroup_as_group, subgroup_exponent,
                         subgroup_from_members, subgroup_quotient,
@@ -256,6 +256,14 @@ class TestStructure:
         with pytest.raises(InternalInconsistency, match="associativity fails"):
             RealizedGroup("bad", bad, [1, 2, 3, 4])
 
+    @pytest.mark.parametrize("entry", [65536, -65536, 2, -1])
+    def test_out_of_range_entry_rejected_before_narrowing(self, entry):
+        # +-65536 wrap to 0 under the int16 cast, which would make this C2.
+        table = np.array([[0, 1], [1, entry]])
+        with pytest.raises(InternalInconsistency,
+                           match="table entry out of range"):
+            RealizedGroup("x", table, [1])
+
     def test_non_generating_images_rejected(self):
         c6 = realize_name("C6")
         square = c6.power(c6.generator_images[0], 2)
@@ -272,3 +280,67 @@ class TestStructure:
         g = realize_name("C4")
         with pytest.raises(ValueError):
             g.table[0, 0] = 1
+
+
+def _random_loop(n: int, rng) -> np.ndarray:
+    """A randomly shuffled backtracking fill of a Latin square whose first
+    row and column are the identity: a loop with identity 0."""
+    t = np.zeros((n, n), dtype=np.int64)
+    t[0] = t[:, 0] = np.arange(n)
+    cells = [(i, j) for i in range(1, n) for j in range(1, n)]
+
+    def fill(k):
+        if k == len(cells):
+            return True
+        i, j = cells[k]
+        free = sorted(set(range(n)) - set(t[i, :j]) - set(t[:i, j]))
+        rng.shuffle(free)
+        for v in free:
+            t[i, j] = v
+            if fill(k + 1):
+                return True
+        return False
+
+    assert fill(0)
+    return t
+
+
+@st.composite
+def tables_with_generators(draw):
+    """A table with identity 0 and generator images whose right
+    multiplications reach every element from 0: a loop of order <= 6, a
+    catalog group, a catalog group with one product changed, or a random
+    magma with identity."""
+    kind = draw(st.sampled_from(["loop", "group", "perturbed", "magma"]))
+    if kind == "loop":
+        t = _random_loop(draw(st.integers(1, 6)),
+                         draw(st.randoms(use_true_random=False)))
+    elif kind == "magma":
+        n = draw(st.integers(1, 6))
+        t = np.zeros((n, n), dtype=np.int64)
+        t[0] = t[:, 0] = np.arange(n)
+        for i in range(1, n):
+            for j in range(1, n):
+                t[i, j] = draw(st.integers(0, n - 1))
+    else:
+        t = realize_name(draw(st.sampled_from(WALK_GROUPS))).table.astype(
+            np.int64)
+        if kind == "perturbed":
+            n = t.shape[0]
+            i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
+            t[i, j] = draw(st.integers(0, n - 1))
+    n = t.shape[0]
+    gens = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    while len(_walk(t, gens)) + 1 < n:
+        reached = {0} | {x for x, _, _ in _walk(t, gens)}
+        gens.append(min(set(range(n)) - reached))
+    return t, gens
+
+
+@settings(max_examples=300, deadline=None)
+@given(tables_with_generators())
+def test_light_test_agrees_with_brute_force(case):
+    """Light's test on the generator images accepts exactly the
+    associative tables, by the full n^3 comparison."""
+    t, gens = case
+    assert _light_associative(t, gens) == np.array_equal(t[t], t[:, t])

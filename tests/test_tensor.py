@@ -1,5 +1,7 @@
+import functools
 from math import gcd
 
+import numpy as np
 import pytest
 
 from ntl.abelian import AbelianInvariants
@@ -12,10 +14,11 @@ from ntl.groups import (Homomorphism, closure, derived_subgroup,
                         subgroup_as_group)
 from ntl.parsing import parse_action
 from ntl.homotopy import PushoutInput, pushout_EM
-from ntl.tensor import (build_direct, build_eta, build_nu, conjugation_pair,
-                        delta, delta_tilde, j2, pairing_relators_hold,
-                        tensor_direct, tensor_set, trivial_pair,
-                        validate_compatibility)
+from ntl.tensor import (_automorphism_failure, _conjugation_table,
+                        _validate_tables, build_direct, build_eta, build_nu,
+                        conjugation_pair, delta, delta_tilde, j2,
+                        pairing_relators_hold, tensor_direct, tensor_set,
+                        trivial_pair, validate_compatibility)
 from ntl.words import Word, commutator, conjugate
 
 SMALL = ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "D4", "Q8"]
@@ -88,6 +91,101 @@ class TestCompatibility:
             "action tr { from: C5; to: C2; a => (a -> a); }", p5, p2)
         with pytest.raises(NotActionHomomorphism):
             validate_compatibility(c2, c5, spec, back)
+
+
+def _loop_verdict(g, h, g_on_h, h_on_g, label):
+    """Reference triple loops for the compatibility and action-law checks
+    of `_validate_tables`, element by element, in the order that defines
+    the reported witness.  Returns which check failed ("left", "right" or
+    "action") with its error, or ("accept", None)."""
+    for gi in range(g.order):
+        for hi in range(h.order):
+            for g1 in range(g.order):
+                lhs = int(h_on_g[g_on_h[g1, hi], gi])
+                rhs = g.conj(int(h_on_g[hi, g.conj(gi, g.inv(g1))]), g1)
+                if lhs != rhs:
+                    return "left", Incompatible(
+                        f"{label}: compatibility fails at "
+                        f"({g.element_str(gi)}, {h.element_str(hi)}, "
+                        f"{g.element_str(g1)})",
+                        witness=(gi, hi, g1))
+    for hi in range(h.order):
+        for gi in range(g.order):
+            for h1 in range(h.order):
+                lhs = int(g_on_h[h_on_g[h1, gi], hi])
+                rhs = h.conj(int(g_on_h[gi, h.conj(hi, h.inv(h1))]), h1)
+                if lhs != rhs:
+                    return "right", Incompatible(
+                        f"{label}: compatibility fails at "
+                        f"({h.element_str(hi)}, {g.element_str(gi)}, "
+                        f"{h.element_str(h1)})",
+                        witness=(hi, gi, h1))
+    for actor, table, what in ((g, g_on_h, "left"), (h, h_on_g, "right")):
+        tab = actor.table
+        for x in range(actor.order):
+            for y in range(actor.order):
+                composed = table[y][table[x]]
+                if not np.array_equal(table[int(tab[x, y])], composed):
+                    return "action", NotActionHomomorphism(
+                        f"{label}: the {what} action is not a homomorphism "
+                        f"(fails at {actor.element_str(x)}, "
+                        f"{actor.element_str(y)})")
+    return "accept", None
+
+
+ACTION_GROUPS = ("C2", "C3", "S3", "D4", "Q8")
+
+
+@functools.cache
+def _automorphisms(name):
+    """Every automorphism of a small catalog group, as a permutation,
+    found by trying each choice of generator images."""
+    g = realize_name(name)
+    found = []
+    for imgs in np.ndindex(*(g.order,) * len(g.generator_images)):
+        perm = np.array([g.evaluate(w, imgs) for w in g.element_words])
+        if not _automorphism_failure(g, perm):
+            found.append(perm)
+    return found
+
+
+def _perturbed_action_tables(count, seed=0):
+    """Action tables of pairs from ACTION_GROUPS: conjugation for a square
+    pair, trivial otherwise, with up to two rows on each side replaced by
+    random automorphisms, so every row passes the automorphism check."""
+    rng = np.random.default_rng(seed)
+    for _ in range(count):
+        gname, hname = rng.choice(ACTION_GROUPS, 2)
+        g, h = realize_name(gname), realize_name(hname)
+        tables = []
+        for actor, target in ((g, h), (h, g)):
+            if gname == hname and rng.random() < 0.5:
+                table = _conjugation_table(target).copy()
+            else:
+                table = np.tile(np.arange(target.order), (actor.order, 1))
+            auts = _automorphisms(target.name)
+            for x in rng.choice(actor.order, rng.integers(0, 3)):
+                table[x] = auts[rng.integers(len(auts))]
+            tables.append(table)
+        yield g, h, tables[0], tables[1]
+
+
+def test_array_action_checks_match_the_triple_loops():
+    """Same verdict, message and witness as the loops, on every case; the
+    cases reach each outcome."""
+    seen = set()
+    for g, h, g_on_h, h_on_g in _perturbed_action_tables(240):
+        kind, want = _loop_verdict(g, h, g_on_h, h_on_g, "perturbed")
+        seen.add(kind)
+        if want is None:
+            _validate_tables(g, h, g_on_h, h_on_g, "perturbed")
+            continue
+        with pytest.raises(type(want)) as err:
+            _validate_tables(g, h, g_on_h, h_on_g, "perturbed")
+        assert str(err.value) == str(want)
+        assert getattr(err.value, "witness", None) == getattr(
+            want, "witness", None)
+    assert seen == {"accept", "left", "right", "action"}
 
 
 class TestBuildEta:
