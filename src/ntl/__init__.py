@@ -8,9 +8,9 @@ from .coset import (CosetTable, EnumerationBudget, EnumerationStats,
                     enumerate_cosets, realize_presentation,
                     regular_representation)
 from .errors import (ALL_ERRORS, BudgetExceeded, CapExceeded, IncompleteMap,
-                     IncompleteTable, Incompatible, InternalInconsistency,
-                     MixedParents, NotAbelian, NotActionHomomorphism,
-                     NotAutomorphism, NotGeneratingPair, NotNormal, NtlError,
+                     Incompatible, InternalInconsistency, MixedParents,
+                     NotAbelian, NotActionHomomorphism, NotAutomorphism,
+                     NotGeneratingPair, NotNormal, NtlError,
                      PresentationSyntaxError, Undecided, UnknownCatalogName,
                      UnknownGenerator)
 from .groups import (Homomorphism, RealizedGroup, Subgroup, abelian_structure,

@@ -17,7 +17,7 @@ from pathlib import Path
 
 from .catalog import CatalogEntry, catalog_lookup, realize_entry
 from .coset import EnumerationBudget, default_budget, realize_presentation
-from .errors import NtlError
+from .errors import NotAbelian, NtlError
 from .groups import (RealizedGroup, abelian_structure, closure,
                      subgroup_as_group)
 from .homotopy import (PushoutInput, TriadInput, bound_pushout_pi3,
@@ -212,14 +212,9 @@ def _resolve_actions(cfg: RunConfig, g: RealizedGroup, h: RealizedGroup):
 
 def _pair_inputs(cfg: RunConfig):
     args = cfg.args
-    g_entry = _load_entry(args.group)
+    g = _realize(_load_entry(args.group), cfg)
     other = args.other if args.other is not None else args.group
-    if other == args.group:
-        g = _realize(g_entry, cfg)
-        h = g
-    else:
-        g = _realize(g_entry, cfg)
-        h = _realize(_load_entry(other), cfg)
+    h = g if other == args.group else _realize(_load_entry(other), cfg)
     pair, action_kind = _resolve_actions(cfg, g, h)
     query = {"group": g.name, "other": h.name, "actions": action_kind}
     return pair, query
@@ -228,6 +223,21 @@ def _pair_inputs(cfg: RunConfig):
 def _subgroup_from_words(g: RealizedGroup, text: str):
     words = parse_words_text(text, g.source_presentation)
     return closure(g, [g.evaluate(w) for w in words])
+
+
+def _pushout_input(cfg: RunConfig) -> PushoutInput:
+    """`--group` with its `--m` and `--n` subgroups."""
+    g = _realize(_load_entry(cfg.args.group), cfg)
+    return PushoutInput(g, _subgroup_from_words(g, cfg.args.m),
+                        _subgroup_from_words(g, cfg.args.n))
+
+
+def _nu_input(cfg: RunConfig):
+    """`--group` realized, with its nu build; both stats are tracked."""
+    g = _realize(_load_entry(cfg.args.group), cfg)
+    r = build_nu(g, cfg.budget)
+    cfg.track(r.stats)
+    return g, r
 
 
 # -- handlers -------------------------------------------------------------------
@@ -253,10 +263,7 @@ def _cmd_eta(cfg: RunConfig) -> dict:
 
 
 def _cmd_nu(cfg: RunConfig) -> dict:
-    entry = _load_entry(cfg.args.group)
-    g = _realize(entry, cfg)
-    r = build_nu(g, cfg.budget)
-    cfg.track(r.stats)
+    g, r = _nu_input(cfg)
     chain = [f"decomposition: {r.eta.order} = {r.group.order} * "
              f"{g.order} * {g.order}"]
     return {"query": {"group": g.name, "actions": "conjugation"},
@@ -286,10 +293,7 @@ def _cmd_tensors(cfg: RunConfig) -> dict:
 
 
 def _cmd_invariant(cfg: RunConfig) -> dict:
-    entry = _load_entry(cfg.args.group)
-    g = _realize(entry, cfg)
-    r = build_nu(g, cfg.budget)
-    cfg.track(r.stats)
+    g, r = _nu_input(cfg)
     kind = cfg.args.kind
     if kind == "j2":
         grp = pi3_suspension_K(r)
@@ -333,7 +337,6 @@ def _cmd_wedge(cfg: RunConfig) -> dict:
         cfg.track(resolved.stats)
         if resolved.group is not None:
             if not resolved.group.is_abelian():
-                from .errors import NotAbelian
                 raise NotAbelian(
                     f"{resolved.name!r} is not abelian; a second homotopy "
                     "group must be")
@@ -346,11 +349,8 @@ def _cmd_wedge(cfg: RunConfig) -> dict:
 
 
 def _cmd_pushout(cfg: RunConfig) -> dict:
-    entry = _load_entry(cfg.args.group)
-    g = _realize(entry, cfg)
-    m = _subgroup_from_words(g, cfg.args.m)
-    n = _subgroup_from_words(g, cfg.args.n)
-    res = pushout_EM(PushoutInput(g, m, n), cfg.budget)
+    p = _pushout_input(cfg)
+    res = pushout_EM(p, cfg.budget)
     cfg.track(res.build.stats)
     chain = [
         f"pi2 = (M cap N)/[M,N]: order {res.pi2.order}, invariants "
@@ -358,16 +358,13 @@ def _cmd_pushout(cfg: RunConfig) -> dict:
         f"pi3 = kernel of the derived map: order {res.pi3.order}, "
         f"invariants {list(res.pi3.abelianization().factors)}",
     ]
-    return {"query": {"group": g.name, "m": cfg.args.m, "n": cfg.args.n},
+    return {"query": {"group": p.g.name, "m": cfg.args.m, "n": cfg.args.n},
             "result": group_result(res.pi3), "chain": chain}
 
 
 def _cmd_three_connected(cfg: RunConfig) -> dict:
-    entry = _load_entry(cfg.args.group)
-    g = _realize(entry, cfg)
-    m = _subgroup_from_words(g, cfg.args.m)
-    n = _subgroup_from_words(g, cfg.args.n)
-    rep = three_connected_check(PushoutInput(g, m, n), cfg.budget)
+    p = _pushout_input(cfg)
+    rep = three_connected_check(p, cfg.budget)
     cfg.track(rep.result.build.stats)
     chain = [
         f"pi1 trivial: {str(rep.pi1_trivial).lower()}",
@@ -375,7 +372,7 @@ def _cmd_three_connected(cfg: RunConfig) -> dict:
         f"pi3 order: {rep.pi3_order}",
         f"verdict: {rep.verdict}",
     ]
-    return {"query": {"group": g.name, "m": cfg.args.m, "n": cfg.args.n},
+    return {"query": {"group": p.g.name, "m": cfg.args.m, "n": cfg.args.n},
             "result": group_result(rep.result.pi3), "chain": chain}
 
 
@@ -449,10 +446,7 @@ def _cmd_bound(cfg: RunConfig) -> dict:
 
 
 def _cmd_exponent_check(cfg: RunConfig) -> dict:
-    entry = _load_entry(cfg.args.group)
-    g = _realize(entry, cfg)
-    r = build_nu(g, cfg.budget)
-    cfg.track(r.stats)
+    g, r = _nu_input(cfg)
     rep = burnside_exponent_check(r)
     chain = [
         f"tensor square exponent: {rep.tensor_exponent}",

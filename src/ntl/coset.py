@@ -1,4 +1,10 @@
-"""Todd-Coxeter coset enumeration and the regular representation.
+"""Todd-Coxeter coset enumeration of the trivial subgroup and the regular
+representation.
+
+Every presentation the engine realizes (eta(G,H), nu(G), the biadditivity
+presentation of a tensor product, a catalog or file group) needs the coset
+table of the trivial subgroup and nothing else, so that is the only table
+the enumerator builds.
 
 The strategy is HLT with row filling and in-place coincidence processing
 on a union-find over cosets.  Every relator is scanned at every live coset,
@@ -18,8 +24,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import (BudgetExceeded, CapExceeded, IncompleteTable,
-                     InternalInconsistency)
+from .errors import BudgetExceeded, CapExceeded, InternalInconsistency
 from .groups import GROUP_ORDER_CAP, RealizedGroup, _table_dtype, _walk
 from .words import Presentation, Word
 
@@ -63,12 +68,11 @@ class EnumerationStats:
 
 @dataclass(frozen=True)
 class CosetTable:
-    """Complete coset table; row 0 is the subgroup coset, columns alternate
-    generator and inverse-generator images."""
+    """Complete coset table of the trivial subgroup; row 0 is the identity
+    coset, columns alternate generator and inverse-generator images."""
 
     rows: np.ndarray
     coset_count: int
-    complete: bool
     presentation: Presentation
 
     def __post_init__(self):
@@ -97,11 +101,9 @@ def _dedup(seqs) -> list[tuple[int, ...]]:
 
 
 class _Enumerator:
-    def __init__(self, p: Presentation, subgroup_words, budget):
+    def __init__(self, p: Presentation, budget):
         self.width = 2 * p.ngens
         self.relators = _dedup([word_letters(w) for w in p.relators])
-        self.subgroup_letters = _dedup([word_letters(w)
-                                        for w in subgroup_words])
         self.budget = budget
         self.t0 = time.monotonic()
         self.tab: list[list[int]] = [[-1] * self.width]
@@ -245,14 +247,7 @@ class _Enumerator:
         return cols
 
     def _find_violation(self, cols) -> str | None:
-        """Describe the first subgroup word open at coset 0 or relator open
-        at some coset, if any."""
-        for k, w in enumerate(self.subgroup_letters):
-            c = 0
-            for letter in w:
-                c = int(cols[letter][c])
-            if c != 0:
-                return f"subgroup word {k} is open at coset 0"
+        """Describe the first relator open at some coset, if any."""
         ar = np.arange(cols.shape[1])
         for k, w in enumerate(self.relators):
             v = ar
@@ -264,8 +259,6 @@ class _Enumerator:
         return None
 
     def run(self):
-        for w in self.subgroup_letters:
-            self._scan_and_fill(0, w)
         self._hlt_pass()
         cols = self._compress()
         violation = self._find_violation(cols)
@@ -283,28 +276,21 @@ class _Enumerator:
 
 
 def enumerate_cosets(p: Presentation,
-                     subgroup_words: tuple[Word, ...] = (),
                      budget: EnumerationBudget | None = None,
                      ) -> tuple[CosetTable, EnumerationStats]:
-    """Enumerate cosets of <subgroup_words> in the presented group.
+    """Enumerate the cosets of the trivial subgroup in the presented group.
 
     Raises BudgetExceeded rather than ever returning a truncated table.
     """
     if budget is None:
         budget = default_budget()
-    for w in subgroup_words:
-        if w.max_generator() >= p.ngens:
-            raise InternalInconsistency("subgroup word out of range")
-    rows, n, stats = _Enumerator(p, subgroup_words, budget).run()
-    table = CosetTable(rows=rows, coset_count=n, complete=True,
-                       presentation=p)
-    return table, stats
+    rows, n, stats = _Enumerator(p, budget).run()
+    return CosetTable(rows=rows, coset_count=n, presentation=p), stats
 
 
-def regular_representation(t: CosetTable, p: Presentation) -> RealizedGroup:
+def regular_representation(t: CosetTable) -> RealizedGroup:
     """Turn the coset table of the trivial subgroup into a realized group."""
-    if not t.complete:
-        raise IncompleteTable("cannot realize a partial coset table")
+    p = t.presentation
     n = t.coset_count
     if n > GROUP_ORDER_CAP:
         raise CapExceeded(f"group order {n} exceeds cap {GROUP_ORDER_CAP}")
@@ -339,5 +325,5 @@ def realize_presentation(p: Presentation,
                          budget: EnumerationBudget | None = None,
                          ) -> tuple[RealizedGroup, EnumerationStats]:
     """Enumerate the trivial-subgroup table and realize the group."""
-    table, stats = enumerate_cosets(p, (), budget)
-    return regular_representation(table, p), stats
+    table, stats = enumerate_cosets(p, budget)
+    return regular_representation(table), stats

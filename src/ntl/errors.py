@@ -51,10 +51,6 @@ class BudgetExceeded(NtlError):
         self.stats = details.get("stats")
 
 
-class IncompleteTable(NtlError):
-    code = "IncompleteTable"
-
-
 class CapExceeded(NtlError):
     code = "CapExceeded"
 
@@ -99,7 +95,6 @@ ALL_ERRORS = (
     NotNormal,
     MixedParents,
     BudgetExceeded,
-    IncompleteTable,
     CapExceeded,
     NotAutomorphism,
     NotActionHomomorphism,

@@ -125,8 +125,13 @@ class RealizedGroup:
         if len(tree) + 1 != self.order:
             raise InternalInconsistency(
                 f"generator images do not generate {self.name!r}")
-        inv_step = [int(np.nonzero(tab[s] == 0)[0][0])
-                    for s in self.generator_images]
+        inv_step = []
+        for s in self.generator_images:
+            hits = np.nonzero(tab[s] == 0)[0]
+            if not hits.size:
+                raise InternalInconsistency(
+                    f"generator image {s} of {self.name!r} has no inverse")
+            inv_step.append(int(hits[0]))
         inv = np.zeros(self.order, dtype=np.int64)
         for x, p, i in tree:
             inv[x] = tab[inv_step[i], inv[p]]

@@ -23,7 +23,7 @@ from .groups import (RealizedGroup, Subgroup, abelian_structure,
                      closure, commutator_subgroup, derived_subgroup,
                      intersection, subgroup_as_group, subgroup_exponent,
                      subgroup_quotient)
-from .tensor import (CompatibleActionPair, TensorRealization,
+from .tensor import (CompatibleActionPair, TensorRealization, _conjugates,
                      _validate_tables, build_eta, build_nu, delta,
                      delta_tilde, j2, tensor_set)
 from .words import Presentation
@@ -182,21 +182,14 @@ def _conjugation_pair_between(g: RealizedGroup, m: Subgroup, n: Subgroup
     n_grp, _ = subgroup_as_group(n)
     m_mem = m.members_array()
     n_mem = n.members_array()
-    m_on_n = np.empty((m.order, n.order), dtype=np.int64)
-    n_on_m = np.empty((n.order, m.order), dtype=np.int64)
-    for a in range(m.order):
-        for b in range(n.order):
-            v = g.conj(int(n_mem[b]), int(m_mem[a]))
-            if not n.contains(v):
-                raise InternalInconsistency(
-                    "conjugation escapes the second subgroup")
-            m_on_n[a, b] = int(np.searchsorted(n_mem, v))
-            w = g.conj(int(m_mem[a]), int(n_mem[b]))
-            if not m.contains(w):
-                raise InternalInconsistency(
-                    "conjugation escapes the first subgroup")
-            n_on_m[b, a] = int(np.searchsorted(m_mem, w))
-    return _validate_tables(m_grp, n_grp, m_on_n, n_on_m,
+    m_on_n = _conjugates(g, m_mem, n_mem)
+    n_on_m = _conjugates(g, n_mem, m_mem)
+    if not np.isin(m_on_n, n_mem).all():
+        raise InternalInconsistency("conjugation escapes the second subgroup")
+    if not np.isin(n_on_m, m_mem).all():
+        raise InternalInconsistency("conjugation escapes the first subgroup")
+    return _validate_tables(m_grp, n_grp, np.searchsorted(n_mem, m_on_n),
+                            np.searchsorted(m_mem, n_on_m),
                             "conjugation inside the parent",
                             (g, m_mem, n_mem))
 

@@ -10,9 +10,13 @@ embeddings are homomorphisms, which proves every Cayley relator, and
 realized table.  The subgroup generated by the commutators [g, h~] inside
 eta(G,H) is the non-abelian tensor product; `build_direct` builds the same
 group a second way from the biadditivity presentation on |G|*|H| symbols,
-serving as a cross-check.  Both routes return a `TensorRealization`, and
-the invariants below (the tensor set, J2, the diagonal and the symmetrized
-diagonal) are functions of it that never look inside eta.
+serving as a cross-check.  Both routes check |G|*|H| against
+`ETA_SIZE_CAP`, realize their presentation through
+`coset.realize_presentation` and return a `TensorRealization`; the
+invariants below (the tensor set, J2, the diagonal and the symmetrized
+diagonal) are functions of it that never look inside eta.  Element-level
+action tables are spread along the Cayley-graph walk (`groups._walk`) or
+sliced from the conjugation table, never evaluated word by word.
 """
 
 from __future__ import annotations
@@ -22,8 +26,8 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coset import (EnumerationBudget, EnumerationStats, enumerate_cosets,
-                    regular_representation)
+from .coset import (EnumerationBudget, EnumerationStats,
+                    realize_presentation)
 from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
@@ -60,17 +64,33 @@ class CompatibleActionPair:
                 images.setflags(write=False)
 
 
-def _automorphism_failure(target: RealizedGroup, perm: np.ndarray) -> bool:
+def _first_non_automorphism(target: RealizedGroup,
+                            perms: np.ndarray) -> int | None:
+    """The first row of `perms` that is not an automorphism of target, or
+    None.  The target's table is widened once for all rows."""
     n = target.order
-    if len(np.unique(perm)) != n or perm[0] != 0:
-        return True
     tab = target.table.astype(np.int64)
-    return not np.array_equal(perm[tab], tab[perm[:, None], perm[None, :]])
+    for x, perm in enumerate(perms):
+        if (len(np.unique(perm)) != n or perm[0] != 0
+                or not np.array_equal(perm[tab],
+                                      tab[perm[:, None], perm[None, :]])):
+            return x
+    return None
+
+
+def _automorphism_failure(target: RealizedGroup, perm: np.ndarray) -> bool:
+    return _first_non_automorphism(target, perm[None, :]) is not None
 
 
 def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
                       spec: ActionSpec) -> np.ndarray:
-    """Element-level action table induced by a generator-level spec."""
+    """Element-level action table induced by a generator-level spec.
+
+    Each generator's map of the target is spread along the target's
+    Cayley-graph walk (x = p.s goes to image(p).image(s)), and the actor's
+    rows along the actor's walk (the row of x = p.s is that of p followed by
+    the map of s); walk words have positive exponents only.
+    """
     apres = actor.source_presentation
     tpres = target.source_presentation
     if apres is None or tpres is None:
@@ -80,33 +100,23 @@ def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
         raise IncompleteMap(
             f"action {spec.name!r} maps {spec.actor!r} on {spec.target!r}, "
             f"expected {apres.name!r} on {tpres.name!r}")
-    n_t = target.order
-    ar = np.arange(n_t, dtype=np.int64)
-    gen_perms: list[np.ndarray] = []
-    for gname in apres.generators:
+    t_tab = target.table
+    t_tree = _walk(t_tab, target.generator_images)
+    gen_perms = np.zeros((apres.ngens, target.order), dtype=np.int64)
+    for perm, gname in zip(gen_perms, apres.generators):
         images = spec.generator_map[gname]
         img_elems = [target.evaluate(images[t]) for t in tpres.generators]
-        perm = np.fromiter(
-            (target.evaluate(w, img_elems) for w in target.element_words),
-            dtype=np.int64, count=n_t)
-        if _automorphism_failure(target, perm):
-            raise NotAutomorphism(
-                f"generator {gname!r} of action {spec.name!r} does not "
-                f"induce an automorphism of {target.name!r}")
-        gen_perms.append(perm)
-    inv_perms = []
-    for perm in gen_perms:
-        inv = np.empty(n_t, dtype=np.int64)
-        inv[perm] = ar
-        inv_perms.append(inv)
-    table = np.empty((actor.order, n_t), dtype=np.int64)
-    for x in range(actor.order):
-        cur = ar
-        for gi, e in actor.element_words[x].letters:
-            perm = gen_perms[gi] if e > 0 else inv_perms[gi]
-            for _ in range(abs(e)):
-                cur = perm[cur]
-        table[x] = cur
+        for x, p, i in t_tree:
+            perm[x] = t_tab[perm[p], img_elems[i]]
+    bad = _first_non_automorphism(target, gen_perms)
+    if bad is not None:
+        raise NotAutomorphism(
+            f"generator {apres.generators[bad]!r} of action {spec.name!r} "
+            f"does not induce an automorphism of {target.name!r}")
+    table = np.empty((actor.order, target.order), dtype=np.int64)
+    table[0] = np.arange(target.order)
+    for x, p, i in _walk(actor.table, actor.generator_images):
+        table[x] = gen_perms[i][table[p]]
     return table
 
 
@@ -161,12 +171,11 @@ def _validate_tables(g: RealizedGroup, h: RealizedGroup,
                                        (h, g, h_on_g, "on the left factor")):
         if table.shape != (actor.order, target.order):
             raise InternalInconsistency("action table has wrong shape")
-        for x in range(actor.order):
-            if _automorphism_failure(target, table[x].astype(np.int64)):
-                raise NotAutomorphism(
-                    f"{label}: element {actor.element_str(x)!r} of "
-                    f"{actor.name!r} does not act as an automorphism "
-                    f"{what}")
+        x = _first_non_automorphism(target, table.astype(np.int64))
+        if x is not None:
+            raise NotAutomorphism(
+                f"{label}: element {actor.element_str(x)!r} of "
+                f"{actor.name!r} does not act as an automorphism {what}")
     for a, b, a_on_b, b_on_a in ((g, h, g_on_h, h_on_g),
                                  (h, g, h_on_g, g_on_h)):
         bad = _first_incompatible(a, b_on_a, a_on_b)
@@ -206,12 +215,17 @@ def trivial_pair(g: RealizedGroup, h: RealizedGroup) -> CompatibleActionPair:
     return _validate_tables(g, h, g_on_h, h_on_g, "trivial actions")
 
 
+def _conjugates(g: RealizedGroup, by: np.ndarray, xs: np.ndarray
+                ) -> np.ndarray:
+    """x^y = y^-1 x y, indexed [y, x], for the elements y in `by` and x in
+    `xs`."""
+    inner = g.table[g.inverse[by][:, None], xs[None, :]]
+    return g.table[inner, by[:, None]].astype(np.int64)
+
+
 def _conjugation_table(g: RealizedGroup) -> np.ndarray:
-    tab = g.table.astype(np.int64)
-    inv = g.inverse.astype(np.int64)
-    ar = np.arange(g.order, dtype=np.int64)
-    inner = tab[inv[:, None], ar[None, :]]
-    return tab[inner, ar[:, None]]
+    ar = np.arange(g.order)
+    return _conjugates(g, ar, ar)
 
 
 def _pairing_commutators(pair: CompatibleActionPair, eta: RealizedGroup):
@@ -322,10 +336,15 @@ def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
     return derived
 
 
+def _check_cap(g: RealizedGroup, h: RealizedGroup):
+    if g.order * h.order > ETA_SIZE_CAP:
+        raise CapExceeded(f"|G|*|H| = {g.order * h.order} exceeds the build "
+                          f"cap {ETA_SIZE_CAP}")
+
+
 def build_eta(pair: CompatibleActionPair,
               budget: EnumerationBudget | None = None,
               *,
-              cap: int = ETA_SIZE_CAP,
               skip_pairing_relators: bool = False,
               name: str | None = None) -> TensorRealization:
     """Realize eta(G,H) for a compatible pair; T is the subgroup generated
@@ -341,10 +360,8 @@ def build_eta(pair: CompatibleActionPair,
     rest on them, so the verification suite can prove its own sensitivity.
     """
     g, h = pair.g, pair.h
+    _check_cap(g, h)
     ng, nh = g.order, h.order
-    if ng * nh > cap:
-        raise CapExceeded(
-            f"|G|*|H| = {ng * nh} exceeds the build cap {cap}")
     if name is None:
         name = f"eta({g.name},{h.name})"
     def x(a: int) -> int:
@@ -392,8 +409,7 @@ def build_eta(pair: CompatibleActionPair,
                      for hi in hgens for h1 in hgens]
 
     presentation = Presentation(name, gens, tuple(relators))
-    table, stats = enumerate_cosets(presentation, (), budget)
-    eta = regular_representation(table, presentation)
+    eta, stats = realize_presentation(presentation, budget)
 
     eg, eh, comms = _pairing_commutators(pair, eta)
     tensor_sub = closure(eta, np.unique(comms))
@@ -419,26 +435,21 @@ def build_eta(pair: CompatibleActionPair,
 
 
 def build_nu(g: RealizedGroup,
-             budget: EnumerationBudget | None = None,
-             *,
-             cap: int = ETA_SIZE_CAP) -> TensorRealization:
+             budget: EnumerationBudget | None = None) -> TensorRealization:
     """nu(G) = eta(G,G) with both actions by conjugation; T is the tensor
     square and the derived map lands in G."""
-    return build_eta(conjugation_pair(g), budget, cap=cap,
-                     name=f"nu({g.name})")
+    return build_eta(conjugation_pair(g), budget, name=f"nu({g.name})")
 
 
 def build_direct(pair: CompatibleActionPair,
-                 budget: EnumerationBudget | None = None,
-                 cap: int = ETA_SIZE_CAP) -> TensorRealization:
+                 budget: EnumerationBudget | None = None
+                 ) -> TensorRealization:
     """The tensor product from its own biadditivity presentation on the
     symbols a(x)b, an independent route used to cross-check the
     eta-subgroup construction."""
     g, h = pair.g, pair.h
+    _check_cap(g, h)
     ng, nh = g.order, h.order
-    if ng * nh > cap:
-        raise CapExceeded(
-            f"|G|*|H| = {ng * nh} exceeds the build cap {cap}")
 
     def t(a: int, b: int) -> int:
         return a * nh + b
@@ -463,20 +474,18 @@ def build_direct(pair: CompatibleActionPair,
                                          (t(ap, bp), 1))))
     name = f"tensor({g.name},{h.name})"
     presentation = Presentation(name, gens, tuple(relators))
-    table, stats = enumerate_cosets(presentation, (), budget)
-    group = regular_representation(table, presentation)
+    group, stats = realize_presentation(presentation, budget)
     sym = np.asarray(group.generator_images, dtype=np.int64).reshape(ng, nh)
     return TensorRealization(pair, presentation, stats, group, sym,
                              _derived_map(pair, group, sym))
 
 
 def tensor_direct(pair: CompatibleActionPair,
-                  budget: EnumerationBudget | None = None,
-                  cap: int = ETA_SIZE_CAP) -> RealizedGroup:
+                  budget: EnumerationBudget | None = None) -> RealizedGroup:
     """The group T of `build_direct` alone, generated by the symbols a(x)b
     in row-major order (perfbench/make_expected.py reads its order and
     generator images)."""
-    return build_direct(pair, budget, cap).group
+    return build_direct(pair, budget).group
 
 
 def _memoized(fn):

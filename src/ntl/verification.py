@@ -16,17 +16,18 @@ import numpy as np
 from .abelian import AbelianInvariants
 from .catalog import (CatalogEntry, catalog_lookup, finite_corpus,
                       realize_entry)
-from .coset import EnumerationBudget, EnumerationStats
+from .coset import (EnumerationBudget, EnumerationStats,
+                    realize_presentation)
 from .errors import NtlError
-from .groups import RealizedGroup, closure, derived_subgroup
+from .groups import closure, derived_subgroup
 from .homotopy import (PushoutInput, bound_pushout_pi3, bound_theorem_A,
                        bound_theorem_B, finiteness_report, pushout_EM,
                        schur_multiplier, stable_pi2_K, theoremC_report,
                        three_connected_check, wedge_pi3)
 from .parsing import parse_file
-from .tensor import (TensorRealization, build_direct, build_eta, build_nu,
-                     delta, delta_tilde, j2, pairing_relators_hold,
-                     tensor_set, trivial_pair)
+from .tensor import (ETA_SIZE_CAP, TensorRealization, build_direct,
+                     build_eta, build_nu, delta, delta_tilde, j2,
+                     pairing_relators_hold, tensor_set, trivial_pair)
 
 FAULT_BUDGET = EnumerationBudget(max_cosets=20_000)
 
@@ -454,10 +455,10 @@ def _fault_scan(budget: EnumerationBudget | None) -> tuple[bool, str]:
 
 
 @_timed
-def check_negative_control(budget: EnumerationBudget | None) -> CheckResult:
+def check_negative_control() -> CheckResult:
     """The fault must break the decomposition check somewhere, or the suite
     is blind."""
-    exposed, detail = _fault_scan(budget)
+    exposed, detail = _fault_scan(None)
     return CheckResult("criterion 13: negative control", exposed, detail)
 
 
@@ -517,7 +518,7 @@ def run_catalog_suite(budget: EnumerationBudget | None = None,
         check_wedge_prufer_analog(),
         check_bound_arithmetic(),
         check_performance(store),
-        check_negative_control(None),
+        check_negative_control(),
         check_diagonal_embedding(store),
         check_pairing_certificate(budget),
     ]
@@ -530,8 +531,6 @@ def run_file_suite(text: str,
     groups, actions = parse_file(
         text, resolver=lambda name: catalog_lookup(name).presentation)
     results: list[CheckResult] = []
-    from .coset import realize_presentation
-    realized: dict[str, RealizedGroup] = {}
     for name, pres in groups.items():
         t0 = time.monotonic()
         try:
@@ -541,12 +540,11 @@ def run_file_suite(text: str,
                 f"{name}: realization", False, f"{exc.code}: {exc}",
                 _ms_since(t0)))
             continue
-        realized[name] = grp
         results.append(CheckResult(
             f"{name}: realization", True,
             f"order {grp.order}, {stats.cosets_defined} cosets defined",
             _ms_since(t0)))
-        if grp.order ** 2 > 144:
+        if grp.order ** 2 > ETA_SIZE_CAP:
             results.append(CheckResult(
                 f"{name}: conjugation build", True,
                 "skipped: square build exceeds the size cap"))

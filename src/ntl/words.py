@@ -113,9 +113,3 @@ class Presentation:
             parts.append(name if e == 1 else f"{name}^{e}")
         return " ".join(parts)
 
-    def generator_index(self, name: str) -> int:
-        try:
-            return self.generators.index(name)
-        except ValueError:
-            raise UnknownGenerator(
-                f"unknown generator {name!r} in presentation {self.name!r}") from None

@@ -111,7 +111,7 @@ def test_criterion_12_performance(store):
 def test_criterion_13_negative_control(store):
     # The fault flag must break the criterion-1 check: the whole suite run
     # under fault reports a failure and would exit nonzero.
-    r = _gate(check_negative_control(None))
+    r = _gate(check_negative_control())
     faulted = run_catalog_suite(budget=EnumerationBudget(max_cosets=20_000),
                                 fault=True)
     print(faulted[0].line())

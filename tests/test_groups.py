@@ -264,6 +264,13 @@ class TestStructure:
                            match="table entry out of range"):
             RealizedGroup("x", table, [1])
 
+    def test_generator_without_inverse_rejected(self):
+        # 1 generates ({0, 1}, and 1*1 = 1), but its row has no identity.
+        table = np.array([[0, 1], [1, 1]])
+        with pytest.raises(InternalInconsistency,
+                           match="generator image 1 of 'x' has no inverse"):
+            RealizedGroup("x", table, [1])
+
     def test_non_generating_images_rejected(self):
         c6 = realize_name("C6")
         square = c6.power(c6.generator_images[0], 2)

@@ -4,7 +4,8 @@ from ntl.abelian import AbelianInvariants
 from ntl.catalog import catalog_lookup, realize_name
 from ntl.errors import NotGeneratingPair, NotNormal, Undecided
 from ntl.groups import abelian_structure, closure, derived_subgroup
-from ntl.homotopy import (PushoutInput, TriadInput, bound_pushout_pi3,
+from ntl.homotopy import (PushoutInput, TriadInput, _conjugation_pair_between,
+                          bound_pushout_pi3,
                           bound_theorem_A, bound_theorem_B,
                           burnside_exponent_check, finiteness_report,
                           pi3_suspension_K, pushout_EM, schur_multiplier,
@@ -171,6 +172,35 @@ class TestPushout:
         # M cap N = A3, [M,N] = A3, so pi2 dies; pi3 = ker([A3,S3~] -> S3)
         assert res.pi2.order == 1
         assert res.build.group.order % res.pi3.order == 0
+
+
+def _pushout_subgroups():
+    s3, v4, d4 = realize_name("S3"), realize_name("C2xC2"), realize_name("D4")
+    a, b = d4.generator_images
+    v4_full = closure(v4, v4.generator_images)
+    return {
+        "S3,S3,A3": (s3, closure(s3, s3.generator_images),
+                     derived_subgroup(s3)),
+        "C2xC2,full,full": (v4, v4_full, v4_full),
+        "D4,<a>,<a^2,b>": (d4, closure(d4, [a]),
+                           closure(d4, [d4.power(a, 2), b])),
+    }
+
+
+@pytest.mark.parametrize("case", ["S3,S3,A3", "C2xC2,full,full",
+                                  "D4,<a>,<a^2,b>"])
+def test_conjugation_pair_between_matches_conj(case):
+    g, m, n = _pushout_subgroups()[case]
+    assert m.is_normal() and n.is_normal()
+    pair = _conjugation_pair_between(g, m, n)
+    m_mem, n_mem = m.members, n.members
+    for i, x in enumerate(m_mem):
+        for j, y in enumerate(n_mem):
+            assert n_mem[pair.g_on_h[i, j]] == g.conj(y, x)
+            assert m_mem[pair.h_on_g[j, i]] == g.conj(x, y)
+    assert pair.ambient[0] is g
+    assert tuple(pair.ambient[1]) == m_mem
+    assert tuple(pair.ambient[2]) == n_mem
 
 
 class TestFiniteness:

@@ -57,6 +57,23 @@ class TestCompatibility:
         x, y = 1, 2
         assert int(pair.g_on_h[x, y]) == g.conj(y, x)
 
+    @pytest.mark.parametrize("name", ["S3", "D4", "Q8"])
+    def test_conjugation_action_file_matches_conjugation_pair(self, name):
+        # Each generator s sends each generator t to s^-1 t s, written out
+        # in the action-file grammar.
+        g = realize_name(name)
+        p = catalog_lookup(name).presentation
+        blocks = " ".join(
+            f"{s} => ("
+            + ", ".join(f"{t} -> {s}^-1 {t} {s}" for t in p.generators)
+            + ");" for s in p.generators)
+        spec = parse_action(
+            f"action conj {{ from: {name}; to: {name}; {blocks} }}", p, p)
+        pair = validate_compatibility(g, g, spec, spec)
+        want = conjugation_pair(g)
+        assert np.array_equal(pair.g_on_h, want.g_on_h)
+        assert np.array_equal(pair.h_on_g, want.h_on_g)
+
     def test_mutual_squaring_on_c5_incompatible(self):
         g = cyc(5)
         p = catalog_lookup("C5").presentation
@@ -240,9 +257,11 @@ class TestBuildEta:
         assert not r.sym.flags.writeable
 
     def test_cap(self):
-        pair = trivial_pair(cyc(4), cyc(6))
+        pair = trivial_pair(cyc(13), cyc(12))  # 156 > ETA_SIZE_CAP = 144
         with pytest.raises(CapExceeded):
-            build_eta(pair, cap=10)
+            build_eta(pair)
+        with pytest.raises(CapExceeded):
+            build_direct(pair)
 
     def test_fault_flag_diverges(self):
         pair = trivial_pair(cyc(2), cyc(2))
