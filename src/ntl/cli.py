@@ -50,6 +50,14 @@ class RunConfig:
     def track(self, *stats) -> None:
         self.stats.extend(s for s in stats if s is not None)
 
+    def stats_block(self, t0: float) -> dict:
+        """The `stats` block of every report: the cosets defined by the
+        tracked enumerations and the command's wall time since t0."""
+        return {
+            "cosets_defined": sum(s.cosets_defined for s in self.stats),
+            "elapsed_ms": int((time.monotonic() - t0) * 1000),
+        }
+
 
 def _budget_from(args: argparse.Namespace) -> EnumerationBudget | None:
     """The budget the flags ask for; None without flags, so that every
@@ -465,25 +473,31 @@ def _cmd_exponent_check(cfg: RunConfig) -> dict:
 
 def _cmd_verify(cfg: RunConfig) -> int:
     args = cfg.args
+    t0 = time.monotonic()
     if args.file is not None:
         text = Path(args.file).read_text(encoding="utf-8")
         results = run_file_suite(text, cfg.budget)
     else:
         results = run_catalog_suite(
             budget=cfg.budget, fault=bool(args.fault_skip_eta_relators))
+    for r in results:
+        cfg.track(*r.stats)
     ok = all(r.passed for r in results)
+    stats = cfg.stats_block(t0)
     if cfg.json_out:
         record = {"checks": [{"name": r.name, "passed": r.passed,
                               "detail": r.detail,
                               "elapsed_ms": r.elapsed_ms}
                              for r in results],
-                  "passed": ok}
+                  "passed": ok, "stats": stats}
         sys.stdout.write(serialize_report(record))
     else:
         for r in results:
             print(r.line())
         print(f"{'all checks passed' if ok else 'CHECKS FAILED'} "
               f"({sum(r.passed for r in results)}/{len(results)})")
+        print(f"stats: {stats['cosets_defined']} cosets defined, "
+              f"{stats['elapsed_ms']} ms")
     return 0 if ok else 1
 
 
@@ -511,10 +525,7 @@ def dispatch(cfg: RunConfig) -> int:
     t0 = time.monotonic()
     record = _HANDLERS[cfg.command](cfg)
     record.setdefault("query", {})["command"] = cfg.command
-    record["stats"] = {
-        "cosets_defined": sum(s.cosets_defined for s in cfg.stats),
-        "elapsed_ms": int((time.monotonic() - t0) * 1000),
-    }
+    record["stats"] = cfg.stats_block(t0)
     if cfg.json_out:
         sys.stdout.write(serialize_report(record))
     else:

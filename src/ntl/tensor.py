@@ -12,11 +12,14 @@ eta(G,H) is the non-abelian tensor product; `build_direct` builds the same
 group a second way from the biadditivity presentation on |G|*|H| symbols,
 serving as a cross-check.  Both routes check |G|*|H| against
 `ETA_SIZE_CAP`, realize their presentation through
-`coset.realize_presentation` and return a `TensorRealization`; the
+`coset.realize_presentation` and label T canonically (`_label_tensor`:
+queue-BFS discovery order over the symbols a(x)b), so they return the same
+T: the same table, generator images, `sym` and derived map.  The
 invariants below (the tensor set, J2, the diagonal and the symmetrized
-diagonal) are functions of it that never look inside eta.  Element-level
-action tables are spread along the Cayley-graph walk (`groups._walk`) or
-sliced from the conjugation table, never evaluated word by word.
+diagonal) are functions of a `TensorRealization` that never look inside
+eta.  Element-level action tables are spread along the Cayley-graph walk
+(`groups._walk`) or sliced from the conjugation table, never evaluated
+word by word.
 """
 
 from __future__ import annotations
@@ -32,7 +35,7 @@ from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
 from .groups import (Homomorphism, RealizedGroup, Subgroup, _walk, closure,
-                     commutator_subgroup, subgroup_as_group)
+                     commutator_subgroup)
 from .parsing import ActionSpec
 from .words import Presentation, Word, commutator, conjugate
 
@@ -276,12 +279,15 @@ def conjugation_pair(g: RealizedGroup) -> CompatibleActionPair:
 class TensorRealization:
     """A realized tensor product T, from either route.
 
-    `sym[a, b]` is the element a(x)b of T.  `derived` is the map
-    T -> P, a(x)b |-> [a, b], into the pair's ambient group P, verified as a
-    homomorphism with the commutator subgroup as its image; it is None when
-    the pair has no ambient group.  `eta` is the commutator pairing group on
-    the eta route and None on the direct route.  The invariants below are
-    computed from `group`, `sym` and `derived` alone, once per realization.
+    `sym[a, b]` is the element a(x)b of T.  T is labelled canonically by
+    `_label_tensor`, so both routes give equal `group`, `sym` and
+    `derived`; only `presentation`, `stats` and `eta` differ.  `derived` is
+    the map T -> P, a(x)b |-> [a, b], into the pair's ambient group P,
+    verified as a homomorphism with the commutator subgroup as its image;
+    it is None when the pair has no ambient group.  `eta` is the
+    commutator pairing group on the eta route and None on the direct
+    route.  The invariants below are computed from `group`, `sym` and
+    `derived` alone, once per realization.
     """
 
     pair: CompatibleActionPair
@@ -334,6 +340,35 @@ def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
         raise InternalInconsistency(
             "derived-map image differs from the commutator subgroup")
     return derived
+
+
+def _label_tensor(name: str, table: np.ndarray, sym: np.ndarray
+                  ) -> tuple[RealizedGroup, np.ndarray, np.ndarray]:
+    """T with its canonical labels, from the symbols a(x)b in any table
+    that holds them (eta's, or the biadditivity presentation's).
+
+    T's elements are numbered in plain queue-BFS discovery order from 0,
+    each dequeued element being multiplied on the right by the distinct
+    symbols in row-major order of `sym`.  The numbering depends on T and
+    `sym` alone, never on the labels of `table`, so an isomorphism that
+    fixes every a(x)b makes the two results equal.  Returns T, generated
+    by the distinct symbols in that order, `sym` in T's labels and the
+    members of T in `table`'s labels, listed by their new label.
+    """
+    steps = list(dict.fromkeys(sym.ravel().tolist()))
+    label = {0: 0}
+    members = [0]
+    for x in members:  # the list grows while it is read: a plain queue
+        for y in table[x, steps].tolist():
+            if y not in label:
+                label[y] = len(members)
+                members.append(y)
+    mem = np.asarray(members, dtype=np.int64)
+    relabel = np.full(table.shape[0], -1, dtype=np.int64)
+    relabel[mem] = np.arange(mem.size)
+    group = RealizedGroup(name, relabel[table[np.ix_(mem, mem)]],
+                          relabel[steps])
+    return group, relabel[sym], mem
 
 
 def _check_cap(g: RealizedGroup, h: RealizedGroup):
@@ -412,7 +447,8 @@ def build_eta(pair: CompatibleActionPair,
     eta, stats = realize_presentation(presentation, budget)
 
     eg, eh, comms = _pairing_commutators(pair, eta)
-    tensor_sub = closure(eta, np.unique(comms))
+    group, sym, members = _label_tensor(f"tensor({g.name},{h.name})",
+                                        eta.table, comms)
     if not skip_pairing_relators:
         if not (Homomorphism(g, eta, eg).is_injective()
                 and Homomorphism(h, eta, eh).is_injective()):
@@ -421,15 +457,18 @@ def build_eta(pair: CompatibleActionPair,
         if not pairing_relators_hold(pair, eta):
             raise InternalInconsistency(
                 f"{name}: an element-triple pairing relator fails")
-        if eta.order != tensor_sub.order * ng * nh:
+        if eta.order != members.size * ng * nh:
             raise InternalInconsistency(
                 f"{name}: order {eta.order} breaks the semidirect "
-                f"decomposition {tensor_sub.order}*{ng}*{nh}")
-        if not tensor_sub.is_normal():
+                f"decomposition {members.size}*{ng}*{nh}")
+        # T is finite, so conjugation by each generator of eta maps T into
+        # itself exactly when it maps T onto itself; that makes T normal.
+        in_t = np.zeros(eta.order, dtype=bool)
+        in_t[members] = True
+        gens = np.asarray(eta.generator_images, dtype=np.int64)
+        if not in_t[_conjugates(eta, gens, members)].all():
             raise InternalInconsistency(
                 f"{name}: tensor subgroup is not normal")
-    group, _ = subgroup_as_group(tensor_sub)
-    sym = np.searchsorted(tensor_sub.members_array(), comms)
     return TensorRealization(pair, presentation, stats, group, sym,
                              _derived_map(pair, group, sym), eta)
 
@@ -474,17 +513,19 @@ def build_direct(pair: CompatibleActionPair,
                                          (t(ap, bp), 1))))
     name = f"tensor({g.name},{h.name})"
     presentation = Presentation(name, gens, tuple(relators))
-    group, stats = realize_presentation(presentation, budget)
-    sym = np.asarray(group.generator_images, dtype=np.int64).reshape(ng, nh)
+    realized, stats = realize_presentation(presentation, budget)
+    group, sym, _ = _label_tensor(
+        name, realized.table,
+        np.asarray(realized.generator_images).reshape(ng, nh))
     return TensorRealization(pair, presentation, stats, group, sym,
                              _derived_map(pair, group, sym))
 
 
 def tensor_direct(pair: CompatibleActionPair,
                   budget: EnumerationBudget | None = None) -> RealizedGroup:
-    """The group T of `build_direct` alone, generated by the symbols a(x)b
-    in row-major order (perfbench/make_expected.py reads its order and
-    generator images)."""
+    """The group T of `build_direct` alone, generated by the distinct
+    symbols a(x)b in row-major order (perfbench/make_expected.py reads its
+    order and generator images)."""
     return build_direct(pair, budget).group
 
 

@@ -1,8 +1,10 @@
 """The acceptance battery: every check the suite runs over the catalog.
 
-Profiles are computed once per run (one commutator-pairing build per corpus
-member) and every check reads from them, so the expensive constructions are
-never repeated across criteria.
+Profiles are computed once per run (one commutator-pairing build and one
+direct build per corpus member) and every check reads from them, so the
+expensive constructions are never repeated across criteria.  Each check
+carries the stats of the enumerations it ran, so `ntl verify` reports the
+cosets of the whole battery.
 """
 
 from __future__ import annotations
@@ -38,6 +40,7 @@ class CheckResult:
     passed: bool
     detail: str
     elapsed_ms: int = 0
+    stats: list[EnumerationStats] = field(default_factory=list)
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -46,9 +49,10 @@ class CheckResult:
 
 @dataclass(frozen=True)
 class RouteProfile:
-    """What one route gives for a tensor product.  The derived-map fields
-    (|J2|, |D|, |Dt|, H2 = J2/D and pi2S = J2/Dt) are None for a build
-    without a derived map."""
+    """The invariants of T that the criteria read, from the eta route (the
+    direct route gives the same T, which criterion 2 checks).  The
+    derived-map fields (|J2|, |D|, |Dt|, H2 = J2/D and pi2S = J2/Dt) are
+    None for a build without a derived map."""
 
     order: int
     invariants: AbelianInvariants
@@ -71,14 +75,19 @@ def _route_profile(r: TensorRealization) -> RouteProfile:
                    stable=stable_pi2_K(r).abelianization())
 
 
+def _same_tensor(r: TensorRealization, other: TensorRealization) -> bool:
+    """Whether two realizations give the same T: equal tables and equal
+    symbols, so a(x)b |-> a(x)b is an isomorphism between them."""
+    return (np.array_equal(r.group.table, other.group.table)
+            and np.array_equal(r.sym, other.sym))
+
+
 @dataclass
 class PairProfile:
     gname: str
     hname: str
-    g_order: int
-    h_order: int
     eta_route: RouteProfile
-    direct_route: RouteProfile
+    routes_agree: bool
     oracle_invariants: AbelianInvariants
     decomposition_ok: bool
     stats: EnumerationStats
@@ -87,9 +96,8 @@ class PairProfile:
 @dataclass
 class NuProfile:
     name: str
-    group_order: int
     eta_route: RouteProfile
-    direct_route: RouteProfile
+    routes_agree: bool
     gab: AbelianInvariants
     gprime_order: int
     delta_invariants: AbelianInvariants
@@ -109,6 +117,7 @@ class ProfileStore:
     nus: dict[str, NuProfile] = field(default_factory=dict)
     eta_build_ms: int = 0
     direct_build_ms: int = 0
+    direct_stats: list[EnumerationStats] = field(default_factory=list)
 
 
 def pair_corpus() -> list[tuple[CatalogEntry, CatalogEntry]]:
@@ -146,9 +155,10 @@ def _profile_pair(a: CatalogEntry, b: CatalogEntry,
     t0 = time.monotonic()
     direct = build_direct(pair, budget)
     store.direct_build_ms += _ms_since(t0)
+    store.direct_stats.append(direct.stats)
     return PairProfile(
-        gname=a.name, hname=b.name, g_order=g.order, h_order=h.order,
-        eta_route=eta_route, direct_route=_route_profile(direct),
+        gname=a.name, hname=b.name, eta_route=eta_route,
+        routes_agree=_same_tensor(r, direct),
         oracle_invariants=g.abelianization().tensor(h.abelianization()),
         decomposition_ok=(r.eta.order == r.group.order * g.order * h.order),
         stats=r.stats)
@@ -165,6 +175,7 @@ def _profile_nu(entry: CatalogEntry,
     t0 = time.monotonic()
     direct = build_direct(r.pair, budget)
     store.direct_build_ms += _ms_since(t0)
+    store.direct_stats.append(direct.stats)
 
     jsub, dsub, dtsub = j2(r), delta(r), delta_tilde(r)
     gprime = derived_subgroup(g)
@@ -184,8 +195,8 @@ def _profile_nu(entry: CatalogEntry,
     fin = finiteness_report(r)
     regen = closure(r.group, tensor_set(r).elements)
     return NuProfile(
-        name=entry.name, group_order=g.order,
-        eta_route=_route_profile(r), direct_route=_route_profile(direct),
+        name=entry.name, eta_route=_route_profile(r),
+        routes_agree=_same_tensor(r, direct),
         gab=fin.gab_invariants, gprime_order=gprime.order,
         delta_invariants=fin.delta_invariants,
         decomposition_ok=(r.eta.order == r.group.order * g.order ** 2),
@@ -233,25 +244,27 @@ def check_decomposition(store: ProfileStore) -> CheckResult:
         detail += " (over the 60 s budget)"
     return CheckResult("criterion 1: decomposition identity",
                        not bad and within, detail,
-                       elapsed_ms=store.eta_build_ms)
+                       elapsed_ms=store.eta_build_ms,
+                       stats=[p.stats for p in store.pairs.values()]
+                       + [p.stats for p in store.nus.values()])
 
 
 @_timed
 def check_route_equivalence(store: ProfileStore) -> CheckResult:
     bad = [f"{p.gname}x{p.hname}" for p in store.pairs.values()
-           if p.eta_route != p.direct_route]
-    bad += [p.name for p in store.nus.values()
-            if p.eta_route != p.direct_route]
+           if not p.routes_agree]
+    bad += [p.name for p in store.nus.values() if not p.routes_agree]
     within = store.direct_build_ms <= 60_000
-    detail = (f"order, abelian invariants and m agree on "
-              f"{len(store.pairs) + len(store.nus)} builds, and |J2|, |D|, "
-              f"|Dt|, H2 and pi2S on the {len(store.nus)} tensor squares; "
+    detail = (f"equal tables and symbols on "
+              f"{len(store.pairs) + len(store.nus)} builds, so "
+              f"a(x)b |-> a(x)b is an isomorphism; "
               f"direct route took {store.direct_build_ms} ms")
     if bad:
         detail = f"routes disagree on {', '.join(bad)}; " + detail
     return CheckResult("criterion 2: route equivalence",
                        not bad and within, detail,
-                       elapsed_ms=store.direct_build_ms)
+                       elapsed_ms=store.direct_build_ms,
+                       stats=store.direct_stats)
 
 
 @_timed
@@ -259,12 +272,15 @@ def check_abelian_reduction(budget: EnumerationBudget | None,
                             store: ProfileStore) -> CheckResult:
     t0 = time.monotonic()
     bad = []
+    stats = []
     for m in range(1, 13):
         gm = realize_entry(catalog_lookup(f"C{m}"), budget)
         for n in range(1, 13):
             gn = realize_entry(catalog_lookup(f"C{n}"), budget)
             pair = trivial_pair(gm, gn)
-            t = build_eta(pair, budget).group
+            r = build_eta(pair, budget)
+            stats.append(r.stats)
+            t = r.group
             want = AbelianInvariants.from_cyclic_orders([gcd(m, n)])
             got = t.abelianization()
             if (got != want or not t.is_abelian()
@@ -283,7 +299,8 @@ def check_abelian_reduction(budget: EnumerationBudget | None,
               "abelianization oracle")
     if bad:
         detail = "; ".join(bad[:3])
-    return CheckResult("criterion 3: abelian reduction", ok, detail)
+    return CheckResult("criterion 3: abelian reduction", ok, detail,
+                       stats=stats)
 
 
 @_timed
@@ -367,7 +384,8 @@ def check_theoremC(store: ProfileStore,
     return CheckResult(
         "criterion 8: seven-property unanimity", not bad,
         f"all true on {len(store.nus)} finite groups; all false on Z "
-        f"with witness: {z.witness}" if not bad else "; ".join(bad))
+        f"with witness: {z.witness}" if not bad else "; ".join(bad),
+        stats=[s for s in (z.group_stats, z.stats) if s is not None])
 
 
 @_timed
@@ -388,7 +406,8 @@ def check_pushout(budget: EnumerationBudget | None) -> CheckResult:
               f"C2xC2 with M=N=G: |pi2|={res.pi2.order}, "
               f"|pi3|={res.pi3.order}")
     return CheckResult("criterion 9: homotopy pushout values",
-                       ok1 and ok2, detail)
+                       ok1 and ok2, detail,
+                       stats=[rep.result.build.stats, res.build.stats])
 
 
 @_timed
@@ -434,10 +453,13 @@ def check_performance(store: ProfileStore) -> CheckResult:
         f"{worst.stats}" if not slow else "; ".join(slow))
 
 
-def _fault_scan(budget: EnumerationBudget | None) -> tuple[bool, str]:
+def _fault_scan(budget: EnumerationBudget | None
+                ) -> tuple[bool, str, list[EnumerationStats]]:
     """Rebuild the criterion-1 corpus with the pairing relators dropped.
     Returns whether the decomposition check broke, with the first pair where
-    it did."""
+    it did, and the stats of every enumeration run, the exhausted one
+    included."""
+    stats = []
     for a, b in pair_corpus():
         g = realize_entry(a)
         h = realize_entry(b)
@@ -445,21 +467,26 @@ def _fault_scan(budget: EnumerationBudget | None) -> tuple[bool, str]:
             r = build_eta(trivial_pair(g, h), budget or FAULT_BUDGET,
                           skip_pairing_relators=True)
         except NtlError as exc:
+            spent = getattr(exc, "stats", None)
+            if spent is not None:
+                stats.append(spent)
             return True, (f"fault exposed at {a.name}(x){b.name}: "
-                          f"{exc.code}: {exc}")
+                          f"{exc.code}: {exc}"), stats
+        stats.append(r.stats)
         if r.eta.order != r.group.order * g.order * h.order:
             return True, (f"fault exposed at {a.name}(x){b.name}: "
                           f"|eta|={r.eta.order} != {r.group.order}"
-                          f"*{g.order}*{h.order}")
-    return False, "dropping the pairing relators went unnoticed"
+                          f"*{g.order}*{h.order}"), stats
+    return False, "dropping the pairing relators went unnoticed", stats
 
 
 @_timed
 def check_negative_control() -> CheckResult:
     """The fault must break the decomposition check somewhere, or the suite
     is blind."""
-    exposed, detail = _fault_scan(None)
-    return CheckResult("criterion 13: negative control", exposed, detail)
+    exposed, detail, stats = _fault_scan(None)
+    return CheckResult("criterion 13: negative control", exposed, detail,
+                       stats=stats)
 
 
 @_timed
@@ -487,7 +514,7 @@ def check_pairing_certificate(budget: EnumerationBudget | None
         "invariant: element-triple certificate", holds and rejects,
         f"certificate {'holds' if holds else 'FAILS'} on {r.eta.name} with "
         f"its own actions and {'rejects' if rejects else 'ACCEPTS'} it "
-        "under trivial actions")
+        "under trivial actions", stats=[r.stats])
 
 
 def run_catalog_suite(budget: EnumerationBudget | None = None,
@@ -499,10 +526,10 @@ def run_catalog_suite(budget: EnumerationBudget | None = None,
     the suite's sensitivity and exits nonzero.
     """
     if fault:
-        exposed, detail = _fault_scan(budget)
+        exposed, detail, stats = _fault_scan(budget)
         return [CheckResult(
             "criterion 1: decomposition identity (fault injected)",
-            not exposed, detail)]
+            not exposed, detail, stats=stats)]
 
     store = build_profiles(budget)
     return [
@@ -536,14 +563,15 @@ def run_file_suite(text: str,
         try:
             grp, stats = realize_presentation(pres, budget)
         except NtlError as exc:
+            spent = getattr(exc, "stats", None)
             results.append(CheckResult(
                 f"{name}: realization", False, f"{exc.code}: {exc}",
-                _ms_since(t0)))
+                _ms_since(t0), [spent] if spent is not None else []))
             continue
         results.append(CheckResult(
             f"{name}: realization", True,
             f"order {grp.order}, {stats.cosets_defined} cosets defined",
-            _ms_since(t0)))
+            _ms_since(t0), [stats]))
         if grp.order ** 2 > ETA_SIZE_CAP:
             results.append(CheckResult(
                 f"{name}: conjugation build", True,
@@ -552,20 +580,22 @@ def run_file_suite(text: str,
         t0 = time.monotonic()
         r = build_nu(grp, budget)
         direct = build_direct(r.pair, budget)
-        ok = (r.eta.order == r.group.order * grp.order ** 2
-              and direct.group.order == r.group.order)
+        decomposes = r.eta.order == r.group.order * grp.order ** 2
+        agree = _same_tensor(r, direct)
         jsub = j2(r)
         dsub = delta(r)
         prods = (r.group.order == jsub.order * derived_subgroup(grp).order
                  and jsub.order % dsub.order == 0)
         thmc = theoremC_report(r)
         results.append(CheckResult(
-            f"{name}: conjugation build", ok and prods and thmc.unanimous,
+            f"{name}: conjugation build",
+            decomposes and agree and prods and thmc.unanimous,
             f"|T|={r.group.order}, decomposition "
-            f"{'holds' if ok else 'FAILS'}, sequences "
+            f"{'holds' if decomposes else 'FAILS'}, routes "
+            f"{'agree' if agree else 'DIFFER'}, sequences "
             f"{'hold' if prods else 'FAIL'}, seven-property "
             f"{'unanimous' if thmc.unanimous else 'split'}",
-            _ms_since(t0)))
+            _ms_since(t0), [r.stats, direct.stats]))
     for spec in actions:
         results.append(CheckResult(
             f"action {spec.name}: parsed", True,

@@ -119,6 +119,24 @@ def test_relation_matrices_match_sympy(route, name, shape):
     assert smith_diagonal(rows) == sympy_diagonal(rows)
 
 
+@pytest.mark.parametrize("name, shape", [
+    ("D6", (3456, 144)),
+    ("A4", (3456, 144)),
+    ("C2xC6", (3456, 144)),
+    ("Q8", (1024, 64)),
+])
+def test_direct_presentation_smith_matches_the_table(name, shape):
+    # Smith form of the biadditivity presentation against the
+    # abelianization read off T's multiplication table.
+    r = build_direct(conjugation_pair(realize_name(name)))
+    p = r.presentation
+    rows = [w.exponent_row(p.ngens) for w in p.relators]
+    assert (len(rows), p.ngens) == shape
+    assert r.group.source_presentation is None
+    assert abelian_invariants(rows, ncols=p.ngens) == \
+        r.group.abelianization()
+
+
 class TestInvariants:
     def test_validation(self):
         with pytest.raises(ValueError):

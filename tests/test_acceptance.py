@@ -5,12 +5,16 @@ tensor route) are computed once per session; every criterion check reads
 from that store at its stated tolerance.  Run with `-s` to see the lines.
 """
 
+import json
 from dataclasses import replace
 
 import pytest
 
-from ntl import verification
+from ntl import coset, tensor, verification
+from ntl.catalog import catalog_lookup, finite_corpus, realize_entry
+from ntl.cli import main
 from ntl.coset import EnumerationBudget
+from ntl.errors import BudgetExceeded
 from ntl.verification import (ProfileStore, build_profiles,
                               check_abelian_reduction,
                               check_bound_arithmetic, check_decomposition,
@@ -44,21 +48,27 @@ def test_criterion_02_route_equivalence(store):
     assert r.elapsed_ms <= 60_000
 
 
-def test_criterion_02_fails_when_a_route_swaps_the_diagonals(store):
-    def swap(route):
-        return replace(route, delta_order=route.delta_tilde_order,
-                       delta_tilde_order=route.delta_order,
-                       schur=route.stable, stable=route.schur)
+def test_criterion_02_fails_when_the_direct_route_transposes_its_symbols(
+        store, monkeypatch):
+    def transposed(pair, budget=None):
+        # T is labelled from b(x)a where a(x)b belongs
+        r = tensor.build_direct(pair, budget)
+        group, sym, _ = tensor._label_tensor(r.group.name, r.group.table,
+                                             r.sym.T)
+        return replace(r, group=group, sym=sym, derived=None)
 
-    faulted = ProfileStore(
-        pairs=store.pairs,
-        nus={name: replace(p, direct_route=swap(p.direct_route))
-             for name, p in store.nus.items()},
-        eta_build_ms=store.eta_build_ms,
-        direct_build_ms=store.direct_build_ms)
+    # When T is abelian, a(x)b |-> b(x)a extends to an automorphism and
+    # the fault leaves T unchanged; A4's tensor square is not abelian.
+    # The fault keeps T's order, abelian invariants, m, |D| and |Dt|.
+    monkeypatch.setattr(verification, "build_direct", transposed)
+    faulted = ProfileStore(pairs=store.pairs)
+    for name in ("S3", "A4"):
+        faulted.nus[name] = verification._profile_nu(catalog_lookup(name),
+                                                     None, faulted)
     r = check_route_equivalence(faulted)
+    print(r.line())
     assert not r.passed
-    assert "C2" in r.detail.split(";")[0]
+    assert r.detail.startswith("routes disagree on A4;")
 
 
 def test_criterion_03_abelian_reduction(store):
@@ -136,3 +146,30 @@ def test_catalog_suite_runs_fifteen_named_checks(store, monkeypatch):
                         lambda budget=None: store)
     names = [c.name for c in run_catalog_suite()]
     assert len(names) == len(set(names)) == 15
+
+
+def test_verify_reports_the_cosets_of_every_enumeration(monkeypatch,
+                                                        capsys):
+    # Catalog groups are realized first: cached realizations are not
+    # counted, as in every other command.
+    for entry in finite_corpus():
+        realize_entry(entry)
+    spent = []
+    enumerate_cosets = coset.enumerate_cosets
+
+    def counted(p, budget=None):
+        try:
+            table, stats = enumerate_cosets(p, budget)
+        except BudgetExceeded as exc:
+            spent.append(exc.stats)
+            raise
+        spent.append(stats)
+        return table, stats
+
+    monkeypatch.setattr(coset, "enumerate_cosets", counted)
+    rc = main(["verify", "--json"])
+    record = json.loads(capsys.readouterr().out)
+    assert rc == 0 and record["passed"]
+    assert record["stats"]["cosets_defined"] == sum(
+        s.cosets_defined for s in spent)
+    assert record["stats"]["elapsed_ms"] >= 0

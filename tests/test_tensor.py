@@ -10,8 +10,7 @@ from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
                         InternalInconsistency, NotActionHomomorphism,
                         NotAutomorphism)
 from ntl.coset import EnumerationBudget
-from ntl.groups import (Homomorphism, closure, derived_subgroup,
-                        subgroup_as_group)
+from ntl.groups import Homomorphism, _walk, closure, derived_subgroup
 from ntl.parsing import parse_action
 from ntl.homotopy import PushoutInput, pushout_EM
 from ntl.tensor import (_automorphism_failure, _conjugation_table,
@@ -248,12 +247,14 @@ class TestBuildEta:
     def test_symbols_are_the_eta_commutators(self, name):
         g = realize_name(name)
         r = build_nu(g)
-        _, incl = subgroup_as_group(_tensor_in_eta(r))
+        incl = _inclusion_in_eta(r)
         gens = r.eta.generator_images
         for a in range(g.order):
             for b in range(g.order):
                 want = r.eta.comm(gens[a], gens[g.order + b])
                 assert incl(int(r.sym[a, b])) == want
+        assert incl.is_injective()
+        assert incl.image_members() == _tensor_in_eta(r).members
         assert not r.sym.flags.writeable
 
     def test_cap(self):
@@ -313,6 +314,27 @@ class TestBuildEta:
             build_nu(cyc(2))
 
 
+ROUTE_PAIRS = {
+    **{name: (lambda name=name: conjugation_pair(realize_name(name)))
+       for name in ("S3", "Q8", "D4", "A4", "C2xC4")},
+    "C4xC6-trivial": lambda: trivial_pair(cyc(4), cyc(6)),
+}
+
+
+@pytest.mark.parametrize("pair", ROUTE_PAIRS)
+def test_the_routes_give_one_object(pair):
+    pair = ROUTE_PAIRS[pair]()
+    r, direct = build_eta(pair), build_direct(pair)
+    assert np.array_equal(r.group.table, direct.group.table)
+    assert r.group.generator_images == direct.group.generator_images
+    assert np.array_equal(r.sym, direct.sym)
+    if pair.ambient is None:
+        assert r.derived is None and direct.derived is None
+    else:
+        assert np.array_equal(r.derived.images, direct.derived.images)
+    assert tensor_set(r).witness == tensor_set(direct).witness
+
+
 class TestTensorDirect:
     def test_c2_c2(self):
         assert tensor_direct(trivial_pair(cyc(2), cyc(2))).order == 2
@@ -364,14 +386,14 @@ class TestTensorSet:
         assert ts.m <= r.group.order
         regen = closure(r.group, r.sym.ravel())
         assert regen.order == r.group.order
-        _, incl = subgroup_as_group(_tensor_in_eta(r))
+        incl = _inclusion_in_eta(r)
         assert closure(r.eta, incl.images[list(ts.elements)]).members == \
             _tensor_in_eta(r).members
 
     def test_witnesses_evaluate_back(self):
         r = build_nu(realize_name("S3"))
         ts = tensor_set(r)
-        _, incl = subgroup_as_group(_tensor_in_eta(r))
+        incl = _inclusion_in_eta(r)
         gens = r.eta.generator_images
         for elt, (a, b) in ts.witness.items():
             assert int(r.sym[a, b]) == elt
@@ -460,6 +482,24 @@ def _tensor_in_eta(r):
     return closure(r.eta, [r.eta.comm(gens[a], gens[ng + b])
                            for a in range(ng)
                            for b in range(r.pair.h.order)])
+
+
+def _inclusion_in_eta(r):
+    """The inclusion T -> eta, a(x)b |-> [a, b~]: spread from the symbols
+    along T's walk, as the derived map is, and verified as a
+    homomorphism."""
+    gens = r.eta.generator_images
+    ng, nh = r.sym.shape
+    want = {}
+    for a in range(ng):
+        for b in range(nh):
+            want.setdefault(int(r.sym[a, b]),
+                            r.eta.comm(gens[a], gens[ng + b]))
+    steps = list(want)
+    images = np.zeros(r.group.order, dtype=np.int64)
+    for x, p, i in _walk(r.group.table, steps):
+        images[x] = r.eta.mul(int(images[p]), want[steps[i]])
+    return Homomorphism(r.group, r.eta, images)
 
 
 def _span(values, n):
