@@ -180,6 +180,13 @@ def _load_entry(value: str) -> CatalogEntry:
     return catalog_lookup(value)
 
 
+def _subject(value: str):
+    """A catalog entry, or the presentation a file defines, in the form
+    the homotopy reports resolve."""
+    entry = _load_entry(value)
+    return entry if entry.known_facts else entry.presentation
+
+
 def _realize(entry: CatalogEntry, cfg: RunConfig) -> RealizedGroup:
     if entry.known_facts:
         return realize_entry(entry, cfg.budget)
@@ -240,6 +247,15 @@ def _pushout_input(cfg: RunConfig) -> PushoutInput:
                         _subgroup_from_words(g, cfg.args.n))
 
 
+def _eta_input(cfg: RunConfig):
+    """The pair of `--group` and `--other` with its eta build and the
+    query naming them; every stats block is tracked."""
+    pair, query = _pair_inputs(cfg)
+    r = build_eta(pair, cfg.budget)
+    cfg.track(r.stats)
+    return r, query
+
+
 def _nu_input(cfg: RunConfig):
     """`--group` realized, with its nu build; both stats are tracked."""
     g = _realize(_load_entry(cfg.args.group), cfg)
@@ -252,19 +268,15 @@ def _nu_input(cfg: RunConfig):
 
 
 def _cmd_tensor(cfg: RunConfig) -> dict:
-    pair, query = _pair_inputs(cfg)
-    r = build_eta(pair, cfg.budget)
-    cfg.track(r.stats)
+    r, query = _eta_input(cfg)
     return {"query": query,
             "result": group_result(r.group, tensor_count_m=tensor_set(r).m)}
 
 
 def _cmd_eta(cfg: RunConfig) -> dict:
-    pair, query = _pair_inputs(cfg)
-    r = build_eta(pair, cfg.budget)
-    cfg.track(r.stats)
+    r, query = _eta_input(cfg)
     chain = [f"decomposition: {r.eta.order} = {r.group.order} * "
-             f"{pair.g.order} * {pair.h.order}"]
+             f"{r.pair.g.order} * {r.pair.h.order}"]
     return {"query": query,
             "result": group_result(r.eta, tensor_count_m=tensor_set(r).m),
             "chain": chain}
@@ -280,13 +292,11 @@ def _cmd_nu(cfg: RunConfig) -> dict:
 
 
 def _cmd_tensors(cfg: RunConfig) -> dict:
-    pair, query = _pair_inputs(cfg)
-    r = build_eta(pair, cfg.budget)
-    cfg.track(r.stats)
+    r, query = _eta_input(cfg)
     ts = tensor_set(r)
     chain = [f"tensor subgroup order {r.group.order}; "
              f"{ts.m} distinct tensors"]
-    g, h = pair.g, pair.h
+    g, h = r.pair.g, r.pair.h
     shown = 0
     for elt in ts.elements:
         if shown == 10:
@@ -323,11 +333,11 @@ def _cmd_invariant(cfg: RunConfig) -> dict:
 
 
 def _cmd_triad(cfg: RunConfig) -> dict:
-    pair, query = _pair_inputs(cfg)
     args = cfg.args
-    t = TriadInput(pair.g, pair.h, pair, args.p, args.q)
-    r = build_eta(t.actions, cfg.budget)
-    cfg.track(r.stats)
+    if min(args.p, args.q) < 1:  # before anything is built
+        raise _UsageError("connectivity degrees must be >= 1")
+    r, query = _eta_input(cfg)
+    t = TriadInput(r.pair.g, r.pair.h, r.pair, args.p, args.q)
     query = dict(query, p=args.p, q=args.q)
     return {"query": query, "result": group_result(r.group),
             "chain": [f"triad group lives in dimension p+q+1 = "
@@ -336,12 +346,10 @@ def _cmd_triad(cfg: RunConfig) -> dict:
 
 def _cmd_wedge(cfg: RunConfig) -> dict:
     args = cfg.args
-    entries = [_load_entry(args.group),
-               _load_entry(args.other if args.other else args.group)]
+    subjects = [_subject(args.group), _subject(args.other or args.group)]
     invs = []
-    for entry in entries:
-        resolved = resolve_subject(entry if entry.known_facts
-                                   else entry.presentation, cfg.budget)
+    for subject in subjects:
+        resolved = resolve_subject(subject, cfg.budget)
         cfg.track(resolved.stats)
         if resolved.group is not None:
             if not resolved.group.is_abelian():
@@ -352,7 +360,7 @@ def _cmd_wedge(cfg: RunConfig) -> dict:
         else:
             invs.append(resolved.invariants)
     out = wedge_pi3(invs[0], invs[1])
-    return {"query": {"group": entries[0].name, "other": entries[1].name},
+    return {"query": {"group": subjects[0].name, "other": subjects[1].name},
             "result": invariants_result(out)}
 
 
@@ -385,9 +393,7 @@ def _cmd_three_connected(cfg: RunConfig) -> dict:
 
 
 def _cmd_thmc(cfg: RunConfig) -> dict:
-    entry = _load_entry(cfg.args.group)
-    subject = entry if entry.known_facts else entry.presentation
-    rep = theoremC_report(subject, cfg.budget)
+    rep = theoremC_report(_subject(cfg.args.group), cfg.budget)
     cfg.track(rep.group_stats, rep.stats)
     labels = {
         "a": "the group is finite",
@@ -412,9 +418,7 @@ def _cmd_thmc(cfg: RunConfig) -> dict:
 
 
 def _cmd_finiteness(cfg: RunConfig) -> dict:
-    entry = _load_entry(cfg.args.group)
-    subject = entry if entry.known_facts else entry.presentation
-    rep = finiteness_report(subject, cfg.budget)
+    rep = finiteness_report(_subject(cfg.args.group), cfg.budget)
     cfg.track(rep.group_stats, rep.stats)
     if not rep.determined:
         return {"query": {"group": rep.name},

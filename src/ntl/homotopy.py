@@ -24,8 +24,8 @@ from .groups import (RealizedGroup, Subgroup, abelian_structure,
                      intersection, subgroup_as_group, subgroup_exponent,
                      subgroup_quotient)
 from .tensor import (CompatibleActionPair, TensorRealization, _conjugates,
-                     _validate_tables, build_eta, build_nu, delta,
-                     delta_tilde, j2, tensor_set)
+                     _memoized, _validate_tables, build_eta, build_nu,
+                     delta, delta_tilde, j2, tensor_set)
 from .words import Presentation
 
 
@@ -144,6 +144,7 @@ def wedge_pi3(g_inv: AbelianInvariants,
 # -- suspension invariants ----------------------------------------------------
 
 
+@_memoized
 def pi3_suspension_K(r: TensorRealization) -> RealizedGroup:
     """pi_3 of the suspension of K(G,1): the kernel of the derived map
     inside the tensor square, realized as a group."""
@@ -151,6 +152,7 @@ def pi3_suspension_K(r: TensorRealization) -> RealizedGroup:
     return grp
 
 
+@_memoized
 def schur_multiplier(r: TensorRealization) -> RealizedGroup:
     """Second homology, realized as the quotient of the derived-map kernel
     by the diagonal subgroup."""
@@ -158,6 +160,7 @@ def schur_multiplier(r: TensorRealization) -> RealizedGroup:
     return q
 
 
+@_memoized
 def stable_pi2_K(r: TensorRealization) -> RealizedGroup:
     """Second stable homotopy group of K(G,1): the quotient of the
     derived-map kernel by the symmetrized diagonal subgroup.  It is also
@@ -210,8 +213,7 @@ def pushout_EM(p: PushoutInput,
     pi2, _, _ = subgroup_quotient(inter, comm)
     r = build_eta(_conjugation_pair_between(g, m, n), budget,
                   name=f"eta({g.name}|M,N)")
-    pi3, _ = subgroup_as_group(j2(r))
-    return PushoutResult(pi2=pi2, pi3=pi3, build=r)
+    return PushoutResult(pi2=pi2, pi3=pi3_suspension_K(r), build=r)
 
 
 @dataclass(frozen=True)

@@ -286,12 +286,14 @@ class TensorRealization:
     verified as a homomorphism with the commutator subgroup as its image;
     it is None when the pair has no ambient group.  `eta` is the
     commutator pairing group on the eta route and None on the direct
-    route.  The invariants below are computed from `group`, `sym` and
-    `derived` alone, once per realization.
+    route.  A realization kept without eta, as the acceptance battery
+    keeps its builds, drops eta's presentation too: both are None.  The
+    invariants below are computed from `group`, `sym` and `derived`
+    alone, once per realization.
     """
 
     pair: CompatibleActionPair
-    presentation: Presentation
+    presentation: Presentation | None
     stats: EnumerationStats
     group: RealizedGroup
     sym: np.ndarray
@@ -399,8 +401,6 @@ def build_eta(pair: CompatibleActionPair,
     ng, nh = g.order, h.order
     if name is None:
         name = f"eta({g.name},{h.name})"
-    def x(a: int) -> int:
-        return a
 
     def y(b: int) -> int:
         return ng + b
@@ -421,17 +421,17 @@ def build_eta(pair: CompatibleActionPair,
     def pairing_one(gi, hi, g1):
         gp = g.conj(gi, g1)
         hp = int(pair.g_on_h[g1, hi])
-        lhs = conjugate(commutator(Word.gen(x(gi)), Word.gen(y(hi))),
-                        Word.gen(x(g1)))
-        rhs = commutator(Word.gen(x(gp)), Word.gen(y(hp)))
+        lhs = conjugate(commutator(Word.gen(gi), Word.gen(y(hi))),
+                        Word.gen(g1))
+        rhs = commutator(Word.gen(gp), Word.gen(y(hp)))
         return lhs * ~rhs
 
     def pairing_two(gi, hi, h1):
         gp = int(pair.h_on_g[h1, gi])
         hp = h.conj(hi, h1)
-        lhs = conjugate(commutator(Word.gen(x(gi)), Word.gen(y(hi))),
+        lhs = conjugate(commutator(Word.gen(gi), Word.gen(y(hi))),
                         Word.gen(y(h1)))
-        rhs = commutator(Word.gen(x(gp)), Word.gen(y(hp)))
+        rhs = commutator(Word.gen(gp), Word.gen(y(hp)))
         return lhs * ~rhs
 
     relators: list[Word] = []

@@ -1,10 +1,15 @@
 """The acceptance battery: every check the suite runs over the catalog.
 
-Profiles are computed once per run (one commutator-pairing build and one
-direct build per corpus member) and every check reads from them, so the
-expensive constructions are never repeated across criteria.  Each check
-carries the stats of the enumerations it ran, so `ntl verify` reports the
-cosets of the whole battery.
+Each corpus member is built once per run, by one commutator-pairing build
+and one direct build, and kept as a `Profile`: the realization T of the
+eta route with eta and its presentation dropped, plus what the two
+builds alone can tell (route agreement, the decomposition identity,
+timings and stats).  Every check reads J2, the diagonals, H2, pi2S and
+the Theorem C and finiteness reports from the memoized invariants layer
+on that T (`tensor` and `homotopy`), so nothing is computed twice and a
+fault injected into one layer function reaches every check that reads
+it.  Each check carries the stats of the enumerations it ran, so
+`ntl verify` reports the cosets of the whole battery.
 """
 
 from __future__ import annotations
@@ -27,9 +32,10 @@ from .homotopy import (PushoutInput, bound_pushout_pi3, bound_theorem_A,
                        schur_multiplier, stable_pi2_K, theoremC_report,
                        three_connected_check, wedge_pi3)
 from .parsing import parse_file
-from .tensor import (ETA_SIZE_CAP, TensorRealization, build_direct,
-                     build_eta, build_nu, delta, delta_tilde, j2,
-                     pairing_relators_hold, tensor_set, trivial_pair)
+from .tensor import (ETA_SIZE_CAP, CompatibleActionPair, TensorRealization,
+                     build_direct, build_eta, build_nu, conjugation_pair,
+                     delta, delta_tilde, j2, pairing_relators_hold,
+                     tensor_set, trivial_pair)
 
 FAULT_BUDGET = EnumerationBudget(max_cosets=20_000)
 
@@ -47,34 +53,6 @@ class CheckResult:
         return f"{mark}  {self.name}: {self.detail} [{self.elapsed_ms} ms]"
 
 
-@dataclass(frozen=True)
-class RouteProfile:
-    """The invariants of T that the criteria read, from the eta route (the
-    direct route gives the same T, which criterion 2 checks).  The
-    derived-map fields (|J2|, |D|, |Dt|, H2 = J2/D and pi2S = J2/Dt) are
-    None for a build without a derived map."""
-
-    order: int
-    invariants: AbelianInvariants
-    m: int
-    j2_order: int | None = None
-    delta_order: int | None = None
-    delta_tilde_order: int | None = None
-    schur: AbelianInvariants | None = None
-    stable: AbelianInvariants | None = None
-
-
-def _route_profile(r: TensorRealization) -> RouteProfile:
-    prof = RouteProfile(r.group.order, r.group.abelianization(),
-                        tensor_set(r).m)
-    if r.derived is None:
-        return prof
-    return replace(prof, j2_order=j2(r).order, delta_order=delta(r).order,
-                   delta_tilde_order=delta_tilde(r).order,
-                   schur=schur_multiplier(r).abelianization(),
-                   stable=stable_pi2_K(r).abelianization())
-
-
 def _same_tensor(r: TensorRealization, other: TensorRealization) -> bool:
     """Whether two realizations give the same T: equal tables and equal
     symbols, so a(x)b |-> a(x)b is an isomorphism between them."""
@@ -82,42 +60,29 @@ def _same_tensor(r: TensorRealization, other: TensorRealization) -> bool:
             and np.array_equal(r.sym, other.sym))
 
 
-@dataclass
-class PairProfile:
-    gname: str
-    hname: str
-    eta_route: RouteProfile
-    routes_agree: bool
-    oracle_invariants: AbelianInvariants
-    decomposition_ok: bool
-    stats: EnumerationStats
+@dataclass(frozen=True)
+class Profile:
+    """One corpus member built both ways.  `r` is the eta-route
+    realization without eta and eta's presentation, the large parts it
+    holds beyond T; the invariants are read off `r` by the checks."""
 
-
-@dataclass
-class NuProfile:
     name: str
-    eta_route: RouteProfile
+    r: TensorRealization
+    direct_stats: EnumerationStats
     routes_agree: bool
-    gab: AbelianInvariants
-    gprime_order: int
-    delta_invariants: AbelianInvariants
     decomposition_ok: bool
-    tensorset_generates: bool
-    structural: dict[str, bool]
-    embedding_holds: bool
-    thmc_properties: dict[str, bool]
-    thmc_unanimous: bool
-    stats: EnumerationStats
     build_ms: int
+    direct_ms: int
 
 
 @dataclass
 class ProfileStore:
-    pairs: dict[tuple[str, str], PairProfile] = field(default_factory=dict)
-    nus: dict[str, NuProfile] = field(default_factory=dict)
-    eta_build_ms: int = 0
-    direct_build_ms: int = 0
-    direct_stats: list[EnumerationStats] = field(default_factory=list)
+    pairs: dict[tuple[str, str], Profile] = field(default_factory=dict)
+    nus: dict[str, Profile] = field(default_factory=dict)
+
+    def profiles(self) -> list[Profile]:
+        """The pairs, then the nu builds."""
+        return [*self.pairs.values(), *self.nus.values()]
 
 
 def pair_corpus() -> list[tuple[CatalogEntry, CatalogEntry]]:
@@ -142,43 +107,52 @@ def _ms_since(t0: float) -> int:
     return int((time.monotonic() - t0) * 1000)
 
 
-def _profile_pair(a: CatalogEntry, b: CatalogEntry,
-                  budget: EnumerationBudget | None,
-                  store: ProfileStore) -> PairProfile:
-    g = realize_entry(a, budget)
-    h = realize_entry(b, budget)
-    pair = trivial_pair(g, h)
+def _profile(name: str, pair: CompatibleActionPair,
+             budget: EnumerationBudget | None) -> Profile:
+    """Build T by both routes.  A conjugation pair is a nu build, and its
+    eta is named nu(G) as `build_nu` names it."""
     t0 = time.monotonic()
-    r = build_eta(pair, budget)
-    eta_route = _route_profile(r)
-    store.eta_build_ms += _ms_since(t0)
+    r = build_eta(pair, budget, name=(f"nu({pair.g.name})"
+                                      if pair.ambient is not None else None))
+    build_ms = _ms_since(t0)
     t0 = time.monotonic()
     direct = build_direct(pair, budget)
-    store.direct_build_ms += _ms_since(t0)
-    store.direct_stats.append(direct.stats)
-    return PairProfile(
-        gname=a.name, hname=b.name, eta_route=eta_route,
+    direct_ms = _ms_since(t0)
+    return Profile(
+        name=name, r=replace(r, eta=None, presentation=None),
+        direct_stats=direct.stats,
         routes_agree=_same_tensor(r, direct),
-        oracle_invariants=g.abelianization().tensor(h.abelianization()),
-        decomposition_ok=(r.eta.order == r.group.order * g.order * h.order),
-        stats=r.stats)
+        decomposition_ok=(r.eta.order
+                          == r.group.order * pair.g.order * pair.h.order),
+        build_ms=build_ms, direct_ms=direct_ms)
 
 
-def _profile_nu(entry: CatalogEntry,
-                budget: EnumerationBudget | None,
-                store: ProfileStore) -> NuProfile:
-    g = realize_entry(entry, budget)
-    t0 = time.monotonic()
-    r = build_nu(g, budget)
-    build_ms = _ms_since(t0)
-    store.eta_build_ms += build_ms
-    t0 = time.monotonic()
-    direct = build_direct(r.pair, budget)
-    store.direct_build_ms += _ms_since(t0)
-    store.direct_stats.append(direct.stats)
+def build_profiles(budget: EnumerationBudget | None = None) -> ProfileStore:
+    store = ProfileStore()
+    for a, b in pair_corpus():
+        pair = trivial_pair(realize_entry(a, budget), realize_entry(b, budget))
+        store.pairs[(a.name, b.name)] = _profile(f"{a.name}x{b.name}", pair,
+                                                 budget)
+    for entry in nu_corpus():
+        pair = conjugation_pair(realize_entry(entry, budget))
+        store.nus[entry.name] = _profile(entry.name, pair, budget)
+    return store
 
+
+def _sequence_faults(r: TensorRealization) -> list[str]:
+    """The order products of the exact sequences through J2, the diagonal
+    and the symmetrized diagonal, and the seven structural facts under
+    them, for a tensor square with its derived map.  Returns the faults
+    found, empty when all hold."""
     jsub, dsub, dtsub = j2(r), delta(r), delta_tilde(r)
-    gprime = derived_subgroup(g)
+    gprime = derived_subgroup(r.pair.g)
+    faults = []
+    if r.group.order != jsub.order * gprime.order:
+        faults.append("|T| != |J2||G'|")
+    if jsub.order != dsub.order * schur_multiplier(r).order:
+        faults.append("|J2| != |D||H2|")
+    if jsub.order != dtsub.order * stable_pi2_K(r).order:
+        faults.append("|J2| != |Dt||J2/Dt|")
     structural = {
         "j2_is_kappa_kernel": (
             list(jsub.members) == np.flatnonzero(r.derived.images == 0)
@@ -191,30 +165,10 @@ def _profile_nu(entry: CatalogEntry,
         "delta_normal": dsub.is_normal(),
         "delta_tilde_normal": dtsub.is_normal(),
     }
-    thmc = theoremC_report(r)
-    fin = finiteness_report(r)
-    regen = closure(r.group, tensor_set(r).elements)
-    return NuProfile(
-        name=entry.name, eta_route=_route_profile(r),
-        routes_agree=_same_tensor(r, direct),
-        gab=fin.gab_invariants, gprime_order=gprime.order,
-        delta_invariants=fin.delta_invariants,
-        decomposition_ok=(r.eta.order == r.group.order * g.order ** 2),
-        tensorset_generates=(regen.order == r.group.order),
-        structural=structural,
-        embedding_holds=fin.embedding_holds,
-        thmc_properties=thmc.properties,
-        thmc_unanimous=thmc.unanimous,
-        stats=r.stats, build_ms=build_ms)
-
-
-def build_profiles(budget: EnumerationBudget | None = None) -> ProfileStore:
-    store = ProfileStore()
-    for a, b in pair_corpus():
-        store.pairs[(a.name, b.name)] = _profile_pair(a, b, budget, store)
-    for entry in nu_corpus():
-        store.nus[entry.name] = _profile_nu(entry, budget, store)
-    return store
+    faults += [key for key, ok in structural.items() if not ok]
+    if closure(r.group, tensor_set(r).elements).order != r.group.order:
+        faults.append("tensor set does not generate")
+    return faults
 
 
 # -- the thirteen criteria ----------------------------------------------------
@@ -231,40 +185,38 @@ def _timed(fn):
 
 @_timed
 def check_decomposition(store: ProfileStore) -> CheckResult:
-    bad = [f"{p.gname}x{p.hname}" for p in store.pairs.values()
-           if not p.decomposition_ok]
-    bad += [p.name for p in store.nus.values() if not p.decomposition_ok]
-    within = store.eta_build_ms <= 60_000
+    profiles = store.profiles()
+    bad = [p.name for p in profiles if not p.decomposition_ok]
+    build_ms = sum(p.build_ms for p in profiles)
+    within = build_ms <= 60_000
     detail = (f"{len(store.pairs)} trivial-action pairs + "
               f"{len(store.nus)} conjugation builds, "
-              f"builds took {store.eta_build_ms} ms")
+              f"builds took {build_ms} ms")
     if bad:
         detail = f"decomposition broken for {', '.join(bad)}; " + detail
     if not within:
         detail += " (over the 60 s budget)"
     return CheckResult("criterion 1: decomposition identity",
-                       not bad and within, detail,
-                       elapsed_ms=store.eta_build_ms,
-                       stats=[p.stats for p in store.pairs.values()]
-                       + [p.stats for p in store.nus.values()])
+                       not bad and within, detail, elapsed_ms=build_ms,
+                       stats=[p.r.stats for p in profiles])
 
 
 @_timed
 def check_route_equivalence(store: ProfileStore) -> CheckResult:
-    bad = [f"{p.gname}x{p.hname}" for p in store.pairs.values()
-           if not p.routes_agree]
-    bad += [p.name for p in store.nus.values() if not p.routes_agree]
-    within = store.direct_build_ms <= 60_000
-    detail = (f"equal tables and symbols on "
-              f"{len(store.pairs) + len(store.nus)} builds, so "
+    profiles = store.profiles()
+    bad = [p.name for p in profiles if not p.routes_agree]
+    direct_ms = sum(p.direct_ms for p in profiles)
+    within = direct_ms <= 60_000
+    detail = (f"equal tables and symbols on {len(profiles)} builds, so "
               f"a(x)b |-> a(x)b is an isomorphism; "
-              f"direct route took {store.direct_build_ms} ms")
+              f"direct route took {direct_ms} ms")
     if bad:
         detail = f"routes disagree on {', '.join(bad)}; " + detail
+    if not within:
+        detail += " (over the 60 s budget)"
     return CheckResult("criterion 2: route equivalence",
-                       not bad and within, detail,
-                       elapsed_ms=store.direct_build_ms,
-                       stats=store.direct_stats)
+                       not bad and within, detail, elapsed_ms=direct_ms,
+                       stats=[p.direct_stats for p in profiles])
 
 
 @_timed
@@ -289,9 +241,11 @@ def check_abelian_reduction(budget: EnumerationBudget | None,
     # With trivial actions the tensor product factors through the
     # abelianizations, so every corpus pair must match the oracle.
     for p in store.pairs.values():
-        if p.eta_route.invariants != p.oracle_invariants:
-            bad.append(f"{p.gname}(x){p.hname}: {p.eta_route.invariants} "
-                       f"vs oracle {p.oracle_invariants}")
+        g, h = p.r.pair.g, p.r.pair.h
+        got = p.r.group.abelianization()
+        oracle = g.abelianization().tensor(h.abelianization())
+        if got != oracle:
+            bad.append(f"{g.name}(x){h.name}: {got} vs oracle {oracle}")
     elapsed = _ms_since(t0)
     ok = not bad and elapsed <= 30_000
     detail = (f"144 cyclic pairs against the gcd oracle in {elapsed} ms; "
@@ -308,7 +262,7 @@ def check_tensor_counts(store: ProfileStore) -> CheckResult:
     bad = []
     for n in range(1, 13):
         want = len({(i * j) % n for i in range(n) for j in range(n)})
-        got = store.nus[f"C{n}"].eta_route.m
+        got = tensor_set(store.nus[f"C{n}"].r).m
         if got != want:
             bad.append(f"C{n}: m={got}, bilinear image {want}")
     return CheckResult(
@@ -321,18 +275,7 @@ def check_tensor_counts(store: ProfileStore) -> CheckResult:
 def check_exact_sequences(store: ProfileStore) -> CheckResult:
     bad = []
     for p in store.nus.values():
-        q = p.eta_route
-        if q.order != q.j2_order * p.gprime_order:
-            bad.append(f"{p.name}: |T| != |J2||G'|")
-        if q.j2_order != q.delta_order * q.schur.order():
-            bad.append(f"{p.name}: |J2| != |D||H2|")
-        if q.j2_order != q.delta_tilde_order * q.stable.order():
-            bad.append(f"{p.name}: |J2| != |Dt||J2/Dt|")
-        for key, ok in p.structural.items():
-            if not ok:
-                bad.append(f"{p.name}: {key}")
-        if not p.tensorset_generates:
-            bad.append(f"{p.name}: tensor set does not generate")
+        bad += [f"{p.name}: {fault}" for fault in _sequence_faults(p.r)]
     return CheckResult(
         "criterion 5: exact-sequence order products", not bad,
         f"kernel=image and order products verified on {len(store.nus)} "
@@ -341,17 +284,15 @@ def check_exact_sequences(store: ProfileStore) -> CheckResult:
 
 @_timed
 def check_schur_oracle(store: ProfileStore) -> CheckResult:
-    bad = []
-    for name in [f"C{n}" for n in range(1, 13)] + ["C2xC2", "C2xC4"]:
-        p = store.nus[name]
-        oracle = p.gab.exterior_square()
-        if p.eta_route.schur != oracle:
-            bad.append(f"{name}: H2={p.eta_route.schur}, oracle {oracle}")
-    for p in store.nus.values():
-        entry = catalog_lookup(p.name)
-        if entry.abelian:
-            if p.eta_route.schur != p.gab.exterior_square():
-                bad.append(f"{p.name} (abelian sweep)")
+    def mismatch(p: Profile) -> str:
+        h2 = schur_multiplier(p.r).abelianization()
+        oracle = p.r.pair.g.abelianization().exterior_square()
+        return "" if h2 == oracle else f"{p.name}: H2={h2}, oracle {oracle}"
+
+    names = [f"C{n}" for n in range(1, 13)] + ["C2xC2", "C2xC4"]
+    bad = [m for m in map(mismatch, (store.nus[n] for n in names)) if m]
+    bad += [f"{p.name} (abelian sweep)" for p in store.nus.values()
+            if catalog_lookup(p.name).abelian and mismatch(p)]
     return CheckResult(
         "criterion 6: Schur multipliers match the exterior-square oracle",
         not bad,
@@ -361,8 +302,8 @@ def check_schur_oracle(store: ProfileStore) -> CheckResult:
 
 @_timed
 def check_stable_pi2(store: ProfileStore) -> CheckResult:
-    c2 = store.nus["C2"].eta_route.stable
-    c3 = store.nus["C3"].eta_route.stable
+    c2 = stable_pi2_K(store.nus["C2"].r).abelianization()
+    c3 = stable_pi2_K(store.nus["C3"].r).abelianization()
     ok = c2.order() == 2 and c2 == AbelianInvariants((2,)) and c3.order() == 1
     return CheckResult(
         "criterion 7: second stable homotopy of K(C2,1) and K(C3,1)", ok,
@@ -374,7 +315,8 @@ def check_theoremC(store: ProfileStore,
                    budget: EnumerationBudget | None) -> CheckResult:
     bad = []
     for p in store.nus.values():
-        if not p.thmc_unanimous or not all(p.thmc_properties.values()):
+        rep = theoremC_report(p.r)
+        if not rep.unanimous or not all(rep.properties.values()):
             bad.append(p.name)
     z = theoremC_report(catalog_lookup("Z"), budget)
     z_ok = (z.unanimous and not any(z.properties.values())
@@ -443,14 +385,14 @@ def check_bound_arithmetic() -> CheckResult:
 def check_performance(store: ProfileStore) -> CheckResult:
     slow = [f"{p.name}: {p.build_ms} ms" for p in store.nus.values()
             if p.build_ms > 10_000]
-    stats_ok = all(p.stats.cosets_defined >= p.stats.cosets_final >= 1
+    stats_ok = all(p.r.stats.cosets_defined >= p.r.stats.cosets_final >= 1
                    for p in store.nus.values())
     worst = max(store.nus.values(), key=lambda p: p.build_ms)
     return CheckResult(
         "criterion 12: conjugation builds within 10 s each", not slow
         and stats_ok,
         f"worst build {worst.name} at {worst.build_ms} ms with stats "
-        f"{worst.stats}" if not slow else "; ".join(slow))
+        f"{worst.r.stats}" if not slow else "; ".join(slow))
 
 
 def _fault_scan(budget: EnumerationBudget | None
@@ -491,8 +433,12 @@ def check_negative_control() -> CheckResult:
 
 @_timed
 def check_diagonal_embedding(store: ProfileStore) -> CheckResult:
-    bad = [f"{p.name}: {p.gab} !| {p.delta_invariants}"
-           for p in store.nus.values() if not p.embedding_holds]
+    bad = []
+    for p in store.nus.values():
+        rep = finiteness_report(p.r)
+        if not rep.embedding_holds:
+            bad.append(f"{p.name}: {rep.gab_invariants} !| "
+                       f"{rep.delta_invariants}")
     return CheckResult(
         "invariant: abelianization divides into the diagonal subgroup",
         not bad,
@@ -578,24 +524,19 @@ def run_file_suite(text: str,
                 "skipped: square build exceeds the size cap"))
             continue
         t0 = time.monotonic()
-        r = build_nu(grp, budget)
-        direct = build_direct(r.pair, budget)
-        decomposes = r.eta.order == r.group.order * grp.order ** 2
-        agree = _same_tensor(r, direct)
-        jsub = j2(r)
-        dsub = delta(r)
-        prods = (r.group.order == jsub.order * derived_subgroup(grp).order
-                 and jsub.order % dsub.order == 0)
-        thmc = theoremC_report(r)
+        p = _profile(name, conjugation_pair(grp), budget)
+        decomposes, agree = p.decomposition_ok, p.routes_agree
+        prods = not _sequence_faults(p.r)
+        thmc = theoremC_report(p.r)
         results.append(CheckResult(
             f"{name}: conjugation build",
             decomposes and agree and prods and thmc.unanimous,
-            f"|T|={r.group.order}, decomposition "
+            f"|T|={p.r.group.order}, decomposition "
             f"{'holds' if decomposes else 'FAILS'}, routes "
             f"{'agree' if agree else 'DIFFER'}, sequences "
             f"{'hold' if prods else 'FAIL'}, seven-property "
             f"{'unanimous' if thmc.unanimous else 'split'}",
-            _ms_since(t0), [r.stats, direct.stats]))
+            _ms_since(t0), [p.r.stats, p.direct_stats]))
     for spec in actions:
         results.append(CheckResult(
             f"action {spec.name}: parsed", True,

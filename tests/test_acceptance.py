@@ -3,6 +3,9 @@
 Profiles (one commutator-pairing build per corpus member, plus the direct
 tensor route) are computed once per session; every criterion check reads
 from that store at its stated tolerance.  Run with `-s` to see the lines.
+A fault test replaces one invariants-layer function that a check reads
+with a plain function, so the memo on the session's realizations keeps
+the true values for the tests that follow.
 """
 
 import json
@@ -10,14 +13,18 @@ from dataclasses import replace
 
 import pytest
 
-from ntl import coset, tensor, verification
+from ntl import coset, homotopy, tensor, verification
 from ntl.catalog import catalog_lookup, finite_corpus, realize_entry
 from ntl.cli import main
 from ntl.coset import EnumerationBudget
 from ntl.errors import BudgetExceeded
+from ntl.groups import closure, trivial_group
+from ntl.homotopy import pi3_suspension_K, schur_multiplier, stable_pi2_K
+from ntl.tensor import conjugation_pair
 from ntl.verification import (ProfileStore, build_profiles,
                               check_abelian_reduction,
                               check_bound_arithmetic, check_decomposition,
+                              check_diagonal_embedding,
                               check_exact_sequences, check_negative_control,
                               check_pairing_certificate, check_pushout,
                               check_performance, check_route_equivalence,
@@ -36,6 +43,17 @@ def _gate(result):
     print(result.line())
     assert result.passed, result.detail
     return result
+
+
+def _faulted(result):
+    print()
+    print(result.line())
+    assert not result.passed
+    return result
+
+
+def _trivial_subgroup(r):
+    return closure(r.group, [])
 
 
 def test_criterion_01_decomposition_identity(store):
@@ -63,12 +81,20 @@ def test_criterion_02_fails_when_the_direct_route_transposes_its_symbols(
     monkeypatch.setattr(verification, "build_direct", transposed)
     faulted = ProfileStore(pairs=store.pairs)
     for name in ("S3", "A4"):
-        faulted.nus[name] = verification._profile_nu(catalog_lookup(name),
-                                                     None, faulted)
+        pair = conjugation_pair(realize_entry(catalog_lookup(name)))
+        faulted.nus[name] = verification._profile(name, pair, None)
     r = check_route_equivalence(faulted)
     print(r.line())
     assert not r.passed
     assert r.detail.startswith("routes disagree on A4;")
+
+
+def test_criterion_02_says_when_it_fails_on_time(store):
+    slow = ProfileStore(nus={"C1": replace(store.nus["C1"],
+                                           direct_ms=60_001)})
+    r = _faulted(check_route_equivalence(slow))
+    assert r.detail.endswith("direct route took 60001 ms "
+                             "(over the 60 s budget)")
 
 
 def test_criterion_03_abelian_reduction(store):
@@ -80,16 +106,60 @@ def test_criterion_04_tensor_counts(store):
     _gate(check_tensor_counts(store))
 
 
+def test_criterion_04_fails_when_a_tensor_count_is_off(store, monkeypatch):
+    def miscounted(r):
+        ts = tensor.tensor_set(r)
+        return replace(ts, m=ts.m + 1) if r.pair.g.name == "C6" else ts
+
+    monkeypatch.setattr(verification, "tensor_set", miscounted)
+    r = _faulted(check_tensor_counts(store))
+    assert r.detail == "C6: m=7, bilinear image 6"
+
+
 def test_criterion_05_exact_sequences(store):
     _gate(check_exact_sequences(store))
+
+
+def test_criterion_05_fails_when_the_symmetrized_diagonal_is_lost(
+        store, monkeypatch):
+    monkeypatch.setattr(verification, "delta_tilde", _trivial_subgroup)
+    r = _faulted(check_exact_sequences(store))
+    assert r.detail.startswith("C3: |J2| != |Dt||J2/Dt|")
 
 
 def test_criterion_06_schur_multipliers(store):
     _gate(check_schur_oracle(store))
 
 
+def test_criterion_06_fails_when_the_schur_multiplier_is_lost(
+        store, monkeypatch):
+    monkeypatch.setattr(verification, "schur_multiplier",
+                        lambda r: trivial_group())
+    r = _faulted(check_schur_oracle(store))
+    assert r.detail.startswith("C2xC2: H2=")
+
+
 def test_criterion_07_stable_pi2(store):
     _gate(check_stable_pi2(store))
+
+
+def test_criterion_07_fails_when_the_stable_pi2_is_lost(store, monkeypatch):
+    monkeypatch.setattr(verification, "stable_pi2_K",
+                        lambda r: trivial_group())
+    r = _faulted(check_stable_pi2(store))
+    assert r.detail.startswith("pi2S(K(C2,1))=")
+
+
+@pytest.mark.parametrize("name", ["S3", "A4"])
+def test_the_layer_computes_each_invariant_once(store, name):
+    r = store.nus[name].r
+    for invariant in (pi3_suspension_K, schur_multiplier, stable_pi2_K):
+        assert invariant(r) is invariant(r)
+
+
+def test_profiles_keep_tensor_products_without_eta(store):
+    assert all(p.r.eta is None and p.r.presentation is None
+               for p in store.profiles())
 
 
 def test_criterion_08_theoremC_unanimity(store):
@@ -127,6 +197,13 @@ def test_criterion_13_negative_control(store):
     print(faulted[0].line())
     assert not all(c.passed for c in faulted)
     assert "criterion 1" in faulted[0].name
+
+
+def test_diagonal_embedding_fails_when_the_diagonal_is_lost(store,
+                                                            monkeypatch):
+    monkeypatch.setattr(homotopy, "delta", _trivial_subgroup)
+    r = _faulted(check_diagonal_embedding(store))
+    assert r.detail.startswith("C2: ")
 
 
 def test_pairing_certificate():
