@@ -15,13 +15,13 @@ import time
 from dataclasses import dataclass, field
 from pathlib import Path
 
-from .catalog import CatalogEntry, catalog_lookup, realize_entry
-from .coset import EnumerationBudget, default_budget, realize_presentation
-from .errors import NotAbelian, NtlError
+from .catalog import catalog_lookup
+from .coset import EnumerationBudget, default_budget
+from .errors import NotAbelian, NtlError, Undecided
 from .groups import (RealizedGroup, abelian_structure, closure,
                      subgroup_as_group)
-from .homotopy import (PushoutInput, TriadInput, bound_pushout_pi3,
-                       bound_theorem_A, bound_theorem_B,
+from .homotopy import (PushoutInput, ResolvedSubject, TriadInput,
+                       bound_pushout_pi3, bound_theorem_A, bound_theorem_B,
                        burnside_exponent_check, finiteness_report,
                        pi3_suspension_K, pushout_EM, resolve_subject,
                        schur_multiplier, stable_pi2_K, theoremC_report,
@@ -29,9 +29,9 @@ from .homotopy import (PushoutInput, TriadInput, bound_pushout_pi3,
 from .parsing import parse_file, parse_words_text
 from .report import (group_result, invariants_result, render_text,
                      serialize_report)
-from .tensor import (build_eta, build_nu, conjugation_pair, delta,
-                     delta_tilde, tensor_set, trivial_pair,
-                     validate_compatibility)
+from .tensor import (TensorRealization, build_eta, build_nu,
+                     conjugation_pair, delta, delta_tilde, tensor_set,
+                     trivial_pair, validate_compatibility)
 from .verification import run_catalog_suite, run_file_suite
 
 
@@ -167,7 +167,10 @@ def build_parser() -> argparse.ArgumentParser:
 # -- input resolution ----------------------------------------------------------
 
 
-def _load_entry(value: str) -> CatalogEntry:
+def _resolve(cfg: RunConfig, value: str) -> ResolvedSubject:
+    """The group `value` names (a catalog name, or a file that defines
+    exactly one group) resolved once; the enumeration that realized it
+    is tracked."""
     if os.path.isfile(value):
         text = Path(value).read_text(encoding="utf-8")
         groups, _ = parse_file(
@@ -175,24 +178,12 @@ def _load_entry(value: str) -> CatalogEntry:
         if len(groups) != 1:
             raise _UsageError(
                 f"{value} defines {len(groups)} groups; exactly one needed")
-        pres = next(iter(groups.values()))
-        return CatalogEntry(pres.name, pres, {})
-    return catalog_lookup(value)
-
-
-def _subject(value: str):
-    """A catalog entry, or the presentation a file defines, in the form
-    the homotopy reports resolve."""
-    entry = _load_entry(value)
-    return entry if entry.known_facts else entry.presentation
-
-
-def _realize(entry: CatalogEntry, cfg: RunConfig) -> RealizedGroup:
-    if entry.known_facts:
-        return realize_entry(entry, cfg.budget)
-    grp, stats = realize_presentation(entry.presentation, cfg.budget)
-    cfg.track(stats)
-    return grp
+        subject = next(iter(groups.values()))
+    else:
+        subject = catalog_lookup(value)
+    resolved = resolve_subject(subject, cfg.budget)
+    cfg.track(resolved.stats)
+    return resolved
 
 
 def _resolve_actions(cfg: RunConfig, g: RealizedGroup, h: RealizedGroup):
@@ -227,9 +218,9 @@ def _resolve_actions(cfg: RunConfig, g: RealizedGroup, h: RealizedGroup):
 
 def _pair_inputs(cfg: RunConfig):
     args = cfg.args
-    g = _realize(_load_entry(args.group), cfg)
+    g = _resolve(cfg, args.group).realized()
     other = args.other if args.other is not None else args.group
-    h = g if other == args.group else _realize(_load_entry(other), cfg)
+    h = g if other == args.group else _resolve(cfg, other).realized()
     pair, action_kind = _resolve_actions(cfg, g, h)
     query = {"group": g.name, "other": h.name, "actions": action_kind}
     return pair, query
@@ -242,7 +233,7 @@ def _subgroup_from_words(g: RealizedGroup, text: str):
 
 def _pushout_input(cfg: RunConfig) -> PushoutInput:
     """`--group` with its `--m` and `--n` subgroups."""
-    g = _realize(_load_entry(cfg.args.group), cfg)
+    g = _resolve(cfg, cfg.args.group).realized()
     return PushoutInput(g, _subgroup_from_words(g, cfg.args.m),
                         _subgroup_from_words(g, cfg.args.n))
 
@@ -256,12 +247,16 @@ def _eta_input(cfg: RunConfig):
     return r, query
 
 
-def _nu_input(cfg: RunConfig):
-    """`--group` realized, with its nu build; both stats are tracked."""
-    g = _realize(_load_entry(cfg.args.group), cfg)
+def _nu_build(cfg: RunConfig, g: RealizedGroup) -> TensorRealization:
     r = build_nu(g, cfg.budget)
     cfg.track(r.stats)
-    return g, r
+    return r
+
+
+def _nu_input(cfg: RunConfig):
+    """`--group` realized, with its nu build; both stats are tracked."""
+    g = _resolve(cfg, cfg.args.group).realized()
+    return g, _nu_build(cfg, g)
 
 
 # -- handlers -------------------------------------------------------------------
@@ -346,19 +341,20 @@ def _cmd_triad(cfg: RunConfig) -> dict:
 
 def _cmd_wedge(cfg: RunConfig) -> dict:
     args = cfg.args
-    subjects = [_subject(args.group), _subject(args.other or args.group)]
+    other = args.other or args.group
+    subjects = [_resolve(cfg, args.group)]
+    subjects.append(subjects[0] if other == args.group
+                    else _resolve(cfg, other))
     invs = []
-    for subject in subjects:
-        resolved = resolve_subject(subject, cfg.budget)
-        cfg.track(resolved.stats)
-        if resolved.group is not None:
-            if not resolved.group.is_abelian():
-                raise NotAbelian(
-                    f"{resolved.name!r} is not abelian; a second homotopy "
-                    "group must be")
-            invs.append(abelian_structure(resolved.group))
+    for s in subjects:
+        if s.invariants is None:
+            g = s.realized()
+            if not g.is_abelian():
+                raise NotAbelian(f"{s.name!r} is not abelian; a second "
+                                 "homotopy group must be")
+            invs.append(abelian_structure(g))
         else:
-            invs.append(resolved.invariants)
+            invs.append(s.invariants)
     out = wedge_pi3(invs[0], invs[1])
     return {"query": {"group": subjects[0].name, "other": subjects[1].name},
             "result": invariants_result(out)}
@@ -392,56 +388,66 @@ def _cmd_three_connected(cfg: RunConfig) -> dict:
             "result": group_result(rep.result.pi3), "chain": chain}
 
 
+_THMC_LABELS = {
+    "a": "the group is finite",
+    "b": "the set of tensors is finite",
+    "c": "the tensor product subgroup is finite",
+    "d": "derived subgroup locally finite, derived-map kernel periodic",
+    "e": "derived subgroup locally finite, diagonal periodic",
+    "f": "derived subgroup locally finite, symmetrized diagonal periodic",
+    "g": "the tensor square is locally finite",
+}
+
+
 def _cmd_thmc(cfg: RunConfig) -> dict:
-    rep = theoremC_report(_subject(cfg.args.group), cfg.budget)
-    cfg.track(rep.group_stats, rep.stats)
-    labels = {
-        "a": "the group is finite",
-        "b": "the set of tensors is finite",
-        "c": "the tensor product subgroup is finite",
-        "d": "derived subgroup locally finite, derived-map kernel periodic",
-        "e": "derived subgroup locally finite, diagonal periodic",
-        "f": "derived subgroup locally finite, symmetrized diagonal periodic",
-        "g": "the tensor square is locally finite",
-    }
-    chain = [f"({k}) {labels[k]}: {str(v).lower()}"
-             for k, v in sorted(rep.properties.items())]
-    chain.append(f"unanimous: {str(rep.unanimous).lower()}")
-    if rep.witness:
-        chain.append(f"witness: {rep.witness}")
-    if rep.finite:
-        result = group_result(rep.group,
+    s = _resolve(cfg, cfg.args.group)
+    if s.group is not None:
+        rep = theoremC_report(_nu_build(cfg, s.group))
+        props, unanimous, witness = rep.properties, rep.unanimous, ""
+        result = group_result(s.group,
                               tensor_count_m=rep.evidence["tensor_count_m"])
-    else:
+    elif s.invariants is not None:  # G = G^ab is infinite, so is G(x)G
+        props = dict.fromkeys(_THMC_LABELS, False)
+        unanimous, witness = True, s.witness
         result = {"order": "infinite"}
-    return {"query": {"group": rep.name}, "result": result, "chain": chain}
+    else:
+        raise Undecided(f"budget exhausted with no finiteness certificate "
+                        f"({s.unrealized})") from s.unrealized
+    chain = [f"({k}) {label}: {str(props[k]).lower()}"
+             for k, label in _THMC_LABELS.items()]
+    chain.append(f"unanimous: {str(unanimous).lower()}")
+    if witness:
+        chain.append(f"witness: {witness}")
+    return {"query": {"group": s.name}, "result": result, "chain": chain}
 
 
 def _cmd_finiteness(cfg: RunConfig) -> dict:
-    rep = finiteness_report(_subject(cfg.args.group), cfg.budget)
-    cfg.track(rep.group_stats, rep.stats)
-    if not rep.determined:
-        return {"query": {"group": rep.name},
-                "result": {"order": "undetermined"},
-                "chain": [rep.note]}
-    if rep.finite:
-        chain = [
-            f"|G^ab| = {rep.gab_order} with invariants "
-            f"{list(rep.gab_invariants.factors)}",
-            f"|G'| = {rep.gprime_order}",
-            f"tensor count m = {rep.tensor_count_m}",
-            f"tensor square order = {rep.tensor_order}",
-            f"G^ab divides into the diagonal subgroup "
-            f"{list(rep.delta_invariants.factors)}: "
-            f"{str(rep.embedding_holds).lower()}",
-        ]
-        return {"query": {"group": rep.name},
-                "result": group_result(rep.group,
-                                       tensor_count_m=rep.tensor_count_m),
-                "chain": chain}
-    return {"query": {"group": rep.name},
-            "result": invariants_result(rep.gab_invariants),
-            "chain": [rep.note]}
+    s = _resolve(cfg, cfg.args.group)
+    query = {"group": s.name}
+    if s.invariants is not None:
+        inv = s.invariants
+        return {"query": query, "result": invariants_result(inv),
+                "chain": [f"abelian fast path; tensor square "
+                          f"{inv.tensor(inv)} is infinite"]}
+    if s.group is None:
+        return {"query": query, "result": {"order": "undetermined"},
+                "chain": [f"undetermined - consistent with infinite "
+                          f"({s.unrealized})"]}
+    rep = finiteness_report(_nu_build(cfg, s.group))
+    chain = [
+        f"|G^ab| = {rep.gab_order} with invariants "
+        f"{list(rep.gab_invariants.factors)}",
+        f"|G'| = {rep.gprime_order}",
+        f"tensor count m = {rep.tensor_count_m}",
+        f"tensor square order = {rep.tensor_order}",
+        f"G^ab divides into the diagonal subgroup "
+        f"{list(rep.delta_invariants.factors)}: "
+        f"{str(rep.embedding_holds).lower()}",
+    ]
+    return {"query": query,
+            "result": group_result(s.group,
+                                   tensor_count_m=rep.tensor_count_m),
+            "chain": chain}
 
 
 def _cmd_bound(cfg: RunConfig) -> dict:

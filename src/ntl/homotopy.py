@@ -15,17 +15,17 @@ import numpy as np
 
 from .abelian import AbelianInvariants, abelian_invariants
 from .catalog import CatalogEntry, realize_entry
-from .coset import (EnumerationBudget, EnumerationStats,
+from .coset import (EnumerationBudget, EnumerationStats, default_budget,
                     realize_presentation)
 from .errors import (BudgetExceeded, InternalInconsistency,
-                     NotGeneratingPair, NotNormal, Undecided)
+                     NotGeneratingPair, NotNormal)
 from .groups import (RealizedGroup, Subgroup, abelian_structure,
                      closure, commutator_subgroup, derived_subgroup,
                      intersection, subgroup_as_group, subgroup_exponent,
                      subgroup_quotient)
 from .tensor import (CompatibleActionPair, TensorRealization, _conjugates,
-                     _memoized, _validate_tables, build_eta, build_nu,
-                     delta, delta_tilde, j2, tensor_set)
+                     _memoized, _validate_tables, build_eta, delta,
+                     delta_tilde, j2, tensor_set)
 from .words import Presentation
 
 
@@ -251,11 +251,34 @@ def three_connected_check(p: PushoutInput,
 
 @dataclass(frozen=True)
 class ResolvedSubject:
+    """A group input, resolved once for whatever reads it.
+
+    `group` is its realization, with the `stats` of the enumeration that
+    made it (a catalog entry comes from the shared cache and has none).
+    Without a realization, `unrealized` is the BudgetExceeded that stands
+    for it, and an infinite abelian input carries its invariant factors in
+    `invariants`: the abelian fast path."""
+
     name: str
-    group: RealizedGroup | None
-    invariants: AbelianInvariants | None  # abelian fast path only
-    presentation: Presentation | None
-    stats: EnumerationStats | None = None  # realizing a presentation
+    presentation: Presentation
+    group: RealizedGroup | None = None
+    invariants: AbelianInvariants | None = None
+    stats: EnumerationStats | None = None
+    unrealized: BudgetExceeded | None = None
+
+    def realized(self) -> RealizedGroup:
+        """The realization; raises `unrealized` when there is none."""
+        if self.group is None:
+            raise self.unrealized
+        return self.group
+
+    @property
+    def witness(self) -> str:
+        """On the abelian fast path, a tensor of infinite order: x(x)x for
+        a generator x of infinite image, since G(x)G = G^ab(x)G^ab."""
+        x = _free_witness_generator(self.presentation)
+        return (f"{x}(x){x} has infinite order in the tensor square "
+                f"{self.invariants.tensor(self.invariants)}")
 
 
 def _presentation_coker(p: Presentation) -> AbelianInvariants:
@@ -263,31 +286,29 @@ def _presentation_coker(p: Presentation) -> AbelianInvariants:
     return abelian_invariants(rows, ncols=p.ngens)
 
 
-def resolve_subject(subject,
+def resolve_subject(subject: CatalogEntry | Presentation,
                     budget: EnumerationBudget | None = None
                     ) -> ResolvedSubject:
-    """Realize a group input, or route a known-abelian infinite input to the
-    invariant-factor fast path.  Raises BudgetExceeded when realization is
-    the only route and it fails."""
-    if isinstance(subject, RealizedGroup):
-        return ResolvedSubject(subject.name, subject, None,
-                               subject.source_presentation)
-    if isinstance(subject, CatalogEntry):
-        if subject.infinite and subject.abelian:
-            return ResolvedSubject(subject.name, None,
-                                   _presentation_coker(subject.presentation),
-                                   subject.presentation)
-        group = realize_entry(subject, budget)
-        return ResolvedSubject(subject.name, group, None,
-                               subject.presentation)
-    if isinstance(subject, Presentation):
-        if subject.ngens == 1:
-            inv = _presentation_coker(subject)
-            if not inv.is_finite():
-                return ResolvedSubject(subject.name, None, inv, subject)
-        group, stats = realize_presentation(subject, budget)
-        return ResolvedSubject(subject.name, group, None, subject, stats)
-    raise TypeError(f"cannot resolve {type(subject).__name__} into a group")
+    """Realize a catalog entry or a presentation, or decide that it has no
+    realization; never raises BudgetExceeded.  A catalog entry flagged
+    infinite abelian, or a one-generator presentation with an infinite
+    cokernel, takes the abelian fast path without enumerating."""
+    entry = subject if isinstance(subject, CatalogEntry) else None
+    p = entry.presentation if entry else subject
+    fast = (entry.infinite and bool(entry.abelian) if entry
+            else p.ngens == 1 and not _presentation_coker(p).is_finite())
+    try:
+        if entry:  # an infinite entry is refused at once
+            return ResolvedSubject(entry.name, p, realize_entry(entry, budget))
+        if fast:  # an enumeration could only end in this error
+            raise (budget or default_budget()).cosets_exhausted(
+                EnumerationStats())
+        group, stats = realize_presentation(p, budget)
+        return ResolvedSubject(p.name, p, group, stats=stats)
+    except BudgetExceeded as exc:
+        return ResolvedSubject(
+            subject.name, p, unrealized=exc,
+            invariants=_presentation_coker(p) if fast else None)
 
 
 def _free_witness_generator(p: Presentation) -> str:
@@ -304,75 +325,36 @@ def _free_witness_generator(p: Presentation) -> str:
 
 
 # -- finiteness reports ---------------------------------------------------------
+#
+# Both read a tensor square, so both are about a finite group; an input
+# without a realization is decided by `resolve_subject`.
 
 
 @dataclass(frozen=True)
 class FinitenessReport:
     name: str
-    determined: bool
-    finite: bool | None
-    gab_order: int | None
-    gab_invariants: AbelianInvariants | None
-    gprime_order: int | None
-    tensor_count_m: int | None
-    tensor_order: int | None
-    delta_invariants: AbelianInvariants | None
-    embedding_holds: bool | None
-    note: str = ""
-    stats: EnumerationStats | None = None  # the tensor-square build
-    group: RealizedGroup | None = None
-    group_stats: EnumerationStats | None = None  # realizing `group`
+    gab_order: int
+    gab_invariants: AbelianInvariants
+    gprime_order: int
+    tensor_count_m: int
+    tensor_order: int
+    delta_invariants: AbelianInvariants
+    embedding_holds: bool
 
 
-def finiteness_report(subject,
-                      budget: EnumerationBudget | None = None
-                      ) -> FinitenessReport:
-    """Report |G^ab|, |G'|, the tensor count m, the tensor-square order, and
-    check the divisibility embedding of G^ab into the diagonal subgroup.
-
-    A `TensorRealization` subject is taken as the tensor square of its
-    group and used as it is; any other subject is resolved and built."""
-    if isinstance(subject, TensorRealization):
-        return _finite_report(subject.pair.g.name, subject)
-    try:
-        resolved = resolve_subject(subject, budget)
-    except BudgetExceeded as exc:
-        name = getattr(subject, "name", "?")
-        return FinitenessReport(
-            name=name, determined=False, finite=None, gab_order=None,
-            gab_invariants=None, gprime_order=None, tensor_count_m=None,
-            tensor_order=None, delta_invariants=None, embedding_holds=None,
-            note=f"undetermined - consistent with infinite ({exc})")
-    if resolved.group is None:
-        inv = resolved.invariants
-        tensor = inv.tensor(inv)
-        return FinitenessReport(
-            name=resolved.name, determined=True, finite=False,
-            gab_order=None, gab_invariants=inv, gprime_order=1,
-            tensor_count_m=None, tensor_order=None,
-            delta_invariants=None, embedding_holds=None,
-            note=f"abelian fast path; tensor square {tensor} is infinite")
-    return _finite_report(resolved.name, build_nu(resolved.group, budget),
-                          resolved.stats)
-
-
-def _finite_report(name: str, r: TensorRealization,
-                   group_stats: EnumerationStats | None = None
-                   ) -> FinitenessReport:
+def finiteness_report(r: TensorRealization) -> FinitenessReport:
+    """Report |G^ab|, |G'|, the tensor count m and the order of the tensor
+    square r, and check the divisibility embedding of G^ab into the
+    diagonal subgroup."""
     g = r.pair.g
     gab = g.abelianization()
     dgrp, _ = subgroup_as_group(delta(r))
     dinv = abelian_structure(dgrp)
     return FinitenessReport(
-        name=name, determined=True, finite=True,
-        gab_order=gab.order(), gab_invariants=gab,
+        name=g.name, gab_order=gab.order(), gab_invariants=gab,
         gprime_order=derived_subgroup(g).order,
         tensor_count_m=tensor_set(r).m, tensor_order=r.group.order,
-        delta_invariants=dinv, embedding_holds=gab.divides_into(dinv),
-        stats=r.stats, group=g, group_stats=group_stats)
-
-
-_PROPERTY_KEYS = ("a", "b", "c", "d", "e", "f", "g")
+        delta_invariants=dinv, embedding_holds=gab.divides_into(dinv))
 
 
 @dataclass(frozen=True)
@@ -380,53 +362,21 @@ class TheoremCReport:
     name: str
     properties: dict[str, bool]
     unanimous: bool
-    finite: bool
-    witness: str = ""
     evidence: dict[str, int] = field(default_factory=dict)
-    stats: EnumerationStats | None = None  # the tensor-square build
-    group: RealizedGroup | None = None
-    group_stats: EnumerationStats | None = None  # realizing `group`
 
 
-def theoremC_report(subject,
-                    budget: EnumerationBudget | None = None
-                    ) -> TheoremCReport:
-    """Evaluate the seven equivalent finiteness properties of a finitely
-    generated group and check they agree.
+def theoremC_report(r: TensorRealization) -> TheoremCReport:
+    """Evaluate the seven equivalent finiteness properties of G on its
+    tensor square r and check they agree.
 
     (a) G finite, (b) finitely many tensors, (c) tensor square finite,
     (d) G' locally finite and the derived-map kernel periodic, (e) same
     with the diagonal subgroup, (f) same with the symmetrized diagonal,
     (g) tensor square locally finite.  Local finiteness and periodicity
-    specialize to finiteness in the realized regime; the infinite regime
-    is decided only via the abelian fast path, with an explicit
-    infinite-order tensor as witness.  A `TensorRealization` subject is
-    taken as the tensor square of its group and used as it is.
+    specialize to finiteness in the realized regime.  An infinite G has
+    no tensor square to read; the abelian fast path of `resolve_subject`
+    decides it, with `ResolvedSubject.witness`.
     """
-    if isinstance(subject, TensorRealization):
-        return _finite_theoremC(subject.pair.g.name, subject)
-    try:
-        resolved = resolve_subject(subject, budget)
-    except BudgetExceeded as exc:
-        raise Undecided(
-            f"budget exhausted with no finiteness certificate ({exc})"
-        ) from exc
-    if resolved.group is None:
-        inv = resolved.invariants
-        witness_gen = _free_witness_generator(resolved.presentation)
-        props = {k: False for k in _PROPERTY_KEYS}
-        return TheoremCReport(
-            name=resolved.name, properties=props, unanimous=True,
-            finite=False,
-            witness=(f"{witness_gen}(x){witness_gen} has infinite order "
-                     f"in the tensor square {inv.tensor(inv)}"))
-    return _finite_theoremC(resolved.name, build_nu(resolved.group, budget),
-                            resolved.stats)
-
-
-def _finite_theoremC(name: str, r: TensorRealization,
-                     group_stats: EnumerationStats | None = None
-                     ) -> TheoremCReport:
     g = r.pair.g
     ts = tensor_set(r)
     jsub = j2(r)
@@ -448,11 +398,9 @@ def _finite_theoremC(name: str, r: TensorRealization,
         "f": gprime.order >= 1 and subgroup_exponent(dtsub) >= 1,
         "g": r.group.order >= 1,
     }
-    unanimous = len(set(props.values())) == 1
-    return TheoremCReport(
-        name=name, properties=props, unanimous=unanimous,
-        finite=True, evidence=evidence, stats=r.stats, group=g,
-        group_stats=group_stats)
+    return TheoremCReport(name=g.name, properties=props,
+                          unanimous=len(set(props.values())) == 1,
+                          evidence=evidence)
 
 
 @dataclass(frozen=True)
@@ -461,16 +409,13 @@ class ExponentReport:
     tensor_exponent: int
     applicable: bool
     group_order: int
-    consistent: bool
 
 
 def burnside_exponent_check(r: TensorRealization) -> ExponentReport:
-    """Exponent of the tensor square; when it lies in {2,3,4,6} the small
-    exponent criterion applies and finiteness of G is recorded as a
-    consistency check."""
+    """Exponent of the tensor square; the small exponent criterion applies
+    when it lies in {2,3,4,6}."""
     g = r.pair.g
     exp = r.group.exponent()
-    applicable = exp in (2, 3, 4, 6)
     return ExponentReport(
-        name=g.name, tensor_exponent=exp, applicable=applicable,
-        group_order=g.order, consistent=(not applicable) or g.order >= 1)
+        name=g.name, tensor_exponent=exp, applicable=exp in (2, 3, 4, 6),
+        group_order=g.order)

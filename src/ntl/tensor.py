@@ -81,10 +81,6 @@ def _first_non_automorphism(target: RealizedGroup,
     return None
 
 
-def _automorphism_failure(target: RealizedGroup, perm: np.ndarray) -> bool:
-    return _first_non_automorphism(target, perm[None, :]) is not None
-
-
 def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
                       spec: ActionSpec) -> np.ndarray:
     """Element-level action table induced by a generator-level spec.

@@ -102,6 +102,21 @@ def test_criterion_03_abelian_reduction(store):
     assert r.elapsed_ms <= 30_000
 
 
+def test_criterion_03_builds_only_what_the_store_lacks(store, monkeypatch):
+    # Cm(x)Cn with m <= n and mn <= 36 is a stored pair and Cn(x)Cn is
+    # nu(Cn): 49 of the 144 cyclic pairs, so 95 are built.
+    built = []
+    build_eta = verification.build_eta
+
+    def counted(pair, budget=None, **kwargs):
+        built.append((pair.g.name, pair.h.name))
+        return build_eta(pair, budget, **kwargs)
+    monkeypatch.setattr(verification, "build_eta", counted)
+    _gate(check_abelian_reduction(None, store))
+    assert len(built) == len(set(built)) == 95
+    assert ("C6", "C6") not in built and ("C6", "C4") in built
+
+
 def test_criterion_04_tensor_counts(store):
     _gate(check_tensor_counts(store))
 

@@ -163,6 +163,14 @@ class TestExitCodes:
         assert rc == 1
         assert "BudgetExceeded" in err
 
+    def test_thmc_on_a_free_group_is_undecided(self, capsys):
+        rc, out, err = run(capsys, "thmc", "--group", "F2")
+        assert rc == 1
+        assert out == ""
+        assert err == ("error Undecided: budget exhausted with no finiteness "
+                       "certificate (catalog entry 'F2' is infinite; no "
+                       "coset budget can realize it)\n")
+
     def test_unknown_catalog_name(self, capsys):
         rc, _, err = run(capsys, "tensor", "--group", "S9",
                          "--trivial-actions")
@@ -257,6 +265,61 @@ class TestFilesAndEnv:
         assert record["result"]["order"] == 4
         assert runs == [4, 801]
         assert record["stats"]["cosets_defined"] == 805
+
+    def test_nu_counts_the_file_realization(self, capsys, tmp_path,
+                                            monkeypatch):
+        f = tmp_path / "k.grp"
+        f.write_text("group K { gens: a b; rels: a^2, b^2, (a b)^2; }")
+        runs = []
+        enumerate_once = _Enumerator.run
+
+        def counted(self):
+            rows, n, stats = enumerate_once(self)
+            runs.append(stats.cosets_defined)
+            return rows, n, stats
+        monkeypatch.setattr(_Enumerator, "run", counted)
+        rc, record, _ = run_json(capsys, "nu", "--group", str(f))
+        assert rc == 0
+        assert record["result"]["order"] == 256
+        assert runs == [4, 801]
+        assert record["stats"]["cosets_defined"] == 805
+
+    @pytest.mark.parametrize("command,result", [
+        ("thmc", {"order": "infinite"}),
+        ("finiteness", {"abelian": True, "abelian_invariants": [0],
+                        "exponent": "infinite", "order": "infinite"}),
+        ("wedge", {"abelian": True, "abelian_invariants": [0],
+                   "exponent": "infinite", "order": "infinite"}),
+    ])
+    def test_infinite_cyclic_file_takes_the_fast_path(
+            self, capsys, tmp_path, command, result):
+        f = tmp_path / "z.grp"
+        f.write_text("group K { gens: a; }")
+        rc, record, _ = run_json(capsys, command, "--group", str(f))
+        assert rc == 0
+        assert record["result"] == result
+        assert record["stats"]["cosets_defined"] == 0
+
+    def test_wedge_resolves_a_file_group_once(self, capsys, tmp_path):
+        f = tmp_path / "c4.grp"
+        f.write_text("group A { gens: a; rels: a^4; }")
+        rc, record, _ = run_json(capsys, "wedge", "--group", str(f))
+        assert rc == 0
+        assert record["result"]["abelian_invariants"] == [4]
+        assert record["stats"]["cosets_defined"] == 4
+
+    def test_infinite_cyclic_group_has_no_nu(self, capsys, tmp_path):
+        f = tmp_path / "z.grp"
+        f.write_text("group K { gens: a; }")
+        for group, reason in (
+                ("Z", "catalog entry 'Z' is infinite; no coset budget can "
+                      "realize it"),
+                (str(f), "coset budget 1000 exhausted (possible infinite "
+                         "group or undersized budget)")):
+            rc, out, err = run(capsys, "nu", "--group", group,
+                               "--max-cosets", "1000")
+            assert (rc, out) == (1, "")
+            assert err == f"error BudgetExceeded: {reason}\n"
 
     def test_action_file(self, capsys, tmp_path):
         f = tmp_path / "acts.act"

@@ -2,14 +2,15 @@ import pytest
 
 from ntl.abelian import AbelianInvariants
 from ntl.catalog import catalog_lookup, realize_name
-from ntl.errors import NotGeneratingPair, NotNormal, Undecided
+from ntl.coset import EnumerationBudget
+from ntl.errors import BudgetExceeded, NotGeneratingPair, NotNormal
 from ntl.groups import abelian_structure, closure, derived_subgroup
 from ntl.homotopy import (PushoutInput, TriadInput, _conjugation_pair_between,
                           bound_pushout_pi3,
                           bound_theorem_A, bound_theorem_B,
                           burnside_exponent_check, finiteness_report,
-                          pi3_suspension_K, pushout_EM, schur_multiplier,
-                          stable_pi2_K,
+                          pi3_suspension_K, pushout_EM, resolve_subject,
+                          schur_multiplier, stable_pi2_K,
                           theoremC_report, three_connected_check,
                           triad_group, wedge_pi3)
 from ntl.tensor import build_nu, trivial_pair
@@ -203,10 +204,14 @@ def test_conjugation_pair_between_matches_conj(case):
     assert tuple(pair.ambient[2]) == n_mem
 
 
+def nu(name):
+    return build_nu(realize_name(name))
+
+
 class TestFiniteness:
     def test_s3(self):
-        rep = finiteness_report(realize_name("S3"))
-        assert rep.finite
+        rep = finiteness_report(nu("S3"))
+        assert rep.name == "S3"
         assert rep.gab_order == 2
         assert rep.gprime_order == 3
         assert rep.tensor_count_m == 6
@@ -215,70 +220,87 @@ class TestFiniteness:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic_embedding(self, n):
-        rep = finiteness_report(cyc(n))
+        rep = finiteness_report(nu(f"C{n}"))
         assert rep.gab_order == n
         assert rep.embedding_holds
 
     def test_trivial(self):
-        rep = finiteness_report(cyc(1))
+        rep = finiteness_report(nu("C1"))
         assert rep.gab_order == 1
         assert rep.gprime_order == 1
         assert rep.tensor_count_m == 1
         assert rep.tensor_order == 1
 
     def test_realization_subject_reuses_the_build(self):
-        r = build_nu(realize_name("S3"))
+        r = nu("S3")
         rep = finiteness_report(r)
-        assert rep.stats is r.stats
         assert rep.tensor_order == r.group.order
-        fresh = finiteness_report(realize_name("S3"))
+        fresh = finiteness_report(nu("S3"))
         assert rep.delta_invariants == fresh.delta_invariants == inv(2)
 
     def test_infinite_fast_path(self):
-        rep = finiteness_report(catalog_lookup("Z"))
-        assert rep.determined
-        assert rep.finite is False
-        assert rep.gab_invariants.factors == (0,)
+        s = resolve_subject(catalog_lookup("Z"))
+        assert s.group is None and s.stats is None
+        assert s.invariants.factors == (0,)
 
     def test_undetermined(self):
-        rep = finiteness_report(catalog_lookup("F2"))
-        assert not rep.determined
-        assert "undetermined" in rep.note
+        s = resolve_subject(catalog_lookup("F2"))
+        assert s.group is None and s.invariants is None
+        with pytest.raises(BudgetExceeded, match="'F2' is infinite"):
+            s.realized()
+
+
+class TestResolveSubject:
+    def test_catalog_entry_comes_from_the_cache(self):
+        s = resolve_subject(catalog_lookup("S3"))
+        assert s.realized() is realize_name("S3")
+        assert s.stats is None
+
+    def test_infinite_cyclic_presentation_is_never_enumerated(self):
+        p = catalog_lookup("Z").presentation
+        s = resolve_subject(p, EnumerationBudget(max_cosets=1))
+        assert s.invariants.factors == (0,)
+        assert s.unrealized.stats.cosets_defined == 0
+        assert "a(x)a has infinite order" in s.witness
+
+    def test_exhausted_budget_is_recorded(self):
+        s = resolve_subject(catalog_lookup("D6").presentation,
+                            EnumerationBudget(max_cosets=5))
+        assert s.group is None and s.invariants is None
+        assert isinstance(s.unrealized, BudgetExceeded)
 
 
 class TestTheoremC:
     def test_s3_all_true(self):
-        rep = theoremC_report(realize_name("S3"))
+        rep = theoremC_report(nu("S3"))
         assert rep.unanimous
         assert all(rep.properties.values())
         assert set(rep.properties) == set("abcdefg")
 
     def test_c2_all_true(self):
-        rep = theoremC_report(cyc(2))
+        rep = theoremC_report(nu("C2"))
         assert rep.unanimous
         assert all(rep.properties.values())
         assert rep.evidence["tensor_order"] == 2
 
     def test_z_all_false_with_witness(self):
-        rep = theoremC_report(catalog_lookup("Z"))
-        assert rep.unanimous
-        assert not any(rep.properties.values())
-        assert "a(x)a" in rep.witness
-        assert "infinite order" in rep.witness
+        s = resolve_subject(catalog_lookup("Z"))
+        assert s.group is None
+        assert "a(x)a" in s.witness
+        assert "infinite order" in s.witness
 
     def test_realization_subject_reuses_the_build(self):
-        s3 = realize_name("S3")
-        r = build_nu(s3)
+        r = nu("S3")
         rep = theoremC_report(r)
-        assert rep.stats is r.stats
-        fresh = theoremC_report(s3)
+        assert rep.evidence["tensor_order"] == r.group.order
+        fresh = theoremC_report(nu("S3"))
         assert rep.properties == fresh.properties
         assert rep.evidence == fresh.evidence
-        assert rep.stats.cosets_defined == fresh.stats.cosets_defined
 
     def test_free_rank_two_undecided(self):
-        with pytest.raises(Undecided):
-            theoremC_report(catalog_lookup("F2"))
+        s = resolve_subject(catalog_lookup("F2"))
+        assert s.group is None and s.invariants is None
+        assert isinstance(s.unrealized, BudgetExceeded)
 
 
 class TestBurnsideExponent:
@@ -286,7 +308,6 @@ class TestBurnsideExponent:
         rep = burnside_exponent_check(build_nu(cyc(2)))
         assert rep.tensor_exponent == 2
         assert rep.applicable
-        assert rep.consistent
 
     def test_c5_does_not_apply(self):
         rep = burnside_exponent_check(build_nu(cyc(5)))

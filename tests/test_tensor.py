@@ -13,7 +13,7 @@ from ntl.coset import EnumerationBudget
 from ntl.groups import Homomorphism, _walk, closure, derived_subgroup
 from ntl.parsing import parse_action
 from ntl.homotopy import PushoutInput, pushout_EM
-from ntl.tensor import (_automorphism_failure, _conjugation_table,
+from ntl.tensor import (_conjugation_table, _first_non_automorphism,
                         _validate_tables, build_direct, build_eta, build_nu,
                         conjugation_pair, delta, delta_tilde, j2,
                         pairing_relators_hold, tensor_direct, tensor_set,
@@ -160,7 +160,7 @@ def _automorphisms(name):
     found = []
     for imgs in np.ndindex(*(g.order,) * len(g.generator_images)):
         perm = np.array([g.evaluate(w, imgs) for w in g.element_words])
-        if not _automorphism_failure(g, perm):
+        if _first_non_automorphism(g, perm[None, :]) is None:
             found.append(perm)
     return found
 
