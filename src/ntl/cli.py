@@ -20,8 +20,9 @@ from .coset import EnumerationBudget, default_budget
 from .errors import NotAbelian, NtlError, Undecided
 from .groups import (RealizedGroup, abelian_structure, closure,
                      subgroup_as_group)
-from .homotopy import (PushoutInput, ResolvedSubject, TriadInput,
-                       bound_pushout_pi3, bound_theorem_A, bound_theorem_B,
+from .homotopy import (THEOREM_C_PROPERTIES, PushoutInput, ResolvedSubject,
+                       TriadInput, bound_pushout_pi3, bound_theorem_A,
+                       bound_theorem_B,
                        burnside_exponent_check, finiteness_report,
                        pi3_suspension_K, pushout_EM, resolve_subject,
                        schur_multiplier, stable_pi2_K, theoremC_report,
@@ -388,34 +389,21 @@ def _cmd_three_connected(cfg: RunConfig) -> dict:
             "result": group_result(rep.result.pi3), "chain": chain}
 
 
-_THMC_LABELS = {
-    "a": "the group is finite",
-    "b": "the set of tensors is finite",
-    "c": "the tensor product subgroup is finite",
-    "d": "derived subgroup locally finite, derived-map kernel periodic",
-    "e": "derived subgroup locally finite, diagonal periodic",
-    "f": "derived subgroup locally finite, symmetrized diagonal periodic",
-    "g": "the tensor square is locally finite",
-}
-
-
 def _cmd_thmc(cfg: RunConfig) -> dict:
     s = _resolve(cfg, cfg.args.group)
     if s.group is not None:
-        rep = theoremC_report(_nu_build(cfg, s.group))
-        props, unanimous, witness = rep.properties, rep.unanimous, ""
+        rep, witness = theoremC_report(_nu_build(cfg, s.group)), ""
         result = group_result(s.group,
                               tensor_count_m=rep.evidence["tensor_count_m"])
     elif s.invariants is not None:  # G = G^ab is infinite, so is G(x)G
-        props = dict.fromkeys(_THMC_LABELS, False)
-        unanimous, witness = True, s.witness
+        rep, witness = s.theoremC, s.witness
         result = {"order": "infinite"}
     else:
         raise Undecided(f"budget exhausted with no finiteness certificate "
                         f"({s.unrealized})") from s.unrealized
-    chain = [f"({k}) {label}: {str(props[k]).lower()}"
-             for k, label in _THMC_LABELS.items()]
-    chain.append(f"unanimous: {str(unanimous).lower()}")
+    chain = [f"({k}) {label}: {str(rep.properties[k]).lower()}"
+             for k, label in THEOREM_C_PROPERTIES.items()]
+    chain.append(f"unanimous: {str(rep.unanimous).lower()}")
     if witness:
         chain.append(f"witness: {witness}")
     return {"query": {"group": s.name}, "result": result, "chain": chain}

@@ -280,6 +280,13 @@ class ResolvedSubject:
         return (f"{x}(x){x} has infinite order in the tensor square "
                 f"{self.invariants.tensor(self.invariants)}")
 
+    @property
+    def theoremC(self) -> TheoremCReport:
+        """On the abelian fast path, Theorem C without a tensor square:
+        G = G^ab is infinite and so is G(x)G, so all seven are false."""
+        return TheoremCReport(self.name,
+                              dict.fromkeys(THEOREM_C_PROPERTIES, False))
+
 
 def _presentation_coker(p: Presentation) -> AbelianInvariants:
     rows = [w.exponent_row(p.ngens) for w in p.relators]
@@ -295,20 +302,22 @@ def resolve_subject(subject: CatalogEntry | Presentation,
     cokernel, takes the abelian fast path without enumerating."""
     entry = subject if isinstance(subject, CatalogEntry) else None
     p = entry.presentation if entry else subject
-    fast = (entry.infinite and bool(entry.abelian) if entry
-            else p.ngens == 1 and not _presentation_coker(p).is_finite())
-    try:
-        if entry:  # an infinite entry is refused at once
-            return ResolvedSubject(entry.name, p, realize_entry(entry, budget))
-        if fast:  # an enumeration could only end in this error
-            raise (budget or default_budget()).cosets_exhausted(
-                EnumerationStats())
-        group, stats = realize_presentation(p, budget)
-        return ResolvedSubject(p.name, p, group, stats=stats)
+    if entry is None and p.ngens == 1:
+        coker = _presentation_coker(p)
+        if not coker.is_finite():  # an enumeration could only exhaust
+            return ResolvedSubject(
+                p.name, p, invariants=coker,
+                unrealized=(budget or default_budget()).cosets_exhausted(
+                    EnumerationStats()))
+    try:  # an infinite entry is refused at once
+        group, stats = ((realize_entry(entry, budget), None) if entry
+                        else realize_presentation(p, budget))
     except BudgetExceeded as exc:
+        fast = entry is not None and entry.infinite and bool(entry.abelian)
         return ResolvedSubject(
             subject.name, p, unrealized=exc,
             invariants=_presentation_coker(p) if fast else None)
+    return ResolvedSubject(subject.name, p, group, stats=stats)
 
 
 def _free_witness_generator(p: Presentation) -> str:
@@ -357,25 +366,37 @@ def finiteness_report(r: TensorRealization) -> FinitenessReport:
         delta_invariants=dinv, embedding_holds=gab.divides_into(dinv))
 
 
+# Theorem C: seven properties of G, equivalent for every group.
+THEOREM_C_PROPERTIES = {
+    "a": "the group is finite",
+    "b": "the set of tensors is finite",
+    "c": "the tensor product subgroup is finite",
+    "d": "derived subgroup locally finite, derived-map kernel periodic",
+    "e": "derived subgroup locally finite, diagonal periodic",
+    "f": "derived subgroup locally finite, symmetrized diagonal periodic",
+    "g": "the tensor square is locally finite",
+}
+
+
 @dataclass(frozen=True)
 class TheoremCReport:
     name: str
     properties: dict[str, bool]
-    unanimous: bool
     evidence: dict[str, int] = field(default_factory=dict)
+
+    @property
+    def unanimous(self) -> bool:
+        return len(set(self.properties.values())) == 1
 
 
 def theoremC_report(r: TensorRealization) -> TheoremCReport:
-    """Evaluate the seven equivalent finiteness properties of G on its
-    tensor square r and check they agree.
+    """Evaluate the seven equivalent finiteness properties of G
+    (THEOREM_C_PROPERTIES) on its tensor square r and check they agree.
 
-    (a) G finite, (b) finitely many tensors, (c) tensor square finite,
-    (d) G' locally finite and the derived-map kernel periodic, (e) same
-    with the diagonal subgroup, (f) same with the symmetrized diagonal,
-    (g) tensor square locally finite.  Local finiteness and periodicity
-    specialize to finiteness in the realized regime.  An infinite G has
-    no tensor square to read; the abelian fast path of `resolve_subject`
-    decides it, with `ResolvedSubject.witness`.
+    Local finiteness and periodicity specialize to finiteness in the
+    realized regime.  An infinite G has no tensor square to read; the
+    abelian fast path of `resolve_subject` decides it, with
+    `ResolvedSubject.theoremC` and `ResolvedSubject.witness`.
     """
     g = r.pair.g
     ts = tensor_set(r)
@@ -398,9 +419,7 @@ def theoremC_report(r: TensorRealization) -> TheoremCReport:
         "f": gprime.order >= 1 and subgroup_exponent(dtsub) >= 1,
         "g": r.group.order >= 1,
     }
-    return TheoremCReport(name=g.name, properties=props,
-                          unanimous=len(set(props.values())) == 1,
-                          evidence=evidence)
+    return TheoremCReport(name=g.name, properties=props, evidence=evidence)
 
 
 @dataclass(frozen=True)

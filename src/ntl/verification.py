@@ -327,7 +327,9 @@ def check_theoremC(store: ProfileStore,
     # Z has no tensor square to read: the abelian fast path decides all
     # seven properties false with an infinite-order tensor as witness.
     z = resolve_subject(catalog_lookup("Z"), budget)
-    if z.invariants is None or "infinite order" not in z.witness:
+    if (z.invariants is None or not z.theoremC.unanimous
+            or any(z.theoremC.properties.values())
+            or "infinite order" not in z.witness):
         bad.append("Z")
     return CheckResult(
         "criterion 8: seven-property unanimity", not bad,

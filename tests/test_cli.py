@@ -108,7 +108,11 @@ class TestBasicCommands:
         rc, record, _ = run_json(capsys, "thmc", "--group", "Z")
         assert rc == 0
         assert record["result"]["order"] == "infinite"
-        assert any("witness" in line for line in record["chain"])
+        chain = record["chain"]
+        assert [line[:3] for line in chain[:7]] == [f"({k})" for k in "abcdefg"]
+        assert all(line.endswith(": false") for line in chain[:7])
+        assert chain[7:] == ["unanimous: true", "witness: a(x)a has infinite "
+                             "order in the tensor square Z"]
 
     def test_finiteness(self, capsys):
         rc, record, _ = run_json(capsys, "finiteness", "--group", "S3")

@@ -286,6 +286,9 @@ class TestTheoremC:
     def test_z_all_false_with_witness(self):
         s = resolve_subject(catalog_lookup("Z"))
         assert s.group is None
+        rep = s.theoremC
+        assert rep.unanimous
+        assert rep.properties == dict.fromkeys("abcdefg", False)
         assert "a(x)a" in s.witness
         assert "infinite order" in s.witness
 
