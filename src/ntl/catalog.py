@@ -6,8 +6,8 @@ import re
 from dataclasses import dataclass, field
 from math import factorial, prod
 
-from .coset import (EnumerationBudget, EnumerationStats, default_budget,
-                    realize_presentation)
+from .coset import (CosetTally, EnumerationBudget, EnumerationStats,
+                    default_budget, realize_presentation)
 from .errors import BudgetExceeded, UnknownCatalogName
 from .groups import RealizedGroup
 from .words import Presentation, Word, commutator
@@ -178,7 +178,8 @@ def realize_entry(entry: CatalogEntry,
         if stats.cosets_defined > budget.max_cosets:
             raise budget.cosets_exhausted(stats)
         return group
-    group, stats = realize_presentation(entry.presentation, budget)
+    with CosetTally():  # the cache is shared, so no command pays for it
+        group, stats = realize_presentation(entry.presentation, budget)
     order = entry.known_facts.get("order")
     if order is not None and group.order != order:
         raise UnknownCatalogName(

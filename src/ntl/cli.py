@@ -12,11 +12,11 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import catalog_lookup
-from .coset import EnumerationBudget, default_budget
+from .coset import CosetTally, EnumerationBudget, default_budget
 from .errors import NotAbelian, NtlError, Undecided
 from .groups import (RealizedGroup, abelian_structure, closure,
                      subgroup_as_group)
@@ -26,13 +26,13 @@ from .homotopy import (THEOREM_C_PROPERTIES, PushoutInput, ResolvedSubject,
                        burnside_exponent_check, finiteness_report,
                        pi3_suspension_K, pushout_EM, resolve_subject,
                        schur_multiplier, stable_pi2_K, theoremC_report,
-                       three_connected_check, wedge_pi3)
+                       three_connected_check, triad_group, wedge_pi3)
 from .parsing import parse_file, parse_words_text
 from .report import (group_result, invariants_result, render_text,
                      serialize_report)
-from .tensor import (TensorRealization, build_eta, build_nu,
-                     conjugation_pair, delta, delta_tilde, tensor_set,
-                     trivial_pair, validate_compatibility)
+from .tensor import (build_eta, build_nu, conjugation_pair, delta,
+                     delta_tilde, tensor_set, trivial_pair,
+                     validate_compatibility)
 from .verification import run_catalog_suite, run_file_suite
 
 
@@ -46,18 +46,13 @@ class RunConfig:
     args: argparse.Namespace
     budget: EnumerationBudget | None
     json_out: bool
-    stats: list = field(default_factory=list)
 
-    def track(self, *stats) -> None:
-        self.stats.extend(s for s in stats if s is not None)
 
-    def stats_block(self, t0: float) -> dict:
-        """The `stats` block of every report: the cosets defined by the
-        tracked enumerations and the command's wall time since t0."""
-        return {
-            "cosets_defined": sum(s.cosets_defined for s in self.stats),
-            "elapsed_ms": int((time.monotonic() - t0) * 1000),
-        }
+def _stats_block(spent: CosetTally, t0: float) -> dict:
+    """The `stats` block of every report: the cosets defined by the
+    command's enumerations and its wall time since t0."""
+    return {"cosets_defined": spent.cosets_defined,
+            "elapsed_ms": int((time.monotonic() - t0) * 1000)}
 
 
 def _budget_from(args: argparse.Namespace) -> EnumerationBudget | None:
@@ -170,8 +165,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 def _resolve(cfg: RunConfig, value: str) -> ResolvedSubject:
     """The group `value` names (a catalog name, or a file that defines
-    exactly one group) resolved once; the enumeration that realized it
-    is tracked."""
+    exactly one group) resolved once."""
     if os.path.isfile(value):
         text = Path(value).read_text(encoding="utf-8")
         groups, _ = parse_file(
@@ -182,9 +176,7 @@ def _resolve(cfg: RunConfig, value: str) -> ResolvedSubject:
         subject = next(iter(groups.values()))
     else:
         subject = catalog_lookup(value)
-    resolved = resolve_subject(subject, cfg.budget)
-    cfg.track(resolved.stats)
-    return resolved
+    return resolve_subject(subject, cfg.budget)
 
 
 def _resolve_actions(cfg: RunConfig, g: RealizedGroup, h: RealizedGroup):
@@ -241,23 +233,15 @@ def _pushout_input(cfg: RunConfig) -> PushoutInput:
 
 def _eta_input(cfg: RunConfig):
     """The pair of `--group` and `--other` with its eta build and the
-    query naming them; every stats block is tracked."""
+    query naming them."""
     pair, query = _pair_inputs(cfg)
-    r = build_eta(pair, cfg.budget)
-    cfg.track(r.stats)
-    return r, query
-
-
-def _nu_build(cfg: RunConfig, g: RealizedGroup) -> TensorRealization:
-    r = build_nu(g, cfg.budget)
-    cfg.track(r.stats)
-    return r
+    return build_eta(pair, cfg.budget), query
 
 
 def _nu_input(cfg: RunConfig):
-    """`--group` realized, with its nu build; both stats are tracked."""
+    """`--group` realized, with its nu build."""
     g = _resolve(cfg, cfg.args.group).realized()
-    return g, _nu_build(cfg, g)
+    return g, build_nu(g, cfg.budget)
 
 
 # -- handlers -------------------------------------------------------------------
@@ -332,12 +316,13 @@ def _cmd_triad(cfg: RunConfig) -> dict:
     args = cfg.args
     if min(args.p, args.q) < 1:  # before anything is built
         raise _UsageError("connectivity degrees must be >= 1")
-    r, query = _eta_input(cfg)
-    t = TriadInput(r.pair.g, r.pair.h, r.pair, args.p, args.q)
+    pair, query = _pair_inputs(cfg)
+    group, dimension = triad_group(
+        TriadInput(pair.g, pair.h, pair, args.p, args.q), cfg.budget)
     query = dict(query, p=args.p, q=args.q)
-    return {"query": query, "result": group_result(r.group),
+    return {"query": query, "result": group_result(group),
             "chain": [f"triad group lives in dimension p+q+1 = "
-                      f"{t.dimension}"]}
+                      f"{dimension}"]}
 
 
 def _cmd_wedge(cfg: RunConfig) -> dict:
@@ -364,7 +349,6 @@ def _cmd_wedge(cfg: RunConfig) -> dict:
 def _cmd_pushout(cfg: RunConfig) -> dict:
     p = _pushout_input(cfg)
     res = pushout_EM(p, cfg.budget)
-    cfg.track(res.build.stats)
     chain = [
         f"pi2 = (M cap N)/[M,N]: order {res.pi2.order}, invariants "
         f"{list(abelian_structure(res.pi2).factors)}",
@@ -378,7 +362,6 @@ def _cmd_pushout(cfg: RunConfig) -> dict:
 def _cmd_three_connected(cfg: RunConfig) -> dict:
     p = _pushout_input(cfg)
     rep = three_connected_check(p, cfg.budget)
-    cfg.track(rep.result.build.stats)
     chain = [
         f"pi1 trivial: {str(rep.pi1_trivial).lower()}",
         f"pi2 order: {rep.pi2_order}",
@@ -392,7 +375,7 @@ def _cmd_three_connected(cfg: RunConfig) -> dict:
 def _cmd_thmc(cfg: RunConfig) -> dict:
     s = _resolve(cfg, cfg.args.group)
     if s.group is not None:
-        rep, witness = theoremC_report(_nu_build(cfg, s.group)), ""
+        rep, witness = theoremC_report(build_nu(s.group, cfg.budget)), ""
         result = group_result(s.group,
                               tensor_count_m=rep.evidence["tensor_count_m"])
     elif s.invariants is not None:  # G = G^ab is infinite, so is G(x)G
@@ -421,7 +404,7 @@ def _cmd_finiteness(cfg: RunConfig) -> dict:
         return {"query": query, "result": {"order": "undetermined"},
                 "chain": [f"undetermined - consistent with infinite "
                           f"({s.unrealized})"]}
-    rep = finiteness_report(_nu_build(cfg, s.group))
+    rep = finiteness_report(build_nu(s.group, cfg.budget))
     chain = [
         f"|G^ab| = {rep.gab_order} with invariants "
         f"{list(rep.gab_invariants.factors)}",
@@ -472,16 +455,15 @@ def _cmd_exponent_check(cfg: RunConfig) -> dict:
 def _cmd_verify(cfg: RunConfig) -> int:
     args = cfg.args
     t0 = time.monotonic()
-    if args.file is not None:
-        text = Path(args.file).read_text(encoding="utf-8")
-        results = run_file_suite(text, cfg.budget)
-    else:
-        results = run_catalog_suite(
-            budget=cfg.budget, fault=bool(args.fault_skip_eta_relators))
-    for r in results:
-        cfg.track(*r.stats)
+    with CosetTally() as spent:
+        if args.file is not None:
+            text = Path(args.file).read_text(encoding="utf-8")
+            results = run_file_suite(text, cfg.budget)
+        else:
+            results = run_catalog_suite(
+                budget=cfg.budget, fault=bool(args.fault_skip_eta_relators))
     ok = all(r.passed for r in results)
-    stats = cfg.stats_block(t0)
+    stats = _stats_block(spent, t0)
     if cfg.json_out:
         record = {"checks": [{"name": r.name, "passed": r.passed,
                               "detail": r.detail,
@@ -521,9 +503,10 @@ def dispatch(cfg: RunConfig) -> int:
     if cfg.command == "verify":
         return _cmd_verify(cfg)
     t0 = time.monotonic()
-    record = _HANDLERS[cfg.command](cfg)
+    with CosetTally() as spent:
+        record = _HANDLERS[cfg.command](cfg)
     record.setdefault("query", {})["command"] = cfg.command
-    record["stats"] = cfg.stats_block(t0)
+    record["stats"] = _stats_block(spent, t0)
     if cfg.json_out:
         sys.stdout.write(serialize_report(record))
     else:

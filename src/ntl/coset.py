@@ -13,13 +13,15 @@ check traces every relator at every coset once more and reports an open one
 as an engine bug, never as a reason to go on enumerating.
 
 Definitions use the first undefined entry in row-major order, so identical
-inputs give identical tables and stats.
+inputs give identical tables and stats.  Every run adds its cosets to the
+innermost open `CosetTally`, which is how a command counts its work.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextvars import ContextVar
 from dataclasses import dataclass
 
 import numpy as np
@@ -64,6 +66,27 @@ class EnumerationStats:
     cosets_final: int = 0
     coincidences: int = 0
     elapsed_ms: int = 0
+
+
+class CosetTally:
+    """The cosets defined by every enumeration run while the tally is
+    open, those that raise BudgetExceeded included.  Tallies nest: a run
+    counts towards the innermost open tally only."""
+
+    def __init__(self):
+        self.cosets_defined = 0
+
+    def __enter__(self) -> "CosetTally":
+        self._token = _OPEN_TALLY.set(self)
+        return self
+
+    def __exit__(self, *exc_info) -> None:
+        _OPEN_TALLY.reset(self._token)
+
+
+# Runs outside every tally go to a process-wide one that nothing reads.
+_OPEN_TALLY: ContextVar[CosetTally] = ContextVar("ntl_coset_tally",
+                                                 default=CosetTally())
 
 
 @dataclass(frozen=True)
@@ -281,10 +304,17 @@ def enumerate_cosets(p: Presentation,
     """Enumerate the cosets of the trivial subgroup in the presented group.
 
     Raises BudgetExceeded rather than ever returning a truncated table.
+    Either way the run's cosets are added to the open `CosetTally`.
     """
     if budget is None:
         budget = default_budget()
-    rows, n, stats = _Enumerator(p, budget).run()
+    tally = _OPEN_TALLY.get()
+    try:
+        rows, n, stats = _Enumerator(p, budget).run()
+    except BudgetExceeded as exc:
+        tally.cosets_defined += exc.stats.cosets_defined
+        raise
+    tally.cosets_defined += stats.cosets_defined
     return CosetTable(rows=rows, coset_count=n, presentation=p), stats
 
 

@@ -253,17 +253,14 @@ def three_connected_check(p: PushoutInput,
 class ResolvedSubject:
     """A group input, resolved once for whatever reads it.
 
-    `group` is its realization, with the `stats` of the enumeration that
-    made it (a catalog entry comes from the shared cache and has none).
-    Without a realization, `unrealized` is the BudgetExceeded that stands
-    for it, and an infinite abelian input carries its invariant factors in
-    `invariants`: the abelian fast path."""
+    `group` is its realization.  Without one, `unrealized` is the
+    BudgetExceeded that stands for it, and an infinite abelian input
+    carries its invariant factors in `invariants`: the abelian fast path."""
 
     name: str
     presentation: Presentation
     group: RealizedGroup | None = None
     invariants: AbelianInvariants | None = None
-    stats: EnumerationStats | None = None
     unrealized: BudgetExceeded | None = None
 
     def realized(self) -> RealizedGroup:
@@ -310,14 +307,14 @@ def resolve_subject(subject: CatalogEntry | Presentation,
                 unrealized=(budget or default_budget()).cosets_exhausted(
                     EnumerationStats()))
     try:  # an infinite entry is refused at once
-        group, stats = ((realize_entry(entry, budget), None) if entry
-                        else realize_presentation(p, budget))
+        group = (realize_entry(entry, budget) if entry
+                 else realize_presentation(p, budget)[0])
     except BudgetExceeded as exc:
         fast = entry is not None and entry.infinite and bool(entry.abelian)
         return ResolvedSubject(
             subject.name, p, unrealized=exc,
             invariants=_presentation_coker(p) if fast else None)
-    return ResolvedSubject(subject.name, p, group, stats=stats)
+    return ResolvedSubject(subject.name, p, group)
 
 
 def _free_witness_generator(p: Presentation) -> str:

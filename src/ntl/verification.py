@@ -3,13 +3,12 @@
 Each corpus member is built once per run, by one commutator-pairing build
 and one direct build, and kept as a `Profile`: the realization T of the
 eta route with eta and its presentation dropped, plus what the two
-builds alone can tell (route agreement, the decomposition identity,
-timings and stats).  Every check reads J2, the diagonals, H2, pi2S and
-the Theorem C and finiteness reports from the memoized invariants layer
-on that T (`tensor` and `homotopy`), so nothing is computed twice and a
+builds alone can tell (route agreement, the decomposition identity and
+timings).  Every check reads J2, the diagonals, H2, pi2S and the
+Theorem C and finiteness reports from the memoized invariants layer on
+that T (`tensor` and `homotopy`), so nothing is computed twice and a
 fault injected into one layer function reaches every check that reads
-it.  Each check carries the stats of the enumerations it ran, so
-`ntl verify` reports the cosets of the whole battery.
+it.
 """
 
 from __future__ import annotations
@@ -23,8 +22,7 @@ import numpy as np
 from .abelian import AbelianInvariants
 from .catalog import (CatalogEntry, catalog_lookup, finite_corpus,
                       realize_entry)
-from .coset import (EnumerationBudget, EnumerationStats,
-                    realize_presentation)
+from .coset import EnumerationBudget, realize_presentation
 from .errors import NtlError
 from .groups import closure, derived_subgroup
 from .homotopy import (PushoutInput, bound_pushout_pi3, bound_theorem_A,
@@ -46,7 +44,6 @@ class CheckResult:
     passed: bool
     detail: str
     elapsed_ms: int = 0
-    stats: list[EnumerationStats] = field(default_factory=list)
 
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
@@ -68,7 +65,6 @@ class Profile:
 
     name: str
     r: TensorRealization
-    direct_stats: EnumerationStats
     routes_agree: bool
     decomposition_ok: bool
     build_ms: int
@@ -120,7 +116,6 @@ def _profile(name: str, pair: CompatibleActionPair,
     direct_ms = _ms_since(t0)
     return Profile(
         name=name, r=replace(r, eta=None, presentation=None),
-        direct_stats=direct.stats,
         routes_agree=_same_tensor(r, direct),
         decomposition_ok=(r.eta.order
                           == r.group.order * pair.g.order * pair.h.order),
@@ -197,8 +192,7 @@ def check_decomposition(store: ProfileStore) -> CheckResult:
     if not within:
         detail += " (over the 60 s budget)"
     return CheckResult("criterion 1: decomposition identity",
-                       not bad and within, detail, elapsed_ms=build_ms,
-                       stats=[p.r.stats for p in profiles])
+                       not bad and within, detail, elapsed_ms=build_ms)
 
 
 @_timed
@@ -215,8 +209,7 @@ def check_route_equivalence(store: ProfileStore) -> CheckResult:
     if not within:
         detail += " (over the 60 s budget)"
     return CheckResult("criterion 2: route equivalence",
-                       not bad and within, detail, elapsed_ms=direct_ms,
-                       stats=[p.direct_stats for p in profiles])
+                       not bad and within, detail, elapsed_ms=direct_ms)
 
 
 @_timed
@@ -224,7 +217,6 @@ def check_abelian_reduction(budget: EnumerationBudget | None,
                             store: ProfileStore) -> CheckResult:
     t0 = time.monotonic()
     bad = []
-    stats = []
     for m in range(1, 13):
         gm = realize_entry(catalog_lookup(f"C{m}"), budget)
         for n in range(1, 13):
@@ -235,7 +227,6 @@ def check_abelian_reduction(budget: EnumerationBudget | None,
             if held is None:
                 gn = realize_entry(catalog_lookup(f"C{n}"), budget)
                 r = build_eta(trivial_pair(gm, gn), budget)
-                stats.append(r.stats)
             else:
                 r = held.r
             t = r.group
@@ -259,8 +250,7 @@ def check_abelian_reduction(budget: EnumerationBudget | None,
               "abelianization oracle")
     if bad:
         detail = "; ".join(bad[:3])
-    return CheckResult("criterion 3: abelian reduction", ok, detail,
-                       stats=stats)
+    return CheckResult("criterion 3: abelian reduction", ok, detail)
 
 
 @_timed
@@ -355,8 +345,7 @@ def check_pushout(budget: EnumerationBudget | None) -> CheckResult:
               f"C2xC2 with M=N=G: |pi2|={res.pi2.order}, "
               f"|pi3|={res.pi3.order}")
     return CheckResult("criterion 9: homotopy pushout values",
-                       ok1 and ok2, detail,
-                       stats=[rep.result.build.stats, res.build.stats])
+                       ok1 and ok2, detail)
 
 
 @_timed
@@ -402,13 +391,10 @@ def check_performance(store: ProfileStore) -> CheckResult:
         f"{worst.r.stats}" if not slow else "; ".join(slow))
 
 
-def _fault_scan(budget: EnumerationBudget | None
-                ) -> tuple[bool, str, list[EnumerationStats]]:
+def _fault_scan(budget: EnumerationBudget | None) -> tuple[bool, str]:
     """Rebuild the criterion-1 corpus with the pairing relators dropped.
     Returns whether the decomposition check broke, with the first pair where
-    it did, and the stats of every enumeration run, the exhausted one
-    included."""
-    stats = []
+    it did."""
     for a, b in pair_corpus():
         g = realize_entry(a)
         h = realize_entry(b)
@@ -416,26 +402,21 @@ def _fault_scan(budget: EnumerationBudget | None
             r = build_eta(trivial_pair(g, h), budget or FAULT_BUDGET,
                           skip_pairing_relators=True)
         except NtlError as exc:
-            spent = getattr(exc, "stats", None)
-            if spent is not None:
-                stats.append(spent)
             return True, (f"fault exposed at {a.name}(x){b.name}: "
-                          f"{exc.code}: {exc}"), stats
-        stats.append(r.stats)
+                          f"{exc.code}: {exc}")
         if r.eta.order != r.group.order * g.order * h.order:
             return True, (f"fault exposed at {a.name}(x){b.name}: "
                           f"|eta|={r.eta.order} != {r.group.order}"
-                          f"*{g.order}*{h.order}"), stats
-    return False, "dropping the pairing relators went unnoticed", stats
+                          f"*{g.order}*{h.order}")
+    return False, "dropping the pairing relators went unnoticed"
 
 
 @_timed
 def check_negative_control() -> CheckResult:
     """The fault must break the decomposition check somewhere, or the suite
     is blind."""
-    exposed, detail, stats = _fault_scan(None)
-    return CheckResult("criterion 13: negative control", exposed, detail,
-                       stats=stats)
+    exposed, detail = _fault_scan(None)
+    return CheckResult("criterion 13: negative control", exposed, detail)
 
 
 @_timed
@@ -467,7 +448,7 @@ def check_pairing_certificate(budget: EnumerationBudget | None
         "invariant: element-triple certificate", holds and rejects,
         f"certificate {'holds' if holds else 'FAILS'} on {r.eta.name} with "
         f"its own actions and {'rejects' if rejects else 'ACCEPTS'} it "
-        "under trivial actions", stats=[r.stats])
+        "under trivial actions")
 
 
 def run_catalog_suite(budget: EnumerationBudget | None = None,
@@ -479,10 +460,10 @@ def run_catalog_suite(budget: EnumerationBudget | None = None,
     the suite's sensitivity and exits nonzero.
     """
     if fault:
-        exposed, detail, stats = _fault_scan(budget)
+        exposed, detail = _fault_scan(budget)
         return [CheckResult(
             "criterion 1: decomposition identity (fault injected)",
-            not exposed, detail, stats=stats)]
+            not exposed, detail)]
 
     store = build_profiles(budget)
     return [
@@ -516,15 +497,14 @@ def run_file_suite(text: str,
         try:
             grp, stats = realize_presentation(pres, budget)
         except NtlError as exc:
-            spent = getattr(exc, "stats", None)
             results.append(CheckResult(
                 f"{name}: realization", False, f"{exc.code}: {exc}",
-                _ms_since(t0), [spent] if spent is not None else []))
+                _ms_since(t0)))
             continue
         results.append(CheckResult(
             f"{name}: realization", True,
             f"order {grp.order}, {stats.cosets_defined} cosets defined",
-            _ms_since(t0), [stats]))
+            _ms_since(t0)))
         if grp.order ** 2 > ETA_SIZE_CAP:
             results.append(CheckResult(
                 f"{name}: conjugation build", True,
@@ -543,7 +523,7 @@ def run_file_suite(text: str,
             f"{'agree' if agree else 'DIFFER'}, sequences "
             f"{'hold' if prods else 'FAIL'}, seven-property "
             f"{'unanimous' if thmc.unanimous else 'split'}",
-            _ms_since(t0), [p.r.stats, p.direct_stats]))
+            _ms_since(t0)))
     for spec in actions:
         results.append(CheckResult(
             f"action {spec.name}: parsed", True,

@@ -102,6 +102,25 @@ def test_criterion_03_abelian_reduction(store):
     assert r.elapsed_ms <= 30_000
 
 
+def test_criterion_03_fails_when_each_pair_builds_its_first_square(
+        monkeypatch):
+    # Cm(x)Cn is built as Cm(x)Cm, so C4(x)C6 has order 4, not gcd 2; with
+    # an empty store every cyclic pair goes through the faulted build.
+    # Each square is built once: the fault gives it for every Cn alike.
+    squares = {}
+    build_eta = verification.build_eta
+
+    def squared(pair, budget=None, **kwargs):
+        g = pair.g
+        if g.name not in squares:
+            squares[g.name] = build_eta(tensor.trivial_pair(g, g), budget,
+                                        **kwargs)
+        return squares[g.name]
+    monkeypatch.setattr(verification, "build_eta", squared)
+    r = _faulted(check_abelian_reduction(None, ProfileStore()))
+    assert r.detail.startswith("C2(x)C1: got ")
+
+
 def test_criterion_03_builds_only_what_the_store_lacks(store, monkeypatch):
     # Cm(x)Cn with m <= n and mn <= 36 is a stored pair and Cn(x)Cn is
     # nu(Cn): 49 of the 144 cyclic pairs, so 95 are built.
@@ -185,6 +204,13 @@ def test_criterion_09_pushout_values():
     _gate(check_pushout(None))
 
 
+def test_criterion_09_fails_when_pi3_is_lost(monkeypatch):
+    monkeypatch.setattr(homotopy, "pi3_suspension_K",
+                        lambda r: trivial_group())
+    r = _faulted(check_pushout(None))
+    assert r.detail.endswith("|pi2|=4, |pi3|=1")
+
+
 def test_criterion_10_wedge_prufer_analog():
     _gate(check_wedge_prufer_analog())
 
@@ -240,10 +266,12 @@ def test_catalog_suite_runs_fifteen_named_checks(store, monkeypatch):
     assert len(names) == len(set(names)) == 15
 
 
+@pytest.mark.parametrize("fault", [[], ["--fault-skip-eta-relators"]],
+                         ids=["battery", "fault"])
 def test_verify_reports_the_cosets_of_every_enumeration(monkeypatch,
-                                                        capsys):
-    # Catalog groups are realized first: cached realizations are not
-    # counted, as in every other command.
+                                                        capsys, fault):
+    # Catalog groups are realized first: filling the shared cache is
+    # charged to no command, but the wrapper below would see it.
     for entry in finite_corpus():
         realize_entry(entry)
     spent = []
@@ -259,9 +287,10 @@ def test_verify_reports_the_cosets_of_every_enumeration(monkeypatch,
         return table, stats
 
     monkeypatch.setattr(coset, "enumerate_cosets", counted)
-    rc = main(["verify", "--json"])
+    rc = main(["verify", *fault, "--json"])
     record = json.loads(capsys.readouterr().out)
-    assert rc == 0 and record["passed"]
+    # under the fault, criterion 13's exhausted attempt is counted too
+    assert (rc, record["passed"]) == ((1, False) if fault else (0, True))
     assert record["stats"]["cosets_defined"] == sum(
         s.cosets_defined for s in spent)
     assert record["stats"]["elapsed_ms"] >= 0

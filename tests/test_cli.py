@@ -2,6 +2,7 @@ import json
 
 import pytest
 
+from ntl import catalog
 from ntl.cli import _budget_from, build_parser, main
 from ntl.coset import EnumerationBudget, _Enumerator
 from ntl.errors import ALL_ERRORS
@@ -140,6 +141,15 @@ class TestBasicCommands:
         _, nu, _ = run_json(capsys, "nu", "--group", "S3")
         assert thmc["stats"]["cosets_defined"] == \
             nu["stats"]["cosets_defined"] == 2487
+
+    def test_a_cold_catalog_cache_costs_the_command_nothing(self, capsys,
+                                                            monkeypatch):
+        monkeypatch.setattr(catalog, "_REALIZED", {})
+        _, cold, _ = run_json(capsys, "nu", "--group", "S3")
+        assert "S3" in catalog._REALIZED  # the cold run filled the cache
+        _, warm, _ = run_json(capsys, "nu", "--group", "S3")
+        assert cold["stats"]["cosets_defined"] == \
+            warm["stats"]["cosets_defined"] == 2487
 
     def test_triad_reports_the_eta_build(self, capsys):
         _, triad, _ = run_json(capsys, "triad", "--group", "S3",
@@ -324,6 +334,16 @@ class TestFilesAndEnv:
                                "--max-cosets", "1000")
             assert (rc, out) == (1, "")
             assert err == f"error BudgetExceeded: {reason}\n"
+
+    def test_undetermined_finiteness_counts_the_exhausted_enumeration(
+            self, capsys, tmp_path):
+        f = tmp_path / "F.grp"
+        f.write_text("group F { gens: a b; }")
+        rc, record, _ = run_json(capsys, "finiteness", "--group", str(f),
+                                 "--max-cosets", "500")
+        assert rc == 0
+        assert record["result"] == {"order": "undetermined"}
+        assert record["stats"]["cosets_defined"] == 501
 
     def test_action_file(self, capsys, tmp_path):
         f = tmp_path / "acts.act"
