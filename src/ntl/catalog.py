@@ -6,8 +6,8 @@ import re
 from dataclasses import dataclass, field
 from math import factorial, prod
 
-from .coset import (CosetTally, EnumerationBudget, EnumerationStats,
-                    default_budget, realize_presentation)
+from .coset import (CosetTally, EnumerationStats, current_budget,
+                    realize_presentation)
 from .errors import BudgetExceeded, UnknownCatalogName
 from .groups import RealizedGroup
 from .words import Presentation, Word, commutator
@@ -158,14 +158,13 @@ def finite_corpus() -> tuple[CatalogEntry, ...]:
 _REALIZED: dict[str, tuple[RealizedGroup, EnumerationStats]] = {}
 
 
-def realize_entry(entry: CatalogEntry,
-                  budget: EnumerationBudget | None = None) -> RealizedGroup:
+def realize_entry(entry: CatalogEntry) -> RealizedGroup:
     """Realize a catalog entry, caching by name.
 
     Entries flagged infinite are rejected up front: no coset budget can
     complete them, and the error says so instead of spinning.  A cached
-    group is returned only when its enumeration fits the budget, so a hit
-    raises the BudgetExceeded a fresh enumeration would.
+    group is returned only when its enumeration fits `current_budget()`,
+    so a hit raises the BudgetExceeded a fresh enumeration would.
     """
     if entry.infinite:
         raise BudgetExceeded(
@@ -174,12 +173,12 @@ def realize_entry(entry: CatalogEntry,
     cached = _REALIZED.get(entry.name)
     if cached is not None:
         group, stats = cached
-        budget = budget or default_budget()
+        budget = current_budget()
         if stats.cosets_defined > budget.max_cosets:
             raise budget.cosets_exhausted(stats)
         return group
     with CosetTally():  # the cache is shared, so no command pays for it
-        group, stats = realize_presentation(entry.presentation, budget)
+        group, stats = realize_presentation(entry.presentation)
     order = entry.known_facts.get("order")
     if order is not None and group.order != order:
         raise UnknownCatalogName(
@@ -189,6 +188,5 @@ def realize_entry(entry: CatalogEntry,
     return group
 
 
-def realize_name(name: str,
-                 budget: EnumerationBudget | None = None) -> RealizedGroup:
-    return realize_entry(catalog_lookup(name), budget)
+def realize_name(name: str) -> RealizedGroup:
+    return realize_entry(catalog_lookup(name))

@@ -12,11 +12,11 @@ import argparse
 import os
 import sys
 import time
-from dataclasses import dataclass
 from pathlib import Path
 
 from .catalog import catalog_lookup
-from .coset import CosetTally, EnumerationBudget, default_budget
+from .coset import (CosetTally, EnumerationBudget, budget_scope,
+                    default_budget)
 from .errors import NotAbelian, NtlError, Undecided
 from .groups import (RealizedGroup, abelian_structure, closure,
                      subgroup_as_group)
@@ -38,14 +38,6 @@ from .verification import run_catalog_suite, run_file_suite
 
 class _UsageError(Exception):
     pass
-
-
-@dataclass
-class RunConfig:
-    command: str
-    args: argparse.Namespace
-    budget: EnumerationBudget | None
-    json_out: bool
 
 
 def _stats_block(spent: CosetTally, t0: float) -> dict:
@@ -80,7 +72,7 @@ def build_parser() -> argparse.ArgumentParser:
     common.add_argument("--max-cosets", type=int, default=None,
                         help="coset budget (overrides NTL_MAX_COSETS)")
     common.add_argument("--budget-ms", type=int, default=None,
-                        help="wall-clock budget per enumeration")
+                        help="wall-clock budget per command")
 
     pair_flags = argparse.ArgumentParser(add_help=False)
     pair_flags.add_argument("--group", required=True,
@@ -163,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
 # -- input resolution ----------------------------------------------------------
 
 
-def _resolve(cfg: RunConfig, value: str) -> ResolvedSubject:
+def _resolve(value: str) -> ResolvedSubject:
     """The group `value` names (a catalog name, or a file that defines
     exactly one group) resolved once."""
     if os.path.isfile(value):
@@ -176,11 +168,11 @@ def _resolve(cfg: RunConfig, value: str) -> ResolvedSubject:
         subject = next(iter(groups.values()))
     else:
         subject = catalog_lookup(value)
-    return resolve_subject(subject, cfg.budget)
+    return resolve_subject(subject)
 
 
-def _resolve_actions(cfg: RunConfig, g: RealizedGroup, h: RealizedGroup):
-    args = cfg.args
+def _resolve_actions(args: argparse.Namespace, g: RealizedGroup,
+                     h: RealizedGroup):
     chosen = [bool(args.trivial_actions), bool(args.conjugation),
               args.action is not None]
     if sum(chosen) > 1:
@@ -209,12 +201,11 @@ def _resolve_actions(cfg: RunConfig, g: RealizedGroup, h: RealizedGroup):
     return conjugation_pair(g), "conjugation"
 
 
-def _pair_inputs(cfg: RunConfig):
-    args = cfg.args
-    g = _resolve(cfg, args.group).realized()
+def _pair_inputs(args: argparse.Namespace):
+    g = _resolve(args.group).realized()
     other = args.other if args.other is not None else args.group
-    h = g if other == args.group else _resolve(cfg, other).realized()
-    pair, action_kind = _resolve_actions(cfg, g, h)
+    h = g if other == args.group else _resolve(other).realized()
+    pair, action_kind = _resolve_actions(args, g, h)
     query = {"group": g.name, "other": h.name, "actions": action_kind}
     return pair, query
 
@@ -224,37 +215,37 @@ def _subgroup_from_words(g: RealizedGroup, text: str):
     return closure(g, [g.evaluate(w) for w in words])
 
 
-def _pushout_input(cfg: RunConfig) -> PushoutInput:
+def _pushout_input(args: argparse.Namespace) -> PushoutInput:
     """`--group` with its `--m` and `--n` subgroups."""
-    g = _resolve(cfg, cfg.args.group).realized()
-    return PushoutInput(g, _subgroup_from_words(g, cfg.args.m),
-                        _subgroup_from_words(g, cfg.args.n))
+    g = _resolve(args.group).realized()
+    return PushoutInput(g, _subgroup_from_words(g, args.m),
+                        _subgroup_from_words(g, args.n))
 
 
-def _eta_input(cfg: RunConfig):
+def _eta_input(args: argparse.Namespace):
     """The pair of `--group` and `--other` with its eta build and the
     query naming them."""
-    pair, query = _pair_inputs(cfg)
-    return build_eta(pair, cfg.budget), query
+    pair, query = _pair_inputs(args)
+    return build_eta(pair), query
 
 
-def _nu_input(cfg: RunConfig):
+def _nu_input(args: argparse.Namespace):
     """`--group` realized, with its nu build."""
-    g = _resolve(cfg, cfg.args.group).realized()
-    return g, build_nu(g, cfg.budget)
+    g = _resolve(args.group).realized()
+    return g, build_nu(g)
 
 
 # -- handlers -------------------------------------------------------------------
 
 
-def _cmd_tensor(cfg: RunConfig) -> dict:
-    r, query = _eta_input(cfg)
+def _cmd_tensor(args: argparse.Namespace) -> dict:
+    r, query = _eta_input(args)
     return {"query": query,
             "result": group_result(r.group, tensor_count_m=tensor_set(r).m)}
 
 
-def _cmd_eta(cfg: RunConfig) -> dict:
-    r, query = _eta_input(cfg)
+def _cmd_eta(args: argparse.Namespace) -> dict:
+    r, query = _eta_input(args)
     chain = [f"decomposition: {r.eta.order} = {r.group.order} * "
              f"{r.pair.g.order} * {r.pair.h.order}"]
     return {"query": query,
@@ -262,8 +253,8 @@ def _cmd_eta(cfg: RunConfig) -> dict:
             "chain": chain}
 
 
-def _cmd_nu(cfg: RunConfig) -> dict:
-    g, r = _nu_input(cfg)
+def _cmd_nu(args: argparse.Namespace) -> dict:
+    g, r = _nu_input(args)
     chain = [f"decomposition: {r.eta.order} = {r.group.order} * "
              f"{g.order} * {g.order}"]
     return {"query": {"group": g.name, "actions": "conjugation"},
@@ -271,8 +262,8 @@ def _cmd_nu(cfg: RunConfig) -> dict:
             "chain": chain}
 
 
-def _cmd_tensors(cfg: RunConfig) -> dict:
-    r, query = _eta_input(cfg)
+def _cmd_tensors(args: argparse.Namespace) -> dict:
+    r, query = _eta_input(args)
     ts = tensor_set(r)
     chain = [f"tensor subgroup order {r.group.order}; "
              f"{ts.m} distinct tensors"]
@@ -290,9 +281,9 @@ def _cmd_tensors(cfg: RunConfig) -> dict:
             "chain": chain}
 
 
-def _cmd_invariant(cfg: RunConfig) -> dict:
-    g, r = _nu_input(cfg)
-    kind = cfg.args.kind
+def _cmd_invariant(args: argparse.Namespace) -> dict:
+    g, r = _nu_input(args)
+    kind = args.kind
     if kind == "j2":
         grp = pi3_suspension_K(r)
         chain = ["kernel of the derived map inside the tensor square"]
@@ -312,25 +303,23 @@ def _cmd_invariant(cfg: RunConfig) -> dict:
             "result": group_result(grp), "chain": chain}
 
 
-def _cmd_triad(cfg: RunConfig) -> dict:
-    args = cfg.args
+def _cmd_triad(args: argparse.Namespace) -> dict:
     if min(args.p, args.q) < 1:  # before anything is built
         raise _UsageError("connectivity degrees must be >= 1")
-    pair, query = _pair_inputs(cfg)
+    pair, query = _pair_inputs(args)
     group, dimension = triad_group(
-        TriadInput(pair.g, pair.h, pair, args.p, args.q), cfg.budget)
+        TriadInput(pair.g, pair.h, pair, args.p, args.q))
     query = dict(query, p=args.p, q=args.q)
     return {"query": query, "result": group_result(group),
             "chain": [f"triad group lives in dimension p+q+1 = "
                       f"{dimension}"]}
 
 
-def _cmd_wedge(cfg: RunConfig) -> dict:
-    args = cfg.args
+def _cmd_wedge(args: argparse.Namespace) -> dict:
     other = args.other or args.group
-    subjects = [_resolve(cfg, args.group)]
+    subjects = [_resolve(args.group)]
     subjects.append(subjects[0] if other == args.group
-                    else _resolve(cfg, other))
+                    else _resolve(other))
     invs = []
     for s in subjects:
         if s.invariants is None:
@@ -346,36 +335,36 @@ def _cmd_wedge(cfg: RunConfig) -> dict:
             "result": invariants_result(out)}
 
 
-def _cmd_pushout(cfg: RunConfig) -> dict:
-    p = _pushout_input(cfg)
-    res = pushout_EM(p, cfg.budget)
+def _cmd_pushout(args: argparse.Namespace) -> dict:
+    p = _pushout_input(args)
+    res = pushout_EM(p)
     chain = [
         f"pi2 = (M cap N)/[M,N]: order {res.pi2.order}, invariants "
         f"{list(abelian_structure(res.pi2).factors)}",
         f"pi3 = kernel of the derived map: order {res.pi3.order}, "
         f"invariants {list(res.pi3.abelianization().factors)}",
     ]
-    return {"query": {"group": p.g.name, "m": cfg.args.m, "n": cfg.args.n},
+    return {"query": {"group": p.g.name, "m": args.m, "n": args.n},
             "result": group_result(res.pi3), "chain": chain}
 
 
-def _cmd_three_connected(cfg: RunConfig) -> dict:
-    p = _pushout_input(cfg)
-    rep = three_connected_check(p, cfg.budget)
+def _cmd_three_connected(args: argparse.Namespace) -> dict:
+    p = _pushout_input(args)
+    rep = three_connected_check(p)
     chain = [
         f"pi1 trivial: {str(rep.pi1_trivial).lower()}",
         f"pi2 order: {rep.pi2_order}",
         f"pi3 order: {rep.pi3_order}",
         f"verdict: {rep.verdict}",
     ]
-    return {"query": {"group": p.g.name, "m": cfg.args.m, "n": cfg.args.n},
+    return {"query": {"group": p.g.name, "m": args.m, "n": args.n},
             "result": group_result(rep.result.pi3), "chain": chain}
 
 
-def _cmd_thmc(cfg: RunConfig) -> dict:
-    s = _resolve(cfg, cfg.args.group)
+def _cmd_thmc(args: argparse.Namespace) -> dict:
+    s = _resolve(args.group)
     if s.group is not None:
-        rep, witness = theoremC_report(build_nu(s.group, cfg.budget)), ""
+        rep, witness = theoremC_report(build_nu(s.group)), ""
         result = group_result(s.group,
                               tensor_count_m=rep.evidence["tensor_count_m"])
     elif s.invariants is not None:  # G = G^ab is infinite, so is G(x)G
@@ -392,8 +381,8 @@ def _cmd_thmc(cfg: RunConfig) -> dict:
     return {"query": {"group": s.name}, "result": result, "chain": chain}
 
 
-def _cmd_finiteness(cfg: RunConfig) -> dict:
-    s = _resolve(cfg, cfg.args.group)
+def _cmd_finiteness(args: argparse.Namespace) -> dict:
+    s = _resolve(args.group)
     query = {"group": s.name}
     if s.invariants is not None:
         inv = s.invariants
@@ -404,7 +393,7 @@ def _cmd_finiteness(cfg: RunConfig) -> dict:
         return {"query": query, "result": {"order": "undetermined"},
                 "chain": [f"undetermined - consistent with infinite "
                           f"({s.unrealized})"]}
-    rep = finiteness_report(build_nu(s.group, cfg.budget))
+    rep = finiteness_report(build_nu(s.group))
     chain = [
         f"|G^ab| = {rep.gab_order} with invariants "
         f"{list(rep.gab_invariants.factors)}",
@@ -421,9 +410,9 @@ def _cmd_finiteness(cfg: RunConfig) -> dict:
             "chain": chain}
 
 
-def _cmd_bound(cfg: RunConfig) -> dict:
-    which = cfg.args.which
-    values = cfg.args.values
+def _cmd_bound(args: argparse.Namespace) -> dict:
+    which = args.which
+    values = args.values
     if which == "thma":
         rep = bound_theorem_A(*values)
     elif which == "thmb":
@@ -434,8 +423,8 @@ def _cmd_bound(cfg: RunConfig) -> dict:
             "result": {"order": rep.bound}, "chain": list(rep.chain)}
 
 
-def _cmd_exponent_check(cfg: RunConfig) -> dict:
-    g, r = _nu_input(cfg)
+def _cmd_exponent_check(args: argparse.Namespace) -> dict:
+    g, r = _nu_input(args)
     rep = burnside_exponent_check(r)
     chain = [
         f"tensor square exponent: {rep.tensor_exponent}",
@@ -452,19 +441,17 @@ def _cmd_exponent_check(cfg: RunConfig) -> dict:
             "chain": chain}
 
 
-def _cmd_verify(cfg: RunConfig) -> int:
-    args = cfg.args
-    t0 = time.monotonic()
-    with CosetTally() as spent:
-        if args.file is not None:
-            text = Path(args.file).read_text(encoding="utf-8")
-            results = run_file_suite(text, cfg.budget)
-        else:
-            results = run_catalog_suite(
-                budget=cfg.budget, fault=bool(args.fault_skip_eta_relators))
+def _cmd_verify(args: argparse.Namespace, spent: CosetTally,
+                t0: float) -> int:
+    """Run the battery, or the checks of the groups in `args.file`, and
+    print them; returns the exit code."""
+    if args.file is not None:
+        results = run_file_suite(Path(args.file).read_text(encoding="utf-8"))
+    else:
+        results = run_catalog_suite(fault=bool(args.fault_skip_eta_relators))
     ok = all(r.passed for r in results)
     stats = _stats_block(spent, t0)
-    if cfg.json_out:
+    if args.json:
         record = {"checks": [{"name": r.name, "passed": r.passed,
                               "detail": r.detail,
                               "elapsed_ms": r.elapsed_ms}
@@ -498,16 +485,17 @@ _HANDLERS = {
 }
 
 
-def dispatch(cfg: RunConfig) -> int:
-    """Run one command; returns the process exit code."""
-    if cfg.command == "verify":
-        return _cmd_verify(cfg)
+def dispatch(args: argparse.Namespace) -> int:
+    """Run one command under the budget its flags ask for, counting its
+    cosets; returns the process exit code."""
     t0 = time.monotonic()
-    with CosetTally() as spent:
-        record = _HANDLERS[cfg.command](cfg)
-    record.setdefault("query", {})["command"] = cfg.command
+    with budget_scope(_budget_from(args)), CosetTally() as spent:
+        if args.command == "verify":
+            return _cmd_verify(args, spent, t0)
+        record = _HANDLERS[args.command](args)
+    record.setdefault("query", {})["command"] = args.command
     record["stats"] = _stats_block(spent, t0)
-    if cfg.json_out:
+    if args.json:
         sys.stdout.write(serialize_report(record))
     else:
         sys.stdout.write(render_text(record))
@@ -515,13 +503,9 @@ def dispatch(cfg: RunConfig) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
-    cfg = RunConfig(command=args.command, args=args,
-                    budget=_budget_from(args),
-                    json_out=bool(getattr(args, "json", False)))
+    args = build_parser().parse_args(argv)
     try:
-        return dispatch(cfg)
+        return dispatch(args)
     except (_UsageError, ValueError, OSError) as exc:
         print(f"usage error: {exc}", file=sys.stderr)
         return 2

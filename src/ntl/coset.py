@@ -14,13 +14,16 @@ as an engine bug, never as a reason to go on enumerating.
 
 Definitions use the first undefined entry in row-major order, so identical
 inputs give identical tables and stats.  Every run adds its cosets to the
-innermost open `CosetTally`, which is how a command counts its work.
+innermost open `CosetTally`, which is how a command counts its work, and
+runs under the innermost open `budget_scope`, which is how a command bounds
+it.
 """
 
 from __future__ import annotations
 
 import os
 import time
+from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
 
@@ -90,6 +93,36 @@ _OPEN_TALLY: ContextVar[CosetTally] = ContextVar("ntl_coset_tally",
 
 
 @dataclass(frozen=True)
+class _Scope:
+    budget: EnumerationBudget | None
+    deadline: float | None  # time.monotonic() value; None is no time limit
+
+
+_OPEN_SCOPE: ContextVar[_Scope] = ContextVar("ntl_budget_scope",
+                                             default=_Scope(None, None))
+
+
+@contextmanager
+def budget_scope(budget: EnumerationBudget | None):
+    """Bound every enumeration run inside the block by `budget`; the
+    innermost scope applies, and None defers to `default_budget()`.  Its
+    `max_time_ms` is one deadline for the whole block, fixed here."""
+    deadline = None
+    if budget is not None and budget.max_time_ms is not None:
+        deadline = time.monotonic() + budget.max_time_ms / 1000
+    token = _OPEN_SCOPE.set(_Scope(budget, deadline))
+    try:
+        yield
+    finally:
+        _OPEN_SCOPE.reset(token)
+
+
+def current_budget() -> EnumerationBudget:
+    """The budget in force: the innermost scope's, else the default."""
+    return _OPEN_SCOPE.get().budget or default_budget()
+
+
+@dataclass(frozen=True)
 class CosetTable:
     """Complete coset table of the trivial subgroup; row 0 is the identity
     coset, columns alternate generator and inverse-generator images."""
@@ -124,10 +157,11 @@ def _dedup(seqs) -> list[tuple[int, ...]]:
 
 
 class _Enumerator:
-    def __init__(self, p: Presentation, budget):
+    def __init__(self, p: Presentation):
         self.width = 2 * p.ngens
         self.relators = _dedup([word_letters(w) for w in p.relators])
-        self.budget = budget
+        self.budget = current_budget()
+        self.deadline = _OPEN_SCOPE.get().deadline
         self.t0 = time.monotonic()
         self.tab: list[list[int]] = [[-1] * self.width]
         self.uf: list[int] = [0]
@@ -149,11 +183,11 @@ class _Enumerator:
     def _check_budget(self):
         if self.n_defined > self.budget.max_cosets:
             raise self.budget.cosets_exhausted(self._stats())
-        limit = self.budget.max_time_ms
-        if limit is not None and self.n_defined % 1024 == 0:
-            if (time.monotonic() - self.t0) * 1000 > limit:
+        if self.deadline is not None and self.n_defined % 1024 == 0:
+            if time.monotonic() > self.deadline:
                 raise BudgetExceeded(
-                    f"time budget {limit} ms exhausted", stats=self._stats())
+                    f"time budget {self.budget.max_time_ms} ms exhausted",
+                    stats=self._stats())
 
     def _define(self, alpha: int, x: int) -> int:
         beta = len(self.tab)
@@ -298,19 +332,16 @@ class _Enumerator:
             elapsed_ms=int((time.monotonic() - self.t0) * 1000))
 
 
-def enumerate_cosets(p: Presentation,
-                     budget: EnumerationBudget | None = None,
-                     ) -> tuple[CosetTable, EnumerationStats]:
-    """Enumerate the cosets of the trivial subgroup in the presented group.
+def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:
+    """Enumerate the cosets of the trivial subgroup in the presented group
+    within `current_budget()`.
 
     Raises BudgetExceeded rather than ever returning a truncated table.
     Either way the run's cosets are added to the open `CosetTally`.
     """
-    if budget is None:
-        budget = default_budget()
     tally = _OPEN_TALLY.get()
     try:
-        rows, n, stats = _Enumerator(p, budget).run()
+        rows, n, stats = _Enumerator(p).run()
     except BudgetExceeded as exc:
         tally.cosets_defined += exc.stats.cosets_defined
         raise
@@ -351,9 +382,8 @@ def regular_representation(t: CosetTable) -> RealizedGroup:
                          source_presentation=p)
 
 
-def realize_presentation(p: Presentation,
-                         budget: EnumerationBudget | None = None,
+def realize_presentation(p: Presentation
                          ) -> tuple[RealizedGroup, EnumerationStats]:
     """Enumerate the trivial-subgroup table and realize the group."""
-    table, stats = enumerate_cosets(p, budget)
+    table, stats = enumerate_cosets(p)
     return regular_representation(table), stats

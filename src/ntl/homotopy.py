@@ -15,8 +15,7 @@ import numpy as np
 
 from .abelian import AbelianInvariants, abelian_invariants
 from .catalog import CatalogEntry, realize_entry
-from .coset import (EnumerationBudget, EnumerationStats, default_budget,
-                    realize_presentation)
+from .coset import EnumerationStats, current_budget, realize_presentation
 from .errors import (BudgetExceeded, InternalInconsistency,
                      NotGeneratingPair, NotNormal)
 from .groups import (RealizedGroup, Subgroup, abelian_structure,
@@ -84,12 +83,10 @@ class BoundReport:
 # -- triads, wedges, bounds ---------------------------------------------------
 
 
-def triad_group(t: TriadInput,
-                budget: EnumerationBudget | None = None
-                ) -> tuple[RealizedGroup, int]:
+def triad_group(t: TriadInput) -> tuple[RealizedGroup, int]:
     """The triad group in dimension p+q+1: the tensor product of the two
     relative groups under their mutual actions."""
-    return build_eta(t.actions, budget).group, t.dimension
+    return build_eta(t.actions).group, t.dimension
 
 
 def bound_theorem_A(a: int, b: int, c: int, t: int) -> BoundReport:
@@ -197,8 +194,7 @@ def _conjugation_pair_between(g: RealizedGroup, m: Subgroup, n: Subgroup
                             (g, m_mem, n_mem))
 
 
-def pushout_EM(p: PushoutInput,
-               budget: EnumerationBudget | None = None) -> PushoutResult:
+def pushout_EM(p: PushoutInput) -> PushoutResult:
     """pi_2 and pi_3 of the homotopy pushout of aspherical spaces along the
     two quotient maps: pi_2 = (M cap N)/[M,N] and pi_3 = the kernel of the
     derived map from the tensor product [M,N~] back into the parent."""
@@ -211,7 +207,7 @@ def pushout_EM(p: PushoutInput,
     if not set(comm.members) <= set(inter.members):
         raise InternalInconsistency("[M,N] is not inside M cap N")
     pi2, _, _ = subgroup_quotient(inter, comm)
-    r = build_eta(_conjugation_pair_between(g, m, n), budget,
+    r = build_eta(_conjugation_pair_between(g, m, n),
                   name=f"eta({g.name}|M,N)")
     return PushoutResult(pi2=pi2, pi3=pi3_suspension_K(r), build=r)
 
@@ -225,9 +221,7 @@ class ThreeConnectedReport:
     result: PushoutResult
 
 
-def three_connected_check(p: PushoutInput,
-                          budget: EnumerationBudget | None = None
-                          ) -> ThreeConnectedReport:
+def three_connected_check(p: PushoutInput) -> ThreeConnectedReport:
     """For G = MN, decide whether the pushout is 3-connected: pi_1 dies by
     the amalgamation argument, pi_2 and pi_3 come from `pushout_EM`."""
     g, m, n = p.g, p.m, p.n
@@ -236,7 +230,7 @@ def three_connected_check(p: PushoutInput,
         raise NotGeneratingPair(
             f"M and N generate a subgroup of order {gen.order}, "
             f"not all of {g.name!r}")
-    res = pushout_EM(p, budget)
+    res = pushout_EM(p)
     ok = res.pi2.order == 1 and res.pi3.order == 1
     return ThreeConnectedReport(
         pi1_trivial=True,
@@ -290,9 +284,7 @@ def _presentation_coker(p: Presentation) -> AbelianInvariants:
     return abelian_invariants(rows, ncols=p.ngens)
 
 
-def resolve_subject(subject: CatalogEntry | Presentation,
-                    budget: EnumerationBudget | None = None
-                    ) -> ResolvedSubject:
+def resolve_subject(subject: CatalogEntry | Presentation) -> ResolvedSubject:
     """Realize a catalog entry or a presentation, or decide that it has no
     realization; never raises BudgetExceeded.  A catalog entry flagged
     infinite abelian, or a one-generator presentation with an infinite
@@ -304,11 +296,11 @@ def resolve_subject(subject: CatalogEntry | Presentation,
         if not coker.is_finite():  # an enumeration could only exhaust
             return ResolvedSubject(
                 p.name, p, invariants=coker,
-                unrealized=(budget or default_budget()).cosets_exhausted(
+                unrealized=current_budget().cosets_exhausted(
                     EnumerationStats()))
     try:  # an infinite entry is refused at once
-        group = (realize_entry(entry, budget) if entry
-                 else realize_presentation(p, budget)[0])
+        group = (realize_entry(entry) if entry
+                 else realize_presentation(p)[0])
     except BudgetExceeded as exc:
         fast = entry is not None and entry.infinite and bool(entry.abelian)
         return ResolvedSubject(

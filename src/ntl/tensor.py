@@ -29,8 +29,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coset import (EnumerationBudget, EnumerationStats,
-                    realize_presentation)
+from .coset import EnumerationStats, realize_presentation
 from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
@@ -376,7 +375,6 @@ def _check_cap(g: RealizedGroup, h: RealizedGroup):
 
 
 def build_eta(pair: CompatibleActionPair,
-              budget: EnumerationBudget | None = None,
               *,
               skip_pairing_relators: bool = False,
               name: str | None = None) -> TensorRealization:
@@ -440,7 +438,7 @@ def build_eta(pair: CompatibleActionPair,
                      for hi in hgens for h1 in hgens]
 
     presentation = Presentation(name, gens, tuple(relators))
-    eta, stats = realize_presentation(presentation, budget)
+    eta, stats = realize_presentation(presentation)
 
     eg, eh, comms = _pairing_commutators(pair, eta)
     group, sym, members = _label_tensor(f"tensor({g.name},{h.name})",
@@ -469,16 +467,13 @@ def build_eta(pair: CompatibleActionPair,
                              _derived_map(pair, group, sym), eta)
 
 
-def build_nu(g: RealizedGroup,
-             budget: EnumerationBudget | None = None) -> TensorRealization:
+def build_nu(g: RealizedGroup) -> TensorRealization:
     """nu(G) = eta(G,G) with both actions by conjugation; T is the tensor
     square and the derived map lands in G."""
-    return build_eta(conjugation_pair(g), budget, name=f"nu({g.name})")
+    return build_eta(conjugation_pair(g), name=f"nu({g.name})")
 
 
-def build_direct(pair: CompatibleActionPair,
-                 budget: EnumerationBudget | None = None
-                 ) -> TensorRealization:
+def build_direct(pair: CompatibleActionPair) -> TensorRealization:
     """The tensor product from its own biadditivity presentation on the
     symbols a(x)b, an independent route used to cross-check the
     eta-subgroup construction."""
@@ -509,7 +504,7 @@ def build_direct(pair: CompatibleActionPair,
                                          (t(ap, bp), 1))))
     name = f"tensor({g.name},{h.name})"
     presentation = Presentation(name, gens, tuple(relators))
-    realized, stats = realize_presentation(presentation, budget)
+    realized, stats = realize_presentation(presentation)
     group, sym, _ = _label_tensor(
         name, realized.table,
         np.asarray(realized.generator_images).reshape(ng, nh))
@@ -517,12 +512,11 @@ def build_direct(pair: CompatibleActionPair,
                              _derived_map(pair, group, sym))
 
 
-def tensor_direct(pair: CompatibleActionPair,
-                  budget: EnumerationBudget | None = None) -> RealizedGroup:
+def tensor_direct(pair: CompatibleActionPair) -> RealizedGroup:
     """The group T of `build_direct` alone, generated by the distinct
     symbols a(x)b in row-major order (perfbench/make_expected.py reads its
     order and generator images)."""
-    return build_direct(pair, budget).group
+    return build_direct(pair).group
 
 
 def _memoized(fn):

@@ -22,7 +22,7 @@ import numpy as np
 from .abelian import AbelianInvariants
 from .catalog import (CatalogEntry, catalog_lookup, finite_corpus,
                       realize_entry)
-from .coset import EnumerationBudget, realize_presentation
+from .coset import EnumerationBudget, budget_scope, realize_presentation
 from .errors import NtlError
 from .groups import closure, derived_subgroup
 from .homotopy import (PushoutInput, bound_pushout_pi3, bound_theorem_A,
@@ -103,16 +103,15 @@ def _ms_since(t0: float) -> int:
     return int((time.monotonic() - t0) * 1000)
 
 
-def _profile(name: str, pair: CompatibleActionPair,
-             budget: EnumerationBudget | None) -> Profile:
+def _profile(name: str, pair: CompatibleActionPair) -> Profile:
     """Build T by both routes.  A conjugation pair is a nu build, and its
     eta is named nu(G) as `build_nu` names it."""
     t0 = time.monotonic()
-    r = build_eta(pair, budget, name=(f"nu({pair.g.name})"
-                                      if pair.ambient is not None else None))
+    r = build_eta(pair, name=(f"nu({pair.g.name})"
+                              if pair.ambient is not None else None))
     build_ms = _ms_since(t0)
     t0 = time.monotonic()
-    direct = build_direct(pair, budget)
+    direct = build_direct(pair)
     direct_ms = _ms_since(t0)
     return Profile(
         name=name, r=replace(r, eta=None, presentation=None),
@@ -122,15 +121,14 @@ def _profile(name: str, pair: CompatibleActionPair,
         build_ms=build_ms, direct_ms=direct_ms)
 
 
-def build_profiles(budget: EnumerationBudget | None = None) -> ProfileStore:
+def build_profiles() -> ProfileStore:
     store = ProfileStore()
     for a, b in pair_corpus():
-        pair = trivial_pair(realize_entry(a, budget), realize_entry(b, budget))
-        store.pairs[(a.name, b.name)] = _profile(f"{a.name}x{b.name}", pair,
-                                                 budget)
+        pair = trivial_pair(realize_entry(a), realize_entry(b))
+        store.pairs[(a.name, b.name)] = _profile(f"{a.name}x{b.name}", pair)
     for entry in nu_corpus():
-        pair = conjugation_pair(realize_entry(entry, budget))
-        store.nus[entry.name] = _profile(entry.name, pair, budget)
+        pair = conjugation_pair(realize_entry(entry))
+        store.nus[entry.name] = _profile(entry.name, pair)
     return store
 
 
@@ -213,20 +211,19 @@ def check_route_equivalence(store: ProfileStore) -> CheckResult:
 
 
 @_timed
-def check_abelian_reduction(budget: EnumerationBudget | None,
-                            store: ProfileStore) -> CheckResult:
+def check_abelian_reduction(store: ProfileStore) -> CheckResult:
     t0 = time.monotonic()
     bad = []
     for m in range(1, 13):
-        gm = realize_entry(catalog_lookup(f"C{m}"), budget)
+        gm = realize_entry(catalog_lookup(f"C{m}"))
         for n in range(1, 13):
             # the store already holds Cm(x)Cn for m <= n, mn <= 36, as a
             # trivial-action pair, and Cn(x)Cn as nu(Cn)
             held = (store.nus.get(f"C{n}") if m == n
                     else store.pairs.get((f"C{m}", f"C{n}")))
             if held is None:
-                gn = realize_entry(catalog_lookup(f"C{n}"), budget)
-                r = build_eta(trivial_pair(gm, gn), budget)
+                gn = realize_entry(catalog_lookup(f"C{n}"))
+                r = build_eta(trivial_pair(gm, gn))
             else:
                 r = held.r
             t = r.group
@@ -307,8 +304,7 @@ def check_stable_pi2(store: ProfileStore) -> CheckResult:
 
 
 @_timed
-def check_theoremC(store: ProfileStore,
-                   budget: EnumerationBudget | None) -> CheckResult:
+def check_theoremC(store: ProfileStore) -> CheckResult:
     bad = []
     for p in store.nus.values():
         rep = theoremC_report(p.r)
@@ -316,7 +312,7 @@ def check_theoremC(store: ProfileStore,
             bad.append(p.name)
     # Z has no tensor square to read: the abelian fast path decides all
     # seven properties false with an infinite-order tensor as witness.
-    z = resolve_subject(catalog_lookup("Z"), budget)
+    z = resolve_subject(catalog_lookup("Z"))
     if (z.invariants is None or not z.theoremC.unanimous
             or any(z.theoremC.properties.values())
             or "infinite order" not in z.witness):
@@ -328,17 +324,17 @@ def check_theoremC(store: ProfileStore,
 
 
 @_timed
-def check_pushout(budget: EnumerationBudget | None) -> CheckResult:
-    c6 = realize_entry(catalog_lookup("C6"), budget)
+def check_pushout() -> CheckResult:
+    c6 = realize_entry(catalog_lookup("C6"))
     a = c6.generator_images[0]
     m = closure(c6, [c6.power(a, 3)])
     n = closure(c6, [c6.power(a, 2)])
-    rep = three_connected_check(PushoutInput(c6, m, n), budget)
+    rep = three_connected_check(PushoutInput(c6, m, n))
     ok1 = (rep.pi2_order == 1 and rep.pi3_order == 1
            and rep.verdict == "3-connected")
-    v4 = realize_entry(catalog_lookup("C2xC2"), budget)
+    v4 = realize_entry(catalog_lookup("C2xC2"))
     full = closure(v4, v4.generator_images)
-    res = pushout_EM(PushoutInput(v4, full, full), budget)
+    res = pushout_EM(PushoutInput(v4, full, full))
     ok2 = res.pi2.order == 4 and res.pi3.order == 16
     detail = (f"C6 with coprime cyclic parts: pi2={rep.pi2_order}, "
               f"pi3={rep.pi3_order}, {rep.verdict}; "
@@ -391,23 +387,24 @@ def check_performance(store: ProfileStore) -> CheckResult:
         f"{worst.r.stats}" if not slow else "; ".join(slow))
 
 
-def _fault_scan(budget: EnumerationBudget | None) -> tuple[bool, str]:
-    """Rebuild the criterion-1 corpus with the pairing relators dropped.
-    Returns whether the decomposition check broke, with the first pair where
-    it did."""
-    for a, b in pair_corpus():
-        g = realize_entry(a)
-        h = realize_entry(b)
-        try:
-            r = build_eta(trivial_pair(g, h), budget or FAULT_BUDGET,
-                          skip_pairing_relators=True)
-        except NtlError as exc:
-            return True, (f"fault exposed at {a.name}(x){b.name}: "
-                          f"{exc.code}: {exc}")
-        if r.eta.order != r.group.order * g.order * h.order:
-            return True, (f"fault exposed at {a.name}(x){b.name}: "
-                          f"|eta|={r.eta.order} != {r.group.order}"
-                          f"*{g.order}*{h.order}")
+def _fault_scan() -> tuple[bool, str]:
+    """Rebuild the criterion-1 corpus with the pairing relators dropped,
+    under `FAULT_BUDGET` whatever budget is in force around it.  Returns
+    whether the decomposition check broke, with the first pair where it
+    did."""
+    with budget_scope(FAULT_BUDGET):
+        for a, b in pair_corpus():
+            g = realize_entry(a)
+            h = realize_entry(b)
+            try:
+                r = build_eta(trivial_pair(g, h), skip_pairing_relators=True)
+            except NtlError as exc:
+                return True, (f"fault exposed at {a.name}(x){b.name}: "
+                              f"{exc.code}: {exc}")
+            if r.eta.order != r.group.order * g.order * h.order:
+                return True, (f"fault exposed at {a.name}(x){b.name}: "
+                              f"|eta|={r.eta.order} != {r.group.order}"
+                              f"*{g.order}*{h.order}")
     return False, "dropping the pairing relators went unnoticed"
 
 
@@ -415,7 +412,7 @@ def _fault_scan(budget: EnumerationBudget | None) -> tuple[bool, str]:
 def check_negative_control() -> CheckResult:
     """The fault must break the decomposition check somewhere, or the suite
     is blind."""
-    exposed, detail = _fault_scan(None)
+    exposed, detail = _fault_scan()
     return CheckResult("criterion 13: negative control", exposed, detail)
 
 
@@ -435,13 +432,12 @@ def check_diagonal_embedding(store: ProfileStore) -> CheckResult:
 
 
 @_timed
-def check_pairing_certificate(budget: EnumerationBudget | None
-                              ) -> CheckResult:
+def check_pairing_certificate() -> CheckResult:
     """The element-triple certificate that every eta build relies on must
     accept nu(S3)'s eta with its own conjugation actions and reject it
     under trivial actions, or it certifies nothing."""
-    g = realize_entry(catalog_lookup("S3"), budget)
-    r = build_nu(g, budget)
+    g = realize_entry(catalog_lookup("S3"))
+    r = build_nu(g)
     holds = pairing_relators_hold(r.pair, r.eta)
     rejects = not pairing_relators_hold(trivial_pair(g, g), r.eta)
     return CheckResult(
@@ -451,8 +447,7 @@ def check_pairing_certificate(budget: EnumerationBudget | None
         "under trivial actions")
 
 
-def run_catalog_suite(budget: EnumerationBudget | None = None,
-                      fault: bool = False) -> list[CheckResult]:
+def run_catalog_suite(fault: bool = False) -> list[CheckResult]:
     """Run the acceptance battery over the built-in corpus.
 
     With `fault=True` the commutator-pairing relators are dropped from the
@@ -460,34 +455,32 @@ def run_catalog_suite(budget: EnumerationBudget | None = None,
     the suite's sensitivity and exits nonzero.
     """
     if fault:
-        exposed, detail = _fault_scan(budget)
+        exposed, detail = _fault_scan()
         return [CheckResult(
             "criterion 1: decomposition identity (fault injected)",
             not exposed, detail)]
 
-    store = build_profiles(budget)
+    store = build_profiles()
     return [
         check_decomposition(store),
         check_route_equivalence(store),
-        check_abelian_reduction(budget, store),
+        check_abelian_reduction(store),
         check_tensor_counts(store),
         check_exact_sequences(store),
         check_schur_oracle(store),
         check_stable_pi2(store),
-        check_theoremC(store, budget),
-        check_pushout(budget),
+        check_theoremC(store),
+        check_pushout(),
         check_wedge_prufer_analog(),
         check_bound_arithmetic(),
         check_performance(store),
         check_negative_control(),
         check_diagonal_embedding(store),
-        check_pairing_certificate(budget),
+        check_pairing_certificate(),
     ]
 
 
-def run_file_suite(text: str,
-                   budget: EnumerationBudget | None = None
-                   ) -> list[CheckResult]:
+def run_file_suite(text: str) -> list[CheckResult]:
     """Per-group checks for a user-supplied presentation file."""
     groups, actions = parse_file(
         text, resolver=lambda name: catalog_lookup(name).presentation)
@@ -495,7 +488,7 @@ def run_file_suite(text: str,
     for name, pres in groups.items():
         t0 = time.monotonic()
         try:
-            grp, stats = realize_presentation(pres, budget)
+            grp, stats = realize_presentation(pres)
         except NtlError as exc:
             results.append(CheckResult(
                 f"{name}: realization", False, f"{exc.code}: {exc}",
@@ -511,7 +504,7 @@ def run_file_suite(text: str,
                 "skipped: square build exceeds the size cap"))
             continue
         t0 = time.monotonic()
-        p = _profile(name, conjugation_pair(grp), budget)
+        p = _profile(name, conjugation_pair(grp))
         decomposes, agree = p.decomposition_ok, p.routes_agree
         prods = not _sequence_faults(p.r)
         thmc = theoremC_report(p.r)

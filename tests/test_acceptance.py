@@ -14,9 +14,9 @@ from dataclasses import replace
 import pytest
 
 from ntl import coset, homotopy, tensor, verification
+from ntl.abelian import AbelianInvariants
 from ntl.catalog import catalog_lookup, finite_corpus, realize_entry
 from ntl.cli import main
-from ntl.coset import EnumerationBudget
 from ntl.errors import BudgetExceeded
 from ntl.groups import closure, trivial_group
 from ntl.homotopy import pi3_suspension_K, schur_multiplier, stable_pi2_K
@@ -68,9 +68,9 @@ def test_criterion_02_route_equivalence(store):
 
 def test_criterion_02_fails_when_the_direct_route_transposes_its_symbols(
         store, monkeypatch):
-    def transposed(pair, budget=None):
+    def transposed(pair):
         # T is labelled from b(x)a where a(x)b belongs
-        r = tensor.build_direct(pair, budget)
+        r = tensor.build_direct(pair)
         group, sym, _ = tensor._label_tensor(r.group.name, r.group.table,
                                              r.sym.T)
         return replace(r, group=group, sym=sym, derived=None)
@@ -82,7 +82,7 @@ def test_criterion_02_fails_when_the_direct_route_transposes_its_symbols(
     faulted = ProfileStore(pairs=store.pairs)
     for name in ("S3", "A4"):
         pair = conjugation_pair(realize_entry(catalog_lookup(name)))
-        faulted.nus[name] = verification._profile(name, pair, None)
+        faulted.nus[name] = verification._profile(name, pair)
     r = check_route_equivalence(faulted)
     print(r.line())
     assert not r.passed
@@ -98,7 +98,7 @@ def test_criterion_02_says_when_it_fails_on_time(store):
 
 
 def test_criterion_03_abelian_reduction(store):
-    r = _gate(check_abelian_reduction(None, store))
+    r = _gate(check_abelian_reduction(store))
     assert r.elapsed_ms <= 30_000
 
 
@@ -110,14 +110,13 @@ def test_criterion_03_fails_when_each_pair_builds_its_first_square(
     squares = {}
     build_eta = verification.build_eta
 
-    def squared(pair, budget=None, **kwargs):
+    def squared(pair, **kwargs):
         g = pair.g
         if g.name not in squares:
-            squares[g.name] = build_eta(tensor.trivial_pair(g, g), budget,
-                                        **kwargs)
+            squares[g.name] = build_eta(tensor.trivial_pair(g, g), **kwargs)
         return squares[g.name]
     monkeypatch.setattr(verification, "build_eta", squared)
-    r = _faulted(check_abelian_reduction(None, ProfileStore()))
+    r = _faulted(check_abelian_reduction(ProfileStore()))
     assert r.detail.startswith("C2(x)C1: got ")
 
 
@@ -127,11 +126,11 @@ def test_criterion_03_builds_only_what_the_store_lacks(store, monkeypatch):
     built = []
     build_eta = verification.build_eta
 
-    def counted(pair, budget=None, **kwargs):
+    def counted(pair, **kwargs):
         built.append((pair.g.name, pair.h.name))
-        return build_eta(pair, budget, **kwargs)
+        return build_eta(pair, **kwargs)
     monkeypatch.setattr(verification, "build_eta", counted)
-    _gate(check_abelian_reduction(None, store))
+    _gate(check_abelian_reduction(store))
     assert len(built) == len(set(built)) == 95
     assert ("C6", "C6") not in built and ("C6", "C4") in built
 
@@ -197,22 +196,29 @@ def test_profiles_keep_tensor_products_without_eta(store):
 
 
 def test_criterion_08_theoremC_unanimity(store):
-    _gate(check_theoremC(store, None))
+    _gate(check_theoremC(store))
 
 
 def test_criterion_09_pushout_values():
-    _gate(check_pushout(None))
+    _gate(check_pushout())
 
 
 def test_criterion_09_fails_when_pi3_is_lost(monkeypatch):
     monkeypatch.setattr(homotopy, "pi3_suspension_K",
                         lambda r: trivial_group())
-    r = _faulted(check_pushout(None))
+    r = _faulted(check_pushout())
     assert r.detail.endswith("|pi2|=4, |pi3|=1")
 
 
 def test_criterion_10_wedge_prufer_analog():
     _gate(check_wedge_prufer_analog())
+
+
+def test_criterion_10_fails_when_the_wedge_is_not_trivial(monkeypatch):
+    monkeypatch.setattr(verification, "wedge_pi3",
+                        lambda a, b: AbelianInvariants((2,)))
+    r = _faulted(check_wedge_prufer_analog())
+    assert r.detail.startswith("k=1, j=1: ")
 
 
 def test_criterion_11_bound_arithmetic():
@@ -224,20 +230,50 @@ def test_criterion_11_bound_arithmetic():
     assert bound_pushout_pi3(2, 3, 4).bound == 24
 
 
+def test_criterion_11_fails_when_theorem_B_is_off(monkeypatch):
+    bound_theorem_B = verification.bound_theorem_B
+    monkeypatch.setattr(verification, "bound_theorem_B",
+                        lambda a, t: bound_theorem_B(a, t + 1))
+    r = _faulted(check_bound_arithmetic())
+    assert "B(2,2)=6" in r.detail
+
+
 def test_criterion_12_performance(store):
     r = _gate(check_performance(store))
     assert all(p.build_ms <= 10_000 for p in store.nus.values())
+
+
+def test_criterion_12_fails_on_a_slow_build(store):
+    slow = replace(store, nus={**store.nus, "S3": replace(store.nus["S3"],
+                                                          build_ms=10_001)})
+    r = _faulted(check_performance(slow))
+    assert r.detail == "S3: 10001 ms"
 
 
 def test_criterion_13_negative_control(store):
     # The fault flag must break the criterion-1 check: the whole suite run
     # under fault reports a failure and would exit nonzero.
     r = _gate(check_negative_control())
-    faulted = run_catalog_suite(budget=EnumerationBudget(max_cosets=20_000),
-                                fault=True)
+    faulted = run_catalog_suite(fault=True)
     print(faulted[0].line())
     assert not all(c.passed for c in faulted)
     assert "criterion 1" in faulted[0].name
+
+
+def test_criterion_13_fails_when_the_fault_does_not_reach_the_build(
+        monkeypatch):
+    # Criterion 13 and the fault mode run one scan: a build that keeps the
+    # pairing relators blinds both, and the scan says so.
+    build_eta = verification.build_eta
+    pairs = verification.pair_corpus()[:3]
+    monkeypatch.setattr(verification, "build_eta",
+                        lambda pair, *, skip_pairing_relators=False,
+                        name=None: build_eta(pair, name=name))
+    monkeypatch.setattr(verification, "pair_corpus", lambda: pairs)
+    r = _faulted(check_negative_control())
+    assert r.detail == "dropping the pairing relators went unnoticed"
+    [faulted] = run_catalog_suite(fault=True)
+    assert (faulted.passed, faulted.detail) == (True, r.detail)
 
 
 def test_diagonal_embedding_fails_when_the_diagonal_is_lost(store,
@@ -248,20 +284,20 @@ def test_diagonal_embedding_fails_when_the_diagonal_is_lost(store,
 
 
 def test_pairing_certificate():
-    _gate(check_pairing_certificate(None))
+    _gate(check_pairing_certificate())
 
 
 def test_pairing_certificate_check_fails_on_a_blind_certificate(monkeypatch):
     monkeypatch.setattr(verification, "pairing_relators_hold",
                         lambda pair, eta: True)
-    r = check_pairing_certificate(None)
+    r = check_pairing_certificate()
     print(r.line())
     assert not r.passed
 
 
 def test_catalog_suite_runs_fifteen_named_checks(store, monkeypatch):
     monkeypatch.setattr(verification, "build_profiles",
-                        lambda budget=None: store)
+                        lambda: store)
     names = [c.name for c in run_catalog_suite()]
     assert len(names) == len(set(names)) == 15
 
@@ -277,9 +313,9 @@ def test_verify_reports_the_cosets_of_every_enumeration(monkeypatch,
     spent = []
     enumerate_cosets = coset.enumerate_cosets
 
-    def counted(p, budget=None):
+    def counted(p):
         try:
-            table, stats = enumerate_cosets(p, budget)
+            table, stats = enumerate_cosets(p)
         except BudgetExceeded as exc:
             spent.append(exc.stats)
             raise

@@ -383,6 +383,14 @@ class TestFilesAndEnv:
             ["nu", "--group", "C2", "--budget-ms", "500"]))
         assert budget == EnumerationBudget(max_cosets=40, max_time_ms=500)
 
+    @pytest.mark.parametrize("flag, value, reason", [
+        ("--max-cosets", "0", "max_cosets must be positive"),
+        ("--budget-ms", "-5", "max_time_ms must be positive")])
+    def test_bad_budget_flag_is_a_usage_error(self, capsys, flag, value,
+                                              reason):
+        rc, out, err = run(capsys, "nu", "--group", "C2", flag, value)
+        assert (rc, out, err) == (2, "", f"usage error: {reason}\n")
+
     def test_verify_file_scope(self, capsys, tmp_path):
         f = tmp_path / "one.grp"
         f.write_text("group K { gens: a; rels: a^5; }")

@@ -1,3 +1,4 @@
+import time
 from itertools import permutations
 
 import numpy as np
@@ -5,8 +6,9 @@ import pytest
 
 from ntl.catalog import catalog_lookup
 from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
-                       enumerate_cosets, realize_presentation,
-                       regular_representation, word_letters)
+                       budget_scope, current_budget, enumerate_cosets,
+                       realize_presentation, regular_representation,
+                       word_letters)
 from ntl.errors import BudgetExceeded, InternalInconsistency
 from ntl.groups import abelian_structure, derived_subgroup
 from ntl.parsing import parse_group
@@ -73,10 +75,45 @@ class TestEnumerate:
 
     def test_infinite_cyclic_budget(self):
         p = catalog_lookup("Z").presentation
-        with pytest.raises(BudgetExceeded) as err:
-            enumerate_cosets(p, EnumerationBudget(max_cosets=400))
+        with pytest.raises(BudgetExceeded) as err, \
+                budget_scope(EnumerationBudget(max_cosets=400)):
+            enumerate_cosets(p)
         assert err.value.stats is not None
         assert err.value.stats.cosets_defined >= 400
+
+    def test_innermost_budget_scope_applies(self, monkeypatch):
+        monkeypatch.setenv("NTL_MAX_COSETS", "40")
+        outer = EnumerationBudget(max_cosets=7)
+        inner = EnumerationBudget(max_cosets=9)
+        assert current_budget() == EnumerationBudget(max_cosets=40)
+        with budget_scope(outer):
+            with budget_scope(inner):
+                assert current_budget() is inner
+            assert current_budget() is outer
+            with budget_scope(None):
+                assert current_budget() == EnumerationBudget(max_cosets=40)
+        assert current_budget() == EnumerationBudget(max_cosets=40)
+
+    def test_time_budget_is_one_deadline_for_the_scope(self):
+        # The deadline is fixed when the scope opens, so a run that starts
+        # after it has passed stops at its first time check, the 1024th
+        # coset, however fast the run itself is; its stats time the run.
+        p = catalog_lookup("Z").presentation
+        with budget_scope(EnumerationBudget(max_time_ms=50)):
+            time.sleep(0.25)
+            with pytest.raises(BudgetExceeded) as err:
+                enumerate_cosets(p)
+        assert str(err.value) == "time budget 50 ms exhausted"
+        assert err.value.stats.cosets_defined == 1024
+        assert err.value.stats.elapsed_ms < 250
+
+    def test_inner_scope_without_time_limit_has_no_deadline(self):
+        p = catalog_lookup("Z").presentation
+        with budget_scope(EnumerationBudget(max_time_ms=50)):
+            time.sleep(0.06)
+            with pytest.raises(BudgetExceeded, match="coset budget 2000"), \
+                    budget_scope(EnumerationBudget(max_cosets=2000)):
+                enumerate_cosets(p)
 
     @pytest.mark.parametrize("name", ["S3", "Q8", "D4", "A4"])
     def test_relator_order_invariance(self, name):

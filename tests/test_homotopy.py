@@ -2,7 +2,7 @@ import pytest
 
 from ntl.abelian import AbelianInvariants
 from ntl.catalog import catalog_lookup, realize_name
-from ntl.coset import EnumerationBudget
+from ntl.coset import EnumerationBudget, budget_scope
 from ntl.errors import BudgetExceeded, NotGeneratingPair, NotNormal
 from ntl.groups import abelian_structure, closure, derived_subgroup
 from ntl.homotopy import (PushoutInput, TriadInput, _conjugation_pair_between,
@@ -257,14 +257,15 @@ class TestResolveSubject:
 
     def test_infinite_cyclic_presentation_is_never_enumerated(self):
         p = catalog_lookup("Z").presentation
-        s = resolve_subject(p, EnumerationBudget(max_cosets=1))
+        with budget_scope(EnumerationBudget(max_cosets=1)):
+            s = resolve_subject(p)
         assert s.invariants.factors == (0,)
         assert s.unrealized.stats.cosets_defined == 0
         assert "a(x)a has infinite order" in s.witness
 
     def test_exhausted_budget_is_recorded(self):
-        s = resolve_subject(catalog_lookup("D6").presentation,
-                            EnumerationBudget(max_cosets=5))
+        with budget_scope(EnumerationBudget(max_cosets=5)):
+            s = resolve_subject(catalog_lookup("D6").presentation)
         assert s.group is None and s.invariants is None
         assert isinstance(s.unrealized, BudgetExceeded)
 

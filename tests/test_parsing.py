@@ -245,17 +245,20 @@ class TestCatalog:
 
     def test_cached_entry_honours_the_budget(self, monkeypatch):
         from ntl import catalog
-        from ntl.coset import EnumerationBudget
+        from ntl.coset import EnumerationBudget, budget_scope
         from ntl.errors import BudgetExceeded
         monkeypatch.setattr(catalog, "_REALIZED", {})
         d6 = catalog_lookup("D6")
         tight = EnumerationBudget(max_cosets=11)
-        with pytest.raises(BudgetExceeded, match="coset budget 11"):
-            realize_entry(d6, tight)
+        with pytest.raises(BudgetExceeded, match="coset budget 11"), \
+                budget_scope(tight):
+            realize_entry(d6)
         assert realize_entry(d6).order == 12
-        with pytest.raises(BudgetExceeded, match="coset budget 11"):
-            realize_entry(d6, tight)
-        assert realize_entry(d6, EnumerationBudget(max_cosets=12)).order == 12
+        with pytest.raises(BudgetExceeded, match="coset budget 11"), \
+                budget_scope(tight):
+            realize_entry(d6)
+        with budget_scope(EnumerationBudget(max_cosets=12)):
+            assert realize_entry(d6).order == 12
 
     def test_infinite_entry_rejected_early(self):
         from ntl.errors import BudgetExceeded

@@ -9,7 +9,7 @@ from ntl.catalog import catalog_lookup, realize_name
 from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
                         InternalInconsistency, NotActionHomomorphism,
                         NotAutomorphism)
-from ntl.coset import EnumerationBudget
+from ntl.coset import EnumerationBudget, budget_scope
 from ntl.groups import Homomorphism, _walk, closure, derived_subgroup
 from ntl.parsing import parse_action
 from ntl.homotopy import PushoutInput, pushout_EM
@@ -266,9 +266,9 @@ class TestBuildEta:
 
     def test_fault_flag_diverges(self):
         pair = trivial_pair(cyc(2), cyc(2))
-        with pytest.raises(BudgetExceeded):
-            build_eta(pair, EnumerationBudget(max_cosets=500),
-                      skip_pairing_relators=True)
+        with pytest.raises(BudgetExceeded), \
+                budget_scope(EnumerationBudget(max_cosets=500)):
+            build_eta(pair, skip_pairing_relators=True)
 
     def test_fault_flag_harmless_on_trivial_factor(self):
         pair = trivial_pair(cyc(1), cyc(4))
