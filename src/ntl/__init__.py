@@ -17,12 +17,11 @@ from .groups import (Homomorphism, RealizedGroup, Subgroup, abelian_structure,
                      closure, commutator_subgroup, derived_subgroup,
                      intersection, kernel, quotient, subgroup_as_group,
                      subgroup_exponent, subgroup_quotient, trivial_group)
-from .homotopy import (BoundReport, PushoutInput, TriadInput,
-                       bound_pushout_pi3, bound_theorem_A, bound_theorem_B,
-                       burnside_exponent_check, finiteness_report,
-                       pi3_suspension_K, pushout_EM, schur_multiplier,
-                       stable_pi2_K, theoremC_report, three_connected_check,
-                       triad_group, wedge_pi3)
+from .homotopy import (BoundReport, bound_pushout_pi3, bound_theorem_A,
+                       bound_theorem_B, burnside_exponent_check,
+                       finiteness_report, pi3_suspension_K, pushout_EM,
+                       schur_multiplier, stable_pi2_K, theoremC_report,
+                       three_connected_check, wedge_pi3)
 from .parsing import (ActionSpec, parse_action, parse_file, parse_group,
                       parse_words_text, print_action, print_presentation)
 from .report import serialize_report

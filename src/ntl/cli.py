@@ -18,15 +18,14 @@ from .catalog import catalog_lookup
 from .coset import (CosetTally, EnumerationBudget, budget_scope,
                     default_budget)
 from .errors import NotAbelian, NtlError, Undecided
-from .groups import (RealizedGroup, abelian_structure, closure,
+from .groups import (RealizedGroup, Subgroup, abelian_structure, closure,
                      subgroup_as_group)
-from .homotopy import (THEOREM_C_PROPERTIES, PushoutInput, ResolvedSubject,
-                       TriadInput, bound_pushout_pi3, bound_theorem_A,
-                       bound_theorem_B,
+from .homotopy import (THEOREM_C_PROPERTIES, ResolvedSubject,
+                       bound_pushout_pi3, bound_theorem_A, bound_theorem_B,
                        burnside_exponent_check, finiteness_report,
                        pi3_suspension_K, pushout_EM, resolve_subject,
                        schur_multiplier, stable_pi2_K, theoremC_report,
-                       three_connected_check, triad_group, wedge_pi3)
+                       three_connected_check, wedge_pi3)
 from .parsing import parse_file, parse_words_text
 from .report import (group_result, invariants_result, render_text,
                      serialize_report)
@@ -215,11 +214,10 @@ def _subgroup_from_words(g: RealizedGroup, text: str):
     return closure(g, [g.evaluate(w) for w in words])
 
 
-def _pushout_input(args: argparse.Namespace) -> PushoutInput:
-    """`--group` with its `--m` and `--n` subgroups."""
+def _pushout_input(args: argparse.Namespace) -> tuple[Subgroup, Subgroup]:
+    """The `--m` and `--n` subgroups of `--group`."""
     g = _resolve(args.group).realized()
-    return PushoutInput(g, _subgroup_from_words(g, args.m),
-                        _subgroup_from_words(g, args.n))
+    return _subgroup_from_words(g, args.m), _subgroup_from_words(g, args.n)
 
 
 def _eta_input(args: argparse.Namespace):
@@ -306,13 +304,12 @@ def _cmd_invariant(args: argparse.Namespace) -> dict:
 def _cmd_triad(args: argparse.Namespace) -> dict:
     if min(args.p, args.q) < 1:  # before anything is built
         raise _UsageError("connectivity degrees must be >= 1")
-    pair, query = _pair_inputs(args)
-    group, dimension = triad_group(
-        TriadInput(pair.g, pair.h, pair, args.p, args.q))
+    # the triad group is the tensor product of the two relative groups
+    r, query = _eta_input(args)
     query = dict(query, p=args.p, q=args.q)
-    return {"query": query, "result": group_result(group),
+    return {"query": query, "result": group_result(r.group),
             "chain": [f"triad group lives in dimension p+q+1 = "
-                      f"{dimension}"]}
+                      f"{args.p + args.q + 1}"]}
 
 
 def _cmd_wedge(args: argparse.Namespace) -> dict:
@@ -336,28 +333,28 @@ def _cmd_wedge(args: argparse.Namespace) -> dict:
 
 
 def _cmd_pushout(args: argparse.Namespace) -> dict:
-    p = _pushout_input(args)
-    res = pushout_EM(p)
+    m, n = _pushout_input(args)
+    res = pushout_EM(m, n)
     chain = [
         f"pi2 = (M cap N)/[M,N]: order {res.pi2.order}, invariants "
         f"{list(abelian_structure(res.pi2).factors)}",
         f"pi3 = kernel of the derived map: order {res.pi3.order}, "
         f"invariants {list(res.pi3.abelianization().factors)}",
     ]
-    return {"query": {"group": p.g.name, "m": args.m, "n": args.n},
+    return {"query": {"group": m.parent.name, "m": args.m, "n": args.n},
             "result": group_result(res.pi3), "chain": chain}
 
 
 def _cmd_three_connected(args: argparse.Namespace) -> dict:
-    p = _pushout_input(args)
-    rep = three_connected_check(p)
+    m, n = _pushout_input(args)
+    rep = three_connected_check(m, n)
     chain = [
-        f"pi1 trivial: {str(rep.pi1_trivial).lower()}",
-        f"pi2 order: {rep.pi2_order}",
-        f"pi3 order: {rep.pi3_order}",
+        "pi1 trivial: true",  # G = MN kills pi_1 by amalgamation
+        f"pi2 order: {rep.result.pi2.order}",
+        f"pi3 order: {rep.result.pi3.order}",
         f"verdict: {rep.verdict}",
     ]
-    return {"query": {"group": p.g.name, "m": args.m, "n": args.n},
+    return {"query": {"group": m.parent.name, "m": args.m, "n": args.n},
             "result": group_result(rep.result.pi3), "chain": chain}
 
 
@@ -395,7 +392,7 @@ def _cmd_finiteness(args: argparse.Namespace) -> dict:
                           f"({s.unrealized})"]}
     rep = finiteness_report(build_nu(s.group))
     chain = [
-        f"|G^ab| = {rep.gab_order} with invariants "
+        f"|G^ab| = {rep.gab_invariants.order()} with invariants "
         f"{list(rep.gab_invariants.factors)}",
         f"|G'| = {rep.gprime_order}",
         f"tensor count m = {rep.tensor_count_m}",
@@ -432,9 +429,9 @@ def _cmd_exponent_check(args: argparse.Namespace) -> dict:
         f"{str(rep.applicable).lower()}",
     ]
     if rep.applicable:
-        chain.append(f"group order {rep.group_order} is finite: consistent")
+        chain.append(f"group order {g.order} is finite: consistent")
     return {"query": {"group": g.name},
-            "result": {"order": rep.group_order, "abelian": g.is_abelian(),
+            "result": {"order": g.order, "abelian": g.is_abelian(),
                        "abelian_invariants": list(
                            g.abelianization().factors),
                        "exponent": rep.tensor_exponent},

@@ -128,11 +128,14 @@ class CosetTable:
     coset, columns alternate generator and inverse-generator images."""
 
     rows: np.ndarray
-    coset_count: int
     presentation: Presentation
 
     def __post_init__(self):
         self.rows.setflags(write=False)
+
+    @property
+    def coset_count(self) -> int:
+        return self.rows.shape[0]
 
 
 def word_letters(w: Word) -> tuple[int, ...]:
@@ -183,11 +186,14 @@ class _Enumerator:
     def _check_budget(self):
         if self.n_defined > self.budget.max_cosets:
             raise self.budget.cosets_exhausted(self._stats())
-        if self.deadline is not None and self.n_defined % 1024 == 0:
-            if time.monotonic() > self.deadline:
-                raise BudgetExceeded(
-                    f"time budget {self.budget.max_time_ms} ms exhausted",
-                    stats=self._stats())
+        if self.n_defined % 1024 == 0:
+            self._check_deadline()
+
+    def _check_deadline(self):
+        if self.deadline is not None and time.monotonic() > self.deadline:
+            raise BudgetExceeded(
+                f"time budget {self.budget.max_time_ms} ms exhausted",
+                stats=self._stats())
 
     def _define(self, alpha: int, x: int) -> int:
         beta = len(self.tab)
@@ -317,12 +323,13 @@ class _Enumerator:
 
     def run(self):
         self._hlt_pass()
+        self._check_deadline()  # a short run may never reach a 1024th coset
         cols = self._compress()
         violation = self._find_violation(cols)
         if violation is not None:
             raise InternalInconsistency(f"{violation} after the HLT pass")
-        n = cols.shape[1]
-        return cols.T.astype(np.int32).copy(), n, self._stats(final=n)
+        return (cols.T.astype(np.int32).copy(),
+                self._stats(final=cols.shape[1]))
 
     def _stats(self, final: int | None = None) -> EnumerationStats:
         return EnumerationStats(
@@ -341,12 +348,12 @@ def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:
     """
     tally = _OPEN_TALLY.get()
     try:
-        rows, n, stats = _Enumerator(p).run()
+        rows, stats = _Enumerator(p).run()
     except BudgetExceeded as exc:
         tally.cosets_defined += exc.stats.cosets_defined
         raise
     tally.cosets_defined += stats.cosets_defined
-    return CosetTable(rows=rows, coset_count=n, presentation=p), stats
+    return CosetTable(rows=rows, presentation=p), stats
 
 
 def regular_representation(t: CosetTable) -> RealizedGroup:

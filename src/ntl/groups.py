@@ -307,21 +307,15 @@ def abelian_structure(g: RealizedGroup) -> AbelianInvariants:
 
 @dataclass(frozen=True)
 class Subgroup:
-    """Subgroup of a realized group, stored as a sorted member set."""
+    """Subgroup of a realized group, stored as its sorted members."""
 
     parent: RealizedGroup
     members: tuple[int, ...]
     generators: tuple[int, ...]
 
-    def __post_init__(self):
-        object.__setattr__(self, "member_set", frozenset(self.members))
-
     @property
     def order(self) -> int:
         return len(self.members)
-
-    def contains(self, x: int) -> bool:
-        return x in self.member_set  # type: ignore[attr-defined]
 
     def members_array(self) -> np.ndarray:
         return np.fromiter(self.members, dtype=np.int64, count=self.order)

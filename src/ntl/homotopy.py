@@ -1,10 +1,10 @@
 """Homotopy-group invariants exposed as operations on group data.
 
-Spaces never appear as data: a triad enters through its two relative
-homotopy groups and their mutual actions, a suspension through the
-fundamental group, a homotopy pushout through a group with two normal
-subgroups.  Everything else is finite group arithmetic on the commutator
-pairing builds from `tensor`.
+Spaces never appear as data: a suspension enters through its fundamental
+group, a homotopy pushout through two normal subgroups of one group.  (A
+triad group is the tensor product of its two relative groups under their
+mutual actions, so it is `build_eta(pair).group` itself.)  Everything else
+is finite group arithmetic on the commutator pairing builds from `tensor`.
 """
 
 from __future__ import annotations
@@ -18,51 +18,14 @@ from .catalog import CatalogEntry, realize_entry
 from .coset import EnumerationStats, current_budget, realize_presentation
 from .errors import (BudgetExceeded, InternalInconsistency,
                      NotGeneratingPair, NotNormal)
-from .groups import (RealizedGroup, Subgroup, abelian_structure,
-                     closure, commutator_subgroup, derived_subgroup,
-                     intersection, subgroup_as_group, subgroup_exponent,
-                     subgroup_quotient)
+from .groups import (RealizedGroup, Subgroup, _same_parent,
+                     abelian_structure, closure, commutator_subgroup,
+                     derived_subgroup, intersection, subgroup_as_group,
+                     subgroup_exponent, subgroup_quotient)
 from .tensor import (CompatibleActionPair, TensorRealization, _conjugates,
                      _memoized, _validate_tables, build_eta, delta,
                      delta_tilde, j2, tensor_set)
 from .words import Presentation
-
-
-# -- inputs ------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class TriadInput:
-    """Relative homotopy data of an excisive triad: the two relative groups
-    in dimensions p+1 and q+1 with their compatible actions."""
-
-    m: RealizedGroup
-    n: RealizedGroup
-    actions: CompatibleActionPair
-    p: int = 1
-    q: int = 1
-
-    def __post_init__(self):
-        if self.p < 1 or self.q < 1:
-            raise ValueError("connectivity degrees must be >= 1")
-        if self.actions.g is not self.m or self.actions.h is not self.n:
-            raise InternalInconsistency(
-                "triad actions do not act on the given groups")
-
-    @property
-    def dimension(self) -> int:
-        """The dimension p+q+1 in which the triad group lives."""
-        return self.p + self.q + 1
-
-
-@dataclass(frozen=True)
-class PushoutInput:
-    """A group with two normal subgroups, describing the homotopy pushout of
-    the three associated aspherical spaces."""
-
-    g: RealizedGroup
-    m: Subgroup
-    n: Subgroup
 
 
 @dataclass(frozen=True)
@@ -80,13 +43,7 @@ class BoundReport:
                 "bound does not equal the product of its factors")
 
 
-# -- triads, wedges, bounds ---------------------------------------------------
-
-
-def triad_group(t: TriadInput) -> tuple[RealizedGroup, int]:
-    """The triad group in dimension p+q+1: the tensor product of the two
-    relative groups under their mutual actions."""
-    return build_eta(t.actions).group, t.dimension
+# -- wedges, bounds ------------------------------------------------------------
 
 
 def bound_theorem_A(a: int, b: int, c: int, t: int) -> BoundReport:
@@ -176,8 +133,9 @@ class PushoutResult:
     build: TensorRealization
 
 
-def _conjugation_pair_between(g: RealizedGroup, m: Subgroup, n: Subgroup
+def _conjugation_pair_between(m: Subgroup, n: Subgroup
                               ) -> CompatibleActionPair:
+    g = _same_parent(m, n)
     m_grp, _ = subgroup_as_group(m)
     n_grp, _ = subgroup_as_group(n)
     m_mem = m.members_array()
@@ -194,11 +152,12 @@ def _conjugation_pair_between(g: RealizedGroup, m: Subgroup, n: Subgroup
                             (g, m_mem, n_mem))
 
 
-def pushout_EM(p: PushoutInput) -> PushoutResult:
+def pushout_EM(m: Subgroup, n: Subgroup) -> PushoutResult:
     """pi_2 and pi_3 of the homotopy pushout of aspherical spaces along the
-    two quotient maps: pi_2 = (M cap N)/[M,N] and pi_3 = the kernel of the
-    derived map from the tensor product [M,N~] back into the parent."""
-    g, m, n = p.g, p.m, p.n
+    two quotient maps by normal subgroups M and N of one parent group G:
+    pi_2 = (M cap N)/[M,N] and pi_3 = the kernel of the derived map from
+    the tensor product [M,N~] back into G."""
+    g = _same_parent(m, n)
     for sub, label in ((m, "M"), (n, "N")):
         if not sub.is_normal():
             raise NotNormal(f"subgroup {label} is not normal in {g.name!r}")
@@ -207,37 +166,30 @@ def pushout_EM(p: PushoutInput) -> PushoutResult:
     if not set(comm.members) <= set(inter.members):
         raise InternalInconsistency("[M,N] is not inside M cap N")
     pi2, _, _ = subgroup_quotient(inter, comm)
-    r = build_eta(_conjugation_pair_between(g, m, n),
+    r = build_eta(_conjugation_pair_between(m, n),
                   name=f"eta({g.name}|M,N)")
     return PushoutResult(pi2=pi2, pi3=pi3_suspension_K(r), build=r)
 
 
 @dataclass(frozen=True)
 class ThreeConnectedReport:
-    pi1_trivial: bool
-    pi2_order: int
-    pi3_order: int
     verdict: str
     result: PushoutResult
 
 
-def three_connected_check(p: PushoutInput) -> ThreeConnectedReport:
+def three_connected_check(m: Subgroup, n: Subgroup) -> ThreeConnectedReport:
     """For G = MN, decide whether the pushout is 3-connected: pi_1 dies by
     the amalgamation argument, pi_2 and pi_3 come from `pushout_EM`."""
-    g, m, n = p.g, p.m, p.n
+    g = _same_parent(m, n)
     gen = closure(g, tuple(m.members) + tuple(n.members))
     if gen.order != g.order:
         raise NotGeneratingPair(
             f"M and N generate a subgroup of order {gen.order}, "
             f"not all of {g.name!r}")
-    res = pushout_EM(p)
+    res = pushout_EM(m, n)
     ok = res.pi2.order == 1 and res.pi3.order == 1
     return ThreeConnectedReport(
-        pi1_trivial=True,
-        pi2_order=res.pi2.order,
-        pi3_order=res.pi3.order,
-        verdict="3-connected" if ok else "not 3-connected",
-        result=res)
+        verdict="3-connected" if ok else "not 3-connected", result=res)
 
 
 # -- subjects that may be infinite ---------------------------------------------
@@ -330,8 +282,6 @@ def _free_witness_generator(p: Presentation) -> str:
 
 @dataclass(frozen=True)
 class FinitenessReport:
-    name: str
-    gab_order: int
     gab_invariants: AbelianInvariants
     gprime_order: int
     tensor_count_m: int
@@ -349,8 +299,7 @@ def finiteness_report(r: TensorRealization) -> FinitenessReport:
     dgrp, _ = subgroup_as_group(delta(r))
     dinv = abelian_structure(dgrp)
     return FinitenessReport(
-        name=g.name, gab_order=gab.order(), gab_invariants=gab,
-        gprime_order=derived_subgroup(g).order,
+        gab_invariants=gab, gprime_order=derived_subgroup(g).order,
         tensor_count_m=tensor_set(r).m, tensor_order=r.group.order,
         delta_invariants=dinv, embedding_holds=gab.divides_into(dinv))
 
@@ -413,17 +362,13 @@ def theoremC_report(r: TensorRealization) -> TheoremCReport:
 
 @dataclass(frozen=True)
 class ExponentReport:
-    name: str
     tensor_exponent: int
     applicable: bool
-    group_order: int
 
 
 def burnside_exponent_check(r: TensorRealization) -> ExponentReport:
     """Exponent of the tensor square; the small exponent criterion applies
     when it lies in {2,3,4,6}."""
-    g = r.pair.g
     exp = r.group.exponent()
-    return ExponentReport(
-        name=g.name, tensor_exponent=exp, applicable=exp in (2, 3, 4, 6),
-        group_order=g.order)
+    return ExponentReport(tensor_exponent=exp,
+                          applicable=exp in (2, 3, 4, 6))

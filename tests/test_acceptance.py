@@ -61,6 +61,13 @@ def test_criterion_01_decomposition_identity(store):
     assert r.elapsed_ms <= 60_000
 
 
+def test_criterion_01_fails_when_the_builds_run_over_time(store):
+    slow = replace(store, nus={**store.nus, "S3": replace(store.nus["S3"],
+                                                          build_ms=60_001)})
+    r = _faulted(check_decomposition(slow))
+    assert r.detail.endswith(" (over the 60 s budget)")
+
+
 def test_criterion_02_route_equivalence(store):
     r = _gate(check_route_equivalence(store))
     assert r.elapsed_ms <= 60_000

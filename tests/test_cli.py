@@ -171,6 +171,39 @@ class TestBasicCommands:
         assert any("applies: false" in line for line in record["chain"])
 
 
+class TestTriad:
+    def triad(self, capsys, other, *degrees):
+        rc, record, _ = run_json(capsys, "triad", "--group", "C2",
+                                 "--other", other, "--trivial-actions",
+                                 *degrees)
+        assert rc == 0
+        return record
+
+    def test_klein_case(self, capsys):
+        record = self.triad(capsys, "C2", "-p", "1", "-q", "1")
+        assert record["result"]["order"] == 2
+        assert record["chain"] == ["triad group lives in dimension "
+                                   "p+q+1 = 3"]
+
+    def test_coprime_vanishes(self, capsys):
+        record = self.triad(capsys, "C3")
+        assert record["result"]["order"] == 1
+
+    def test_dimension_arithmetic(self, capsys):
+        record = self.triad(capsys, "C2", "-p", "2", "-q", "1")
+        assert record["query"]["p"] == 2 and record["query"]["q"] == 1
+        assert record["chain"] == ["triad group lives in dimension "
+                                   "p+q+1 = 4"]
+
+    def test_degree_validation(self, capsys):
+        for degrees in (["-p", "0"], ["-q", "0"], ["-p", "-1", "-q", "2"]):
+            rc, out, err = run(capsys, "triad", "--group", "C2", "--other",
+                               "C2", "--trivial-actions", *degrees)
+            assert rc == 2
+            assert out == ""
+            assert "connectivity degrees must be >= 1" in err
+
+
 class TestExitCodes:
     def test_infinite_group_is_domain_error(self, capsys):
         rc, out, err = run(capsys, "nu", "--group", "Z")
@@ -270,9 +303,9 @@ class TestFilesAndEnv:
         enumerate_once = _Enumerator.run
 
         def counted(self):
-            rows, n, stats = enumerate_once(self)
+            rows, stats = enumerate_once(self)
             runs.append(stats.cosets_defined)
-            return rows, n, stats
+            return rows, stats
         monkeypatch.setattr(_Enumerator, "run", counted)
         rc, record, _ = run_json(capsys, command, "--group", str(f))
         assert rc == 0
@@ -288,9 +321,9 @@ class TestFilesAndEnv:
         enumerate_once = _Enumerator.run
 
         def counted(self):
-            rows, n, stats = enumerate_once(self)
+            rows, stats = enumerate_once(self)
             runs.append(stats.cosets_defined)
-            return rows, n, stats
+            return rows, stats
         monkeypatch.setattr(_Enumerator, "run", counted)
         rc, record, _ = run_json(capsys, "nu", "--group", str(f))
         assert rc == 0

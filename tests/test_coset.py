@@ -4,7 +4,7 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from ntl.catalog import catalog_lookup
+from ntl.catalog import catalog_lookup, realize_name
 from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
                        budget_scope, current_budget, enumerate_cosets,
                        realize_presentation, regular_representation,
@@ -12,6 +12,7 @@ from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
 from ntl.errors import BudgetExceeded, InternalInconsistency
 from ntl.groups import abelian_structure, derived_subgroup
 from ntl.parsing import parse_group
+from ntl.tensor import build_nu
 from ntl.words import Presentation, Word
 
 
@@ -107,6 +108,17 @@ class TestEnumerate:
         assert err.value.stats.cosets_defined == 1024
         assert err.value.stats.elapsed_ms < 250
 
+    def test_a_run_too_short_for_a_time_check_ends_on_the_deadline(self):
+        # nu(C3) ends its HLT pass before a 1024th coset; the deadline is
+        # read once more when the pass ends.
+        c3 = realize_name("C3")
+        with budget_scope(EnumerationBudget(max_time_ms=1)):
+            time.sleep(0.01)
+            with pytest.raises(BudgetExceeded,
+                               match=r"^time budget 1 ms exhausted$") as err:
+                build_nu(c3)
+        assert err.value.stats.cosets_defined < 1024
+
     def test_inner_scope_without_time_limit_has_no_deadline(self):
         p = catalog_lookup("Z").presentation
         with budget_scope(EnumerationBudget(max_time_ms=50)):
@@ -189,7 +201,7 @@ class TestRegularRepresentation:
         # coset 0, but cosets 2 and 3 are out of its reach.
         p = catalog_lookup("C2").presentation
         rows = np.array([[1, 1], [0, 0], [3, 3], [2, 2]], dtype=np.int32)
-        split = CosetTable(rows=rows, coset_count=4, presentation=p)
+        split = CosetTable(rows=rows, presentation=p)
         with pytest.raises(InternalInconsistency, match="not transitive"):
             regular_representation(split)
 

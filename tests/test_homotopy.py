@@ -3,17 +3,17 @@ import pytest
 from ntl.abelian import AbelianInvariants
 from ntl.catalog import catalog_lookup, realize_name
 from ntl.coset import EnumerationBudget, budget_scope
-from ntl.errors import BudgetExceeded, NotGeneratingPair, NotNormal
+from ntl.errors import (BudgetExceeded, MixedParents, NotGeneratingPair,
+                        NotNormal)
 from ntl.groups import abelian_structure, closure, derived_subgroup
-from ntl.homotopy import (PushoutInput, TriadInput, _conjugation_pair_between,
-                          bound_pushout_pi3,
+from ntl.homotopy import (_conjugation_pair_between, bound_pushout_pi3,
                           bound_theorem_A, bound_theorem_B,
                           burnside_exponent_check, finiteness_report,
                           pi3_suspension_K, pushout_EM, resolve_subject,
                           schur_multiplier, stable_pi2_K,
                           theoremC_report, three_connected_check,
-                          triad_group, wedge_pi3)
-from ntl.tensor import build_nu, trivial_pair
+                          wedge_pi3)
+from ntl.tensor import build_nu
 
 
 def cyc(n):
@@ -22,28 +22,6 @@ def cyc(n):
 
 def inv(*factors):
     return AbelianInvariants.from_cyclic_orders(list(factors))
-
-
-class TestTriad:
-    def test_klein_case(self):
-        g = cyc(2)
-        grp, dim = triad_group(TriadInput(g, g, trivial_pair(g, g), 1, 1))
-        assert grp.order == 2
-        assert dim == 3
-
-    def test_coprime_vanishes(self):
-        grp, _ = triad_group(
-            TriadInput(cyc(2), cyc(3), trivial_pair(cyc(2), cyc(3))))
-        assert grp.order == 1
-
-    def test_dimension_arithmetic(self):
-        _, dim = triad_group(
-            TriadInput(cyc(2), cyc(2), trivial_pair(cyc(2), cyc(2)), 2, 1))
-        assert dim == 4
-
-    def test_degree_validation(self):
-        with pytest.raises(ValueError):
-            TriadInput(cyc(2), cyc(2), trivial_pair(cyc(2), cyc(2)), 0, 1)
 
 
 class TestBounds:
@@ -120,27 +98,27 @@ class TestPushout:
         a = c6.generator_images[0]
         m = closure(c6, [c6.power(a, 3)])
         n = closure(c6, [c6.power(a, 2)])
-        res = pushout_EM(PushoutInput(c6, m, n))
+        res = pushout_EM(m, n)
         assert res.pi2.order == 1
         assert res.pi3.order == 1
-        rep = three_connected_check(PushoutInput(c6, m, n))
+        rep = three_connected_check(m, n)
         assert rep.verdict == "3-connected"
 
     def test_klein_full_parts(self):
         v4 = realize_name("C2xC2")
         full = closure(v4, v4.generator_images)
-        res = pushout_EM(PushoutInput(v4, full, full))
+        res = pushout_EM(full, full)
         assert res.pi2.order == 4
         assert abelian_structure(res.pi2).factors == (2, 2)
         assert res.pi3.order == 16
-        rep = three_connected_check(PushoutInput(v4, full, full))
+        rep = three_connected_check(full, full)
         assert rep.verdict == "not 3-connected"
 
     def test_trivial_m(self):
         c6 = cyc(6)
         m = closure(c6, [])
         n = closure(c6, c6.generator_images)
-        res = pushout_EM(PushoutInput(c6, m, n))
+        res = pushout_EM(m, n)
         assert res.pi2.order == 1
         assert res.pi3.order == 1
 
@@ -150,26 +128,35 @@ class TestPushout:
         bad = closure(s3, [t])
         ok = closure(s3, s3.generator_images)
         with pytest.raises(NotNormal):
-            pushout_EM(PushoutInput(s3, bad, ok))
+            pushout_EM(bad, ok)
+
+    def test_mixed_parents_rejected(self):
+        c6, s3 = cyc(6), realize_name("S3")
+        m = closure(c6, c6.generator_images)
+        n = closure(s3, s3.generator_images)
+        with pytest.raises(MixedParents):
+            pushout_EM(m, n)
+        with pytest.raises(MixedParents):
+            three_connected_check(m, n)
 
     def test_not_generating_pair(self):
         c6 = cyc(6)
         a = c6.generator_images[0]
         m = closure(c6, [c6.power(a, 2)])
         with pytest.raises(NotGeneratingPair):
-            three_connected_check(PushoutInput(c6, m, m))
+            three_connected_check(m, m)
 
     def test_trivial_everything(self):
         c1 = cyc(1)
         m = closure(c1, [])
-        rep = three_connected_check(PushoutInput(c1, m, m))
+        rep = three_connected_check(m, m)
         assert rep.verdict == "3-connected"
 
     def test_nonabelian_parent(self):
         s3 = realize_name("S3")
         a3 = derived_subgroup(s3)
         whole = closure(s3, s3.generator_images)
-        res = pushout_EM(PushoutInput(s3, a3, whole))
+        res = pushout_EM(a3, whole)
         # M cap N = A3, [M,N] = A3, so pi2 dies; pi3 = ker([A3,S3~] -> S3)
         assert res.pi2.order == 1
         assert res.build.group.order % res.pi3.order == 0
@@ -193,7 +180,7 @@ def _pushout_subgroups():
 def test_conjugation_pair_between_matches_conj(case):
     g, m, n = _pushout_subgroups()[case]
     assert m.is_normal() and n.is_normal()
-    pair = _conjugation_pair_between(g, m, n)
+    pair = _conjugation_pair_between(m, n)
     m_mem, n_mem = m.members, n.members
     for i, x in enumerate(m_mem):
         for j, y in enumerate(n_mem):
@@ -211,8 +198,7 @@ def nu(name):
 class TestFiniteness:
     def test_s3(self):
         rep = finiteness_report(nu("S3"))
-        assert rep.name == "S3"
-        assert rep.gab_order == 2
+        assert rep.gab_invariants == inv(2)
         assert rep.gprime_order == 3
         assert rep.tensor_count_m == 6
         assert rep.tensor_order == 6
@@ -221,12 +207,12 @@ class TestFiniteness:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic_embedding(self, n):
         rep = finiteness_report(nu(f"C{n}"))
-        assert rep.gab_order == n
+        assert rep.gab_invariants.order() == n
         assert rep.embedding_holds
 
     def test_trivial(self):
         rep = finiteness_report(nu("C1"))
-        assert rep.gab_order == 1
+        assert rep.gab_invariants.order() == 1
         assert rep.gprime_order == 1
         assert rep.tensor_count_m == 1
         assert rep.tensor_order == 1

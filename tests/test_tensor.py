@@ -12,7 +12,8 @@ from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
 from ntl.coset import EnumerationBudget, budget_scope
 from ntl.groups import Homomorphism, _walk, closure, derived_subgroup
 from ntl.parsing import parse_action
-from ntl.homotopy import PushoutInput, pushout_EM
+from ntl import tensor
+from ntl.homotopy import pushout_EM
 from ntl.tensor import (_conjugation_table, _first_non_automorphism,
                         _validate_tables, build_direct, build_eta, build_nu,
                         conjugation_pair, delta, delta_tilde, j2,
@@ -30,7 +31,7 @@ def cyc(n):
 def _pushout_s3_a3():
     s3 = realize_name("S3")
     full = closure(s3, s3.generator_images)
-    return pushout_EM(PushoutInput(s3, full, derived_subgroup(s3))).build
+    return pushout_EM(full, derived_subgroup(s3)).build
 
 
 ELEMENT_TRIPLE_BUILDS = {
@@ -274,6 +275,16 @@ class TestBuildEta:
         pair = trivial_pair(cyc(1), cyc(4))
         r = build_eta(pair, skip_pairing_relators=True)
         assert r.eta.order == 4
+
+    def test_fault_flag_keeps_the_certificate(self, monkeypatch):
+        # The faulted build is certified like any other, so a certificate
+        # that rejects it must raise even where the fault is harmless.
+        monkeypatch.setattr(tensor, "pairing_relators_hold",
+                            lambda pair, eta: False)
+        with pytest.raises(InternalInconsistency,
+                           match="pairing relator fails"):
+            build_eta(trivial_pair(cyc(1), cyc(4)),
+                      skip_pairing_relators=True)
 
     @pytest.mark.parametrize("build", ELEMENT_TRIPLE_BUILDS)
     def test_element_pairing_relators_hold(self, build):
