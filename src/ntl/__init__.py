@@ -13,10 +13,10 @@ from .errors import (ALL_ERRORS, BudgetExceeded, CapExceeded, IncompleteMap,
                      NotGeneratingPair, NotNormal, NtlError,
                      PresentationSyntaxError, Undecided, UnknownCatalogName,
                      UnknownGenerator)
-from .groups import (Homomorphism, RealizedGroup, Subgroup, abelian_structure,
-                     closure, commutator_subgroup, derived_subgroup,
-                     intersection, kernel, quotient, subgroup_as_group,
-                     subgroup_exponent, subgroup_quotient, trivial_group)
+from .groups import (Homomorphism, RealizedGroup, Subgroup, closure,
+                     commutator_subgroup, derived_subgroup, intersection,
+                     kernel, presentation_invariants, section_invariants,
+                     subgroup_as_group, subgroup_exponent, trivial_group)
 from .homotopy import (BoundReport, bound_pushout_pi3, bound_theorem_A,
                        bound_theorem_B, burnside_exponent_check,
                        finiteness_report, pi3_suspension_K, pushout_EM,

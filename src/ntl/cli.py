@@ -18,8 +18,7 @@ from .catalog import catalog_lookup
 from .coset import (CosetTally, EnumerationBudget, budget_scope,
                     default_budget)
 from .errors import NotAbelian, NtlError, Undecided
-from .groups import (RealizedGroup, Subgroup, abelian_structure, closure,
-                     subgroup_as_group)
+from .groups import RealizedGroup, Subgroup, closure, section_invariants
 from .homotopy import (THEOREM_C_PROPERTIES, ResolvedSubject,
                        bound_pushout_pi3, bound_theorem_A, bound_theorem_B,
                        burnside_exponent_check, finiteness_report,
@@ -283,22 +282,22 @@ def _cmd_invariant(args: argparse.Namespace) -> dict:
     g, r = _nu_input(args)
     kind = args.kind
     if kind == "j2":
-        grp = pi3_suspension_K(r)
+        inv = pi3_suspension_K(r)
         chain = ["kernel of the derived map inside the tensor square"]
     elif kind == "delta":
-        grp, _ = subgroup_as_group(delta(r))
+        inv = section_invariants(delta(r), closure(r.group, ()))
         chain = ["subgroup generated by the square tensors"]
     elif kind == "delta-tilde":
-        grp, _ = subgroup_as_group(delta_tilde(r))
+        inv = section_invariants(delta_tilde(r), closure(r.group, ()))
         chain = ["subgroup generated by the symmetrized tensors"]
     elif kind == "schur":
-        grp = schur_multiplier(r)
+        inv = schur_multiplier(r)
         chain = ["second homology: derived-map kernel over the diagonal"]
     else:  # stable-pi2 | pi4-s2
-        grp = stable_pi2_K(r)
+        inv = stable_pi2_K(r)
         chain = ["derived-map kernel over the symmetrized diagonal"]
     return {"query": {"group": g.name, "invariant": kind},
-            "result": group_result(grp), "chain": chain}
+            "result": invariants_result(inv), "chain": chain}
 
 
 def _cmd_triad(args: argparse.Namespace) -> dict:
@@ -324,7 +323,7 @@ def _cmd_wedge(args: argparse.Namespace) -> dict:
             if not g.is_abelian():
                 raise NotAbelian(f"{s.name!r} is not abelian; a second "
                                  "homotopy group must be")
-            invs.append(abelian_structure(g))
+            invs.append(g.abelianization())
         else:
             invs.append(s.invariants)
     out = wedge_pi3(invs[0], invs[1])
@@ -336,13 +335,13 @@ def _cmd_pushout(args: argparse.Namespace) -> dict:
     m, n = _pushout_input(args)
     res = pushout_EM(m, n)
     chain = [
-        f"pi2 = (M cap N)/[M,N]: order {res.pi2.order}, invariants "
-        f"{list(abelian_structure(res.pi2).factors)}",
-        f"pi3 = kernel of the derived map: order {res.pi3.order}, "
-        f"invariants {list(res.pi3.abelianization().factors)}",
+        f"pi2 = (M cap N)/[M,N]: order {res.pi2.order()}, invariants "
+        f"{list(res.pi2.factors)}",
+        f"pi3 = kernel of the derived map: order {res.pi3.order()}, "
+        f"invariants {list(res.pi3.factors)}",
     ]
     return {"query": {"group": m.parent.name, "m": args.m, "n": args.n},
-            "result": group_result(res.pi3), "chain": chain}
+            "result": invariants_result(res.pi3), "chain": chain}
 
 
 def _cmd_three_connected(args: argparse.Namespace) -> dict:
@@ -350,12 +349,12 @@ def _cmd_three_connected(args: argparse.Namespace) -> dict:
     rep = three_connected_check(m, n)
     chain = [
         "pi1 trivial: true",  # G = MN kills pi_1 by amalgamation
-        f"pi2 order: {rep.result.pi2.order}",
-        f"pi3 order: {rep.result.pi3.order}",
+        f"pi2 order: {rep.result.pi2.order()}",
+        f"pi3 order: {rep.result.pi3.order()}",
         f"verdict: {rep.verdict}",
     ]
     return {"query": {"group": m.parent.name, "m": args.m, "n": args.n},
-            "result": group_result(rep.result.pi3), "chain": chain}
+            "result": invariants_result(rep.result.pi3), "chain": chain}
 
 
 def _cmd_thmc(args: argparse.Namespace) -> dict:
@@ -444,6 +443,8 @@ def _cmd_verify(args: argparse.Namespace, spent: CosetTally,
     print them; returns the exit code."""
     if args.file is not None:
         results = run_file_suite(Path(args.file).read_text(encoding="utf-8"))
+        if not results:
+            raise _UsageError(f"{args.file} defines no group and no action")
     else:
         results = run_catalog_suite(fault=bool(args.fault_skip_eta_relators))
     ok = all(r.passed for r in results)

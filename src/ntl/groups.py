@@ -1,4 +1,5 @@
-"""Realized finite groups: multiplication tables, subgroups, homomorphisms.
+"""Realized finite groups: multiplication tables, subgroups, homomorphisms
+and the invariant factors of abelian sections.
 
 Elements are dense indices 0..order-1 with 0 the identity, so products are
 O(1) table lookups and every axiom stays exhaustively checkable at desk
@@ -12,14 +13,13 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import lcm
+from math import lcm, prod
 from typing import Iterable, Sequence
 
 import numpy as np
 
 from .abelian import AbelianInvariants, abelian_invariants
-from .errors import (CapExceeded, InternalInconsistency, MixedParents,
-                     NotNormal)
+from .errors import CapExceeded, InternalInconsistency, MixedParents
 from .words import Presentation, Word
 
 GROUP_ORDER_CAP = 20_000
@@ -197,21 +197,9 @@ class RealizedGroup:
         return out
 
     def element_orders(self) -> np.ndarray:
-        n = self.order
-        orders = np.zeros(n, dtype=np.int64)
-        ar = np.arange(n)
-        cur = ar.copy()
-        k = 1
-        alive = np.ones(n, dtype=bool)
-        while alive.any():
-            done = alive & (cur == 0)
-            orders[done] = k
-            alive &= ~done
-            if not alive.any():
-                break
-            cur = self.table[cur, ar].astype(np.int64)
-            k += 1
-        return orders
+        identity = np.zeros(self.order, dtype=bool)
+        identity[0] = True
+        return _orders_modulo(self, np.arange(self.order), identity)
 
     def exponent(self) -> int:
         return int(lcm(*map(int, np.unique(self.element_orders()))))
@@ -229,15 +217,12 @@ class RealizedGroup:
         return f"e{x}"
 
     def abelianization(self) -> AbelianInvariants:
-        """Invariant factors of G/G'."""
-        p = self.source_presentation
-        if p is not None:
-            rows = [w.exponent_row(p.ngens) for w in p.relators]
-            return abelian_invariants(rows, ncols=p.ngens)
-        if self.is_abelian():
-            return abelian_structure(self)
-        q, _ = quotient(self, derived_subgroup(self))
-        return abelian_structure(q)
+        """Invariant factors of G/G': the cokernel of the relation matrix
+        when G has a presentation, else the section G/G' of the table."""
+        if self.source_presentation is not None:
+            return presentation_invariants(self.source_presentation)
+        whole = Subgroup(self, tuple(range(self.order)))
+        return section_invariants(whole, derived_subgroup(self))
 
     def __repr__(self):
         return f"RealizedGroup({self.name!r}, order={self.order})"
@@ -247,59 +232,29 @@ def trivial_group(name: str = "1") -> RealizedGroup:
     return RealizedGroup(name, np.zeros((1, 1), dtype=np.int16), ())
 
 
-def abelian_structure(g: RealizedGroup) -> AbelianInvariants:
-    """Invariant factors of a finite abelian realized group, read off the
-    counts of solutions of x^(p^k) = 1 prime by prime."""
-    if not g.is_abelian():
-        raise InternalInconsistency(f"{g.name!r} is not abelian")
-    n = g.order
-    if n == 1:
-        return AbelianInvariants(())
-    orders = g.element_orders()
-    exps_by_prime: dict[int, list[int]] = {}
-    rem = n
-    p = 2
-    primes = []
-    while p * p <= rem:
-        if rem % p == 0:
-            primes.append(p)
-            while rem % p == 0:
-                rem //= p
-        p += 1
-    if rem > 1:
-        primes.append(rem)
-    for p in primes:
-        counts = [1]
-        pk = p
-        while True:
-            c = int(np.sum(pk % orders == 0))
-            counts.append(c)
-            if c == counts[-2]:
-                counts.pop()
-                break
-            pk *= p
-        ranks = []
-        for k in range(1, len(counts)):
-            m = counts[k] // counts[k - 1]
-            r = 0
-            while m > 1:
-                m //= p
-                r += 1
-            ranks.append(r)  # number of cyclic p-factors of order >= p^k
-        exps = []
-        for k, r in enumerate(ranks, start=1):
-            nxt = ranks[k] if k < len(ranks) else 0
-            exps.extend([k] * (r - nxt))
-        exps_by_prime[p] = sorted(exps, reverse=True)
-    width = max(len(v) for v in exps_by_prime.values())
-    factors = []
-    for i in range(width):
-        f = 1
-        for p, exps in exps_by_prime.items():
-            if i < len(exps):
-                f *= p ** exps[i]
-        factors.append(f)
-    return AbelianInvariants(tuple(sorted(factors)))
+def presentation_invariants(p: Presentation) -> AbelianInvariants:
+    """Invariant factors of the abelianization of a presented group: the
+    cokernel of its relators' exponent rows."""
+    rows = [w.exponent_row(p.ngens) for w in p.relators]
+    return abelian_invariants(rows, ncols=p.ngens)
+
+
+def _orders_modulo(g: RealizedGroup, xs: np.ndarray,
+                   inside: np.ndarray) -> np.ndarray:
+    """For each x in xs, the least k >= 1 with x^k in the set that the
+    boolean mask `inside` marks: the order of x modulo that set."""
+    orders = np.zeros(xs.size, dtype=np.int64)
+    cur = xs.astype(np.int64)
+    alive = np.ones(xs.size, dtype=bool)
+    k = 1
+    while True:
+        done = alive & inside[cur]
+        orders[done] = k
+        alive &= ~done
+        if not alive.any():
+            return orders
+        cur = g.table[cur, xs].astype(np.int64)
+        k += 1
 
 
 # -- subgroups --------------------------------------------------------------
@@ -311,7 +266,6 @@ class Subgroup:
 
     parent: RealizedGroup
     members: tuple[int, ...]
-    generators: tuple[int, ...]
 
     @property
     def order(self) -> int:
@@ -337,18 +291,15 @@ def _closure_set(parent: RealizedGroup, gens: Iterable[int]) -> list[int]:
     return sorted([0] + [x for x, _, _ in _walk(parent.table, list(gens))])
 
 
-def _greedy_generators(parent: RealizedGroup,
-                       members: Sequence[int]) -> tuple[int, ...]:
-    """Small deterministic generating sequence for a known subgroup."""
-    gens: list[int] = []
-    have = {0}
-    for x in members:
-        if x not in have:
-            gens.append(int(x))
-            have = set(_closure_set(parent, gens))
-            if len(have) == len(members):
-                break
-    return tuple(gens)
+def _commutator_blocks(g: RealizedGroup, a: np.ndarray, b: np.ndarray):
+    """The commutators [x, y], indexed [x, y], for x in `a` and y in `b`,
+    yielded in blocks of at most _BLOCK rows."""
+    tab = g.table
+    inv = g.inverse.astype(np.int64)
+    for lo in range(0, a.size, _BLOCK):
+        x = a[lo:lo + _BLOCK]
+        yield tab[tab[inv[x][:, None], inv[b][None, :]],
+                  tab[x[:, None], b[None, :]]]
 
 
 def closure(parent: RealizedGroup, gens: Iterable[int]) -> Subgroup:
@@ -357,55 +308,30 @@ def closure(parent: RealizedGroup, gens: Iterable[int]) -> Subgroup:
     for g in gens:
         if not 0 <= g < parent.order:
             raise InternalInconsistency(f"element index {g} out of range")
-    members = _closure_set(parent, gens)
-    return Subgroup(parent, tuple(members),
-                    _greedy_generators(parent, members))
-
-
-def subgroup_from_members(parent: RealizedGroup,
-                          members: Iterable[int]) -> Subgroup:
-    """Wrap an already-closed member set (closedness is re-verified)."""
-    mem = sorted({int(x) for x in members} | {0})
-    arr = np.fromiter(mem, dtype=np.int64, count=len(mem))
-    prods = parent.table[np.ix_(arr, arr)]
-    if not np.isin(prods, arr).all():
-        raise InternalInconsistency("member set is not product-closed")
-    return Subgroup(parent, tuple(mem), _greedy_generators(parent, mem))
+    return Subgroup(parent, tuple(_closure_set(parent, gens)))
 
 
 def derived_subgroup(g: RealizedGroup) -> Subgroup:
     """Commutator subgroup, from the closure of all pairwise commutators."""
-    n = g.order
-    tab = g.table
-    inv = g.inverse.astype(np.int64)
-    ar = np.arange(n)
+    ar = np.arange(g.order)
     comms: set[int] = set()
-    for lo in range(0, n, _BLOCK):
-        blk = ar[lo:lo + _BLOCK]
-        t1 = tab[inv[blk][:, None], inv[None, :]]
-        t2 = tab[blk[:, None], ar[None, :]]
-        comms.update(np.unique(tab[t1, t2]).tolist())
-    members = _closure_set(g, comms)
-    return Subgroup(g, tuple(members), _greedy_generators(g, members))
+    for block in _commutator_blocks(g, ar, ar):
+        comms.update(np.unique(block).tolist())
+    return Subgroup(g, tuple(_closure_set(g, comms)))
 
 
 def commutator_subgroup(m: Subgroup, n: Subgroup) -> Subgroup:
     """Subgroup generated by commutators [x, y], x in m, y in n."""
     g = _same_parent(m, n)
-    a = m.members_array()
-    b = n.members_array()
-    inv = g.inverse.astype(np.int64)
-    t1 = g.table[inv[a][:, None], inv[b][None, :]]
-    t2 = g.table[a[:, None], b[None, :]]
-    comms = np.unique(g.table[t1, t2]).tolist()
-    members = _closure_set(g, comms)
-    return Subgroup(g, tuple(members), _greedy_generators(g, members))
+    comms: set[int] = set()
+    for block in _commutator_blocks(g, m.members_array(), n.members_array()):
+        comms.update(np.unique(block).tolist())
+    return Subgroup(g, tuple(_closure_set(g, comms)))
 
 
 def intersection(m: Subgroup, n: Subgroup) -> Subgroup:
     g = _same_parent(m, n)
-    members = sorted(set(m.members) & set(n.members))
-    return Subgroup(g, tuple(members), _greedy_generators(g, members))
+    return Subgroup(g, tuple(sorted(set(m.members) & set(n.members))))
 
 
 def _same_parent(m: Subgroup, n: Subgroup) -> RealizedGroup:
@@ -422,67 +348,94 @@ def subgroup_exponent(s: Subgroup) -> int:
 def kernel(h: "Homomorphism") -> Subgroup:
     """Kernel subgroup; normality is re-verified exhaustively."""
     members = np.nonzero(h.images == 0)[0].tolist()
-    sub = Subgroup(h.source, tuple(int(x) for x in members),
-                   _greedy_generators(h.source, members))
+    sub = Subgroup(h.source, tuple(int(x) for x in members))
     if not sub.is_normal():
         raise InternalInconsistency("kernel fails the normality scan")
     return sub
 
 
-def quotient(parent: RealizedGroup,
-             n: Subgroup) -> tuple[RealizedGroup, "Homomorphism"]:
-    """Quotient by a normal subgroup, with the projection map."""
-    if n.parent is not parent:
-        raise MixedParents("subgroup belongs to a different parent")
-    if not n.is_normal():
-        raise NotNormal(
-            f"subgroup of order {n.order} is not normal in {parent.name!r}")
-    tab = parent.table
-    mem = n.members_array()
-    labels = tab[:, mem].min(axis=1).astype(np.int64)
-    reps = np.unique(labels)
-    label_idx = np.searchsorted(reps, labels)
-    sub = tab[np.ix_(reps, reps)].astype(np.int64)
-    qtab = np.searchsorted(reps, labels[sub])
-    qname = f"{parent.name}/{n.order}"
-    q = RealizedGroup(qname, qtab,
-                      [int(label_idx[g]) for g in parent.generator_images])
-    if q.order * n.order != parent.order:
-        raise InternalInconsistency("coset count times subgroup order "
-                                    "does not match the parent order")
-    proj = Homomorphism(parent, q, label_idx)
-    return q, proj
+def section_invariants(outer: Subgroup, inner: Subgroup) -> AbelianInvariants:
+    """Invariant factors of the abelian section outer/inner, for two
+    subgroups of one parent.
+
+    inner must lie in outer and hold every commutator of two members of
+    outer.  That one check proves inner normal in outer and outer/inner
+    abelian; it raises InternalInconsistency when it fails.  The factors
+    are then read off the counts of the cosets whose order divides p^k,
+    prime by prime.
+    """
+    g = _same_parent(outer, inner)
+    a = outer.members_array()
+    in_outer = np.zeros(g.order, dtype=bool)
+    in_outer[a] = True
+    in_inner = np.zeros(g.order, dtype=bool)
+    in_inner[inner.members_array()] = True
+    if not in_outer[in_inner].all():
+        raise InternalInconsistency("inner subgroup is not contained in outer")
+    for block in _commutator_blocks(g, a, a):
+        if not in_inner[block].all():
+            raise InternalInconsistency(
+                f"section of order {outer.order} over {inner.order} in "
+                f"{g.name!r} is not abelian")
+    n = outer.order // inner.order
+    if n == 1:
+        return AbelianInvariants(())
+    orders = _orders_modulo(g, a, in_inner)
+    primes = []
+    rem, p = n, 2
+    while p * p <= rem:
+        if rem % p == 0:
+            primes.append(p)
+            while rem % p == 0:
+                rem //= p
+        p += 1
+    if rem > 1:
+        primes.append(rem)
+    # ranks[p][k - 1]: the number of cyclic p-factors of order >= p^k.  The
+    # members whose coset order divides p^k number |inner| * p^(r_1+...+r_k).
+    ranks: dict[int, list[int]] = {}
+    for p in primes:
+        ranks[p] = []
+        below, pk = inner.order, p
+        while (count := int(np.sum(pk % orders == 0))) != below:
+            r, m = 0, count // below
+            while m > 1:
+                m //= p
+                r += 1
+            ranks[p].append(r)
+            below, pk = count, pk * p
+    width = max(rs[0] for rs in ranks.values())
+    return AbelianInvariants(tuple(sorted(
+        prod(p ** sum(r > i for r in rs) for p, rs in ranks.items())
+        for i in range(width))))
+
+
+def _greedy_generators(parent: RealizedGroup,
+                       members: Sequence[int]) -> tuple[int, ...]:
+    """Small deterministic generating sequence for a known subgroup."""
+    gens: list[int] = []
+    have = {0}
+    for x in members:
+        if x not in have:
+            gens.append(int(x))
+            have = set(_closure_set(parent, gens))
+            if len(have) == len(members):
+                break
+    return tuple(gens)
 
 
 def subgroup_as_group(s: Subgroup) -> tuple[RealizedGroup, "Homomorphism"]:
-    """Realize a subgroup as a group of its own, with the inclusion map."""
+    """Realize a subgroup as a group of its own, with the inclusion map.
+    Its generators are the members picked greedily in increasing order,
+    each one not yet generated by those before it."""
     mem = s.members_array()
     tab = s.parent.table[np.ix_(mem, mem)].astype(np.int64)
     local = np.searchsorted(mem, tab)
-    gens = np.searchsorted(mem, np.fromiter(s.generators, dtype=np.int64,
-                                            count=len(s.generators)))
+    gens = np.searchsorted(mem, _greedy_generators(s.parent, s.members))
     grp = RealizedGroup(f"{s.parent.name}|sub{s.order}", local,
                         [int(g) for g in gens])
     incl = Homomorphism(grp, s.parent, mem)
     return grp, incl
-
-
-def subgroup_quotient(outer: Subgroup, inner: Subgroup
-                      ) -> tuple[RealizedGroup, "Homomorphism", RealizedGroup]:
-    """Realize outer/inner for inner <= outer <= parent.
-
-    Returns (quotient, projection from the realized outer, realized outer).
-    """
-    g = _same_parent(outer, inner)
-    if not set(inner.members) <= set(outer.members):
-        raise InternalInconsistency("inner subgroup is not contained in outer")
-    outer_grp, _ = subgroup_as_group(outer)
-    mem = outer.members_array()
-    inner_local = np.searchsorted(mem, inner.members_array()).tolist()
-    inner_sub = Subgroup(outer_grp, tuple(int(x) for x in inner_local),
-                         _greedy_generators(outer_grp, inner_local))
-    q, proj = quotient(outer_grp, inner_sub)
-    return q, proj, outer_grp
 
 
 # -- homomorphisms -----------------------------------------------------------

@@ -9,23 +9,23 @@ is finite group arithmetic on the commutator pairing builds from `tensor`.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 
 import numpy as np
 
-from .abelian import AbelianInvariants, abelian_invariants
+from .abelian import AbelianInvariants
 from .catalog import CatalogEntry, realize_entry
 from .coset import EnumerationStats, current_budget, realize_presentation
 from .errors import (BudgetExceeded, InternalInconsistency,
                      NotGeneratingPair, NotNormal)
-from .groups import (RealizedGroup, Subgroup, _same_parent,
-                     abelian_structure, closure, commutator_subgroup,
-                     derived_subgroup, intersection, subgroup_as_group,
-                     subgroup_exponent, subgroup_quotient)
+from .groups import (RealizedGroup, Subgroup, _same_parent, closure,
+                     commutator_subgroup, derived_subgroup, intersection,
+                     presentation_invariants, section_invariants,
+                     subgroup_as_group, subgroup_exponent)
 from .tensor import (CompatibleActionPair, TensorRealization, _conjugates,
                      _memoized, _validate_tables, build_eta, delta,
                      delta_tilde, j2, tensor_set)
-from .words import Presentation
+from .words import Presentation, Word
 
 
 @dataclass(frozen=True)
@@ -99,28 +99,25 @@ def wedge_pi3(g_inv: AbelianInvariants,
 
 
 @_memoized
-def pi3_suspension_K(r: TensorRealization) -> RealizedGroup:
-    """pi_3 of the suspension of K(G,1): the kernel of the derived map
-    inside the tensor square, realized as a group."""
-    grp, _ = subgroup_as_group(j2(r))
-    return grp
+def pi3_suspension_K(r: TensorRealization) -> AbelianInvariants:
+    """pi_3 of the suspension of K(G,1): the kernel J2 of the derived map
+    inside the tensor square, a central and so abelian subgroup."""
+    return section_invariants(j2(r), closure(r.group, ()))
 
 
 @_memoized
-def schur_multiplier(r: TensorRealization) -> RealizedGroup:
-    """Second homology, realized as the quotient of the derived-map kernel
-    by the diagonal subgroup."""
-    q, _, _ = subgroup_quotient(j2(r), delta(r))
-    return q
+def schur_multiplier(r: TensorRealization) -> AbelianInvariants:
+    """Second homology: the derived-map kernel over the diagonal
+    subgroup."""
+    return section_invariants(j2(r), delta(r))
 
 
 @_memoized
-def stable_pi2_K(r: TensorRealization) -> RealizedGroup:
-    """Second stable homotopy group of K(G,1): the quotient of the
-    derived-map kernel by the symmetrized diagonal subgroup.  It is also
-    pi_4 of the double suspension of K(G,1)."""
-    q, _, _ = subgroup_quotient(j2(r), delta_tilde(r))
-    return q
+def stable_pi2_K(r: TensorRealization) -> AbelianInvariants:
+    """Second stable homotopy group of K(G,1): the derived-map kernel over
+    the symmetrized diagonal subgroup.  It is also pi_4 of the double
+    suspension of K(G,1)."""
+    return section_invariants(j2(r), delta_tilde(r))
 
 
 # -- homotopy pushout ----------------------------------------------------------
@@ -128,8 +125,8 @@ def stable_pi2_K(r: TensorRealization) -> RealizedGroup:
 
 @dataclass(frozen=True)
 class PushoutResult:
-    pi2: RealizedGroup
-    pi3: RealizedGroup
+    pi2: AbelianInvariants
+    pi3: AbelianInvariants
     build: TensorRealization
 
 
@@ -161,11 +158,7 @@ def pushout_EM(m: Subgroup, n: Subgroup) -> PushoutResult:
     for sub, label in ((m, "M"), (n, "N")):
         if not sub.is_normal():
             raise NotNormal(f"subgroup {label} is not normal in {g.name!r}")
-    inter = intersection(m, n)
-    comm = commutator_subgroup(m, n)
-    if not set(comm.members) <= set(inter.members):
-        raise InternalInconsistency("[M,N] is not inside M cap N")
-    pi2, _, _ = subgroup_quotient(inter, comm)
+    pi2 = section_invariants(intersection(m, n), commutator_subgroup(m, n))
     r = build_eta(_conjugation_pair_between(m, n),
                   name=f"eta({g.name}|M,N)")
     return PushoutResult(pi2=pi2, pi3=pi3_suspension_K(r), build=r)
@@ -187,7 +180,7 @@ def three_connected_check(m: Subgroup, n: Subgroup) -> ThreeConnectedReport:
             f"M and N generate a subgroup of order {gen.order}, "
             f"not all of {g.name!r}")
     res = pushout_EM(m, n)
-    ok = res.pi2.order == 1 and res.pi3.order == 1
+    ok = res.pi2.order() == 1 and res.pi3.order() == 1
     return ThreeConnectedReport(
         verdict="3-connected" if ok else "not 3-connected", result=res)
 
@@ -231,11 +224,6 @@ class ResolvedSubject:
                               dict.fromkeys(THEOREM_C_PROPERTIES, False))
 
 
-def _presentation_coker(p: Presentation) -> AbelianInvariants:
-    rows = [w.exponent_row(p.ngens) for w in p.relators]
-    return abelian_invariants(rows, ncols=p.ngens)
-
-
 def resolve_subject(subject: CatalogEntry | Presentation) -> ResolvedSubject:
     """Realize a catalog entry or a presentation, or decide that it has no
     realization; never raises BudgetExceeded.  A catalog entry flagged
@@ -244,7 +232,7 @@ def resolve_subject(subject: CatalogEntry | Presentation) -> ResolvedSubject:
     entry = subject if isinstance(subject, CatalogEntry) else None
     p = entry.presentation if entry else subject
     if entry is None and p.ngens == 1:
-        coker = _presentation_coker(p)
+        coker = presentation_invariants(p)
         if not coker.is_finite():  # an enumeration could only exhaust
             return ResolvedSubject(
                 p.name, p, invariants=coker,
@@ -257,19 +245,16 @@ def resolve_subject(subject: CatalogEntry | Presentation) -> ResolvedSubject:
         fast = entry is not None and entry.infinite and bool(entry.abelian)
         return ResolvedSubject(
             subject.name, p, unrealized=exc,
-            invariants=_presentation_coker(p) if fast else None)
+            invariants=presentation_invariants(p) if fast else None)
     return ResolvedSubject(subject.name, p, group)
 
 
 def _free_witness_generator(p: Presentation) -> str:
     """Name of a generator whose abelianized image has infinite order."""
-    rows = [w.exponent_row(p.ngens) for w in p.relators]
-    base_rank = _presentation_coker(p).free_rank
+    base_rank = presentation_invariants(p).free_rank
     for i, name in enumerate(p.generators):
-        unit = [0] * p.ngens
-        unit[i] = 1
-        killed = abelian_invariants(rows + [unit], ncols=p.ngens)
-        if killed.free_rank < base_rank:
+        killed = replace(p, relators=p.relators + (Word.gen(i),))
+        if presentation_invariants(killed).free_rank < base_rank:
             return name
     raise InternalInconsistency("no free generator despite infinite factor")
 
@@ -296,8 +281,7 @@ def finiteness_report(r: TensorRealization) -> FinitenessReport:
     diagonal subgroup."""
     g = r.pair.g
     gab = g.abelianization()
-    dgrp, _ = subgroup_as_group(delta(r))
-    dinv = abelian_structure(dgrp)
+    dinv = section_invariants(delta(r), closure(r.group, ()))
     return FinitenessReport(
         gab_invariants=gab, gprime_order=derived_subgroup(g).order,
         tensor_count_m=tensor_set(r).m, tensor_order=r.group.order,

@@ -5,7 +5,7 @@ from __future__ import annotations
 import json
 
 from .abelian import AbelianInvariants
-from .groups import RealizedGroup, abelian_structure
+from .groups import RealizedGroup
 
 
 def serialize_report(record: dict) -> str:
@@ -15,14 +15,12 @@ def serialize_report(record: dict) -> str:
 
 
 def group_result(g: RealizedGroup, tensor_count_m: int | None = None) -> dict:
-    """Result block for a realized group; invariants describe the
-    abelianization when the group is not abelian."""
-    abelian = g.is_abelian()
-    inv = abelian_structure(g) if abelian else g.abelianization()
+    """Result block for a realized group; the invariants are those of its
+    abelianization, which is the group itself when it is abelian."""
     out = {
         "order": g.order,
-        "abelian": abelian,
-        "abelian_invariants": list(inv.factors),
+        "abelian": g.is_abelian(),
+        "abelian_invariants": list(g.abelianization().factors),
         "exponent": g.exponent(),
     }
     if tensor_count_m is not None:

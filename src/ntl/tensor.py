@@ -263,7 +263,10 @@ def pairing_relators_hold(pair: CompatibleActionPair,
 
 
 def conjugation_pair(g: RealizedGroup) -> CompatibleActionPair:
-    """Both actions by conjugation inside the same group."""
+    """Both actions by conjugation inside the same group.  The pair is
+    built only to be tensored, so the build cap is checked before the
+    O(|G|^3) validation."""
+    _check_cap(g, g)
     table = _conjugation_table(g)
     ident = np.arange(g.order, dtype=np.int64)
     return _validate_tables(g, g, table, table, "conjugation actions",

@@ -18,7 +18,7 @@ from ntl.abelian import AbelianInvariants
 from ntl.catalog import catalog_lookup, finite_corpus, realize_entry
 from ntl.cli import main
 from ntl.errors import BudgetExceeded
-from ntl.groups import closure, trivial_group
+from ntl.groups import closure
 from ntl.homotopy import pi3_suspension_K, schur_multiplier, stable_pi2_K
 from ntl.tensor import conjugation_pair
 from ntl.verification import (ProfileStore, build_profiles,
@@ -174,7 +174,7 @@ def test_criterion_06_schur_multipliers(store):
 def test_criterion_06_fails_when_the_schur_multiplier_is_lost(
         store, monkeypatch):
     monkeypatch.setattr(verification, "schur_multiplier",
-                        lambda r: trivial_group())
+                        lambda r: AbelianInvariants(()))
     r = _faulted(check_schur_oracle(store))
     assert r.detail.startswith("C2xC2: H2=")
 
@@ -185,7 +185,7 @@ def test_criterion_07_stable_pi2(store):
 
 def test_criterion_07_fails_when_the_stable_pi2_is_lost(store, monkeypatch):
     monkeypatch.setattr(verification, "stable_pi2_K",
-                        lambda r: trivial_group())
+                        lambda r: AbelianInvariants(()))
     r = _faulted(check_stable_pi2(store))
     assert r.detail.startswith("pi2S(K(C2,1))=")
 
@@ -212,7 +212,7 @@ def test_criterion_09_pushout_values():
 
 def test_criterion_09_fails_when_pi3_is_lost(monkeypatch):
     monkeypatch.setattr(homotopy, "pi3_suspension_K",
-                        lambda r: trivial_group())
+                        lambda r: AbelianInvariants(()))
     r = _faulted(check_pushout())
     assert r.detail.endswith("|pi2|=4, |pi3|=1")
 

@@ -433,6 +433,28 @@ class TestFilesAndEnv:
         assert len(lines) == 2
         assert all("K:" in line for line in lines)
 
+    def test_verify_file_scope_skips_a_square_over_the_cap(self, capsys,
+                                                          tmp_path):
+        f = tmp_path / "big.grp"
+        f.write_text("group B { gens: a; rels: a^13; }")  # 13^2 > 144
+        rc, out, _ = run(capsys, "verify", str(f))
+        assert rc == 0
+        lines = out.splitlines()
+        assert lines[0].startswith("PASS  B: realization: order 13, ")
+        assert lines[1] == ("PASS  B: conjugation build: skipped: square "
+                            "build exceeds the size cap [0 ms]")
+        assert lines[2] == "all checks passed (2/2)"
+
+    @pytest.mark.parametrize("text", ["", "# a comment only\n"],
+                             ids=["empty", "comment"])
+    def test_verify_file_without_groups_or_actions_is_a_usage_error(
+            self, capsys, tmp_path, text):
+        f = tmp_path / "empty.grp"
+        f.write_text(text)
+        rc, out, err = run(capsys, "verify", str(f))
+        assert (rc, out) == (2, "")
+        assert err == f"usage error: {f} defines no group and no action\n"
+
     def test_verify_file_scope_failure(self, capsys, tmp_path):
         f = tmp_path / "bad.grp"
         f.write_text("group F { gens: a b; }")

@@ -10,7 +10,7 @@ from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
                        realize_presentation, regular_representation,
                        word_letters)
 from ntl.errors import BudgetExceeded, InternalInconsistency
-from ntl.groups import abelian_structure, derived_subgroup
+from ntl.groups import closure, derived_subgroup, section_invariants
 from ntl.parsing import parse_group
 from ntl.tensor import build_nu
 from ntl.words import Presentation, Word
@@ -188,7 +188,9 @@ class TestRegularRepresentation:
     def test_c6_structure(self):
         g, stats = realize_presentation(catalog_lookup("C6").presentation)
         assert g.order == 6
-        assert abelian_structure(g).factors == (6,)
+        table_invariants = section_invariants(
+            closure(g, g.generator_images), closure(g, []))
+        assert table_invariants.factors == (6,)
         assert stats.cosets_final == 6
 
     def test_trivial_group(self):

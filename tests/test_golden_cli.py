@@ -26,7 +26,14 @@ COMMANDS = (
        ("three-connected", "--group", "C6", "--m", "a^3", "--n", "a^2"),
        ("thmc", "--group", "A4"),
        ("finiteness", "--group", "C2xC6"),
-       ("exponent-check", "--group", "Q8")])
+       ("exponent-check", "--group", "Q8")]
+    # Outputs read off an abelian section (J2, the pushout's pi2 and pi3,
+    # the diagonal) or off G/G' of a tensor product without a presentation.
+    + [("tensor", "--group", "A4"),
+       ("pushout", "--group", "S3", "--m", "b", "--n", "b"),
+       ("wedge", "--group", "C2xC4", "--other", "C6"),
+       ("finiteness", "--group", "Q8"),
+       ("invariant", "j2", "--group", "C2xC2")])
 
 
 def replay(argv, capsys) -> dict:

@@ -4,13 +4,13 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from ntl.catalog import realize_name
-from ntl.errors import InternalInconsistency, MixedParents, NotNormal
+from ntl.catalog import finite_corpus, realize_entry
+from ntl.errors import InternalInconsistency, MixedParents
 from ntl.groups import (Homomorphism, RealizedGroup, _light_associative,
-                        _walk, abelian_structure, closure, commutator_subgroup,
-                        derived_subgroup, intersection, kernel, quotient,
-                        subgroup_as_group, subgroup_exponent,
-                        subgroup_from_members, subgroup_quotient,
-                        trivial_group)
+                        _walk, closure, commutator_subgroup, derived_subgroup,
+                        intersection, kernel, presentation_invariants,
+                        section_invariants, subgroup_as_group,
+                        subgroup_exponent, trivial_group)
 
 
 def naive_closure(g, gens):
@@ -29,6 +29,21 @@ def naive_closure(g, gens):
 def naive_derived(g):
     comms = {g.comm(x, y) for x in range(g.order) for y in range(g.order)}
     return naive_closure(g, comms)
+
+
+def whole(g):
+    return closure(g, g.generator_images)
+
+
+def table_invariants(g):
+    """Invariant factors of an abelian group read off its table."""
+    return section_invariants(whole(g), closure(g, []))
+
+
+def generators_as_members(sub):
+    """The parent's elements that generate `sub` once it is realized."""
+    grp, incl = subgroup_as_group(sub)
+    return [incl(x) for x in grp.generator_images]
 
 
 class TestClosure:
@@ -56,13 +71,8 @@ class TestClosure:
     def test_generators_regenerate(self):
         d4 = realize_name("D4")
         sub = closure(d4, [1, 2])
-        regen = closure(d4, sub.generators)
+        regen = closure(d4, generators_as_members(sub))
         assert regen.members == sub.members
-
-    def test_subgroup_from_members_rejects_non_closed(self):
-        c6 = realize_name("C6")
-        with pytest.raises(InternalInconsistency):
-            subgroup_from_members(c6, [0, 1])
 
 
 WALK_GROUPS = ("C6", "S3", "D4", "Q8", "A4", "D5", "D6", "C2xC6")
@@ -84,7 +94,7 @@ class TestClosureAgainstBruteForce:
         gens = data.draw(elements(g, 3))
         sub = closure(g, gens)
         assert list(sub.members) == naive_closure(g, gens)
-        assert closure(g, sub.generators).members == sub.members
+        assert closure(g, generators_as_members(sub)).members == sub.members
 
     @settings(max_examples=40, deadline=None)
     @given(st.sampled_from(WALK_GROUPS), st.data())
@@ -131,38 +141,40 @@ class TestKernelQuotient:
     def test_quotient_c6_by_c3(self):
         c6 = realize_name("C6")
         sub = closure(c6, [c6.power(c6.generator_images[0], 2)])
-        q, proj = quotient(c6, sub)
-        assert q.order == 2
-        assert proj.images[0] == 0
+        assert section_invariants(whole(c6), sub).factors == (2,)
 
     def test_quotient_by_trivial_is_isomorphic_copy(self):
-        d4 = realize_name("D4")
-        q, proj = quotient(d4, closure(d4, []))
-        assert q.order == d4.order
-        assert proj.is_injective()
-        assert sorted(q.element_orders()) == sorted(d4.element_orders())
+        for name in ("C2xC4", "C2xC6", "C3xC3", "C12"):
+            g = realize_name(name)
+            inv = table_invariants(g)
+            assert inv == g.abelianization()
+            assert inv.order() == g.order
+            assert inv.exponent() == g.exponent()
 
     def test_s3_mod_a3(self):
         s3 = realize_name("S3")
         a3 = derived_subgroup(s3)
-        q, _ = quotient(s3, a3)
-        assert q.order == 2
+        assert section_invariants(whole(s3), a3).factors == (2,)
 
     def test_not_normal(self):
         s3 = realize_name("S3")
         t = next(x for x in range(6) if s3.element_orders()[x] == 2)
-        with pytest.raises(NotNormal):
-            quotient(s3, closure(s3, [t]))
+        with pytest.raises(InternalInconsistency, match="not abelian"):
+            section_invariants(whole(s3), closure(s3, [t]))
 
     @pytest.mark.parametrize("name", ["C6", "D4", "Q8", "A4"])
     def test_order_arithmetic(self, name):
+        # outer/inner is abelian exactly when inner holds G'
         g = realize_name(name)
+        gprime = set(derived_subgroup(g).members)
         for seed in range(g.order):
             sub = closure(g, [seed])
-            if not sub.is_normal():
-                continue
-            q, _ = quotient(g, sub)
-            assert q.order * sub.order == g.order
+            if gprime <= set(sub.members):
+                inv = section_invariants(whole(g), sub)
+                assert inv.order() * sub.order == g.order
+            else:
+                with pytest.raises(InternalInconsistency):
+                    section_invariants(whole(g), sub)
 
 
 class TestDerivedAndFriends:
@@ -211,18 +223,57 @@ class TestDerivedAndFriends:
         assert orders == [1, 2, 4, 4, 4, 4, 4, 4]
 
 
+class TestSections:
+    @pytest.mark.parametrize("entry", finite_corpus(), ids=lambda e: e.name)
+    def test_abelianization_agrees_with_the_presentation(self, entry):
+        g = realize_entry(entry)
+        assert (section_invariants(whole(g), derived_subgroup(g))
+                == presentation_invariants(entry.presentation))
+
+    def test_a_group_without_presentation_reads_its_table(self):
+        copy, _ = subgroup_as_group(whole(realize_name("S3")))
+        assert copy.source_presentation is None
+        assert copy.abelianization().factors == (2,)
+
+    def test_non_abelian_section_rejected(self):
+        s3 = realize_name("S3")
+        with pytest.raises(InternalInconsistency, match="not abelian"):
+            section_invariants(whole(s3), closure(s3, []))
+
+    def test_inner_outside_outer_rejected(self):
+        c6 = realize_name("C6")
+        a = c6.generator_images[0]
+        outer = closure(c6, [c6.power(a, 2)])
+        inner = closure(c6, [c6.power(a, 3)])
+        with pytest.raises(InternalInconsistency, match="not contained"):
+            section_invariants(outer, inner)
+
+    def test_mixed_parents_rejected(self):
+        c6, s3 = realize_name("C6"), realize_name("S3")
+        with pytest.raises(MixedParents):
+            section_invariants(whole(c6), closure(s3, []))
+
+    def test_proper_section(self):
+        # D4 = <r, s>: <r> over its square <r^2> is C2
+        d4 = realize_name("D4")
+        r = next(x for x in range(8) if d4.element_orders()[x] == 4)
+        outer = closure(d4, [r])
+        inner = closure(d4, [d4.mul(r, r)])
+        assert section_invariants(outer, inner).factors == (2,)
+
+
 class TestStructure:
     def test_abelian_structure_values(self):
-        assert abelian_structure(realize_name("C2xC4")).factors == (2, 4)
-        assert abelian_structure(realize_name("C6")).factors == (6,)
-        assert abelian_structure(realize_name("C2xC6")).factors == (2, 6)
-        assert abelian_structure(realize_name("C3xC3")).factors == (3, 3)
-        assert abelian_structure(trivial_group()).factors == ()
+        assert table_invariants(realize_name("C2xC4")).factors == (2, 4)
+        assert table_invariants(realize_name("C6")).factors == (6,)
+        assert table_invariants(realize_name("C2xC6")).factors == (2, 6)
+        assert table_invariants(realize_name("C3xC3")).factors == (3, 3)
+        assert table_invariants(trivial_group()).factors == ()
 
     def test_abelianization_matches_structure_on_abelian(self):
         for name in ("C8", "C2xC6", "C3xC3"):
             g = realize_name(name)
-            assert g.abelianization() == abelian_structure(g)
+            assert g.abelianization() == table_invariants(g)
 
     @pytest.mark.parametrize("name,inv", [("S3", (2,)), ("Q8", (2, 2)),
                                           ("A4", (3,)), ("D4", (2, 2)),
@@ -241,12 +292,8 @@ class TestStructure:
 
     def test_subgroup_quotient(self):
         c6 = realize_name("C6")
-        whole = closure(c6, c6.generator_images)
         inner = closure(c6, [c6.power(c6.generator_images[0], 3)])
-        q, proj, outer = subgroup_quotient(whole, inner)
-        assert q.order == 3
-        assert outer.order == 6
-        assert len(proj.kernel().members) == 2
+        assert section_invariants(whole(c6), inner).factors == (3,)
 
     def test_associativity_guard(self):
         # A loop of order 5: a Latin square with identity 0 and two-sided
