@@ -22,8 +22,8 @@ from .homotopy import (BoundReport, bound_pushout_pi3, bound_theorem_A,
                        finiteness_report, pi3_suspension_K, pushout_EM,
                        schur_multiplier, stable_pi2_K, theoremC_report,
                        three_connected_check, wedge_pi3)
-from .parsing import (ActionSpec, parse_action, parse_file, parse_group,
-                      parse_words_text, print_action, print_presentation)
+from .parsing import (ActionSpec, parse_file, parse_words_text, print_action,
+                      print_presentation)
 from .report import serialize_report
 from .tensor import (CompatibleActionPair, TensorRealization, TensorSet,
                      build_direct, build_eta, build_nu, conjugation_pair,

@@ -207,9 +207,6 @@ class AbelianInvariants:
             return None
         return lcm(*self.factors) if self.factors else 1
 
-    def torsion(self) -> "AbelianInvariants":
-        return AbelianInvariants(tuple(f for f in self.factors if f))
-
     def tensor(self, other: "AbelianInvariants") -> "AbelianInvariants":
         """Tensor product over the integers: pairwise gcd's, renormalized."""
         orders = [gcd(a, b) for a in self.factors for b in other.factors]

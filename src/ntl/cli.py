@@ -169,19 +169,32 @@ def _resolve(value: str) -> ResolvedSubject:
     return resolve_subject(subject)
 
 
-def _resolve_actions(args: argparse.Namespace, g: RealizedGroup,
-                     h: RealizedGroup):
+def _pair_inputs(args: argparse.Namespace):
+    """The pair of `--group` and `--other` under the actions the flags
+    choose, with the query naming them.  The flags are checked and the
+    `--action` file is read before either group is resolved, so those
+    errors cost no enumeration."""
+    other = args.other if args.other is not None else args.group
     chosen = [bool(args.trivial_actions), bool(args.conjugation),
               args.action is not None]
     if sum(chosen) > 1:
         raise _UsageError("choose one of --trivial-actions, --conjugation, "
                           "--action FILE")
-    if args.trivial_actions:
-        return trivial_pair(g, h), "trivial"
+    # conjugation is the default for a square pair
+    if (not args.trivial_actions and args.action is None
+            and other != args.group):
+        raise _UsageError("--conjugation (the default) needs --other to "
+                          "coincide with --group; use --trivial-actions "
+                          "or --action for distinct groups")
     if args.action is not None:
         text = Path(args.action).read_text(encoding="utf-8")
         _, actions = parse_file(
             text, resolver=lambda n: catalog_lookup(n).presentation)
+    g = _resolve(args.group).realized()
+    h = g if other == args.group else _resolve(other).realized()
+    if args.trivial_actions:
+        pair, action_kind = trivial_pair(g, h), "trivial"
+    elif args.action is not None:
         fwd = [a for a in actions
                if a.actor == g.name and a.target == h.name]
         bwd = [a for a in actions
@@ -190,20 +203,10 @@ def _resolve_actions(args: argparse.Namespace, g: RealizedGroup,
             raise _UsageError(
                 f"{args.action} must define actions {g.name}->{h.name} "
                 f"and {h.name}->{g.name}")
-        return validate_compatibility(g, h, fwd[0], bwd[0]), "file"
-    # conjugation is the default for a square pair
-    if g is not h:
-        raise _UsageError("--conjugation (the default) needs --other to "
-                          "coincide with --group; use --trivial-actions "
-                          "or --action for distinct groups")
-    return conjugation_pair(g), "conjugation"
-
-
-def _pair_inputs(args: argparse.Namespace):
-    g = _resolve(args.group).realized()
-    other = args.other if args.other is not None else args.group
-    h = g if other == args.group else _resolve(other).realized()
-    pair, action_kind = _resolve_actions(args, g, h)
+        pair = validate_compatibility(g, h, fwd[0], bwd[0])
+        action_kind = "file"
+    else:
+        pair, action_kind = conjugation_pair(g), "conjugation"
     query = {"group": g.name, "other": h.name, "actions": action_kind}
     return pair, query
 
@@ -442,6 +445,9 @@ def _cmd_verify(args: argparse.Namespace, spent: CosetTally,
     """Run the battery, or the checks of the groups in `args.file`, and
     print them; returns the exit code."""
     if args.file is not None:
+        if args.fault_skip_eta_relators:  # else ignored: a silent pass
+            raise _UsageError("--fault-skip-eta-relators runs in catalog "
+                              "scope only")
         results = run_file_suite(Path(args.file).read_text(encoding="utf-8"))
         if not results:
             raise _UsageError(f"{args.file} defines no group and no action")

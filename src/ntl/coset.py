@@ -117,6 +117,11 @@ def budget_scope(budget: EnumerationBudget | None):
         _OPEN_SCOPE.reset(token)
 
 
+def current_tally() -> CosetTally:
+    """The innermost open tally, which every enumeration run adds to."""
+    return _OPEN_TALLY.get()
+
+
 def current_budget() -> EnumerationBudget:
     """The budget in force: the innermost scope's, else the default."""
     return _OPEN_SCOPE.get().budget or default_budget()
@@ -346,7 +351,7 @@ def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:
     Raises BudgetExceeded rather than ever returning a truncated table.
     Either way the run's cosets are added to the open `CosetTally`.
     """
-    tally = _OPEN_TALLY.get()
+    tally = current_tally()
     try:
         rows, stats = _Enumerator(p).run()
     except BudgetExceeded as exc:

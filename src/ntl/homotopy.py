@@ -11,8 +11,6 @@ from __future__ import annotations
 
 from dataclasses import dataclass, field, replace
 
-import numpy as np
-
 from .abelian import AbelianInvariants
 from .catalog import CatalogEntry, realize_entry
 from .coset import EnumerationStats, current_budget, realize_presentation
@@ -21,10 +19,10 @@ from .errors import (BudgetExceeded, InternalInconsistency,
 from .groups import (RealizedGroup, Subgroup, _same_parent, closure,
                      commutator_subgroup, derived_subgroup, intersection,
                      presentation_invariants, section_invariants,
-                     subgroup_as_group, subgroup_exponent)
-from .tensor import (CompatibleActionPair, TensorRealization, _conjugates,
-                     _memoized, _validate_tables, build_eta, delta,
-                     delta_tilde, j2, tensor_set)
+                     subgroup_exponent)
+from .tensor import (TensorRealization, _conjugation_pair_between,
+                     _memoized, build_eta, delta, delta_tilde, j2,
+                     tensor_set)
 from .words import Presentation, Word
 
 
@@ -128,25 +126,6 @@ class PushoutResult:
     pi2: AbelianInvariants
     pi3: AbelianInvariants
     build: TensorRealization
-
-
-def _conjugation_pair_between(m: Subgroup, n: Subgroup
-                              ) -> CompatibleActionPair:
-    g = _same_parent(m, n)
-    m_grp, _ = subgroup_as_group(m)
-    n_grp, _ = subgroup_as_group(n)
-    m_mem = m.members_array()
-    n_mem = n.members_array()
-    m_on_n = _conjugates(g, m_mem, n_mem)
-    n_on_m = _conjugates(g, n_mem, m_mem)
-    if not np.isin(m_on_n, n_mem).all():
-        raise InternalInconsistency("conjugation escapes the second subgroup")
-    if not np.isin(n_on_m, m_mem).all():
-        raise InternalInconsistency("conjugation escapes the first subgroup")
-    return _validate_tables(m_grp, n_grp, np.searchsorted(n_mem, m_on_n),
-                            np.searchsorted(m_mem, n_on_m),
-                            "conjugation inside the parent",
-                            (g, m_mem, n_mem))
 
 
 def pushout_EM(m: Subgroup, n: Subgroup) -> PushoutResult:

@@ -187,21 +187,19 @@ class _Parser:
         self.expect_sym("}")
         return Presentation(name, tuple(gens), tuple(relators))
 
-    def parse_action_block(self, source: Presentation,
-                           target: Presentation) -> ActionSpec:
+    def parse_action_block(
+            self, lookup: Callable[[str, Token], Presentation]) -> ActionSpec:
+        """Parse an action block after its keyword, resolving the names
+        after `from:` and `to:` through `lookup` as they are read."""
         name = self.expect_ident("action name").value
         self.expect_sym("{")
         self.expect_keyword("from")
         t = self.expect_ident("group name")
-        if t.value != source.name:
-            self.fail(f"action {name!r} is from {t.value!r} but the acting "
-                      f"presentation is {source.name!r}", t)
+        source = lookup(t.value, t)
         self.expect_sym(";")
         self.expect_keyword("to")
         t = self.expect_ident("group name")
-        if t.value != target.name:
-            self.fail(f"action {name!r} is to {t.value!r} but the target "
-                      f"presentation is {target.name!r}", t)
+        target = lookup(t.value, t)
         self.expect_sym(";")
         tgt_index = {g: i for i, g in enumerate(target.generators)}
         gmap: dict[str, dict[str, Word]] = {}
@@ -273,31 +271,6 @@ def parse_words_text(text: str, p: Presentation) -> list[Word]:
     return words
 
 
-def parse_group(text: str) -> Presentation:
-    """Parse a single group block."""
-    p = _Parser(tokenize(text))
-    t = p.expect_ident("'group'")
-    if t.value != "group":
-        p.fail("expected a group block", t)
-    out = p.parse_group_block()
-    if p.peek().kind != "eof":
-        p.fail("trailing input after the group block")
-    return out
-
-
-def parse_action(text: str, source: Presentation,
-                 target: Presentation) -> ActionSpec:
-    """Parse a single action block against known presentations."""
-    p = _Parser(tokenize(text))
-    t = p.expect_ident("'action'")
-    if t.value != "action":
-        p.fail("expected an action block", t)
-    out = p.parse_action_block(source, target)
-    if p.peek().kind != "eof":
-        p.fail("trailing input after the action block")
-    return out
-
-
 def parse_file(text: str,
                resolver: Callable[[str], Presentation] | None = None,
                ) -> tuple[dict[str, Presentation], list[ActionSpec]]:
@@ -335,16 +308,7 @@ def parse_file(text: str,
     for start in action_spans:
         q = _Parser(tokens)
         q.pos = start
-        q.expect_ident("action name")
-        q.expect_sym("{")
-        q.expect_keyword("from")
-        ft = q.expect_ident("group name")
-        q.expect_sym(";")
-        q.expect_keyword("to")
-        tt = q.expect_ident("group name")
-        q.pos = start
-        actions.append(q.parse_action_block(lookup(ft.value, ft),
-                                            lookup(tt.value, tt)))
+        actions.append(q.parse_action_block(lookup))
     return groups, actions
 
 

@@ -10,8 +10,9 @@ embeddings are homomorphisms, which proves every Cayley relator, and
 realized table.  The subgroup generated by the commutators [g, h~] inside
 eta(G,H) is the non-abelian tensor product; `build_direct` builds the same
 group a second way from the biadditivity presentation on |G|*|H| symbols,
-serving as a cross-check.  Both routes check |G|*|H| against
-`ETA_SIZE_CAP`, realize their presentation through
+serving as a cross-check.  Every pair builder checks |G|*|H| against
+`ETA_SIZE_CAP` before it builds an action table, so a pair is never too
+large to tensor.  Both routes realize their presentation through
 `coset.realize_presentation` and label T canonically (`_label_tensor`:
 queue-BFS discovery order over the symbols a(x)b), so they return the same
 T: the same table, generator images, `sym` and derived map.  The
@@ -33,12 +34,12 @@ from .coset import EnumerationStats, realize_presentation
 from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
-from .groups import (Homomorphism, RealizedGroup, Subgroup, _walk, closure,
-                     commutator_subgroup)
+from .groups import (Homomorphism, RealizedGroup, Subgroup, _same_parent,
+                     _walk, closure, commutator_subgroup, subgroup_as_group)
 from .parsing import ActionSpec
 from .words import Presentation, Word, commutator, conjugate
 
-ETA_SIZE_CAP = 144  # |G| * |H| bound for the eta and direct builds
+ETA_SIZE_CAP = 144  # |G| * |H| bound for every compatible action pair
 
 
 @dataclass(frozen=True)
@@ -201,6 +202,7 @@ def validate_compatibility(g: RealizedGroup, h: RealizedGroup,
                            h_on_g: ActionSpec) -> CompatibleActionPair:
     """Build element-level tables from the generator-level specs and verify
     the whole compatibility contract."""
+    _check_cap(g.order, h.order)
     t_gh = _tables_from_spec(g, h, g_on_h)
     t_hg = _tables_from_spec(h, g, h_on_g)
     return _validate_tables(g, h, t_gh, t_hg,
@@ -208,6 +210,7 @@ def validate_compatibility(g: RealizedGroup, h: RealizedGroup,
 
 
 def trivial_pair(g: RealizedGroup, h: RealizedGroup) -> CompatibleActionPair:
+    _check_cap(g.order, h.order)
     g_on_h = np.tile(np.arange(h.order, dtype=np.int64), (g.order, 1))
     h_on_g = np.tile(np.arange(g.order, dtype=np.int64), (h.order, 1))
     return _validate_tables(g, h, g_on_h, h_on_g, "trivial actions")
@@ -263,14 +266,34 @@ def pairing_relators_hold(pair: CompatibleActionPair,
 
 
 def conjugation_pair(g: RealizedGroup) -> CompatibleActionPair:
-    """Both actions by conjugation inside the same group.  The pair is
-    built only to be tensored, so the build cap is checked before the
-    O(|G|^3) validation."""
-    _check_cap(g, g)
+    """Both actions by conjugation inside the same group."""
+    _check_cap(g.order, g.order)
     table = _conjugation_table(g)
     ident = np.arange(g.order, dtype=np.int64)
     return _validate_tables(g, g, table, table, "conjugation actions",
                             (g, ident, ident))
+
+
+def _conjugation_pair_between(m: Subgroup, n: Subgroup
+                              ) -> CompatibleActionPair:
+    """M and N acting on each other by conjugation inside their common
+    parent, which is the ambient group of the derived map."""
+    g = _same_parent(m, n)
+    _check_cap(m.order, n.order)
+    m_grp, _ = subgroup_as_group(m)
+    n_grp, _ = subgroup_as_group(n)
+    m_mem = m.members_array()
+    n_mem = n.members_array()
+    m_on_n = _conjugates(g, m_mem, n_mem)
+    n_on_m = _conjugates(g, n_mem, m_mem)
+    if not np.isin(m_on_n, n_mem).all():
+        raise InternalInconsistency("conjugation escapes the second subgroup")
+    if not np.isin(n_on_m, m_mem).all():
+        raise InternalInconsistency("conjugation escapes the first subgroup")
+    return _validate_tables(m_grp, n_grp, np.searchsorted(n_mem, m_on_n),
+                            np.searchsorted(m_mem, n_on_m),
+                            "conjugation inside the parent",
+                            (g, m_mem, n_mem))
 
 
 @dataclass(frozen=True, eq=False)
@@ -371,9 +394,11 @@ def _label_tensor(name: str, table: np.ndarray, sym: np.ndarray
     return group, relabel[sym], mem
 
 
-def _check_cap(g: RealizedGroup, h: RealizedGroup):
-    if g.order * h.order > ETA_SIZE_CAP:
-        raise CapExceeded(f"|G|*|H| = {g.order * h.order} exceeds the build "
+def _check_cap(ng: int, nh: int):
+    """Refuse a pair too large to tensor; every pair builder calls this
+    before it builds an action table."""
+    if ng * nh > ETA_SIZE_CAP:
+        raise CapExceeded(f"|G|*|H| = {ng * nh} exceeds the build "
                           f"cap {ETA_SIZE_CAP}")
 
 
@@ -394,7 +419,6 @@ def build_eta(pair: CompatibleActionPair,
     runs, so the verification suite can prove its own sensitivity.
     """
     g, h = pair.g, pair.h
-    _check_cap(g, h)
     ng, nh = g.order, h.order
     if name is None:
         name = f"eta({g.name},{h.name})"
@@ -478,7 +502,6 @@ def build_direct(pair: CompatibleActionPair) -> TensorRealization:
     symbols a(x)b, an independent route used to cross-check the
     eta-subgroup construction."""
     g, h = pair.g, pair.h
-    _check_cap(g, h)
     ng, nh = g.order, h.order
 
     def t(a: int, b: int) -> int:

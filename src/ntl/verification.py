@@ -23,7 +23,7 @@ import numpy as np
 from .abelian import AbelianInvariants
 from .catalog import (CatalogEntry, catalog_lookup, finite_corpus,
                       realize_entry)
-from .coset import EnumerationBudget, budget_scope, realize_presentation
+from .coset import EnumerationBudget, budget_scope, current_tally
 from .errors import CapExceeded, NtlError
 from .groups import closure, derived_subgroup
 from .homotopy import (bound_pushout_pi3, bound_theorem_A,
@@ -471,14 +471,18 @@ def run_catalog_suite(fault: bool = False) -> list[CheckResult]:
 
 
 def run_file_suite(text: str) -> list[CheckResult]:
-    """Per-group checks for a user-supplied presentation file."""
+    """Per-group checks for a user-supplied presentation file.  Each group
+    is resolved as every command resolves its input, so an input the
+    abelian fast path decides infinite is refused without enumerating."""
     groups, actions = parse_file(
         text, resolver=lambda name: catalog_lookup(name).presentation)
     results: list[CheckResult] = []
     for name, pres in groups.items():
         t0 = time.monotonic()
+        spent = current_tally()
+        before = spent.cosets_defined
         try:
-            grp, stats = realize_presentation(pres)
+            grp = resolve_subject(pres).realized()
         except NtlError as exc:
             results.append(CheckResult(
                 f"{name}: realization", False, f"{exc.code}: {exc}",
@@ -486,8 +490,8 @@ def run_file_suite(text: str) -> list[CheckResult]:
             continue
         results.append(CheckResult(
             f"{name}: realization", True,
-            f"order {grp.order}, {stats.cosets_defined} cosets defined",
-            _ms_since(t0)))
+            f"order {grp.order}, {spent.cosets_defined - before} cosets "
+            "defined", _ms_since(t0)))
         t0 = time.monotonic()
         try:
             p = _profile(name, conjugation_pair(grp))  # certifies |eta|

@@ -265,6 +265,25 @@ class TestExitCodes:
         rc, _, err = run(capsys, "bound", "thmb", "0", "5")
         assert rc == 2
 
+    @pytest.mark.parametrize("argv", [
+        ("tensor", "--group", "F2", "--trivial-actions", "--conjugation"),
+        ("tensor", "--group", "Z", "--other", "C2")],
+        ids=["two-regimes", "conjugation-of-distinct-groups"])
+    def test_action_flags_are_checked_before_any_group(self, capsys, argv):
+        # Resolving F2 or Z would raise BudgetExceeded (exit 1) first.
+        rc, out, err = run(capsys, *argv)
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage error: ")
+
+    def test_fault_flag_in_file_scope_is_a_usage_error(self, capsys,
+                                                       tmp_path):
+        f = tmp_path / "one.grp"
+        f.write_text("group K { gens: a; rels: a^5; }")
+        rc, out, err = run(capsys, "verify", str(f),
+                           "--fault-skip-eta-relators")
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage error: ")
+
 
 class TestDeterminism:
     def strip_timing(self, record):
@@ -432,6 +451,8 @@ class TestFilesAndEnv:
         lines = [line for line in out.splitlines() if line.startswith("PASS")]
         assert len(lines) == 2
         assert all("K:" in line for line in lines)
+        assert lines[0].startswith(
+            "PASS  K: realization: order 5, 5 cosets defined [")
 
     def test_verify_file_scope_skips_a_square_over_the_cap(self, capsys,
                                                           tmp_path):
@@ -454,6 +475,19 @@ class TestFilesAndEnv:
         rc, out, err = run(capsys, "verify", str(f))
         assert (rc, out) == (2, "")
         assert err == f"usage error: {f} defines no group and no action\n"
+
+    def test_verify_file_scope_refuses_z_without_enumerating(self, capsys,
+                                                             tmp_path):
+        f = tmp_path / "z.grp"
+        f.write_text("group Z { gens: a; }")
+        rc, out, _ = run(capsys, "verify", str(f))
+        assert rc == 1
+        lines = out.splitlines()
+        assert lines[0].startswith(
+            "FAIL  Z: realization: BudgetExceeded: coset budget 2000000 "
+            "exhausted (possible infinite group or undersized budget) [")
+        assert lines[1] == "CHECKS FAILED (0/1)"
+        assert lines[2].startswith("stats: 0 cosets defined, ")
 
     def test_verify_file_scope_failure(self, capsys, tmp_path):
         f = tmp_path / "bad.grp"

@@ -9,9 +9,10 @@ from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
                        budget_scope, current_budget, enumerate_cosets,
                        realize_presentation, regular_representation,
                        word_letters)
-from ntl.errors import BudgetExceeded, InternalInconsistency
-from ntl.groups import closure, derived_subgroup, section_invariants
-from ntl.parsing import parse_group
+from ntl.errors import BudgetExceeded, CapExceeded, InternalInconsistency
+from ntl.groups import (GROUP_ORDER_CAP, closure, derived_subgroup,
+                        section_invariants)
+from ntl.parsing import parse_file
 from ntl.tensor import build_nu
 from ntl.words import Presentation, Word
 
@@ -65,7 +66,9 @@ class TestEnumerate:
         assert stats.cosets_defined >= 6
 
     def test_s3_against_permutation_oracle(self):
-        p = parse_group("group S3 { gens: a b; rels: a^3, b^2, (a b)^2; }")
+        groups, _ = parse_file(
+            "group S3 { gens: a b; rels: a^3, b^2, (a b)^2; }")
+        p = groups["S3"]
         table, _ = enumerate_cosets(p)
         assert table.coset_count == 6
         g = regular_representation(table)
@@ -206,6 +209,15 @@ class TestRegularRepresentation:
         split = CosetTable(rows=rows, presentation=p)
         with pytest.raises(InternalInconsistency, match="not transitive"):
             regular_representation(split)
+
+    def test_order_cap(self):
+        # The complete table of a cyclic group one past the cap.
+        n = GROUP_ORDER_CAP + 1
+        p = Presentation(f"C{n}", ("a",), (Word.gen(0) ** n,))
+        i = np.arange(n, dtype=np.int32)
+        rows = np.stack([(i + 1) % n, (i - 1) % n], axis=1)
+        with pytest.raises(CapExceeded, match=f"group order {n} exceeds"):
+            regular_representation(CosetTable(rows=rows, presentation=p))
 
     def test_identity_is_index_zero(self):
         g, _ = realize_presentation(catalog_lookup("D4").presentation)

@@ -7,14 +7,12 @@ from ntl.errors import (BudgetExceeded, MixedParents, NotGeneratingPair,
                         NotNormal)
 from ntl.groups import (Homomorphism, RealizedGroup, closure,
                         derived_subgroup)
-from ntl.homotopy import (_conjugation_pair_between, bound_pushout_pi3,
-                          bound_theorem_A, bound_theorem_B,
-                          burnside_exponent_check, finiteness_report,
-                          pi3_suspension_K, pushout_EM, resolve_subject,
-                          schur_multiplier, stable_pi2_K,
-                          theoremC_report, three_connected_check,
-                          wedge_pi3)
-from ntl.tensor import build_nu
+from ntl.homotopy import (bound_pushout_pi3, bound_theorem_A,
+                          bound_theorem_B, burnside_exponent_check,
+                          finiteness_report, pi3_suspension_K, pushout_EM,
+                          resolve_subject, schur_multiplier, stable_pi2_K,
+                          theoremC_report, three_connected_check, wedge_pi3)
+from ntl.tensor import _conjugation_pair_between, build_nu
 
 
 def cyc(n):

@@ -6,9 +6,25 @@ from ntl.catalog import (CATALOG_CORPUS, catalog_lookup, finite_corpus,
                          realize_entry)
 from ntl.errors import (IncompleteMap, PresentationSyntaxError,
                         UnknownCatalogName, UnknownGenerator)
-from ntl.parsing import (parse_action, parse_file, parse_group,
-                         parse_words_text, print_action, print_presentation)
+from ntl.parsing import (parse_file, parse_words_text, print_action,
+                         print_presentation)
 from ntl.words import Presentation, Word, commutator, conjugate
+
+
+def read_group(text):
+    """The one group block of `text`, read by `parse_file`."""
+    groups, actions = parse_file(text)
+    assert len(groups) == 1 and not actions
+    return next(iter(groups.values()))
+
+
+def read_action(text):
+    """The one action block of `text`, read by `parse_file` with its
+    groups looked up in the catalog."""
+    groups, actions = parse_file(
+        text, resolver=lambda n: catalog_lookup(n).presentation)
+    assert not groups and len(actions) == 1
+    return actions[0]
 
 
 class TestWords:
@@ -44,24 +60,24 @@ class TestWords:
 
 class TestParseGroup:
     def test_c4(self):
-        p = parse_group("group C4 { gens: a; rels: a^4; }")
+        p = read_group("group C4 { gens: a; rels: a^4; }")
         assert p.name == "C4"
         assert p.generators == ("a",)
         assert len(p.relators) == 1
         assert p.relators[0].letters == ((0, 4),)
 
     def test_s3_shape(self):
-        p = parse_group("group S3 { gens: a b; rels: a^3, b^2, (a b)^2; }")
+        p = read_group("group S3 { gens: a b; rels: a^3, b^2, (a b)^2; }")
         assert p.generators == ("a", "b")
         assert len(p.relators) == 3
         assert p.relators[2].letters == ((0, 1), (1, 1), (0, 1), (1, 1))
 
     def test_unknown_generator(self):
         with pytest.raises(UnknownGenerator):
-            parse_group("group X { gens: a; rels: b^2; }")
+            read_group("group X { gens: a; rels: b^2; }")
 
     def test_negative_exponent(self):
-        p = parse_group("group X { gens: a b; rels: a b^-1; }")
+        p = read_group("group X { gens: a b; rels: a b^-1; }")
         assert p.relators[0].letters == ((0, 1), (1, -1))
 
     def test_comments_and_whitespace(self):
@@ -72,59 +88,43 @@ class TestParseGroup:
           rels: a ^ 2 ;
         }
         """
-        p = parse_group(text)
+        p = read_group(text)
         assert p.name == "T"
         assert p.relators[0].letters == ((0, 2),)
 
     def test_error_position(self):
         with pytest.raises(PresentationSyntaxError) as err:
-            parse_group("group X {\n gens: a;\n rels a^2; }")
+            read_group("group X {\n gens: a;\n rels a^2; }")
         assert err.value.line == 3
 
     def test_no_relators(self):
-        p = parse_group("group F { gens: a b; }")
+        p = read_group("group F { gens: a b; }")
         assert p.relators == ()
 
     def test_trailing_garbage(self):
         with pytest.raises(PresentationSyntaxError):
-            parse_group("group X { gens: a; } extra")
+            read_group("group X { gens: a; } extra")
 
 
 class TestParseAction:
     def test_inversion(self):
-        c2 = catalog_lookup("C2").presentation
-        c4 = catalog_lookup("C4").presentation
-        spec = parse_action(
-            "action inv { from: C2; to: C4; a => (a -> a^-1); }", c2, c4)
+        spec = read_action(
+            "action inv { from: C2; to: C4; a => (a -> a^-1); }")
         assert spec.name == "inv"
         assert spec.generator_map["a"]["a"].letters == ((0, -1),)
 
     def test_squaring_is_syntax_only(self):
-        c5 = catalog_lookup("C5").presentation
-        spec = parse_action(
-            "action sq { from: C5; to: C5; a => (a -> a^2); }", c5, c5)
+        spec = read_action(
+            "action sq { from: C5; to: C5; a => (a -> a^2); }")
         assert spec.generator_map["a"]["a"].letters == ((0, 2),)
 
     def test_incomplete_actor(self):
-        s3 = catalog_lookup("S3").presentation
-        c2 = catalog_lookup("C2").presentation
         with pytest.raises(IncompleteMap):
-            parse_action(
-                "action x { from: S3; to: C2; a => (a -> a); }", s3, c2)
+            read_action("action x { from: S3; to: C2; a => (a -> a); }")
 
     def test_incomplete_target(self):
-        c2 = catalog_lookup("C2").presentation
-        s3 = catalog_lookup("S3").presentation
         with pytest.raises(IncompleteMap):
-            parse_action(
-                "action x { from: C2; to: S3; a => (a -> a); }", c2, s3)
-
-    def test_group_mismatch(self):
-        c2 = catalog_lookup("C2").presentation
-        c4 = catalog_lookup("C4").presentation
-        with pytest.raises(PresentationSyntaxError):
-            parse_action(
-                "action x { from: C3; to: C4; a => (a -> a); }", c2, c4)
+            read_action("action x { from: C2; to: S3; a => (a -> a); }")
 
 
 class TestRoundTrip:
@@ -132,7 +132,7 @@ class TestRoundTrip:
     def test_catalog_fixed_point(self, name):
         p = catalog_lookup(name).presentation
         text = print_presentation(p)
-        again = parse_group(text)
+        again = read_group(text)
         assert again.generators == p.generators
         assert again.relators == p.relators
         assert print_presentation(again) == text
@@ -147,17 +147,17 @@ class TestRoundTrip:
         rels = tuple(w for w in rels if not w.is_identity())
         p = Presentation("G", ("a", "b", "c"), rels)
         text = print_presentation(p)
-        again = parse_group(text)
+        again = read_group(text)
         assert again.relators == p.relators
         assert print_presentation(again) == text
 
     def test_action_fixed_point(self):
         c2 = catalog_lookup("C2").presentation
         c4 = catalog_lookup("C4").presentation
-        spec = parse_action(
-            "action inv { from: C2; to: C4; a => (a -> a^-1); }", c2, c4)
+        spec = read_action(
+            "action inv { from: C2; to: C4; a => (a -> a^-1); }")
         text = print_action(spec, c2, c4)
-        again = parse_action(text, c2, c4)
+        again = read_action(text)
         assert again.generator_map == spec.generator_map
         assert print_action(again, c2, c4) == text
 
@@ -174,6 +174,17 @@ class TestParseFile:
         assert len(actions) == 1
         assert actions[0].actor == "G"
         assert actions[0].target == "H"
+
+    def test_action_before_its_groups(self):
+        text = """
+        action act { from: G; to: H; a => (b -> b^-1); }
+        group G { gens: a; rels: a^2; }
+        group H { gens: b; rels: b^4; }
+        """
+        groups, (spec,) = parse_file(text)
+        assert set(groups) == {"G", "H"}
+        assert (spec.actor, spec.target) == ("G", "H")
+        assert spec.generator_map["a"]["b"].letters == ((0, -1),)
 
     def test_resolver_for_catalog_names(self):
         text = "action act { from: C2; to: C6; a => (a -> a^-1); }"

@@ -11,7 +11,7 @@ from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
                         NotAutomorphism)
 from ntl.coset import EnumerationBudget, budget_scope
 from ntl.groups import Homomorphism, _walk, closure, derived_subgroup
-from ntl.parsing import parse_action
+from ntl.parsing import parse_file
 from ntl import tensor
 from ntl.homotopy import pushout_EM
 from ntl.tensor import (_conjugation_table, _first_non_automorphism,
@@ -26,6 +26,14 @@ SMALL = ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "D4", "Q8"]
 
 def cyc(n):
     return realize_name(f"C{n}")
+
+
+def read_action(text):
+    """The one action block of `text`, its groups looked up in the
+    catalog."""
+    _, (spec,) = parse_file(
+        text, resolver=lambda n: catalog_lookup(n).presentation)
+    return spec
 
 
 def _pushout_s3_a3():
@@ -67,8 +75,8 @@ class TestCompatibility:
             f"{s} => ("
             + ", ".join(f"{t} -> {s}^-1 {t} {s}" for t in p.generators)
             + ");" for s in p.generators)
-        spec = parse_action(
-            f"action conj {{ from: {name}; to: {name}; {blocks} }}", p, p)
+        spec = read_action(
+            f"action conj {{ from: {name}; to: {name}; {blocks} }}")
         pair = validate_compatibility(g, g, spec, spec)
         want = conjugation_pair(g)
         assert np.array_equal(pair.g_on_h, want.g_on_h)
@@ -76,9 +84,8 @@ class TestCompatibility:
 
     def test_mutual_squaring_on_c5_incompatible(self):
         g = cyc(5)
-        p = catalog_lookup("C5").presentation
-        spec = parse_action(
-            "action sq { from: C5; to: C5; a => (a -> a^2); }", p, p)
+        spec = read_action(
+            "action sq { from: C5; to: C5; a => (a -> a^2); }")
         with pytest.raises(Incompatible) as err:
             validate_compatibility(g, g, spec, spec)
         # first violating triple is (a, b, a) in element indices
@@ -87,12 +94,10 @@ class TestCompatibility:
     def test_non_automorphism_rejected(self):
         c4 = realize_name("C4")
         c2 = realize_name("C2")
-        p4 = catalog_lookup("C4").presentation
-        p2 = catalog_lookup("C2").presentation
-        spec = parse_action(
-            "action sq { from: C2; to: C4; a => (a -> a^2); }", p2, p4)
-        back = parse_action(
-            "action tr { from: C4; to: C2; a => (a -> a); }", p4, p2)
+        spec = read_action(
+            "action sq { from: C2; to: C4; a => (a -> a^2); }")
+        back = read_action(
+            "action tr { from: C4; to: C2; a => (a -> a); }")
         with pytest.raises(NotAutomorphism):
             validate_compatibility(c2, c4, spec, back)
 
@@ -100,12 +105,10 @@ class TestCompatibility:
         # squaring is an automorphism of C5 but a -> squaring is not a
         # C2-action; both compatibility identities nevertheless hold.
         c2, c5 = realize_name("C2"), cyc(5)
-        p2 = catalog_lookup("C2").presentation
-        p5 = catalog_lookup("C5").presentation
-        spec = parse_action(
-            "action sq { from: C2; to: C5; a => (a -> a^2); }", p2, p5)
-        back = parse_action(
-            "action tr { from: C5; to: C2; a => (a -> a); }", p5, p2)
+        spec = read_action(
+            "action sq { from: C2; to: C5; a => (a -> a^2); }")
+        back = read_action(
+            "action tr { from: C5; to: C2; a => (a -> a); }")
         with pytest.raises(NotActionHomomorphism):
             validate_compatibility(c2, c5, spec, back)
 
@@ -259,11 +262,26 @@ class TestBuildEta:
         assert not r.sym.flags.writeable
 
     def test_cap(self):
-        pair = trivial_pair(cyc(13), cyc(12))  # 156 > ETA_SIZE_CAP = 144
-        with pytest.raises(CapExceeded):
-            build_eta(pair)
-        with pytest.raises(CapExceeded):
-            build_direct(pair)
+        with pytest.raises(CapExceeded):  # 156 > ETA_SIZE_CAP = 144
+            trivial_pair(cyc(13), cyc(12))
+
+    def test_every_pair_builder_checks_the_cap_first(self, monkeypatch):
+        def never(*args):
+            raise AssertionError("an oversize pair was validated")
+        for name in ("_first_incompatible", "_tables_from_spec",
+                     "_conjugation_table", "_validate_tables"):
+            monkeypatch.setattr(tensor, name, never)
+        c400, c13 = cyc(400), cyc(13)
+        conj = read_action(
+            "action conj { from: C13; to: C13; a => (a -> a); }")
+        full = closure(c13, c13.generator_images)
+        builds = [lambda: trivial_pair(c400, c400),
+                  lambda: validate_compatibility(c13, c13, conj, conj),
+                  lambda: conjugation_pair(c13),
+                  lambda: tensor._conjugation_pair_between(full, full)]
+        for build in builds:
+            with pytest.raises(CapExceeded, match="exceeds the build cap"):
+                build()
 
     def test_fault_flag_diverges(self):
         pair = trivial_pair(cyc(2), cyc(2))
