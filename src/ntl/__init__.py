@@ -7,15 +7,15 @@ from .catalog import (CATALOG_CORPUS, CatalogEntry, catalog_entries,
 from .coset import (CosetTable, EnumerationBudget, EnumerationStats,
                     enumerate_cosets, realize_presentation,
                     regular_representation)
-from .errors import (ALL_ERRORS, BudgetExceeded, CapExceeded, IncompleteMap,
-                     Incompatible, InternalInconsistency, MixedParents,
-                     NotAbelian, NotActionHomomorphism, NotAutomorphism,
+from .errors import (BudgetExceeded, CapExceeded, IncompleteMap, Incompatible,
+                     InternalInconsistency, MixedParents, NotAbelian,
+                     NotActionHomomorphism, NotAutomorphism,
                      NotGeneratingPair, NotNormal, NtlError,
                      PresentationSyntaxError, Undecided, UnknownCatalogName,
                      UnknownGenerator)
 from .groups import (Homomorphism, RealizedGroup, Subgroup, closure,
                      commutator_subgroup, derived_subgroup, intersection,
-                     kernel, presentation_invariants, section_invariants,
+                     presentation_invariants, section_invariants,
                      subgroup_as_group, subgroup_exponent, trivial_group)
 from .homotopy import (BoundReport, bound_pushout_pi3, bound_theorem_A,
                        bound_theorem_B, burnside_exponent_check,

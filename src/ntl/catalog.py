@@ -87,7 +87,8 @@ def _free(r: int, name: str) -> Presentation:
 
 def catalog_lookup(name: str) -> CatalogEntry:
     """Resolve a catalog name: C<n>, C<a>xC<b>..., D<n>, S<n> (n <= 5),
-    Q8, A4, F<r>, Z."""
+    Q8, A4, F<r>, Z.  The entry carries the group's one canonical name
+    (C6 for C06, C2xC4 for C2x4), which is also its presentation's."""
     if name == "Z":
         return CatalogEntry("Z", _free(1, "Z"),
                             {"infinite": True, "abelian": True})
@@ -102,11 +103,12 @@ def catalog_lookup(name: str) -> CatalogEntry:
         n = int(m.group(1))
         if n < 1:
             raise UnknownCatalogName(f"bad cyclic order in {name!r}")
-        return CatalogEntry(name, _cyclic(n), {"order": n, "abelian": True})
+        return CatalogEntry(f"C{n}", _cyclic(n), {"order": n, "abelian": True})
     if _PRODUCT.match(name):
         orders = [int(s.lstrip("C")) for s in name.split("x")]
         if any(d < 1 for d in orders):
             raise UnknownCatalogName(f"bad factor order in {name!r}")
+        name = "x".join(f"C{d}" for d in orders)
         return CatalogEntry(name, _product(orders, name),
                             {"order": prod(orders), "abelian": True})
     m = _DIHEDRAL.match(name)
@@ -114,7 +116,7 @@ def catalog_lookup(name: str) -> CatalogEntry:
         n = int(m.group(1))
         if n < 1:
             raise UnknownCatalogName(f"bad dihedral index in {name!r}")
-        return CatalogEntry(name, _dihedral(n),
+        return CatalogEntry(f"D{n}", _dihedral(n),
                             {"order": 2 * n, "abelian": n <= 2})
     m = _SYMMETRIC.match(name)
     if m:
@@ -122,14 +124,14 @@ def catalog_lookup(name: str) -> CatalogEntry:
         if not 1 <= n <= 5:
             raise UnknownCatalogName(
                 f"symmetric groups are cataloged only up to S5, got {name!r}")
-        return CatalogEntry(name, _symmetric(n),
+        return CatalogEntry(f"S{n}", _symmetric(n),
                             {"order": factorial(n), "abelian": n <= 2})
     m = _FREE.match(name)
     if m:
         r = int(m.group(1))
         if r < 1:
             raise UnknownCatalogName(f"bad free rank in {name!r}")
-        return CatalogEntry(name, _free(r, name),
+        return CatalogEntry(f"F{r}", _free(r, f"F{r}"),
                             {"infinite": True, "abelian": r == 1})
     raise UnknownCatalogName(f"no catalog entry named {name!r}")
 

@@ -14,13 +14,13 @@ import sys
 import time
 from pathlib import Path
 
-from .catalog import catalog_lookup
+from .catalog import CatalogEntry, catalog_lookup
 from .coset import (CosetTally, EnumerationBudget, budget_scope,
                     default_budget)
 from .errors import NotAbelian, NtlError, Undecided
 from .groups import RealizedGroup, Subgroup, closure, section_invariants
-from .homotopy import (THEOREM_C_PROPERTIES, ResolvedSubject,
-                       bound_pushout_pi3, bound_theorem_A, bound_theorem_B,
+from .homotopy import (THEOREM_C_PROPERTIES, bound_pushout_pi3,
+                       bound_theorem_A, bound_theorem_B,
                        burnside_exponent_check, finiteness_report,
                        pi3_suspension_K, pushout_EM, resolve_subject,
                        schur_multiplier, stable_pi2_K, theoremC_report,
@@ -32,6 +32,7 @@ from .tensor import (build_eta, build_nu, conjugation_pair, delta,
                      delta_tilde, tensor_set, trivial_pair,
                      validate_compatibility)
 from .verification import run_catalog_suite, run_file_suite
+from .words import Presentation
 
 
 class _UsageError(Exception):
@@ -64,19 +65,22 @@ def build_parser() -> argparse.ArgumentParser:
                     "and homotopy-group invariants.")
     sub = parser.add_subparsers(dest="command", required=True)
 
-    common = argparse.ArgumentParser(add_help=False)
-    common.add_argument("--json", action="store_true",
-                        help="emit the machine-readable report")
+    json_flag = argparse.ArgumentParser(add_help=False)
+    json_flag.add_argument("--json", action="store_true",
+                           help="emit the machine-readable report")
+    common = argparse.ArgumentParser(add_help=False, parents=[json_flag])
     common.add_argument("--max-cosets", type=int, default=None,
                         help="coset budget (overrides NTL_MAX_COSETS)")
     common.add_argument("--budget-ms", type=int, default=None,
                         help="wall-clock budget per command")
 
-    pair_flags = argparse.ArgumentParser(add_help=False)
-    pair_flags.add_argument("--group", required=True,
+    group_only = argparse.ArgumentParser(add_help=False)
+    group_only.add_argument("--group", required=True,
                             help="catalog name or presentation file")
-    pair_flags.add_argument("--other", default=None,
+    two_groups = argparse.ArgumentParser(add_help=False, parents=[group_only])
+    two_groups.add_argument("--other", default=None,
                             help="second group (defaults to --group)")
+    pair_flags = argparse.ArgumentParser(add_help=False, parents=[two_groups])
     pair_flags.add_argument("--trivial-actions", action="store_true",
                             help="both actions trivial")
     pair_flags.add_argument("--conjugation", action="store_true",
@@ -84,10 +88,6 @@ def build_parser() -> argparse.ArgumentParser:
                                  "(groups must coincide)")
     pair_flags.add_argument("--action", default=None, metavar="FILE",
                             help="file holding both action blocks")
-
-    group_only = argparse.ArgumentParser(add_help=False)
-    group_only.add_argument("--group", required=True,
-                            help="catalog name or presentation file")
 
     sub.add_parser("tensor", parents=[common, pair_flags],
                    help="non-abelian tensor product of two groups")
@@ -108,7 +108,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_triad.add_argument("-p", type=int, default=1)
     p_triad.add_argument("-q", type=int, default=1)
 
-    sub.add_parser("wedge", parents=[common, pair_flags],
+    sub.add_parser("wedge", parents=[common, two_groups],
                    help="pi_3 of a wedge of two K(-,2) spaces")
 
     p_push = sub.add_parser("pushout", parents=[common, group_only],
@@ -130,11 +130,11 @@ def build_parser() -> argparse.ArgumentParser:
 
     p_bound = sub.add_parser("bound", help="order-bound arithmetic")
     bsub = p_bound.add_subparsers(dest="which", required=True)
-    b_a = bsub.add_parser("thma", parents=[common])
+    b_a = bsub.add_parser("thma", parents=[json_flag])
     b_a.add_argument("values", type=int, nargs=4, metavar="N")
-    b_b = bsub.add_parser("thmb", parents=[common])
+    b_b = bsub.add_parser("thmb", parents=[json_flag])
     b_b.add_argument("values", type=int, nargs=2, metavar="N")
-    b_p = bsub.add_parser("pushout", parents=[common])
+    b_p = bsub.add_parser("pushout", parents=[json_flag])
     b_p.add_argument("values", type=int, nargs=3, metavar="N")
 
     sub.add_parser("exponent-check", parents=[common, group_only],
@@ -153,27 +153,31 @@ def build_parser() -> argparse.ArgumentParser:
 # -- input resolution ----------------------------------------------------------
 
 
-def _resolve(value: str) -> ResolvedSubject:
-    """The group `value` names (a catalog name, or a file that defines
-    exactly one group) resolved once."""
-    if os.path.isfile(value):
-        text = Path(value).read_text(encoding="utf-8")
-        groups, _ = parse_file(
-            text, resolver=lambda n: catalog_lookup(n).presentation)
-        if len(groups) != 1:
-            raise _UsageError(
-                f"{value} defines {len(groups)} groups; exactly one needed")
-        subject = next(iter(groups.values()))
-    else:
-        subject = catalog_lookup(value)
-    return resolve_subject(subject)
+def _parse(path: str):
+    """The groups and the actions of a file, with `from:`/`to:` names
+    outside it looked up in the catalog."""
+    return parse_file(Path(path).read_text(encoding="utf-8"),
+                      resolver=lambda n: catalog_lookup(n).presentation)
+
+
+def _lookup(value: str) -> CatalogEntry | Presentation:
+    """The group `value` names: its catalog entry, or the one group the
+    file `value` defines.  Nothing is realized."""
+    if not os.path.isfile(value):
+        return catalog_lookup(value)
+    groups, _ = _parse(value)
+    if len(groups) != 1:
+        raise _UsageError(
+            f"{value} defines {len(groups)} groups; exactly one needed")
+    return next(iter(groups.values()))
 
 
 def _pair_inputs(args: argparse.Namespace):
     """The pair of `--group` and `--other` under the actions the flags
-    choose, with the query naming them.  The flags are checked and the
-    `--action` file is read before either group is resolved, so those
-    errors cost no enumeration."""
+    choose, with the query naming them.  The flags are checked, and the
+    `--action` file is read and matched against the looked-up names of
+    both groups, before either group is resolved, so those errors cost no
+    enumeration."""
     other = args.other if args.other is not None else args.group
     chosen = [bool(args.trivial_actions), bool(args.conjugation),
               args.action is not None]
@@ -186,23 +190,23 @@ def _pair_inputs(args: argparse.Namespace):
         raise _UsageError("--conjugation (the default) needs --other to "
                           "coincide with --group; use --trivial-actions "
                           "or --action for distinct groups")
+    g_in = _lookup(args.group)
+    h_in = g_in if other == args.group else _lookup(other)
     if args.action is not None:
-        text = Path(args.action).read_text(encoding="utf-8")
-        _, actions = parse_file(
-            text, resolver=lambda n: catalog_lookup(n).presentation)
-    g = _resolve(args.group).realized()
-    h = g if other == args.group else _resolve(other).realized()
+        _, actions = _parse(args.action)
+        fwd = [a for a in actions
+               if (a.actor, a.target) == (g_in.name, h_in.name)]
+        bwd = [a for a in actions
+               if (a.actor, a.target) == (h_in.name, g_in.name)]
+        if not fwd or not bwd:
+            raise _UsageError(
+                f"{args.action} must define actions {g_in.name}->"
+                f"{h_in.name} and {h_in.name}->{g_in.name}")
+    g = resolve_subject(g_in).realized()
+    h = g if h_in is g_in else resolve_subject(h_in).realized()
     if args.trivial_actions:
         pair, action_kind = trivial_pair(g, h), "trivial"
     elif args.action is not None:
-        fwd = [a for a in actions
-               if a.actor == g.name and a.target == h.name]
-        bwd = [a for a in actions
-               if a.actor == h.name and a.target == g.name]
-        if not fwd or not bwd:
-            raise _UsageError(
-                f"{args.action} must define actions {g.name}->{h.name} "
-                f"and {h.name}->{g.name}")
         pair = validate_compatibility(g, h, fwd[0], bwd[0])
         action_kind = "file"
     else:
@@ -218,7 +222,7 @@ def _subgroup_from_words(g: RealizedGroup, text: str):
 
 def _pushout_input(args: argparse.Namespace) -> tuple[Subgroup, Subgroup]:
     """The `--m` and `--n` subgroups of `--group`."""
-    g = _resolve(args.group).realized()
+    g = resolve_subject(_lookup(args.group)).realized()
     return _subgroup_from_words(g, args.m), _subgroup_from_words(g, args.n)
 
 
@@ -231,7 +235,7 @@ def _eta_input(args: argparse.Namespace):
 
 def _nu_input(args: argparse.Namespace):
     """`--group` realized, with its nu build."""
-    g = _resolve(args.group).realized()
+    g = resolve_subject(_lookup(args.group)).realized()
     return g, build_nu(g)
 
 
@@ -316,9 +320,9 @@ def _cmd_triad(args: argparse.Namespace) -> dict:
 
 def _cmd_wedge(args: argparse.Namespace) -> dict:
     other = args.other or args.group
-    subjects = [_resolve(args.group)]
+    subjects = [resolve_subject(_lookup(args.group))]
     subjects.append(subjects[0] if other == args.group
-                    else _resolve(other))
+                    else resolve_subject(_lookup(other)))
     invs = []
     for s in subjects:
         if s.invariants is None:
@@ -361,7 +365,7 @@ def _cmd_three_connected(args: argparse.Namespace) -> dict:
 
 
 def _cmd_thmc(args: argparse.Namespace) -> dict:
-    s = _resolve(args.group)
+    s = resolve_subject(_lookup(args.group))
     if s.group is not None:
         rep, witness = theoremC_report(build_nu(s.group)), ""
         result = group_result(s.group,
@@ -381,7 +385,7 @@ def _cmd_thmc(args: argparse.Namespace) -> dict:
 
 
 def _cmd_finiteness(args: argparse.Namespace) -> dict:
-    s = _resolve(args.group)
+    s = resolve_subject(_lookup(args.group))
     query = {"group": s.name}
     if s.invariants is not None:
         inv = s.invariants

@@ -86,21 +86,3 @@ class Undecided(NtlError):
 class NotAbelian(NtlError):
     code = "NotAbelian"
 
-
-ALL_ERRORS = (
-    PresentationSyntaxError,
-    UnknownGenerator,
-    IncompleteMap,
-    UnknownCatalogName,
-    NotNormal,
-    MixedParents,
-    BudgetExceeded,
-    CapExceeded,
-    NotAutomorphism,
-    NotActionHomomorphism,
-    Incompatible,
-    InternalInconsistency,
-    NotGeneratingPair,
-    Undecided,
-    NotAbelian,
-)

@@ -275,13 +275,15 @@ class Subgroup:
         return np.fromiter(self.members, dtype=np.int64, count=self.order)
 
     def is_normal(self) -> bool:
+        """Decided on the parent's generator images: the subgroup is
+        finite, so conjugation by one maps it into itself exactly when it
+        maps it onto itself, and then so does conjugation by its inverse."""
         g = self.parent
-        n = g.order
-        tab = g.table
         mem = self.members_array()
-        inner = tab[g.inverse.astype(np.int64)[:, None], mem[None, :]]
-        conj = tab[inner, np.arange(n)[:, None]]
-        return bool(np.isin(conj, mem).all())
+        inside = np.zeros(g.order, dtype=bool)
+        inside[mem] = True
+        gens = np.asarray(g.generator_images, dtype=np.int64)
+        return bool(inside[_conjugates(g, gens, mem)].all())
 
     def __repr__(self):
         return f"Subgroup(order={self.order} of {self.parent.name!r})"
@@ -291,15 +293,27 @@ def _closure_set(parent: RealizedGroup, gens: Iterable[int]) -> list[int]:
     return sorted([0] + [x for x, _, _ in _walk(parent.table, list(gens))])
 
 
+def _conjugates(g: RealizedGroup, by: np.ndarray, xs: np.ndarray
+                ) -> np.ndarray:
+    """x^y = y^-1 x y for y in the 1-d array `by` and x in the array `xs`
+    of any shape, indexed [y, *x]."""
+    y = by.reshape(by.shape + (1,) * np.ndim(xs))
+    return g.table[g.table[g.inverse[y], xs], y].astype(np.int64)
+
+
+def _commutators(g: RealizedGroup, a: np.ndarray, b: np.ndarray
+                 ) -> np.ndarray:
+    """The commutators [x, y] = x^-1 y^-1 x y, indexed [x, y], for x in
+    `a` and y in `b`."""
+    tab, inv = g.table, g.inverse
+    return tab[tab[inv[a][:, None], inv[b][None, :]],
+               tab[a[:, None], b[None, :]]]
+
+
 def _commutator_blocks(g: RealizedGroup, a: np.ndarray, b: np.ndarray):
-    """The commutators [x, y], indexed [x, y], for x in `a` and y in `b`,
-    yielded in blocks of at most _BLOCK rows."""
-    tab = g.table
-    inv = g.inverse.astype(np.int64)
+    """`_commutators(g, a, b)` in blocks of at most _BLOCK rows."""
     for lo in range(0, a.size, _BLOCK):
-        x = a[lo:lo + _BLOCK]
-        yield tab[tab[inv[x][:, None], inv[b][None, :]],
-                  tab[x[:, None], b[None, :]]]
+        yield _commutators(g, a[lo:lo + _BLOCK], b)
 
 
 def closure(parent: RealizedGroup, gens: Iterable[int]) -> Subgroup:
@@ -312,12 +326,9 @@ def closure(parent: RealizedGroup, gens: Iterable[int]) -> Subgroup:
 
 
 def derived_subgroup(g: RealizedGroup) -> Subgroup:
-    """Commutator subgroup, from the closure of all pairwise commutators."""
-    ar = np.arange(g.order)
-    comms: set[int] = set()
-    for block in _commutator_blocks(g, ar, ar):
-        comms.update(np.unique(block).tolist())
-    return Subgroup(g, tuple(_closure_set(g, comms)))
+    """Commutator subgroup [G, G]."""
+    whole = Subgroup(g, tuple(range(g.order)))
+    return commutator_subgroup(whole, whole)
 
 
 def commutator_subgroup(m: Subgroup, n: Subgroup) -> Subgroup:
@@ -343,15 +354,6 @@ def _same_parent(m: Subgroup, n: Subgroup) -> RealizedGroup:
 def subgroup_exponent(s: Subgroup) -> int:
     orders = s.parent.element_orders()[s.members_array()]
     return int(lcm(*map(int, np.unique(orders))))
-
-
-def kernel(h: "Homomorphism") -> Subgroup:
-    """Kernel subgroup; normality is re-verified exhaustively."""
-    members = np.nonzero(h.images == 0)[0].tolist()
-    sub = Subgroup(h.source, tuple(int(x) for x in members))
-    if not sub.is_normal():
-        raise InternalInconsistency("kernel fails the normality scan")
-    return sub
 
 
 def section_invariants(outer: Subgroup, inner: Subgroup) -> AbelianInvariants:
@@ -476,7 +478,12 @@ class Homomorphism:
         return int(self.images[x])
 
     def kernel(self) -> Subgroup:
-        return kernel(self)
+        """Kernel subgroup; its normality is re-verified."""
+        sub = Subgroup(self.source,
+                       tuple(np.flatnonzero(self.images == 0).tolist()))
+        if not sub.is_normal():
+            raise InternalInconsistency("kernel fails the normality scan")
+        return sub
 
     def image_members(self) -> tuple[int, ...]:
         return tuple(int(x) for x in np.unique(self.images))

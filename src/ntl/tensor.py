@@ -34,8 +34,9 @@ from .coset import EnumerationStats, realize_presentation
 from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
-from .groups import (Homomorphism, RealizedGroup, Subgroup, _same_parent,
-                     _walk, closure, commutator_subgroup, subgroup_as_group)
+from .groups import (Homomorphism, RealizedGroup, Subgroup, _commutators,
+                     _conjugates, _same_parent, _walk, closure,
+                     commutator_subgroup, subgroup_as_group)
 from .parsing import ActionSpec
 from .words import Presentation, Word, commutator, conjugate
 
@@ -216,14 +217,6 @@ def trivial_pair(g: RealizedGroup, h: RealizedGroup) -> CompatibleActionPair:
     return _validate_tables(g, h, g_on_h, h_on_g, "trivial actions")
 
 
-def _conjugates(g: RealizedGroup, by: np.ndarray, xs: np.ndarray
-                ) -> np.ndarray:
-    """x^y = y^-1 x y, indexed [y, x], for the elements y in `by` and x in
-    `xs`."""
-    inner = g.table[g.inverse[by][:, None], xs[None, :]]
-    return g.table[inner, by[:, None]].astype(np.int64)
-
-
 def _conjugation_table(g: RealizedGroup) -> np.ndarray:
     ar = np.arange(g.order)
     return _conjugates(g, ar, ar)
@@ -235,10 +228,7 @@ def _pairing_commutators(pair: CompatibleActionPair, eta: RealizedGroup):
     ng = pair.g.order
     eg = np.asarray(eta.generator_images[:ng], dtype=np.int64)
     eh = np.asarray(eta.generator_images[ng:], dtype=np.int64)
-    tab = eta.table
-    comms = tab[tab[eta.inverse[eg][:, None], eta.inverse[eh][None, :]],
-                tab[eg[:, None], eh[None, :]]].astype(np.int64)
-    return eg, eh, comms
+    return eg, eh, _commutators(eta, eg, eh)
 
 
 def pairing_relators_hold(pair: CompatibleActionPair,
@@ -252,15 +242,13 @@ def pairing_relators_hold(pair: CompatibleActionPair,
     compared at once, indexed [acting element, a, b].
     """
     eg, eh, comms = _pairing_commutators(pair, eta)
-    tab, inv = eta.table, eta.inverse
     for by, a_to, b_to in (
             (eg, _conjugation_table(pair.g)[:, :, None],
              pair.g_on_h[:, None, :]),
             (eh, pair.h_on_g[:, :, None],
              _conjugation_table(pair.h)[:, None, :])):
-        lhs = tab[tab[inv[by][:, None, None], comms[None]],
-                  by[:, None, None]]
-        if not np.array_equal(lhs, comms[a_to, b_to]):
+        if not np.array_equal(_conjugates(eta, by, comms),
+                              comms[a_to, b_to]):
             return False
     return True
 
@@ -342,10 +330,7 @@ def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
     if pair.ambient is None:
         return None
     base, g_in, h_in = pair.ambient
-    tab = base.table
-    inv = base.inverse
-    want = tab[tab[inv[g_in][:, None], inv[h_in][None, :]],
-               tab[g_in[:, None], h_in[None, :]]].astype(np.int64)
+    want = _commutators(base, g_in, h_in)
     steps = dict(zip(sym.ravel().tolist(), want.ravel().tolist()))
     tree = _walk(group.table, list(steps))
     if len(tree) + 1 != group.order:
@@ -353,7 +338,7 @@ def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
     step_images = list(steps.values())
     images = np.zeros(group.order, dtype=np.int64)
     for x, p, i in tree:
-        images[x] = tab[images[p], step_images[i]]
+        images[x] = base.table[images[p], step_images[i]]
     derived = Homomorphism(group, base, images)
     if not np.array_equal(derived.images[sym], want):
         raise InternalInconsistency("the derived map does not send a(x)b "
@@ -479,12 +464,7 @@ def build_eta(pair: CompatibleActionPair,
         raise InternalInconsistency(
             f"{name}: order {eta.order} breaks the semidirect "
             f"decomposition {members.size}*{ng}*{nh}")
-    # T is finite, so conjugation by each generator of eta maps T into
-    # itself exactly when it maps T onto itself; that makes T normal.
-    in_t = np.zeros(eta.order, dtype=bool)
-    in_t[members] = True
-    gens = np.asarray(eta.generator_images, dtype=np.int64)
-    if not in_t[_conjugates(eta, gens, members)].all():
+    if not Subgroup(eta, tuple(np.sort(members).tolist())).is_normal():
         raise InternalInconsistency(
             f"{name}: tensor subgroup is not normal")
     return TensorRealization(pair, presentation, stats, group, sym,

@@ -1,11 +1,24 @@
 import json
+import shlex
+from pathlib import Path
 
 import pytest
 
 from ntl import catalog
 from ntl.cli import _budget_from, build_parser, main
 from ntl.coset import EnumerationBudget, _Enumerator
-from ntl.errors import ALL_ERRORS
+from ntl.errors import NtlError
+
+
+README = Path(__file__).resolve().parent.parent / "README.md"
+
+
+def readme_cli_lines():
+    """The argv of every `ntl` line in the README's CLI block."""
+    text = README.read_text(encoding="utf-8").split("\n## CLI\n", 1)[1]
+    block = text.split("```sh\n", 1)[1].split("```", 1)[0]
+    return [shlex.split(line, comments=True)[1:]
+            for line in block.splitlines() if line.startswith("ntl ")]
 
 
 def run(capsys, *argv):
@@ -136,6 +149,13 @@ class TestBasicCommands:
         rc, record, _ = run_json(capsys, "bound", "pushout", "2", "3", "4")
         assert record["result"]["order"] == 24
 
+    @pytest.mark.parametrize("command", ["nu", "thmc", "finiteness"])
+    def test_a_catalog_group_is_reported_by_its_one_name(self, capsys,
+                                                         command):
+        rc, record, _ = run_json(capsys, command, "--group", "C06")
+        assert rc == 0
+        assert record["query"]["group"] == "C6"
+
     def test_thmc_reports_the_nu_build(self, capsys):
         _, thmc, _ = run_json(capsys, "thmc", "--group", "S3")
         _, nu, _ = run_json(capsys, "nu", "--group", "S3")
@@ -241,8 +261,25 @@ class TestExitCodes:
         assert rc == 2
 
     def test_error_codes_distinct(self):
-        codes = [e.code for e in ALL_ERRORS]
+        # Read off the hierarchy, so no error class can be left out; a
+        # class that sets no code of its own would repeat the base's.
+        codes = [e.code for e in NtlError.__subclasses__()]
+        codes.append(NtlError.code)
         assert len(codes) == len(set(codes))
+
+    @pytest.mark.parametrize("argv", [
+        ("wedge", "--group", "C4", "--other", "C6",
+         "--action", "/nonexistent.act"),
+        ("wedge", "--group", "C4", "--other", "C6", "--trivial-actions",
+         "--conjugation"),
+        ("bound", "thma", "2", "3", "4", "5", "--max-cosets", "1"),
+        ("bound", "thmb", "2", "3", "--budget-ms", "100")],
+        ids=["wedge-action", "wedge-regimes", "bound-cosets", "bound-ms"])
+    def test_a_flag_the_command_never_reads_is_rejected(self, capsys, argv):
+        with pytest.raises(SystemExit) as exc:
+            main(list(argv))
+        assert exc.value.code == 2
+        assert capsys.readouterr().out == ""
 
     def test_bad_degree_is_usage_error(self, capsys):
         rc, _, err = run(capsys, "triad", "--group", "C2", "--other", "C2",
@@ -408,6 +445,35 @@ class TestFilesAndEnv:
         assert rc == 0
         assert record["result"]["order"] == 1
 
+    @pytest.mark.parametrize("group", ["C4", "F2"])
+    def test_action_names_are_matched_before_either_group_is_resolved(
+            self, capsys, tmp_path, group):
+        # F2 has no realization, so resolving it before the names are
+        # matched would raise BudgetExceeded (exit 1).
+        f = tmp_path / "acts.act"
+        f.write_text("""
+        action fwd { from: C2; to: C3; a => (a -> a); }
+        action bwd { from: C3; to: C2; a => (a -> a); }
+        """)
+        rc, out, err = run(capsys, "tensor", "--group", group,
+                           "--other", "C3", "--action", str(f))
+        assert (rc, out) == (2, "")
+        assert err == (f"usage error: {f} must define actions "
+                       f"{group}->C3 and C3->{group}\n")
+
+    def test_action_file_names_a_group_by_any_spelling(self, capsys,
+                                                       tmp_path):
+        f = tmp_path / "acts.act"
+        f.write_text("""
+        action fwd { from: C02; to: C3; a => (a -> a); }
+        action bwd { from: C3; to: C2; a => (a -> a); }
+        """)
+        rc, record, _ = run_json(capsys, "tensor", "--group", "C2",
+                                 "--other", "C03", "--action", str(f))
+        assert rc == 0
+        assert (record["query"]["group"], record["query"]["other"]) == \
+            ("C2", "C3")
+
     def test_env_budget(self, capsys, monkeypatch):
         monkeypatch.setenv("NTL_MAX_COSETS", "40")
         rc, _, err = run(capsys, "nu", "--group", "C4")
@@ -495,3 +561,12 @@ class TestFilesAndEnv:
         rc, out, _ = run(capsys, "verify", str(f), "--max-cosets", "500")
         assert rc == 1
         assert "FAIL" in out
+
+
+@pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
+def test_readme_cli_example_runs(capsys, argv):
+    assert main(argv) == 0
+
+
+def test_readme_cli_block_is_read():
+    assert len(readme_cli_lines()) == 13

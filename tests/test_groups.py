@@ -6,9 +6,9 @@ from hypothesis import strategies as st
 from ntl.catalog import realize_name
 from ntl.catalog import finite_corpus, realize_entry
 from ntl.errors import InternalInconsistency, MixedParents
-from ntl.groups import (Homomorphism, RealizedGroup, _light_associative,
-                        _walk, closure, commutator_subgroup, derived_subgroup,
-                        intersection, kernel, presentation_invariants,
+from ntl.groups import (Homomorphism, RealizedGroup, Subgroup, _commutators,
+                        _conjugates, _light_associative, _walk, closure, commutator_subgroup, derived_subgroup,
+                        intersection, presentation_invariants,
                         section_invariants, subgroup_as_group,
                         subgroup_exponent, trivial_group)
 
@@ -120,21 +120,21 @@ class TestKernelQuotient:
     def test_identity_map_kernel(self):
         s3 = realize_name("S3")
         h = Homomorphism(s3, s3, np.arange(6))
-        assert kernel(h).order == 1
+        assert h.kernel().order == 1
 
     def test_c6_onto_c3(self):
         c6, c3 = realize_name("C6"), realize_name("C3")
         exps = [w.exponent_row(1)[0] for w in c6.element_words]
         images = [c3.power(c3.generator_images[0], e) for e in exps]
         h = Homomorphism(c6, c3, images)
-        assert kernel(h).order == 2
+        assert h.kernel().order == 2
 
     def test_sign_map_kernel(self):
         s3, c2 = realize_name("S3"), realize_name("C2")
         # generator a is the transposition (odd), b the 3-cycle (even)
         parity = [w.exponent_row(2)[0] % 2 for w in s3.element_words]
         h = Homomorphism(s3, c2, parity)
-        k = kernel(h)
+        k = h.kernel()
         assert k.order == 3
         assert k.is_normal()
 
@@ -175,6 +175,44 @@ class TestKernelQuotient:
             else:
                 with pytest.raises(InternalInconsistency):
                     section_invariants(whole(g), sub)
+
+
+@pytest.mark.parametrize("entry", finite_corpus(), ids=lambda e: e.name)
+class TestTableRoutinesAgainstScalars:
+    """The array routines every group fact goes through, checked against
+    the scalar `RealizedGroup.comm` and `conj`."""
+
+    def test_commutators(self, entry):
+        g = realize_entry(entry)
+        ar = np.arange(g.order)
+        want = [[g.comm(x, y) for y in ar] for x in ar]
+        assert np.array_equal(_commutators(g, ar, ar), want)
+
+    def test_conjugates(self, entry):
+        g = realize_entry(entry)
+        ar = np.arange(g.order)
+        table = _conjugates(g, ar, ar)
+        assert np.array_equal(table, [[g.conj(x, y) for x in ar]
+                                      for y in ar])
+        # any shape of conjugated array: indexed [y, *x]
+        grid = _commutators(g, ar, ar)
+        assert np.array_equal(_conjugates(g, ar[::-1], grid),
+                              table[ar[::-1, None, None], grid[None]])
+
+    def test_is_normal_on_every_cyclic_subgroup(self, entry):
+        g = realize_entry(entry)
+        for x in range(g.order):
+            sub = closure(g, [x])
+            normal = all(g.conj(m, y) in sub.members
+                         for m in sub.members for y in range(g.order))
+            assert sub.is_normal() == normal, (entry.name, x)
+
+    def test_derived_subgroup(self, entry):
+        g = realize_entry(entry)
+        sub = derived_subgroup(g)
+        assert list(sub.members) == naive_derived(g)
+        assert sub.is_normal()
+        assert Subgroup(g, tuple(range(g.order))).is_normal()
 
 
 class TestDerivedAndFriends:

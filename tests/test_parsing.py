@@ -244,8 +244,25 @@ class TestCatalog:
                 catalog_lookup(name)
 
     def test_product_spellings(self):
-        assert catalog_lookup("C2xC4").known_facts["order"] == 8
-        assert catalog_lookup("C2x4").known_facts["order"] == 8
+        # Every spelling gets the group's one name, on the entry and on
+        # its presentation alike.
+        for spelling, name, order in [
+                ("C2xC4", "C2xC4", 8), ("C2x4", "C2xC4", 8),
+                ("C02xC4", "C2xC4", 8), ("C06", "C6", 6), ("D03", "D3", 6),
+                ("S03", "S3", 6), ("F02", "F2", None)]:
+            entry = catalog_lookup(spelling)
+            assert entry.name == entry.presentation.name == name, spelling
+            assert entry.known_facts.get("order") == order, spelling
+
+    def test_spellings_share_one_cached_realization(self, monkeypatch):
+        from ntl import catalog
+        monkeypatch.setattr(catalog, "_REALIZED", {})
+        groups = [realize_entry(catalog_lookup(n))
+                  for n in ("C6", "C06", "C2xC2", "C2x2", "D03")]
+        assert sorted(catalog._REALIZED) == ["C2xC2", "C6", "D3"]
+        assert groups[0] is groups[1] and groups[2] is groups[3]
+        assert [g.name for g in groups] == ["C6", "C6", "C2xC2", "C2xC2",
+                                            "D3"]
 
     @pytest.mark.parametrize("entry", finite_corpus(),
                              ids=lambda e: e.name)
