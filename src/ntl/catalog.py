@@ -88,10 +88,8 @@ def _free(r: int, name: str) -> Presentation:
 def catalog_lookup(name: str) -> CatalogEntry:
     """Resolve a catalog name: C<n>, C<a>xC<b>..., D<n>, S<n> (n <= 5),
     Q8, A4, F<r>, Z.  The entry carries the group's one canonical name
-    (C6 for C06, C2xC4 for C2x4), which is also its presentation's."""
-    if name == "Z":
-        return CatalogEntry("Z", _free(1, "Z"),
-                            {"infinite": True, "abelian": True})
+    (C6 for C06, C2xC4 for C2x4, Z for F1), which is also its
+    presentation's."""
     if name == "Q8":
         return CatalogEntry("Q8", _quaternion(),
                             {"order": 8, "abelian": False})
@@ -127,11 +125,12 @@ def catalog_lookup(name: str) -> CatalogEntry:
         return CatalogEntry(f"S{n}", _symmetric(n),
                             {"order": factorial(n), "abelian": n <= 2})
     m = _FREE.match(name)
-    if m:
-        r = int(m.group(1))
+    if m or name == "Z":
+        r = int(m.group(1)) if m else 1
         if r < 1:
             raise UnknownCatalogName(f"bad free rank in {name!r}")
-        return CatalogEntry(f"F{r}", _free(r, f"F{r}"),
+        name = "Z" if r == 1 else f"F{r}"
+        return CatalogEntry(name, _free(r, name),
                             {"infinite": True, "abelian": r == 1})
     raise UnknownCatalogName(f"no catalog entry named {name!r}")
 

@@ -172,26 +172,32 @@ def _lookup(value: str) -> CatalogEntry | Presentation:
     return next(iter(groups.values()))
 
 
+def _lookup_pair(args: argparse.Namespace):
+    """`--group` and `--other` (which defaults to `--group`) looked up, as
+    one object twice when they are equal: two spellings of one catalog
+    name, or two files defining one group."""
+    g_in = _lookup(args.group)
+    h_in = g_in if args.other is None else _lookup(args.other)
+    return g_in, g_in if h_in == g_in else h_in
+
+
 def _pair_inputs(args: argparse.Namespace):
     """The pair of `--group` and `--other` under the actions the flags
     choose, with the query naming them.  The flags are checked, and the
     `--action` file is read and matched against the looked-up names of
     both groups, before either group is resolved, so those errors cost no
     enumeration."""
-    other = args.other if args.other is not None else args.group
     chosen = [bool(args.trivial_actions), bool(args.conjugation),
               args.action is not None]
     if sum(chosen) > 1:
         raise _UsageError("choose one of --trivial-actions, --conjugation, "
                           "--action FILE")
+    g_in, h_in = _lookup_pair(args)
     # conjugation is the default for a square pair
-    if (not args.trivial_actions and args.action is None
-            and other != args.group):
+    if not args.trivial_actions and args.action is None and h_in is not g_in:
         raise _UsageError("--conjugation (the default) needs --other to "
                           "coincide with --group; use --trivial-actions "
                           "or --action for distinct groups")
-    g_in = _lookup(args.group)
-    h_in = g_in if other == args.group else _lookup(other)
     if args.action is not None:
         _, actions = _parse(args.action)
         fwd = [a for a in actions
@@ -319,10 +325,9 @@ def _cmd_triad(args: argparse.Namespace) -> dict:
 
 
 def _cmd_wedge(args: argparse.Namespace) -> dict:
-    other = args.other or args.group
-    subjects = [resolve_subject(_lookup(args.group))]
-    subjects.append(subjects[0] if other == args.group
-                    else resolve_subject(_lookup(other)))
+    g_in, h_in = _lookup_pair(args)
+    subjects = [resolve_subject(g_in)]
+    subjects.append(subjects[0] if h_in is g_in else resolve_subject(h_in))
     invs = []
     for s in subjects:
         if s.invariants is None:

@@ -8,17 +8,12 @@ class NtlError(Exception):
 
     code = "Error"
 
-    def __init__(self, message: str, **details):
-        super().__init__(message)
-        self.details = details
-
 
 class PresentationSyntaxError(NtlError):
     code = "SyntaxError"
 
     def __init__(self, message: str, line: int, column: int):
-        super().__init__(f"{message} (line {line}, column {column})",
-                         line=line, column=column)
+        super().__init__(f"{message} (line {line}, column {column})")
         self.line = line
         self.column = column
 
@@ -46,9 +41,9 @@ class MixedParents(NtlError):
 class BudgetExceeded(NtlError):
     code = "BudgetExceeded"
 
-    def __init__(self, message: str, **details):
-        super().__init__(message, **details)
-        self.stats = details.get("stats")
+    def __init__(self, message: str, stats=None):
+        super().__init__(message)
+        self.stats = stats
 
 
 class CapExceeded(NtlError):
@@ -67,7 +62,7 @@ class Incompatible(NtlError):
     code = "Incompatible"
 
     def __init__(self, message: str, witness: tuple):
-        super().__init__(message, witness=witness)
+        super().__init__(message)
         self.witness = witness
 
 

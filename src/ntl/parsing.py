@@ -19,9 +19,15 @@ from typing import Callable
 from .errors import IncompleteMap, PresentationSyntaxError, UnknownGenerator
 from .words import Presentation, Word
 
-_IDENT = re.compile(r"[A-Za-z][A-Za-z0-9_]*")
-_INT = re.compile(r"[0-9]+")
-_SYMBOLS = ("=>", "->", "{", "}", "(", ")", ";", ",", "^", "-", ":")
+# One alternative per token kind, a "#" comment being space.  "=>" and "->"
+# come before "-", and "2a" is the integer 2, then the identifier a.
+_TOKEN = re.compile(r"""
+    (?P<newline>\n)
+  | (?P<space>[ \t\r]+|\#[^\n]*)
+  | (?P<ident>[A-Za-z][A-Za-z0-9_]*)
+  | (?P<int>[0-9]+)
+  | (?P<sym>=>|->|[{}();,^:-])
+""", re.VERBOSE)
 
 
 @dataclass(frozen=True)
@@ -44,48 +50,20 @@ class ActionSpec:
 
 
 def tokenize(text: str) -> list[Token]:
+    """The tokens of `text` with their lines and columns, then "eof"."""
     tokens: list[Token] = []
-    line = 1
-    col = 1
-    i = 0
-    n = len(text)
-    while i < n:
-        ch = text[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
-            continue
-        if ch in " \t\r":
-            i += 1
-            col += 1
-            continue
-        if ch == "#":
-            while i < n and text[i] != "\n":
-                i += 1
-            continue
-        m = _IDENT.match(text, i)
-        if m:
-            tokens.append(Token("ident", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        m = _INT.match(text, i)
-        if m:
-            tokens.append(Token("int", m.group(), line, col))
-            col += len(m.group())
-            i = m.end()
-            continue
-        for sym in _SYMBOLS:
-            if text.startswith(sym, i):
-                tokens.append(Token("sym", sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise PresentationSyntaxError(f"unexpected character {ch!r}",
-                                          line, col)
-    tokens.append(Token("eof", "", line, col))
+    pos, line, line_start = 0, 1, 0
+    while m := _TOKEN.match(text, pos):
+        if m.lastgroup == "newline":
+            line, line_start = line + 1, m.end()
+        elif m.lastgroup != "space":
+            tokens.append(Token(m.lastgroup, m.group(), line,
+                                pos - line_start + 1))
+        pos = m.end()
+    if pos < len(text):
+        raise PresentationSyntaxError(
+            f"unexpected character {text[pos]!r}", line, pos - line_start + 1)
+    tokens.append(Token("eof", "", line, pos - line_start + 1))
     return tokens
 
 
@@ -127,13 +105,10 @@ class _Parser:
     # -- words ----------------------------------------------------------------
 
     def parse_word(self, gen_index: dict[str, int], owner: str) -> Word:
-        factors = [self._parse_factor(gen_index, owner)]
+        w = self._parse_factor(gen_index, owner)
         while self.peek().kind == "ident" or (
                 self.peek().kind == "sym" and self.peek().value == "("):
-            factors.append(self._parse_factor(gen_index, owner))
-        w = Word()
-        for f in factors:
-            w = w * f
+            w = w * self._parse_factor(gen_index, owner)
         return w
 
     def _parse_factor(self, gen_index: dict[str, int], owner: str) -> Word:

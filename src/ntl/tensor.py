@@ -389,10 +389,10 @@ def _check_cap(ng: int, nh: int):
 
 def build_eta(pair: CompatibleActionPair,
               *,
-              skip_pairing_relators: bool = False,
-              name: str | None = None) -> TensorRealization:
+              skip_pairing_relators: bool = False) -> TensorRealization:
     """Realize eta(G,H) for a compatible pair; T is the subgroup generated
-    by the commutators [a, b~].
+    by the commutators [a, b~].  A group paired with itself inside an
+    ambient group is nu(G) and is named so.
 
     The presentation has one generator per element of G and of H, the
     Cayley relators on the generator edges of each factor and the two
@@ -405,8 +405,8 @@ def build_eta(pair: CompatibleActionPair,
     """
     g, h = pair.g, pair.h
     ng, nh = g.order, h.order
-    if name is None:
-        name = f"eta({g.name},{h.name})"
+    name = (f"nu({g.name})" if g is h and pair.ambient is not None
+            else f"eta({g.name},{h.name})")
 
     def y(b: int) -> int:
         return ng + b
@@ -474,7 +474,7 @@ def build_eta(pair: CompatibleActionPair,
 def build_nu(g: RealizedGroup) -> TensorRealization:
     """nu(G) = eta(G,G) with both actions by conjugation; T is the tensor
     square and the derived map lands in G."""
-    return build_eta(conjugation_pair(g), name=f"nu({g.name})")
+    return build_eta(conjugation_pair(g))
 
 
 def build_direct(pair: CompatibleActionPair) -> TensorRealization:

@@ -104,11 +104,9 @@ def _ms_since(t0: float) -> int:
 
 
 def _profile(name: str, pair: CompatibleActionPair) -> Profile:
-    """Build T by both routes.  A conjugation pair is a nu build, and its
-    eta is named nu(G) as `build_nu` names it."""
+    """Build T by both routes."""
     t0 = time.monotonic()
-    r = build_eta(pair, name=(f"nu({pair.g.name})"
-                              if pair.ambient is not None else None))
+    r = build_eta(pair)
     build_ms = _ms_since(t0)
     t0 = time.monotonic()
     direct = build_direct(pair)

@@ -274,8 +274,8 @@ def test_criterion_13_fails_when_the_fault_does_not_reach_the_build(
     build_eta = verification.build_eta
     pairs = verification.pair_corpus()[:3]
     monkeypatch.setattr(verification, "build_eta",
-                        lambda pair, *, skip_pairing_relators=False,
-                        name=None: build_eta(pair, name=name))
+                        lambda pair, *, skip_pairing_relators=False:
+                        build_eta(pair))
     monkeypatch.setattr(verification, "pair_corpus", lambda: pairs)
     r = _faulted(check_negative_control())
     assert r.detail == "dropping the pairing relators went unnoticed"

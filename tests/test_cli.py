@@ -4,7 +4,7 @@ from pathlib import Path
 
 import pytest
 
-from ntl import catalog
+from ntl import catalog, cli
 from ntl.cli import _budget_from, build_parser, main
 from ntl.coset import EnumerationBudget, _Enumerator
 from ntl.errors import NtlError
@@ -156,6 +156,38 @@ class TestBasicCommands:
         assert rc == 0
         assert record["query"]["group"] == "C6"
 
+    def test_f1_is_reported_as_z(self, capsys):
+        rc, record, _ = run_json(capsys, "thmc", "--group", "F1")
+        assert rc == 0
+        assert record["query"]["group"] == "Z"
+
+    @pytest.mark.parametrize("command", ["tensor", "tensors"])
+    def test_two_spellings_of_one_group_are_the_square_pair(self, capsys,
+                                                            command):
+        rc, record, _ = run_json(capsys, command, "--group", "S3",
+                                 "--other", "S03")
+        _, alone, _ = run_json(capsys, command, "--group", "S3")
+        assert rc == 0
+        assert record["query"] == alone["query"]
+        assert record["result"] == alone["result"]
+
+    def test_wedge_resolves_one_subject_for_two_spellings(self, capsys,
+                                                          monkeypatch):
+        resolved = []
+        resolve = cli.resolve_subject
+
+        def counted(subject):
+            resolved.append(subject.name)
+            return resolve(subject)
+        monkeypatch.setattr(cli, "resolve_subject", counted)
+        rc, record, _ = run_json(capsys, "wedge", "--group", "C2",
+                                 "--other", "C02")
+        assert rc == 0
+        assert resolved == ["C2"]
+        assert (record["query"]["group"], record["query"]["other"]) == \
+            ("C2", "C2")
+        assert record["result"]["abelian_invariants"] == [2]
+
     def test_thmc_reports_the_nu_build(self, capsys):
         _, thmc, _ = run_json(capsys, "thmc", "--group", "S3")
         _, nu, _ = run_json(capsys, "nu", "--group", "S3")
@@ -259,6 +291,13 @@ class TestExitCodes:
         rc, _, err = run(capsys, "tensor", "--group", "C2",
                          "--other", "C3")
         assert rc == 2
+
+    def test_an_unknown_other_is_looked_up_before_the_pair_is_judged(
+            self, capsys):
+        rc, out, err = run(capsys, "tensor", "--group", "C2",
+                           "--other", "NOSUCH")
+        assert (rc, out) == (1, "")
+        assert err.startswith("error UnknownCatalogName: ")
 
     def test_error_codes_distinct(self):
         # Read off the hierarchy, so no error class can be left out; a
@@ -433,6 +472,21 @@ class TestFilesAndEnv:
         assert rc == 0
         assert record["result"] == {"order": "undetermined"}
         assert record["stats"]["cosets_defined"] == 501
+
+    def test_two_paths_to_one_file_are_the_square_pair(self, capsys,
+                                                       tmp_path, monkeypatch):
+        (tmp_path / "K.grp").write_text(
+            "group K { gens: a b; rels: a^2, b^2, (a b)^2; }")
+        monkeypatch.chdir(tmp_path)
+        rc, record, _ = run_json(capsys, "tensor", "--group", "K.grp",
+                                 "--other", "./K.grp")
+        _, alone, _ = run_json(capsys, "tensor", "--group", "K.grp")
+        assert rc == 0
+        assert record["query"] == alone["query"]
+        assert record["query"]["actions"] == "conjugation"
+        assert record["result"] == alone["result"]
+        assert record["stats"]["cosets_defined"] == \
+            alone["stats"]["cosets_defined"]
 
     def test_action_file(self, capsys, tmp_path):
         f = tmp_path / "acts.act"

@@ -1,17 +1,20 @@
 """Replay recorded CLI answers: every command below must print the same
 `query`, `result` and `chain` as when the records were written.
 
-The records in golden/cli_records.json were produced by the engine before
-the tensor-realization refactor; they guard that the refactor kept every
-output.  `stats` is left out because it holds timing.
+Each record in golden/cli_records.json was produced by the engine before a
+refactor that had to keep its output: the tensor-realization refactor for
+the first ones, and the rework of the input layer (tokenizer, `--other`
+lookup, catalog names) for the commands no earlier record covered.
+`stats` is left out because it holds timing.
 """
 
+import argparse
 import json
 from pathlib import Path
 
 import pytest
 
-from ntl.cli import main
+from ntl.cli import build_parser, main
 
 RECORDS = Path(__file__).parent / "golden" / "cli_records.json"
 
@@ -33,7 +36,19 @@ COMMANDS = (
        ("pushout", "--group", "S3", "--m", "b", "--n", "b"),
        ("wedge", "--group", "C2xC4", "--other", "C6"),
        ("finiteness", "--group", "Q8"),
-       ("invariant", "j2", "--group", "C2xC2")])
+       ("invariant", "j2", "--group", "C2xC2")]
+    # One record for each command no record above covers, and the
+    # infinite cyclic group on the abelian fast path.
+    + [("nu", "--group", "S3"),
+       ("eta", "--group", "C3", "--other", "C2", "--trivial-actions"),
+       ("triad", "--group", "C2", "--other", "C2", "--trivial-actions",
+        "-p", "1", "-q", "2"),
+       ("bound", "thma", "2", "3", "4", "5"),
+       ("bound", "thmb", "2", "2"),
+       ("bound", "pushout", "2", "3", "4"),
+       ("thmc", "--group", "Z"),
+       ("finiteness", "--group", "Z"),
+       ("wedge", "--group", "Z", "--other", "C6")])
 
 
 def replay(argv, capsys) -> dict:
@@ -51,6 +66,15 @@ def records():
 
 def test_every_command_is_recorded(records):
     assert sorted(records) == sorted(" ".join(a) for a in COMMANDS)
+
+
+def test_every_subcommand_but_verify_has_a_record():
+    # verify prints no query/result/chain record; its checks have their own
+    # tests
+    [sub] = [a for a in build_parser()._actions
+             if isinstance(a, argparse._SubParsersAction)]
+    recorded = {argv[0] for argv in COMMANDS}
+    assert recorded == set(sub.choices) - {"verify"}
 
 
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)

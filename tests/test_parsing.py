@@ -7,7 +7,7 @@ from ntl.catalog import (CATALOG_CORPUS, catalog_lookup, finite_corpus,
 from ntl.errors import (IncompleteMap, PresentationSyntaxError,
                         UnknownCatalogName, UnknownGenerator)
 from ntl.parsing import (parse_file, parse_words_text, print_action,
-                         print_presentation)
+                         print_presentation, tokenize)
 from ntl.words import Presentation, Word, commutator, conjugate
 
 
@@ -104,6 +104,31 @@ class TestParseGroup:
     def test_trailing_garbage(self):
         with pytest.raises(PresentationSyntaxError):
             read_group("group X { gens: a; } extra")
+
+
+class TestTokenize:
+    def test_fixed_sample(self):
+        text = ("group\tG {\r\n# a comment line\r\n gens: a;\n"
+                " rels: (a)^-2, 2a; } => -> # trailing")
+        assert [(t.kind, t.value, t.line, t.column)
+                for t in tokenize(text)] == [
+            ("ident", "group", 1, 1), ("ident", "G", 1, 7),
+            ("sym", "{", 1, 9),
+            ("ident", "gens", 3, 2), ("sym", ":", 3, 6),
+            ("ident", "a", 3, 8), ("sym", ";", 3, 9),
+            ("ident", "rels", 4, 2), ("sym", ":", 4, 6),
+            ("sym", "(", 4, 8), ("ident", "a", 4, 9), ("sym", ")", 4, 10),
+            ("sym", "^", 4, 11), ("sym", "-", 4, 12), ("int", "2", 4, 13),
+            ("sym", ",", 4, 14), ("int", "2", 4, 16), ("ident", "a", 4, 17),
+            ("sym", ";", 4, 18), ("sym", "}", 4, 20), ("sym", "=>", 4, 22),
+            ("sym", "->", 4, 25), ("eof", "", 4, 38)]
+
+    def test_unexpected_character(self):
+        with pytest.raises(PresentationSyntaxError) as err:
+            tokenize("group G {\n  gens: a!;")
+        assert (err.value.line, err.value.column) == (2, 10)
+        assert str(err.value) == ("unexpected character '!' "
+                                  "(line 2, column 10)")
 
 
 class TestParseAction:
@@ -237,6 +262,7 @@ class TestCatalog:
         assert e.infinite
         assert e.presentation.relators == ()
         assert e.abelian
+        assert catalog_lookup("F1") == catalog_lookup("F01") == e
 
     def test_unknown_names(self):
         for name in ("S6", "X3", "C0", "D0", "F0", "Q16"):
