@@ -8,7 +8,7 @@ so the chain convention extends to the free part).
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm, prod
+from math import gcd, inf, lcm, prod
 from typing import Sequence
 
 
@@ -18,64 +18,54 @@ def smith_diagonal(matrix: Sequence[Sequence[int]]) -> list[int]:
     Returned entries are nonnegative and chained by divisibility; the list
     has min(nrows, ncols) entries (zeros included).  Exact integer
     arithmetic throughout; intermediate growth is why this stays on python
-    ints rather than fixed-width arrays.  The ±1 pivots are eliminated
-    sparsely first, and only the block without unit entries is reduced
-    densely.
+    ints rather than fixed-width arrays.
+
+    One sparse elimination: the pivot is the nonzero entry of least
+    magnitude, then of least Markowitz cost (row nonzeros - 1) * (column
+    nonzeros - 1), then the first in row-then-column order.  Among ±1
+    entries this is the unit-pivot order of Havas, Holt and Rees
+    ("Recognizing badly presented Z-modules", 1993), which keeps fill-in
+    low on presentation matrices.  Row operations clear the pivot's
+    column, then column operations, which touch only the pivot row, clear
+    its row.  A pivot that divides both is split off; otherwise a smaller
+    remainder is left, so the least magnitude drops and the next round
+    pivots on it.
     """
     nr = len(matrix)
     nc = len(matrix[0]) if nr else 0
-    units, rest = _unit_pivots(matrix, nc)
-    diag = [1] * units + _dense_diagonal(rest)
-    return diag + [0] * (min(nr, nc) - len(diag))
-
-
-def _unit_pivots(matrix: Sequence[Sequence[int]],
-                 ncols: int) -> tuple[int, list[list[int]]]:
-    """Sparse elimination of the ±1 pivots (Havas, Holt and Rees,
-    "Recognizing badly presented Z-modules", 1993).
-
-    Each pivot is a unimodular row-and-column operation that puts a 1 on
-    the diagonal and deletes its row and column.  The pivot is the unit
-    entry of least Markowitz cost (row nonzeros - 1) * (column nonzeros - 1),
-    the first in row-then-column order among equals, which keeps fill-in
-    low.  Returns the number of pivots and the nonzero rows left, dense over
-    the columns left; none of them has a ±1 entry.
-    """
     rows: dict[int, dict[int, int]] = {}
-    cols: dict[int, set[int]] = {j: set() for j in range(ncols)}
+    cols: dict[int, set[int]] = {j: set() for j in range(nc)}
     for i, r in enumerate(matrix):
         row = {j: int(a) for j, a in enumerate(r) if a}
         if row:
             rows[i] = row
             for j in row:
                 cols[j].add(i)
-    units = 0
-    while True:
-        best = None
+    pivots: list[int] = []
+    while rows:
+        # Magnitudes compare as squares, which is cheaper than abs().
+        best = (inf,)
+        lim = inf
         for i, row in rows.items():
             n = len(row) - 1
             for j, a in row.items():
-                if a == 1 or a == -1:
-                    key = (n * (len(cols[j]) - 1), i, j)
-                    if best is None or key < best:
+                sq = a * a
+                if sq <= lim:
+                    key = (sq, n * (len(cols[j]) - 1), i, j)
+                    if key < best:
                         best = key
-            # No later row can beat a zero-cost pivot found in this one.
-            if best is not None and best[0] == 0 and best[1] == i:
+                        lim = sq
+            # No later row can beat a zero-cost unit pivot found in this one.
+            if lim == 1 and best[1] == 0 and best[2] == i:
                 break
-        if best is None:
-            break
-        _, r, c = best
-        prow = rows.pop(r)
-        u = prow[c]
-        for j in prow:
-            cols[j].discard(r)
-        for i in cols.pop(c):
+        _, _, r, c = best
+        prow = rows[r]
+        p = prow[c]
+        for i in cols[c] - {r}:
             row = rows[i]
-            f = row.pop(c) * u
+            q = row[c] // p
             for j, a in prow.items():
-                if j == c:
-                    continue
-                v = row.get(j, 0) - f * a
+                v = row.get(j, 0) - q * a
                 if v:
                     if j not in row:
                         cols[j].add(i)
@@ -85,80 +75,37 @@ def _unit_pivots(matrix: Sequence[Sequence[int]],
                     cols[j].discard(i)
             if not row:
                 del rows[i]
-        units += 1
-    live = sorted(cols)
-    return units, [[row.get(j, 0) for j in live] for row in rows.values()]
+        if len(cols[c]) > 1:
+            continue
+        # The column is clear, so column operations change only the pivot
+        # row: each of its entries becomes its remainder mod p.
+        for j in prow:
+            cols[j].discard(r)
+        rest = {j: a % p for j, a in prow.items() if a % p}
+        if rest:
+            rest[c] = p
+            rows[r] = rest
+            for j in rest:
+                cols[j].add(r)
+            continue
+        del rows[r], cols[c]
+        pivots.append(abs(p))
+    # Ones lead any chain; leaving them out keeps the quadratic step short.
+    diag =[1] * pivots.count(1) + _chain([d for d in pivots if d != 1])
+    return diag + [0] * (min(nr, nc) - len(diag))
 
 
-def _dense_diagonal(m: list[list[int]]) -> list[int]:
-    """Nonzero Smith diagonal entries of a dense matrix, by repeated
-    smallest-pivot elimination that reduces `m` in place."""
-    nr = len(m)
-    nc = len(m[0]) if nr else 0
-    diag: list[int] = []
-    t = 0
-    while t < nr and t < nc:
-        # Pick the nonzero entry of smallest magnitude as pivot.  Every
-        # round below that leaves a remainder restarts here with a strictly
-        # smaller pivot, so the elimination terminates.
-        pr = pc = -1
-        best = None
-        for i in range(t, nr):
-            row = m[i]
-            for j in range(t, nc):
-                a = row[j]
-                if a and (best is None or abs(a) < best):
-                    best = abs(a)
-                    pr, pc = i, j
-        if best is None:
-            break
-        m[t], m[pr] = m[pr], m[t]
-        if pc != t:
-            for row in m:
-                row[t], row[pc] = row[pc], row[t]
-        if m[t][t] < 0:
-            m[t] = [-x for x in m[t]]
-        pivot = m[t][t]
-        dirty = False
-        for i in range(t + 1, nr):
-            a = m[i][t]
-            if a:
-                q, r = divmod(a, pivot)
-                if r:
-                    dirty = True
-                if q:
-                    mi, mt = m[i], m[t]
-                    for j in range(t, nc):
-                        mi[j] -= q * mt[j]
-        for j in range(t + 1, nc):
-            a = m[t][j]
-            if a:
-                q, r = divmod(a, pivot)
-                if r:
-                    dirty = True
-                if q:
-                    for i in range(t, nr):
-                        m[i][j] -= q * m[i][t]
-        if dirty:
-            continue
-        # Row and column t are clear; force pivot | remaining block by
-        # folding an offending row into row t (the next round then reduces).
-        fixed = False
-        for i in range(t + 1, nr):
-            for j in range(t + 1, nc):
-                if m[i][j] % pivot:
-                    mt, mi = m[t], m[i]
-                    for k in range(t, nc):
-                        mt[k] += mi[k]
-                    fixed = True
-                    break
-            if fixed:
-                break
-        if fixed:
-            continue
-        diag.append(pivot)
-        t += 1
-    return diag
+def _chain(orders: list[int]) -> list[int]:
+    """Invariant factors, ones included, of the direct sum of cyclic groups
+    of the given orders (0 meaning Z), computed in place.  Each step uses
+    Z/a + Z/b = Z/gcd(a, b) + Z/lcm(a, b); the steps leave each entry the
+    gcd of itself and all later ones, a divisibility chain with its zeros
+    last."""
+    for i in range(len(orders)):
+        for j in range(i + 1, len(orders)):
+            a, b = orders[i], orders[j]
+            orders[i], orders[j] = gcd(a, b), lcm(a, b)
+    return orders
 
 
 @dataclass(frozen=True)
@@ -182,12 +129,9 @@ class AbelianInvariants:
     @staticmethod
     def from_cyclic_orders(orders: Sequence[int]) -> "AbelianInvariants":
         """Normalize a direct sum of cyclic groups (0 meaning Z) into
-        invariant factors via the Smith form of the diagonal relation matrix."""
-        orders = [abs(int(d)) for d in orders if abs(int(d)) != 1]
-        n = len(orders)
-        matrix = [[orders[i] if i == j else 0 for j in range(n)]
-                  for i in range(n)]
-        return abelian_invariants(matrix, ncols=n)
+        invariant factors."""
+        chain = _chain([abs(int(d)) for d in orders])
+        return AbelianInvariants(tuple(d for d in chain if d != 1))
 
     @property
     def free_rank(self) -> int:

@@ -498,6 +498,11 @@ def run_file_suite(text: str) -> list[CheckResult]:
                 f"{name}: conjugation build", True,
                 "skipped: square build exceeds the size cap"))
             continue
+        except NtlError as exc:
+            results.append(CheckResult(
+                f"{name}: conjugation build", False, f"{exc.code}: {exc}",
+                _ms_since(t0)))
+            continue
         agree = p.routes_agree
         prods = not _sequence_faults(p.r)
         thmc = theoremC_report(p.r)

@@ -103,6 +103,40 @@ def test_sparse_diagonal_matches_sympy(rows):
     assert smith_diagonal(rows) == sympy_diagonal(rows)
 
 
+@st.composite
+def entry_matrices(draw, entries, nrows=st.integers(1, 6),
+                   ncols=st.integers(1, 6)):
+    nr, nc = draw(nrows), draw(ncols)
+    return draw(st.lists(st.lists(entries, min_size=nc, max_size=nc),
+                         min_size=nr, max_size=nr))
+
+
+@pytest.mark.parametrize("shape", [
+    # No ±1 entry, so the first pivot is never a unit.
+    entry_matrices(st.sampled_from((0, 2, -2, 3, -3, 4, -4, 6, -6, 9, -9))),
+    entry_matrices(st.integers(-10**6, 10**6)),
+    entry_matrices(st.just(0)),
+    entry_matrices(st.integers(-9, 9), nrows=st.just(1),
+                   ncols=st.integers(1, 8)),
+    entry_matrices(st.integers(-9, 9), nrows=st.integers(1, 8),
+                   ncols=st.just(1)),
+], ids=["no-unit", "large", "zero", "one-row", "one-column"])
+@given(data=st.data())
+@settings(max_examples=150, deadline=None)
+def test_diagonal_matches_sympy(shape, data):
+    rows = data.draw(shape)
+    assert smith_diagonal(rows) == sympy_diagonal(rows)
+
+
+@given(st.lists(st.integers(0, 60) | st.sampled_from((0, 1)), max_size=6))
+@settings(max_examples=200, deadline=None)
+def test_from_cyclic_orders_matches_sympy(orders):
+    n = len(orders)
+    rows = [[orders[i] if i == j else 0 for j in range(n)] for i in range(n)]
+    assert AbelianInvariants.from_cyclic_orders(orders) == \
+        sympy_oracle(rows, n)
+
+
 @pytest.mark.parametrize("route, name, shape", [
     ("direct", "S3", (432, 36)),
     ("eta", "S3", (40, 12)),

@@ -616,6 +616,30 @@ class TestFilesAndEnv:
         assert rc == 1
         assert "FAIL" in out
 
+    def test_verify_file_scope_reports_a_build_over_budget(self, capsys,
+                                                           tmp_path):
+        # K's conjugation build fits in 1000 cosets and L's does not: L's
+        # build fails alone and the report still lists every check.
+        f = tmp_path / "two.grp"
+        f.write_text("group K { gens: a; rels: a^5; }\n"
+                     "group L { gens: a b; rels: a^3, b^2, (a b)^2; }\n")
+        rc, out, err = run(capsys, "verify", str(f), "--max-cosets", "1000")
+        assert (rc, err) == (1, "")
+        lines = out.splitlines()
+        assert lines[1].startswith("PASS  K: conjugation build: |T|=5, ")
+        assert lines[2].startswith("PASS  L: realization: order 6, ")
+        assert lines[3].startswith(
+            "FAIL  L: conjugation build: BudgetExceeded: coset budget 1000 "
+            "exhausted (possible infinite group or undersized budget) [")
+        assert lines[4] == "CHECKS FAILED (3/4)"
+        rc, record, err = run_json(capsys, "verify", str(f),
+                                   "--max-cosets", "1000")
+        assert (rc, err, record["passed"]) == (1, "", False)
+        assert [(c["name"], c["passed"]) for c in record["checks"]] == [
+            ("K: realization", True), ("K: conjugation build", True),
+            ("L: realization", True), ("L: conjugation build", False)]
+        assert record["checks"][3]["detail"].startswith("BudgetExceeded: ")
+
 
 @pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
 def test_readme_cli_example_runs(capsys, argv):
