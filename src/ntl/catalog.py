@@ -12,8 +12,7 @@ from .errors import BudgetExceeded, UnknownCatalogName
 from .groups import RealizedGroup
 from .words import Presentation, Word, commutator
 
-_CYCLIC = re.compile(r"C(\d+)$")
-_PRODUCT = re.compile(r"C(\d+)(?:x(?:C)?(\d+))+$")
+_PRODUCT = re.compile(r"C\d+(?:xC?\d+)*$")
 _DIHEDRAL = re.compile(r"D(\d+)$")
 _SYMMETRIC = re.compile(r"S(\d+)$")
 _FREE = re.compile(r"F(\d+)$")
@@ -36,13 +35,16 @@ class CatalogEntry:
         return self.known_facts.get("abelian")
 
 
-def _cyclic(n: int) -> Presentation:
-    a = Word.gen(0)
-    return Presentation(f"C{n}", ("a",), (a ** n,))
+def _generator_names(r: int) -> tuple[str, ...]:
+    """a, b, ..., j for at most ten generators, else a0, a1, ..."""
+    if r <= len(_GEN_NAMES):
+        return tuple(_GEN_NAMES[:r])
+    return tuple(f"a{i}" for i in range(r))
 
 
 def _product(orders: list[int], name: str) -> Presentation:
-    gens = tuple(_GEN_NAMES[i] for i in range(len(orders)))
+    """The direct product of the cyclic groups of these orders."""
+    gens = _generator_names(len(orders))
     rels = [Word.gen(i) ** d for i, d in enumerate(orders)]
     for i in range(len(orders)):
         for j in range(i + 1, len(orders)):
@@ -56,11 +58,9 @@ def _dihedral(n: int) -> Presentation:
 
 
 def _symmetric(n: int) -> Presentation:
-    # a = transposition, b = n-cycle.
-    if n == 1:
-        return Presentation("S1", ("a",), (Word.gen(0),))
-    if n == 2:
-        return Presentation("S2", ("a",), (Word.gen(0) ** 2,))
+    # a = transposition, b = n-cycle; S1 and S2 are cyclic.
+    if n <= 2:
+        return _product([n], f"S{n}")
     a, b = Word.gen(0), Word.gen(1)
     rels = [a ** 2, b ** n, (a * b) ** (n - 1), commutator(a, b) ** 3]
     for k in range(2, n // 2 + 1):
@@ -79,15 +79,10 @@ def _alternating4() -> Presentation:
     return Presentation("A4", ("a", "b"), (a ** 3, b ** 2, (a * b) ** 3))
 
 
-def _free(r: int, name: str) -> Presentation:
-    gens = tuple(_GEN_NAMES[i] for i in range(r)) if r <= len(_GEN_NAMES) \
-        else tuple(f"a{i}" for i in range(r))
-    return Presentation(name, gens, ())
-
-
 def catalog_lookup(name: str) -> CatalogEntry:
-    """Resolve a catalog name: C<n>, C<a>xC<b>..., D<n>, S<n> (n <= 5),
-    Q8, A4, F<r>, Z.  The entry carries the group's one canonical name
+    """Resolve a catalog name: C<a>xC<b>... with any number of factors
+    (C<n> is the one-factor product), D<n>, S<n> (n <= 5), Q8, A4, F<r>,
+    Z.  The entry carries the group's one canonical name
     (C6 for C06, C2xC4 for C2x4, Z for F1), which is also its
     presentation's."""
     if name == "Q8":
@@ -96,12 +91,6 @@ def catalog_lookup(name: str) -> CatalogEntry:
     if name == "A4":
         return CatalogEntry("A4", _alternating4(),
                             {"order": 12, "abelian": False})
-    m = _CYCLIC.match(name)
-    if m:
-        n = int(m.group(1))
-        if n < 1:
-            raise UnknownCatalogName(f"bad cyclic order in {name!r}")
-        return CatalogEntry(f"C{n}", _cyclic(n), {"order": n, "abelian": True})
     if _PRODUCT.match(name):
         orders = [int(s.lstrip("C")) for s in name.split("x")]
         if any(d < 1 for d in orders):
@@ -130,7 +119,8 @@ def catalog_lookup(name: str) -> CatalogEntry:
         if r < 1:
             raise UnknownCatalogName(f"bad free rank in {name!r}")
         name = "Z" if r == 1 else f"F{r}"
-        return CatalogEntry(name, _free(r, name),
+        return CatalogEntry(name,
+                            Presentation(name, _generator_names(r), ()),
                             {"infinite": True, "abelian": r == 1})
     raise UnknownCatalogName(f"no catalog entry named {name!r}")
 

@@ -184,9 +184,9 @@ def _lookup_pair(args: argparse.Namespace):
 def _pair_inputs(args: argparse.Namespace):
     """The pair of `--group` and `--other` under the actions the flags
     choose, with the query naming them.  The flags are checked, and the
-    `--action` file is read and matched against the looked-up names of
-    both groups, before either group is resolved, so those errors cost no
-    enumeration."""
+    one block per direction of the `--action` file is found by the
+    looked-up names of both groups, before either group is resolved, so
+    those errors cost no enumeration."""
     chosen = [bool(args.trivial_actions), bool(args.conjugation),
               args.action is not None]
     if sum(chosen) > 1:
@@ -200,21 +200,20 @@ def _pair_inputs(args: argparse.Namespace):
                           "or --action for distinct groups")
     if args.action is not None:
         _, actions = _parse(args.action)
-        fwd = [a for a in actions
-               if (a.actor, a.target) == (g_in.name, h_in.name)]
-        bwd = [a for a in actions
-               if (a.actor, a.target) == (h_in.name, g_in.name)]
-        if not fwd or not bwd:
-            raise _UsageError(
-                f"{args.action} must define actions {g_in.name}->"
-                f"{h_in.name} and {h_in.name}->{g_in.name}")
+        # one block per direction; a square pair's two are the same block
+        ways = [f"{g_in.name}->{h_in.name}", f"{h_in.name}->{g_in.name}"]
+        fwd, bwd = ([a for a in actions if f"{a.actor}->{a.target}" == way]
+                    for way in ways)
+        if len(fwd) != 1 or len(bwd) != 1:
+            raise _UsageError(f"{args.action} must define exactly one action "
+                              + " and one ".join(dict.fromkeys(ways)))
+        (fwd,), (bwd,) = fwd, bwd
     g = resolve_subject(g_in).realized()
     h = g if h_in is g_in else resolve_subject(h_in).realized()
     if args.trivial_actions:
         pair, action_kind = trivial_pair(g, h), "trivial"
     elif args.action is not None:
-        pair = validate_compatibility(g, h, fwd[0], bwd[0])
-        action_kind = "file"
+        pair, action_kind = validate_compatibility(g, h, fwd, bwd), "file"
     else:
         pair, action_kind = conjugation_pair(g), "conjugation"
     query = {"group": g.name, "other": h.name, "actions": action_kind}
@@ -459,7 +458,7 @@ def _cmd_verify(args: argparse.Namespace, spent: CosetTally,
                               "scope only")
         results = run_file_suite(Path(args.file).read_text(encoding="utf-8"))
         if not results:
-            raise _UsageError(f"{args.file} defines no group and no action")
+            raise _UsageError(f"{args.file} defines no group")
     else:
         results = run_catalog_suite(fault=bool(args.fault_skip_eta_relators))
     ok = all(r.passed for r in results)

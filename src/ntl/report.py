@@ -40,24 +40,15 @@ def invariants_result(inv: AbelianInvariants) -> dict:
 
 
 def render_text(record: dict) -> str:
-    """Human-readable rendering of a report record."""
-    lines: list[str] = []
-    result = record.get("result")
-    if result:
-        for key in ("order", "abelian", "abelian_invariants", "exponent",
-                    "tensor_count_m"):
-            if key in result:
-                lines.append(f"{key}: {_plain(result[key])}")
-        for key in sorted(result):
-            if key not in ("order", "abelian", "abelian_invariants",
-                           "exponent", "tensor_count_m"):
-                lines.append(f"{key}: {_plain(result[key])}")
-    for step in record.get("chain", ()):
-        lines.append(f"  {step}")
-    stats = record.get("stats")
-    if stats:
-        lines.append(f"stats: {stats['cosets_defined']} cosets defined, "
-                     f"{stats['elapsed_ms']} ms")
+    """Human-readable rendering of a command's report record: the result
+    in one fixed key order, then the chain and the stats."""
+    result, stats = record["result"], record["stats"]
+    lines = [f"{key}: {_plain(result[key])}"
+             for key in ("order", "abelian", "abelian_invariants",
+                         "exponent", "tensor_count_m") if key in result]
+    lines += [f"  {step}" for step in record.get("chain", ())]
+    lines.append(f"stats: {stats['cosets_defined']} cosets defined, "
+                 f"{stats['elapsed_ms']} ms")
     return "\n".join(lines) + "\n"
 
 

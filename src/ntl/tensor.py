@@ -89,7 +89,11 @@ def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
     Each generator's map of the target is spread along the target's
     Cayley-graph walk (x = p.s goes to image(p).image(s)), and the actor's
     rows along the actor's walk (the row of x = p.s is that of p followed by
-    the map of s); walk words have positive exponents only.
+    the map of s); walk words have positive exponents only.  Walks skip
+    generators naming the identity or an element already reached, so every
+    target generator must go to its given image and every actor
+    generator's map must be its element's row; `_validate_tables` checks
+    the rest.
     """
     apres = actor.source_presentation
     tpres = target.source_presentation
@@ -108,15 +112,22 @@ def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
         img_elems = [target.evaluate(images[t]) for t in tpres.generators]
         for x, p, i in t_tree:
             perm[x] = t_tab[perm[p], img_elems[i]]
-    bad = _first_non_automorphism(target, gen_perms)
-    if bad is not None:
-        raise NotAutomorphism(
-            f"generator {apres.generators[bad]!r} of action {spec.name!r} "
-            f"does not induce an automorphism of {target.name!r}")
+        if perm[list(target.generator_images)].tolist() != img_elems:
+            raise NotAutomorphism(
+                f"action {spec.name!r}: generator {gname!r} induces no map "
+                f"of {target.name!r} that sends every generator to its "
+                "given image")
     table = np.empty((actor.order, target.order), dtype=np.int64)
     table[0] = np.arange(target.order)
     for x, p, i in _walk(actor.table, actor.generator_images):
         table[x] = gen_perms[i][table[p]]
+    for gname, x, perm in zip(apres.generators, actor.generator_images,
+                              gen_perms):
+        if not np.array_equal(table[x], perm):
+            raise NotActionHomomorphism(
+                f"action {spec.name!r}: the map of generator {gname!r} is "
+                f"not the action the other generators give its element "
+                f"{actor.element_str(x)!r} of {actor.name!r}")
     return table
 
 

@@ -471,8 +471,10 @@ def run_catalog_suite(fault: bool = False) -> list[CheckResult]:
 def run_file_suite(text: str) -> list[CheckResult]:
     """Per-group checks for a user-supplied presentation file.  Each group
     is resolved as every command resolves its input, so an input the
-    abelian fast path decides infinite is refused without enumerating."""
-    groups, actions = parse_file(
+    abelian fast path decides infinite is refused without enumerating.
+    Action blocks are parsed, so a malformed one is an error, but they are
+    checked only where `--action` uses them."""
+    groups, _ = parse_file(
         text, resolver=lambda name: catalog_lookup(name).presentation)
     results: list[CheckResult] = []
     for name, pres in groups.items():
@@ -514,8 +516,4 @@ def run_file_suite(text: str) -> list[CheckResult]:
             f"{'hold' if prods else 'FAIL'}, seven-property "
             f"{'unanimous' if thmc.unanimous else 'split'}",
             _ms_since(t0)))
-    for spec in actions:
-        results.append(CheckResult(
-            f"action {spec.name}: parsed", True,
-            f"{spec.actor} acting on {spec.target}"))
     return results

@@ -48,11 +48,16 @@ class Word:
         return Word(tuple((g, -e) for g, e in reversed(self.letters)))
 
     def __pow__(self, k: int) -> "Word":
+        """By repeated squaring, so a^k costs O(log k) products."""
         if k < 0:
             return (~self) ** (-k)
-        out = Word()
-        for _ in range(k):
-            out = out * self
+        out, base = Word(), self
+        while k:
+            if k & 1:
+                out = out * base
+            k >>= 1
+            if k:
+                base = base * base
         return out
 
     def is_identity(self) -> bool:

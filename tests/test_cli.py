@@ -1,5 +1,8 @@
 import json
+import os
 import shlex
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -10,7 +13,8 @@ from ntl.coset import EnumerationBudget, _Enumerator
 from ntl.errors import NtlError
 
 
-README = Path(__file__).resolve().parent.parent / "README.md"
+ROOT = Path(__file__).resolve().parent.parent
+README = ROOT / "README.md"
 
 
 def readme_cli_lines():
@@ -299,6 +303,22 @@ class TestExitCodes:
         assert (rc, out) == (1, "")
         assert err.startswith("error UnknownCatalogName: ")
 
+    def test_wedge_of_a_non_abelian_group_is_a_domain_error(self, capsys):
+        rc, out, err = run(capsys, "wedge", "--group", "S3", "--other", "C2")
+        assert (rc, out) == (1, "")
+        assert err == ("error NotAbelian: 'S3' is not abelian; a second "
+                       "homotopy group must be\n")
+
+    def test_a_group_file_defining_two_groups_is_a_usage_error(
+            self, capsys, tmp_path):
+        f = tmp_path / "two.grp"
+        f.write_text("group K { gens: a; rels: a^2; }\n"
+                     "group L { gens: x; rels: x^3; }\n")
+        rc, out, err = run(capsys, "nu", "--group", str(f))
+        assert (rc, out) == (2, "")
+        assert err == (f"usage error: {f} defines 2 groups; exactly one "
+                       "needed\n")
+
     def test_error_codes_distinct(self):
         # Read off the hierarchy, so no error class can be left out; a
         # class that sets no code of its own would repeat the base's.
@@ -512,8 +532,91 @@ class TestFilesAndEnv:
         rc, out, err = run(capsys, "tensor", "--group", group,
                            "--other", "C3", "--action", str(f))
         assert (rc, out) == (2, "")
-        assert err == (f"usage error: {f} must define actions "
-                       f"{group}->C3 and C3->{group}\n")
+        assert err == (f"usage error: {f} must define exactly one action "
+                       f"{group}->C3 and one C3->{group}\n")
+
+    def write_pair(self, tmp_path, k_gens, k_rels, k_maps):
+        """K.grp, L.grp = <x | x^3>, and an action file in which K acts
+        on L by `k_maps` and L acts trivially on K."""
+        k = f"group K {{ gens: {k_gens}; rels: {k_rels}; }}\n"
+        l_grp = "group L { gens: x; rels: x^3; }\n"
+        (tmp_path / "K.grp").write_text(k)
+        (tmp_path / "L.grp").write_text(l_grp)
+        trivial = ", ".join(f"{g} -> {g}" for g in k_gens.split())
+        (tmp_path / "acts.act").write_text(
+            k + l_grp + f"action kl {{ from: K; to: L; {k_maps} }}\n"
+            f"action lk {{ from: L; to: K; x => ({trivial}); }}\n")
+        return [str(tmp_path / n) for n in ("K.grp", "L.grp", "acts.act")]
+
+    @pytest.mark.parametrize("k_gens,k_rels,k_maps,element", [
+        ("a b", "a b^-1, a^2", "a => (x -> x); b => (x -> x^-1);", "a"),
+        ("a b", "a b^-1, a^2", "a => (x -> x^-1); b => (x -> x);", "a"),
+        ("a b", "a^2, b", "a => (x -> x); b => (x -> x^-1);", "1")],
+        ids=["b-is-a", "b-is-a-swapped", "b-is-1"])
+    def test_two_maps_for_one_element_are_refused(self, capsys, tmp_path,
+                                                  k_gens, k_rels, k_maps,
+                                                  element):
+        # a and b name one element of K but are given different maps, so
+        # an answer would depend on which map the walk reads first
+        k, l_grp, acts = self.write_pair(tmp_path, k_gens, k_rels, k_maps)
+        rc, out, err = run(capsys, "tensor", "--group", k, "--other", l_grp,
+                           "--action", acts)
+        assert (rc, out) == (1, "")
+        assert err == ("error NotActionHomomorphism: action 'kl': the map "
+                       "of generator 'b' is not the action the other "
+                       f"generators give its element '{element}' of 'K'\n")
+
+    @pytest.mark.parametrize("images", ["x -> x^-1, y -> y",
+                                        "x -> x, y -> y^-1"],
+                             ids=["x-inverted", "y-inverted"])
+    def test_two_images_of_one_element_are_refused(self, capsys, tmp_path,
+                                                   images):
+        # x and y are one element of M, sent to different images, so an
+        # answer would depend on which image the walk reads first
+        m = "group M { gens: x y; rels: x y^-1, x^3; }\n"
+        (tmp_path / "M.grp").write_text(m)
+        f = tmp_path / "acts.act"
+        f.write_text(m + f"action cm {{ from: C2; to: M; a => ({images}); }}\n"
+                     "action mc { from: M; to: C2; x => (a -> a); "
+                     "y => (a -> a); }\n")
+        rc, out, err = run(capsys, "tensor", "--group", "C2", "--other",
+                           str(tmp_path / "M.grp"), "--action", str(f))
+        assert (rc, out) == (1, "")
+        assert err == ("error NotAutomorphism: action 'cm': generator 'a' "
+                       "induces no map of 'M' that sends every generator "
+                       "to its given image\n")
+
+    @pytest.mark.parametrize("order", [(0, 1), (1, 0)])
+    def test_a_second_block_for_one_direction_is_refused(
+            self, capsys, tmp_path, monkeypatch, order):
+        # a choice between the blocks would give order 1 or 3
+        maps = ["a => (x -> x);", "a => (x -> x^-1);"]
+        k, l_grp, acts = self.write_pair(tmp_path, "a", "a^2", maps[order[0]])
+        with open(acts, "a") as f:
+            f.write(f"action k2 {{ from: K; to: L; {maps[order[1]]} }}\n")
+        runs = []
+        monkeypatch.setattr(_Enumerator, "run", runs.append)
+        rc, out, err = run(capsys, "tensor", "--group", k,
+                           "--other", l_grp, "--action", acts)
+        assert (rc, out, runs) == (2, "", [])
+        assert err == (f"usage error: {acts} must define exactly one action "
+                       "K->L and one L->K\n")
+
+    def test_a_square_pair_reads_one_block_for_both_directions(
+            self, capsys, tmp_path):
+        f = tmp_path / "acts.act"
+        one = "action conj { from: C3; to: C3; a => (a -> a); }\n"
+        f.write_text(one)
+        rc, record, _ = run_json(capsys, "tensor", "--group", "C3",
+                                 "--action", str(f))
+        assert (rc, record["result"]["order"]) == (0, 3)
+        f.write_text(one + one.replace("conj", "inv").replace("a -> a",
+                                                              "a -> a^-1"))
+        rc, out, err = run(capsys, "tensor", "--group", "C3",
+                           "--action", str(f))
+        assert (rc, out) == (2, "")
+        assert err == (f"usage error: {f} must define exactly one action "
+                       "C3->C3\n")
 
     def test_action_file_names_a_group_by_any_spelling(self, capsys,
                                                        tmp_path):
@@ -594,7 +697,26 @@ class TestFilesAndEnv:
         f.write_text(text)
         rc, out, err = run(capsys, "verify", str(f))
         assert (rc, out) == (2, "")
-        assert err == f"usage error: {f} defines no group and no action\n"
+        assert err == f"usage error: {f} defines no group\n"
+
+    def test_verify_file_with_actions_only_is_a_usage_error(self, capsys,
+                                                            tmp_path):
+        # not even an automorphism: an action is checked where --action
+        # uses it, so parsing one alone proves nothing
+        f = tmp_path / "sq.act"
+        f.write_text("action sq { from: C2; to: C4; a => (a -> a^2); }")
+        rc, out, err = run(capsys, "verify", str(f))
+        assert (rc, out) == (2, "")
+        assert err == f"usage error: {f} defines no group\n"
+
+    def test_verify_file_checks_no_action(self, capsys, tmp_path):
+        f = tmp_path / "one.grp"
+        f.write_text("group K { gens: a; rels: a^5; }\n"
+                     "action sq { from: K; to: C4; a => (a -> a^2); }\n")
+        rc, record, _ = run_json(capsys, "verify", str(f))
+        assert rc == 0
+        assert [c["name"] for c in record["checks"]] == [
+            "K: realization", "K: conjugation build"]
 
     def test_verify_file_scope_refuses_z_without_enumerating(self, capsys,
                                                              tmp_path):
@@ -639,6 +761,45 @@ class TestFilesAndEnv:
             ("K: realization", True), ("K: conjugation build", True),
             ("L: realization", True), ("L: conjugation build", False)]
         assert record["checks"][3]["detail"].startswith("BudgetExceeded: ")
+
+
+class TestPushout:
+    def test_a_huge_exponent_is_read_by_squaring(self, capsys):
+        # a^(10^10) = a^4 in C6, read in a few dozen squarings
+        _, huge, _ = run_json(capsys, "pushout", "--group", "C6",
+                              "--m", "a^10000000000", "--n", "a")
+        _, small, _ = run_json(capsys, "pushout", "--group", "C6",
+                               "--m", "a^4", "--n", "a")
+        assert huge["query"].pop("m") == "a^10000000000"
+        assert small["query"].pop("m") == "a^4"
+        assert huge["stats"].pop("elapsed_ms") < 1000
+        small["stats"].pop("elapsed_ms")
+        assert huge == small
+
+
+class TestProcessBoundary:
+    """`python -m ntl.cli` in a fresh process, as the `ntl` script runs."""
+
+    def ntl(self, *argv):
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        return subprocess.run([sys.executable, "-m", "ntl.cli", *argv],
+                              env=env, capture_output=True, text=True,
+                              timeout=120)
+
+    def test_exit_codes(self):
+        done = self.ntl("bound", "thma", "2", "3", "4", "5", "--json")
+        assert (done.returncode, done.stderr) == (0, "")
+        record = json.loads(done.stdout)
+        record.pop("stats")
+        golden = json.loads((ROOT / "tests" / "golden" /
+                             "cli_records.json").read_text(encoding="utf-8"))
+        assert record == golden["bound thma 2 3 4 5"]
+        done = self.ntl("nu", "--group", "C13")
+        assert (done.returncode, done.stdout) == (1, "")
+        assert done.stderr.startswith("error CapExceeded: ")
+        done = self.ntl("nu", "--group", "C2", "--no-such-flag")
+        assert (done.returncode, done.stdout) == (2, "")
+        assert "unrecognized arguments: --no-such-flag" in done.stderr
 
 
 @pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)

@@ -42,6 +42,25 @@ class TestWords:
         assert (a ** 0).letters == ()
         assert ((a * Word.gen(1)) ** -1).letters == ((1, -1), (0, -1))
 
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 2),
+                              st.sampled_from([-3, -2, -1, 1, 2, 3])),
+                    max_size=6),
+           st.integers(-9, 9))
+    def test_power_is_the_repeated_product(self, pairs, k):
+        w = Word.of(pairs)
+        step = w if k >= 0 else ~w
+        want = Word()
+        for _ in range(abs(k)):
+            want = want * step
+        assert w ** k == want
+
+    def test_power_of_a_huge_exponent_is_one_letter(self):
+        # squaring: a^(10^12) is a few dozen products, not 10^12
+        assert (Word.gen(0) ** 10 ** 12).letters == ((0, 10 ** 12),)
+        assert (Word.gen(0, -2) ** -(10 ** 12)).letters == \
+            ((0, 2 * 10 ** 12),)
+
     def test_commutator_shape(self):
         a, b = Word.gen(0), Word.gen(1)
         assert commutator(a, b).letters == ((0, -1), (1, -1), (0, 1), (1, 1))
@@ -279,6 +298,26 @@ class TestCatalog:
             entry = catalog_lookup(spelling)
             assert entry.name == entry.presentation.name == name, spelling
             assert entry.known_facts.get("order") == order, spelling
+
+    def test_cyclic_groups_are_one_factor_products(self):
+        a = Word.gen(0)
+        for name, order in [("C1", 1), ("C6", 6), ("S1", 1), ("S2", 2)]:
+            p = catalog_lookup(name).presentation
+            assert (p.name, p.generators, p.relators) == \
+                (name, ("a",), (a ** order,))
+
+    def test_any_number_of_factors(self):
+        # up to ten factors are a..j; more are a0, a1, ..., as for F<r>
+        ten = catalog_lookup("x".join(["C2"] * 10))
+        assert ten.presentation.generators == tuple("abcdefghij")
+        eleven = catalog_lookup("x".join(["C2"] * 11))
+        assert eleven.name == "x".join(["C2"] * 11)
+        assert eleven.presentation.generators == tuple(
+            f"a{i}" for i in range(11))
+        assert eleven.known_facts == {"order": 2048, "abelian": True}
+        assert len(eleven.presentation.relators) == 11 + 55
+        assert catalog_lookup("F11").presentation.generators == \
+            eleven.presentation.generators
 
     def test_spellings_share_one_cached_realization(self, monkeypatch):
         from ntl import catalog

@@ -98,7 +98,10 @@ class TestCompatibility:
             "action sq { from: C2; to: C4; a => (a -> a^2); }")
         back = read_action(
             "action tr { from: C4; to: C2; a => (a -> a); }")
-        with pytest.raises(NotAutomorphism):
+        with pytest.raises(NotAutomorphism,
+                           match="^actions 'sq'/'tr': element 'a' of 'C2' "
+                                 "does not act as an automorphism on the "
+                                 "right factor$"):
             validate_compatibility(c2, c4, spec, back)
 
     def test_non_homomorphic_action_rejected(self):
