@@ -28,8 +28,8 @@ from .homotopy import (THEOREM_C_PROPERTIES, bound_pushout_pi3,
 from .parsing import parse_file, parse_words_text
 from .report import (group_result, invariants_result, render_text,
                      serialize_report)
-from .tensor import (build_eta, build_nu, conjugation_pair, delta,
-                     delta_tilde, tensor_set, trivial_pair,
+from .tensor import (build_direct, build_eta, build_nu, conjugation_pair,
+                     delta, delta_tilde, tensor_set, trivial_pair,
                      validate_compatibility)
 from .verification import run_catalog_suite, run_file_suite
 from .words import Presentation
@@ -231,30 +231,31 @@ def _pushout_input(args: argparse.Namespace) -> tuple[Subgroup, Subgroup]:
     return _subgroup_from_words(g, args.m), _subgroup_from_words(g, args.n)
 
 
-def _eta_input(args: argparse.Namespace):
-    """The pair of `--group` and `--other` with its eta build and the
-    query naming them."""
+def _tensor_input(args: argparse.Namespace):
+    """The tensor product of `--group` and `--other` under the chosen
+    actions, and the query naming them."""
     pair, query = _pair_inputs(args)
-    return build_eta(pair), query
+    return build_direct(pair), query
 
 
-def _nu_input(args: argparse.Namespace):
-    """`--group` realized, with its nu build."""
+def _square_input(args: argparse.Namespace):
+    """`--group` realized, with its tensor square."""
     g = resolve_subject(_lookup(args.group)).realized()
-    return g, build_nu(g)
+    return g, build_direct(conjugation_pair(g))
 
 
 # -- handlers -------------------------------------------------------------------
 
 
 def _cmd_tensor(args: argparse.Namespace) -> dict:
-    r, query = _eta_input(args)
+    r, query = _tensor_input(args)
     return {"query": query,
             "result": group_result(r.group, tensor_count_m=tensor_set(r).m)}
 
 
 def _cmd_eta(args: argparse.Namespace) -> dict:
-    r, query = _eta_input(args)
+    pair, query = _pair_inputs(args)
+    r = build_eta(pair)
     chain = [f"decomposition: {r.eta.order} = {r.group.order} * "
              f"{r.pair.g.order} * {r.pair.h.order}"]
     return {"query": query,
@@ -263,7 +264,8 @@ def _cmd_eta(args: argparse.Namespace) -> dict:
 
 
 def _cmd_nu(args: argparse.Namespace) -> dict:
-    g, r = _nu_input(args)
+    g = resolve_subject(_lookup(args.group)).realized()
+    r = build_nu(g)
     chain = [f"decomposition: {r.eta.order} = {r.group.order} * "
              f"{g.order} * {g.order}"]
     return {"query": {"group": g.name, "actions": "conjugation"},
@@ -272,7 +274,7 @@ def _cmd_nu(args: argparse.Namespace) -> dict:
 
 
 def _cmd_tensors(args: argparse.Namespace) -> dict:
-    r, query = _eta_input(args)
+    r, query = _tensor_input(args)
     ts = tensor_set(r)
     chain = [f"tensor subgroup order {r.group.order}; "
              f"{ts.m} distinct tensors"]
@@ -291,7 +293,7 @@ def _cmd_tensors(args: argparse.Namespace) -> dict:
 
 
 def _cmd_invariant(args: argparse.Namespace) -> dict:
-    g, r = _nu_input(args)
+    g, r = _square_input(args)
     kind = args.kind
     if kind == "j2":
         inv = pi3_suspension_K(r)
@@ -316,7 +318,7 @@ def _cmd_triad(args: argparse.Namespace) -> dict:
     if min(args.p, args.q) < 1:  # before anything is built
         raise _UsageError("connectivity degrees must be >= 1")
     # the triad group is the tensor product of the two relative groups
-    r, query = _eta_input(args)
+    r, query = _tensor_input(args)
     query = dict(query, p=args.p, q=args.q)
     return {"query": query, "result": group_result(r.group),
             "chain": [f"triad group lives in dimension p+q+1 = "
@@ -371,7 +373,8 @@ def _cmd_three_connected(args: argparse.Namespace) -> dict:
 def _cmd_thmc(args: argparse.Namespace) -> dict:
     s = resolve_subject(_lookup(args.group))
     if s.group is not None:
-        rep, witness = theoremC_report(build_nu(s.group)), ""
+        r = build_direct(conjugation_pair(s.group))
+        rep, witness = theoremC_report(r), ""
         result = group_result(s.group,
                               tensor_count_m=rep.evidence["tensor_count_m"])
     elif s.invariants is not None:  # G = G^ab is infinite, so is G(x)G
@@ -400,7 +403,7 @@ def _cmd_finiteness(args: argparse.Namespace) -> dict:
         return {"query": query, "result": {"order": "undetermined"},
                 "chain": [f"undetermined - consistent with infinite "
                           f"({s.unrealized})"]}
-    rep = finiteness_report(build_nu(s.group))
+    rep = finiteness_report(build_direct(conjugation_pair(s.group)))
     chain = [
         f"|G^ab| = {rep.gab_invariants.order()} with invariants "
         f"{list(rep.gab_invariants.factors)}",
@@ -431,7 +434,7 @@ def _cmd_bound(args: argparse.Namespace) -> dict:
 
 
 def _cmd_exponent_check(args: argparse.Namespace) -> dict:
-    g, r = _nu_input(args)
+    g, r = _square_input(args)
     rep = burnside_exponent_check(r)
     chain = [
         f"tensor square exponent: {rep.tensor_exponent}",

@@ -9,8 +9,10 @@ the enumerator builds.
 The strategy is HLT with row filling and in-place coincidence processing
 on a union-find over cosets.  Every relator is scanned at every live coset,
 so the finished table is closed under all of them; a vectorized closing
-check traces every relator at every coset once more and reports an open one
-as an engine bug, never as a reason to go on enumerating.
+check traces every relator at every coset once more (relators of one length
+together, one gather per letter) and reports an open one as an engine bug,
+never as a reason to go on enumerating.  Each relator is flattened into
+column letters once per run.
 
 Definitions use the first undefined entry in row-major order, so identical
 inputs give identical tables and stats.  Every run adds its cosets to the
@@ -34,6 +36,7 @@ from .groups import GROUP_ORDER_CAP, RealizedGroup, _table_dtype, _walk
 from .words import Presentation, Word
 
 DEFAULT_MAX_COSETS = 2_000_000
+_TRACE_CELLS = 1 << 16  # (relator, coset) cells per closing-check gather
 
 
 @dataclass(frozen=True)
@@ -130,10 +133,14 @@ def current_budget() -> EnumerationBudget:
 @dataclass(frozen=True)
 class CosetTable:
     """Complete coset table of the trivial subgroup; row 0 is the identity
-    coset, columns alternate generator and inverse-generator images."""
+    coset, columns alternate generator and inverse-generator images.
+    `closed` says that every relator was traced closed at every coset, as
+    `enumerate_cosets` does before it returns a table; a table built by
+    hand leaves it False."""
 
     rows: np.ndarray
     presentation: Presentation
+    closed: bool = False
 
     def __post_init__(self):
         self.rows.setflags(write=False)
@@ -315,16 +322,36 @@ class _Enumerator:
         return cols
 
     def _find_violation(self, cols) -> str | None:
-        """Describe the first relator open at some coset, if any."""
-        ar = np.arange(cols.shape[1])
+        """Name the lowest-index relator open at some coset, and the first
+        coset where it is open, or None.  Relators of one length are traced
+        together, one gather per letter, in blocks of `_TRACE_CELLS`
+        (relator, coset) cells or of one relator, whichever is larger."""
+        n = cols.shape[1]
+        flat = cols.ravel()
+        ar = np.arange(n)
+        by_length: dict[int, list[int]] = {}
         for k, w in enumerate(self.relators):
-            v = ar
-            for letter in w:
-                v = cols[letter][v]
-            bad = np.nonzero(v != ar)[0]
-            if bad.size:
-                return f"relator {k} is open at coset {int(bad[0])}"
-        return None
+            by_length.setdefault(len(w), []).append(k)
+        step = max(1, _TRACE_CELLS // max(n, 1))
+        open_at = []
+        for ks in by_length.values():
+            letters = np.array([self.relators[k] for k in ks],
+                               dtype=np.int64) * n
+            for lo in range(0, len(ks), step):
+                block = letters[lo:lo + step]
+                v = np.broadcast_to(ar, (block.shape[0], n))
+                for column in block.T:
+                    v = flat[column[:, None] + v]
+                bad = v != ar
+                rows = np.flatnonzero(bad.any(axis=1))
+                if rows.size:
+                    r = int(rows[0])
+                    open_at.append((ks[lo + r], int(np.argmax(bad[r]))))
+                    break
+        if not open_at:
+            return None
+        k, coset = min(open_at)
+        return f"relator {k} is open at coset {coset}"
 
     def run(self):
         self._hlt_pass()
@@ -358,23 +385,27 @@ def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:
         tally.cosets_defined += exc.stats.cosets_defined
         raise
     tally.cosets_defined += stats.cosets_defined
-    return CosetTable(rows=rows, presentation=p), stats
+    return CosetTable(rows=rows, presentation=p, closed=True), stats
 
 
 def regular_representation(t: CosetTable) -> RealizedGroup:
-    """Turn the coset table of the trivial subgroup into a realized group."""
+    """Turn the coset table of the trivial subgroup into a realized group.
+    Each relator of a table not known to be closed is traced from the
+    identity coset first."""
     p = t.presentation
     n = t.coset_count
     if n > GROUP_ORDER_CAP:
         raise CapExceeded(f"group order {n} exceeds cap {GROUP_ORDER_CAP}")
     ngens = p.ngens
     cols = t.rows
-    for w in p.relators:
-        c = 0
-        for letter in word_letters(w):
-            c = int(cols[c, letter])
-        if c != 0:
-            raise InternalInconsistency("relator open at the identity coset")
+    if not t.closed:
+        for w in p.relators:
+            c = 0
+            for letter in word_letters(w):
+                c = int(cols[c, letter])
+            if c != 0:
+                raise InternalInconsistency(
+                    "relator open at the identity coset")
     # Breadth-first spanning tree over the positive generator columns.
     tree = _walk(cols, range(0, 2 * ngens, 2))
     if len(tree) + 1 != n:

@@ -3,8 +3,10 @@
 Spaces never appear as data: a suspension enters through its fundamental
 group, a homotopy pushout through two normal subgroups of one group.  (A
 triad group is the tensor product of its two relative groups under their
-mutual actions, so it is `build_eta(pair).group` itself.)  Everything else
-is finite group arithmetic on the commutator pairing builds from `tensor`.
+mutual actions, so it is `build_direct(pair).group` itself.)  Everything
+else is finite group arithmetic on tensor products from `tensor`, each
+read off its own presentation by `build_direct`; nothing here reads
+eta(G,H).
 """
 
 from __future__ import annotations
@@ -22,7 +24,7 @@ from .groups import (RealizedGroup, Subgroup, _same_parent, closure,
                      presentation_invariants, section_invariants,
                      subgroup_exponent)
 from .tensor import (TensorRealization, _conjugation_pair_between,
-                     _memoized, build_eta, delta, delta_tilde, j2,
+                     _memoized, build_direct, delta, delta_tilde, j2,
                      tensor_set)
 from .words import Presentation, Word
 
@@ -125,13 +127,13 @@ def pushout_EM(m: Subgroup, n: Subgroup) -> PushoutResult:
     """pi_2 and pi_3 of the homotopy pushout of aspherical spaces along the
     two quotient maps by normal subgroups M and N of one parent group G:
     pi_2 = (M cap N)/[M,N] and pi_3 = the kernel of the derived map from
-    the tensor product [M,N~] back into G."""
+    the tensor product M(x)N back into G."""
     g = _same_parent(m, n)
     for sub, label in ((m, "M"), (n, "N")):
         if not sub.is_normal():
             raise NotNormal(f"subgroup {label} is not normal in {g.name!r}")
     pi2 = section_invariants(intersection(m, n), commutator_subgroup(m, n))
-    r = build_eta(_conjugation_pair_between(m, n))
+    r = build_direct(_conjugation_pair_between(m, n))
     return PushoutResult(pi2=pi2, pi3=pi3_suspension_K(r), build=r)
 
 

@@ -1,26 +1,30 @@
 """Mutual group actions, the commutator-pairing group eta(G,H), and the
 non-abelian tensor product.
 
-eta(G,H) is presented on the full element sets of both factors: Cayley
-relators on the generator edges of each factor plus the two
-commutator-action relator families on generator triples.  The enumerated
-group is certified to be eta(G,H) with no theorem assumed: the factor
-embeddings are homomorphisms, which proves every Cayley relator, and
-`pairing_relators_hold` checks both families on every element triple in the
-realized table.  The subgroup generated by the commutators [g, h~] inside
-eta(G,H) is the non-abelian tensor product; `build_direct` builds the same
-group a second way from the biadditivity presentation on |G|*|H| symbols,
-serving as a cross-check.  Every pair builder checks |G|*|H| against
-`ETA_SIZE_CAP` before it builds an action table, so a pair is never too
-large to tensor.  Both routes realize their presentation through
-`coset.realize_presentation` and label T canonically (`_label_tensor`:
-queue-BFS discovery order over the symbols a(x)b), so they return the same
-T: the same table, generator images, `sym` and derived map.  The
-invariants below (the tensor set, J2, the diagonal and the symmetrized
-diagonal) are functions of a `TensorRealization` that never look inside
-eta.  Element-level action tables are spread along the Cayley-graph walk
-(`groups._walk`) or sliced from the conjugation table, never evaluated
-word by word.
+There is one route to each object.  `build_direct` gives the tensor product
+T = G(x)H from its defining presentation, the biadditivity relators on the
+|G|*|H| symbols a(x)b (Brown-Loday 1987), so its T needs no certificate and
+its enumeration ends near |T| cosets.  Every command and check that reads
+only T, its symbols and its derived map builds T there.  `build_eta` (and
+`build_nu`, its conjugation case) gives eta(G,H), for the commands whose
+answer is eta and for the checks that compare the two routes.  eta is
+presented on the full element sets of both factors: Cayley relators on the
+generator edges of each factor plus the two commutator-action relator
+families on generator triples.  The enumerated group is certified to be
+eta(G,H) with no theorem assumed: the factor embeddings are homomorphisms,
+which proves every Cayley relator, and `pairing_relators_hold` checks both
+families on every element triple in the realized table; the subgroup
+generated by the commutators [g, h~] inside it is T.  Every pair builder
+checks |G|*|H| against `ETA_SIZE_CAP` before it builds an action table, so
+a pair is never too large to tensor.  Both routes realize their
+presentation through `coset.realize_presentation` and label T canonically
+(`_label_tensor`: queue-BFS discovery order over the symbols a(x)b), so
+they return the same T: the same table, generator images, `sym` and
+derived map.  The invariants below (the tensor set, J2, the diagonal and
+the symmetrized diagonal) are functions of a `TensorRealization` that
+never look inside eta.  Element-level action tables are spread along the
+Cayley-graph walk (`groups._walk`) or sliced from the conjugation table,
+never evaluated word by word.
 """
 
 from __future__ import annotations
@@ -488,36 +492,57 @@ def build_nu(g: RealizedGroup) -> TensorRealization:
     return build_eta(conjugation_pair(g))
 
 
-def build_direct(pair: CompatibleActionPair) -> TensorRealization:
-    """The tensor product from its own biadditivity presentation on the
-    symbols a(x)b, an independent route used to cross-check the
-    eta-subgroup construction."""
+def _direct_relators(pair: CompatibleActionPair) -> tuple[Word, ...]:
+    """The biadditivity relators on the symbols t(a, b) = a(x)b, generator
+    a*|H| + b, for every a, a' in G and b, b' in H:
+
+        (aa')(x)b = (a^a' (x) a'.b)(a'(x)b)   in the order (a, a', b),
+        a(x)(bb') = (a(x)b')(b'.a (x) b^b')   in the order (a, b, b'),
+
+    each written X^-1 Y Z, the |G|^2|H| relators of the first family first.
+    The index triples are computed from the group and action tables at
+    once; `Word.of` merges the letters of the few relators in which X = Y
+    or Y = Z, and every other relator is its three letters as they stand.
+    """
     g, h = pair.g, pair.h
     ng, nh = g.order, h.order
+    a = np.arange(ng)[:, None, None]
+    b = np.arange(nh)[None, None, :]
+    # first family, indexed [a, a', b]
+    a2 = np.arange(ng)[None, :, None]
+    g_tab = g.table.astype(np.int64)
+    first = (g_tab[a, a2] * nh + b,
+             _conjugation_table(g)[a2, a] * nh + pair.g_on_h[a2, b],
+             a2 * nh + b)
+    # second family, indexed [a, b, b']
+    b = np.arange(nh)[None, :, None]
+    b2 = np.arange(nh)[None, None, :]
+    h_tab = h.table.astype(np.int64)
+    second = (a * nh + h_tab[b, b2],
+              a * nh + b2,
+              pair.h_on_g[b2, a] * nh + _conjugation_table(h)[b2, b])
+    x, y, z = (np.concatenate([np.broadcast_to(f, (ng, ng, nh)).ravel(),
+                               np.broadcast_to(s, (ng, nh, nh)).ravel()])
+               for f, s in zip(first, second))
+    merge = ((x == y) | (y == z)).tolist()
+    return tuple(
+        (Word.of if m else Word)(((xi, -1), (yi, 1), (zi, 1)))
+        for xi, yi, zi, m in zip(x.tolist(), y.tolist(), z.tolist(), merge))
 
-    def t(a: int, b: int) -> int:
-        return a * nh + b
 
+def build_direct(pair: CompatibleActionPair) -> TensorRealization:
+    """The tensor product T = G(x)H from its defining presentation: the
+    biadditivity relators on the |G||H| symbols a(x)b (Brown-Loday 1987).
+    This is the one route to T: its realization is T by definition, so it
+    needs no certificate, and its enumeration ends near |T| cosets, where
+    eta's ends near |T||G||H|.  Every command and check that reads only T,
+    its symbols and its derived map builds T here; `build_eta` is for eta
+    itself."""
+    g, h = pair.g, pair.h
+    ng, nh = g.order, h.order
     gens = tuple(f"t{a}_{b}" for a in range(ng) for b in range(nh))
-    relators: list[Word] = []
-    for a in range(ng):
-        for a2 in range(ng):
-            aa2 = g.mul(a, a2)
-            for b in range(nh):
-                ap = g.conj(a, a2)
-                bp = int(pair.g_on_h[a2, b])
-                relators.append(Word.of(((t(aa2, b), -1), (t(ap, bp), 1),
-                                         (t(a2, b), 1))))
-    for a in range(ng):
-        for b in range(nh):
-            for b2 in range(nh):
-                bb2 = h.mul(b, b2)
-                ap = int(pair.h_on_g[b2, a])
-                bp = h.conj(b, b2)
-                relators.append(Word.of(((t(a, bb2), -1), (t(a, b2), 1),
-                                         (t(ap, bp), 1))))
     name = f"tensor({g.name},{h.name})"
-    presentation = Presentation(name, gens, tuple(relators))
+    presentation = Presentation(name, gens, _direct_relators(pair))
     realized, stats = realize_presentation(presentation)
     group, sym, _ = _label_tensor(
         name, realized.table,

@@ -5,7 +5,9 @@ and one direct build, and kept as a `Profile`: the realization T of the
 eta route with eta and its presentation dropped, plus what the two
 builds alone can tell (route agreement and timings).  Every eta build
 certifies its own decomposition |eta| = |T||G||H|, so no check reads eta
-except the one that tests the certificate itself.  Every check reads J2,
+except the one that tests the certificate itself.  Whatever a check builds
+beyond the store (criterion 3's other cyclic pairs, criterion 9's
+pushouts) is T alone, by the direct route.  Every check reads J2,
 the diagonals, H2, pi2S and the Theorem C and finiteness reports from the
 memoized invariants layer on that T (`tensor` and `homotopy`), so nothing
 is computed twice and a fault injected into one layer function reaches
@@ -217,7 +219,7 @@ def check_abelian_reduction(store: ProfileStore) -> CheckResult:
                     else store.pairs.get((f"C{m}", f"C{n}")))
             if held is None:
                 gn = realize_entry(catalog_lookup(f"C{n}"))
-                r = build_eta(trivial_pair(gm, gn))
+                r = build_direct(trivial_pair(gm, gn))
             else:
                 r = held.r
             t = r.group

@@ -115,28 +115,30 @@ def test_criterion_03_fails_when_each_pair_builds_its_first_square(
     # an empty store every cyclic pair goes through the faulted build.
     # Each square is built once: the fault gives it for every Cn alike.
     squares = {}
-    build_eta = verification.build_eta
+    build_direct = verification.build_direct
 
-    def squared(pair, **kwargs):
+    def squared(pair):
         g = pair.g
         if g.name not in squares:
-            squares[g.name] = build_eta(tensor.trivial_pair(g, g), **kwargs)
+            squares[g.name] = build_direct(tensor.trivial_pair(g, g))
         return squares[g.name]
-    monkeypatch.setattr(verification, "build_eta", squared)
+    monkeypatch.setattr(verification, "build_direct", squared)
     r = _faulted(check_abelian_reduction(ProfileStore()))
     assert r.detail.startswith("C2(x)C1: got ")
 
 
 def test_criterion_03_builds_only_what_the_store_lacks(store, monkeypatch):
     # Cm(x)Cn with m <= n and mn <= 36 is a stored pair and Cn(x)Cn is
-    # nu(Cn): 49 of the 144 cyclic pairs, so 95 are built.
+    # nu(Cn): 49 of the 144 cyclic pairs, so 95 are built, each by the
+    # direct route.
     built = []
-    build_eta = verification.build_eta
+    build_direct = verification.build_direct
 
-    def counted(pair, **kwargs):
+    def counted(pair):
         built.append((pair.g.name, pair.h.name))
-        return build_eta(pair, **kwargs)
-    monkeypatch.setattr(verification, "build_eta", counted)
+        return build_direct(pair)
+    monkeypatch.setattr(verification, "build_direct", counted)
+    monkeypatch.setattr(verification, "build_eta", None)
     _gate(check_abelian_reduction(store))
     assert len(built) == len(set(built)) == 95
     assert ("C6", "C6") not in built and ("C6", "C4") in built

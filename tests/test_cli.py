@@ -192,11 +192,13 @@ class TestBasicCommands:
             ("C2", "C2")
         assert record["result"]["abelian_invariants"] == [2]
 
-    def test_thmc_reports_the_nu_build(self, capsys):
+    def test_thmc_reports_the_direct_build(self, capsys):
+        # the tensor square's own presentation: 41 cosets, not nu(S3)'s
+        # 2487
         _, thmc, _ = run_json(capsys, "thmc", "--group", "S3")
-        _, nu, _ = run_json(capsys, "nu", "--group", "S3")
+        _, tensor, _ = run_json(capsys, "tensor", "--group", "S3")
         assert thmc["stats"]["cosets_defined"] == \
-            nu["stats"]["cosets_defined"] == 2487
+            tensor["stats"]["cosets_defined"] == 41
 
     def test_a_cold_catalog_cache_costs_the_command_nothing(self, capsys,
                                                             monkeypatch):
@@ -207,18 +209,18 @@ class TestBasicCommands:
         assert cold["stats"]["cosets_defined"] == \
             warm["stats"]["cosets_defined"] == 2487
 
-    def test_triad_reports_the_eta_build(self, capsys):
+    def test_triad_reports_the_direct_build(self, capsys):
         _, triad, _ = run_json(capsys, "triad", "--group", "S3",
                                "--other", "S3")
         _, tensor, _ = run_json(capsys, "tensor", "--group", "S3")
         assert triad["stats"]["cosets_defined"] == \
-            tensor["stats"]["cosets_defined"] > 0
+            tensor["stats"]["cosets_defined"] == 41
 
-    def test_finiteness_reports_the_nu_build(self, capsys):
+    def test_finiteness_reports_the_direct_build(self, capsys):
         _, fin, _ = run_json(capsys, "finiteness", "--group", "C2xC2")
-        _, nu, _ = run_json(capsys, "nu", "--group", "C2xC2")
+        _, tensor, _ = run_json(capsys, "tensor", "--group", "C2xC2")
         assert fin["stats"]["cosets_defined"] == \
-            nu["stats"]["cosets_defined"] > 0
+            tensor["stats"]["cosets_defined"] == 31
 
     def test_exponent_check(self, capsys):
         rc, record, _ = run_json(capsys, "exponent-check", "--group", "C5")
@@ -425,8 +427,9 @@ class TestFilesAndEnv:
         rc, record, _ = run_json(capsys, command, "--group", str(f))
         assert rc == 0
         assert record["result"]["order"] == 4
-        assert runs == [4, 801]
-        assert record["stats"]["cosets_defined"] == 805
+        # K, then its tensor square by the direct route
+        assert runs == [4, 31]
+        assert record["stats"]["cosets_defined"] == 35
 
     def test_nu_counts_the_file_realization(self, capsys, tmp_path,
                                             monkeypatch):
@@ -761,6 +764,39 @@ class TestFilesAndEnv:
             ("K: realization", True), ("K: conjugation build", True),
             ("L: realization", True), ("L: conjugation build", False)]
         assert record["checks"][3]["detail"].startswith("BudgetExceeded: ")
+
+
+class TestActionPairs:
+    """Pairs under actions other than trivial or conjugation.  The tensor
+    product is read off its own presentation, which holds for every
+    compatible pair; G(x)H and H(x)G are isomorphic by a(x)b |-> (b(x)a)^-1
+    (Brown-Loday 1987), so a swapped pair has the same order, invariants
+    and number of tensors."""
+
+    INVERSIONS = {
+        "C4": "action inv { from: C4; to: C4; a => (a -> a^-1); }\n",
+        "C6": "action inv46 { from: C4; to: C6; a => (a -> a^-1); }\n"
+              "action inv64 { from: C6; to: C4; a => (a -> a^-1); }\n",
+    }
+
+    @pytest.mark.parametrize("other, order, invariants, m, cosets", [
+        ("C4", 8, [2, 4], 7, 24), ("C6", 12, [12], 10, 42)])
+    def test_inversion_on_both_sides(self, capsys, tmp_path, other, order,
+                                     invariants, m, cosets):
+        f = tmp_path / "inv.act"
+        f.write_text(self.INVERSIONS[other])
+        records = []
+        for g, h in (("C4", other), (other, "C4")):
+            rc, record, _ = run_json(capsys, "tensor", "--group", g,
+                                     "--other", h, "--action", str(f))
+            assert rc == 0
+            assert record["query"]["actions"] == "file"
+            records.append(record)
+        for record in records:
+            result = record["result"]
+            assert (result["order"], result["abelian_invariants"],
+                    result["tensor_count_m"]) == (order, invariants, m)
+        assert records[0]["stats"]["cosets_defined"] == cosets
 
 
 class TestPushout:

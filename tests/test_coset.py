@@ -155,6 +155,32 @@ class TestEnumerate:
                            match="relator 1 is open"):
             enumerate_cosets(p)
 
+    def test_the_closing_check_names_the_lowest_open_relator(self):
+        # Both generators step +1 in the cyclic table of order 7.  Relator
+        # 3 (length 7) is traced in the first length group and relator 2
+        # (length 3) in a later one; relators 0 and 1 are closed.
+        a, b = Word.gen(0), Word.gen(1)
+        p = Presentation("G", ("a", "b"),
+                         (a ** 7, a ** 2 * b ** -2, a ** 3, a ** 6 * ~b))
+        i = np.arange(7)
+        step = np.stack([(i + 1) % 7, (i - 1) % 7] * 2)
+        enumerator = _Enumerator(p)
+        assert [len(w) for w in enumerator.relators] == [7, 4, 3, 7]
+        assert enumerator._find_violation(step) == \
+            "relator 2 is open at coset 0"
+        closed = _Enumerator(Presentation("G", ("a", "b"),
+                                          (a ** 7, a ** 2 * b ** -2)))
+        assert closed._find_violation(step) is None
+
+    def test_the_closing_check_names_the_first_open_coset(self):
+        # a swaps cosets 1 and 2 and fixes 0 and 3, so a^2 closes
+        # everywhere and a closes at 0 and 3 only.
+        a = Word.gen(0)
+        cols = np.array([[0, 2, 1, 3], [0, 2, 1, 3]])
+        enumerator = _Enumerator(Presentation("G", ("a",), (a ** 2, a)))
+        assert enumerator._find_violation(cols) == \
+            "relator 1 is open at coset 1"
+
     def test_every_relator_closes_at_every_coset(self):
         from ntl.coset import word_letters
         p = catalog_lookup("Q8").presentation
@@ -200,6 +226,21 @@ class TestRegularRepresentation:
         g, _ = realize_presentation(catalog_lookup("C1").presentation)
         assert g.order == 1
         assert g.element_words == (Word(),)
+
+    def test_enumerated_tables_are_closed(self):
+        table, _ = enumerate_cosets(catalog_lookup("S3").presentation)
+        assert table.closed
+
+    def test_a_hand_built_table_is_traced_at_the_identity_coset(self):
+        # the table of C3 under the presentation of C2: a^2 sends the
+        # identity coset to coset 2
+        p = catalog_lookup("C2").presentation
+        rows = np.array([[1, 2], [2, 0], [0, 1]], dtype=np.int32)
+        table = CosetTable(rows=rows, presentation=p)
+        assert not table.closed
+        with pytest.raises(InternalInconsistency,
+                           match="^relator open at the identity coset$"):
+            regular_representation(table)
 
     def test_intransitive_table_rejected(self):
         # Two copies of the C2 table side by side: every relator closes at

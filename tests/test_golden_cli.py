@@ -10,6 +10,7 @@ lookup, catalog names) for the commands no earlier record covered.
 
 import argparse
 import json
+import sys
 from pathlib import Path
 
 import pytest
@@ -80,3 +81,37 @@ def test_every_subcommand_but_verify_has_a_record():
 @pytest.mark.parametrize("argv", COMMANDS, ids=" ".join)
 def test_replay_matches_record(argv, records, capsys):
     assert replay(argv, capsys) == records[" ".join(argv)]
+
+
+# The commands whose answer is eta itself; every other command reads T.
+ETA_COMMANDS = ("eta", "nu")
+
+
+class EtaBuilt(Exception):
+    """Raised by `build_eta` and `build_nu` under the `no_eta` fixture."""
+
+
+@pytest.fixture
+def no_eta(monkeypatch):
+    """`build_eta` and `build_nu` raise EtaBuilt in every module that binds
+    them, so a command reaches eta only by raising."""
+    def refuse(*args, **kwargs):
+        raise EtaBuilt
+    for name, module in list(sys.modules.items()):
+        if name == "ntl" or name.startswith("ntl."):
+            for builder in ("build_eta", "build_nu"):
+                if hasattr(module, builder):
+                    monkeypatch.setattr(module, builder, refuse)
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a in COMMANDS if a[0] not in ETA_COMMANDS], ids=" ".join)
+def test_commands_that_read_t_build_no_eta(argv, records, capsys, no_eta):
+    assert replay(argv, capsys) == records[" ".join(argv)]
+
+
+@pytest.mark.parametrize(
+    "argv", [a for a in COMMANDS if a[0] in ETA_COMMANDS], ids=" ".join)
+def test_eta_and_nu_build_eta(argv, no_eta):
+    with pytest.raises(EtaBuilt):
+        main(list(argv) + ["--json"])

@@ -13,7 +13,6 @@ from ntl.coset import EnumerationBudget, budget_scope
 from ntl.groups import Homomorphism, _walk, closure, derived_subgroup
 from ntl.parsing import parse_file
 from ntl import tensor
-from ntl.homotopy import pushout_EM
 from ntl.tensor import (_conjugation_table, _first_non_automorphism,
                         _validate_tables, build_direct, build_eta, build_nu,
                         conjugation_pair, delta, delta_tilde, j2,
@@ -36,10 +35,12 @@ def read_action(text):
     return spec
 
 
-def _pushout_s3_a3():
+def _s3_a3_pair():
+    """S3 and A3 acting on each other by conjugation in S3: the pair whose
+    tensor product the pushout of S3 along S3 and A3 reads."""
     s3 = realize_name("S3")
     full = closure(s3, s3.generator_images)
-    return pushout_EM(full, derived_subgroup(s3)).build
+    return tensor._conjugation_pair_between(full, derived_subgroup(s3))
 
 
 ELEMENT_TRIPLE_BUILDS = {
@@ -47,7 +48,7 @@ ELEMENT_TRIPLE_BUILDS = {
        for name in ("C4", "C2xC2", "S3", "D4", "Q8")},
     "S3xC2-trivial": lambda: build_eta(trivial_pair(realize_name("S3"),
                                                     cyc(2))),
-    "S3|S3,A3-pushout": _pushout_s3_a3,
+    "S3|S3,A3-pushout": lambda: build_eta(_s3_a3_pair()),
 }
 
 
@@ -350,6 +351,7 @@ ROUTE_PAIRS = {
     **{name: (lambda name=name: conjugation_pair(realize_name(name)))
        for name in ("S3", "Q8", "D4", "A4", "C2xC4")},
     "C4xC6-trivial": lambda: trivial_pair(cyc(4), cyc(6)),
+    "S3|S3,A3-pushout": _s3_a3_pair,
 }
 
 
@@ -365,6 +367,53 @@ def test_the_routes_give_one_object(pair):
     else:
         assert np.array_equal(r.derived.images, direct.derived.images)
     assert tensor_set(r).witness == tensor_set(direct).witness
+
+
+def _loop_relators(pair):
+    """The biadditivity relators written out one symbol triple at a time,
+    in the order `tensor._direct_relators` gives them."""
+    g, h = pair.g, pair.h
+    nh = h.order
+
+    def t(a, b):
+        return a * nh + b
+
+    out = []
+    for a in range(g.order):
+        for a2 in range(g.order):
+            for b in range(nh):
+                out.append(Word.of(((t(g.mul(a, a2), b), -1),
+                                    (t(g.conj(a, a2),
+                                       int(pair.g_on_h[a2, b])), 1),
+                                    (t(a2, b), 1))))
+    for a in range(g.order):
+        for b in range(nh):
+            for b2 in range(nh):
+                out.append(Word.of(((t(a, h.mul(b, b2)), -1),
+                                    (t(a, b2), 1),
+                                    (t(int(pair.h_on_g[b2, a]),
+                                       h.conj(b, b2)), 1))))
+    return tuple(out)
+
+
+def _inversion_pair():
+    """C4 and C6 acting on each other by inversion, from action files."""
+    c4, c6 = cyc(4), cyc(6)
+    there = read_action("action f { from: C4; to: C6; a => (a -> a^-1); }")
+    back = read_action("action b { from: C6; to: C4; a => (a -> a^-1); }")
+    return validate_compatibility(c4, c6, there, back)
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: conjugation_pair(realize_name("S3")),
+    lambda: trivial_pair(cyc(4), cyc(6)),
+    _inversion_pair], ids=["S3-conjugation", "C4xC6-trivial", "C4xC6-file"])
+def test_direct_relators_match_the_triple_loops(pair):
+    pair = pair()
+    built = tensor._direct_relators(pair)
+    assert built == _loop_relators(pair)
+    # the relators in which letters merge are built too
+    assert any(len(w.letters) < 3 for w in built)
 
 
 class TestTensorDirect:
