@@ -255,21 +255,21 @@ def _cmd_tensor(args: argparse.Namespace) -> dict:
 
 def _cmd_eta(args: argparse.Namespace) -> dict:
     pair, query = _pair_inputs(args)
-    r = build_eta(pair)
-    chain = [f"decomposition: {r.eta.order} = {r.group.order} * "
-             f"{r.pair.g.order} * {r.pair.h.order}"]
+    e = build_eta(pair)
+    chain = [f"decomposition: {e.eta.order} = {e.tensor.order} * "
+             f"{pair.g.order} * {pair.h.order}"]
     return {"query": query,
-            "result": group_result(r.eta, tensor_count_m=tensor_set(r).m),
+            "result": group_result(e.eta, tensor_count_m=e.tensor_count_m),
             "chain": chain}
 
 
 def _cmd_nu(args: argparse.Namespace) -> dict:
     g = resolve_subject(_lookup(args.group)).realized()
-    r = build_nu(g)
-    chain = [f"decomposition: {r.eta.order} = {r.group.order} * "
+    e = build_nu(g)
+    chain = [f"decomposition: {e.eta.order} = {e.tensor.order} * "
              f"{g.order} * {g.order}"]
     return {"query": {"group": g.name, "actions": "conjugation"},
-            "result": group_result(r.eta, tensor_count_m=tensor_set(r).m),
+            "result": group_result(e.eta, tensor_count_m=e.tensor_count_m),
             "chain": chain}
 
 

@@ -1,30 +1,31 @@
 """Mutual group actions, the commutator-pairing group eta(G,H), and the
 non-abelian tensor product.
 
-There is one route to each object.  `build_direct` gives the tensor product
-T = G(x)H from its defining presentation, the biadditivity relators on the
-|G|*|H| symbols a(x)b (Brown-Loday 1987), so its T needs no certificate and
-its enumeration ends near |T| cosets.  Every command and check that reads
-only T, its symbols and its derived map builds T there.  `build_eta` (and
-`build_nu`, its conjugation case) gives eta(G,H), for the commands whose
-answer is eta and for the checks that compare the two routes.  eta is
-presented on the full element sets of both factors: Cayley relators on the
-generator edges of each factor plus the two commutator-action relator
-families on generator triples.  The enumerated group is certified to be
-eta(G,H) with no theorem assumed: the factor embeddings are homomorphisms,
-which proves every Cayley relator, and `pairing_relators_hold` checks both
-families on every element triple in the realized table; the subgroup
-generated by the commutators [g, h~] inside it is T.  Every pair builder
-checks |G|*|H| against `ETA_SIZE_CAP` before it builds an action table, so
-a pair is never too large to tensor.  Both routes realize their
-presentation through `coset.realize_presentation` and label T canonically
-(`_label_tensor`: queue-BFS discovery order over the symbols a(x)b), so
-they return the same T: the same table, generator images, `sym` and
-derived map.  The invariants below (the tensor set, J2, the diagonal and
-the symmetrized diagonal) are functions of a `TensorRealization` that
-never look inside eta.  Element-level action tables are spread along the
-Cayley-graph walk (`groups._walk`) or sliced from the conjugation table,
-never evaluated word by word.
+There is one producer of each object.  `build_direct` is the only producer
+of a `TensorRealization`, the tensor product T = G(x)H: it enumerates T's
+defining presentation, the biadditivity relators on the |G|*|H| symbols
+a(x)b (Brown-Loday 1987), so its T needs no certificate and its enumeration
+ends near |T| cosets.  T is labelled canonically (`_label_tensor`:
+queue-BFS discovery order over the symbols a(x)b) and carries its symbol
+map and derived map.  The invariants below (the tensor set, J2, the
+diagonal and the symmetrized diagonal) are functions of that realization
+alone.
+
+`build_eta` (and `build_nu`, its conjugation case) is the only producer of
+an `EtaRealization`: eta(G,H), for the commands whose answer is eta and for
+the checks that compare it with T.  eta is presented on the full element
+sets of both factors: Cayley relators on the generator edges of each
+factor plus the two commutator-action relator families on generator
+triples.  The enumerated group is certified to be eta(G,H) with no theorem
+assumed: the factor embeddings are homomorphisms, which proves every
+Cayley relator, and `pairing_relators_hold` checks both families on every
+element triple in the realized table.  The record holds no symbol map and
+no derived map.
+
+Every pair builder checks |G|*|H| against `ETA_SIZE_CAP` before it builds
+an action table, so a pair is never too large to tensor.  Element-level
+action tables are spread along the Cayley-graph walk (`groups._walk`) or
+sliced from the conjugation table, never evaluated word by word.
 """
 
 from __future__ import annotations
@@ -301,32 +302,52 @@ def _conjugation_pair_between(m: Subgroup, n: Subgroup
 
 @dataclass(frozen=True, eq=False)
 class TensorRealization:
-    """A realized tensor product T, from either route.
+    """The tensor product T = G(x)H of a compatible pair, as `build_direct`
+    realizes it.
 
-    `sym[a, b]` is the element a(x)b of T.  T is labelled canonically by
-    `_label_tensor`, so both routes give equal `group`, `sym` and
-    `derived`; only `presentation`, `stats` and `eta` differ.  `derived` is
-    the map T -> P, a(x)b |-> [a, b], into the pair's ambient group P,
+    `group` is T, labelled canonically by `_label_tensor` and generated by
+    the distinct symbols; `sym[a, b]` is the element a(x)b of T.  `derived`
+    is the map T -> P, a(x)b |-> [a, b], into the pair's ambient group P,
     verified as a homomorphism with the commutator subgroup as its image;
-    it is None when the pair has no ambient group.  `eta` is the
-    commutator pairing group on the eta route and None on the direct
-    route.  A realization kept without eta, as the acceptance battery
-    keeps its builds, drops eta's presentation too: both are None.  The
-    invariants below are computed from `group`, `sym` and `derived`
-    alone, once per realization.
+    it is None when the pair has no ambient group.  The invariants below
+    are computed from `group`, `sym` and `derived`, once per realization.
     """
 
     pair: CompatibleActionPair
-    presentation: Presentation | None
-    stats: EnumerationStats
     group: RealizedGroup
     sym: np.ndarray
     derived: Homomorphism | None
-    eta: RealizedGroup | None = None
     _memo: dict = field(default_factory=dict, init=False, repr=False)
 
     def __post_init__(self):
         self.sym.setflags(write=False)
+
+
+@dataclass(frozen=True, eq=False)
+class EtaRealization:
+    """eta(G,H) as `build_eta` realizes and certifies it.
+
+    `eta` is generated by the element generators of G, then those of H.
+    `commutators[a, b]` is [a, b~] in eta, and `tensor` is the subgroup T
+    of eta that they generate: normal, with |eta| = |T||G||H|.
+    `presentation` and `stats` are those of eta's enumeration.
+    """
+
+    pair: CompatibleActionPair
+    presentation: Presentation
+    stats: EnumerationStats
+    eta: RealizedGroup
+    commutators: np.ndarray
+    tensor: Subgroup
+
+    def __post_init__(self):
+        self.commutators.setflags(write=False)
+
+    @property
+    def tensor_count_m(self) -> int:
+        """The number of distinct commutators [a, b~], the tensors
+        a(x)b."""
+        return len(np.unique(self.commutators))
 
 
 @dataclass(frozen=True)
@@ -366,17 +387,17 @@ def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
 
 
 def _label_tensor(name: str, table: np.ndarray, sym: np.ndarray
-                  ) -> tuple[RealizedGroup, np.ndarray, np.ndarray]:
+                  ) -> tuple[RealizedGroup, np.ndarray]:
     """T with its canonical labels, from the symbols a(x)b in any table
-    that holds them (eta's, or the biadditivity presentation's).
+    that holds them (the biadditivity presentation's, or eta's to compare
+    the two).
 
     T's elements are numbered in plain queue-BFS discovery order from 0,
     each dequeued element being multiplied on the right by the distinct
     symbols in row-major order of `sym`.  The numbering depends on T and
     `sym` alone, never on the labels of `table`, so an isomorphism that
     fixes every a(x)b makes the two results equal.  Returns T, generated
-    by the distinct symbols in that order, `sym` in T's labels and the
-    members of T in `table`'s labels, listed by their new label.
+    by the distinct symbols in that order, and `sym` in T's labels.
     """
     steps = list(dict.fromkeys(sym.ravel().tolist()))
     label = {0: 0}
@@ -391,7 +412,7 @@ def _label_tensor(name: str, table: np.ndarray, sym: np.ndarray
     relabel[mem] = np.arange(mem.size)
     group = RealizedGroup(name, relabel[table[np.ix_(mem, mem)]],
                           relabel[steps])
-    return group, relabel[sym], mem
+    return group, relabel[sym]
 
 
 def _check_cap(ng: int, nh: int):
@@ -404,10 +425,10 @@ def _check_cap(ng: int, nh: int):
 
 def build_eta(pair: CompatibleActionPair,
               *,
-              skip_pairing_relators: bool = False) -> TensorRealization:
-    """Realize eta(G,H) for a compatible pair; T is the subgroup generated
-    by the commutators [a, b~].  A group paired with itself inside an
-    ambient group is nu(G) and is named so.
+              skip_pairing_relators: bool = False) -> EtaRealization:
+    """Realize eta(G,H) for a compatible pair, with the commutators
+    [a, b~] and the subgroup T they generate.  A group paired with itself
+    inside an ambient group is nu(G) and is named so.
 
     The presentation has one generator per element of G and of H, the
     Cayley relators on the generator edges of each factor and the two
@@ -466,8 +487,7 @@ def build_eta(pair: CompatibleActionPair,
     eta, stats = realize_presentation(presentation)
 
     eg, eh, comms = _pairing_commutators(pair, eta)
-    group, sym, members = _label_tensor(f"tensor({g.name},{h.name})",
-                                        eta.table, comms)
+    tensor = closure(eta, np.unique(comms))
     if not (Homomorphism(g, eta, eg).is_injective()
             and Homomorphism(h, eta, eh).is_injective()):
         raise InternalInconsistency(
@@ -475,20 +495,19 @@ def build_eta(pair: CompatibleActionPair,
     if not pairing_relators_hold(pair, eta):
         raise InternalInconsistency(
             f"{name}: an element-triple pairing relator fails")
-    if eta.order != members.size * ng * nh:
+    if eta.order != tensor.order * ng * nh:
         raise InternalInconsistency(
             f"{name}: order {eta.order} breaks the semidirect "
-            f"decomposition {members.size}*{ng}*{nh}")
-    if not Subgroup(eta, tuple(np.sort(members).tolist())).is_normal():
+            f"decomposition {tensor.order}*{ng}*{nh}")
+    if not tensor.is_normal():
         raise InternalInconsistency(
             f"{name}: tensor subgroup is not normal")
-    return TensorRealization(pair, presentation, stats, group, sym,
-                             _derived_map(pair, group, sym), eta)
+    return EtaRealization(pair, presentation, stats, eta, comms, tensor)
 
 
-def build_nu(g: RealizedGroup) -> TensorRealization:
-    """nu(G) = eta(G,G) with both actions by conjugation; T is the tensor
-    square and the derived map lands in G."""
+def build_nu(g: RealizedGroup) -> EtaRealization:
+    """nu(G) = eta(G,G) with both actions by conjugation; its T is the
+    tensor square."""
     return build_eta(conjugation_pair(g))
 
 
@@ -533,22 +552,19 @@ def _direct_relators(pair: CompatibleActionPair) -> tuple[Word, ...]:
 def build_direct(pair: CompatibleActionPair) -> TensorRealization:
     """The tensor product T = G(x)H from its defining presentation: the
     biadditivity relators on the |G||H| symbols a(x)b (Brown-Loday 1987).
-    This is the one route to T: its realization is T by definition, so it
-    needs no certificate, and its enumeration ends near |T| cosets, where
-    eta's ends near |T||G||H|.  Every command and check that reads only T,
-    its symbols and its derived map builds T here; `build_eta` is for eta
-    itself."""
+    This is the one producer of T: its realization is T by definition, so
+    it needs no certificate, and its enumeration ends near |T| cosets,
+    where eta's ends near |T||G||H|.  The presentation is not kept."""
     g, h = pair.g, pair.h
     ng, nh = g.order, h.order
     gens = tuple(f"t{a}_{b}" for a in range(ng) for b in range(nh))
     name = f"tensor({g.name},{h.name})"
     presentation = Presentation(name, gens, _direct_relators(pair))
-    realized, stats = realize_presentation(presentation)
-    group, sym, _ = _label_tensor(
+    realized, _ = realize_presentation(presentation)
+    group, sym = _label_tensor(
         name, realized.table,
         np.asarray(realized.generator_images).reshape(ng, nh))
-    return TensorRealization(pair, presentation, stats, group, sym,
-                             _derived_map(pair, group, sym))
+    return TensorRealization(pair, group, sym, _derived_map(pair, group, sym))
 
 
 def tensor_direct(pair: CompatibleActionPair) -> RealizedGroup:

@@ -1,23 +1,24 @@
 """The acceptance battery: every check the suite runs over the catalog.
 
-Each corpus member is built once per run, by one commutator-pairing build
-and one direct build, and kept as a `Profile`: the realization T of the
-eta route with eta and its presentation dropped, plus what the two
+Each corpus member is built once per run, by one direct build and one
+commutator-pairing build, and kept as a `Profile`: the T that
+`build_direct` returned, the stats of eta's enumeration, and what the two
 builds alone can tell (route agreement and timings).  Every eta build
-certifies its own decomposition |eta| = |T||G||H|, so no check reads eta
-except the one that tests the certificate itself.  Whatever a check builds
-beyond the store (criterion 3's other cyclic pairs, criterion 9's
-pushouts) is T alone, by the direct route.  Every check reads J2,
-the diagonals, H2, pi2S and the Theorem C and finiteness reports from the
-memoized invariants layer on that T (`tensor` and `homotopy`), so nothing
-is computed twice and a fault injected into one layer function reaches
-every check that reads it.
+certifies its own decomposition |eta| = |T||G||H|, and criterion 2 compares
+the T inside eta with the stored one; eta itself is not kept, and only the
+certificate check and criterion 13's fault scan build it again.  Whatever a
+check builds beyond the store (criterion 3's other cyclic pairs, criterion
+9's pushouts) is T alone, by the direct route.  Every check reads J2, the
+diagonals, H2, pi2S and the Theorem C and finiteness reports from the
+memoized invariants layer on that T (`tensor` and `homotopy`), the T every
+command serves, so nothing is computed twice and a fault injected into one
+layer function reaches every check that reads it.
 """
 
 from __future__ import annotations
 
 import time
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from math import gcd
 
 import numpy as np
@@ -25,7 +26,8 @@ import numpy as np
 from .abelian import AbelianInvariants
 from .catalog import (CatalogEntry, catalog_lookup, finite_corpus,
                       realize_entry)
-from .coset import EnumerationBudget, budget_scope, current_tally
+from .coset import (EnumerationBudget, EnumerationStats, budget_scope,
+                    current_tally)
 from .errors import CapExceeded, NtlError
 from .groups import closure, derived_subgroup
 from .homotopy import (bound_pushout_pi3, bound_theorem_A,
@@ -33,10 +35,10 @@ from .homotopy import (bound_pushout_pi3, bound_theorem_A,
                        resolve_subject, schur_multiplier, stable_pi2_K,
                        theoremC_report, three_connected_check, wedge_pi3)
 from .parsing import parse_file
-from .tensor import (CompatibleActionPair, TensorRealization, build_direct,
-                     build_eta, build_nu, conjugation_pair, delta,
-                     delta_tilde, j2, pairing_relators_hold, tensor_set,
-                     trivial_pair)
+from .tensor import (CompatibleActionPair, EtaRealization, TensorRealization,
+                     _label_tensor, build_direct, build_eta, build_nu,
+                     conjugation_pair, delta, delta_tilde, j2,
+                     pairing_relators_hold, tensor_set, trivial_pair)
 
 FAULT_BUDGET = EnumerationBudget(max_cosets=20_000)
 
@@ -53,21 +55,25 @@ class CheckResult:
         return f"{mark}  {self.name}: {self.detail} [{self.elapsed_ms} ms]"
 
 
-def _same_tensor(r: TensorRealization, other: TensorRealization) -> bool:
-    """Whether two realizations give the same T: equal tables and equal
-    symbols, so a(x)b |-> a(x)b is an isomorphism between them."""
-    return (np.array_equal(r.group.table, other.group.table)
-            and np.array_equal(r.sym, other.sym))
+def _same_tensor(r: TensorRealization, e: EtaRealization) -> bool:
+    """Whether the T inside eta, labelled canonically from its commutators
+    [a, b~], is T: equal tables and equal symbols, so a(x)b |-> [a, b~] is
+    an isomorphism onto it."""
+    group, sym = _label_tensor(r.group.name, e.eta.table, e.commutators)
+    return (np.array_equal(r.group.table, group.table)
+            and np.array_equal(r.sym, sym))
 
 
 @dataclass(frozen=True)
 class Profile:
-    """One corpus member built both ways.  `r` is the eta-route
-    realization without eta and eta's presentation, the large parts it
-    holds beyond T; the invariants are read off `r` by the checks."""
+    """One corpus member built both ways.  `r` is the T that
+    `build_direct` returned, the one every command serves; the invariants
+    are read off it by the checks.  `eta_stats` is the enumeration of eta,
+    the only part of the eta build that is kept."""
 
     name: str
     r: TensorRealization
+    eta_stats: EnumerationStats
     routes_agree: bool
     build_ms: int
     direct_ms: int
@@ -106,17 +112,16 @@ def _ms_since(t0: float) -> int:
 
 
 def _profile(name: str, pair: CompatibleActionPair) -> Profile:
-    """Build T by both routes."""
+    """Build T directly and eta around it, and compare the two."""
     t0 = time.monotonic()
-    r = build_eta(pair)
+    e = build_eta(pair)
     build_ms = _ms_since(t0)
     t0 = time.monotonic()
-    direct = build_direct(pair)
+    r = build_direct(pair)
     direct_ms = _ms_since(t0)
-    return Profile(
-        name=name, r=replace(r, eta=None, presentation=None),
-        routes_agree=_same_tensor(r, direct),
-        build_ms=build_ms, direct_ms=direct_ms)
+    return Profile(name=name, r=r, eta_stats=e.stats,
+                   routes_agree=_same_tensor(r, e),
+                   build_ms=build_ms, direct_ms=direct_ms)
 
 
 def build_profiles() -> ProfileStore:
@@ -373,14 +378,14 @@ def check_bound_arithmetic() -> CheckResult:
 def check_performance(store: ProfileStore) -> CheckResult:
     slow = [f"{p.name}: {p.build_ms} ms" for p in store.nus.values()
             if p.build_ms > 10_000]
-    stats_ok = all(p.r.stats.cosets_defined >= p.r.stats.cosets_final >= 1
-                   for p in store.nus.values())
+    stats_ok = all(p.eta_stats.cosets_defined >= p.eta_stats.cosets_final
+                   >= 1 for p in store.nus.values())
     worst = max(store.nus.values(), key=lambda p: p.build_ms)
     return CheckResult(
         "criterion 12: conjugation builds within 10 s each", not slow
         and stats_ok,
         f"worst build {worst.name} at {worst.build_ms} ms with stats "
-        f"{worst.r.stats}" if not slow else "; ".join(slow))
+        f"{worst.eta_stats}" if not slow else "; ".join(slow))
 
 
 def _fault_scan() -> tuple[bool, str]:

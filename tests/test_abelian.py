@@ -6,7 +6,8 @@ from sympy.matrices.normalforms import invariant_factors as sympy_invf
 
 from ntl.abelian import AbelianInvariants, abelian_invariants, smith_diagonal
 from ntl.catalog import realize_name
-from ntl.tensor import build_direct, build_nu, conjugation_pair
+from ntl.tensor import (_direct_relators, build_direct, build_nu,
+                        conjugation_pair)
 
 
 def sympy_oracle(rows, ncols):
@@ -145,12 +146,20 @@ def test_from_cyclic_orders_matches_sympy(orders):
 ])
 def test_relation_matrices_match_sympy(route, name, shape):
     g = realize_name(name)
-    r = (build_direct(conjugation_pair(g)) if route == "direct"
-         else build_nu(g))
-    p = r.presentation
-    rows = [w.exponent_row(p.ngens) for w in p.relators]
-    assert (len(rows), p.ngens) == shape
+    if route == "direct":
+        rows = _biadditivity_rows(conjugation_pair(g))
+    else:
+        p = build_nu(g).presentation
+        rows = [w.exponent_row(p.ngens) for w in p.relators]
+    assert (len(rows), len(rows[0])) == shape
     assert smith_diagonal(rows) == sympy_diagonal(rows)
+
+
+def _biadditivity_rows(pair):
+    """The relation matrix of the presentation that `build_direct`
+    enumerates: one column per symbol a(x)b."""
+    ngens = pair.g.order * pair.h.order
+    return [w.exponent_row(ngens) for w in _direct_relators(pair)]
 
 
 @pytest.mark.parametrize("name, shape", [
@@ -162,12 +171,12 @@ def test_relation_matrices_match_sympy(route, name, shape):
 def test_direct_presentation_smith_matches_the_table(name, shape):
     # Smith form of the biadditivity presentation against the
     # abelianization read off T's multiplication table.
-    r = build_direct(conjugation_pair(realize_name(name)))
-    p = r.presentation
-    rows = [w.exponent_row(p.ngens) for w in p.relators]
-    assert (len(rows), p.ngens) == shape
+    pair = conjugation_pair(realize_name(name))
+    r = build_direct(pair)
+    rows = _biadditivity_rows(pair)
+    assert (len(rows), len(rows[0])) == shape
     assert r.group.source_presentation is None
-    assert abelian_invariants(rows, ncols=p.ngens) == \
+    assert abelian_invariants(rows, ncols=shape[1]) == \
         r.group.abelianization()
 
 
@@ -181,6 +190,16 @@ class TestInvariants:
             AbelianInvariants((0, 2))
         with pytest.raises(ValueError):
             AbelianInvariants((2, 3))
+
+    @pytest.mark.parametrize("matrix, message", [
+        ([], "ncols required for a matrix with no rows"),
+        ([[1, 2], [3]], "ragged relation matrix"),
+    ], ids=["no-rows", "ragged"])
+    def test_relation_matrix_validation(self, matrix, message):
+        with pytest.raises(ValueError) as err:
+            abelian_invariants(matrix)
+        assert type(err.value) is ValueError
+        assert str(err.value) == message
 
     def test_order_exponent(self):
         inv = AbelianInvariants((2, 4))

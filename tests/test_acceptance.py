@@ -1,8 +1,9 @@
 """The acceptance gate: one test per criterion, one pass/fail line each.
 
-Profiles (one commutator-pairing build per corpus member, plus the direct
-tensor route) are computed once per session; every criterion check reads
-from that store at its stated tolerance.  Run with `-s` to see the lines.
+Profiles (the direct build of T per corpus member, plus the
+commutator-pairing build that criteria 1, 2 and 12 read) are computed once
+per session; every criterion check reads from that store at its stated
+tolerance.  Run with `-s` to see the lines.
 A fault test replaces one invariants-layer function that a check reads
 with a plain function, so the memo on the session's realizations keeps
 the true values for the tests that follow.
@@ -15,12 +16,14 @@ import pytest
 
 from ntl import coset, homotopy, tensor, verification
 from ntl.abelian import AbelianInvariants
-from ntl.catalog import catalog_lookup, finite_corpus, realize_entry
+from ntl.catalog import (catalog_lookup, finite_corpus, realize_entry,
+                         realize_name)
 from ntl.cli import main
+from ntl.coset import EnumerationStats
 from ntl.errors import BudgetExceeded
 from ntl.groups import closure
 from ntl.homotopy import pi3_suspension_K, schur_multiplier, stable_pi2_K
-from ntl.tensor import conjugation_pair
+from ntl.tensor import EtaRealization, build_nu, conjugation_pair
 from ntl.verification import (ProfileStore, build_profiles,
                               check_abelian_reduction,
                               check_bound_arithmetic, check_decomposition,
@@ -78,8 +81,8 @@ def test_criterion_02_fails_when_the_direct_route_transposes_its_symbols(
     def transposed(pair):
         # T is labelled from b(x)a where a(x)b belongs
         r = tensor.build_direct(pair)
-        group, sym, _ = tensor._label_tensor(r.group.name, r.group.table,
-                                             r.sym.T)
+        group, sym = tensor._label_tensor(r.group.name, r.group.table,
+                                          r.sym.T)
         return replace(r, group=group, sym=sym, derived=None)
 
     # When T is abelian, a(x)b |-> b(x)a extends to an automorphism and
@@ -144,6 +147,17 @@ def test_criterion_03_builds_only_what_the_store_lacks(store, monkeypatch):
     assert ("C6", "C6") not in built and ("C6", "C4") in built
 
 
+def test_criterion_03_fails_when_a_corpus_pair_misses_its_oracle(
+        store, monkeypatch):
+    # The cyclic pairs read no tensor of abelian invariants, so only the
+    # corpus-pair oracle sees the fault; C2(x)C2 is the first corpus pair
+    # with a nontrivial tensor product.
+    monkeypatch.setattr(AbelianInvariants, "tensor",
+                        lambda a, b: AbelianInvariants(()))
+    r = _faulted(check_abelian_reduction(store))
+    assert r.detail.startswith("C2(x)C2: C2 vs oracle 1; ")
+
+
 def test_criterion_04_tensor_counts(store):
     _gate(check_tensor_counts(store))
 
@@ -167,6 +181,26 @@ def test_criterion_05_fails_when_the_symmetrized_diagonal_is_lost(
     monkeypatch.setattr(verification, "delta_tilde", _trivial_subgroup)
     r = _faulted(check_exact_sequences(store))
     assert r.detail.startswith("C3: |J2| != |Dt||J2/Dt|")
+
+
+def test_criterion_05_fails_when_the_derived_subgroup_is_lost(
+        store, monkeypatch):
+    # D3 is the first conjugation build with a nontrivial G'.
+    monkeypatch.setattr(verification, "derived_subgroup",
+                        lambda g: closure(g, []))
+    r = _faulted(check_exact_sequences(store))
+    assert r.detail.startswith("D3: |T| != |J2||G'|; ")
+
+
+def test_criterion_05_fails_when_the_tensor_set_does_not_generate(
+        store, monkeypatch):
+    # Only the identity is left in the tensor set; C2's T is the first
+    # that it does not generate.
+    monkeypatch.setattr(verification, "tensor_set",
+                        lambda r: replace(tensor.tensor_set(r),
+                                          elements=(0,)))
+    r = _faulted(check_exact_sequences(store))
+    assert r.detail.startswith("C2: tensor set does not generate")
 
 
 def test_criterion_06_schur_multipliers(store):
@@ -199,13 +233,54 @@ def test_the_layer_computes_each_invariant_once(store, name):
         assert invariant(r) is invariant(r)
 
 
-def test_profiles_keep_tensor_products_without_eta(store):
-    assert all(p.r.eta is None and p.r.presentation is None
-               for p in store.profiles())
+def test_the_battery_keeps_the_tensor_products_build_direct_returned(
+        monkeypatch):
+    # The battery and `ntl verify FILE` read the very objects that
+    # `build_direct` returned, and eta's build returns no tensor product.
+    built = []
+    build_direct = verification.build_direct
+
+    def recorded(pair):
+        built.append(build_direct(pair))
+        return built[-1]
+
+    monkeypatch.setattr(verification, "build_direct", recorded)
+    pairs, nus = verification.pair_corpus()[:4], verification.nu_corpus()[:4]
+    monkeypatch.setattr(verification, "pair_corpus", lambda: pairs)
+    monkeypatch.setattr(verification, "nu_corpus", lambda: nus)
+    profiles = build_profiles().profiles()
+    assert len(profiles) == len(built) == 8
+    assert all(p.r is r for p, r in zip(profiles, built))
+    assert not any(isinstance(v, EtaRealization)
+                   for p in profiles for v in vars(p).values())
+
+    built.clear()
+    read = []
+    for name in ("_sequence_faults", "theoremC_report"):
+        def reading(r, layer=getattr(verification, name)):
+            read.append(r)
+            return layer(r)
+        monkeypatch.setattr(verification, name, reading)
+    results = verification.run_file_suite(
+        "group G { gens: a b; rels: a^3, b^2, (a b)^2; }")
+    assert all(c.passed for c in results)
+    assert len(built) == 1 and len(read) == 2
+    assert all(r is built[0] for r in read)
+
+    e = build_nu(realize_name("S3"))
+    assert not hasattr(e, "sym") and not hasattr(e, "derived")
 
 
 def test_criterion_08_theoremC_unanimity(store):
     _gate(check_theoremC(store))
+
+
+def test_criterion_08_fails_when_Z_loses_its_fast_path(store, monkeypatch):
+    # Z's invariant factors are lost, so the abelian fast path cannot
+    # decide it; the finite groups do not read this function.
+    monkeypatch.setattr(homotopy, "presentation_invariants", lambda p: None)
+    r = _faulted(check_theoremC(store))
+    assert r.detail == "Z"
 
 
 def test_criterion_09_pushout_values():
@@ -257,6 +332,17 @@ def test_criterion_12_fails_on_a_slow_build(store):
                                                           build_ms=10_001)})
     r = _faulted(check_performance(slow))
     assert r.detail == "S3: 10001 ms"
+
+
+def test_criterion_12_fails_on_broken_eta_stats(store):
+    # fewer cosets defined than kept: no enumeration ends that way
+    broken = EnumerationStats(cosets_defined=5, cosets_final=6)
+    faulted = replace(store, nus={**store.nus, "S3": replace(
+        store.nus["S3"], eta_stats=broken)})
+    r = _faulted(check_performance(faulted))
+    worst = max(faulted.nus.values(), key=lambda p: p.build_ms)
+    assert r.detail == (f"worst build {worst.name} at {worst.build_ms} ms "
+                        f"with stats {worst.eta_stats}")
 
 
 def test_criterion_13_negative_control(store):

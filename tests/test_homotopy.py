@@ -12,7 +12,13 @@ from ntl.homotopy import (bound_pushout_pi3, bound_theorem_A,
                           finiteness_report, pi3_suspension_K, pushout_EM,
                           resolve_subject, schur_multiplier, stable_pi2_K,
                           theoremC_report, three_connected_check, wedge_pi3)
-from ntl.tensor import _conjugation_pair_between, build_nu
+from ntl.tensor import (_conjugation_pair_between, build_direct,
+                        conjugation_pair)
+
+
+def square(g):
+    """The tensor square of g, from the one producer of T."""
+    return build_direct(conjugation_pair(g))
 
 
 def cyc(n):
@@ -67,24 +73,24 @@ class TestWedge:
 class TestSuspension:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic(self, n):
-        got = pi3_suspension_K(build_nu(cyc(n)))
+        got = pi3_suspension_K(square(cyc(n)))
         assert got.order() == n
         if n > 1:
             assert got.factors == (n,)
 
     def test_s3_kernel_index(self):
         s3 = realize_name("S3")
-        r = build_nu(s3)
+        r = square(s3)
         assert pi3_suspension_K(r).order() * 3 == r.group.order
 
     @pytest.mark.parametrize("name,want", [("C2xC2", (2,)),
                                            ("C2xC4", (2,)), ("C9", ())])
     def test_schur_values(self, name, want):
-        assert schur_multiplier(build_nu(realize_name(name))).factors == want
+        assert schur_multiplier(square(realize_name(name))).factors == want
 
     @pytest.mark.parametrize("name", ["A4", "C2xC4"])
     def test_invariants_realize_no_group(self, name, monkeypatch):
-        r = build_nu(realize_name(name))
+        r = square(realize_name(name))
 
         def refuse(*args, **kwargs):
             raise AssertionError("a group or a map was realized")
@@ -97,9 +103,9 @@ class TestSuspension:
         assert stable_pi2_K(r).order() >= 1
 
     def test_stable_pi2(self):
-        assert stable_pi2_K(build_nu(cyc(2))).factors == (2,)
-        assert stable_pi2_K(build_nu(cyc(3))).order() == 1
-        assert stable_pi2_K(build_nu(cyc(1))).order() == 1
+        assert stable_pi2_K(square(cyc(2))).factors == (2,)
+        assert stable_pi2_K(square(cyc(3))).order() == 1
+        assert stable_pi2_K(square(cyc(1))).order() == 1
 
 
 class TestPushout:
@@ -201,13 +207,13 @@ def test_conjugation_pair_between_matches_conj(case):
     assert tuple(pair.ambient[2]) == n_mem
 
 
-def nu(name):
-    return build_nu(realize_name(name))
+def square_of(name):
+    return square(realize_name(name))
 
 
 class TestFiniteness:
     def test_s3(self):
-        rep = finiteness_report(nu("S3"))
+        rep = finiteness_report(square_of("S3"))
         assert rep.gab_invariants == inv(2)
         assert rep.gprime_order == 3
         assert rep.tensor_count_m == 6
@@ -216,22 +222,22 @@ class TestFiniteness:
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic_embedding(self, n):
-        rep = finiteness_report(nu(f"C{n}"))
+        rep = finiteness_report(square_of(f"C{n}"))
         assert rep.gab_invariants.order() == n
         assert rep.embedding_holds
 
     def test_trivial(self):
-        rep = finiteness_report(nu("C1"))
+        rep = finiteness_report(square_of("C1"))
         assert rep.gab_invariants.order() == 1
         assert rep.gprime_order == 1
         assert rep.tensor_count_m == 1
         assert rep.tensor_order == 1
 
     def test_realization_subject_reuses_the_build(self):
-        r = nu("S3")
+        r = square_of("S3")
         rep = finiteness_report(r)
         assert rep.tensor_order == r.group.order
-        fresh = finiteness_report(nu("S3"))
+        fresh = finiteness_report(square_of("S3"))
         assert rep.delta_invariants == fresh.delta_invariants == inv(2)
 
     def test_infinite_fast_path(self):
@@ -268,13 +274,13 @@ class TestResolveSubject:
 
 class TestTheoremC:
     def test_s3_all_true(self):
-        rep = theoremC_report(nu("S3"))
+        rep = theoremC_report(square_of("S3"))
         assert rep.unanimous
         assert all(rep.properties.values())
         assert set(rep.properties) == set("abcdefg")
 
     def test_c2_all_true(self):
-        rep = theoremC_report(nu("C2"))
+        rep = theoremC_report(square_of("C2"))
         assert rep.unanimous
         assert all(rep.properties.values())
         assert rep.evidence["tensor_order"] == 2
@@ -289,10 +295,10 @@ class TestTheoremC:
         assert "infinite order" in s.witness
 
     def test_realization_subject_reuses_the_build(self):
-        r = nu("S3")
+        r = square_of("S3")
         rep = theoremC_report(r)
         assert rep.evidence["tensor_order"] == r.group.order
-        fresh = theoremC_report(nu("S3"))
+        fresh = theoremC_report(square_of("S3"))
         assert rep.properties == fresh.properties
         assert rep.evidence == fresh.evidence
 
@@ -304,23 +310,23 @@ class TestTheoremC:
 
 class TestBurnsideExponent:
     def test_c2_applies(self):
-        rep = burnside_exponent_check(build_nu(cyc(2)))
+        rep = burnside_exponent_check(square(cyc(2)))
         assert rep.tensor_exponent == 2
         assert rep.applicable
 
     def test_c5_does_not_apply(self):
-        rep = burnside_exponent_check(build_nu(cyc(5)))
+        rep = burnside_exponent_check(square(cyc(5)))
         assert rep.tensor_exponent == 5
         assert not rep.applicable
 
     def test_trivial_group(self):
-        rep = burnside_exponent_check(build_nu(cyc(1)))
+        rep = burnside_exponent_check(square(cyc(1)))
         assert rep.tensor_exponent == 1
         assert not rep.applicable
 
     @pytest.mark.parametrize("name,expo", [("C4", 4), ("C6", 6),
                                            ("C2xC2", 2), ("S3", 6)])
     def test_small_exponents(self, name, expo):
-        rep = burnside_exponent_check(build_nu(realize_name(name)))
+        rep = burnside_exponent_check(square(realize_name(name)))
         assert rep.tensor_exponent == expo
         assert rep.applicable == (expo in (2, 3, 4, 6))

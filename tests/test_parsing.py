@@ -246,6 +246,59 @@ class TestParseFile:
             parse_file("group G { gens: a; } group G { gens: b; }")
 
 
+# One malformed input per message of the parser, with the line and column
+# each message gives: (input, error class, message, line, column).
+MALFORMED = {
+    "name": ("group { gens: a; }", PresentationSyntaxError,
+             "expected group name, found '{'", 1, 7),
+    "keyword": ("group G { gen: a; }", PresentationSyntaxError,
+                "expected keyword 'gens', found 'gen'", 1, 11),
+    "factor": ("group G { gens: a; rels: ^2; }", PresentationSyntaxError,
+               "expected a generator or '('", 1, 26),
+    "exponent": ("group G { gens: a; rels: a^b; }", PresentationSyntaxError,
+                 "expected an integer exponent", 1, 28),
+    "no-generator": ("group G { gens: ; }", PresentationSyntaxError,
+                     "a group needs at least one generator", 1, 17),
+    "duplicate-generator": ("group G { gens: a b a; }",
+                            PresentationSyntaxError,
+                            "duplicate generator in group 'G'", 1, 24),
+    "acting-generator": ("action x { from: C2; to: C4; z => (a -> a); }",
+                         UnknownGenerator,
+                         "unknown acting generator 'z' in action 'x'", 1, 30),
+    "duplicate-block": ("action x { from: C2; to: C4; a => (a -> a); "
+                        "a => (a -> a); }", PresentationSyntaxError,
+                        "duplicate block for generator 'a'", 1, 45),
+    "target-token": ("action x { from: C2; to: C4; a => (2 -> a); }",
+                     PresentationSyntaxError,
+                     "expected a target generator", 1, 36),
+    "target-generator": ("action x { from: C2; to: C4; a => (b -> a); }",
+                         UnknownGenerator,
+                         "unknown target generator 'b' in action 'x'", 1, 36),
+    "duplicate-image": ("action x { from: C2; to: C4; "
+                        "a => (a -> a, a -> a^-1); }",
+                        PresentationSyntaxError,
+                        "duplicate image for generator 'a'", 1, 44),
+    "unterminated": ("action x {\n  from: C2; to: C4;\n  a => (a -> a);\n",
+                     PresentationSyntaxError, "unterminated block", 4, 1),
+    # The skip over an action block steps over the nested braces; the
+    # block's own parse then meets them.
+    "nested-braces": ("action x { from: C2; to: C4; { } }",
+                      PresentationSyntaxError, "expected '}', found '{'",
+                      1, 30),
+}
+
+
+@pytest.mark.parametrize("case", MALFORMED)
+def test_each_parse_error_says_what_and_where(case):
+    text, error, message, line, column = MALFORMED[case]
+    with pytest.raises(error) as err:
+        parse_file(text, resolver=lambda n: catalog_lookup(n).presentation)
+    assert type(err.value) is error
+    assert str(err.value) == f"{message} (line {line}, column {column})"
+    if error is PresentationSyntaxError:
+        assert (err.value.line, err.value.column) == (line, column)
+
+
 class TestWordsText:
     def test_words_list(self):
         p = catalog_lookup("S3").presentation
@@ -257,6 +310,14 @@ class TestWordsText:
         p = catalog_lookup("C2").presentation
         with pytest.raises(UnknownGenerator):
             parse_words_text("z", p)
+
+    def test_trailing_input(self):
+        p = catalog_lookup("S3").presentation
+        with pytest.raises(PresentationSyntaxError) as err:
+            parse_words_text("a b )", p)
+        assert str(err.value) == ("trailing input after the word list "
+                                  "(line 1, column 5)")
+        assert (err.value.line, err.value.column) == (1, 5)
 
 
 class TestCatalog:

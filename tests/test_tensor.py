@@ -7,10 +7,11 @@ import pytest
 from ntl.abelian import AbelianInvariants
 from ntl.catalog import catalog_lookup, realize_name
 from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
-                        InternalInconsistency, NotActionHomomorphism,
-                        NotAutomorphism)
+                        IncompleteMap, InternalInconsistency,
+                        NotActionHomomorphism, NotAutomorphism)
 from ntl.coset import EnumerationBudget, budget_scope
-from ntl.groups import Homomorphism, _walk, closure, derived_subgroup
+from ntl.groups import (Homomorphism, Subgroup, _commutators, _walk,
+                        closure, derived_subgroup)
 from ntl.parsing import parse_file
 from ntl import tensor
 from ntl.tensor import (_conjugation_table, _first_non_automorphism,
@@ -25,6 +26,16 @@ SMALL = ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "D4", "Q8"]
 
 def cyc(n):
     return realize_name(f"C{n}")
+
+
+def square(g):
+    """T = G(x)G under conjugation, from the one producer of T."""
+    return build_direct(conjugation_pair(g))
+
+
+def tensor_of_eta(e):
+    """The T inside eta, labelled canonically from its commutators."""
+    return tensor._label_tensor("T", e.eta.table, e.commutators)
 
 
 def read_action(text):
@@ -104,6 +115,16 @@ class TestCompatibility:
                                  "does not act as an automorphism on the "
                                  "right factor$"):
             validate_compatibility(c2, c4, spec, back)
+
+    def test_action_between_other_groups_rejected(self):
+        c2, c4 = realize_name("C2"), realize_name("C4")
+        there = read_action(
+            "action f { from: C2; to: C4; a => (a -> a^-1); }")
+        with pytest.raises(IncompleteMap) as err:
+            validate_compatibility(c2, c4, there, there)
+        assert type(err.value) is IncompleteMap
+        assert str(err.value) == ("action 'f' maps 'C2' on 'C4', "
+                                  "expected 'C4' on 'C2'")
 
     def test_non_homomorphic_action_rejected(self):
         # squaring is an automorphism of C5 but a -> squaring is not a
@@ -216,32 +237,32 @@ class TestBuildEta:
     def test_eta_of_trivial_pair(self):
         r = build_eta(trivial_pair(cyc(1), cyc(1)))
         assert r.eta.order == 1
-        assert r.group.order == 1
+        assert r.tensor.order == 1
 
     def test_nu_c2(self):
         r = build_nu(cyc(2))
         assert r.eta.order == 8
-        assert r.group.order == 2
+        assert r.tensor.order == 2
 
     def test_nu_c3(self):
         r = build_nu(cyc(3))
         assert r.eta.order == 27
-        assert r.group.order == 3
+        assert r.tensor.order == 3
 
     def test_eta_c2_c3_trivial(self):
         r = build_eta(trivial_pair(cyc(2), cyc(3)))
         assert r.eta.order == 6
-        assert r.group.order == 1
+        assert r.tensor.order == 1
 
     def test_nu_s3_decomposition_and_cross_route(self):
         s3 = realize_name("S3")
         r = build_nu(s3)
-        assert r.eta.order == r.group.order * 36
+        assert r.eta.order == r.tensor.order * 36
         direct = build_direct(r.pair)
-        assert direct.eta is None
-        assert direct.group.order == r.group.order
-        assert direct.group.abelianization() == r.group.abelianization()
-        assert tensor_direct(r.pair).order == r.group.order
+        assert direct.group.order == r.tensor.order
+        assert direct.group.abelianization() == \
+            tensor_of_eta(r)[0].abelianization()
+        assert tensor_direct(r.pair).order == r.tensor.order
 
     def test_embeddings(self):
         g, h = cyc(4), cyc(6)
@@ -250,20 +271,23 @@ class TestBuildEta:
         assert Homomorphism(g, r.eta, gens[:4]).is_injective()
         assert Homomorphism(h, r.eta, gens[4:]).is_injective()
         assert _tensor_in_eta(r).is_normal()
+        assert r.tensor.members == _tensor_in_eta(r).members
 
     @pytest.mark.parametrize("name", ["C3", "S3", "Q8"])
     def test_symbols_are_the_eta_commutators(self, name):
         g = realize_name(name)
-        r = build_nu(g)
-        incl = _inclusion_in_eta(r)
+        r, t = build_nu(g), square(g)
+        incl = _inclusion_in_eta(t, r)
         gens = r.eta.generator_images
         for a in range(g.order):
             for b in range(g.order):
                 want = r.eta.comm(gens[a], gens[g.order + b])
-                assert incl(int(r.sym[a, b])) == want
+                assert incl(int(t.sym[a, b])) == want
+                assert r.commutators[a, b] == want
         assert incl.is_injective()
         assert incl.image_members() == _tensor_in_eta(r).members
-        assert not r.sym.flags.writeable
+        assert not t.sym.flags.writeable
+        assert not r.commutators.flags.writeable
 
     def test_cap(self):
         with pytest.raises(CapExceeded):  # 156 > ETA_SIZE_CAP = 144
@@ -347,6 +371,51 @@ class TestBuildEta:
             build_nu(cyc(2))
 
 
+def _nonidentity_first_commutator(base, a, b):
+    """The commutators [a, b], except that [1, 1] is a nonidentity
+    element."""
+    want = _commutators(base, a, b)
+    want[0, 0] = 1
+    return want
+
+
+# Each fault replaces one function that a branch of `build_eta`'s
+# certificate or of `_derived_map` reads; the build must raise that
+# branch's InternalInconsistency.
+CERTIFICATE_FAULTS = {
+    "eta-embedding": (
+        build_nu, Homomorphism, "is_injective", lambda self: False,
+        r"^nu\(S3\): factor embeddings are not injective$"),
+    "eta-decomposition": (
+        build_nu, tensor, "closure",
+        lambda parent, gens: closure(parent, []),
+        r"^nu\(S3\): order 216 breaks the semidirect decomposition 1\*6\*6$"),
+    "eta-normality": (
+        build_nu, Subgroup, "is_normal", lambda self: False,
+        r"^nu\(S3\): tensor subgroup is not normal$"),
+    "derived-generation": (
+        square, tensor, "_walk",
+        lambda table, steps: _walk(table, steps)[:-1],
+        r"^the symbols a\(x\)b do not generate T$"),
+    "derived-symbols": (
+        square, tensor, "_commutators", _nonidentity_first_commutator,
+        r"^the derived map does not send a\(x\)b to \[a, b\]$"),
+    "derived-image": (
+        square, tensor, "commutator_subgroup",
+        lambda m, n: closure(m.parent, []),
+        r"^derived-map image differs from the commutator subgroup$"),
+}
+
+
+@pytest.mark.parametrize("fault", CERTIFICATE_FAULTS)
+def test_every_certificate_branch_can_fire(fault, monkeypatch):
+    build, owner, name, replacement, message = CERTIFICATE_FAULTS[fault]
+    s3 = realize_name("S3")
+    monkeypatch.setattr(owner, name, replacement)
+    with pytest.raises(InternalInconsistency, match=message):
+        build(s3)
+
+
 ROUTE_PAIRS = {
     **{name: (lambda name=name: conjugation_pair(realize_name(name)))
        for name in ("S3", "Q8", "D4", "A4", "C2xC4")},
@@ -358,15 +427,17 @@ ROUTE_PAIRS = {
 @pytest.mark.parametrize("pair", ROUTE_PAIRS)
 def test_the_routes_give_one_object(pair):
     pair = ROUTE_PAIRS[pair]()
-    r, direct = build_eta(pair), build_direct(pair)
-    assert np.array_equal(r.group.table, direct.group.table)
-    assert r.group.generator_images == direct.group.generator_images
-    assert np.array_equal(r.sym, direct.sym)
+    e, direct = build_eta(pair), build_direct(pair)
+    group, sym = tensor_of_eta(e)
+    assert np.array_equal(group.table, direct.group.table)
+    assert group.generator_images == direct.group.generator_images
+    assert np.array_equal(sym, direct.sym)
+    derived = tensor._derived_map(pair, group, sym)
     if pair.ambient is None:
-        assert r.derived is None and direct.derived is None
+        assert derived is None and direct.derived is None
     else:
-        assert np.array_equal(r.derived.images, direct.derived.images)
-    assert tensor_set(r).witness == tensor_set(direct).witness
+        assert np.array_equal(derived.images, direct.derived.images)
+    assert e.tensor_count_m == tensor_set(direct).m
 
 
 def _loop_relators(pair):
@@ -435,50 +506,52 @@ class TestTensorDirect:
         direct = tensor_direct(pair)
         want = AbelianInvariants.from_cyclic_orders([m]).tensor(
             AbelianInvariants.from_cyclic_orders([n]))
-        assert r.group.order == (want.order() or 0)
+        assert r.tensor.order == (want.order() or 0)
         assert direct.order == (want.order() or 0)
-        assert r.group.abelianization() == want
+        assert tensor_of_eta(r)[0].abelianization() == want
         assert direct.abelianization() == want
 
     def test_nonabelian_pair_reduces_to_abelianizations(self):
         s3 = realize_name("S3")
         pair = trivial_pair(s3, s3)
-        r = build_eta(pair)
+        r = build_direct(pair)
         want = s3.abelianization().tensor(s3.abelianization())
         assert r.group.abelianization() == want
 
 
 class TestTensorSet:
     def test_trivial_pair_single_tensor(self):
-        r = build_eta(trivial_pair(cyc(1), cyc(1)))
+        r = build_direct(trivial_pair(cyc(1), cyc(1)))
         assert tensor_set(r).m == 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic_count_matches_bilinear_image(self, n):
-        r = build_nu(cyc(n))
+        r = square(cyc(n))
         ts = tensor_set(r)
         oracle = len({(i * j) % n for i in range(n) for j in range(n)})
         assert ts.m == oracle == n
 
     @pytest.mark.parametrize("name", SMALL)
     def test_subset_bound_and_generation(self, name):
-        r = build_nu(realize_name(name))
+        g = realize_name(name)
+        r, e = square(g), build_nu(g)
         ts = tensor_set(r)
         assert ts.m <= r.group.order
         regen = closure(r.group, r.sym.ravel())
         assert regen.order == r.group.order
-        incl = _inclusion_in_eta(r)
-        assert closure(r.eta, incl.images[list(ts.elements)]).members == \
-            _tensor_in_eta(r).members
+        incl = _inclusion_in_eta(r, e)
+        assert closure(e.eta, incl.images[list(ts.elements)]).members == \
+            _tensor_in_eta(e).members
 
     def test_witnesses_evaluate_back(self):
-        r = build_nu(realize_name("S3"))
+        s3 = realize_name("S3")
+        r, e = square(s3), build_nu(s3)
         ts = tensor_set(r)
-        incl = _inclusion_in_eta(r)
-        gens = r.eta.generator_images
+        incl = _inclusion_in_eta(r, e)
+        gens = e.eta.generator_images
         for elt, (a, b) in ts.witness.items():
             assert int(r.sym[a, b]) == elt
-            got = r.eta.comm(gens[a], gens[6 + b])
+            got = e.eta.comm(gens[a], gens[6 + b])
             assert got == incl(elt)
         assert 0 in ts.elements
 
@@ -486,21 +559,21 @@ class TestTensorSet:
 class TestDerivedMap:
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic_kernel_is_everything(self, n):
-        r = build_nu(cyc(n))
+        r = square(cyc(n))
         sub = j2(r)
         assert sub.order == r.group.order == n
 
     def test_s3_kernel_index(self):
-        r = build_nu(realize_name("S3"))
+        r = square(realize_name("S3"))
         assert r.group.order == j2(r).order * 3
 
     def test_trivial_group(self):
-        r = build_nu(cyc(1))
+        r = square(cyc(1))
         assert j2(r).order == 1
 
     def test_kappa_image_is_derived_subgroup(self):
         s3 = realize_name("S3")
-        r = build_nu(s3)
+        r = square(s3)
         assert sorted(r.derived.image_members()) == \
             list(derived_subgroup(s3).members)
         for a in range(s3.order):
@@ -511,10 +584,10 @@ class TestDerivedMap:
         s3 = realize_name("S3")
         r = build_direct(conjugation_pair(s3))
         assert r.derived.image_members() == derived_subgroup(s3).members
-        assert j2(r).order == build_nu(s3).group.order // 3
+        assert j2(r).order == build_nu(s3).tensor.order // 3
 
     def test_kappa_needs_based_build(self):
-        r = build_eta(trivial_pair(cyc(2), cyc(3)))
+        r = build_direct(trivial_pair(cyc(2), cyc(3)))
         assert r.derived is None
         with pytest.raises(InternalInconsistency):
             j2(r)
@@ -522,20 +595,20 @@ class TestDerivedMap:
 
 class TestDiagonals:
     def test_delta_c2_is_c2(self):
-        r = build_nu(cyc(2))
+        r = square(cyc(2))
         assert delta(r).order == 2
 
     def test_delta_tilde_c2_trivial(self):
-        r = build_nu(cyc(2))
+        r = square(cyc(2))
         assert delta_tilde(r).order == 1
 
     def test_delta_trivial_group(self):
-        r = build_nu(cyc(1))
+        r = square(cyc(1))
         assert delta(r).order == 1
 
     @pytest.mark.parametrize("n", range(2, 9))
     def test_cyclic_diagonals_match_bilinear_values(self, n):
-        r = build_nu(cyc(n))
+        r = square(cyc(n))
         # [i, j~] has bilinear value i*j; the diagonal is generated by the
         # squares, the symmetrized diagonal by the doubled products.
         sq = {(i * i) % n for i in range(n)}
@@ -547,7 +620,7 @@ class TestDiagonals:
 
     @pytest.mark.parametrize("name", SMALL)
     def test_normal_and_nested(self, name):
-        r = build_nu(realize_name(name))
+        r = square(realize_name(name))
         jsub, dsub, dtsub = j2(r), delta(r), delta_tilde(r)
         assert set(dtsub.members) <= set(jsub.members)
         assert set(dsub.members) <= set(range(r.group.order))
@@ -565,22 +638,22 @@ def _tensor_in_eta(r):
                            for b in range(r.pair.h.order)])
 
 
-def _inclusion_in_eta(r):
-    """The inclusion T -> eta, a(x)b |-> [a, b~]: spread from the symbols
-    along T's walk, as the derived map is, and verified as a
-    homomorphism."""
-    gens = r.eta.generator_images
+def _inclusion_in_eta(r, e):
+    """The inclusion of T, as `build_direct` gives it, into eta,
+    a(x)b |-> [a, b~]: spread from the symbols along T's walk, as the
+    derived map is, and verified as a homomorphism."""
+    gens = e.eta.generator_images
     ng, nh = r.sym.shape
     want = {}
     for a in range(ng):
         for b in range(nh):
             want.setdefault(int(r.sym[a, b]),
-                            r.eta.comm(gens[a], gens[ng + b]))
+                            e.eta.comm(gens[a], gens[ng + b]))
     steps = list(want)
     images = np.zeros(r.group.order, dtype=np.int64)
     for x, p, i in _walk(r.group.table, steps):
-        images[x] = r.eta.mul(int(images[p]), want[steps[i]])
-    return Homomorphism(r.group, r.eta, images)
+        images[x] = e.eta.mul(int(images[p]), want[steps[i]])
+    return Homomorphism(r.group, e.eta, images)
 
 
 def _span(values, n):
