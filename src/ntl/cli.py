@@ -2,7 +2,8 @@
 
 One subcommand per computation.  Structured output (--json) follows the
 schema in `report`; identical invocations produce identical records apart
-from the elapsed-time field.  Exit codes: 0 success, 1 domain error
+from the wall times in `stats.elapsed_ms` and, for `verify`, in each
+check's `elapsed_ms`.  Exit codes: 0 success, 1 domain error
 (printed with its machine-readable code), 2 usage error.
 """
 
@@ -28,9 +29,9 @@ from .homotopy import (THEOREM_C_PROPERTIES, bound_pushout_pi3,
 from .parsing import parse_file, parse_words_text
 from .report import (group_result, invariants_result, render_text,
                      serialize_report)
-from .tensor import (build_direct, build_eta, build_nu, conjugation_pair,
-                     delta, delta_tilde, tensor_set, trivial_pair,
-                     validate_compatibility)
+from .tensor import (EtaRealization, build_direct, build_eta, build_nu,
+                     conjugation_pair, delta, delta_tilde, tensor_set,
+                     trivial_pair, validate_compatibility)
 from .verification import run_catalog_suite, run_file_suite
 from .words import Presentation
 
@@ -253,24 +254,23 @@ def _cmd_tensor(args: argparse.Namespace) -> dict:
             "result": group_result(r.group, tensor_count_m=tensor_set(r).m)}
 
 
-def _cmd_eta(args: argparse.Namespace) -> dict:
-    pair, query = _pair_inputs(args)
-    e = build_eta(pair)
-    chain = [f"decomposition: {e.eta.order} = {e.tensor.order} * "
-             f"{pair.g.order} * {pair.h.order}"]
+def _eta_record(e: EtaRealization, query: dict) -> dict:
+    """The record of `eta` and `nu`: eta with its decomposition."""
     return {"query": query,
             "result": group_result(e.eta, tensor_count_m=e.tensor_count_m),
-            "chain": chain}
+            "chain": [f"decomposition: {e.eta.order} = {e.tensor.order} * "
+                      f"{e.pair.g.order} * {e.pair.h.order}"]}
+
+
+def _cmd_eta(args: argparse.Namespace) -> dict:
+    pair, query = _pair_inputs(args)
+    return _eta_record(build_eta(pair), query)
 
 
 def _cmd_nu(args: argparse.Namespace) -> dict:
     g = resolve_subject(_lookup(args.group)).realized()
-    e = build_nu(g)
-    chain = [f"decomposition: {e.eta.order} = {e.tensor.order} * "
-             f"{g.order} * {g.order}"]
-    return {"query": {"group": g.name, "actions": "conjugation"},
-            "result": group_result(e.eta, tensor_count_m=e.tensor_count_m),
-            "chain": chain}
+    return _eta_record(build_nu(g), {"group": g.name,
+                                     "actions": "conjugation"})
 
 
 def _cmd_tensors(args: argparse.Namespace) -> dict:

@@ -71,7 +71,6 @@ class EnumerationStats:
     cosets_defined: int = 0
     cosets_final: int = 0
     coincidences: int = 0
-    elapsed_ms: int = 0
 
 
 class CosetTally:
@@ -177,7 +176,6 @@ class _Enumerator:
         self.relators = _dedup([word_letters(w) for w in p.relators])
         self.budget = current_budget()
         self.deadline = _OPEN_SCOPE.get().deadline
-        self.t0 = time.monotonic()
         self.tab: list[list[int]] = [[-1] * self.width]
         self.uf: list[int] = [0]
         self.n_defined = 1
@@ -367,8 +365,7 @@ class _Enumerator:
         return EnumerationStats(
             cosets_defined=self.n_defined,
             cosets_final=self.n_alive if final is None else final,
-            coincidences=self.n_coincidences,
-            elapsed_ms=int((time.monotonic() - self.t0) * 1000))
+            coincidences=self.n_coincidences)
 
 
 def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:

@@ -142,15 +142,15 @@ class _Parser:
         name = self.expect_ident("group name").value
         self.expect_sym("{")
         self.expect_keyword("gens")
-        gens: list[str] = []
+        gen_index: dict[str, int] = {}
         while self.peek().kind == "ident":
-            gens.append(self.next().value)
-        if not gens:
+            t = self.next()
+            if t.value in gen_index:
+                self.fail(f"duplicate generator in group {name!r}", t)
+            gen_index[t.value] = len(gen_index)
+        if not gen_index:
             self.fail("a group needs at least one generator")
         self.expect_sym(";")
-        if len(set(gens)) != len(gens):
-            self.fail(f"duplicate generator in group {name!r}")
-        gen_index = {g: i for i, g in enumerate(gens)}
         relators: list[Word] = []
         if self.peek().kind == "ident" and self.peek().value == "rels":
             self.expect_keyword("rels")
@@ -160,7 +160,7 @@ class _Parser:
                 relators.append(self.parse_word(gen_index, f"group {name!r}"))
             self.expect_sym(";")
         self.expect_sym("}")
-        return Presentation(name, tuple(gens), tuple(relators))
+        return Presentation(name, tuple(gen_index), tuple(relators))
 
     def parse_action_block(
             self, lookup: Callable[[str, Token], Presentation]) -> ActionSpec:

@@ -13,6 +13,13 @@ diagonals, H2, pi2S and the Theorem C and finiteness reports from the
 memoized invariants layer on that T (`tensor` and `homotopy`), the T every
 command serves, so nothing is computed twice and a fault injected into one
 layer function reaches every check that reads it.
+
+Wall time reaches a result only through `CheckResult.elapsed_ms`:
+`run_catalog_suite` times each check in one loop, and criteria 1 and 2
+add the store's eta and direct build times to theirs.  The time gates of
+criteria 1, 2, 3 and 12 read the profiles' build times and criterion 3's
+own clock, and a detail quotes a time only when it broke its gate, so a
+passing detail depends on the inputs alone.
 """
 
 from __future__ import annotations
@@ -170,48 +177,34 @@ def _sequence_faults(r: TensorRealization) -> list[str]:
 # -- the thirteen criteria ----------------------------------------------------
 
 
-def _timed(fn):
-    def wrapper(*args, **kwargs) -> CheckResult:
-        t0 = time.monotonic()
-        result = fn(*args, **kwargs)
-        result.elapsed_ms += _ms_since(t0)
-        return result
-    return wrapper
-
-
-@_timed
 def check_decomposition(store: ProfileStore) -> CheckResult:
     """Every build in the store passed `build_eta`'s certificate, which
     proves |eta| = |T||G||H|; what is left to check is their time."""
     build_ms = sum(p.build_ms for p in store.profiles())
     within = build_ms <= 60_000
     detail = (f"{len(store.pairs)} trivial-action pairs + "
-              f"{len(store.nus)} conjugation builds, "
-              f"builds took {build_ms} ms")
+              f"{len(store.nus)} conjugation builds")
     if not within:
-        detail += " (over the 60 s budget)"
+        detail += f", builds took {build_ms} ms (over the 60 s budget)"
     return CheckResult("criterion 1: decomposition identity", within,
                        detail, elapsed_ms=build_ms)
 
 
-@_timed
 def check_route_equivalence(store: ProfileStore) -> CheckResult:
     profiles = store.profiles()
     bad = [p.name for p in profiles if not p.routes_agree]
     direct_ms = sum(p.direct_ms for p in profiles)
     within = direct_ms <= 60_000
     detail = (f"equal tables and symbols on {len(profiles)} builds, so "
-              f"a(x)b |-> a(x)b is an isomorphism; "
-              f"direct route took {direct_ms} ms")
+              "a(x)b |-> a(x)b is an isomorphism")
     if bad:
         detail = f"routes disagree on {', '.join(bad)}; " + detail
     if not within:
-        detail += " (over the 60 s budget)"
+        detail += f"; direct route took {direct_ms} ms (over the 60 s budget)"
     return CheckResult("criterion 2: route equivalence",
                        not bad and within, detail, elapsed_ms=direct_ms)
 
 
-@_timed
 def check_abelian_reduction(store: ProfileStore) -> CheckResult:
     t0 = time.monotonic()
     bad = []
@@ -243,15 +236,16 @@ def check_abelian_reduction(store: ProfileStore) -> CheckResult:
             bad.append(f"{g.name}(x){h.name}: {got} vs oracle {oracle}")
     elapsed = _ms_since(t0)
     ok = not bad and elapsed <= 30_000
-    detail = (f"144 cyclic pairs against the gcd oracle in {elapsed} ms; "
+    detail = ("144 cyclic pairs against the gcd oracle; "
               f"{len(store.pairs)} corpus pairs re-checked against the "
               "abelianization oracle")
+    if elapsed > 30_000:
+        detail += f"; took {elapsed} ms (over the 30 s budget)"
     if bad:
         detail = "; ".join(bad[:3])
     return CheckResult("criterion 3: abelian reduction", ok, detail)
 
 
-@_timed
 def check_tensor_counts(store: ProfileStore) -> CheckResult:
     bad = []
     for n in range(1, 13):
@@ -265,7 +259,6 @@ def check_tensor_counts(store: ProfileStore) -> CheckResult:
         else "; ".join(bad))
 
 
-@_timed
 def check_exact_sequences(store: ProfileStore) -> CheckResult:
     bad = []
     for p in store.nus.values():
@@ -276,7 +269,6 @@ def check_exact_sequences(store: ProfileStore) -> CheckResult:
         "groups" if not bad else "; ".join(bad[:4]))
 
 
-@_timed
 def check_schur_oracle(store: ProfileStore) -> CheckResult:
     def mismatch(p: Profile) -> str:
         h2 = schur_multiplier(p.r)
@@ -294,7 +286,6 @@ def check_schur_oracle(store: ProfileStore) -> CheckResult:
         "match" if not bad else "; ".join(bad[:4]))
 
 
-@_timed
 def check_stable_pi2(store: ProfileStore) -> CheckResult:
     c2 = stable_pi2_K(store.nus["C2"].r)
     c3 = stable_pi2_K(store.nus["C3"].r)
@@ -304,7 +295,6 @@ def check_stable_pi2(store: ProfileStore) -> CheckResult:
         f"pi2S(K(C2,1))={c2}, pi2S(K(C3,1)) order {c3.order()}")
 
 
-@_timed
 def check_theoremC(store: ProfileStore) -> CheckResult:
     bad = []
     for p in store.nus.values():
@@ -324,7 +314,6 @@ def check_theoremC(store: ProfileStore) -> CheckResult:
         f"with witness: {z.witness}" if not bad else "; ".join(bad))
 
 
-@_timed
 def check_pushout() -> CheckResult:
     c6 = realize_entry(catalog_lookup("C6"))
     a = c6.generator_images[0]
@@ -345,7 +334,6 @@ def check_pushout() -> CheckResult:
                        ok1 and ok2, detail)
 
 
-@_timed
 def check_wedge_prufer_analog() -> CheckResult:
     bad = []
     for k in range(1, 6):
@@ -360,7 +348,6 @@ def check_wedge_prufer_analog() -> CheckResult:
         else "; ".join(bad))
 
 
-@_timed
 def check_bound_arithmetic() -> CheckResult:
     ra = bound_theorem_A(2, 3, 4, 5)
     rb = bound_theorem_B(2, 2)
@@ -374,18 +361,19 @@ def check_bound_arithmetic() -> CheckResult:
         f"{rp.bound}; chains walk the exact sequences")
 
 
-@_timed
 def check_performance(store: ProfileStore) -> CheckResult:
-    slow = [f"{p.name}: {p.build_ms} ms" for p in store.nus.values()
-            if p.build_ms > 10_000]
-    stats_ok = all(p.eta_stats.cosets_defined >= p.eta_stats.cosets_final
-                   >= 1 for p in store.nus.values())
-    worst = max(store.nus.values(), key=lambda p: p.build_ms)
+    """Each conjugation build within 10 s, with stats that an enumeration
+    can end with; a pass names the build that defined the most cosets."""
+    nus = store.nus.values()
+    bad = [f"{p.name}: {p.build_ms} ms" for p in nus if p.build_ms > 10_000]
+    bad += [f"{p.name}: impossible stats {p.eta_stats}" for p in nus
+            if not p.eta_stats.cosets_defined >= p.eta_stats.cosets_final
+            >= 1]
+    largest = max(nus, key=lambda p: p.eta_stats.cosets_defined)
     return CheckResult(
-        "criterion 12: conjugation builds within 10 s each", not slow
-        and stats_ok,
-        f"worst build {worst.name} at {worst.build_ms} ms with stats "
-        f"{worst.eta_stats}" if not slow else "; ".join(slow))
+        "criterion 12: conjugation builds within 10 s each", not bad,
+        "; ".join(bad) or f"largest build {largest.name} with stats "
+        f"{largest.eta_stats}")
 
 
 def _fault_scan() -> tuple[bool, str]:
@@ -404,14 +392,12 @@ def _fault_scan() -> tuple[bool, str]:
     return False, "dropping the pairing relators went unnoticed"
 
 
-@_timed
 def check_negative_control() -> CheckResult:
     """The fault must break a build somewhere, or the suite is blind."""
     exposed, detail = _fault_scan()
     return CheckResult("criterion 13: negative control", exposed, detail)
 
 
-@_timed
 def check_diagonal_embedding(store: ProfileStore) -> CheckResult:
     bad = []
     for p in store.nus.values():
@@ -426,7 +412,6 @@ def check_diagonal_embedding(store: ProfileStore) -> CheckResult:
         else "; ".join(bad))
 
 
-@_timed
 def check_pairing_certificate() -> CheckResult:
     """The element-triple certificate that every eta build relies on must
     accept nu(S3)'s eta with its own conjugation actions and reject it
@@ -456,23 +441,29 @@ def run_catalog_suite(fault: bool = False) -> list[CheckResult]:
             not exposed, detail)]
 
     store = build_profiles()
-    return [
-        check_decomposition(store),
-        check_route_equivalence(store),
-        check_abelian_reduction(store),
-        check_tensor_counts(store),
-        check_exact_sequences(store),
-        check_schur_oracle(store),
-        check_stable_pi2(store),
-        check_theoremC(store),
-        check_pushout(),
-        check_wedge_prufer_analog(),
-        check_bound_arithmetic(),
-        check_performance(store),
-        check_negative_control(),
-        check_diagonal_embedding(store),
-        check_pairing_certificate(),
-    ]
+    results = []
+    for check, args in [
+            (check_decomposition, (store,)),
+            (check_route_equivalence, (store,)),
+            (check_abelian_reduction, (store,)),
+            (check_tensor_counts, (store,)),
+            (check_exact_sequences, (store,)),
+            (check_schur_oracle, (store,)),
+            (check_stable_pi2, (store,)),
+            (check_theoremC, (store,)),
+            (check_pushout, ()),
+            (check_wedge_prufer_analog, ()),
+            (check_bound_arithmetic, ()),
+            (check_performance, (store,)),
+            (check_negative_control, ()),
+            (check_diagonal_embedding, (store,)),
+            (check_pairing_certificate, ())]:
+        t0 = time.monotonic()
+        result = check(*args)
+        # criteria 1 and 2 start from the store's build times
+        result.elapsed_ms += _ms_since(t0)
+        results.append(result)
+    return results
 
 
 def run_file_suite(text: str) -> list[CheckResult]:

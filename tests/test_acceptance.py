@@ -9,8 +9,11 @@ with a plain function, so the memo on the session's realizations keeps
 the true values for the tests that follow.
 """
 
+import itertools
 import json
+import time
 from dataclasses import replace
+from types import SimpleNamespace
 
 import pytest
 
@@ -108,8 +111,7 @@ def test_criterion_02_says_when_it_fails_on_time(store):
 
 
 def test_criterion_03_abelian_reduction(store):
-    r = _gate(check_abelian_reduction(store))
-    assert r.elapsed_ms <= 30_000
+    _gate(check_abelian_reduction(store))
 
 
 def test_criterion_03_fails_when_each_pair_builds_its_first_square(
@@ -325,6 +327,7 @@ def test_criterion_11_fails_when_theorem_B_is_off(monkeypatch):
 def test_criterion_12_performance(store):
     r = _gate(check_performance(store))
     assert all(p.build_ms <= 10_000 for p in store.nus.values())
+    assert r.detail.startswith("largest build D6 with stats ")
 
 
 def test_criterion_12_fails_on_a_slow_build(store):
@@ -340,9 +343,31 @@ def test_criterion_12_fails_on_broken_eta_stats(store):
     faulted = replace(store, nus={**store.nus, "S3": replace(
         store.nus["S3"], eta_stats=broken)})
     r = _faulted(check_performance(faulted))
-    worst = max(faulted.nus.values(), key=lambda p: p.build_ms)
-    assert r.detail == (f"worst build {worst.name} at {worst.build_ms} ms "
-                        f"with stats {worst.eta_stats}")
+    assert r.detail == f"S3: impossible stats {broken}"
+
+
+@pytest.mark.parametrize("check", [
+    check_decomposition, check_route_equivalence, check_abelian_reduction,
+    check_tensor_counts, check_exact_sequences, check_schur_oracle,
+    check_stable_pi2, check_theoremC, check_performance,
+    check_diagonal_embedding], ids=lambda check: check.__name__)
+def test_a_verdict_reads_no_time_it_passes_within(store, monkeypatch,
+                                                   check):
+    # Every build time in the store changes, and each read of the clock
+    # runs 5 s later than the one before: the verdict and detail stay.
+    def retime(profiles):
+        return {key: replace(p, build_ms=p.build_ms + 1,
+                             direct_ms=p.direct_ms + 1)
+                for key, p in profiles.items()}
+
+    before = check(store)
+    retimed = ProfileStore(retime(store.pairs), retime(store.nus))
+    reads = itertools.count()
+    monotonic = time.monotonic
+    monkeypatch.setattr(verification, "time", SimpleNamespace(
+        monotonic=lambda: monotonic() + 5 * next(reads)))
+    after = check(retimed)
+    assert (after.passed, after.detail) == (before.passed, before.detail)
 
 
 def test_criterion_13_negative_control(store):

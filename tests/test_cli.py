@@ -385,14 +385,28 @@ class TestExitCodes:
 
 class TestDeterminism:
     def strip_timing(self, record):
+        """The record without its wall times: `stats.elapsed_ms` and, in
+        a `verify` record, each check's `elapsed_ms`."""
         record = json.loads(json.dumps(record))
         record["stats"].pop("elapsed_ms")
+        for check in record.get("checks", []):
+            check.pop("elapsed_ms")
         return record
 
     def test_identical_invocations_identical_output(self, capsys):
         rc1, rec1, _ = run_json(capsys, "nu", "--group", "D4")
         rc2, rec2, _ = run_json(capsys, "nu", "--group", "D4")
         assert rc1 == rc2 == 0
+        assert self.strip_timing(rec1) == self.strip_timing(rec2)
+
+    def test_identical_verify_runs_identical_records(self, capsys,
+                                                     tmp_path):
+        f = tmp_path / "two.grp"
+        f.write_text("group A { gens: a; rels: a^4; }\n"
+                     "group B { gens: a b; rels: a^3, b^2, (a b)^2; }\n")
+        rc1, rec1, _ = run_json(capsys, "verify", str(f))
+        rc2, rec2, _ = run_json(capsys, "verify", str(f))
+        assert rc1 == rc2 == 0 and len(rec1["checks"]) == 4
         assert self.strip_timing(rec1) == self.strip_timing(rec2)
 
     def test_key_order_is_sorted(self, capsys):

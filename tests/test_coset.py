@@ -101,15 +101,17 @@ class TestEnumerate:
     def test_time_budget_is_one_deadline_for_the_scope(self):
         # The deadline is fixed when the scope opens, so a run that starts
         # after it has passed stops at its first time check, the 1024th
-        # coset, however fast the run itself is; its stats time the run.
+        # coset, however fast the run itself is.
         p = catalog_lookup("Z").presentation
         with budget_scope(EnumerationBudget(max_time_ms=50)):
             time.sleep(0.25)
+            t0 = time.monotonic()
             with pytest.raises(BudgetExceeded) as err:
                 enumerate_cosets(p)
+            elapsed = time.monotonic() - t0
         assert str(err.value) == "time budget 50 ms exhausted"
         assert err.value.stats.cosets_defined == 1024
-        assert err.value.stats.elapsed_ms < 250
+        assert elapsed < 0.25
 
     def test_a_run_too_short_for_a_time_check_ends_on_the_deadline(self):
         # nu(C3) ends its HLT pass before a 1024th coset; the deadline is

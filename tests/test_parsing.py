@@ -261,7 +261,7 @@ MALFORMED = {
                      "a group needs at least one generator", 1, 17),
     "duplicate-generator": ("group G { gens: a b a; }",
                             PresentationSyntaxError,
-                            "duplicate generator in group 'G'", 1, 24),
+                            "duplicate generator in group 'G'", 1, 21),
     "acting-generator": ("action x { from: C2; to: C4; z => (a -> a); }",
                          UnknownGenerator,
                          "unknown acting generator 'z' in action 'x'", 1, 30),
