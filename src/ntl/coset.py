@@ -28,15 +28,17 @@ import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
+from itertools import chain
 
 import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, InternalInconsistency
-from .groups import GROUP_ORDER_CAP, RealizedGroup, _table_dtype, _walk
+from .groups import (GROUP_ORDER_CAP, RealizedGroup, _row_blocks,
+                     _table_dtype, _walk_levels)
 from .words import Presentation, Word
 
 DEFAULT_MAX_COSETS = 2_000_000
-_TRACE_CELLS = 1 << 16  # (relator, coset) cells per closing-check gather
+_TRACE_CELLS = 1 << 16  # cells per closing-check gather and compression block
 
 
 @dataclass(frozen=True)
@@ -303,19 +305,29 @@ class _Enumerator:
             alpha += 1
 
     def _compress(self):
+        """The live rows renumbered 0.., as columns; taken in blocks of at
+        most `_TRACE_CELLS` entries.  An incomplete row anywhere is
+        reported before a reference to a dead coset."""
         total = len(self.tab)
-        uf = self.uf
-        live = np.fromiter((c for c in range(total) if uf[c] == c),
-                           dtype=np.int64)
+        uf = np.fromiter(self.uf, dtype=np.int64, count=total)
+        live = np.flatnonzero(uf == np.arange(total))
         n = live.size
         renum = np.full(total, -1, dtype=np.int64)
         renum[live] = np.arange(n)
-        raw = np.array([self.tab[int(c)] for c in live], dtype=np.int64)
-        if raw.size and raw.min() < 0:
-            raise InternalInconsistency("incomplete row after HLT pass")
-        cols = renum[raw].T.copy() if raw.size else np.zeros(
-            (self.width, n), dtype=np.int64)
-        if cols.size and cols.min() < 0:
+        cols = np.empty((self.width, n), dtype=np.int64)
+        dead = False
+        step = max(1, _TRACE_CELLS // max(self.width, 1))
+        for lo in range(0, n, step):
+            rows = [self.tab[c] for c in live[lo:lo + step].tolist()]
+            raw = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
+                              count=len(rows) * self.width
+                              ).reshape(len(rows), self.width)
+            if raw.size and raw.min() < 0:
+                raise InternalInconsistency("incomplete row after HLT pass")
+            block = renum[raw]
+            dead = dead or bool(block.size and block.min() < 0)
+            cols[:, lo:lo + step] = block.T
+        if dead:
             raise InternalInconsistency("live row references a dead coset")
         return cols
 
@@ -385,6 +397,17 @@ def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:
     return CosetTable(rows=rows, presentation=p, closed=True), stats
 
 
+def _step_runs(v, p, s):
+    """The edges of a `_row_blocks` block one step at a time (the steps of
+    a level ascend); a lone edge comes as it is."""
+    if np.ndim(s) == 0:
+        yield v, p, s
+        return
+    bounds = [0, *((s[1:] != s[:-1]).nonzero()[0] + 1).tolist(), v.size]
+    for lo, hi in zip(bounds, bounds[1:]):
+        yield v[lo:hi], p[lo:hi], s[lo]
+
+
 def regular_representation(t: CosetTable) -> RealizedGroup:
     """Turn the coset table of the trivial subgroup into a realized group.
     Each relator of a table not known to be closed is traced from the
@@ -404,20 +427,24 @@ def regular_representation(t: CosetTable) -> RealizedGroup:
                 raise InternalInconsistency(
                     "relator open at the identity coset")
     # Breadth-first spanning tree over the positive generator columns.
-    tree = _walk(cols, range(0, 2 * ngens, 2))
-    if len(tree) + 1 != n:
+    levels = _walk_levels(cols, range(0, 2 * ngens, 2))
+    if 1 + sum(v.size for v, _, _ in levels) != n:
         raise InternalInconsistency("coset table is not transitive")
     # left[d, g] = g.d for every generator g, spread along the tree edges
     # d = c.h as g.d = (g.c).h; then a = c.h multiplies as a.x = c.(h.x).
     images = cols[0, 0::2].astype(np.int64)
     left = np.empty((n, ngens), dtype=np.int64)
     left[0] = images
-    for d, c, h in tree:
-        left[d] = cols[left[c], 2 * h]
+    # A block gathers its parents' rows, then their images: two rows of
+    # temporaries per row.  Table rows are gathered one step at a time, so
+    # that the columns of a gather are one column of `left`.
+    for d, c, h in _row_blocks(levels, 2 * left[0].nbytes):
+        left[d] = cols[left[c], 2 * h[..., None]]
     table = np.empty((n, n), dtype=_table_dtype(n))
     table[0] = np.arange(n)
-    for a, c, h in tree:
-        table[a] = table[c][left[:, h]]
+    for block in _row_blocks(levels, 2 * table[0].nbytes):
+        for a, c, h in _step_runs(*block):
+            table[a] = table[c].take(left[:, h], axis=-1)
     return RealizedGroup(p.name, table, images.tolist(),
                          source_presentation=p)
 

@@ -3,10 +3,14 @@ and the invariant factors of abelian sections.
 
 Elements are dense indices 0..order-1 with 0 the identity, so products are
 O(1) table lookups and every axiom stays exhaustively checkable at desk
-scale.  Associativity is certified by Light's test, on the generator images
-alone, in O(n^2 k) rather than O(n^3).  Element words are read off the
-Cayley-graph walk on first use; a group that is only checked never builds
-them.  All values are immutable after construction.
+scale.  Associativity is certified by Light's test (Clifford-Preston,
+The Algebraic Theory of Semigroups I, 1961), in O(n^2 k) rather than
+O(n^3), on the k generator images that right multiplication by the images
+before them does not reach from the identity.  The Cayley-graph walk
+gathers each level in step-major blocks, and the inverses are spread along
+it a block of edges at a time.  Element words are read off the walk on
+first use; a group that is only checked never builds them.  All values are
+immutable after construction.
 """
 
 from __future__ import annotations
@@ -25,64 +29,127 @@ from .words import Presentation, Word
 GROUP_ORDER_CAP = 20_000
 
 _ASSOC_CHECK_MAX = 256
+_LIGHT_WALK_MIN = 48  # largest table Light's test takes every image on
 _BLOCK = 256
+_WALK_CELLS = 1 << 13  # (step, frontier vertex) cells per walk gather
+_SPREAD_BYTES = 1 << 18  # temporary bytes per block spread along a walk
 
 
 def _table_dtype(order: int):
     return np.int16 if order <= np.iinfo(np.int16).max else np.int32
 
 
-def _walk(table: np.ndarray, steps: Sequence[int]
-          ) -> list[tuple[int, int, int]]:
-    """Breadth-first spanning tree from 0 of the graph x -> table[x, s].
+def _walk_levels(table: np.ndarray, steps: Sequence[int]
+                 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+    """Breadth-first spanning tree from 0 of the graph x -> table[x, s],
+    one level at a time.
 
-    Returns the tree's edges in discovery order as (vertex, parent, index
-    in `steps` of the step that reached it); 0 is the root and has none.
-    Each level is expanded step by step; the vertices a step reaches first
-    join the next level in increasing order, and each keeps its first
-    parent in frontier order, so the tree is canonical.
+    Each level is three arrays: its vertices in discovery order, the
+    parent of each and the index in `steps` of the step that reached it;
+    0 is the root and in none of them.  A vertex belongs to the first step
+    that reaches it and keeps its first parent in frontier order; the
+    vertices of one step join the level in increasing order, after those of
+    the steps before it, so the tree is canonical.  A level is gathered
+    step-major (all of step 0, then all of step 1, ...) in blocks of at most
+    `_WALK_CELLS` (step, frontier vertex) cells, or of one step, and each
+    block is resolved by one `np.unique`.
     """
-    n = table.shape[0]
-    seen = np.zeros(n, dtype=bool)
+    steps = np.fromiter(steps, dtype=np.int64)
+    seen = np.zeros(table.shape[0], dtype=bool)
     seen[0] = True
-    parent = np.zeros(n, dtype=np.int64)
-    via = np.zeros(n, dtype=np.int64)
     frontier = np.zeros(1, dtype=np.int64)
     levels = []
-    while frontier.size:
-        batches = []
-        for i, s in enumerate(steps):
-            t = table[frontier, s].astype(np.int64)
-            fresh = ~seen[t]
-            if not fresh.any():
+    while True:
+        f = frontier.size
+        span = max(1, _WALK_CELLS // f)
+        parts = []
+        for lo in range(0, steps.size, span):
+            block = steps[lo:lo + span]
+            t = table[frontier, block[:, None]].ravel()
+            # positions in t of the vertices seen first here, each vertex
+            # at its first position, in increasing order of vertex
+            pos = (~seen[t]).nonzero()[0]
+            if not pos.size:
                 continue
-            reached, first = np.unique(t[fresh], return_index=True)
+            if pos.size > 1:
+                pos = pos[np.unique(t[pos], return_index=True)[1]]
+                if block.size > 1:
+                    # by step; the sort is stable, so vertices stay in order
+                    pos = pos[np.argsort(pos // f, kind="stable")]
+            reached = t[pos]
             seen[reached] = True
-            parent[reached] = frontier[fresh][first]
-            via[reached] = i
-            batches.append(reached)
-        frontier = (np.concatenate(batches) if batches
-                    else np.zeros(0, dtype=np.int64))
-        levels.append(frontier)
-    order = np.concatenate(levels)
-    return list(zip(order.tolist(), parent[order].tolist(),
-                    via[order].tolist()))
+            parts.append((reached, frontier[pos % f], lo + pos // f))
+        if not parts:
+            return levels
+        levels.append(parts[0] if len(parts) == 1 else
+                      tuple(np.concatenate(a) for a in zip(*parts)))
+        frontier = levels[-1][0]
+
+
+def _walk(table: np.ndarray, steps: Sequence[int]
+          ) -> list[tuple[int, int, int]]:
+    """The edges of `_walk_levels`' tree in discovery order, as (vertex,
+    parent, index in `steps` of the step that reached it)."""
+    levels = _walk_levels(table, steps)
+    return list(zip(*(np.concatenate(a).tolist() for a in zip(*levels))))
+
+
+def _row_blocks(levels, row_bytes: int):
+    """The edges (vertices, parents, steps) of a walk's levels in discovery
+    order, in blocks of as many edges as fit `_SPREAD_BYTES` at `row_bytes`
+    of temporaries each (at least one).  A level of one edge comes as
+    scalars, so that its rows are read and written by plain indexing."""
+    rows = max(1, _SPREAD_BYTES // max(row_bytes, 1))
+    for v, p, s in levels:
+        if v.size == 1:
+            yield v[0], p[0], s[0]
+            continue
+        for b in range(0, v.size, rows):
+            yield v[b:b + rows], p[b:b + rows], s[b:b + rows]
 
 
 def _light_associative(table: np.ndarray, generators: Sequence[int]) -> bool:
-    """Light's associativity test: (ab)g = a(bg) for all a, b and every
-    distinct generator image g, in O(n^2 k) instead of O(n^3).
+    """Light's associativity test: (ab)g = a(bg) for all a, b and the
+    generator images g kept below, in O(n^2 k) instead of O(n^3).
 
     The test is exact when 0 is a two-sided identity and right
     multiplication by the generator images reaches every element from 0.
     Let S be the set of c with (ab)c = a(bc) for all a, b.  S contains 0,
     and it is closed under products: for c, d in S,
-    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  So once every
-    generator image is in S, every element the walk reaches as p*g is in S.
+    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  An image is
+    kept only when right multiplication by the images kept before it does
+    not reach it from 0.  Once the kept images are in S, so is every
+    element they reach, every other image among them; then so is every
+    element the walk over all the images reaches, which is every element.
+    On tables of at most `_LIGHT_WALK_MIN` elements, where one test costs
+    about as much as one level of the walk that finds what the kept images
+    reach, there is no walk and every distinct image is kept.
     """
-    for g in dict.fromkeys(generators):
+    images = np.fromiter(generators, dtype=np.int64)
+    kept: list[int] = []
+    reached = np.zeros(table.shape[0], dtype=bool)
+    reached[0] = True
+    for j, g in enumerate(images.tolist()):
+        if reached[g]:
+            continue
+        kept.append(g)
+        reached[g] = True
+        if reached.size <= _LIGHT_WALK_MIN:
+            continue
+        # The walk stops once every later image is reached, so no later
+        # image is kept: the reached set matters for nothing else.
+        later = images[j + 1:]
+        frontier = reached.nonzero()[0]
+        while frontier.size and not reached[later].all():
+            fresh = np.zeros(reached.size, dtype=bool)
+            fresh[table[frontier[:, None], kept]] = True
+            fresh &= ~reached
+            reached |= fresh
+            frontier = fresh.nonzero()[0]
+    for g in kept:
         # lhs[a, b] = (ab)g, rhs[a, b] = a(bg)
-        if not np.array_equal(table[table, g], table[:, table[:, g]]):
+        column = table[:, g]
+        if not np.array_equal(column.take(table), table[:, column]):
             return False
     return True
 
@@ -121,19 +188,20 @@ class RealizedGroup:
         that.  The words along the same walk are built on first use, by
         `element_words`."""
         tab = self.table
-        tree = _walk(tab, self.generator_images)
-        if len(tree) + 1 != self.order:
+        levels = _walk_levels(tab, self.generator_images)
+        if 1 + sum(v.size for v, _, _ in levels) != self.order:
             raise InternalInconsistency(
                 f"generator images do not generate {self.name!r}")
-        inv_step = []
-        for s in self.generator_images:
-            hits = np.nonzero(tab[s] == 0)[0]
-            if not hits.size:
-                raise InternalInconsistency(
-                    f"generator image {s} of {self.name!r} has no inverse")
-            inv_step.append(int(hits[0]))
+        hits = tab[list(self.generator_images)] == 0
+        found = hits.any(axis=1)
+        if not found.all():
+            s = self.generator_images[int(np.argmin(found))]
+            raise InternalInconsistency(
+                f"generator image {s} of {self.name!r} has no inverse")
+        inv_step = hits.argmax(axis=1)
+        # x = p.s has inverse s^-1.p^-1; a level's parents lie above it.
         inv = np.zeros(self.order, dtype=np.int64)
-        for x, p, i in tree:
+        for x, p, i in _row_blocks(levels, 2 * inv.itemsize):
             inv[x] = tab[inv_step[i], inv[p]]
         self.inverse = inv.astype(self.table.dtype)
 

@@ -46,6 +46,7 @@ from .parsing import ActionSpec
 from .words import Presentation, Word, commutator, conjugate
 
 ETA_SIZE_CAP = 144  # |G| * |H| bound for every compatible action pair
+_CELLS = 1 << 16  # cells per block of an action check
 
 
 @dataclass(frozen=True)
@@ -76,14 +77,20 @@ class CompatibleActionPair:
 def _first_non_automorphism(target: RealizedGroup,
                             perms: np.ndarray) -> int | None:
     """The first row of `perms` that is not an automorphism of target, or
-    None.  The target's table is widened once for all rows."""
+    None.  Rows are checked in blocks of at most `_CELLS` cells; a row that
+    is not a bijection fixing 0 is checked as the identity in the product
+    law, so every index stays in range."""
     n = target.order
     tab = target.table.astype(np.int64)
-    for x, perm in enumerate(perms):
-        if (len(np.unique(perm)) != n or perm[0] != 0
-                or not np.array_equal(perm[tab],
-                                      tab[perm[:, None], perm[None, :]])):
-            return x
+    ar = np.arange(n)
+    step = max(1, _CELLS // max(n * n, 1))
+    for lo in range(0, len(perms), step):
+        p = perms[lo:lo + step]
+        ok = (np.sort(p, axis=1) == ar).all(axis=1) & (p[:, 0] == 0)
+        p = np.where(ok[:, None], p, ar)
+        ok &= (p[:, tab] == tab[p[:, :, None], p[:, None, :]]).all(axis=(1, 2))
+        if not ok.all():
+            return lo + int(np.argmin(ok))
     return None
 
 
@@ -141,34 +148,46 @@ def _first_incompatible(a: RealizedGroup, b_on_a: np.ndarray,
     """The lexicographically first (ai, bi, a1) at which
     b_on_a[a_on_b[a1, bi], ai] != (b_on_a[bi, ai^(a1^-1)])^a1, or None.
 
-    One chunk per ai, in increasing order, each |B| x |A| over (bi, a1), so
-    the first failing chunk holds the first failing triple.
+    The ai are taken in increasing blocks of at most `_CELLS` triples, each
+    indexed [ai, bi, a1], so the first failing block holds the first
+    failing triple.
     """
     conj = _conjugation_table(a)
     # conj_back[a1, ai] = ai^(a1^-1)
     conj_back = conj[a.inverse.astype(np.int64)]
-    cols = np.arange(a.order)[None, :]
-    a_on_b_t = a_on_b.T
-    for ai in range(a.order):
-        lhs = b_on_a[a_on_b_t, ai]
-        rhs = conj[cols, b_on_a[:, conj_back[:, ai]]]
+    na, nb = a.order, b_on_a.shape[0]
+    a1 = np.arange(na)[None, None, :]
+    bi = np.arange(nb)[None, :, None]
+    a_on_b_t = a_on_b.T[None]
+    step = max(1, _CELLS // max(na * nb, 1))
+    for lo in range(0, na, step):
+        ai = np.arange(lo, min(lo + step, na))
+        lhs = b_on_a[a_on_b_t, ai[:, None, None]]
+        rhs = conj[a1, b_on_a[bi, conj_back[:, ai].T[:, None, :]]]
         bad = np.argwhere(lhs != rhs)
         if bad.size:
-            return ai, int(bad[0, 0]), int(bad[0, 1])
+            k, b, x = bad[0].tolist()
+            return lo + k, b, x
     return None
 
 
 def _first_non_homomorphic(actor: RealizedGroup, table: np.ndarray
                            ) -> tuple[int, int] | None:
     """The first (x, y), row-major, at which table[xy] is not the action of
-    x followed by that of y, or None.  One |A| x |B| chunk per x."""
+    x followed by that of y, or None.  The x are taken in increasing blocks
+    of at most `_CELLS` cells, each indexed [x, y, b]."""
     tab = actor.table
-    for x in range(actor.order):
-        # composed[y, b] = table[y, table[x, b]]
-        composed = table[:, table[x]]
-        bad = np.argwhere(table[tab[x]] != composed)
+    na, nb = table.shape
+    ys = np.arange(na)[None, :, None]
+    step = max(1, _CELLS // max(na * nb, 1))
+    for lo in range(0, na, step):
+        xs = np.arange(lo, min(lo + step, na))
+        # composed[x, y, b] = table[y, table[x, b]]
+        composed = table[ys, table[xs][:, None, :]]
+        bad = np.argwhere(table[tab[xs]] != composed)
         if bad.size:
-            return x, int(bad[0, 0])
+            k, y = bad[0, :2].tolist()
+            return lo + k, y
     return None
 
 
@@ -181,7 +200,8 @@ def _validate_tables(g: RealizedGroup, h: RealizedGroup,
     Per-element automorphism first, then the two compatibility identities
     (first violating triple reported as the witness), then the
     homomorphism-into-automorphisms law for both actions.  The identities
-    and the law are checked by array operations, one chunk per first index.
+    and the law are checked by array operations, in blocks of first
+    indices taken in increasing order.
     """
     for actor, target, table, what in ((g, h, g_on_h, "on the right factor"),
                                        (h, g, h_on_g, "on the left factor")):

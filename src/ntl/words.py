@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 from dataclasses import dataclass
+from itertools import chain
 from typing import Iterable
 
 from .errors import UnknownGenerator
@@ -99,11 +100,15 @@ class Presentation:
             raise UnknownGenerator(
                 f"duplicate generator name in presentation {self.name!r}")
         ngens = len(self.generators)
-        for w in self.relators:
-            if w.max_generator() >= ngens:
-                raise UnknownGenerator(
-                    f"relator references generator index {w.max_generator()} "
-                    f"but {self.name!r} has only {ngens} generators")
+        # One pass over every letter; a letter (g, e) is largest at the
+        # largest g.  The offending relator is looked up only on failure.
+        top = max(chain.from_iterable(w.letters for w in self.relators),
+                  default=(-1, 0))[0]
+        if top >= ngens:
+            w = next(w for w in self.relators if w.max_generator() >= ngens)
+            raise UnknownGenerator(
+                f"relator references generator index {w.max_generator()} "
+                f"but {self.name!r} has only {ngens} generators")
 
     @property
     def ngens(self) -> int:

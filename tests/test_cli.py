@@ -382,6 +382,13 @@ class TestExitCodes:
         assert (rc, out) == (2, "")
         assert err.startswith("usage error: ")
 
+    def test_the_fault_scan_is_timed_as_a_check(self, capsys):
+        rc, record, _ = run_json(capsys, "verify",
+                                 "--fault-skip-eta-relators")
+        assert (rc, record["passed"]) == (1, False)
+        [check] = record["checks"]
+        assert 1 <= check["elapsed_ms"] <= record["stats"]["elapsed_ms"]
+
 
 class TestDeterminism:
     def strip_timing(self, record):
@@ -850,6 +857,19 @@ class TestProcessBoundary:
         done = self.ntl("nu", "--group", "C2", "--no-such-flag")
         assert (done.returncode, done.stdout) == (2, "")
         assert "unrecognized arguments: --no-such-flag" in done.stderr
+
+    def test_import_and_corpus_leave_numpy_ma_unimported(self):
+        """A plain `np.unique` imports numpy.ma, about 15 ms, on its first
+        call in a process; setting up the corpus makes none."""
+        code = ("import sys, ntl\n"
+                "from ntl.catalog import finite_corpus, realize_entry\n"
+                "for entry in finite_corpus():\n"
+                "    realize_entry(entry)\n"
+                "print('numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "False\n")
 
 
 @pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)

@@ -1,16 +1,18 @@
 import time
+import tracemalloc
 from itertools import permutations
 
 import numpy as np
 import pytest
 
-from ntl.catalog import catalog_lookup, realize_name
+from ntl import groups, tensor
+from ntl.catalog import catalog_lookup, finite_corpus, realize_name
 from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
                        budget_scope, current_budget, enumerate_cosets,
                        realize_presentation, regular_representation,
                        word_letters)
 from ntl.errors import BudgetExceeded, CapExceeded, InternalInconsistency
-from ntl.groups import (GROUP_ORDER_CAP, closure, derived_subgroup,
+from ntl.groups import (GROUP_ORDER_CAP, _walk, closure, derived_subgroup,
                         section_invariants)
 from ntl.parsing import parse_file
 from ntl.tensor import build_nu
@@ -281,3 +283,68 @@ class TestRegularRepresentation:
         g, _ = realize_presentation(p)
         rows = [w.exponent_row(p.ngens) for w in p.relators]
         assert g.order == abelian_invariants(rows, ncols=p.ngens).order()
+
+
+def _regular_table_per_row(t: CosetTable) -> np.ndarray:
+    """The regular representation's table spread one tree edge at a time,
+    one row of `left` and one table row per edge: the oracle for the
+    batched spread."""
+    cols = t.rows
+    n, ngens = t.coset_count, t.presentation.ngens
+    tree = _walk(cols, range(0, 2 * ngens, 2))
+    left = np.empty((n, ngens), dtype=np.int64)
+    left[0] = cols[0, 0::2]
+    for d, c, h in tree:
+        left[d] = cols[left[c], 2 * h]
+    table = np.empty((n, n), dtype=np.int64)
+    table[0] = np.arange(n)
+    for a, c, h in tree:
+        table[a] = table[c][left[:, h]]
+    return table
+
+
+def _nu_coset_table(name, monkeypatch) -> CosetTable:
+    """The coset table that `build_nu` enumerates for a catalog group."""
+    tables = []
+
+    def keep(p):
+        table, stats = enumerate_cosets(p)
+        tables.append(table)
+        return regular_representation(table), stats
+
+    with monkeypatch.context() as mp:
+        mp.setattr(tensor, "realize_presentation", keep)
+        build_nu(realize_name(name))
+    return tables[0]
+
+
+@pytest.mark.parametrize("name", [e.name for e in finite_corpus()
+                                  if e.known_facts["order"] <= 8])
+def test_regular_representation_matches_the_per_row_spread(name,
+                                                           monkeypatch):
+    """Same table on nu(G), in blocks of one row and of the engine's
+    size."""
+    t = _nu_coset_table(name, monkeypatch)
+    want = _regular_table_per_row(t)
+    for block in (1, groups._SPREAD_BYTES):
+        monkeypatch.setattr(groups, "_SPREAD_BYTES", block)
+        assert np.array_equal(regular_representation(t).table, want)
+
+
+def test_regular_representation_peaks_below_the_table_plus_one_block(
+        monkeypatch):
+    """eta(D4) = nu(D4) has 2048 elements, so its table is 8 MiB.  Above
+    the table the spread keeps one block of gathered rows (at most
+    `_SPREAD_BYTES`, 256 KiB), `left` (2048 x 16 entries, 0.25 MiB) and the
+    walk's arrays; spreading each (level, generator) batch whole would add
+    about 2 MiB, and each level whole about 8 MiB."""
+    t = _nu_coset_table("D4", monkeypatch)
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        g = regular_representation(t)
+        peak = tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+    assert g.table.nbytes == 2048 * 2048 * 2
+    assert peak < g.table.nbytes + (1 << 20)

@@ -3,8 +3,10 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from ntl import groups
 from ntl.catalog import realize_name
 from ntl.catalog import finite_corpus, realize_entry
+from ntl.coset import enumerate_cosets
 from ntl.errors import InternalInconsistency, MixedParents
 from ntl.groups import (Homomorphism, RealizedGroup, Subgroup, _commutators,
                         _conjugates, _light_associative, _walk, closure, commutator_subgroup, derived_subgroup,
@@ -401,12 +403,24 @@ def _random_loop(n: int, rng) -> np.ndarray:
 def tables_with_generators(draw):
     """A table with identity 0 and generator images whose right
     multiplications reach every element from 0: a loop of order <= 6, a
-    catalog group, a catalog group with one product changed, or a random
-    magma with identity."""
-    kind = draw(st.sampled_from(["loop", "group", "perturbed", "magma"]))
+    small group times a loop of order 4 or 5 (associative in the group's
+    coordinate alone, unless the loop is a group) with the group's
+    generators first, a catalog group, a catalog group with one product
+    changed, or a random magma with identity."""
+    kind = draw(st.sampled_from(["loop", "product", "group", "perturbed",
+                                 "magma"]))
     if kind == "loop":
         t = _random_loop(draw(st.integers(1, 6)),
                          draw(st.randoms(use_true_random=False)))
+    elif kind == "product":
+        a = realize_name(draw(st.sampled_from(("C2", "C3", "S3"))))
+        b = _random_loop(draw(st.integers(4, 5)),
+                         draw(st.randoms(use_true_random=False)))
+        # (x, l) is x * |b| + l
+        m = b.shape[0]
+        t = (a.table.astype(np.int64)[:, None, :, None] * m
+             + b[None, :, None, :]).reshape(a.order * m, -1)
+        first = [x * m for x in a.generator_images]
     elif kind == "magma":
         n = draw(st.integers(1, 6))
         t = np.zeros((n, n), dtype=np.int64)
@@ -422,7 +436,8 @@ def tables_with_generators(draw):
             i, j = draw(st.integers(1, n - 1)), draw(st.integers(1, n - 1))
             t[i, j] = draw(st.integers(0, n - 1))
     n = t.shape[0]
-    gens = draw(st.lists(st.integers(0, n - 1), max_size=4))
+    gens = (first if kind == "product" else []) + draw(
+        st.lists(st.integers(0, n - 1), max_size=4))
     while len(_walk(t, gens)) + 1 < n:
         reached = {0} | {x for x, _, _ in _walk(t, gens)}
         gens.append(min(set(range(n)) - reached))
@@ -430,9 +445,70 @@ def tables_with_generators(draw):
 
 
 @settings(max_examples=300, deadline=None)
-@given(tables_with_generators())
-def test_light_test_agrees_with_brute_force(case):
-    """Light's test on the generator images accepts exactly the
-    associative tables, by the full n^3 comparison."""
+@given(tables_with_generators(), st.booleans())
+def test_light_test_agrees_with_brute_force(case, select):
+    """Light's test, on the generator images it keeps, accepts exactly the
+    associative tables, by the full n^3 comparison.  The tables are small,
+    so the images are selected only with `_LIGHT_WALK_MIN` lowered."""
     t, gens = case
-    assert _light_associative(t, gens) == np.array_equal(t[t], t[:, t])
+    with pytest.MonkeyPatch.context() as mp:
+        if select:
+            mp.setattr(groups, "_LIGHT_WALK_MIN", 0)
+        assert _light_associative(t, gens) == np.array_equal(t[t], t[:, t])
+
+
+def _walk_per_step(table, steps):
+    """The walk expanded one step at a time, with one gather and one
+    `np.unique` per step: the oracle for `_walk`'s step-major blocks."""
+    n = table.shape[0]
+    seen = np.zeros(n, dtype=bool)
+    seen[0] = True
+    parent = np.zeros(n, dtype=np.int64)
+    via = np.zeros(n, dtype=np.int64)
+    frontier = np.zeros(1, dtype=np.int64)
+    levels = []
+    while frontier.size:
+        batches = []
+        for i, s in enumerate(steps):
+            t = table[frontier, s].astype(np.int64)
+            fresh = ~seen[t]
+            if not fresh.any():
+                continue
+            reached, first = np.unique(t[fresh], return_index=True)
+            seen[reached] = True
+            parent[reached] = frontier[fresh][first]
+            via[reached] = i
+            batches.append(reached)
+        frontier = (np.concatenate(batches) if batches
+                    else np.zeros(0, dtype=np.int64))
+        levels.append(frontier)
+    order = np.concatenate(levels)
+    return list(zip(order.tolist(), parent[order].tolist(),
+                    via[order].tolist()))
+
+
+# One step per gather, a few steps per gather, and the engine's bound.
+WALK_CELLS = (1, 5, groups._WALK_CELLS)
+
+
+@pytest.mark.parametrize("cells", WALK_CELLS)
+def test_walk_matches_the_per_step_walk_on_the_corpus(monkeypatch, cells):
+    """Same tree on the table and on the coset table of every finite
+    corpus group."""
+    monkeypatch.setattr(groups, "_WALK_CELLS", cells)
+    for entry in finite_corpus():
+        g = realize_entry(entry)
+        assert _walk(g.table, g.generator_images) == _walk_per_step(
+            g.table, g.generator_images)
+        rows = enumerate_cosets(entry.presentation)[0].rows
+        columns = range(0, rows.shape[1], 2)
+        assert _walk(rows, columns) == _walk_per_step(rows, columns)
+
+
+@settings(max_examples=200, deadline=None)
+@given(tables_with_generators(), st.sampled_from(WALK_CELLS))
+def test_walk_matches_the_per_step_walk(case, cells):
+    t, gens = case
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_WALK_CELLS", cells)
+        assert _walk(t, gens) == _walk_per_step(t, gens)

@@ -76,6 +76,13 @@ class TestWords:
         with pytest.raises(UnknownGenerator):
             Presentation("X", ("a",), (Word.gen(1),))
 
+    def test_unknown_generator_names_the_first_offending_relator(self):
+        with pytest.raises(UnknownGenerator, match=(
+                "^relator references generator index 4 but 'X' has only 2 "
+                "generators$")):
+            Presentation("X", ("a", "b"), (
+                Word.gen(1), Word.of([(4, 2), (0, 1)]), Word.gen(9)))
+
 
 class TestParseGroup:
     def test_c4(self):

@@ -215,6 +215,36 @@ def _perturbed_action_tables(count, seed=0):
         yield g, h, tables[0], tables[1]
 
 
+def _is_automorphism(g, perm):
+    """A bijection of g's elements that fixes 0 and every product."""
+    return (sorted(perm) == list(range(g.order)) and perm[0] == 0
+            and all(perm[g.mul(a, b)] == g.mul(perm[a], perm[b])
+                    for a in range(g.order) for b in range(g.order)))
+
+
+@pytest.mark.parametrize("cells", [1, 97, tensor._CELLS])
+def test_first_non_automorphism_matches_the_row_loop(monkeypatch, cells):
+    """Stacks of automorphisms with random rows, permutations and
+    non-bijections among them: the first row the scalar check rejects."""
+    monkeypatch.setattr(tensor, "_CELLS", cells)
+    rng = np.random.default_rng(1)
+    seen = set()
+    for name in ACTION_GROUPS:
+        g = realize_name(name)
+        auts = _automorphisms(name)
+        for _ in range(30):
+            rows = [auts[rng.integers(len(auts))].tolist()
+                    for _ in range(rng.integers(1, 7))]
+            for x in rng.choice(len(rows), rng.integers(0, 3)):
+                rows[x] = (rng.permutation(g.order) if rng.random() < 0.5
+                           else rng.integers(0, g.order, g.order)).tolist()
+            want = next((x for x, perm in enumerate(rows)
+                         if not _is_automorphism(g, perm)), None)
+            seen.add(want is None)
+            assert _first_non_automorphism(g, np.array(rows)) == want
+    assert seen == {True, False}
+
+
 def test_array_action_checks_match_the_triple_loops():
     """Same verdict, message and witness as the loops, on every case; the
     cases reach each outcome."""
@@ -231,6 +261,14 @@ def test_array_action_checks_match_the_triple_loops():
         assert getattr(err.value, "witness", None) == getattr(
             want, "witness", None)
     assert seen == {"accept", "left", "right", "action"}
+
+
+@pytest.mark.parametrize("cells", [1, 97])
+def test_array_action_checks_match_the_triple_loops_in_small_blocks(
+        monkeypatch, cells):
+    """As above, with one first index per block, or a few."""
+    monkeypatch.setattr(tensor, "_CELLS", cells)
+    test_array_action_checks_match_the_triple_loops()
 
 
 class TestBuildEta:
