@@ -33,12 +33,11 @@ from itertools import chain
 import numpy as np
 
 from .errors import BudgetExceeded, CapExceeded, InternalInconsistency
-from .groups import (GROUP_ORDER_CAP, RealizedGroup, _row_blocks,
-                     _table_dtype, _walk_levels)
+from .groups import (_CELLS, GROUP_ORDER_CAP, RealizedGroup, _runs,
+                     _table_dtype, _tree_size, _walk_levels)
 from .words import Presentation, Word
 
 DEFAULT_MAX_COSETS = 2_000_000
-_TRACE_CELLS = 1 << 16  # cells per closing-check gather and compression block
 
 
 @dataclass(frozen=True)
@@ -306,7 +305,7 @@ class _Enumerator:
 
     def _compress(self):
         """The live rows renumbered 0.., as columns; taken in blocks of at
-        most `_TRACE_CELLS` entries.  An incomplete row anywhere is
+        most `_CELLS` entries.  An incomplete row anywhere is
         reported before a reference to a dead coset."""
         total = len(self.tab)
         uf = np.fromiter(self.uf, dtype=np.int64, count=total)
@@ -316,7 +315,7 @@ class _Enumerator:
         renum[live] = np.arange(n)
         cols = np.empty((self.width, n), dtype=np.int64)
         dead = False
-        step = max(1, _TRACE_CELLS // max(self.width, 1))
+        step = max(1, _CELLS // max(self.width, 1))
         for lo in range(0, n, step):
             rows = [self.tab[c] for c in live[lo:lo + step].tolist()]
             raw = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
@@ -334,7 +333,7 @@ class _Enumerator:
     def _find_violation(self, cols) -> str | None:
         """Name the lowest-index relator open at some coset, and the first
         coset where it is open, or None.  Relators of one length are traced
-        together, one gather per letter, in blocks of `_TRACE_CELLS`
+        together, one gather per letter, in blocks of `_CELLS`
         (relator, coset) cells or of one relator, whichever is larger."""
         n = cols.shape[1]
         flat = cols.ravel()
@@ -342,7 +341,7 @@ class _Enumerator:
         by_length: dict[int, list[int]] = {}
         for k, w in enumerate(self.relators):
             by_length.setdefault(len(w), []).append(k)
-        step = max(1, _TRACE_CELLS // max(n, 1))
+        step = max(1, _CELLS // max(n, 1))
         open_at = []
         for ks in by_length.values():
             letters = np.array([self.relators[k] for k in ks],
@@ -397,17 +396,6 @@ def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:
     return CosetTable(rows=rows, presentation=p, closed=True), stats
 
 
-def _step_runs(v, p, s):
-    """The edges of a `_row_blocks` block one step at a time (the steps of
-    a level ascend); a lone edge comes as it is."""
-    if np.ndim(s) == 0:
-        yield v, p, s
-        return
-    bounds = [0, *((s[1:] != s[:-1]).nonzero()[0] + 1).tolist(), v.size]
-    for lo, hi in zip(bounds, bounds[1:]):
-        yield v[lo:hi], p[lo:hi], s[lo]
-
-
 def regular_representation(t: CosetTable) -> RealizedGroup:
     """Turn the coset table of the trivial subgroup into a realized group.
     Each relator of a table not known to be closed is traced from the
@@ -428,25 +416,25 @@ def regular_representation(t: CosetTable) -> RealizedGroup:
                     "relator open at the identity coset")
     # Breadth-first spanning tree over the positive generator columns.
     levels = _walk_levels(cols, range(0, 2 * ngens, 2))
-    if 1 + sum(v.size for v, _, _ in levels) != n:
+    if _tree_size(levels) != n:
         raise InternalInconsistency("coset table is not transitive")
     # left[d, g] = g.d for every generator g, spread along the tree edges
     # d = c.h as g.d = (g.c).h; then a = c.h multiplies as a.x = c.(h.x).
     images = cols[0, 0::2].astype(np.int64)
     left = np.empty((n, ngens), dtype=np.int64)
     left[0] = images
-    # A block gathers its parents' rows, then their images: two rows of
-    # temporaries per row.  Table rows are gathered one step at a time, so
-    # that the columns of a gather are one column of `left`.
-    for d, c, h in _row_blocks(levels, 2 * left[0].nbytes):
-        left[d] = cols[left[c], 2 * h[..., None]]
+    # A run gathers its parents' rows, then their images; all its rows
+    # move by one step, so a table gather's columns are one column of left.
+    for d, c, h in _runs(levels, ngens):
+        left[d] = cols[left[c], 2 * h]
     table = np.empty((n, n), dtype=_table_dtype(n))
     table[0] = np.arange(n)
-    for block in _row_blocks(levels, 2 * table[0].nbytes):
-        for a, c, h in _step_runs(*block):
-            table[a] = table[c].take(left[:, h], axis=-1)
+    for a, c, h in _runs(levels, n):
+        table[a] = table[c].take(left[:, h], axis=-1)
+    # images[h] acts on the table as column 2h acts on cols, so the walk of
+    # cols is a walk of the group too.
     return RealizedGroup(p.name, table, images.tolist(),
-                         source_presentation=p)
+                         source_presentation=p, walk=levels)
 
 
 def realize_presentation(p: Presentation

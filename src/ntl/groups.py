@@ -6,9 +6,11 @@ O(1) table lookups and every axiom stays exhaustively checkable at desk
 scale.  Associativity is certified by Light's test (Clifford-Preston,
 The Algebraic Theory of Semigroups I, 1961), in O(n^2 k) rather than
 O(n^3), on the k generator images that right multiplication by the images
-before them does not reach from the identity.  The Cayley-graph walk
+kept before them does not reach from the identity.  The Cayley-graph walk
 gathers each level in step-major blocks, and the inverses are spread along
-it a block of edges at a time.  Element words are read off the walk on
+it a run of edges at a time; a table built along a walk, as the regular
+representation is, comes with that walk, which is checked against the
+table rather than walked again.  Element words are read off the walk on
 first use; a group that is only checked never builds them.  All values are
 immutable after construction.
 """
@@ -29,10 +31,11 @@ from .words import Presentation, Word
 GROUP_ORDER_CAP = 20_000
 
 _ASSOC_CHECK_MAX = 256
-_LIGHT_WALK_MIN = 48  # largest table Light's test takes every image on
 _BLOCK = 256
-_WALK_CELLS = 1 << 13  # (step, frontier vertex) cells per walk gather
-_SPREAD_BYTES = 1 << 18  # temporary bytes per block spread along a walk
+_CELLS = 1 << 16  # entries per block of a gather and of each temporary
+# (step, frontier vertex) cells per walk gather; blocks of _CELLS walk the
+# 6912-row coset table of nu(D6) about 1.3 times slower
+_WALK_CELLS = 1 << 13
 
 
 def _table_dtype(order: int):
@@ -40,19 +43,19 @@ def _table_dtype(order: int):
 
 
 def _walk_levels(table: np.ndarray, steps: Sequence[int]
-                 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
+                 ) -> list[list[tuple[np.ndarray, np.ndarray, int]]]:
     """Breadth-first spanning tree from 0 of the graph x -> table[x, s],
     one level at a time.
 
-    Each level is three arrays: its vertices in discovery order, the
-    parent of each and the index in `steps` of the step that reached it;
-    0 is the root and in none of them.  A vertex belongs to the first step
-    that reaches it and keeps its first parent in frontier order; the
-    vertices of one step join the level in increasing order, after those of
-    the steps before it, so the tree is canonical.  A level is gathered
-    step-major (all of step 0, then all of step 1, ...) in blocks of at most
-    `_WALK_CELLS` (step, frontier vertex) cells, or of one step, and each
-    block is resolved by one `np.unique`.
+    Each level is a list of runs, one for each step that reaches vertices
+    not seen before, in the order of `steps`: the vertices it reaches first
+    in increasing order, the parent of each and the index in `steps` of the
+    step.  0 is the root and in no run.  A vertex belongs to the first step
+    that reaches it and keeps its first parent in frontier order, so the
+    tree is canonical.  A level is gathered step-major (all of step 0, then
+    all of step 1, ...) in blocks of at most `_WALK_CELLS` (step, frontier
+    vertex) cells, or of one step, and each block is resolved by one
+    `np.unique`.
     """
     steps = np.fromiter(steps, dtype=np.int64)
     seen = np.zeros(table.shape[0], dtype=bool)
@@ -62,7 +65,7 @@ def _walk_levels(table: np.ndarray, steps: Sequence[int]
     while True:
         f = frontier.size
         span = max(1, _WALK_CELLS // f)
-        parts = []
+        level = []
         for lo in range(0, steps.size, span):
             block = steps[lo:lo + span]
             t = table[frontier, block[:, None]].ravel()
@@ -73,39 +76,70 @@ def _walk_levels(table: np.ndarray, steps: Sequence[int]
                 continue
             if pos.size > 1:
                 pos = pos[np.unique(t[pos], return_index=True)[1]]
-                if block.size > 1:
-                    # by step; the sort is stable, so vertices stay in order
-                    pos = pos[np.argsort(pos // f, kind="stable")]
+            by = pos // f
+            cuts = [0, pos.size]
+            if block.size > 1 and pos.size > 1:
+                # by step; the sort is stable, so vertices stay in order
+                order = by.argsort(kind="stable")
+                pos, by = pos[order], by[order]
+                cuts[1:1] = ((by[1:] != by[:-1]).nonzero()[0] + 1).tolist()
             reached = t[pos]
             seen[reached] = True
-            parts.append((reached, frontier[pos % f], lo + pos // f))
-        if not parts:
+            parents = frontier[pos % f]
+            for a, b in zip(cuts, cuts[1:]):
+                level.append((reached[a:b], parents[a:b], lo + by[a].item()))
+        if not level:
             return levels
-        levels.append(parts[0] if len(parts) == 1 else
-                      tuple(np.concatenate(a) for a in zip(*parts)))
-        frontier = levels[-1][0]
+        levels.append(level)
+        frontier = (level[0][0] if len(level) == 1 else
+                    np.concatenate([v for v, _, _ in level]))
 
 
 def _walk(table: np.ndarray, steps: Sequence[int]
           ) -> list[tuple[int, int, int]]:
     """The edges of `_walk_levels`' tree in discovery order, as (vertex,
     parent, index in `steps` of the step that reached it)."""
-    levels = _walk_levels(table, steps)
-    return list(zip(*(np.concatenate(a).tolist() for a in zip(*levels))))
+    return [(x, p, s) for level in _walk_levels(table, steps)
+            for v, ps, s in level for x, p in zip(v.tolist(), ps.tolist())]
 
 
-def _row_blocks(levels, row_bytes: int):
-    """The edges (vertices, parents, steps) of a walk's levels in discovery
-    order, in blocks of as many edges as fit `_SPREAD_BYTES` at `row_bytes`
-    of temporaries each (at least one).  A level of one edge comes as
-    scalars, so that its rows are read and written by plain indexing."""
-    rows = max(1, _SPREAD_BYTES // max(row_bytes, 1))
-    for v, p, s in levels:
-        if v.size == 1:
-            yield v[0], p[0], s[0]
-            continue
-        for b in range(0, v.size, rows):
-            yield v[b:b + rows], p[b:b + rows], s[b:b + rows]
+def _tree_size(levels) -> int:
+    """The number of vertices of a walk's tree, the root included."""
+    return 1 + sum(v.size for level in levels for v, _, _ in level)
+
+
+def _runs(levels, row_cells: int):
+    """The runs of a walk's levels in discovery order, cut into blocks of
+    at most `_CELLS // row_cells` edges (at least one), so that gathering
+    `row_cells` entries per edge gathers at most `_CELLS` a block.  The
+    vertex and parent of a run of one edge come as ints, whose rows are
+    then read and written by plain indexing."""
+    rows = max(1, _CELLS // max(row_cells, 1))
+    for level in levels:
+        for v, p, s in level:
+            if v.size == 1:
+                yield v.item(), p.item(), s
+                continue
+            for b in range(0, v.size, rows):
+                yield v[b:b + rows], p[b:b + rows], s
+
+
+def _is_tree(table: np.ndarray, steps: Sequence[int], levels) -> bool:
+    """Whether a walk's `levels` hold every element but 0 once, each the
+    product of a parent on the level above (0 above the first) and the
+    image of its run's step, as a walk of table over `steps` from 0 does."""
+    runs = [(d, *run) for d, level in enumerate(levels, 1) for run in level]
+    if not runs:
+        return True
+    d, v, p, s = zip(*runs)
+    sizes = [x.size for x in v]
+    v, p = np.concatenate(v), np.concatenate(p)
+    depth = np.full(table.shape[0], -1)
+    depth[0] = 0
+    depth[v] = np.repeat(d, sizes)
+    images = np.repeat(np.asarray(steps)[list(s)], sizes)
+    return bool((depth >= 0).all() and (depth[p] == depth[v] - 1).all()
+                and (table[p, images] == v).all())
 
 
 def _light_associative(table: np.ndarray, generators: Sequence[int]) -> bool:
@@ -121,9 +155,6 @@ def _light_associative(table: np.ndarray, generators: Sequence[int]) -> bool:
     not reach it from 0.  Once the kept images are in S, so is every
     element they reach, every other image among them; then so is every
     element the walk over all the images reaches, which is every element.
-    On tables of at most `_LIGHT_WALK_MIN` elements, where one test costs
-    about as much as one level of the walk that finds what the kept images
-    reach, there is no walk and every distinct image is kept.
     """
     images = np.fromiter(generators, dtype=np.int64)
     kept: list[int] = []
@@ -134,8 +165,6 @@ def _light_associative(table: np.ndarray, generators: Sequence[int]) -> bool:
             continue
         kept.append(g)
         reached[g] = True
-        if reached.size <= _LIGHT_WALK_MIN:
-            continue
         # The walk stops once every later image is reached, so no later
         # image is kept: the reached set matters for nothing else.
         later = images[j + 1:]
@@ -159,7 +188,8 @@ class RealizedGroup:
 
     def __init__(self, name: str, table: np.ndarray,
                  generator_images: Sequence[int],
-                 source_presentation: Presentation | None = None):
+                 source_presentation: Presentation | None = None,
+                 walk=None):
         table = np.asarray(table)
         n = table.shape[0]
         if n > GROUP_ORDER_CAP:
@@ -175,33 +205,40 @@ class RealizedGroup:
         self.table = table.astype(_table_dtype(n), copy=False)
         self.generator_images = tuple(int(g) for g in generator_images)
         self.source_presentation = source_presentation
-        self._bfs()
+        self._bfs(walk)
         self._verify()
         self.table.setflags(write=False)
         self.inverse.setflags(write=False)
 
     # -- construction internals -------------------------------------------
 
-    def _bfs(self):
-        """Inverses along the Cayley-graph walk, which must reach every
-        element from 0: Light's associativity test in `_verify` rests on
-        that.  The words along the same walk are built on first use, by
+    def _bfs(self, walk):
+        """Inverses along a breadth-first tree of the Cayley graph, which
+        must reach every element from 0: Light's associativity test in
+        `_verify` rests on that.  The tree is `walk`, levels as
+        `_walk_levels` gives them, when the table was built along one (it is
+        checked edge by edge, not trusted), and is walked here otherwise.
+        The words along the canonical walk are built on first use, by
         `element_words`."""
         tab = self.table
-        levels = _walk_levels(tab, self.generator_images)
-        if 1 + sum(v.size for v, _, _ in levels) != self.order:
+        images = self.generator_images
+        levels = _walk_levels(tab, images) if walk is None else walk
+        if _tree_size(levels) != self.order:
             raise InternalInconsistency(
                 f"generator images do not generate {self.name!r}")
-        hits = tab[list(self.generator_images)] == 0
+        if walk is not None and not _is_tree(tab, images, levels):
+            raise InternalInconsistency(
+                f"the walk given with {self.name!r} is not a tree of it")
+        hits = tab[list(images)] == 0
         found = hits.any(axis=1)
         if not found.all():
-            s = self.generator_images[int(np.argmin(found))]
+            s = images[int(np.argmin(found))]
             raise InternalInconsistency(
                 f"generator image {s} of {self.name!r} has no inverse")
-        inv_step = hits.argmax(axis=1)
+        inv_step = hits.argmax(axis=1).tolist()
         # x = p.s has inverse s^-1.p^-1; a level's parents lie above it.
         inv = np.zeros(self.order, dtype=np.int64)
-        for x, p, i in _row_blocks(levels, 2 * inv.itemsize):
+        for x, p, i in _runs(levels, 1):
             inv[x] = tab[inv_step[i], inv[p]]
         self.inverse = inv.astype(self.table.dtype)
 

@@ -39,14 +39,13 @@ from .coset import EnumerationStats, realize_presentation
 from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
-from .groups import (Homomorphism, RealizedGroup, Subgroup, _commutators,
-                     _conjugates, _same_parent, _walk, closure,
+from .groups import (_CELLS, Homomorphism, RealizedGroup, Subgroup,
+                     _commutators, _conjugates, _same_parent, _walk, closure,
                      commutator_subgroup, subgroup_as_group)
 from .parsing import ActionSpec
 from .words import Presentation, Word, commutator, conjugate
 
 ETA_SIZE_CAP = 144  # |G| * |H| bound for every compatible action pair
-_CELLS = 1 << 16  # cells per block of an action check
 
 
 @dataclass(frozen=True)

@@ -5,6 +5,7 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from ntl import catalog, cli
@@ -858,6 +859,8 @@ class TestProcessBoundary:
         assert (done.returncode, done.stdout) == (2, "")
         assert "unrecognized arguments: --no-such-flag" in done.stderr
 
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                        reason="numpy 1.x imports numpy.ma with numpy")
     def test_import_and_corpus_leave_numpy_ma_unimported(self):
         """A plain `np.unique` imports numpy.ma, about 15 ms, on its first
         call in a process; setting up the corpus makes none."""

@@ -326,18 +326,19 @@ def test_regular_representation_matches_the_per_row_spread(name,
     size."""
     t = _nu_coset_table(name, monkeypatch)
     want = _regular_table_per_row(t)
-    for block in (1, groups._SPREAD_BYTES):
-        monkeypatch.setattr(groups, "_SPREAD_BYTES", block)
+    for block in (1, groups._CELLS):
+        monkeypatch.setattr(groups, "_CELLS", block)
         assert np.array_equal(regular_representation(t).table, want)
 
 
 def test_regular_representation_peaks_below_the_table_plus_one_block(
         monkeypatch):
     """eta(D4) = nu(D4) has 2048 elements, so its table is 8 MiB.  Above
-    the table the spread keeps one block of gathered rows (at most
-    `_SPREAD_BYTES`, 256 KiB), `left` (2048 x 16 entries, 0.25 MiB) and the
-    walk's arrays; spreading each (level, generator) batch whole would add
-    about 2 MiB, and each level whole about 8 MiB."""
+    the table the spread keeps one block of at most `_CELLS` gathered
+    entries and their product (2 x 128 KiB here), `left` (2048 x 16
+    entries, 0.25 MiB) and the walk's arrays; spreading each (level,
+    generator) run whole would add about 2 MiB, and each level whole about
+    8 MiB."""
     t = _nu_coset_table("D4", monkeypatch)
     tracemalloc.start()
     try:

@@ -9,7 +9,7 @@ from ntl.catalog import finite_corpus, realize_entry
 from ntl.coset import enumerate_cosets
 from ntl.errors import InternalInconsistency, MixedParents
 from ntl.groups import (Homomorphism, RealizedGroup, Subgroup, _commutators,
-                        _conjugates, _light_associative, _walk, closure, commutator_subgroup, derived_subgroup,
+                        _conjugates, _light_associative, _walk, _walk_levels, closure, commutator_subgroup, derived_subgroup,
                         intersection, presentation_invariants,
                         section_invariants, subgroup_as_group,
                         subgroup_exponent, trivial_group)
@@ -444,17 +444,40 @@ def tables_with_generators(draw):
     return t, gens
 
 
+def _s3_walk_with(fault):
+    """The walk of S3 = <1, 2> (levels [1 by 0, 2 by 1], [5 = 2.1 by 0,
+    3 = 2.2 4 = 1.2 by 1]) with one fault; a vertex twice keeps every edge
+    a product in the table."""
+    (a, b), (c, d) = _walk_levels(realize_name("S3").table, (1, 2))
+    if fault == "wrong step":
+        a = (a[0], a[1], 1)
+    elif fault == "vertex twice":
+        c = (d[0][1:], d[1][1:], d[2])
+    elif fault == "parent below":
+        return [[c, d], [a, b]]
+    return [[a, b], [c, d]]
+
+
+@pytest.mark.parametrize("fault",
+                         ["none", "wrong step", "vertex twice", "parent below"])
+def test_a_given_walk_is_checked_against_the_table(fault):
+    s3 = realize_name("S3")
+    walk = _s3_walk_with(fault)
+    if fault == "none":
+        g = RealizedGroup("S3", s3.table, (1, 2), walk=walk)
+        assert np.array_equal(g.inverse, s3.inverse)
+        return
+    with pytest.raises(InternalInconsistency, match="is not a tree of it"):
+        RealizedGroup("S3", s3.table, (1, 2), walk=walk)
+
+
 @settings(max_examples=300, deadline=None)
-@given(tables_with_generators(), st.booleans())
-def test_light_test_agrees_with_brute_force(case, select):
+@given(tables_with_generators())
+def test_light_test_agrees_with_brute_force(case):
     """Light's test, on the generator images it keeps, accepts exactly the
-    associative tables, by the full n^3 comparison.  The tables are small,
-    so the images are selected only with `_LIGHT_WALK_MIN` lowered."""
+    associative tables, by the full n^3 comparison."""
     t, gens = case
-    with pytest.MonkeyPatch.context() as mp:
-        if select:
-            mp.setattr(groups, "_LIGHT_WALK_MIN", 0)
-        assert _light_associative(t, gens) == np.array_equal(t[t], t[:, t])
+    assert _light_associative(t, gens) == np.array_equal(t[t], t[:, t])
 
 
 def _walk_per_step(table, steps):
