@@ -19,7 +19,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass
-from math import lcm, prod
+from math import prod
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -31,7 +31,6 @@ from .words import Presentation, Word
 GROUP_ORDER_CAP = 20_000
 
 _ASSOC_CHECK_MAX = 256
-_BLOCK = 256
 _CELLS = 1 << 16  # entries per block of a gather and of each temporary
 # (step, frontier vertex) cells per walk gather; blocks of _CELLS walk the
 # 6912-row coset table of nu(D6) about 1.3 times slower
@@ -95,14 +94,6 @@ def _walk_levels(table: np.ndarray, steps: Sequence[int]
                     np.concatenate([v for v, _, _ in level]))
 
 
-def _walk(table: np.ndarray, steps: Sequence[int]
-          ) -> list[tuple[int, int, int]]:
-    """The edges of `_walk_levels`' tree in discovery order, as (vertex,
-    parent, index in `steps` of the step that reached it)."""
-    return [(x, p, s) for level in _walk_levels(table, steps)
-            for v, ps, s in level for x, p in zip(v.tolist(), ps.tolist())]
-
-
 def _tree_size(levels) -> int:
     """The number of vertices of a walk's tree, the root included."""
     return 1 + sum(v.size for level in levels for v, _, _ in level)
@@ -142,32 +133,24 @@ def _is_tree(table: np.ndarray, steps: Sequence[int], levels) -> bool:
                 and (table[p, images] == v).all())
 
 
-def _light_associative(table: np.ndarray, generators: Sequence[int]) -> bool:
-    """Light's associativity test: (ab)g = a(bg) for all a, b and the
-    generator images g kept below, in O(n^2 k) instead of O(n^3).
-
-    The test is exact when 0 is a two-sided identity and right
-    multiplication by the generator images reaches every element from 0.
-    Let S be the set of c with (ab)c = a(bc) for all a, b.  S contains 0,
-    and it is closed under products: for c, d in S,
-    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  An image is
-    kept only when right multiplication by the images kept before it does
-    not reach it from 0.  Once the kept images are in S, so is every
-    element they reach, every other image among them; then so is every
-    element the walk over all the images reaches, which is every element.
-    """
-    images = np.fromiter(generators, dtype=np.int64)
+def _select_generators(table: np.ndarray, candidates: Sequence[int]
+                       ) -> list[int]:
+    """The candidates that right multiplication by the candidates kept
+    before them does not reach from 0, in order.  In a group the elements
+    that the kept ones reach from 0 form the subgroup they generate, so
+    each kept candidate is the first not generated by those before it."""
+    candidates = np.fromiter(candidates, dtype=np.int64)
     kept: list[int] = []
     reached = np.zeros(table.shape[0], dtype=bool)
     reached[0] = True
-    for j, g in enumerate(images.tolist()):
+    for j, g in enumerate(candidates.tolist()):
         if reached[g]:
             continue
         kept.append(g)
         reached[g] = True
-        # The walk stops once every later image is reached, so no later
-        # image is kept: the reached set matters for nothing else.
-        later = images[j + 1:]
+        # The walk stops once every later candidate is reached, so no later
+        # candidate is kept: the reached set matters for nothing else.
+        later = candidates[j + 1:]
         frontier = reached.nonzero()[0]
         while frontier.size and not reached[later].all():
             fresh = np.zeros(reached.size, dtype=bool)
@@ -175,7 +158,24 @@ def _light_associative(table: np.ndarray, generators: Sequence[int]) -> bool:
             fresh &= ~reached
             reached |= fresh
             frontier = fresh.nonzero()[0]
-    for g in kept:
+    return kept
+
+
+def _light_associative(table: np.ndarray, generators: Sequence[int]) -> bool:
+    """Light's associativity test: (ab)g = a(bg) for all a, b and the
+    generator images g that `_select_generators` keeps, in O(n^2 k)
+    instead of O(n^3).
+
+    The test is exact when 0 is a two-sided identity and right
+    multiplication by the generator images reaches every element from 0.
+    Let S be the set of c with (ab)c = a(bc) for all a, b.  S contains 0,
+    and it is closed under products: for c, d in S,
+    (ab)(cd) = ((ab)c)d = (a(bc))d = a((bc)d) = a(b(cd)).  Once the kept
+    images are in S, so is every element they reach, every other image
+    among them; then so is every element the walk over all the images
+    reaches, which is every element.
+    """
+    for g in _select_generators(table, generators):
         # lhs[a, b] = (ab)g, rhs[a, b] = a(bg)
         column = table[:, g]
         if not np.array_equal(column.take(table), table[:, column]):
@@ -248,8 +248,11 @@ class RealizedGroup:
         # A repeated image reaches nothing new, so each element's letter is
         # the first generator with that image.
         words = [Word()] * self.order
-        for x, p, i in _walk(self.table, self.generator_images):
-            words[x] = words[p] * Word.gen(i)
+        for level in _walk_levels(self.table, self.generator_images):
+            for v, ps, i in level:
+                letter = Word.gen(i)
+                for x, p in zip(v.tolist(), ps.tolist()):
+                    words[x] = words[p] * letter
         return tuple(words)
 
     def _verify(self):
@@ -307,7 +310,7 @@ class RealizedGroup:
         return _orders_modulo(self, np.arange(self.order), identity)
 
     def exponent(self) -> int:
-        return int(lcm(*map(int, np.unique(self.element_orders()))))
+        return int(np.lcm.reduce(self.element_orders()))
 
     def is_abelian(self) -> bool:
         """Decided on the generators, which commute pairwise exactly when
@@ -394,10 +397,6 @@ class Subgroup:
         return f"Subgroup(order={self.order} of {self.parent.name!r})"
 
 
-def _closure_set(parent: RealizedGroup, gens: Iterable[int]) -> list[int]:
-    return sorted([0] + [x for x, _, _ in _walk(parent.table, list(gens))])
-
-
 def _conjugates(g: RealizedGroup, by: np.ndarray, xs: np.ndarray
                 ) -> np.ndarray:
     """x^y = y^-1 x y for y in the 1-d array `by` and x in the array `xs`
@@ -416,18 +415,25 @@ def _commutators(g: RealizedGroup, a: np.ndarray, b: np.ndarray
 
 
 def _commutator_blocks(g: RealizedGroup, a: np.ndarray, b: np.ndarray):
-    """`_commutators(g, a, b)` in blocks of at most _BLOCK rows."""
-    for lo in range(0, a.size, _BLOCK):
-        yield _commutators(g, a[lo:lo + _BLOCK], b)
+    """`_commutators(g, a, b)` in blocks of at most `_CELLS` entries."""
+    rows = max(1, _CELLS // max(b.size, 1))
+    for lo in range(0, a.size, rows):
+        yield _commutators(g, a[lo:lo + rows], b)
 
 
 def closure(parent: RealizedGroup, gens: Iterable[int]) -> Subgroup:
-    """Smallest subgroup containing the given element indices."""
-    gens = [int(g) for g in gens]
+    """Smallest subgroup containing the given element indices: the
+    vertices of the walk from 0 over their distinct values."""
+    gens = list(dict.fromkeys(int(g) for g in gens))
     for g in gens:
         if not 0 <= g < parent.order:
             raise InternalInconsistency(f"element index {g} out of range")
-    return Subgroup(parent, tuple(_closure_set(parent, gens)))
+    inside = np.zeros(parent.order, dtype=bool)
+    inside[0] = True
+    for level in _walk_levels(parent.table, gens):
+        for v, _, _ in level:
+            inside[v] = True
+    return Subgroup(parent, tuple(inside.nonzero()[0].tolist()))
 
 
 def derived_subgroup(g: RealizedGroup) -> Subgroup:
@@ -439,10 +445,10 @@ def derived_subgroup(g: RealizedGroup) -> Subgroup:
 def commutator_subgroup(m: Subgroup, n: Subgroup) -> Subgroup:
     """Subgroup generated by commutators [x, y], x in m, y in n."""
     g = _same_parent(m, n)
-    comms: set[int] = set()
+    hit = np.zeros(g.order, dtype=bool)
     for block in _commutator_blocks(g, m.members_array(), n.members_array()):
-        comms.update(np.unique(block).tolist())
-    return Subgroup(g, tuple(_closure_set(g, comms)))
+        hit[block] = True
+    return closure(g, hit.nonzero()[0])
 
 
 def intersection(m: Subgroup, n: Subgroup) -> Subgroup:
@@ -457,8 +463,7 @@ def _same_parent(m: Subgroup, n: Subgroup) -> RealizedGroup:
 
 
 def subgroup_exponent(s: Subgroup) -> int:
-    orders = s.parent.element_orders()[s.members_array()]
-    return int(lcm(*map(int, np.unique(orders))))
+    return int(np.lcm.reduce(s.parent.element_orders()[s.members_array()]))
 
 
 def section_invariants(outer: Subgroup, inner: Subgroup) -> AbelianInvariants:
@@ -517,30 +522,15 @@ def section_invariants(outer: Subgroup, inner: Subgroup) -> AbelianInvariants:
         for i in range(width))))
 
 
-def _greedy_generators(parent: RealizedGroup,
-                       members: Sequence[int]) -> tuple[int, ...]:
-    """Small deterministic generating sequence for a known subgroup."""
-    gens: list[int] = []
-    have = {0}
-    for x in members:
-        if x not in have:
-            gens.append(int(x))
-            have = set(_closure_set(parent, gens))
-            if len(have) == len(members):
-                break
-    return tuple(gens)
-
-
 def subgroup_as_group(s: Subgroup) -> tuple[RealizedGroup, "Homomorphism"]:
     """Realize a subgroup as a group of its own, with the inclusion map.
-    Its generators are the members picked greedily in increasing order,
-    each one not yet generated by those before it."""
+    Its generators are the members that `_select_generators` keeps in
+    increasing order, each one not generated by those before it."""
     mem = s.members_array()
     tab = s.parent.table[np.ix_(mem, mem)].astype(np.int64)
     local = np.searchsorted(mem, tab)
-    gens = np.searchsorted(mem, _greedy_generators(s.parent, s.members))
     grp = RealizedGroup(f"{s.parent.name}|sub{s.order}", local,
-                        [int(g) for g in gens])
+                        _select_generators(local, range(s.order)))
     incl = Homomorphism(grp, s.parent, mem)
     return grp, incl
 
@@ -570,10 +560,11 @@ class Homomorphism:
         n = self.source.order
         ts, tt = self.source.table, self.target.table
         img = self.images
-        for lo in range(0, n, _BLOCK):
-            blk = np.arange(lo, min(lo + _BLOCK, n))
-            lhs = img[ts[blk].astype(np.int64)]
-            rhs = tt[img[blk][:, None], img[None, :]]
+        rows = max(1, _CELLS // max(n, 1))
+        for lo in range(0, n, rows):
+            # img(xy) against img(x)img(y), for the x of one block
+            lhs = img[ts[lo:lo + rows]]
+            rhs = tt[img[lo:lo + rows, None], img[None, :]]
             if not np.array_equal(lhs, rhs):
                 raise InternalInconsistency(
                     f"map {self.source.name!r} -> {self.target.name!r} "
@@ -591,10 +582,12 @@ class Homomorphism:
         return sub
 
     def image_members(self) -> tuple[int, ...]:
-        return tuple(int(x) for x in np.unique(self.images))
+        hit = np.zeros(self.target.order, dtype=bool)
+        hit[self.images] = True
+        return tuple(hit.nonzero()[0].tolist())
 
     def is_injective(self) -> bool:
-        return len(np.unique(self.images)) == self.source.order
+        return len(self.image_members()) == self.source.order
 
     def __repr__(self):
         return (f"Homomorphism({self.source.name!r} -> "

@@ -24,8 +24,9 @@ no derived map.
 
 Every pair builder checks |G|*|H| against `ETA_SIZE_CAP` before it builds
 an action table, so a pair is never too large to tensor.  Element-level
-action tables are spread along the Cayley-graph walk (`groups._walk`) or
-sliced from the conjugation table, never evaluated word by word.
+action tables are spread along the runs of the Cayley-graph walk
+(`groups._walk_levels`) or sliced from the conjugation table, never
+evaluated word by word.
 """
 
 from __future__ import annotations
@@ -40,8 +41,9 @@ from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
 from .groups import (_CELLS, Homomorphism, RealizedGroup, Subgroup,
-                     _commutators, _conjugates, _same_parent, _walk, closure,
-                     commutator_subgroup, subgroup_as_group)
+                     _commutators, _conjugates, _runs, _same_parent,
+                     _tree_size, _walk_levels, closure, commutator_subgroup,
+                     subgroup_as_group)
 from .parsing import ActionSpec
 from .words import Presentation, Word, commutator, conjugate
 
@@ -116,12 +118,12 @@ def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
             f"action {spec.name!r} maps {spec.actor!r} on {spec.target!r}, "
             f"expected {apres.name!r} on {tpres.name!r}")
     t_tab = target.table
-    t_tree = _walk(t_tab, target.generator_images)
+    t_levels = _walk_levels(t_tab, target.generator_images)
     gen_perms = np.zeros((apres.ngens, target.order), dtype=np.int64)
     for perm, gname in zip(gen_perms, apres.generators):
         images = spec.generator_map[gname]
         img_elems = [target.evaluate(images[t]) for t in tpres.generators]
-        for x, p, i in t_tree:
+        for x, p, i in _runs(t_levels, 1):
             perm[x] = t_tab[perm[p], img_elems[i]]
         if perm[list(target.generator_images)].tolist() != img_elems:
             raise NotAutomorphism(
@@ -130,7 +132,8 @@ def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
                 "given image")
     table = np.empty((actor.order, target.order), dtype=np.int64)
     table[0] = np.arange(target.order)
-    for x, p, i in _walk(actor.table, actor.generator_images):
+    for x, p, i in _runs(_walk_levels(actor.table, actor.generator_images),
+                         target.order):
         table[x] = gen_perms[i][table[p]]
     for gname, x, perm in zip(apres.generators, actor.generator_images,
                               gen_perms):
@@ -366,7 +369,7 @@ class EtaRealization:
     def tensor_count_m(self) -> int:
         """The number of distinct commutators [a, b~], the tensors
         a(x)b."""
-        return len(np.unique(self.commutators))
+        return len(set(self.commutators.ravel().tolist()))
 
 
 @dataclass(frozen=True)
@@ -387,12 +390,12 @@ def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
     base, g_in, h_in = pair.ambient
     want = _commutators(base, g_in, h_in)
     steps = dict(zip(sym.ravel().tolist(), want.ravel().tolist()))
-    tree = _walk(group.table, list(steps))
-    if len(tree) + 1 != group.order:
+    levels = _walk_levels(group.table, list(steps))
+    if _tree_size(levels) != group.order:
         raise InternalInconsistency("the symbols a(x)b do not generate T")
     step_images = list(steps.values())
     images = np.zeros(group.order, dtype=np.int64)
-    for x, p, i in tree:
+    for x, p, i in _runs(levels, 1):
         images[x] = base.table[images[p], step_images[i]]
     derived = Homomorphism(group, base, images)
     if not np.array_equal(derived.images[sym], want):
@@ -432,6 +435,15 @@ def _label_tensor(name: str, table: np.ndarray, sym: np.ndarray
     group = RealizedGroup(name, relabel[table[np.ix_(mem, mem)]],
                           relabel[steps])
     return group, relabel[sym]
+
+
+def same_tensor(r: TensorRealization, e: EtaRealization) -> bool:
+    """Whether the T inside eta, labelled canonically from its commutators
+    [a, b~], is r's T: equal tables and equal symbols, so a(x)b |-> [a, b~]
+    is an isomorphism onto it."""
+    group, sym = _label_tensor(r.group.name, e.eta.table, e.commutators)
+    return (np.array_equal(r.group.table, group.table)
+            and np.array_equal(r.sym, sym))
 
 
 def _check_cap(ng: int, nh: int):
@@ -506,7 +518,7 @@ def build_eta(pair: CompatibleActionPair,
     eta, stats = realize_presentation(presentation)
 
     eg, eh, comms = _pairing_commutators(pair, eta)
-    tensor = closure(eta, np.unique(comms))
+    tensor = closure(eta, comms.ravel())
     if not (Homomorphism(g, eta, eg).is_injective()
             and Homomorphism(h, eta, eh).is_injective()):
         raise InternalInconsistency(
@@ -634,14 +646,14 @@ def j2(r: TensorRealization) -> Subgroup:
 def delta(r: TensorRealization) -> Subgroup:
     """Diagonal subgroup, generated by the square tensors a(x)a."""
     _require_square(r, "the diagonal subgroup")
-    return closure(r.group, np.unique(np.diagonal(r.sym)))
+    return closure(r.group, np.diagonal(r.sym))
 
 
 @_memoized
 def delta_tilde(r: TensorRealization) -> Subgroup:
     """Subgroup generated by the symmetrized tensors (a(x)b)(b(x)a)."""
     _require_square(r, "the symmetrized diagonal subgroup")
-    sub = closure(r.group, np.unique(r.group.table[r.sym, r.sym.T]))
+    sub = closure(r.group, r.group.table[r.sym, r.sym.T].ravel())
     if r.derived is not None and r.derived.images[sub.members_array()].any():
         raise InternalInconsistency(
             "symmetrized diagonal escapes the derived-map kernel")

@@ -42,10 +42,10 @@ from .homotopy import (bound_pushout_pi3, bound_theorem_A,
                        resolve_subject, schur_multiplier, stable_pi2_K,
                        theoremC_report, three_connected_check, wedge_pi3)
 from .parsing import parse_file
-from .tensor import (CompatibleActionPair, EtaRealization, TensorRealization,
-                     _label_tensor, build_direct, build_eta, build_nu,
-                     conjugation_pair, delta, delta_tilde, j2,
-                     pairing_relators_hold, tensor_set, trivial_pair)
+from .tensor import (CompatibleActionPair, TensorRealization, build_direct,
+                     build_eta, build_nu, conjugation_pair, delta,
+                     delta_tilde, j2, pairing_relators_hold, same_tensor,
+                     tensor_set, trivial_pair)
 
 FAULT_BUDGET = EnumerationBudget(max_cosets=20_000)
 
@@ -60,15 +60,6 @@ class CheckResult:
     def line(self) -> str:
         mark = "PASS" if self.passed else "FAIL"
         return f"{mark}  {self.name}: {self.detail} [{self.elapsed_ms} ms]"
-
-
-def _same_tensor(r: TensorRealization, e: EtaRealization) -> bool:
-    """Whether the T inside eta, labelled canonically from its commutators
-    [a, b~], is T: equal tables and equal symbols, so a(x)b |-> [a, b~] is
-    an isomorphism onto it."""
-    group, sym = _label_tensor(r.group.name, e.eta.table, e.commutators)
-    return (np.array_equal(r.group.table, group.table)
-            and np.array_equal(r.sym, sym))
 
 
 @dataclass(frozen=True)
@@ -127,7 +118,7 @@ def _profile(name: str, pair: CompatibleActionPair) -> Profile:
     r = build_direct(pair)
     direct_ms = _ms_since(t0)
     return Profile(name=name, r=r, eta_stats=e.stats,
-                   routes_agree=_same_tensor(r, e),
+                   routes_agree=same_tensor(r, e),
                    build_ms=build_ms, direct_ms=direct_ms)
 
 

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import chain
+from operator import itemgetter
 from typing import Iterable
 
 from .errors import UnknownGenerator
@@ -64,10 +65,6 @@ class Word:
     def is_identity(self) -> bool:
         return not self.letters
 
-    def max_generator(self) -> int:
-        """Largest generator index used, or -1 for the empty word."""
-        return max((g for g, _ in self.letters), default=-1)
-
     def length(self) -> int:
         return sum(abs(e) for _, e in self.letters)
 
@@ -100,14 +97,15 @@ class Presentation:
             raise UnknownGenerator(
                 f"duplicate generator name in presentation {self.name!r}")
         ngens = len(self.generators)
-        # One pass over every letter; a letter (g, e) is largest at the
-        # largest g.  The offending relator is looked up only on failure.
-        top = max(chain.from_iterable(w.letters for w in self.relators),
-                  default=(-1, 0))[0]
-        if top >= ngens:
-            w = next(w for w in self.relators if w.max_generator() >= ngens)
+        # One pass over every letter; the offending letter is looked up
+        # only on failure.
+        used = set(map(itemgetter(0), chain.from_iterable(
+            w.letters for w in self.relators)))
+        if not used <= set(range(ngens)):
+            g = next(g for w in self.relators for g, _ in w.letters
+                     if not 0 <= g < ngens)
             raise UnknownGenerator(
-                f"relator references generator index {w.max_generator()} "
+                f"relator references generator index {g} "
                 f"but {self.name!r} has only {ngens} generators")
 
     @property

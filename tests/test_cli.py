@@ -874,6 +874,25 @@ class TestProcessBoundary:
                               capture_output=True, text=True, timeout=120)
         assert (done.returncode, done.stdout) == (0, "False\n")
 
+    @pytest.mark.skipif(int(np.__version__.split(".")[0]) < 2,
+                        reason="numpy 1.x imports numpy.ma with numpy")
+    @pytest.mark.parametrize("command", ["nu", "thmc", "tensor",
+                                         "finiteness"])
+    def test_a_command_on_s3_leaves_numpy_ma_unimported(self, command):
+        """After the corpus is set up, as `ntl` and the benchmark do."""
+        code = ("import contextlib, io, sys\n"
+                "from ntl.catalog import finite_corpus, realize_entry\n"
+                "from ntl.cli import main\n"
+                "for entry in finite_corpus():\n"
+                "    realize_entry(entry)\n"
+                "with contextlib.redirect_stdout(io.StringIO()):\n"
+                f"    code = main([{command!r}, '--group', 'S3', '--json'])\n"
+                "print(code, 'numpy.ma' in sys.modules)\n")
+        env = dict(os.environ, PYTHONPATH=str(ROOT / "src"))
+        done = subprocess.run([sys.executable, "-c", code], env=env,
+                              capture_output=True, text=True, timeout=120)
+        assert (done.returncode, done.stdout) == (0, "0 False\n")
+
 
 @pytest.mark.parametrize("argv", readme_cli_lines(), ids=" ".join)
 def test_readme_cli_example_runs(capsys, argv):

@@ -12,8 +12,8 @@ from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
                        realize_presentation, regular_representation,
                        word_letters)
 from ntl.errors import BudgetExceeded, CapExceeded, InternalInconsistency
-from ntl.groups import (GROUP_ORDER_CAP, _walk, closure, derived_subgroup,
-                        section_invariants)
+from ntl.groups import (GROUP_ORDER_CAP, _walk_levels, closure,
+                        derived_subgroup, section_invariants)
 from ntl.parsing import parse_file
 from ntl.tensor import build_nu
 from ntl.words import Presentation, Word
@@ -283,6 +283,13 @@ class TestRegularRepresentation:
         g, _ = realize_presentation(p)
         rows = [w.exponent_row(p.ngens) for w in p.relators]
         assert g.order == abelian_invariants(rows, ncols=p.ngens).order()
+
+
+def _walk(table, steps):
+    """`_walk_levels`' tree as a flat edge list in discovery order: (vertex,
+    parent, index in `steps` of the step that reached it)."""
+    return [(x, p, s) for level in _walk_levels(table, steps)
+            for v, ps, s in level for x, p in zip(v.tolist(), ps.tolist())]
 
 
 def _regular_table_per_row(t: CosetTable) -> np.ndarray:

@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -9,10 +11,19 @@ from ntl.catalog import finite_corpus, realize_entry
 from ntl.coset import enumerate_cosets
 from ntl.errors import InternalInconsistency, MixedParents
 from ntl.groups import (Homomorphism, RealizedGroup, Subgroup, _commutators,
-                        _conjugates, _light_associative, _walk, _walk_levels, closure, commutator_subgroup, derived_subgroup,
+                        _conjugates, _light_associative, _walk_levels,
+                        closure, commutator_subgroup, derived_subgroup,
                         intersection, presentation_invariants,
                         section_invariants, subgroup_as_group,
                         subgroup_exponent, trivial_group)
+from ntl.tensor import build_nu
+
+
+def _walk(table, steps):
+    """`_walk_levels`' tree as a flat edge list in discovery order: (vertex,
+    parent, index in `steps` of the step that reached it)."""
+    return [(x, p, s) for level in _walk_levels(table, steps)
+            for v, ps, s in level for x, p in zip(v.tolist(), ps.tolist())]
 
 
 def naive_closure(g, gens):
@@ -535,3 +546,63 @@ def test_walk_matches_the_per_step_walk(case, cells):
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "_WALK_CELLS", cells)
         assert _walk(t, gens) == _walk_per_step(t, gens)
+
+
+def _greedy_generators(g, members):
+    """The greedy rule, as oracle: each member, in increasing order, that
+    the members picked before it do not generate."""
+    gens, have = [], {0}
+    for x in members:
+        if x not in have:
+            gens.append(x)
+            have = set(naive_closure(g, gens))
+            if len(have) == len(members):
+                break
+    return gens
+
+
+def test_subgroup_generators_are_the_greedy_ones():
+    """On every subgroup generated by at most two elements of each finite
+    corpus group."""
+    for entry in finite_corpus():
+        g = realize_entry(entry)
+        for members in {closure(g, [x, y]).members for x in range(g.order)
+                        for y in range(x, g.order)}:
+            grp, incl = subgroup_as_group(Subgroup(g, members))
+            assert incl.images.tolist() == list(members)
+            assert [incl(x) for x in grp.generator_images] == (
+                _greedy_generators(g, members))
+
+
+@pytest.fixture(scope="module")
+def eta_d4():
+    """nu(D4): 2048 elements, so its table is 8 MiB."""
+    return build_nu(realize_name("D4")).eta
+
+
+def _with_peak(fn):
+    """fn's result and its tracemalloc peak above what was allocated
+    before it ran."""
+    tracemalloc.start()
+    try:
+        base = tracemalloc.get_traced_memory()[0]
+        out = fn()
+        return out, tracemalloc.get_traced_memory()[1] - base
+    finally:
+        tracemalloc.stop()
+
+
+def test_identity_map_and_derived_subgroup_gather_in_bounded_blocks(
+        eta_d4, monkeypatch):
+    """Each block gathers at most `_CELLS` entries; blocks of 256 rows
+    peaked at 13.0 and 4.2 MiB on this group.  Blocks of one entry give the
+    same results."""
+    ident = np.arange(eta_d4.order)
+    hom, peak = _with_peak(lambda: Homomorphism(eta_d4, eta_d4, ident))
+    assert peak < 2 << 20
+    derived, peak = _with_peak(lambda: derived_subgroup(eta_d4))
+    assert peak < 2 << 20
+    monkeypatch.setattr(groups, "_CELLS", 1)
+    assert np.array_equal(Homomorphism(eta_d4, eta_d4, ident).images,
+                          hom.images)
+    assert derived_subgroup(eta_d4) == derived

@@ -82,6 +82,12 @@ class TestWords:
                 "generators$")):
             Presentation("X", ("a", "b"), (
                 Word.gen(1), Word.of([(4, 2), (0, 1)]), Word.gen(9)))
+        # A negative index would read as the last generator.
+        a, last = Word.gen(0), Word.gen(-1)
+        with pytest.raises(UnknownGenerator, match=(
+                "^relator references generator index -1 but 'X' has only 2 "
+                "generators$")):
+            Presentation("X", ("a", "b"), (a ** 2, last ** 3, a * last))
 
 
 class TestParseGroup:

@@ -10,7 +10,7 @@ from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
                         IncompleteMap, InternalInconsistency,
                         NotActionHomomorphism, NotAutomorphism)
 from ntl.coset import EnumerationBudget, budget_scope
-from ntl.groups import (Homomorphism, Subgroup, _commutators, _walk,
+from ntl.groups import (Homomorphism, Subgroup, _commutators, _walk_levels,
                         closure, derived_subgroup)
 from ntl.parsing import parse_file
 from ntl import tensor
@@ -417,6 +417,13 @@ def _nonidentity_first_commutator(base, a, b):
     return want
 
 
+def _walk_without_its_last_run(table, steps):
+    """The walk's levels, the last run of the last level dropped."""
+    levels = _walk_levels(table, steps)
+    levels[-1] = levels[-1][:-1]
+    return levels
+
+
 # Each fault replaces one function that a branch of `build_eta`'s
 # certificate or of `_derived_map` reads; the build must raise that
 # branch's InternalInconsistency.
@@ -432,8 +439,7 @@ CERTIFICATE_FAULTS = {
         build_nu, Subgroup, "is_normal", lambda self: False,
         r"^nu\(S3\): tensor subgroup is not normal$"),
     "derived-generation": (
-        square, tensor, "_walk",
-        lambda table, steps: _walk(table, steps)[:-1],
+        square, tensor, "_walk_levels", _walk_without_its_last_run,
         r"^the symbols a\(x\)b do not generate T$"),
     "derived-symbols": (
         square, tensor, "_commutators", _nonidentity_first_commutator,
@@ -674,6 +680,13 @@ def _tensor_in_eta(r):
     return closure(r.eta, [r.eta.comm(gens[a], gens[ng + b])
                            for a in range(ng)
                            for b in range(r.pair.h.order)])
+
+
+def _walk(table, steps):
+    """`_walk_levels`' tree as a flat edge list in discovery order: (vertex,
+    parent, index in `steps` of the step that reached it)."""
+    return [(x, p, s) for level in _walk_levels(table, steps)
+            for v, ps, s in level for x, p in zip(v.tolist(), ps.tolist())]
 
 
 def _inclusion_in_eta(r, e):
