@@ -26,10 +26,9 @@ from .parsing import (ActionSpec, parse_file, parse_words_text, print_action,
                       print_presentation)
 from .report import serialize_report
 from .tensor import (CompatibleActionPair, EtaRealization,
-                     TensorRealization, TensorSet, build_direct, build_eta,
-                     build_nu, conjugation_pair, delta, delta_tilde, j2,
-                     tensor_direct, tensor_set, trivial_pair,
-                     validate_compatibility)
+                     TensorRealization, build_direct, build_eta, build_nu,
+                     conjugation_pair, delta, delta_tilde, j2, tensor_direct,
+                     tensor_set, trivial_pair, validate_compatibility)
 from .words import Presentation, Word, commutator, conjugate
 
 __version__ = "0.1.0"

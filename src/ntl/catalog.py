@@ -108,7 +108,9 @@ def catalog_lookup(name: str) -> CatalogEntry:
     m = _SYMMETRIC.match(name)
     if m:
         n = int(m.group(1))
-        if not 1 <= n <= 5:
+        if n < 1:
+            raise UnknownCatalogName(f"bad symmetric degree in {name!r}")
+        if n > 5:
             raise UnknownCatalogName(
                 f"symmetric groups are cataloged only up to S5, got {name!r}")
         return CatalogEntry(f"S{n}", _symmetric(n),

@@ -251,7 +251,8 @@ def _square_input(args: argparse.Namespace):
 def _cmd_tensor(args: argparse.Namespace) -> dict:
     r, query = _tensor_input(args)
     return {"query": query,
-            "result": group_result(r.group, tensor_count_m=tensor_set(r).m)}
+            "result": group_result(r.group,
+                                   tensor_count_m=len(tensor_set(r)))}
 
 
 def _eta_record(e: EtaRealization, query: dict) -> dict:
@@ -276,19 +277,18 @@ def _cmd_nu(args: argparse.Namespace) -> dict:
 def _cmd_tensors(args: argparse.Namespace) -> dict:
     r, query = _tensor_input(args)
     ts = tensor_set(r)
-    chain = [f"tensor subgroup order {r.group.order}; "
-             f"{ts.m} distinct tensors"]
+    m = len(ts)
+    chain = [f"tensor subgroup order {r.group.order}; {m} distinct tensors"]
     g, h = r.pair.g, r.pair.h
     shown = 0
-    for elt in ts.elements:
+    for a, b in ts.values():
         if shown == 10:
-            chain.append(f"... and {ts.m - shown} more")
+            chain.append(f"... and {m - shown} more")
             break
-        a, b = ts.witness[elt]
         chain.append(f"[{g.element_str(a)}, {h.element_str(b)}~]")
         shown += 1
     return {"query": query,
-            "result": group_result(r.group, tensor_count_m=ts.m),
+            "result": group_result(r.group, tensor_count_m=m),
             "chain": chain}
 
 

@@ -32,8 +32,8 @@ from itertools import chain
 
 import numpy as np
 
-from .errors import BudgetExceeded, CapExceeded, InternalInconsistency
-from .groups import (_CELLS, GROUP_ORDER_CAP, RealizedGroup, _runs,
+from .errors import BudgetExceeded, InternalInconsistency
+from .groups import (RealizedGroup, _blocks, _check_order, _runs,
                      _table_dtype, _tree_size, _walk_levels)
 from .words import Presentation, Word
 
@@ -304,9 +304,9 @@ class _Enumerator:
             alpha += 1
 
     def _compress(self):
-        """The live rows renumbered 0.., as columns; taken in blocks of at
-        most `_CELLS` entries.  An incomplete row anywhere is
-        reported before a reference to a dead coset."""
+        """The live rows renumbered 0.., as columns; taken in bounded
+        blocks (`groups._blocks`).  An incomplete row anywhere is reported
+        before a reference to a dead coset."""
         total = len(self.tab)
         uf = np.fromiter(self.uf, dtype=np.int64, count=total)
         live = np.flatnonzero(uf == np.arange(total))
@@ -315,9 +315,8 @@ class _Enumerator:
         renum[live] = np.arange(n)
         cols = np.empty((self.width, n), dtype=np.int64)
         dead = False
-        step = max(1, _CELLS // max(self.width, 1))
-        for lo in range(0, n, step):
-            rows = [self.tab[c] for c in live[lo:lo + step].tolist()]
+        for cut in _blocks(n, self.width):
+            rows = [self.tab[c] for c in live[cut].tolist()]
             raw = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
                               count=len(rows) * self.width
                               ).reshape(len(rows), self.width)
@@ -325,7 +324,7 @@ class _Enumerator:
                 raise InternalInconsistency("incomplete row after HLT pass")
             block = renum[raw]
             dead = dead or bool(block.size and block.min() < 0)
-            cols[:, lo:lo + step] = block.T
+            cols[:, cut] = block.T
         if dead:
             raise InternalInconsistency("live row references a dead coset")
         return cols
@@ -333,21 +332,20 @@ class _Enumerator:
     def _find_violation(self, cols) -> str | None:
         """Name the lowest-index relator open at some coset, and the first
         coset where it is open, or None.  Relators of one length are traced
-        together, one gather per letter, in blocks of `_CELLS`
-        (relator, coset) cells or of one relator, whichever is larger."""
+        together, one gather per letter, in bounded blocks
+        (`groups._blocks`) of (relator, coset) cells."""
         n = cols.shape[1]
         flat = cols.ravel()
         ar = np.arange(n)
         by_length: dict[int, list[int]] = {}
         for k, w in enumerate(self.relators):
             by_length.setdefault(len(w), []).append(k)
-        step = max(1, _CELLS // max(n, 1))
         open_at = []
         for ks in by_length.values():
             letters = np.array([self.relators[k] for k in ks],
                                dtype=np.int64) * n
-            for lo in range(0, len(ks), step):
-                block = letters[lo:lo + step]
+            for cut in _blocks(len(ks), n):
+                block = letters[cut]
                 v = np.broadcast_to(ar, (block.shape[0], n))
                 for column in block.T:
                     v = flat[column[:, None] + v]
@@ -355,7 +353,7 @@ class _Enumerator:
                 rows = np.flatnonzero(bad.any(axis=1))
                 if rows.size:
                     r = int(rows[0])
-                    open_at.append((ks[lo + r], int(np.argmax(bad[r]))))
+                    open_at.append((ks[cut.start + r], int(np.argmax(bad[r]))))
                     break
         if not open_at:
             return None
@@ -402,8 +400,7 @@ def regular_representation(t: CosetTable) -> RealizedGroup:
     identity coset first."""
     p = t.presentation
     n = t.coset_count
-    if n > GROUP_ORDER_CAP:
-        raise CapExceeded(f"group order {n} exceeds cap {GROUP_ORDER_CAP}")
+    _check_order(n)
     ngens = p.ngens
     cols = t.rows
     if not t.closed:

@@ -41,6 +41,23 @@ def _table_dtype(order: int):
     return np.int16 if order <= np.iinfo(np.int16).max else np.int32
 
 
+def _check_order(n: int):
+    """Refuse a group of more than `GROUP_ORDER_CAP` elements; every
+    n x n table is checked here before it is built or kept."""
+    if n > GROUP_ORDER_CAP:
+        raise CapExceeded(f"group order {n} exceeds cap {GROUP_ORDER_CAP}")
+
+
+def _blocks(n: int, per_item: int, cells: int | None = None):
+    """The slices of range(n) in order, each of at most
+    max(1, cells // per_item) items, so that a gather of `per_item`
+    entries per item gathers at most `cells` (default `_CELLS`) a block,
+    or one item.  Every bounded gather is cut here."""
+    step = max(1, (_CELLS if cells is None else cells) // max(per_item, 1))
+    for lo in range(0, n, step):
+        yield slice(lo, min(lo + step, n))
+
+
 def _walk_levels(table: np.ndarray, steps: Sequence[int]
                  ) -> list[list[tuple[np.ndarray, np.ndarray, int]]]:
     """Breadth-first spanning tree from 0 of the graph x -> table[x, s],
@@ -52,9 +69,9 @@ def _walk_levels(table: np.ndarray, steps: Sequence[int]
     step.  0 is the root and in no run.  A vertex belongs to the first step
     that reaches it and keeps its first parent in frontier order, so the
     tree is canonical.  A level is gathered step-major (all of step 0, then
-    all of step 1, ...) in blocks of at most `_WALK_CELLS` (step, frontier
-    vertex) cells, or of one step, and each block is resolved by one
-    `np.unique`.
+    all of step 1, ...) in blocks (`_blocks`) of at most `_WALK_CELLS`
+    (step, frontier vertex) cells, or of one step, and each block is
+    resolved by one `np.unique`.
     """
     steps = np.fromiter(steps, dtype=np.int64)
     seen = np.zeros(table.shape[0], dtype=bool)
@@ -63,10 +80,9 @@ def _walk_levels(table: np.ndarray, steps: Sequence[int]
     levels = []
     while True:
         f = frontier.size
-        span = max(1, _WALK_CELLS // f)
         level = []
-        for lo in range(0, steps.size, span):
-            block = steps[lo:lo + span]
+        for cut in _blocks(steps.size, f, _WALK_CELLS):
+            block = steps[cut]
             t = table[frontier, block[:, None]].ravel()
             # positions in t of the vertices seen first here, each vertex
             # at its first position, in increasing order of vertex
@@ -86,7 +102,8 @@ def _walk_levels(table: np.ndarray, steps: Sequence[int]
             seen[reached] = True
             parents = frontier[pos % f]
             for a, b in zip(cuts, cuts[1:]):
-                level.append((reached[a:b], parents[a:b], lo + by[a].item()))
+                level.append((reached[a:b], parents[a:b],
+                              cut.start + by[a].item()))
         if not level:
             return levels
         levels.append(level)
@@ -100,19 +117,17 @@ def _tree_size(levels) -> int:
 
 
 def _runs(levels, row_cells: int):
-    """The runs of a walk's levels in discovery order, cut into blocks of
-    at most `_CELLS // row_cells` edges (at least one), so that gathering
-    `row_cells` entries per edge gathers at most `_CELLS` a block.  The
-    vertex and parent of a run of one edge come as ints, whose rows are
-    then read and written by plain indexing."""
-    rows = max(1, _CELLS // max(row_cells, 1))
+    """The runs of a walk's levels in discovery order, cut by `_blocks`
+    for a gather of `row_cells` entries per edge.  The vertex and parent
+    of a run of one edge come as ints, whose rows are then read and
+    written by plain indexing."""
     for level in levels:
         for v, p, s in level:
             if v.size == 1:
                 yield v.item(), p.item(), s
                 continue
-            for b in range(0, v.size, rows):
-                yield v[b:b + rows], p[b:b + rows], s
+            for cut in _blocks(v.size, row_cells):
+                yield v[cut], p[cut], s
 
 
 def _is_tree(table: np.ndarray, steps: Sequence[int], levels) -> bool:
@@ -192,9 +207,7 @@ class RealizedGroup:
                  walk=None):
         table = np.asarray(table)
         n = table.shape[0]
-        if n > GROUP_ORDER_CAP:
-            raise CapExceeded(
-                f"group order {n} exceeds the hard cap {GROUP_ORDER_CAP}")
+        _check_order(n)
         if table.shape != (n, n):
             raise InternalInconsistency("multiplication table is not square")
         # Checked before the narrowing cast, which would wrap such entries.
@@ -414,13 +427,6 @@ def _commutators(g: RealizedGroup, a: np.ndarray, b: np.ndarray
                tab[a[:, None], b[None, :]]]
 
 
-def _commutator_blocks(g: RealizedGroup, a: np.ndarray, b: np.ndarray):
-    """`_commutators(g, a, b)` in blocks of at most `_CELLS` entries."""
-    rows = max(1, _CELLS // max(b.size, 1))
-    for lo in range(0, a.size, rows):
-        yield _commutators(g, a[lo:lo + rows], b)
-
-
 def closure(parent: RealizedGroup, gens: Iterable[int]) -> Subgroup:
     """Smallest subgroup containing the given element indices: the
     vertices of the walk from 0 over their distinct values."""
@@ -445,9 +451,10 @@ def derived_subgroup(g: RealizedGroup) -> Subgroup:
 def commutator_subgroup(m: Subgroup, n: Subgroup) -> Subgroup:
     """Subgroup generated by commutators [x, y], x in m, y in n."""
     g = _same_parent(m, n)
+    a, b = m.members_array(), n.members_array()
     hit = np.zeros(g.order, dtype=bool)
-    for block in _commutator_blocks(g, m.members_array(), n.members_array()):
-        hit[block] = True
+    for cut in _blocks(a.size, b.size):
+        hit[_commutators(g, a[cut], b)] = True
     return closure(g, hit.nonzero()[0])
 
 
@@ -484,8 +491,8 @@ def section_invariants(outer: Subgroup, inner: Subgroup) -> AbelianInvariants:
     in_inner[inner.members_array()] = True
     if not in_outer[in_inner].all():
         raise InternalInconsistency("inner subgroup is not contained in outer")
-    for block in _commutator_blocks(g, a, a):
-        if not in_inner[block].all():
+    for cut in _blocks(a.size, a.size):
+        if not in_inner[_commutators(g, a[cut], a)].all():
             raise InternalInconsistency(
                 f"section of order {outer.order} over {inner.order} in "
                 f"{g.name!r} is not abelian")
@@ -560,11 +567,10 @@ class Homomorphism:
         n = self.source.order
         ts, tt = self.source.table, self.target.table
         img = self.images
-        rows = max(1, _CELLS // max(n, 1))
-        for lo in range(0, n, rows):
+        for cut in _blocks(n, n):
             # img(xy) against img(x)img(y), for the x of one block
-            lhs = img[ts[lo:lo + rows]]
-            rhs = tt[img[lo:lo + rows, None], img[None, :]]
+            lhs = img[ts[cut]]
+            rhs = tt[img[cut, None], img[None, :]]
             if not np.array_equal(lhs, rhs):
                 raise InternalInconsistency(
                     f"map {self.source.name!r} -> {self.target.name!r} "

@@ -257,7 +257,7 @@ def finiteness_report(r: TensorRealization) -> FinitenessReport:
     dinv = section_invariants(delta(r), closure(r.group, ()))
     return FinitenessReport(
         gab_invariants=gab, gprime_order=derived_subgroup(g).order,
-        tensor_count_m=tensor_set(r).m, tensor_order=r.group.order,
+        tensor_count_m=len(tensor_set(r)), tensor_order=r.group.order,
         delta_invariants=dinv, embedding_holds=gab.divides_into(dinv))
 
 
@@ -294,20 +294,20 @@ def theoremC_report(r: TensorRealization) -> TheoremCReport:
     `ResolvedSubject.theoremC` and `ResolvedSubject.witness`.
     """
     g = r.pair.g
-    ts = tensor_set(r)
+    m = len(tensor_set(r))
     jsub = j2(r)
     dsub = delta(r)
     dtsub = delta_tilde(r)
     gprime = derived_subgroup(g)
     # Every witness object was materialized as a finite group, which decides
     # each property affirmatively in the realized regime.
-    evidence = {"group_order": g.order, "tensor_count_m": ts.m,
+    evidence = {"group_order": g.order, "tensor_count_m": m,
                 "tensor_order": r.group.order,
                 "derived_order": gprime.order, "j2_order": jsub.order,
                 "delta_order": dsub.order, "delta_tilde_order": dtsub.order}
     props = {
         "a": g.order >= 1,
-        "b": ts.m >= 1,
+        "b": m >= 1,
         "c": r.group.order >= 1,
         "d": gprime.order >= 1 and subgroup_exponent(jsub) >= 1,
         "e": gprime.order >= 1 and subgroup_exponent(dsub) >= 1,

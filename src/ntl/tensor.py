@@ -40,7 +40,7 @@ from .coset import EnumerationStats, realize_presentation
 from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
-from .groups import (_CELLS, Homomorphism, RealizedGroup, Subgroup,
+from .groups import (Homomorphism, RealizedGroup, Subgroup, _blocks,
                      _commutators, _conjugates, _runs, _same_parent,
                      _tree_size, _walk_levels, closure, commutator_subgroup,
                      subgroup_as_group)
@@ -78,20 +78,19 @@ class CompatibleActionPair:
 def _first_non_automorphism(target: RealizedGroup,
                             perms: np.ndarray) -> int | None:
     """The first row of `perms` that is not an automorphism of target, or
-    None.  Rows are checked in blocks of at most `_CELLS` cells; a row that
-    is not a bijection fixing 0 is checked as the identity in the product
-    law, so every index stays in range."""
+    None.  Rows are checked in bounded blocks (`groups._blocks`); a row
+    that is not a bijection fixing 0 is checked as the identity in the
+    product law, so every index stays in range."""
     n = target.order
     tab = target.table.astype(np.int64)
     ar = np.arange(n)
-    step = max(1, _CELLS // max(n * n, 1))
-    for lo in range(0, len(perms), step):
-        p = perms[lo:lo + step]
+    for cut in _blocks(len(perms), n * n):
+        p = perms[cut]
         ok = (np.sort(p, axis=1) == ar).all(axis=1) & (p[:, 0] == 0)
         p = np.where(ok[:, None], p, ar)
         ok &= (p[:, tab] == tab[p[:, :, None], p[:, None, :]]).all(axis=(1, 2))
         if not ok.all():
-            return lo + int(np.argmin(ok))
+            return cut.start + int(np.argmin(ok))
     return None
 
 
@@ -150,9 +149,9 @@ def _first_incompatible(a: RealizedGroup, b_on_a: np.ndarray,
     """The lexicographically first (ai, bi, a1) at which
     b_on_a[a_on_b[a1, bi], ai] != (b_on_a[bi, ai^(a1^-1)])^a1, or None.
 
-    The ai are taken in increasing blocks of at most `_CELLS` triples, each
-    indexed [ai, bi, a1], so the first failing block holds the first
-    failing triple.
+    The ai are taken in increasing bounded blocks (`groups._blocks`) of
+    triples, each indexed [ai, bi, a1], so the first failing block holds
+    the first failing triple.
     """
     conj = _conjugation_table(a)
     # conj_back[a1, ai] = ai^(a1^-1)
@@ -161,35 +160,33 @@ def _first_incompatible(a: RealizedGroup, b_on_a: np.ndarray,
     a1 = np.arange(na)[None, None, :]
     bi = np.arange(nb)[None, :, None]
     a_on_b_t = a_on_b.T[None]
-    step = max(1, _CELLS // max(na * nb, 1))
-    for lo in range(0, na, step):
-        ai = np.arange(lo, min(lo + step, na))
+    for cut in _blocks(na, na * nb):
+        ai = np.arange(cut.start, cut.stop)
         lhs = b_on_a[a_on_b_t, ai[:, None, None]]
         rhs = conj[a1, b_on_a[bi, conj_back[:, ai].T[:, None, :]]]
         bad = np.argwhere(lhs != rhs)
         if bad.size:
             k, b, x = bad[0].tolist()
-            return lo + k, b, x
+            return cut.start + k, b, x
     return None
 
 
 def _first_non_homomorphic(actor: RealizedGroup, table: np.ndarray
                            ) -> tuple[int, int] | None:
     """The first (x, y), row-major, at which table[xy] is not the action of
-    x followed by that of y, or None.  The x are taken in increasing blocks
-    of at most `_CELLS` cells, each indexed [x, y, b]."""
+    x followed by that of y, or None.  The x are taken in increasing
+    bounded blocks (`groups._blocks`), each indexed [x, y, b]."""
     tab = actor.table
     na, nb = table.shape
     ys = np.arange(na)[None, :, None]
-    step = max(1, _CELLS // max(na * nb, 1))
-    for lo in range(0, na, step):
-        xs = np.arange(lo, min(lo + step, na))
+    for cut in _blocks(na, na * nb):
+        xs = np.arange(cut.start, cut.stop)
         # composed[x, y, b] = table[y, table[x, b]]
         composed = table[ys, table[xs][:, None, :]]
         bad = np.argwhere(table[tab[xs]] != composed)
         if bad.size:
             k, y = bad[0, :2].tolist()
-            return lo + k, y
+            return cut.start + k, y
     return None
 
 
@@ -370,15 +367,6 @@ class EtaRealization:
         """The number of distinct commutators [a, b~], the tensors
         a(x)b."""
         return len(set(self.commutators.ravel().tolist()))
-
-
-@dataclass(frozen=True)
-class TensorSet:
-    """All values a(x)b inside T, with witnesses."""
-
-    elements: tuple[int, ...]
-    m: int
-    witness: dict[int, tuple[int, int]]
 
 
 def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
@@ -623,14 +611,13 @@ def _require_square(r: TensorRealization, what: str):
 
 
 @_memoized
-def tensor_set(r: TensorRealization) -> TensorSet:
-    """All tensors a(x)b, with the first witnessing pair (row-major) per
-    value."""
+def tensor_set(r: TensorRealization) -> dict[int, tuple[int, int]]:
+    """Every tensor a(x)b of T, in increasing label, mapped to its first
+    witnessing pair (a, b) in row-major order; its length is the tensor
+    count m."""
     values, first = np.unique(r.sym, return_index=True)
     nh = r.sym.shape[1]
-    witness = {int(v): divmod(int(i), nh) for v, i in zip(values, first)}
-    return TensorSet(elements=tuple(witness), m=len(witness),
-                     witness=witness)
+    return {int(v): divmod(int(i), nh) for v, i in zip(values, first)}
 
 
 @_memoized

@@ -160,7 +160,7 @@ def _sequence_faults(r: TensorRealization) -> list[str]:
         "delta_tilde_normal": dtsub.is_normal(),
     }
     faults += [key for key, ok in structural.items() if not ok]
-    if closure(r.group, tensor_set(r).elements).order != r.group.order:
+    if closure(r.group, tensor_set(r)).order != r.group.order:
         faults.append("tensor set does not generate")
     return faults
 
@@ -242,7 +242,7 @@ def check_tensor_counts(store: ProfileStore) -> CheckResult:
     bad = []
     for n in range(1, 13):
         want = len({(i * j) % n for i in range(n) for j in range(n)})
-        got = tensor_set(store.nus[f"C{n}"].r).m
+        got = len(tensor_set(store.nus[f"C{n}"].r))
         if got != want:
             bad.append(f"C{n}: m={got}, bilinear image {want}")
     return CheckResult(

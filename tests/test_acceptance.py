@@ -168,7 +168,8 @@ def test_criterion_04_tensor_counts(store):
 def test_criterion_04_fails_when_a_tensor_count_is_off(store, monkeypatch):
     def miscounted(r):
         ts = tensor.tensor_set(r)
-        return replace(ts, m=ts.m + 1) if r.pair.g.name == "C6" else ts
+        # one entry more than the tensors, under a label T does not have
+        return {**ts, -1: (0, 0)} if r.pair.g.name == "C6" else ts
 
     monkeypatch.setattr(verification, "tensor_set", miscounted)
     r = _faulted(check_tensor_counts(store))
@@ -200,8 +201,7 @@ def test_criterion_05_fails_when_the_tensor_set_does_not_generate(
     # Only the identity is left in the tensor set; C2's T is the first
     # that it does not generate.
     monkeypatch.setattr(verification, "tensor_set",
-                        lambda r: replace(tensor.tensor_set(r),
-                                          elements=(0,)))
+                        lambda r: {0: tensor.tensor_set(r)[0]})
     r = _faulted(check_exact_sequences(store))
     assert r.detail.startswith("C2: tensor set does not generate")
 

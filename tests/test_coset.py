@@ -12,8 +12,8 @@ from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
                        realize_presentation, regular_representation,
                        word_letters)
 from ntl.errors import BudgetExceeded, CapExceeded, InternalInconsistency
-from ntl.groups import (GROUP_ORDER_CAP, _walk_levels, closure,
-                        derived_subgroup, section_invariants)
+from ntl.groups import (GROUP_ORDER_CAP, RealizedGroup, _walk_levels,
+                        closure, derived_subgroup, section_invariants)
 from ntl.parsing import parse_file
 from ntl.tensor import build_nu
 from ntl.words import Presentation, Word
@@ -264,6 +264,16 @@ class TestRegularRepresentation:
         with pytest.raises(CapExceeded, match=f"group order {n} exceeds"):
             regular_representation(CosetTable(rows=rows, presentation=p))
 
+    def test_one_order_cap_for_every_table(self, monkeypatch):
+        # A cap below C6's order, so no table of the cap's size is built.
+        t, _ = enumerate_cosets(catalog_lookup("C6").presentation)
+        g = regular_representation(t)
+        monkeypatch.setattr(groups, "GROUP_ORDER_CAP", 5)
+        with pytest.raises(CapExceeded, match="^group order 6 exceeds cap 5$"):
+            RealizedGroup("C6", g.table, g.generator_images)
+        with pytest.raises(CapExceeded, match="^group order 6 exceeds cap 5$"):
+            regular_representation(t)
+
     def test_identity_is_index_zero(self):
         g, _ = realize_presentation(catalog_lookup("D4").presentation)
         assert g.mul(0, 3) == 3
@@ -336,6 +346,23 @@ def test_regular_representation_matches_the_per_row_spread(name,
     for block in (1, groups._CELLS):
         monkeypatch.setattr(groups, "_CELLS", block)
         assert np.array_equal(regular_representation(t).table, want)
+
+
+@pytest.mark.parametrize("cells", [1, 97])
+def test_small_blocks_enumerate_the_same_tables(monkeypatch, cells):
+    """Same rows and stats on every finite corpus presentation and on
+    eta(S3)'s, and the same open relator and coset named on the
+    hand-built tables, with blocks of one relator or row, or a few."""
+    presentations = [e.presentation for e in finite_corpus()]
+    presentations.append(build_nu(realize_name("S3")).presentation)
+    want = [enumerate_cosets(p) for p in presentations]
+    monkeypatch.setattr(groups, "_CELLS", cells)
+    for p, (table, stats) in zip(presentations, want):
+        got, got_stats = enumerate_cosets(p)
+        assert np.array_equal(got.rows, table.rows), p.name
+        assert got_stats == stats, p.name
+    TestEnumerate().test_the_closing_check_names_the_lowest_open_relator()
+    TestEnumerate().test_the_closing_check_names_the_first_open_coset()
 
 
 def test_regular_representation_peaks_below_the_table_plus_one_block(

@@ -521,6 +521,25 @@ def _walk_per_step(table, steps):
                     via[order].tolist()))
 
 
+@settings(max_examples=200, deadline=None)
+@given(st.integers(0, 300), st.integers(0, 40), st.integers(1, 100))
+def test_blocks_cut_the_range_in_order(n, per_item, cells):
+    """The slices cover range(n) exactly and in order, none empty and
+    none longer than max(1, cells // per_item); no items, no slices."""
+    cuts = list(groups._blocks(n, per_item, cells))
+    assert [i for cut in cuts for i in range(n)[cut]] == list(range(n))
+    assert all(0 < cut.stop - cut.start <= max(1, cells // max(per_item, 1))
+               for cut in cuts)
+
+
+def test_blocks_read_the_cell_bound_when_called(monkeypatch):
+    monkeypatch.setattr(groups, "_CELLS", 6)
+    assert list(groups._blocks(7, 2)) == [slice(0, 3), slice(3, 6),
+                                          slice(6, 7)]
+    assert list(groups._blocks(0, 0)) == []
+    assert list(groups._blocks(2, 0)) == [slice(0, 2)]
+
+
 # One step per gather, a few steps per gather, and the engine's bound.
 WALK_CELLS = (1, 5, groups._WALK_CELLS)
 

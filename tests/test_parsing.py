@@ -358,8 +358,15 @@ class TestCatalog:
         assert catalog_lookup("F1") == catalog_lookup("F01") == e
 
     def test_unknown_names(self):
-        for name in ("S6", "X3", "C0", "D0", "F0", "Q16"):
-            with pytest.raises(UnknownCatalogName):
+        for name, text in [
+                ("S6", "symmetric groups are cataloged only up to S5"),
+                ("X3", "no catalog entry named 'X3'"),
+                ("C0", "bad factor order in 'C0'"),
+                ("D0", "bad dihedral index in 'D0'"),
+                ("S0", "bad symmetric degree in 'S0'"),
+                ("F0", "bad free rank in 'F0'"),
+                ("Q16", "no catalog entry named 'Q16'")]:
+            with pytest.raises(UnknownCatalogName, match=text):
                 catalog_lookup(name)
 
     def test_product_spellings(self):

@@ -13,7 +13,7 @@ from ntl.coset import EnumerationBudget, budget_scope
 from ntl.groups import (Homomorphism, Subgroup, _commutators, _walk_levels,
                         closure, derived_subgroup)
 from ntl.parsing import parse_file
-from ntl import tensor
+from ntl import groups, tensor
 from ntl.tensor import (_conjugation_table, _first_non_automorphism,
                         _validate_tables, build_direct, build_eta, build_nu,
                         conjugation_pair, delta, delta_tilde, j2,
@@ -222,11 +222,11 @@ def _is_automorphism(g, perm):
                     for a in range(g.order) for b in range(g.order)))
 
 
-@pytest.mark.parametrize("cells", [1, 97, tensor._CELLS])
+@pytest.mark.parametrize("cells", [1, 97, groups._CELLS])
 def test_first_non_automorphism_matches_the_row_loop(monkeypatch, cells):
     """Stacks of automorphisms with random rows, permutations and
     non-bijections among them: the first row the scalar check rejects."""
-    monkeypatch.setattr(tensor, "_CELLS", cells)
+    monkeypatch.setattr(groups, "_CELLS", cells)
     rng = np.random.default_rng(1)
     seen = set()
     for name in ACTION_GROUPS:
@@ -267,7 +267,7 @@ def test_array_action_checks_match_the_triple_loops():
 def test_array_action_checks_match_the_triple_loops_in_small_blocks(
         monkeypatch, cells):
     """As above, with one first index per block, or a few."""
-    monkeypatch.setattr(tensor, "_CELLS", cells)
+    monkeypatch.setattr(groups, "_CELLS", cells)
     test_array_action_checks_match_the_triple_loops()
 
 
@@ -481,7 +481,7 @@ def test_the_routes_give_one_object(pair):
         assert derived is None and direct.derived is None
     else:
         assert np.array_equal(derived.images, direct.derived.images)
-    assert e.tensor_count_m == tensor_set(direct).m
+    assert e.tensor_count_m == len(tensor_set(direct))
 
 
 def _loop_relators(pair):
@@ -566,25 +566,24 @@ class TestTensorDirect:
 class TestTensorSet:
     def test_trivial_pair_single_tensor(self):
         r = build_direct(trivial_pair(cyc(1), cyc(1)))
-        assert tensor_set(r).m == 1
+        assert len(tensor_set(r)) == 1
 
     @pytest.mark.parametrize("n", range(1, 9))
     def test_cyclic_count_matches_bilinear_image(self, n):
         r = square(cyc(n))
-        ts = tensor_set(r)
         oracle = len({(i * j) % n for i in range(n) for j in range(n)})
-        assert ts.m == oracle == n
+        assert len(tensor_set(r)) == oracle == n
 
     @pytest.mark.parametrize("name", SMALL)
     def test_subset_bound_and_generation(self, name):
         g = realize_name(name)
         r, e = square(g), build_nu(g)
         ts = tensor_set(r)
-        assert ts.m <= r.group.order
+        assert len(ts) <= r.group.order
         regen = closure(r.group, r.sym.ravel())
         assert regen.order == r.group.order
         incl = _inclusion_in_eta(r, e)
-        assert closure(e.eta, incl.images[list(ts.elements)]).members == \
+        assert closure(e.eta, incl.images[list(ts)]).members == \
             _tensor_in_eta(e).members
 
     def test_witnesses_evaluate_back(self):
@@ -593,11 +592,12 @@ class TestTensorSet:
         ts = tensor_set(r)
         incl = _inclusion_in_eta(r, e)
         gens = e.eta.generator_images
-        for elt, (a, b) in ts.witness.items():
+        for elt, (a, b) in ts.items():
             assert int(r.sym[a, b]) == elt
             got = e.eta.comm(gens[a], gens[6 + b])
             assert got == incl(elt)
-        assert 0 in ts.elements
+        assert 0 in ts
+        assert list(ts) == sorted(ts)
 
 
 class TestDerivedMap:
