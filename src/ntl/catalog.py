@@ -140,12 +140,9 @@ CATALOG_CORPUS: tuple[str, ...] = (
 )
 
 
-def catalog_entries() -> tuple[CatalogEntry, ...]:
-    return tuple(catalog_lookup(name) for name in CATALOG_CORPUS)
-
-
 def finite_corpus() -> tuple[CatalogEntry, ...]:
-    return tuple(e for e in catalog_entries() if not e.infinite)
+    entries = (catalog_lookup(name) for name in CATALOG_CORPUS)
+    return tuple(e for e in entries if not e.infinite)
 
 
 _REALIZED: dict[str, tuple[RealizedGroup, EnumerationStats]] = {}
@@ -179,7 +176,3 @@ def realize_entry(entry: CatalogEntry) -> RealizedGroup:
             f"expected {order}")
     _REALIZED[entry.name] = group, stats
     return group
-
-
-def realize_name(name: str) -> RealizedGroup:
-    return realize_entry(catalog_lookup(name))

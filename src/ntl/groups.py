@@ -43,7 +43,8 @@ def _table_dtype(order: int):
 
 def _check_order(n: int):
     """Refuse a group of more than `GROUP_ORDER_CAP` elements; every
-    n x n table is checked here before it is built or kept."""
+    n x n table is checked here before it is built or kept, and every
+    order known before an enumeration before that enumeration."""
     if n > GROUP_ORDER_CAP:
         raise CapExceeded(f"group order {n} exceeds cap {GROUP_ORDER_CAP}")
 
@@ -293,11 +294,6 @@ class RealizedGroup:
         t = self.table
         return int(t[t[self.inverse[by], x], by])
 
-    def comm(self, a: int, b: int) -> int:
-        """Commutator [a, b] = a^-1 b^-1 a b."""
-        t = self.table
-        return int(t[t[self.inverse[a], self.inverse[b]], t[a, b]])
-
     def power(self, x: int, k: int) -> int:
         if k < 0:
             return self.power(self.inv(x), -k)
@@ -309,12 +305,11 @@ class RealizedGroup:
             k >>= 1
         return out
 
-    def evaluate(self, w: Word, images: Sequence[int] | None = None) -> int:
-        """Evaluate a word over the generators (or over explicit images)."""
-        imgs = self.generator_images if images is None else images
+    def evaluate(self, w: Word) -> int:
+        """Evaluate a word over the generator images."""
         out = 0
         for g, e in w.letters:
-            out = self.mul(out, self.power(imgs[g], e))
+            out = self.mul(out, self.power(self.generator_images[g], e))
         return out
 
     def element_orders(self) -> np.ndarray:
@@ -347,10 +342,6 @@ class RealizedGroup:
 
     def __repr__(self):
         return f"RealizedGroup({self.name!r}, order={self.order})"
-
-
-def trivial_group(name: str = "1") -> RealizedGroup:
-    return RealizedGroup(name, np.zeros((1, 1), dtype=np.int16), ())
 
 
 def presentation_invariants(p: Presentation) -> AbelianInvariants:
@@ -575,9 +566,6 @@ class Homomorphism:
                 raise InternalInconsistency(
                     f"map {self.source.name!r} -> {self.target.name!r} "
                     "is not a homomorphism")
-
-    def __call__(self, x: int) -> int:
-        return int(self.images[x])
 
     def kernel(self) -> Subgroup:
         """Kernel subgroup; its normality is re-verified."""

@@ -19,10 +19,10 @@ from .catalog import CatalogEntry, realize_entry
 from .coset import EnumerationStats, current_budget, realize_presentation
 from .errors import (BudgetExceeded, InternalInconsistency,
                      NotGeneratingPair, NotNormal)
-from .groups import (RealizedGroup, Subgroup, _same_parent, closure,
-                     commutator_subgroup, derived_subgroup, intersection,
-                     presentation_invariants, section_invariants,
-                     subgroup_exponent)
+from .groups import (RealizedGroup, Subgroup, _check_order, _same_parent,
+                     closure, commutator_subgroup, derived_subgroup,
+                     intersection, presentation_invariants,
+                     section_invariants, subgroup_exponent)
 from .tensor import (TensorRealization, _conjugation_pair_between,
                      _memoized, build_direct, delta, delta_tilde, j2,
                      tensor_set)
@@ -120,7 +120,6 @@ def stable_pi2_K(r: TensorRealization) -> AbelianInvariants:
 class PushoutResult:
     pi2: AbelianInvariants
     pi3: AbelianInvariants
-    build: TensorRealization
 
 
 def pushout_EM(m: Subgroup, n: Subgroup) -> PushoutResult:
@@ -134,7 +133,7 @@ def pushout_EM(m: Subgroup, n: Subgroup) -> PushoutResult:
             raise NotNormal(f"subgroup {label} is not normal in {g.name!r}")
     pi2 = section_invariants(intersection(m, n), commutator_subgroup(m, n))
     r = build_direct(_conjugation_pair_between(m, n))
-    return PushoutResult(pi2=pi2, pi3=pi3_suspension_K(r), build=r)
+    return PushoutResult(pi2=pi2, pi3=pi3_suspension_K(r))
 
 
 @dataclass(frozen=True)
@@ -201,9 +200,12 @@ def resolve_subject(subject: CatalogEntry | Presentation) -> ResolvedSubject:
     """Realize a catalog entry or a presentation, or decide that it has no
     realization; never raises BudgetExceeded.  A catalog entry flagged
     infinite abelian, or a one-generator presentation with an infinite
-    cokernel, takes the abelian fast path without enumerating."""
+    cokernel, takes the abelian fast path without enumerating.  A catalog
+    entry's known order, and a one-generator presentation's finite
+    cokernel, are checked against the order cap before any enumeration."""
     entry = subject if isinstance(subject, CatalogEntry) else None
     p = entry.presentation if entry else subject
+    order = entry.known_facts.get("order") if entry else None
     if entry is None and p.ngens == 1:
         coker = presentation_invariants(p)
         if not coker.is_finite():  # an enumeration could only exhaust
@@ -211,6 +213,9 @@ def resolve_subject(subject: CatalogEntry | Presentation) -> ResolvedSubject:
                 p.name, p, invariants=coker,
                 unrealized=current_budget().cosets_exhausted(
                     EnumerationStats()))
+        order = coker.order()  # a cyclic group is its abelianization
+    if order is not None:
+        _check_order(order)
     try:  # an infinite entry is refused at once
         group = (realize_entry(entry) if entry
                  else realize_presentation(p)[0])

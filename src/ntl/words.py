@@ -62,9 +62,6 @@ class Word:
                 base = base * base
         return out
 
-    def is_identity(self) -> bool:
-        return not self.letters
-
     def length(self) -> int:
         return sum(abs(e) for _, e in self.letters)
 

@@ -5,9 +5,10 @@ from sympy import Matrix, ZZ
 from sympy.matrices.normalforms import invariant_factors as sympy_invf
 
 from ntl.abelian import AbelianInvariants, abelian_invariants, smith_diagonal
-from ntl.catalog import realize_name
 from ntl.tensor import (_direct_relators, build_direct, build_nu,
                         conjugation_pair)
+
+from support import realize_name
 
 
 def sympy_oracle(rows, ncols):

@@ -19,8 +19,7 @@ import pytest
 
 from ntl import coset, homotopy, tensor, verification
 from ntl.abelian import AbelianInvariants
-from ntl.catalog import (catalog_lookup, finite_corpus, realize_entry,
-                         realize_name)
+from ntl.catalog import catalog_lookup, finite_corpus, realize_entry
 from ntl.cli import main
 from ntl.coset import EnumerationStats
 from ntl.errors import BudgetExceeded
@@ -37,6 +36,8 @@ from ntl.verification import (ProfileStore, build_profiles,
                               check_schur_oracle, check_stable_pi2,
                               check_tensor_counts, check_theoremC,
                               check_wedge_prufer_analog, run_catalog_suite)
+
+from support import realize_name
 
 
 @pytest.fixture(scope="session")

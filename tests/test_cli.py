@@ -374,6 +374,15 @@ class TestExitCodes:
         assert (rc, out) == (2, "")
         assert err.startswith("usage error: ")
 
+    def test_a_known_order_over_the_cap_is_refused_before_enumerating(
+            self, capsys):
+        # Enumerating C30000 takes most of a minute, past this budget.
+        rc, out, err = run(capsys, "nu", "--group", "C30000",
+                           "--budget-ms", "2000")
+        assert (rc, out) == (1, "")
+        assert err == ("error CapExceeded: group order 30000 exceeds cap "
+                       "20000\n")
+
     def test_fault_flag_in_file_scope_is_a_usage_error(self, capsys,
                                                        tmp_path):
         f = tmp_path / "one.grp"

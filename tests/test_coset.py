@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from ntl import groups, tensor
-from ntl.catalog import catalog_lookup, finite_corpus, realize_name
+from ntl.catalog import catalog_lookup, finite_corpus
 from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
                        budget_scope, current_budget, enumerate_cosets,
                        realize_presentation, regular_representation,
@@ -17,6 +17,8 @@ from ntl.groups import (GROUP_ORDER_CAP, RealizedGroup, _walk_levels,
 from ntl.parsing import parse_file
 from ntl.tensor import build_nu
 from ntl.words import Presentation, Word
+
+from support import realize_name
 
 
 def sympy_felsch_index(p: Presentation) -> int:

@@ -15,8 +15,9 @@ from pathlib import Path
 
 import pytest
 
-from ntl.catalog import realize_name
 from ntl.tensor import build_nu
+
+from support import realize_name
 
 RECORDS = Path(__file__).parent / "golden" / "element_words.json"
 

@@ -1,10 +1,11 @@
 import pytest
 
+from ntl import catalog, coset, groups
 from ntl.abelian import AbelianInvariants
-from ntl.catalog import catalog_lookup, realize_name
+from ntl.catalog import catalog_lookup
 from ntl.coset import EnumerationBudget, budget_scope
-from ntl.errors import (BudgetExceeded, MixedParents, NotGeneratingPair,
-                        NotNormal)
+from ntl.errors import (BudgetExceeded, CapExceeded, MixedParents,
+                        NotGeneratingPair, NotNormal)
 from ntl.groups import (Homomorphism, RealizedGroup, closure,
                         derived_subgroup)
 from ntl.homotopy import (bound_pushout_pi3, bound_theorem_A,
@@ -12,8 +13,11 @@ from ntl.homotopy import (bound_pushout_pi3, bound_theorem_A,
                           finiteness_report, pi3_suspension_K, pushout_EM,
                           resolve_subject, schur_multiplier, stable_pi2_K,
                           theoremC_report, three_connected_check, wedge_pi3)
+from ntl.parsing import parse_file
 from ntl.tensor import (_conjugation_pair_between, build_direct,
                         conjugation_pair)
+
+from support import realize_name
 
 
 def square(g):
@@ -175,7 +179,8 @@ class TestPushout:
         res = pushout_EM(a3, whole)
         # M cap N = A3, [M,N] = A3, so pi2 dies; pi3 = ker([A3,S3~] -> S3)
         assert res.pi2.order() == 1
-        assert res.build.group.order % res.pi3.order() == 0
+        t = build_direct(_conjugation_pair_between(a3, whole))
+        assert t.group.order % res.pi3.order() == 0
 
 
 def _pushout_subgroups():
@@ -265,11 +270,33 @@ class TestResolveSubject:
         assert s.unrealized.stats.cosets_defined == 0
         assert "a(x)a has infinite order" in s.witness
 
+    @pytest.mark.parametrize("cached", [True, False])
+    def test_a_catalog_order_over_the_cap_is_refused(self, monkeypatch,
+                                                     cached):
+        realize_name("C7")
+        if not cached:
+            monkeypatch.setattr(catalog, "_REALIZED", {})
+        monkeypatch.setattr(groups, "GROUP_ORDER_CAP", 5)
+        monkeypatch.setattr(coset, "enumerate_cosets", _no_enumeration)
+        with pytest.raises(CapExceeded, match="^group order 7 exceeds cap 5$"):
+            resolve_subject(catalog_lookup("C7"))
+
+    def test_a_cyclic_order_over_the_cap_is_refused(self, monkeypatch):
+        groups_in, _ = parse_file("group K { gens: a; rels: a^7; }")
+        monkeypatch.setattr(groups, "GROUP_ORDER_CAP", 5)
+        monkeypatch.setattr(coset, "enumerate_cosets", _no_enumeration)
+        with pytest.raises(CapExceeded, match="^group order 7 exceeds cap 5$"):
+            resolve_subject(groups_in["K"])
+
     def test_exhausted_budget_is_recorded(self):
         with budget_scope(EnumerationBudget(max_cosets=5)):
             s = resolve_subject(catalog_lookup("D6").presentation)
         assert s.group is None and s.invariants is None
         assert isinstance(s.unrealized, BudgetExceeded)
+
+
+def _no_enumeration(p):
+    raise AssertionError(f"{p.name} was enumerated")
 
 
 class TestTheoremC:

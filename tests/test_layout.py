@@ -1,9 +1,24 @@
 """Source layout rules that keep one owner per decision."""
 
 import ast
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import ntl
+
+SRC = Path(ntl.__file__).parent
+PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
+
+# What `import ntl` loads: every engine module but `cli` and
+# `verification`, which the `ntl` command imports.
+ROOT_MODULES = ("abelian", "catalog", "coset", "errors", "groups", "homotopy",
+                "parsing", "report", "tensor", "words")
+
+# Public names no caller in the engine or the benchmark reaches, kept
+# because README documents them.
+DOCUMENTED_ONLY = {"print_presentation", "print_action"}
 
 # The bounds on table sizes: every bounded gather is cut by
 # `groups._blocks` and every group order is checked by
@@ -24,7 +39,64 @@ def _bounds_named(path: Path) -> set[str]:
 
 
 def test_only_groups_names_the_table_size_bounds():
-    src = Path(ntl.__file__).parent
-    named = {p.name: sorted(_bounds_named(p)) for p in src.glob("*.py")}
+    named = {p.name: sorted(_bounds_named(p)) for p in SRC.glob("*.py")}
     assert named.pop("groups.py") == sorted(TABLE_BOUNDS)
     assert {name: b for name, b in named.items() if b} == {}
+
+
+def test_the_package_root_binds_only_its_submodules():
+    tree = ast.parse((SRC / "__init__.py").read_text())
+    bound = []
+    for node in tree.body:
+        if isinstance(node, ast.ImportFrom):
+            assert (node.level, node.module) == (1, None)
+            bound += [a.asname or a.name for a in node.names]
+        elif isinstance(node, ast.Assign):
+            bound += [t.id for t in node.targets]
+        elif not isinstance(node, ast.Expr):  # anything but the docstring
+            bound.append(ast.unparse(node))
+    assert sorted(bound) == sorted(ROOT_MODULES + ("__version__",))
+    done = subprocess.run(
+        [sys.executable, "-c", "import sys, ntl; print(' '.join(sorted("
+         "m[4:] for m in sys.modules if m.startswith('ntl.'))))"],
+        capture_output=True, text=True, check=True,
+        env=dict(os.environ, PYTHONPATH=str(SRC.parent)))
+    assert tuple(done.stdout.split()) == ROOT_MODULES
+
+
+def _names_read(node) -> set[str]:
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.alias):
+            names.add(sub.name)
+    return names
+
+
+def test_every_public_engine_name_has_a_caller():
+    """Each public top-level function and class of the engine is named
+    outside its own definition, by the engine or by the benchmark; tests
+    do not count."""
+    read = {p: [(node, _names_read(node)) for node in
+                ast.parse(p.read_text()).body]
+            for p in [*SRC.glob("*.py"), *PERFBENCH.glob("*.py")]
+            if p.name != "__init__.py"}
+    uncalled = []
+    for path in SRC.glob("*.py"):
+        if path.name == "__init__.py":
+            continue
+        others = set().union(*(names for p, nodes in read.items()
+                               if p != path for _, names in nodes))
+        for node, _ in read[path]:
+            if (not isinstance(node, (ast.FunctionDef, ast.ClassDef))
+                    or node.name.startswith("_")
+                    or node.name in DOCUMENTED_ONLY):
+                continue
+            here = set().union(*(names for n, names in read[path]
+                                 if n is not node))
+            if node.name not in here | others:
+                uncalled.append(f"{path.stem}.{node.name}")
+    assert uncalled == []
