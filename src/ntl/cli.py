@@ -23,15 +23,15 @@ from .groups import RealizedGroup, Subgroup, closure, section_invariants
 from .homotopy import (THEOREM_C_PROPERTIES, bound_pushout_pi3,
                        bound_theorem_A, bound_theorem_B,
                        burnside_exponent_check, finiteness_report,
-                       pi3_suspension_K, pushout_EM, resolve_subject,
-                       schur_multiplier, stable_pi2_K, theoremC_report,
-                       three_connected_check, wedge_pi3)
+                       known_order, pi3_suspension_K, pushout_EM,
+                       resolve_subject, schur_multiplier, stable_pi2_K,
+                       theoremC_report, three_connected_check, wedge_pi3)
 from .parsing import parse_file, parse_words_text
 from .report import (group_result, invariants_result, render_text,
                      serialize_report)
-from .tensor import (EtaRealization, build_direct, build_eta, build_nu,
-                     conjugation_pair, delta, delta_tilde, tensor_set,
-                     trivial_pair, validate_compatibility)
+from .tensor import (EtaRealization, _check_cap, build_direct, build_eta,
+                     build_nu, conjugation_pair, delta, delta_tilde,
+                     tensor_set, trivial_pair, validate_compatibility)
 from .verification import run_catalog_suite, run_file_suite
 from .words import Presentation
 
@@ -182,12 +182,33 @@ def _lookup_pair(args: argparse.Namespace):
     return g_in, g_in if h_in == g_in else h_in
 
 
+def _check_known_pair(g_in, h_in):
+    """Refuse a pair too large to tensor by the orders known before either
+    group is resolved (`known_order`), so that it costs no enumeration.  A
+    pair with an input of unknown order is resolved first, as any other."""
+    ng = known_order(g_in)
+    if ng is None:
+        return
+    nh = ng if h_in is g_in else known_order(h_in)
+    if nh is not None:
+        _check_cap(ng, nh)
+
+
+def _square_subject(args: argparse.Namespace):
+    """`--group` resolved, once the pair it makes with itself passed
+    `_check_known_pair`."""
+    g_in = _lookup(args.group)
+    _check_known_pair(g_in, g_in)
+    return resolve_subject(g_in)
+
+
 def _pair_inputs(args: argparse.Namespace):
     """The pair of `--group` and `--other` under the actions the flags
     choose, with the query naming them.  The flags are checked, and the
     one block per direction of the `--action` file is found by the
-    looked-up names of both groups, before either group is resolved, so
-    those errors cost no enumeration."""
+    looked-up names of both groups, and the known orders are checked
+    (`_check_known_pair`), before either group is resolved, so those
+    errors cost no enumeration."""
     chosen = [bool(args.trivial_actions), bool(args.conjugation),
               args.action is not None]
     if sum(chosen) > 1:
@@ -209,6 +230,7 @@ def _pair_inputs(args: argparse.Namespace):
             raise _UsageError(f"{args.action} must define exactly one action "
                               + " and one ".join(dict.fromkeys(ways)))
         (fwd,), (bwd,) = fwd, bwd
+    _check_known_pair(g_in, h_in)
     g = resolve_subject(g_in).realized()
     h = g if h_in is g_in else resolve_subject(h_in).realized()
     if args.trivial_actions:
@@ -241,7 +263,7 @@ def _tensor_input(args: argparse.Namespace):
 
 def _square_input(args: argparse.Namespace):
     """`--group` realized, with its tensor square."""
-    g = resolve_subject(_lookup(args.group)).realized()
+    g = _square_subject(args).realized()
     return g, build_direct(conjugation_pair(g))
 
 
@@ -269,7 +291,7 @@ def _cmd_eta(args: argparse.Namespace) -> dict:
 
 
 def _cmd_nu(args: argparse.Namespace) -> dict:
-    g = resolve_subject(_lookup(args.group)).realized()
+    g = _square_subject(args).realized()
     return _eta_record(build_nu(g), {"group": g.name,
                                      "actions": "conjugation"})
 
@@ -371,7 +393,7 @@ def _cmd_three_connected(args: argparse.Namespace) -> dict:
 
 
 def _cmd_thmc(args: argparse.Namespace) -> dict:
-    s = resolve_subject(_lookup(args.group))
+    s = _square_subject(args)
     if s.group is not None:
         r = build_direct(conjugation_pair(s.group))
         rep, witness = theoremC_report(r), ""
@@ -392,7 +414,7 @@ def _cmd_thmc(args: argparse.Namespace) -> dict:
 
 
 def _cmd_finiteness(args: argparse.Namespace) -> dict:
-    s = resolve_subject(_lookup(args.group))
+    s = _square_subject(args)
     query = {"group": s.name}
     if s.invariants is not None:
         inv = s.invariants

@@ -134,13 +134,11 @@ def current_budget() -> EnumerationBudget:
 class CosetTable:
     """Complete coset table of the trivial subgroup; row 0 is the identity
     coset, columns alternate generator and inverse-generator images.
-    `closed` says that every relator was traced closed at every coset, as
-    `enumerate_cosets` does before it returns a table; a table built by
-    hand leaves it False."""
+    `enumerate_cosets` returns one only after every relator was traced
+    closed at every coset."""
 
     rows: np.ndarray
     presentation: Presentation
-    closed: bool = False
 
     def __post_init__(self):
         self.rows.setflags(write=False)
@@ -391,26 +389,17 @@ def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:
         tally.cosets_defined += exc.stats.cosets_defined
         raise
     tally.cosets_defined += stats.cosets_defined
-    return CosetTable(rows=rows, presentation=p, closed=True), stats
+    return CosetTable(rows=rows, presentation=p), stats
 
 
 def regular_representation(t: CosetTable) -> RealizedGroup:
-    """Turn the coset table of the trivial subgroup into a realized group.
-    Each relator of a table not known to be closed is traced from the
-    identity coset first."""
+    """Turn the coset table of the trivial subgroup into a realized group,
+    which keeps the table's walk as its own."""
     p = t.presentation
     n = t.coset_count
     _check_order(n)
     ngens = p.ngens
     cols = t.rows
-    if not t.closed:
-        for w in p.relators:
-            c = 0
-            for letter in word_letters(w):
-                c = int(cols[c, letter])
-            if c != 0:
-                raise InternalInconsistency(
-                    "relator open at the identity coset")
     # Breadth-first spanning tree over the positive generator columns.
     levels = _walk_levels(cols, range(0, 2 * ngens, 2))
     if _tree_size(levels) != n:

@@ -6,12 +6,13 @@ O(1) table lookups and every axiom stays exhaustively checkable at desk
 scale.  Associativity is certified by Light's test (Clifford-Preston,
 The Algebraic Theory of Semigroups I, 1961), in O(n^2 k) rather than
 O(n^3), on the k generator images that right multiplication by the images
-kept before them does not reach from the identity.  The Cayley-graph walk
-gathers each level in step-major blocks, and the inverses are spread along
-it a run of edges at a time; a table built along a walk, as the regular
-representation is, comes with that walk, which is checked against the
-table rather than walked again.  Element words are read off the walk on
-first use; a group that is only checked never builds them.  All values are
+kept before them does not reach from the identity.  Each group is walked
+once, when it is built, and keeps the breadth-first tree of its Cayley
+graph as `walk` (a table built along a walk, as the regular representation
+is, comes with it, checked rather than walked again).  The inverses and
+every map fixed by its generator images are spread along it (`_spread`),
+and element words are read off it.  Every bounded gather, the walk's
+included, is cut into blocks of `_CELLS` entries.  All values are
 immutable after construction.
 """
 
@@ -32,9 +33,6 @@ GROUP_ORDER_CAP = 20_000
 
 _ASSOC_CHECK_MAX = 256
 _CELLS = 1 << 16  # entries per block of a gather and of each temporary
-# (step, frontier vertex) cells per walk gather; blocks of _CELLS walk the
-# 6912-row coset table of nu(D6) about 1.3 times slower
-_WALK_CELLS = 1 << 13
 
 
 def _table_dtype(order: int):
@@ -49,12 +47,12 @@ def _check_order(n: int):
         raise CapExceeded(f"group order {n} exceeds cap {GROUP_ORDER_CAP}")
 
 
-def _blocks(n: int, per_item: int, cells: int | None = None):
+def _blocks(n: int, per_item: int):
     """The slices of range(n) in order, each of at most
-    max(1, cells // per_item) items, so that a gather of `per_item`
-    entries per item gathers at most `cells` (default `_CELLS`) a block,
-    or one item.  Every bounded gather is cut here."""
-    step = max(1, (_CELLS if cells is None else cells) // max(per_item, 1))
+    max(1, _CELLS // per_item) items, so that a gather of `per_item`
+    entries per item gathers at most `_CELLS` a block, or one item.  Every
+    bounded gather is cut here."""
+    step = max(1, _CELLS // max(per_item, 1))
     for lo in range(0, n, step):
         yield slice(lo, min(lo + step, n))
 
@@ -70,9 +68,9 @@ def _walk_levels(table: np.ndarray, steps: Sequence[int]
     step.  0 is the root and in no run.  A vertex belongs to the first step
     that reaches it and keeps its first parent in frontier order, so the
     tree is canonical.  A level is gathered step-major (all of step 0, then
-    all of step 1, ...) in blocks (`_blocks`) of at most `_WALK_CELLS`
+    all of step 1, ...) in blocks (`_blocks`) of at most `_CELLS`
     (step, frontier vertex) cells, or of one step, and each block is
-    resolved by one `np.unique`.
+    resolved by one `np.unique`.  The arrays are read-only.
     """
     steps = np.fromiter(steps, dtype=np.int64)
     seen = np.zeros(table.shape[0], dtype=bool)
@@ -82,7 +80,7 @@ def _walk_levels(table: np.ndarray, steps: Sequence[int]
     while True:
         f = frontier.size
         level = []
-        for cut in _blocks(steps.size, f, _WALK_CELLS):
+        for cut in _blocks(steps.size, f):
             block = steps[cut]
             t = table[frontier, block[:, None]].ravel()
             # positions in t of the vertices seen first here, each vertex
@@ -99,9 +97,10 @@ def _walk_levels(table: np.ndarray, steps: Sequence[int]
                 order = by.argsort(kind="stable")
                 pos, by = pos[order], by[order]
                 cuts[1:1] = ((by[1:] != by[:-1]).nonzero()[0] + 1).tolist()
-            reached = t[pos]
+            reached, parents = t[pos], frontier[pos % f]
             seen[reached] = True
-            parents = frontier[pos % f]
+            reached.setflags(write=False)
+            parents.setflags(write=False)
             for a, b in zip(cuts, cuts[1:]):
                 level.append((reached[a:b], parents[a:b],
                               cut.start + by[a].item()))
@@ -129,6 +128,18 @@ def _runs(levels, row_cells: int):
                 continue
             for cut in _blocks(v.size, row_cells):
                 yield v[cut], p[cut], s
+
+
+def _spread(g: RealizedGroup, table: np.ndarray, images: Sequence[int]
+            ) -> np.ndarray:
+    """f(x) = table[f(p), images[i]] for each x = p.s of g's walk, s its
+    i-th generator image, and f(0) = 0: in the target's table, the map
+    with those generator images; in `g.table.T` from the generators'
+    inverses, the inverses (x^-1 = s^-1.p^-1).  Nothing is checked here."""
+    out = np.zeros(g.order, dtype=np.int64)
+    for x, p, i in _runs(g.walk, 1):
+        out[x] = table[out[p], images[i]]
+    return out
 
 
 def _is_tree(table: np.ndarray, steps: Sequence[int], levels) -> bool:
@@ -227,13 +238,11 @@ class RealizedGroup:
     # -- construction internals -------------------------------------------
 
     def _bfs(self, walk):
-        """Inverses along a breadth-first tree of the Cayley graph, which
-        must reach every element from 0: Light's associativity test in
-        `_verify` rests on that.  The tree is `walk`, levels as
-        `_walk_levels` gives them, when the table was built along one (it is
-        checked edge by edge, not trusted), and is walked here otherwise.
-        The words along the canonical walk are built on first use, by
-        `element_words`."""
+        """Keep the breadth-first tree of the Cayley graph as `walk` and
+        spread the inverses along it.  The tree must reach every element
+        from 0: Light's associativity test in `_verify` rests on that.  It
+        is `walk` when the table was built along one (checked edge by
+        edge, not trusted), and is walked here otherwise."""
         tab = self.table
         images = self.generator_images
         levels = _walk_levels(tab, images) if walk is None else walk
@@ -243,18 +252,15 @@ class RealizedGroup:
         if walk is not None and not _is_tree(tab, images, levels):
             raise InternalInconsistency(
                 f"the walk given with {self.name!r} is not a tree of it")
+        self.walk = tuple(tuple(level) for level in levels)
         hits = tab[list(images)] == 0
         found = hits.any(axis=1)
         if not found.all():
             s = images[int(np.argmin(found))]
             raise InternalInconsistency(
                 f"generator image {s} of {self.name!r} has no inverse")
-        inv_step = hits.argmax(axis=1).tolist()
-        # x = p.s has inverse s^-1.p^-1; a level's parents lie above it.
-        inv = np.zeros(self.order, dtype=np.int64)
-        for x, p, i in _runs(levels, 1):
-            inv[x] = tab[inv_step[i], inv[p]]
-        self.inverse = inv.astype(self.table.dtype)
+        self.inverse = _spread(self, tab.T, hits.argmax(axis=1).tolist()
+                               ).astype(self.table.dtype)
 
     @functools.cached_property
     def element_words(self) -> tuple[Word, ...]:
@@ -262,7 +268,7 @@ class RealizedGroup:
         # A repeated image reaches nothing new, so each element's letter is
         # the first generator with that image.
         words = [Word()] * self.order
-        for level in _walk_levels(self.table, self.generator_images):
+        for level in self.walk:
             for v, ps, i in level:
                 letter = Word.gen(i)
                 for x, p in zip(v.tolist(), ps.tolist()):

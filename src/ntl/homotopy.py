@@ -196,26 +196,37 @@ class ResolvedSubject:
                               dict.fromkeys(THEOREM_C_PROPERTIES, False))
 
 
+def known_order(subject: CatalogEntry | Presentation) -> int | None:
+    """The order of a group input known before any enumeration, checked
+    against the order cap: a catalog entry's recorded order, or the order
+    of a one-generator presentation's finite cokernel (a cyclic group is
+    its abelianization).  None when it is unknown or infinite."""
+    if isinstance(subject, CatalogEntry):
+        order = subject.known_facts.get("order")
+    elif subject.ngens == 1:
+        coker = presentation_invariants(subject)
+        order = coker.order() if coker.is_finite() else None
+    else:
+        order = None
+    if order is not None:
+        _check_order(order)
+    return order
+
+
 def resolve_subject(subject: CatalogEntry | Presentation) -> ResolvedSubject:
     """Realize a catalog entry or a presentation, or decide that it has no
     realization; never raises BudgetExceeded.  A catalog entry flagged
     infinite abelian, or a one-generator presentation with an infinite
-    cokernel, takes the abelian fast path without enumerating.  A catalog
-    entry's known order, and a one-generator presentation's finite
-    cokernel, are checked against the order cap before any enumeration."""
+    cokernel, takes the abelian fast path without enumerating.  A known
+    order (`known_order`) is checked against the order cap before any
+    enumeration."""
     entry = subject if isinstance(subject, CatalogEntry) else None
     p = entry.presentation if entry else subject
-    order = entry.known_facts.get("order") if entry else None
-    if entry is None and p.ngens == 1:
-        coker = presentation_invariants(p)
-        if not coker.is_finite():  # an enumeration could only exhaust
-            return ResolvedSubject(
-                p.name, p, invariants=coker,
-                unrealized=current_budget().cosets_exhausted(
-                    EnumerationStats()))
-        order = coker.order()  # a cyclic group is its abelianization
-    if order is not None:
-        _check_order(order)
+    if known_order(subject) is None and entry is None and p.ngens == 1:
+        # an infinite cokernel: an enumeration could only exhaust
+        return ResolvedSubject(
+            p.name, p, invariants=presentation_invariants(p),
+            unrealized=current_budget().cosets_exhausted(EnumerationStats()))
     try:  # an infinite entry is refused at once
         group = (realize_entry(entry) if entry
                  else realize_presentation(p)[0])

@@ -23,10 +23,10 @@ element triple in the realized table.  The record holds no symbol map and
 no derived map.
 
 Every pair builder checks |G|*|H| against `ETA_SIZE_CAP` before it builds
-an action table, so a pair is never too large to tensor.  Element-level
-action tables are spread along the runs of the Cayley-graph walk
-(`groups._walk_levels`) or sliced from the conjugation table, never
-evaluated word by word.
+an action table, so a pair is never too large to tensor.  No group is
+walked here: element-level action tables and the derived map are spread
+along the walk each group keeps (`groups._spread`), or sliced from the
+conjugation table, never evaluated word by word.
 """
 
 from __future__ import annotations
@@ -41,9 +41,8 @@ from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
 from .groups import (Homomorphism, RealizedGroup, Subgroup, _blocks,
-                     _commutators, _conjugates, _runs, _same_parent,
-                     _tree_size, _walk_levels, closure, commutator_subgroup,
-                     subgroup_as_group)
+                     _commutators, _conjugates, _runs, _same_parent, _spread,
+                     closure, commutator_subgroup, subgroup_as_group)
 from .parsing import ActionSpec
 from .words import Presentation, Word, commutator, conjugate
 
@@ -98,14 +97,13 @@ def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
                       spec: ActionSpec) -> np.ndarray:
     """Element-level action table induced by a generator-level spec.
 
-    Each generator's map of the target is spread along the target's
-    Cayley-graph walk (x = p.s goes to image(p).image(s)), and the actor's
-    rows along the actor's walk (the row of x = p.s is that of p followed by
-    the map of s); walk words have positive exponents only.  Walks skip
-    generators naming the identity or an element already reached, so every
-    target generator must go to its given image and every actor
-    generator's map must be its element's row; `_validate_tables` checks
-    the rest.
+    Each generator's map of the target is spread along the target's walk
+    (`groups._spread`), and the actor's rows along the actor's walk (the
+    row of x = p.s is that of p followed by the map of s); walk words have
+    positive exponents only.  Walks skip generators naming the identity or
+    an element already reached, so every target generator must go to its
+    given image and every actor generator's map must be its element's row;
+    `_validate_tables` checks the rest.
     """
     apres = actor.source_presentation
     tpres = target.source_presentation
@@ -116,23 +114,19 @@ def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
         raise IncompleteMap(
             f"action {spec.name!r} maps {spec.actor!r} on {spec.target!r}, "
             f"expected {apres.name!r} on {tpres.name!r}")
-    t_tab = target.table
-    t_levels = _walk_levels(t_tab, target.generator_images)
-    gen_perms = np.zeros((apres.ngens, target.order), dtype=np.int64)
-    for perm, gname in zip(gen_perms, apres.generators):
+    gen_perms = []
+    for gname in apres.generators:
         images = spec.generator_map[gname]
         img_elems = [target.evaluate(images[t]) for t in tpres.generators]
-        for x, p, i in _runs(t_levels, 1):
-            perm[x] = t_tab[perm[p], img_elems[i]]
-        if perm[list(target.generator_images)].tolist() != img_elems:
+        gen_perms.append(_spread(target, target.table, img_elems))
+        if gen_perms[-1][list(target.generator_images)].tolist() != img_elems:
             raise NotAutomorphism(
                 f"action {spec.name!r}: generator {gname!r} induces no map "
                 f"of {target.name!r} that sends every generator to its "
                 "given image")
     table = np.empty((actor.order, target.order), dtype=np.int64)
     table[0] = np.arange(target.order)
-    for x, p, i in _runs(_walk_levels(actor.table, actor.generator_images),
-                         target.order):
+    for x, p, i in _runs(actor.walk, target.order):
         table[x] = gen_perms[i][table[p]]
     for gname, x, perm in zip(apres.generators, actor.generator_images,
                               gen_perms):
@@ -371,21 +365,16 @@ class EtaRealization:
 
 def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
                  sym: np.ndarray) -> Homomorphism | None:
-    """a(x)b |-> [a, b] into the ambient group, spread over T along a
-    breadth-first spanning tree on the symbols, then verified."""
+    """a(x)b |-> [a, b] into the ambient group, spread along T's walk over
+    its generators, the distinct symbols (`groups._spread`), then
+    verified."""
     if pair.ambient is None:
         return None
     base, g_in, h_in = pair.ambient
     want = _commutators(base, g_in, h_in)
-    steps = dict(zip(sym.ravel().tolist(), want.ravel().tolist()))
-    levels = _walk_levels(group.table, list(steps))
-    if _tree_size(levels) != group.order:
-        raise InternalInconsistency("the symbols a(x)b do not generate T")
-    step_images = list(steps.values())
-    images = np.zeros(group.order, dtype=np.int64)
-    for x, p, i in _runs(levels, 1):
-        images[x] = base.table[images[p], step_images[i]]
-    derived = Homomorphism(group, base, images)
+    image = dict(zip(sym.ravel().tolist(), want.ravel().tolist()))
+    derived = Homomorphism(group, base, _spread(
+        group, base.table, [image[s] for s in group.generator_images]))
     if not np.array_equal(derived.images[sym], want):
         raise InternalInconsistency("the derived map does not send a(x)b "
                                     "to [a, b]")

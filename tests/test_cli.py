@@ -383,6 +383,37 @@ class TestExitCodes:
         assert err == ("error CapExceeded: group order 30000 exceeds cap "
                        "20000\n")
 
+    @pytest.mark.parametrize("cached", [False, True],
+                             ids=["uncached", "cached"])
+    @pytest.mark.parametrize("source", ["catalog", "file"])
+    @pytest.mark.parametrize("argv,orders", [
+        (("thmc",), "169"), (("nu",), "169"), (("finiteness",), "169"),
+        (("invariant", "schur"), "169"),
+        (("tensor", "--other", "C12", "--trivial-actions"), "156")],
+        ids=["thmc", "nu", "finiteness", "invariant-schur", "tensor"])
+    def test_a_known_pair_over_the_cap_is_refused_before_enumerating(
+            self, capsys, tmp_path, monkeypatch, argv, orders, source,
+            cached):
+        # C13 is cyclic, so a one-generator file knows its order too.
+        group = "C13"
+        if source == "file":
+            group = str(tmp_path / "c13.grp")
+            Path(group).write_text("group K { gens: a; rels: a^13; }")
+        if cached:
+            for name in ("C12", "C13"):
+                catalog.realize_entry(catalog.catalog_lookup(name))
+        else:
+            monkeypatch.setattr(catalog, "_REALIZED", {})
+
+        def refuse(self):
+            raise AssertionError("enumerated")
+
+        monkeypatch.setattr(_Enumerator, "run", refuse)
+        rc, out, err = run(capsys, *argv, "--group", group)
+        assert (rc, out) == (1, "")
+        assert err == (f"error CapExceeded: |G|*|H| = {orders} exceeds the "
+                       "build cap 144\n")
+
     def test_fault_flag_in_file_scope_is_a_usage_error(self, capsys,
                                                        tmp_path):
         f = tmp_path / "one.grp"

@@ -233,21 +233,6 @@ class TestRegularRepresentation:
         assert g.order == 1
         assert g.element_words == (Word(),)
 
-    def test_enumerated_tables_are_closed(self):
-        table, _ = enumerate_cosets(catalog_lookup("S3").presentation)
-        assert table.closed
-
-    def test_a_hand_built_table_is_traced_at_the_identity_coset(self):
-        # the table of C3 under the presentation of C2: a^2 sends the
-        # identity coset to coset 2
-        p = catalog_lookup("C2").presentation
-        rows = np.array([[1, 2], [2, 0], [0, 1]], dtype=np.int32)
-        table = CosetTable(rows=rows, presentation=p)
-        assert not table.closed
-        with pytest.raises(InternalInconsistency,
-                           match="^relator open at the identity coset$"):
-            regular_representation(table)
-
     def test_intransitive_table_rejected(self):
         # Two copies of the C2 table side by side: every relator closes at
         # coset 0, but cosets 2 and 3 are out of its reach.

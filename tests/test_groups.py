@@ -528,7 +528,9 @@ def _walk_per_step(table, steps):
 def test_blocks_cut_the_range_in_order(n, per_item, cells):
     """The slices cover range(n) exactly and in order, none empty and
     none longer than max(1, cells // per_item); no items, no slices."""
-    cuts = list(groups._blocks(n, per_item, cells))
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(groups, "_CELLS", cells)
+        cuts = list(groups._blocks(n, per_item))
     assert [i for cut in cuts for i in range(n)[cut]] == list(range(n))
     assert all(0 < cut.stop - cut.start <= max(1, cells // max(per_item, 1))
                for cut in cuts)
@@ -542,15 +544,15 @@ def test_blocks_read_the_cell_bound_when_called(monkeypatch):
     assert list(groups._blocks(2, 0)) == [slice(0, 2)]
 
 
-# One step per gather, a few steps per gather, and the engine's bound.
-WALK_CELLS = (1, 5, groups._WALK_CELLS)
+# One step per gather, a few steps per gather, many, and the engine's bound.
+WALK_CELLS = (1, 5, 1 << 13, groups._CELLS)
 
 
 @pytest.mark.parametrize("cells", WALK_CELLS)
 def test_walk_matches_the_per_step_walk_on_the_corpus(monkeypatch, cells):
     """Same tree on the table and on the coset table of every finite
     corpus group."""
-    monkeypatch.setattr(groups, "_WALK_CELLS", cells)
+    monkeypatch.setattr(groups, "_CELLS", cells)
     for entry in finite_corpus():
         g = realize_entry(entry)
         assert _walk(g.table, g.generator_images) == _walk_per_step(
@@ -565,8 +567,24 @@ def test_walk_matches_the_per_step_walk_on_the_corpus(monkeypatch, cells):
 def test_walk_matches_the_per_step_walk(case, cells):
     t, gens = case
     with pytest.MonkeyPatch.context() as mp:
-        mp.setattr(groups, "_WALK_CELLS", cells)
+        mp.setattr(groups, "_CELLS", cells)
         assert _walk(t, gens) == _walk_per_step(t, gens)
+
+
+def test_spread_gives_the_identity_and_the_inverses():
+    """Spread along each finite corpus group's walk, its own generator
+    images give the identity map and their inverses in the transposed
+    table give the inverse of every element (x^-1 = s^-1.p^-1 for x = p.s),
+    by the inverses read off the table."""
+    for entry in finite_corpus():
+        g = realize_entry(entry)
+        inverse = (g.table == 0).argmax(axis=1)
+        assert np.array_equal(
+            groups._spread(g, g.table, g.generator_images),
+            np.arange(g.order)), entry.name
+        assert np.array_equal(
+            groups._spread(g, g.table.T, inverse[list(g.generator_images)]),
+            inverse), entry.name
 
 
 def _greedy_generators(g, members):

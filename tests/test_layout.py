@@ -23,7 +23,11 @@ DOCUMENTED_ONLY = {"print_presentation", "print_action"}
 # The bounds on table sizes: every bounded gather is cut by
 # `groups._blocks` and every group order is checked by
 # `groups._check_order`, so no other module reads them.
-TABLE_BOUNDS = {"_CELLS", "_WALK_CELLS", "GROUP_ORDER_CAP"}
+TABLE_BOUNDS = {"_CELLS", "GROUP_ORDER_CAP"}
+
+# Each realized group is walked once, when it is built, and keeps its
+# walk; only `groups` and the regular representation in `coset` walk.
+WALKERS = {"groups.py", "coset.py"}
 
 
 def _bounds_named(path: Path) -> set[str]:
@@ -42,6 +46,12 @@ def test_only_groups_names_the_table_size_bounds():
     named = {p.name: sorted(_bounds_named(p)) for p in SRC.glob("*.py")}
     assert named.pop("groups.py") == sorted(TABLE_BOUNDS)
     assert {name: b for name, b in named.items() if b} == {}
+
+
+def test_only_groups_and_coset_walk():
+    walking = {p.name for p in SRC.glob("*.py")
+               if "_walk_levels" in _names_read(ast.parse(p.read_text()))}
+    assert walking == WALKERS
 
 
 def test_the_package_root_binds_only_its_submodules():

@@ -1,4 +1,5 @@
 import functools
+import sys
 from math import gcd
 
 import numpy as np
@@ -9,7 +10,7 @@ from ntl.catalog import catalog_lookup
 from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
                         IncompleteMap, InternalInconsistency,
                         NotActionHomomorphism, NotAutomorphism)
-from ntl.coset import EnumerationBudget, budget_scope
+from ntl.coset import EnumerationBudget, budget_scope, realize_presentation
 from ntl.groups import (Homomorphism, Subgroup, _commutators, _walk_levels,
                         closure, derived_subgroup)
 from ntl.parsing import parse_file
@@ -429,13 +430,6 @@ def _nonidentity_first_commutator(base, a, b):
     return want
 
 
-def _walk_without_its_last_run(table, steps):
-    """The walk's levels, the last run of the last level dropped."""
-    levels = _walk_levels(table, steps)
-    levels[-1] = levels[-1][:-1]
-    return levels
-
-
 # Each fault replaces one function that a branch of `build_eta`'s
 # certificate or of `_derived_map` reads; the build must raise that
 # branch's InternalInconsistency.
@@ -450,9 +444,6 @@ CERTIFICATE_FAULTS = {
     "eta-normality": (
         build_nu, Subgroup, "is_normal", lambda self: False,
         r"^nu\(S3\): tensor subgroup is not normal$"),
-    "derived-generation": (
-        square, tensor, "_walk_levels", _walk_without_its_last_run,
-        r"^the symbols a\(x\)b do not generate T$"),
     "derived-symbols": (
         square, tensor, "_commutators", _nonidentity_first_commutator,
         r"^the derived map does not send a\(x\)b to \[a, b\]$"),
@@ -529,6 +520,33 @@ def _inversion_pair():
     there = read_action("action f { from: C4; to: C6; a => (a -> a^-1); }")
     back = read_action("action b { from: C6; to: C4; a => (a -> a^-1); }")
     return validate_compatibility(c4, c6, there, back)
+
+
+def test_built_groups_are_not_walked_again(monkeypatch):
+    """Element words, the action tables of an action file and the derived
+    map read the walk each group kept when it was built: none of these
+    groups' tables is walked again.  (The derived map's image check walks
+    the commutator subgroup in the ambient group, a closure.)"""
+    s3 = realize_presentation(catalog_lookup("S3").presentation)[0]
+    c4, c6 = cyc(4), cyc(6)
+    there = read_action("action f { from: C4; to: C6; a => (a -> a^-1); }")
+    back = read_action("action b { from: C6; to: C4; a => (a -> a^-1); }")
+    r = square(realize_name("S3"))
+    walk, walked = groups._walk_levels, []
+
+    def counted(table, steps):
+        walked.append(table)
+        return walk(table, steps)
+
+    for name, module in list(sys.modules.items()):
+        if name.startswith("ntl.") and hasattr(module, "_walk_levels"):
+            monkeypatch.setattr(module, "_walk_levels", counted)
+    assert len(s3.element_words) == 6
+    validate_compatibility(c4, c6, there, back)
+    assert tensor._derived_map(r.pair, r.group, r.sym) is not None
+    assert walked  # the closures
+    assert not any(table is g.table for table in walked
+                   for g in (s3, c4, c6, r.group))
 
 
 @pytest.mark.parametrize("pair", [
