@@ -5,11 +5,12 @@ There is one producer of each object.  `build_direct` is the only producer
 of a `TensorRealization`, the tensor product T = G(x)H: it enumerates T's
 defining presentation, the biadditivity relators on the |G|*|H| symbols
 a(x)b (Brown-Loday 1987), so its T needs no certificate and its enumeration
-ends near |T| cosets.  T is labelled canonically (`_label_tensor`:
-queue-BFS discovery order over the symbols a(x)b) and carries its symbol
-map and derived map.  The invariants below (the tensor set, J2, the
-diagonal and the symmetrized diagonal) are functions of that realization
-alone.
+ends near |T| cosets.  T keeps the labels and the walk of that
+enumeration and carries its symbol map and derived map.  Every map out of
+T is fixed by the images of the symbols (`_symbol_map`): the derived map,
+and the map onto the T inside eta by which the two routes are compared.
+The invariants below (the tensor set, J2, the diagonal and the
+symmetrized diagonal) are functions of that realization alone.
 
 `build_eta` (and `build_nu`, its conjugation case) is the only producer of
 an `EtaRealization`: eta(G,H), for the commands whose answer is eta and for
@@ -318,12 +319,13 @@ class TensorRealization:
     """The tensor product T = G(x)H of a compatible pair, as `build_direct`
     realizes it.
 
-    `group` is T, labelled canonically by `_label_tensor` and generated by
-    the distinct symbols; `sym[a, b]` is the element a(x)b of T.  `derived`
-    is the map T -> P, a(x)b |-> [a, b], into the pair's ambient group P,
-    verified as a homomorphism with the commutator subgroup as its image;
-    it is None when the pair has no ambient group.  The invariants below
-    are computed from `group`, `sym` and `derived`, once per realization.
+    `group` is T with the labels and walk of its coset enumeration,
+    generated by the symbols in row-major order (repeats and the identity
+    included); `sym[a, b]` is the element a(x)b of T.  `derived` is the map
+    T -> P, a(x)b |-> [a, b], into the pair's ambient group P, verified as
+    a homomorphism with the commutator subgroup as its image; it is None
+    when the pair has no ambient group.  The invariants below are computed
+    from `group`, `sym` and `derived`, once per realization.
     """
 
     pair: CompatibleActionPair
@@ -363,19 +365,29 @@ class EtaRealization:
         return len(set(self.commutators.ravel().tolist()))
 
 
+def _symbol_map(group: RealizedGroup, sym: np.ndarray,
+                target: RealizedGroup, want: np.ndarray
+                ) -> Homomorphism | None:
+    """The map T -> target with a(x)b |-> want[a, b], spread along T's walk
+    over its generators, the symbols (`groups._spread`), and verified as a
+    homomorphism; None when some a(x)b does not go to want[a, b]."""
+    image = dict(zip(sym.ravel().tolist(), want.ravel().tolist()))
+    images = _spread(group, target.table,
+                     [image[s] for s in group.generator_images])
+    if not np.array_equal(images[sym], want):
+        return None
+    return Homomorphism(group, target, images)
+
+
 def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
                  sym: np.ndarray) -> Homomorphism | None:
-    """a(x)b |-> [a, b] into the ambient group, spread along T's walk over
-    its generators, the distinct symbols (`groups._spread`), then
-    verified."""
+    """a(x)b |-> [a, b] into the ambient group (`_symbol_map`), with the
+    commutator subgroup as its image."""
     if pair.ambient is None:
         return None
     base, g_in, h_in = pair.ambient
-    want = _commutators(base, g_in, h_in)
-    image = dict(zip(sym.ravel().tolist(), want.ravel().tolist()))
-    derived = Homomorphism(group, base, _spread(
-        group, base.table, [image[s] for s in group.generator_images]))
-    if not np.array_equal(derived.images[sym], want):
+    derived = _symbol_map(group, sym, base, _commutators(base, g_in, h_in))
+    if derived is None:
         raise InternalInconsistency("the derived map does not send a(x)b "
                                     "to [a, b]")
     comm = commutator_subgroup(closure(base, g_in), closure(base, h_in))
@@ -385,42 +397,15 @@ def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
     return derived
 
 
-def _label_tensor(name: str, table: np.ndarray, sym: np.ndarray
-                  ) -> tuple[RealizedGroup, np.ndarray]:
-    """T with its canonical labels, from the symbols a(x)b in any table
-    that holds them (the biadditivity presentation's, or eta's to compare
-    the two).
-
-    T's elements are numbered in plain queue-BFS discovery order from 0,
-    each dequeued element being multiplied on the right by the distinct
-    symbols in row-major order of `sym`.  The numbering depends on T and
-    `sym` alone, never on the labels of `table`, so an isomorphism that
-    fixes every a(x)b makes the two results equal.  Returns T, generated
-    by the distinct symbols in that order, and `sym` in T's labels.
-    """
-    steps = list(dict.fromkeys(sym.ravel().tolist()))
-    label = {0: 0}
-    members = [0]
-    for x in members:  # the list grows while it is read: a plain queue
-        for y in table[x, steps].tolist():
-            if y not in label:
-                label[y] = len(members)
-                members.append(y)
-    mem = np.asarray(members, dtype=np.int64)
-    relabel = np.full(table.shape[0], -1, dtype=np.int64)
-    relabel[mem] = np.arange(mem.size)
-    group = RealizedGroup(name, relabel[table[np.ix_(mem, mem)]],
-                          relabel[steps])
-    return group, relabel[sym]
-
-
 def same_tensor(r: TensorRealization, e: EtaRealization) -> bool:
-    """Whether the T inside eta, labelled canonically from its commutators
-    [a, b~], is r's T: equal tables and equal symbols, so a(x)b |-> [a, b~]
-    is an isomorphism onto it."""
-    group, sym = _label_tensor(r.group.name, e.eta.table, e.commutators)
-    return (np.array_equal(r.group.table, group.table)
-            and np.array_equal(r.sym, sym))
+    """Whether a(x)b |-> [a, b~] (`_symbol_map`) is an isomorphism from r's
+    T onto the T inside eta: a homomorphism, injective, onto e.tensor."""
+    try:
+        f = _symbol_map(r.group, r.sym, e.eta, e.commutators)
+    except InternalInconsistency:  # the spread map is no homomorphism
+        return False
+    return (f is not None and f.is_injective()
+            and f.image_members() == e.tensor.members)
 
 
 def _check_cap(ng: int, nh: int):
@@ -562,23 +547,25 @@ def build_direct(pair: CompatibleActionPair) -> TensorRealization:
     biadditivity relators on the |G||H| symbols a(x)b (Brown-Loday 1987).
     This is the one producer of T: its realization is T by definition, so
     it needs no certificate, and its enumeration ends near |T| cosets,
-    where eta's ends near |T||G||H|.  The presentation is not kept."""
+    where eta's ends near |T||G||H|.  T keeps the enumeration's table,
+    labels, generators (the symbols a(x)b in row-major order) and walk, but
+    not the presentation."""
     g, h = pair.g, pair.h
     ng, nh = g.order, h.order
     gens = tuple(f"t{a}_{b}" for a in range(ng) for b in range(nh))
     name = f"tensor({g.name},{h.name})"
     presentation = Presentation(name, gens, _direct_relators(pair))
     realized, _ = realize_presentation(presentation)
-    group, sym = _label_tensor(
-        name, realized.table,
-        np.asarray(realized.generator_images).reshape(ng, nh))
+    group = RealizedGroup(name, realized.table, realized.generator_images,
+                          walk=realized.walk)
+    sym = np.asarray(group.generator_images).reshape(ng, nh)
     return TensorRealization(pair, group, sym, _derived_map(pair, group, sym))
 
 
 def tensor_direct(pair: CompatibleActionPair) -> RealizedGroup:
-    """The group T of `build_direct` alone, generated by the distinct
-    symbols a(x)b in row-major order (perfbench/make_expected.py reads its
-    order and generator images)."""
+    """The group T of `build_direct` alone, generated by the symbols a(x)b
+    in row-major order, so its distinct generator images are the m tensors
+    (perfbench/make_expected.py reads its order and generator images)."""
     return build_direct(pair).group
 
 
@@ -601,12 +588,14 @@ def _require_square(r: TensorRealization, what: str):
 
 @_memoized
 def tensor_set(r: TensorRealization) -> dict[int, tuple[int, int]]:
-    """Every tensor a(x)b of T, in increasing label, mapped to its first
-    witnessing pair (a, b) in row-major order; its length is the tensor
-    count m."""
-    values, first = np.unique(r.sym, return_index=True)
+    """Every tensor a(x)b of T mapped to its first witnessing pair (a, b)
+    in row-major order, in the order of those witnesses; its length is the
+    tensor count m."""
     nh = r.sym.shape[1]
-    return {int(v): divmod(int(i), nh) for v, i in zip(values, first)}
+    first: dict[int, tuple[int, int]] = {}
+    for i, v in enumerate(r.sym.ravel().tolist()):
+        first.setdefault(v, divmod(i, nh))
+    return first
 
 
 @_memoized

@@ -189,8 +189,8 @@ def check_route_equivalence(store: ProfileStore) -> CheckResult:
     if bad:
         detail = f"routes disagree on {', '.join(bad)}"
     else:
-        detail = (f"equal tables and symbols on {len(profiles)} builds, so "
-                  "a(x)b |-> a(x)b is an isomorphism")
+        detail = ("a(x)b |-> [a, b~] is an isomorphism onto the T inside "
+                  f"eta on {len(profiles)} builds")
     if not within:
         detail += f"; direct route took {direct_ms} ms (over the 60 s budget)"
     return CheckResult("criterion 2: route equivalence",

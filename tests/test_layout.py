@@ -29,6 +29,11 @@ TABLE_BOUNDS = {"_CELLS", "GROUP_ORDER_CAP"}
 # walk; only `groups` and the regular representation in `coset` walk.
 WALKERS = {"groups.py", "coset.py"}
 
+# One producer per object: the one engine function that constructs each
+# realization record.
+PRODUCERS = {"TensorRealization": "build_direct",
+             "EtaRealization": "build_eta"}
+
 
 def _bounds_named(path: Path) -> set[str]:
     names = set()
@@ -52,6 +57,33 @@ def test_only_groups_and_coset_walk():
     walking = {p.name for p in SRC.glob("*.py")
                if "_walk_levels" in _names_read(ast.parse(p.read_text()))}
     assert walking == WALKERS
+
+
+def _calls_by_function(tree, names) -> list[tuple[str, str]]:
+    """(innermost enclosing function, name) for each call of one of
+    `names`, by plain name or attribute; `<module>` outside functions."""
+    found = []
+
+    def visit(node, where):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.Call):
+                f = child.func
+                name = f.id if isinstance(f, ast.Name) else getattr(
+                    f, "attr", None)
+                if name in names:
+                    found.append((where, name))
+            visit(child, child.name if isinstance(child, ast.FunctionDef)
+                  else where)
+
+    visit(tree, "<module>")
+    return found
+
+
+def test_each_realization_has_one_producer():
+    made = sorted(call for p in SRC.glob("*.py")
+                  for call in _calls_by_function(ast.parse(p.read_text()),
+                                                 PRODUCERS))
+    assert made == sorted((fn, name) for name, fn in PRODUCERS.items())
 
 
 def test_the_package_root_binds_only_its_submodules():

@@ -1,5 +1,6 @@
 import functools
 import sys
+from dataclasses import replace
 from math import gcd
 
 import numpy as np
@@ -12,7 +13,7 @@ from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
                         NotActionHomomorphism, NotAutomorphism)
 from ntl.coset import EnumerationBudget, budget_scope, realize_presentation
 from ntl.groups import (Homomorphism, Subgroup, _commutators, _walk_levels,
-                        closure, derived_subgroup)
+                        closure, derived_subgroup, subgroup_as_group)
 from ntl.parsing import parse_file
 from ntl import groups, tensor
 from ntl.tensor import (_conjugation_table, _first_non_automorphism,
@@ -37,8 +38,8 @@ def square(g):
 
 
 def tensor_of_eta(e):
-    """The T inside eta, labelled canonically from its commutators."""
-    return tensor._label_tensor("T", e.eta.table, e.commutators)
+    """The T inside eta, realized as a group of its own."""
+    return subgroup_as_group(e.tensor)[0]
 
 
 def read_action(text):
@@ -312,7 +313,7 @@ class TestBuildEta:
         direct = build_direct(r.pair)
         assert direct.group.order == r.tensor.order
         assert direct.group.abelianization() == \
-            tensor_of_eta(r)[0].abelianization()
+            tensor_of_eta(r).abelianization()
         assert tensor_direct(r.pair).order == r.tensor.order
 
     def test_embeddings(self):
@@ -475,16 +476,46 @@ ROUTE_PAIRS = {
 def test_the_routes_give_one_object(pair):
     pair = ROUTE_PAIRS[pair]()
     e, direct = build_eta(pair), build_direct(pair)
-    group, sym = tensor_of_eta(e)
-    assert np.array_equal(group.table, direct.group.table)
-    assert group.generator_images == direct.group.generator_images
-    assert np.array_equal(sym, direct.sym)
-    derived = tensor._derived_map(pair, group, sym)
-    if pair.ambient is None:
-        assert derived is None and direct.derived is None
-    else:
-        assert np.array_equal(derived.images, direct.derived.images)
+    assert tensor.same_tensor(direct, e)
     assert e.tensor_count_m == len(tensor_set(direct))
+
+
+def _swap_first_commutator(e):
+    """[1, 1~] and the first commutator that is not the identity
+    exchanged: the identity symbol 1(x)1 must go elsewhere."""
+    c = e.commutators.copy().ravel()
+    k = int(np.flatnonzero(c)[0])
+    c[0], c[k] = c[k], c[0]
+    return replace(e, commutators=c.reshape(e.commutators.shape))
+
+
+def _swap_two_tensors(e):
+    """The values of two distinct non-identity tensors exchanged wherever
+    they occur: each symbol still has one image, but no homomorphism
+    gives them."""
+    c = e.commutators
+    x, y = list(dict.fromkeys(c[c != 0].tolist()))[:2]
+    return replace(e, commutators=np.where(c == x, y, np.where(c == y, x, c)))
+
+
+# Each fault breaks one conjunct of `same_tensor`: the symbol images, the
+# homomorphism, injectivity, the image.
+SAME_TENSOR_FAULTS = {
+    "symbol-images": _swap_first_commutator,
+    "homomorphism": _swap_two_tensors,
+    "injectivity": lambda e: replace(
+        e, commutators=np.zeros_like(e.commutators)),
+    "image": lambda e: replace(
+        e, tensor=Subgroup(e.eta, tuple(range(e.eta.order)))),
+}
+
+
+@pytest.mark.parametrize("fault", SAME_TENSOR_FAULTS)
+def test_every_conjunct_of_same_tensor_can_fail(fault):
+    e = build_nu(realize_name("S3"))
+    r = build_direct(e.pair)
+    assert tensor.same_tensor(r, e)
+    assert tensor.same_tensor(r, SAME_TENSOR_FAULTS[fault](e)) is False
 
 
 def _loop_relators(pair):
@@ -523,15 +554,18 @@ def _inversion_pair():
 
 
 def test_built_groups_are_not_walked_again(monkeypatch):
-    """Element words, the action tables of an action file and the derived
-    map read the walk each group kept when it was built: none of these
-    groups' tables is walked again.  (The derived map's image check walks
-    the commutator subgroup in the ambient group, a closure.)"""
+    """Element words, the action tables of an action file, the derived
+    map and the route comparison read the walk each group kept when it
+    was built: none of these groups' tables is walked again.  (The derived
+    map's image check walks the commutator subgroup in the ambient group,
+    a closure.)  `build_direct` walks only T's coset table, and keeps that
+    walk."""
     s3 = realize_presentation(catalog_lookup("S3").presentation)[0]
     c4, c6 = cyc(4), cyc(6)
     there = read_action("action f { from: C4; to: C6; a => (a -> a^-1); }")
     back = read_action("action b { from: C6; to: C4; a => (a -> a^-1); }")
     r = square(realize_name("S3"))
+    e = build_nu(r.pair.g)
     walk, walked = groups._walk_levels, []
 
     def counted(table, steps):
@@ -547,6 +581,20 @@ def test_built_groups_are_not_walked_again(monkeypatch):
     assert walked  # the closures
     assert not any(table is g.table for table in walked
                    for g in (s3, c4, c6, r.group))
+    walked.clear()
+    assert tensor.same_tensor(r, e)
+    assert walked == []
+    for pair in (trivial_pair(c4, c6), r.pair):
+        direct = build_direct(pair)
+        ng, nh = pair.g.order, pair.h.order
+        # the coset table, one column per generator and inverse
+        assert walked[0].shape == (direct.group.order, 2 * ng * nh)
+        if pair.ambient is None:
+            assert len(walked) == 1
+        else:  # the derived map's image check: closures in the ambient
+            assert all(table is pair.ambient[0].table
+                       for table in walked[1:])
+        walked.clear()
 
 
 @pytest.mark.parametrize("pair", [
@@ -582,7 +630,7 @@ class TestTensorDirect:
             AbelianInvariants.from_cyclic_orders([n]))
         assert r.tensor.order == (want.order() or 0)
         assert direct.order == (want.order() or 0)
-        assert tensor_of_eta(r)[0].abelianization() == want
+        assert tensor_of_eta(r).abelianization() == want
         assert direct.abelianization() == want
 
     def test_nonabelian_pair_reduces_to_abelianizations(self):
@@ -626,8 +674,12 @@ class TestTensorSet:
             assert int(r.sym[a, b]) == elt
             got = comm(e.eta, gens[a], gens[6 + b])
             assert got == incl.images[elt]
-        assert 0 in ts
-        assert list(ts) == sorted(ts)
+        # in row-major order of first witness, from 1(x)1 = 1
+        assert list(ts.values()) == sorted(ts.values())
+        assert next(iter(ts)) == 0
+        for a in range(6):
+            for b in range(6):
+                assert ts[int(r.sym[a, b])] <= (a, b)
 
 
 class TestDerivedMap:
