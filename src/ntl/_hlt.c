@@ -1,0 +1,237 @@
+/* The HLT pass of Todd-Coxeter coset enumeration of the trivial subgroup
+   (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 5),
+   with row filling and in-place coincidence processing on a union-find.
+
+   `ntl.coset` compiles this file once and calls it through ctypes:
+   `ntl_hlt_run` fills the table and `ntl_hlt_take` copies the live rows
+   out and unmaps every buffer.  Definitions take the first undefined entry
+   in row-major order, relators are scanned in the order given, a merge
+   keeps the smaller index and every coincidence drains one queue, so
+   identical inputs give identical tables and counts.
+
+   All state lives in `struct hlt`, which the caller owns.  The table, the
+   union-find and the coincidence queue share one anonymous mapping, so a
+   finished run hands its memory straight back to the system.  Table
+   entries are int32 (-1 is undefined); index arithmetic is int64. */
+
+#define _GNU_SOURCE
+#include <stdint.h>
+#include <string.h>
+#include <sys/mman.h>
+#include <time.h>
+
+enum { DONE, COSETS_EXHAUSTED, TIME_EXHAUSTED, OUT_OF_MEMORY };
+
+struct hlt {
+    int64_t width, max_cosets;
+    double deadline;    /* CLOCK_MONOTONIC seconds; +inf for none */
+    int64_t rows, cap;  /* rows defined, rows mapped */
+    int64_t defined, alive, coincidences, queued;
+    int32_t *tab, *uf, *queue;  /* cap * width, cap, cap entries */
+};
+
+#define T(c, x) h->tab[(int64_t)(c) * h->width + (x)]
+
+static size_t map_bytes(const struct hlt *h, int64_t cap)
+{
+    return (size_t)cap * (size_t)(h->width + 2) * sizeof(int32_t);
+}
+
+/* Map room for `cap` rows, keeping the defined part of the union-find. */
+static int remap(struct hlt *h, int64_t cap)
+{
+    size_t bytes = map_bytes(h, cap);
+    void *base;
+    if (h->tab == NULL) {
+        base = mmap(NULL, bytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+    } else {
+#ifdef MREMAP_MAYMOVE
+        base = mremap(h->tab, map_bytes(h, h->cap), bytes, MREMAP_MAYMOVE);
+#else
+        base = mmap(NULL, bytes, PROT_READ | PROT_WRITE,
+                    MAP_PRIVATE | MAP_ANONYMOUS, -1, 0);
+        if (base != MAP_FAILED) {
+            memcpy(base, h->tab, map_bytes(h, h->cap));
+            munmap(h->tab, map_bytes(h, h->cap));
+        }
+#endif
+    }
+    if (base == MAP_FAILED)
+        return 0;
+    int32_t *old_uf = (int32_t *)base + h->cap * h->width;
+    h->tab = base;
+    h->uf = h->tab + cap * h->width;
+    memmove(h->uf, old_uf, (size_t)h->rows * sizeof(int32_t));
+    h->queue = h->uf + cap;
+    h->cap = cap;
+    return 1;
+}
+
+static int past_deadline(const struct hlt *h)
+{
+    struct timespec now;
+    clock_gettime(CLOCK_MONOTONIC, &now);
+    return now.tv_sec + now.tv_nsec * 1e-9 > h->deadline;
+}
+
+static int64_t find(struct hlt *h, int64_t c)
+{
+    int32_t *uf = h->uf;
+    int64_t r = c;
+    while (uf[r] != r)
+        r = uf[r];
+    while (uf[c] != r) {
+        int64_t next = uf[c];
+        uf[c] = (int32_t)r;
+        c = next;
+    }
+    return r;
+}
+
+/* A new coset alpha.x; the budget is tested before the table grows. */
+static int define(struct hlt *h, int64_t alpha, int64_t x)
+{
+    h->defined++;
+    h->alive++;
+    if (h->defined > h->max_cosets)
+        return COSETS_EXHAUSTED;
+    if (h->defined % 1024 == 0 && past_deadline(h))
+        return TIME_EXHAUSTED;
+    if (h->rows == h->cap
+        && (h->cap == INT32_MAX
+            || !remap(h, h->cap > INT32_MAX / 2 ? INT32_MAX : 2 * h->cap)))
+        return OUT_OF_MEMORY;
+    int64_t beta = h->rows++;
+    memset(&T(beta, 0), 0xff, (size_t)h->width * sizeof(int32_t));
+    T(beta, x ^ 1) = (int32_t)alpha;
+    h->uf[beta] = (int32_t)beta;
+    T(alpha, x) = (int32_t)beta;
+    return DONE;
+}
+
+static void merge(struct hlt *h, int64_t a, int64_t b)
+{
+    int64_t fa = find(h, a), fb = find(h, b);
+    if (fa == fb)
+        return;
+    if (fa > fb) {
+        int64_t t = fa;
+        fa = fb;
+        fb = t;
+    }
+    h->uf[fb] = (int32_t)fa;
+    h->queue[h->queued++] = (int32_t)fb;
+    h->alive--;
+    h->coincidences++;
+}
+
+static void coincidence(struct hlt *h, int64_t a, int64_t b)
+{
+    h->queued = 0;
+    merge(h, a, b);
+    for (int64_t qi = 0; qi < h->queued; qi++) {
+        int64_t gamma = h->queue[qi];
+        for (int64_t x = 0; x < h->width; x++) {
+            int64_t delta = T(gamma, x);
+            if (delta < 0)
+                continue;
+            T(delta, x ^ 1) = -1;
+            int64_t mu = find(h, gamma), nu = find(h, delta);
+            if (T(mu, x) >= 0) {
+                merge(h, nu, T(mu, x));
+            } else if (T(nu, x ^ 1) >= 0) {
+                merge(h, mu, T(nu, x ^ 1));
+            } else {
+                T(mu, x) = (int32_t)nu;
+                T(nu, x ^ 1) = (int32_t)mu;
+            }
+        }
+    }
+}
+
+static int scan_and_fill(struct hlt *h, int64_t alpha, const int32_t *w,
+                         int64_t len)
+{
+    int64_t i = 0, j = len - 1, f = alpha, b = alpha;
+    for (;;) {
+        for (; i <= j && T(f, w[i]) >= 0; i++)
+            f = T(f, w[i]);
+        if (i > j) {
+            if (f != b)
+                coincidence(h, f, b);
+            return DONE;
+        }
+        for (; j >= i && T(b, w[j] ^ 1) >= 0; j--)
+            b = T(b, w[j] ^ 1);
+        if (j < i) {
+            coincidence(h, f, b);
+            return DONE;
+        }
+        if (j == i) {
+            T(f, w[i]) = (int32_t)b;
+            T(b, w[i] ^ 1) = (int32_t)f;
+            return DONE;
+        }
+        int status = define(h, f, w[i]);
+        if (status)
+            return status;
+    }
+}
+
+/* Relator k is letters[ends[k-1]:ends[k]] (ends[-1] = 0), in column
+   letters: 2g for generator g, 2g+1 for its inverse.  Fills the table from
+   the identity coset; returns DONE or why the run stopped. */
+int32_t ntl_hlt_run(struct hlt *h, const int32_t *letters,
+                    const int64_t *ends, int64_t nrel)
+{
+    h->rows = h->cap = h->queued = h->coincidences = 0;
+    h->tab = h->uf = h->queue = NULL;
+    /* one page to start with: most tables are small */
+    int64_t row = (int64_t)map_bytes(h, 1);
+    if (!remap(h, row < 4096 ? 4096 / row : 1))
+        return OUT_OF_MEMORY;
+    memset(h->tab, 0xff, (size_t)h->width * sizeof(int32_t));
+    h->uf[0] = 0;
+    h->rows = h->defined = h->alive = 1;
+    int status = DONE;
+    for (int64_t alpha = 0; alpha < h->rows; alpha++) {
+        if (h->uf[alpha] != alpha)
+            continue;
+        for (int64_t k = 0, start = 0; k < nrel; start = ends[k++]) {
+            if ((status = scan_and_fill(h, alpha, letters + start,
+                                        ends[k] - start)))
+                return status;
+            if (h->uf[alpha] != alpha)
+                break;
+        }
+        if (h->uf[alpha] != alpha)
+            continue;
+        for (int64_t x = 0; x < h->width; x++)
+            if (T(alpha, x) < 0 && (status = define(h, alpha, x)))
+                return status;
+    }
+    /* a short run may never reach a 1024th coset */
+    return past_deadline(h) ? TIME_EXHAUSTED : DONE;
+}
+
+/* Copy the first `room` live rows and their indices out, in index order,
+   and unmap every buffer; returns the number of live rows. */
+int64_t ntl_hlt_take(struct hlt *h, int64_t *live, int32_t *rows,
+                     int64_t room)
+{
+    int64_t n = 0;
+    for (int64_t c = 0; c < h->rows; c++) {
+        if (h->uf[c] != c)
+            continue;
+        if (n < room) {
+            live[n] = c;
+            memcpy(rows + n * h->width, &T(c, 0),
+                   (size_t)h->width * sizeof(int32_t));
+        }
+        n++;
+    }
+    munmap(h->tab, map_bytes(h, h->cap));
+    h->tab = h->uf = h->queue = NULL;
+    return n;
+}

@@ -336,11 +336,23 @@ def _cmd_invariant(args: argparse.Namespace) -> dict:
             "result": invariants_result(inv), "chain": chain}
 
 
+def _check_triad_degrees(pair, p: int, q: int):
+    """The relative groups pi_{p+1}(A, C) and pi_{q+1}(B, C) stand for
+    `--group` and `--other`; one of degree p+1 >= 3 (or q+1) is abelian, so
+    a non-abelian group cannot be it."""
+    for degree, g in ((p, pair.g), (q, pair.h)):
+        if degree >= 2 and not g.is_abelian():
+            raise NotAbelian(f"{g.name!r} is not abelian; a relative "
+                             f"homotopy group of degree {degree + 1} must be")
+
+
 def _cmd_triad(args: argparse.Namespace) -> dict:
     if min(args.p, args.q) < 1:  # before anything is built
         raise _UsageError("connectivity degrees must be >= 1")
     # the triad group is the tensor product of the two relative groups
-    r, query = _tensor_input(args)
+    pair, query = _pair_inputs(args)
+    _check_triad_degrees(pair, args.p, args.q)  # before T is built
+    r = build_direct(pair)
     query = dict(query, p=args.p, q=args.q)
     return {"query": query, "result": group_result(r.group),
             "chain": [f"triad group lives in dimension p+q+1 = "

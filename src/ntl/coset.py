@@ -7,12 +7,15 @@ table of the trivial subgroup and nothing else, so that is the only table
 the enumerator builds.
 
 The strategy is HLT with row filling and in-place coincidence processing
-on a union-find over cosets.  Every relator is scanned at every live coset,
-so the finished table is closed under all of them; a vectorized closing
-check traces every relator at every coset once more (relators of one length
-together, one gather per letter) and reports an open one as an engine bug,
-never as a reason to go on enumerating.  Each relator is flattened into
-column letters once per run.
+on a union-find over cosets.  The pass runs in a small C kernel,
+`_hlt.c`, compiled once with the C compiler Python was built with into the
+`__pycache__` beside it and called through ctypes; every other step stays
+in numpy.  Every relator is scanned at every live coset, so the finished
+table is closed under all of them; a vectorized closing check, independent
+of the kernel, traces every relator at every coset once more (relators of
+one length together, one gather per letter) and reports an open one as an
+engine bug, never as a reason to go on enumerating.  Each relator is
+flattened into column letters once per run.
 
 Definitions use the first undefined entry in row-major order, so identical
 inputs give identical tables and stats.  Every run adds its cosets to the
@@ -23,14 +26,25 @@ it.
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import math
 import os
+import sysconfig
+import tempfile
 import time
 from contextlib import contextmanager
 from contextvars import ContextVar
 from dataclasses import dataclass
-from itertools import chain
+from itertools import accumulate, chain
+from pathlib import Path
 
 import numpy as np
+
+try:  # the builtin SHA-256; hashlib loads OpenSSL, about 5 ms a process
+    from _sha256 import sha256
+except ImportError:  # no builtin module of that name (Python 3.12 on)
+    from hashlib import sha256
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .groups import (RealizedGroup, _blocks, _check_order, _runs,
@@ -169,155 +183,153 @@ def _dedup(seqs) -> list[tuple[int, ...]]:
     return out
 
 
+class _State(ctypes.Structure):
+    """`struct hlt` of `_hlt.c`: one run's inputs, counts and buffers."""
+
+    _fields_ = [("width", ctypes.c_int64), ("max_cosets", ctypes.c_int64),
+                ("deadline", ctypes.c_double),
+                ("rows", ctypes.c_int64), ("cap", ctypes.c_int64),
+                ("defined", ctypes.c_int64), ("alive", ctypes.c_int64),
+                ("coincidences", ctypes.c_int64), ("queued", ctypes.c_int64),
+                ("tab", ctypes.c_void_p), ("uf", ctypes.c_void_p),
+                ("queue", ctypes.c_void_p)]
+
+
+_SOURCE = Path(__file__).with_name("_hlt.c")
+_COSETS_EXHAUSTED, _TIME_EXHAUSTED, _OUT_OF_MEMORY = 1, 2, 3
+
+
+def _cache_dir() -> Path:
+    """`__pycache__` next to the kernel's source, or, where that is not
+    writable, a directory of this user's under the temporary directory."""
+    cache = _SOURCE.parent / "__pycache__"
+    try:
+        cache.mkdir(exist_ok=True)
+    except OSError:
+        pass
+    if os.access(cache, os.W_OK):
+        return cache
+    cache = Path(tempfile.gettempdir()) / f"ntl-{os.getuid()}"
+    cache.mkdir(mode=0o700, exist_ok=True)
+    if cache.stat().st_uid != os.getuid():
+        raise RuntimeError(f"{cache} belongs to another user")
+    return cache
+
+
+def _build(cache: Path) -> Path:
+    """The kernel library in `cache`, named by the SHA-256 of its source
+    and of the compile command; compiled first if it is not there.  The
+    compiler writes a temporary file that is then renamed into place, so a
+    concurrent process never loads a half-written library."""
+    command = [*(sysconfig.get_config_var("CC") or "cc").split(),
+               "-O2", "-shared", "-fPIC"]
+    digest = sha256(_SOURCE.read_bytes()
+                    + " ".join(command).encode()).hexdigest()
+    lib = cache / f"_hlt.{digest[:16]}.so"
+    if lib.exists():
+        return lib
+    import subprocess  # only to compile, which a process does at most once
+
+    fd, tmp = tempfile.mkstemp(prefix="_hlt.", suffix=".tmp", dir=cache)
+    os.close(fd)
+    argv = [*command, "-o", tmp, str(_SOURCE)]
+    try:
+        try:
+            done = subprocess.run(argv, capture_output=True, text=True)
+        except OSError as exc:
+            raise RuntimeError(f"cannot compile the HLT kernel: "
+                               f"`{' '.join(argv)}` failed: {exc}") from exc
+        if done.returncode:
+            raise RuntimeError(
+                f"cannot compile the HLT kernel: `{' '.join(argv)}` exited "
+                f"with status {done.returncode}:\n{done.stderr}")
+        os.replace(tmp, lib)
+    finally:
+        if os.path.exists(tmp):
+            os.unlink(tmp)
+    return lib
+
+
+@functools.cache
+def _kernel() -> ctypes.CDLL:
+    """The compiled HLT pass, loaded once per process.  An OSError here is
+    no usage error, which is what the CLI would call one."""
+    try:
+        kernel = ctypes.CDLL(str(_build(_cache_dir())))
+    except OSError as exc:
+        raise RuntimeError(f"cannot build or load the HLT kernel: {exc}"
+                           ) from exc
+    state = ctypes.POINTER(_State)
+    kernel.ntl_hlt_run.argtypes = [state, ctypes.c_void_p, ctypes.c_void_p,
+                                   ctypes.c_int64]
+    kernel.ntl_hlt_run.restype = ctypes.c_int32
+    kernel.ntl_hlt_take.argtypes = [state, ctypes.c_void_p, ctypes.c_void_p,
+                                    ctypes.c_int64]
+    kernel.ntl_hlt_take.restype = ctypes.c_int64
+    return kernel
+
+
+def _hlt_pass(relators: list[tuple[int, ...]], width: int,
+              budget: EnumerationBudget, deadline: float | None):
+    """Run the HLT pass in the kernel.  Returns the number of rows it
+    filled, the indices of the live ones, their rows and the run's stats;
+    raises BudgetExceeded as the budget runs out."""
+    kernel = _kernel()
+    lengths = [len(w) for w in relators]
+    letters = np.fromiter(chain.from_iterable(relators), dtype=np.int32,
+                          count=sum(lengths))
+    ends = np.fromiter(accumulate(lengths), dtype=np.int64,
+                       count=len(lengths))
+    state = _State(width=width,
+                   # ctypes would wrap a larger budget silently
+                   max_cosets=min(budget.max_cosets, 2 ** 63 - 1),
+                   deadline=math.inf if deadline is None else deadline)
+    try:
+        status = kernel.ntl_hlt_run(state, letters.ctypes.data,
+                                    ends.ctypes.data, len(relators))
+        stats = EnumerationStats(cosets_defined=state.defined,
+                                 cosets_final=state.alive,
+                                 coincidences=state.coincidences)
+        if status == _COSETS_EXHAUSTED:
+            raise budget.cosets_exhausted(stats)
+        if status == _TIME_EXHAUSTED:
+            raise BudgetExceeded(
+                f"time budget {budget.max_time_ms} ms exhausted", stats=stats)
+        if status == _OUT_OF_MEMORY:
+            raise MemoryError(f"no memory for a coset table of "
+                              f"{state.cap} rows and {width} columns")
+        n = state.alive
+        live = np.empty(n, dtype=np.int64)
+        rows = np.empty((n, width), dtype=np.int32)
+        found = kernel.ntl_hlt_take(state, live.ctypes.data, rows.ctypes.data,
+                                    n)
+    finally:
+        if state.tab:  # not yet unmapped by a take
+            kernel.ntl_hlt_take(state, None, None, 0)
+    if found != n:
+        raise InternalInconsistency(
+            f"the HLT pass counted {n} live cosets but left {found}")
+    return state.rows, live, rows, stats
+
+
 class _Enumerator:
     def __init__(self, p: Presentation):
         self.width = 2 * p.ngens
         self.relators = _dedup([word_letters(w) for w in p.relators])
         self.budget = current_budget()
         self.deadline = _OPEN_SCOPE.get().deadline
-        self.tab: list[list[int]] = [[-1] * self.width]
-        self.uf: list[int] = [0]
-        self.n_defined = 1
-        self.n_alive = 1
-        self.n_coincidences = 0
 
-    # -- low-level ----------------------------------------------------------
-
-    def _find(self, c: int) -> int:
-        uf = self.uf
-        r = c
-        while uf[r] != r:
-            r = uf[r]
-        while uf[c] != r:
-            uf[c], c = r, uf[c]
-        return r
-
-    def _check_budget(self):
-        if self.n_defined > self.budget.max_cosets:
-            raise self.budget.cosets_exhausted(self._stats())
-        if self.n_defined % 1024 == 0:
-            self._check_deadline()
-
-    def _check_deadline(self):
-        if self.deadline is not None and time.monotonic() > self.deadline:
-            raise BudgetExceeded(
-                f"time budget {self.budget.max_time_ms} ms exhausted",
-                stats=self._stats())
-
-    def _define(self, alpha: int, x: int) -> int:
-        beta = len(self.tab)
-        row = [-1] * self.width
-        row[x ^ 1] = alpha
-        self.tab.append(row)
-        self.uf.append(beta)
-        self.tab[alpha][x] = beta
-        self.n_defined += 1
-        self.n_alive += 1
-        self._check_budget()
-        return beta
-
-    def _merge(self, a: int, b: int, queue: list[int]):
-        fa, fb = self._find(a), self._find(b)
-        if fa == fb:
-            return
-        if fa > fb:
-            fa, fb = fb, fa
-        self.uf[fb] = fa
-        queue.append(fb)
-        self.n_alive -= 1
-        self.n_coincidences += 1
-
-    def _coincidence(self, a: int, b: int):
-        queue: list[int] = []
-        self._merge(a, b, queue)
-        tab = self.tab
-        qi = 0
-        while qi < len(queue):
-            gamma = queue[qi]
-            qi += 1
-            row = tab[gamma]
-            for x in range(self.width):
-                delta = row[x]
-                if delta < 0:
-                    continue
-                tab[delta][x ^ 1] = -1
-                mu = self._find(gamma)
-                nu = self._find(delta)
-                if tab[mu][x] >= 0:
-                    self._merge(nu, tab[mu][x], queue)
-                elif tab[nu][x ^ 1] >= 0:
-                    self._merge(mu, tab[nu][x ^ 1], queue)
-                else:
-                    tab[mu][x] = nu
-                    tab[nu][x ^ 1] = mu
-
-    def _scan_and_fill(self, alpha: int, w: tuple[int, ...]):
-        tab = self.tab
-        i, j = 0, len(w) - 1
-        f = b = alpha
-        while True:
-            while i <= j:
-                d = tab[f][w[i]]
-                if d < 0:
-                    break
-                f = d
-                i += 1
-            if i > j:
-                if f != b:
-                    self._coincidence(f, b)
-                return
-            while j >= i:
-                d = tab[b][w[j] ^ 1]
-                if d < 0:
-                    break
-                b = d
-                j -= 1
-            if j < i:
-                self._coincidence(f, b)
-                return
-            if j == i:
-                tab[f][w[i]] = b
-                tab[b][w[i] ^ 1] = f
-                return
-            self._define(f, w[i])
-
-    # -- phases --------------------------------------------------------------
-
-    def _hlt_pass(self):
-        uf = self.uf
-        alpha = 0
-        while alpha < len(self.tab):
-            if uf[alpha] != alpha:
-                alpha += 1
-                continue
-            for w in self.relators:
-                self._scan_and_fill(alpha, w)
-                if uf[alpha] != alpha:
-                    break
-            if uf[alpha] == alpha:
-                row = self.tab[alpha]
-                for x in range(self.width):
-                    if row[x] < 0:
-                        self._define(alpha, x)
-            alpha += 1
-
-    def _compress(self):
+    def _compress(self, total: int, live: np.ndarray, rows: np.ndarray):
         """The live rows renumbered 0.., as columns; taken in bounded
         blocks (`groups._blocks`).  An incomplete row anywhere is reported
         before a reference to a dead coset."""
-        total = len(self.tab)
-        uf = np.fromiter(self.uf, dtype=np.int64, count=total)
-        live = np.flatnonzero(uf == np.arange(total))
         n = live.size
-        renum = np.full(total, -1, dtype=np.int64)
-        renum[live] = np.arange(n)
-        cols = np.empty((self.width, n), dtype=np.int64)
+        renum = np.full(total, -1, dtype=np.int32)
+        renum[live] = np.arange(n, dtype=np.int32)
+        cols = np.empty((self.width, n), dtype=np.int32)
         dead = False
         for cut in _blocks(n, self.width):
-            rows = [self.tab[c] for c in live[cut].tolist()]
-            raw = np.fromiter(chain.from_iterable(rows), dtype=np.int64,
-                              count=len(rows) * self.width
-                              ).reshape(len(rows), self.width)
+            raw = rows[cut]
             if raw.size and raw.min() < 0:
                 raise InternalInconsistency("incomplete row after HLT pass")
             block = renum[raw]
@@ -359,20 +371,13 @@ class _Enumerator:
         return f"relator {k} is open at coset {coset}"
 
     def run(self):
-        self._hlt_pass()
-        self._check_deadline()  # a short run may never reach a 1024th coset
-        cols = self._compress()
+        total, live, rows, stats = _hlt_pass(self.relators, self.width,
+                                             self.budget, self.deadline)
+        cols = self._compress(total, live, rows)
         violation = self._find_violation(cols)
         if violation is not None:
             raise InternalInconsistency(f"{violation} after the HLT pass")
-        return (cols.T.astype(np.int32).copy(),
-                self._stats(final=cols.shape[1]))
-
-    def _stats(self, final: int | None = None) -> EnumerationStats:
-        return EnumerationStats(
-            cosets_defined=self.n_defined,
-            cosets_final=self.n_alive if final is None else final,
-            coincidences=self.n_coincidences)
+        return np.ascontiguousarray(cols.T), stats
 
 
 def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:

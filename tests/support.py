@@ -1,7 +1,13 @@
-"""Helpers the tests share: catalog groups by name, and the commutator
-read off a group's table one product at a time."""
+"""Helpers the tests share: catalog groups by name, the commutator read
+off a group's table one product at a time, and the HLT pass in pure Python
+as the reference for the compiled one."""
+
+import numpy as np
 
 from ntl.catalog import catalog_lookup, realize_entry
+from ntl.coset import (EnumerationBudget, EnumerationStats, _dedup,
+                       word_letters)
+from ntl.words import Presentation
 
 
 def realize_name(name: str):
@@ -13,3 +19,140 @@ def comm(g, x: int, y: int) -> int:
     """[x, y] = x^-1 y^-1 x y in the realized group g."""
     t, inv = g.table, g.inverse
     return int(t[t[inv[x], inv[y]], t[x, y]])
+
+
+class ReferenceEnumerator:
+    """The HLT pass in pure Python, statement for statement what
+    `src/ntl/_hlt.c` does: the reference the kernel must match row for row
+    and count for count, budget exhaustion included.  It reads the coset
+    budget only, never a deadline."""
+
+    def __init__(self, p: Presentation, max_cosets: int):
+        self.width = 2 * p.ngens
+        self.relators = _dedup([word_letters(w) for w in p.relators])
+        self.budget = EnumerationBudget(max_cosets=max_cosets)
+        self.tab: list[list[int]] = [[-1] * self.width]
+        self.uf: list[int] = [0]
+        self.n_defined = 1
+        self.n_alive = 1
+        self.n_coincidences = 0
+
+    def _find(self, c: int) -> int:
+        uf = self.uf
+        r = c
+        while uf[r] != r:
+            r = uf[r]
+        while uf[c] != r:
+            uf[c], c = r, uf[c]
+        return r
+
+    def _define(self, alpha: int, x: int) -> int:
+        beta = len(self.tab)
+        row = [-1] * self.width
+        row[x ^ 1] = alpha
+        self.tab.append(row)
+        self.uf.append(beta)
+        self.tab[alpha][x] = beta
+        self.n_defined += 1
+        self.n_alive += 1
+        if self.n_defined > self.budget.max_cosets:
+            raise self.budget.cosets_exhausted(self._stats())
+        return beta
+
+    def _merge(self, a: int, b: int, queue: list[int]):
+        fa, fb = self._find(a), self._find(b)
+        if fa == fb:
+            return
+        if fa > fb:
+            fa, fb = fb, fa
+        self.uf[fb] = fa
+        queue.append(fb)
+        self.n_alive -= 1
+        self.n_coincidences += 1
+
+    def _coincidence(self, a: int, b: int):
+        queue: list[int] = []
+        self._merge(a, b, queue)
+        tab = self.tab
+        qi = 0
+        while qi < len(queue):
+            gamma = queue[qi]
+            qi += 1
+            row = tab[gamma]
+            for x in range(self.width):
+                delta = row[x]
+                if delta < 0:
+                    continue
+                tab[delta][x ^ 1] = -1
+                mu = self._find(gamma)
+                nu = self._find(delta)
+                if tab[mu][x] >= 0:
+                    self._merge(nu, tab[mu][x], queue)
+                elif tab[nu][x ^ 1] >= 0:
+                    self._merge(mu, tab[nu][x ^ 1], queue)
+                else:
+                    tab[mu][x] = nu
+                    tab[nu][x ^ 1] = mu
+
+    def _scan_and_fill(self, alpha: int, w: tuple[int, ...]):
+        tab = self.tab
+        i, j = 0, len(w) - 1
+        f = b = alpha
+        while True:
+            while i <= j:
+                d = tab[f][w[i]]
+                if d < 0:
+                    break
+                f = d
+                i += 1
+            if i > j:
+                if f != b:
+                    self._coincidence(f, b)
+                return
+            while j >= i:
+                d = tab[b][w[j] ^ 1]
+                if d < 0:
+                    break
+                b = d
+                j -= 1
+            if j < i:
+                self._coincidence(f, b)
+                return
+            if j == i:
+                tab[f][w[i]] = b
+                tab[b][w[i] ^ 1] = f
+                return
+            self._define(f, w[i])
+
+    def _hlt_pass(self):
+        uf = self.uf
+        alpha = 0
+        while alpha < len(self.tab):
+            if uf[alpha] != alpha:
+                alpha += 1
+                continue
+            for w in self.relators:
+                self._scan_and_fill(alpha, w)
+                if uf[alpha] != alpha:
+                    break
+            if uf[alpha] == alpha:
+                row = self.tab[alpha]
+                for x in range(self.width):
+                    if row[x] < 0:
+                        self._define(alpha, x)
+            alpha += 1
+
+    def run(self) -> tuple[np.ndarray, EnumerationStats]:
+        """The live rows renumbered 0.. in index order, and the stats."""
+        self._hlt_pass()
+        live = [c for c, r in enumerate(self.uf) if r == c]
+        renum = {c: k for k, c in enumerate(live)}
+        rows = np.array([[renum[d] for d in self.tab[c]] for c in live],
+                        dtype=np.int32).reshape(len(live), self.width)
+        return rows, self._stats(final=len(live))
+
+    def _stats(self, final: int | None = None) -> EnumerationStats:
+        return EnumerationStats(
+            cosets_defined=self.n_defined,
+            cosets_final=self.n_alive if final is None else final,
+            coincidences=self.n_coincidences)

@@ -254,6 +254,37 @@ class TestTriad:
         assert record["chain"] == ["triad group lives in dimension "
                                    "p+q+1 = 4"]
 
+    @pytest.mark.parametrize("argv,name,degree", [
+        (("--group", "S3", "-p", "2", "-q", "3"), "S3", 3),
+        (("--group", "S3", "--other", "C2", "--trivial-actions", "-p", "2"),
+         "S3", 3),
+        (("--group", "C2", "--other", "S3", "--trivial-actions", "-q", "3"),
+         "S3", 4)], ids=["square", "group", "other"])
+    def test_a_degree_above_one_refuses_a_non_abelian_group(
+            self, capsys, monkeypatch, argv, name, degree):
+        def refuse(pair):
+            raise AssertionError("built T")
+        monkeypatch.setattr(cli, "build_direct", refuse)
+        rc, out, err = run(capsys, "triad", *argv)
+        assert (rc, out) == (1, "")
+        assert err == (f"error NotAbelian: '{name}' is not abelian; a "
+                       f"relative homotopy group of degree {degree} must "
+                       "be\n")
+
+    def test_degree_one_takes_a_non_abelian_group(self, capsys):
+        rc, record, _ = run_json(capsys, "triad", "--group", "S3", "--other",
+                                 "C2", "--trivial-actions", "-q", "2")
+        assert rc == 0
+        assert record["result"]["order"] == 2  # S3^ab (x) C2
+
+    def test_without_the_degree_check_s3_is_answered_again(self, capsys,
+                                                           monkeypatch):
+        monkeypatch.setattr(cli, "_check_triad_degrees", lambda *a: None)
+        rc, record, _ = run_json(capsys, "triad", "--group", "S3",
+                                 "-p", "2", "-q", "3")
+        assert rc == 0
+        assert record["result"]["order"] == 6  # S3(x)S3
+
     def test_degree_validation(self, capsys):
         for degrees in (["-p", "0"], ["-q", "0"], ["-p", "-1", "-q", "2"]):
             rc, out, err = run(capsys, "triad", "--group", "C2", "--other",

@@ -1,3 +1,8 @@
+import ctypes
+import hashlib
+import re
+import subprocess
+import sysconfig
 import time
 import tracemalloc
 from itertools import permutations
@@ -5,7 +10,10 @@ from itertools import permutations
 import numpy as np
 import pytest
 
-from ntl import groups, tensor
+from hypothesis import given, settings
+from hypothesis import strategies as st
+
+from ntl import coset, groups, tensor
 from ntl.catalog import catalog_lookup, finite_corpus
 from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
                        budget_scope, current_budget, enumerate_cosets,
@@ -15,10 +23,11 @@ from ntl.errors import BudgetExceeded, CapExceeded, InternalInconsistency
 from ntl.groups import (GROUP_ORDER_CAP, RealizedGroup, _walk_levels,
                         closure, derived_subgroup, section_invariants)
 from ntl.parsing import parse_file
-from ntl.tensor import build_nu
+from ntl.tensor import (_direct_relators, build_eta, build_nu,
+                        conjugation_pair, trivial_pair)
 from ntl.words import Presentation, Word
 
-from support import realize_name
+from support import ReferenceEnumerator, realize_name
 
 
 def sympy_felsch_index(p: Presentation) -> int:
@@ -147,16 +156,16 @@ class TestEnumerate:
             assert table.coset_count == base.coset_count
 
     def test_open_relator_after_hlt_is_an_engine_bug(self, monkeypatch):
-        # Skipping one relator's scan leaves it open in a complete table,
-        # which only the closing check can see.
+        # The kernel is handed every relator but a^4, so a^4 stays open in
+        # a complete table; only the closing check, which traces all of
+        # them, can see it.
         a = Word.gen(0)
         p = Presentation("G", ("a",), (a ** 6, a ** 4))
         skipped = word_letters(a ** 4)
-        scan = _Enumerator._scan_and_fill
+        hlt_pass = coset._hlt_pass
         monkeypatch.setattr(
-            _Enumerator, "_scan_and_fill",
-            lambda self, alpha, w: None if w == skipped
-            else scan(self, alpha, w))
+            coset, "_hlt_pass", lambda relators, *rest: hlt_pass(
+                [w for w in relators if w != skipped], *rest))
         with pytest.raises(InternalInconsistency,
                            match="relator 1 is open"):
             enumerate_cosets(p)
@@ -370,3 +379,123 @@ def test_regular_representation_peaks_below_the_table_plus_one_block(
         tracemalloc.stop()
     assert g.table.nbytes == 2048 * 2048 * 2
     assert peak < g.table.nbytes + (1 << 20)
+
+
+def _outcome(run):
+    """What a run gives: its rows and stats, or its BudgetExceeded message
+    and stats."""
+    try:
+        return run()
+    except BudgetExceeded as exc:
+        return str(exc), exc.stats
+
+
+def _kernel_and_reference(p: Presentation, max_cosets: int):
+    with budget_scope(EnumerationBudget(max_cosets=max_cosets)):
+        table = _outcome(lambda: enumerate_cosets(p))
+    if isinstance(table[0], CosetTable):
+        table = (table[0].rows, table[1])
+    return table, _outcome(ReferenceEnumerator(p, max_cosets).run)
+
+
+def _assert_same(got, want, name):
+    assert type(got[0]) is type(want[0]), (name, got, want)
+    if isinstance(got[0], np.ndarray):
+        assert got[0].dtype == np.int32, name
+        assert np.array_equal(got[0], want[0]), name
+    else:
+        assert got[0] == want[0], name
+    assert got[1] == want[1], name
+
+
+def test_the_kernel_matches_the_python_reference():
+    """Same rows and stats as the pure-Python pass on the finite corpus,
+    nu(S3), nu(Q8), a trivial-action eta and the direct presentation of
+    D6(x)D6."""
+    d6 = realize_name("D6")
+    presentations = [e.presentation for e in finite_corpus()] + [
+        build_nu(realize_name("S3")).presentation,
+        build_nu(realize_name("Q8")).presentation,
+        build_eta(trivial_pair(realize_name("C2"),
+                               realize_name("C3"))).presentation,
+        Presentation("tensor(D6,D6)",
+                     tuple(f"t{i}" for i in range(d6.order ** 2)),
+                     _direct_relators(conjugation_pair(d6)))]
+    for p in presentations:
+        got, want = _kernel_and_reference(p, 2_000_000)
+        assert isinstance(got[0], np.ndarray), p.name
+        _assert_same(got, want, p.name)
+
+
+def test_the_kernel_exhausts_a_budget_as_the_reference_does():
+    p = build_nu(realize_name("S3")).presentation
+    got, want = _kernel_and_reference(p, 500)
+    assert got[0] == ("coset budget 500 exhausted (possible infinite group "
+                      "or undersized budget)")
+    assert got[1].cosets_defined == 501
+    _assert_same(got, want, p.name)
+
+
+@st.composite
+def small_presentations(draw):
+    ngens = draw(st.integers(1, 3))
+    letter = st.tuples(st.integers(0, ngens - 1),
+                       st.sampled_from((-3, -2, -1, 1, 2, 3)))
+    relators = draw(st.lists(st.lists(letter, min_size=1, max_size=4),
+                             max_size=4))
+    gens = tuple("abc"[:ngens])
+    return Presentation("G", gens, tuple(Word.of(w) for w in relators))
+
+
+@given(small_presentations(), st.integers(1, 300))
+@settings(max_examples=300, deadline=None)
+def test_the_kernel_matches_the_reference_on_small_presentations(p,
+                                                                 max_cosets):
+    """Finished runs give the same rows and stats, and exhausted ones the
+    same message and stats."""
+    got, want = _kernel_and_reference(p, max_cosets)
+    _assert_same(got, want, p)
+
+
+class TestKernelBuild:
+    def test_a_cache_holds_one_library_named_by_the_source_digest(
+            self, tmp_path, monkeypatch):
+        first = coset._build(tmp_path)
+
+        def compile_again(*args, **kwargs):
+            raise AssertionError("compiled twice")
+        monkeypatch.setattr(subprocess, "run", compile_again)
+        assert coset._build(tmp_path) == first
+        assert [f.name for f in tmp_path.iterdir()] == [first.name]
+        command = " ".join([*sysconfig.get_config_var("CC").split(),
+                            "-O2", "-shared", "-fPIC"])
+        digest = hashlib.sha256(coset._SOURCE.read_bytes()
+                                + command.encode()).hexdigest()
+        assert first.name == f"_hlt.{digest[:16]}.so"
+        kernel = ctypes.CDLL(str(first))
+        assert kernel.ntl_hlt_run and kernel.ntl_hlt_take
+
+    @pytest.mark.parametrize("cc,failure", [
+        ("false", "exited with status 1:\n"),
+        (f"{sysconfig.get_config_var('CC')} -fno-such-ntl-flag",
+         "exited with status 1:\n.*-fno-such-ntl-flag"),
+        ("ntl-no-such-compiler", "failed: .*No such file")],
+        ids=["false", "bad-flag", "missing"])
+    def test_a_failed_compile_names_the_command_and_nothing_replaces_it(
+            self, tmp_path, monkeypatch, cc, failure):
+        config = sysconfig.get_config_var
+        monkeypatch.setattr(sysconfig, "get_config_var",
+                            lambda name: cc if name == "CC" else config(name))
+        monkeypatch.setattr(coset, "_cache_dir", lambda: tmp_path)
+        coset._kernel.cache_clear()
+        try:
+            with pytest.raises(RuntimeError) as err:
+                enumerate_cosets(catalog_lookup("C2").presentation)
+        finally:
+            coset._kernel.cache_clear()
+        command = f"{cc} -O2 -shared -fPIC -o {tmp_path}/_hlt."
+        assert str(err.value).startswith(
+            f"cannot compile the HLT kernel: `{command}")
+        assert re.search(f"{re.escape(str(coset._SOURCE))}` {failure}",
+                         str(err.value), re.DOTALL)
+        assert list(tmp_path.iterdir()) == []
