@@ -1,6 +1,8 @@
 /* The HLT pass of Todd-Coxeter coset enumeration of the trivial subgroup
    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 5),
-   with row filling and in-place coincidence processing on a union-find.
+   with row filling and in-place coincidence processing on a union-find,
+   and the fill of the regular representation's table from the finished
+   coset table.
 
    `ntl.coset` compiles this file once and calls it through ctypes:
    `ntl_hlt_run` fills the table and `ntl_hlt_take` copies the live rows
@@ -12,7 +14,11 @@
    All state lives in `struct hlt`, which the caller owns.  The table, the
    union-find and the coincidence queue share one anonymous mapping, so a
    finished run hands its memory straight back to the system.  Table
-   entries are int32 (-1 is undefined); index arithmetic is int64. */
+   entries are int32 (-1 is undefined); index arithmetic is int64.
+
+   `ntl_regular_fill` writes the group's int16 multiplication table into
+   an array the caller allocated, along the tree edges of a walk of the
+   coset table; it allocates nothing. */
 
 #define _GNU_SOURCE
 #include <stdint.h>
@@ -234,4 +240,36 @@ int64_t ntl_hlt_take(struct hlt *h, int64_t *live, int32_t *rows,
     munmap(h->tab, map_bytes(h, h->cap));
     h->tab = h->uf = h->queue = NULL;
     return n;
+}
+
+/* The regular representation of the group whose complete coset table of
+   the trivial subgroup is `cols` (n rows of `width` entries, every entry
+   in 0..n-1, generator g in column 2g), along the edges
+   (vertex[e], parent[e], step[e]) of a spanning tree of the walk over
+   columns 0, 2, 4, ... from coset 0, in discovery order: vertex[e] is
+   parent[e] times generator step[e].  Fills left[g * n + d] = g.d for
+   each of the `ngens` generators and table[a * n + x] = a.x: row 0 is
+   0..n-1, g.d = (g.c).h for d = c.h, and a = c.h multiplies as
+   a.x = c.(h.x), so row a is row c taken at left[h * n + x]. */
+void ntl_regular_fill(int64_t n, int64_t ngens, int64_t width,
+                      const int32_t *cols, const int64_t *vertex,
+                      const int64_t *parent, const int64_t *step,
+                      int32_t *left, int16_t *table)
+{
+    for (int64_t g = 0; g < ngens; g++)
+        left[g * n] = cols[2 * g];
+    for (int64_t e = 0; e < n - 1; e++) {
+        int64_t d = vertex[e], c = parent[e], h = 2 * step[e];
+        for (int64_t g = 0; g < ngens; g++)
+            left[g * n + d] = cols[(int64_t)left[g * n + c] * width + h];
+    }
+    for (int64_t x = 0; x < n; x++)
+        table[x] = (int16_t)x;
+    for (int64_t e = 0; e < n - 1; e++) {
+        const int16_t *from = table + parent[e] * n;
+        const int32_t *by = left + step[e] * n;
+        int16_t *row = table + vertex[e] * n;
+        for (int64_t x = 0; x < n; x++)
+            row[x] = from[by[x]];
+    }
 }

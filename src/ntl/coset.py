@@ -9,13 +9,15 @@ the enumerator builds.
 The strategy is HLT with row filling and in-place coincidence processing
 on a union-find over cosets.  The pass runs in a small C kernel,
 `_hlt.c`, compiled once with the C compiler Python was built with into the
-`__pycache__` beside it and called through ctypes; every other step stays
-in numpy.  Every relator is scanned at every live coset, so the finished
-table is closed under all of them; a vectorized closing check, independent
-of the kernel, traces every relator at every coset once more (relators of
-one length together, one gather per letter) and reports an open one as an
-engine bug, never as a reason to go on enumerating.  Each relator is
-flattened into column letters once per run.
+`__pycache__` beside it and called through ctypes.  The same kernel fills
+the regular representation's table, row by row along the coset table's
+walk; every other step stays in numpy.  Every relator is scanned at every
+live coset, so the finished table is closed under all of them; a
+vectorized closing check, independent of the kernel, traces every relator
+at every coset once more (relators of one length together, one gather per
+letter) and reports an open one as an engine bug, never as a reason to go
+on enumerating.  Each relator is flattened into column letters once per
+run.
 
 Definitions use the first undefined entry in row-major order, so identical
 inputs give identical tables and stats.  Every run adds its cosets to the
@@ -30,6 +32,7 @@ import ctypes
 import functools
 import math
 import os
+import re
 import sysconfig
 import tempfile
 import time
@@ -47,7 +50,7 @@ except ImportError:  # no builtin module of that name (Python 3.12 on)
     from hashlib import sha256
 
 from .errors import BudgetExceeded, InternalInconsistency
-from .groups import (RealizedGroup, _blocks, _check_order, _runs,
+from .groups import (RealizedGroup, _blocks, _check_order, _in_range,
                      _table_dtype, _tree_size, _walk_levels)
 from .words import Presentation, Word
 
@@ -220,7 +223,9 @@ def _build(cache: Path) -> Path:
     """The kernel library in `cache`, named by the SHA-256 of its source
     and of the compile command; compiled first if it is not there.  The
     compiler writes a temporary file that is then renamed into place, so a
-    concurrent process never loads a half-written library."""
+    concurrent process never loads a half-written library.  A compile
+    removes every other library of that name pattern from `cache`: one
+    built from an older source or command."""
     command = [*(sysconfig.get_config_var("CC") or "cc").split(),
                "-O2", "-shared", "-fPIC"]
     digest = sha256(_SOURCE.read_bytes()
@@ -247,12 +252,16 @@ def _build(cache: Path) -> Path:
     finally:
         if os.path.exists(tmp):
             os.unlink(tmp)
+    for stale in cache.glob("_hlt.*.so"):
+        if stale != lib and re.fullmatch(r"_hlt\.[0-9a-f]{16}\.so",
+                                         stale.name):
+            stale.unlink(missing_ok=True)
     return lib
 
 
 @functools.cache
 def _kernel() -> ctypes.CDLL:
-    """The compiled HLT pass, loaded once per process.  An OSError here is
+    """The compiled kernel, loaded once per process.  An OSError here is
     no usage error, which is what the CLI would call one."""
     try:
         kernel = ctypes.CDLL(str(_build(_cache_dir())))
@@ -266,6 +275,9 @@ def _kernel() -> ctypes.CDLL:
     kernel.ntl_hlt_take.argtypes = [state, ctypes.c_void_p, ctypes.c_void_p,
                                     ctypes.c_int64]
     kernel.ntl_hlt_take.restype = ctypes.c_int64
+    kernel.ntl_regular_fill.argtypes = [ctypes.c_int64] * 3 + [
+        ctypes.c_void_p] * 6
+    kernel.ntl_regular_fill.restype = None
     return kernel
 
 
@@ -399,32 +411,40 @@ def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:
 
 def regular_representation(t: CosetTable) -> RealizedGroup:
     """Turn the coset table of the trivial subgroup into a realized group,
-    which keeps the table's walk as its own."""
+    which keeps the table's walk as its own.  The kernel fills the table
+    in the int16 entries that every order under the cap fits."""
     p = t.presentation
     n = t.coset_count
     _check_order(n)
+    dtype = _table_dtype(n)
+    if dtype != np.int16:
+        raise InternalInconsistency(
+            f"the kernel fills int16 tables, not {np.dtype(dtype).name}")
     ngens = p.ngens
-    cols = t.rows
+    # The kernel reads every entry as an index, unchecked.
+    if not _in_range(t.rows, n):
+        raise InternalInconsistency("coset table entry out of range")
+    cols = np.ascontiguousarray(t.rows, dtype=np.int32)
     # Breadth-first spanning tree over the positive generator columns.
     levels = _walk_levels(cols, range(0, 2 * ngens, 2))
     if _tree_size(levels) != n:
         raise InternalInconsistency("coset table is not transitive")
-    # left[d, g] = g.d for every generator g, spread along the tree edges
-    # d = c.h as g.d = (g.c).h; then a = c.h multiplies as a.x = c.(h.x).
-    images = cols[0, 0::2].astype(np.int64)
-    left = np.empty((n, ngens), dtype=np.int64)
-    left[0] = images
-    # A run gathers its parents' rows, then their images; all its rows
-    # move by one step, so a table gather's columns are one column of left.
-    for d, c, h in _runs(levels, ngens):
-        left[d] = cols[left[c], 2 * h]
-    table = np.empty((n, n), dtype=_table_dtype(n))
-    table[0] = np.arange(n)
-    for a, c, h in _runs(levels, n):
-        table[a] = table[c].take(left[:, h], axis=-1)
-    # images[h] acts on the table as column 2h acts on cols, so the walk of
-    # cols is a walk of the group too.
-    return RealizedGroup(p.name, table, images.tolist(),
+    # The tree's edges (vertex, parent, step) in discovery order.
+    edges = np.empty((3, n - 1), dtype=np.int64)
+    runs = [run for level in levels for run in level]
+    if runs:
+        vertex, parent, step = zip(*runs)
+        edges[0] = np.concatenate(vertex)
+        edges[1] = np.concatenate(parent)
+        edges[2] = np.repeat(step, [v.size for v in vertex])
+    left = np.empty((ngens, n), dtype=np.int32)
+    table = np.empty((n, n), dtype=dtype)
+    _kernel().ntl_regular_fill(n, ngens, cols.shape[1], cols.ctypes.data,
+                               *(e.ctypes.data for e in edges),
+                               left.ctypes.data, table.ctypes.data)
+    # The image cols[0, 2h] of generator h acts on the table as column 2h
+    # acts on cols, so the walk of cols is a walk of the group too.
+    return RealizedGroup(p.name, table, cols[0, 0::2].tolist(),
                          source_presentation=p, walk=levels)
 
 

@@ -47,6 +47,16 @@ def _check_order(n: int):
         raise CapExceeded(f"group order {n} exceeds cap {GROUP_ORDER_CAP}")
 
 
+def _in_range(a: np.ndarray, n: int) -> bool:
+    """Whether `a` holds integers, each in 0..n-1, read in one pass: viewed
+    as unsigned, a negative entry is at least half the type's range, which
+    no order under the cap reaches."""
+    a = np.asarray(a)
+    if a.dtype.kind not in "iu":
+        return False
+    return not a.size or int(a.view(f"u{a.itemsize}").max()) < n
+
+
 def _blocks(n: int, per_item: int):
     """The slices of range(n) in order, each of at most
     max(1, _CELLS // per_item) items, so that a gather of `per_item`
@@ -223,7 +233,7 @@ class RealizedGroup:
         if table.shape != (n, n):
             raise InternalInconsistency("multiplication table is not square")
         # Checked before the narrowing cast, which would wrap such entries.
-        if n and (table.min() < 0 or table.max() >= n):
+        if not _in_range(table, n):
             raise InternalInconsistency("table entry out of range")
         self.name = name
         self.order = n

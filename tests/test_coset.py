@@ -242,6 +242,15 @@ class TestRegularRepresentation:
         assert g.order == 1
         assert g.element_words == (Word(),)
 
+    @pytest.mark.parametrize("entry", [-1, 2, 2 ** 32])
+    def test_out_of_range_coset_entry_rejected(self, entry):
+        # The kernel reads entries as indices, and int32 would wrap 2^32.
+        p = catalog_lookup("C2").presentation
+        rows = np.array([[1, 1], [0, entry]])
+        with pytest.raises(InternalInconsistency,
+                           match="^coset table entry out of range$"):
+            regular_representation(CosetTable(rows=rows, presentation=p))
+
     def test_intransitive_table_rejected(self):
         # Two copies of the C2 table side by side: every relator closes at
         # coset 0, but cosets 2 and 3 are out of its reach.
@@ -299,9 +308,9 @@ def _walk(table, steps):
 
 
 def _regular_table_per_row(t: CosetTable) -> np.ndarray:
-    """The regular representation's table spread one tree edge at a time,
-    one row of `left` and one table row per edge: the oracle for the
-    batched spread."""
+    """The regular representation's table spread one tree edge at a time
+    in numpy, one row of `left` and one table row per edge: the oracle for
+    the kernel's fill.  int32, so that no narrowing is shared with it."""
     cols = t.rows
     n, ngens = t.coset_count, t.presentation.ngens
     tree = _walk(cols, range(0, 2 * ngens, 2))
@@ -309,7 +318,7 @@ def _regular_table_per_row(t: CosetTable) -> np.ndarray:
     left[0] = cols[0, 0::2]
     for d, c, h in tree:
         left[d] = cols[left[c], 2 * h]
-    table = np.empty((n, n), dtype=np.int64)
+    table = np.empty((n, n), dtype=np.int32)
     table[0] = np.arange(n)
     for a, c, h in tree:
         table[a] = table[c][left[:, h]]
@@ -331,17 +340,32 @@ def _nu_coset_table(name, monkeypatch) -> CosetTable:
     return tables[0]
 
 
-@pytest.mark.parametrize("name", [e.name for e in finite_corpus()
-                                  if e.known_facts["order"] <= 8])
+@pytest.mark.parametrize("name", [
+    *(e.name for e in finite_corpus() if e.known_facts["order"] <= 8),
+    "C3xC3", "C2xC6", "A4", "D6"])
 def test_regular_representation_matches_the_per_row_spread(name,
                                                            monkeypatch):
-    """Same table on nu(G), in blocks of one row and of the engine's
-    size."""
+    """Same table on nu(G) for the corpus groups of order <= 8 (Q8 among
+    them) and for four of order 9 and 12 whose nu the benchmark's counts
+    rest on, nu(D6)'s 6912 x 6912 table the largest; with the walk
+    gathered in blocks of one step and of the engine's size.  The kernel
+    fills int16 tables only, the one width an order under the cap needs
+    (see `test_regular_representation_refuses_a_wider_table`)."""
     t = _nu_coset_table(name, monkeypatch)
     want = _regular_table_per_row(t)
     for block in (1, groups._CELLS):
         monkeypatch.setattr(groups, "_CELLS", block)
-        assert np.array_equal(regular_representation(t).table, want)
+        got = regular_representation(t).table
+        assert got.dtype == np.int16
+        assert np.array_equal(got, want)
+
+
+def test_regular_representation_refuses_a_wider_table(monkeypatch):
+    t, _ = enumerate_cosets(catalog_lookup("S3").presentation)
+    monkeypatch.setattr(coset, "_table_dtype", lambda n: np.int32)
+    with pytest.raises(InternalInconsistency,
+                       match="^the kernel fills int16 tables, not int32$"):
+        regular_representation(t)
 
 
 @pytest.mark.parametrize("cells", [1, 97])
@@ -363,12 +387,12 @@ def test_small_blocks_enumerate_the_same_tables(monkeypatch, cells):
 
 def test_regular_representation_peaks_below_the_table_plus_one_block(
         monkeypatch):
-    """eta(D4) = nu(D4) has 2048 elements, so its table is 8 MiB.  Above
-    the table the spread keeps one block of at most `_CELLS` gathered
-    entries and their product (2 x 128 KiB here), `left` (2048 x 16
-    entries, 0.25 MiB) and the walk's arrays; spreading each (level,
-    generator) run whole would add about 2 MiB, and each level whole about
-    8 MiB."""
+    """eta(D4) = nu(D4) has 2048 elements, so its table is 8 MiB, which
+    the kernel fills in place.  Above the table sit `left` (16 generators
+    x 2048 int32 entries, 128 KiB), the tree's edge arrays (3 x 2047 int64
+    entries, 48 KiB) and the walk, with the temporaries of its blocks and
+    of the realized group's checks: about 0.3 MiB in all.  A second table
+    or any whole-level temporary of the fill would exceed the bound."""
     t = _nu_coset_table("D4", monkeypatch)
     tracemalloc.start()
     try:
@@ -473,7 +497,39 @@ class TestKernelBuild:
                                 + command.encode()).hexdigest()
         assert first.name == f"_hlt.{digest[:16]}.so"
         kernel = ctypes.CDLL(str(first))
-        assert kernel.ntl_hlt_run and kernel.ntl_hlt_take
+        assert (kernel.ntl_hlt_run and kernel.ntl_hlt_take
+                and kernel.ntl_regular_fill)
+
+    def test_a_compile_removes_only_stale_libraries(self, tmp_path):
+        stale = tmp_path / "_hlt.0123456789abcdef.so"
+        others = ["_hlt.0123.so", "_hlt.c", "_hlt.0123456789abcdef.so.tmp",
+                  "notes.txt"]
+        for name in [stale.name, *others]:
+            (tmp_path / name).write_bytes(b"")
+        lib = coset._build(tmp_path)
+        assert sorted(f.name for f in tmp_path.iterdir()) == sorted(
+            [lib.name, *others])
+        # A library already built is loaded as it is, and nothing pruned.
+        stale.write_bytes(b"")
+        assert coset._build(tmp_path) == lib
+        assert stale.exists()
+
+    def test_a_stale_library_that_vanished_is_ignored(self, tmp_path,
+                                                      monkeypatch):
+        gone = tmp_path / "_hlt.fedcba9876543210.so"
+        monkeypatch.setattr(type(tmp_path), "glob",
+                            lambda self, pattern: iter([gone]))
+        lib = coset._build(tmp_path)
+        assert [f.name for f in tmp_path.iterdir()] == [lib.name]
+
+    def test_the_kernel_compiles_without_warnings(self, tmp_path):
+        """-Wall -Wextra -Werror, in a test so that the runtime command and
+        the library's digest stay as they are."""
+        argv = [*sysconfig.get_config_var("CC").split(), "-Wall", "-Wextra",
+                "-Werror", "-O2", "-shared", "-fPIC",
+                "-o", str(tmp_path / "_hlt.so"), str(coset._SOURCE)]
+        done = subprocess.run(argv, capture_output=True, text=True)
+        assert done.returncode == 0, done.stderr
 
     @pytest.mark.parametrize("cc,failure", [
         ("false", "exited with status 1:\n"),

@@ -356,10 +356,15 @@ class TestStructure:
         with pytest.raises(InternalInconsistency, match="associativity fails"):
             RealizedGroup("bad", bad, [1, 2, 3, 4])
 
-    @pytest.mark.parametrize("entry", [65536, -65536, 2, -1])
-    def test_out_of_range_entry_rejected_before_narrowing(self, entry):
-        # +-65536 wrap to 0 under the int16 cast, which would make this C2.
-        table = np.array([[0, 1], [1, entry]])
+    @pytest.mark.parametrize("entry,dtype", [
+        (65536, None), (-65536, None), (2, None), (-1, None),
+        (2, np.int16), (-1, np.int16), (-32768, np.int16)],
+        ids=["65536", "-65536", "2", "-1",
+             "int16-2", "int16--1", "int16--32768"])
+    def test_out_of_range_entry_rejected_before_narrowing(self, entry, dtype):
+        # +-65536 wrap to 0 under the int16 cast, which would make this C2;
+        # a negative int16 entry reads as at least 2^15 in the range check.
+        table = np.array([[0, 1], [1, entry]], dtype=dtype)
         with pytest.raises(InternalInconsistency,
                            match="table entry out of range"):
             RealizedGroup("x", table, [1])
