@@ -16,8 +16,10 @@ live coset, so the finished table is closed under all of them; a
 vectorized closing check, independent of the kernel, traces every relator
 at every coset once more (relators of one length together, one gather per
 letter) and reports an open one as an engine bug, never as a reason to go
-on enumerating.  Each relator is flattened into column letters once per
-run.
+on enumerating.  The enumerator reads one form of relators, `Relators`:
+the column letters of every distinct relator in one array.  A
+`Presentation` is flattened into it once, when its run starts; the
+biadditivity presentation of a tensor product is built in it directly.
 
 Definitions use the first undefined entry in row-major order, so identical
 inputs give identical tables and stats.  Every run adds its cosets to the
@@ -147,15 +149,60 @@ def current_budget() -> EnumerationBudget:
     return _OPEN_SCOPE.get().budget or default_budget()
 
 
+@dataclass(frozen=True, eq=False)
+class Relators:
+    """A presentation in the form the kernel reads: `ngens` generators and
+    the distinct nonempty relators in column letters (2g for g, 2g+1 for
+    g^-1), relator k being letters[ends[k-1]:ends[k]] (from 0 for k = 0).
+    It holds no words, so a group realized from it has no source
+    presentation.  Every letter and end is checked here, before the kernel
+    reads one."""
+
+    name: str
+    ngens: int
+    letters: np.ndarray
+    ends: np.ndarray
+
+    def __post_init__(self):
+        # Checked before the casts, which would wrap such entries.
+        if not _in_range(self.letters, 2 * self.ngens):
+            raise InternalInconsistency(
+                f"relator letter out of range for the {self.ngens} "
+                f"generators of {self.name!r}")
+        lengths = np.diff(self.ends, prepend=0)
+        if lengths.min(initial=1) < 1 or lengths.sum() != np.size(
+                self.letters):
+            raise InternalInconsistency(
+                f"relator ends of {self.name!r} do not cut its letters "
+                "into nonempty relators")
+        for attr, dtype in (("letters", np.int32), ("ends", np.int64)):
+            a = np.ascontiguousarray(getattr(self, attr), dtype=dtype)
+            a.setflags(write=False)
+            object.__setattr__(self, attr, a)
+
+    @classmethod
+    def of(cls, p: Presentation) -> "Relators":
+        """`p`'s relators flattened (`word_letters`), the empty and
+        repeated ones dropped in first-occurrence order (`_dedup`)."""
+        words = _dedup([word_letters(w) for w in p.relators])
+        lengths = [len(w) for w in words]
+        return cls(p.name, p.ngens,
+                   np.fromiter(chain.from_iterable(words), dtype=np.int32,
+                               count=sum(lengths)),
+                   np.fromiter(accumulate(lengths), dtype=np.int64,
+                               count=len(lengths)))
+
+
 @dataclass(frozen=True)
 class CosetTable:
     """Complete coset table of the trivial subgroup; row 0 is the identity
     coset, columns alternate generator and inverse-generator images.
     `enumerate_cosets` returns one only after every relator was traced
-    closed at every coset."""
+    closed at every coset.  `presentation` is what was enumerated: a
+    `Presentation`, or a `Relators` that has no words."""
 
     rows: np.ndarray
-    presentation: Presentation
+    presentation: Presentation | Relators
 
     def __post_init__(self):
         self.rows.setflags(write=False)
@@ -281,24 +328,21 @@ def _kernel() -> ctypes.CDLL:
     return kernel
 
 
-def _hlt_pass(relators: list[tuple[int, ...]], width: int,
-              budget: EnumerationBudget, deadline: float | None):
+def _hlt_pass(relators: Relators, budget: EnumerationBudget,
+              deadline: float | None):
     """Run the HLT pass in the kernel.  Returns the number of rows it
     filled, the indices of the live ones, their rows and the run's stats;
     raises BudgetExceeded as the budget runs out."""
     kernel = _kernel()
-    lengths = [len(w) for w in relators]
-    letters = np.fromiter(chain.from_iterable(relators), dtype=np.int32,
-                          count=sum(lengths))
-    ends = np.fromiter(accumulate(lengths), dtype=np.int64,
-                       count=len(lengths))
+    width = 2 * relators.ngens
     state = _State(width=width,
                    # ctypes would wrap a larger budget silently
                    max_cosets=min(budget.max_cosets, 2 ** 63 - 1),
                    deadline=math.inf if deadline is None else deadline)
     try:
-        status = kernel.ntl_hlt_run(state, letters.ctypes.data,
-                                    ends.ctypes.data, len(relators))
+        status = kernel.ntl_hlt_run(state, relators.letters.ctypes.data,
+                                    relators.ends.ctypes.data,
+                                    relators.ends.size)
         stats = EnumerationStats(cosets_defined=state.defined,
                                  cosets_final=state.alive,
                                  coincidences=state.coincidences)
@@ -325,9 +369,9 @@ def _hlt_pass(relators: list[tuple[int, ...]], width: int,
 
 
 class _Enumerator:
-    def __init__(self, p: Presentation):
-        self.width = 2 * p.ngens
-        self.relators = _dedup([word_letters(w) for w in p.relators])
+    def __init__(self, p: Presentation | Relators):
+        self.relators = p if isinstance(p, Relators) else Relators.of(p)
+        self.width = 2 * self.relators.ngens
         self.budget = current_budget()
         self.deadline = _OPEN_SCOPE.get().deadline
 
@@ -359,13 +403,13 @@ class _Enumerator:
         n = cols.shape[1]
         flat = cols.ravel()
         ar = np.arange(n)
-        by_length: dict[int, list[int]] = {}
-        for k, w in enumerate(self.relators):
-            by_length.setdefault(len(w), []).append(k)
+        ends = self.relators.ends
+        lengths = np.diff(ends, prepend=0)
         open_at = []
-        for ks in by_length.values():
-            letters = np.array([self.relators[k] for k in ks],
-                               dtype=np.int64) * n
+        for length in set(lengths.tolist()):
+            ks = np.flatnonzero(lengths == length)
+            at = (ends[ks] - length)[:, None] + np.arange(length)
+            letters = self.relators.letters[at].astype(np.int64) * n
             for cut in _blocks(len(ks), n):
                 block = letters[cut]
                 v = np.broadcast_to(ar, (block.shape[0], n))
@@ -375,7 +419,8 @@ class _Enumerator:
                 rows = np.flatnonzero(bad.any(axis=1))
                 if rows.size:
                     r = int(rows[0])
-                    open_at.append((ks[cut.start + r], int(np.argmax(bad[r]))))
+                    open_at.append((int(ks[cut.start + r]),
+                                    int(np.argmax(bad[r]))))
                     break
         if not open_at:
             return None
@@ -383,8 +428,8 @@ class _Enumerator:
         return f"relator {k} is open at coset {coset}"
 
     def run(self):
-        total, live, rows, stats = _hlt_pass(self.relators, self.width,
-                                             self.budget, self.deadline)
+        total, live, rows, stats = _hlt_pass(self.relators, self.budget,
+                                             self.deadline)
         cols = self._compress(total, live, rows)
         violation = self._find_violation(cols)
         if violation is not None:
@@ -392,7 +437,8 @@ class _Enumerator:
         return np.ascontiguousarray(cols.T), stats
 
 
-def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:
+def enumerate_cosets(p: Presentation | Relators
+                     ) -> tuple[CosetTable, EnumerationStats]:
     """Enumerate the cosets of the trivial subgroup in the presented group
     within `current_budget()`.
 
@@ -411,8 +457,9 @@ def enumerate_cosets(p: Presentation) -> tuple[CosetTable, EnumerationStats]:
 
 def regular_representation(t: CosetTable) -> RealizedGroup:
     """Turn the coset table of the trivial subgroup into a realized group,
-    which keeps the table's walk as its own.  The kernel fills the table
-    in the int16 entries that every order under the cap fits."""
+    which keeps the table's walk as its own and the enumerated
+    `Presentation`, if it was one, as its source.  The kernel fills the
+    table in the int16 entries that every order under the cap fits."""
     p = t.presentation
     n = t.coset_count
     _check_order(n)
@@ -444,11 +491,12 @@ def regular_representation(t: CosetTable) -> RealizedGroup:
                                left.ctypes.data, table.ctypes.data)
     # The image cols[0, 2h] of generator h acts on the table as column 2h
     # acts on cols, so the walk of cols is a walk of the group too.
+    source = p if isinstance(p, Presentation) else None
     return RealizedGroup(p.name, table, cols[0, 0::2].tolist(),
-                         source_presentation=p, walk=levels)
+                         source_presentation=source, walk=levels)
 
 
-def realize_presentation(p: Presentation
+def realize_presentation(p: Presentation | Relators
                          ) -> tuple[RealizedGroup, EnumerationStats]:
     """Enumerate the trivial-subgroup table and realize the group."""
     table, stats = enumerate_cosets(p)

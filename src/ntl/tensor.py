@@ -37,7 +37,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coset import EnumerationStats, realize_presentation
+from .coset import EnumerationStats, Relators, realize_presentation
 from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
@@ -504,18 +504,20 @@ def build_nu(g: RealizedGroup) -> EtaRealization:
     return build_eta(conjugation_pair(g))
 
 
-def _direct_relators(pair: CompatibleActionPair) -> tuple[Word, ...]:
+def _direct_relators(pair: CompatibleActionPair) -> Relators:
     """The biadditivity relators on the symbols t(a, b) = a(x)b, generator
     a*|H| + b, for every a, a' in G and b, b' in H:
 
         (aa')(x)b = (a^a' (x) a'.b)(a'(x)b)   in the order (a, a', b),
         a(x)(bb') = (a(x)b')(b'.a (x) b^b')   in the order (a, b, b'),
 
-    each written X^-1 Y Z, the |G|^2|H| relators of the first family first.
-    The index triples are computed from the group and action tables at
-    once; `Word.of` merges the letters of the few relators in which X = Y
-    or Y = Z, and every other relator is its three letters as they stand.
-    """
+    each written X^-1 Y Z, the |G|^2|H| relators of the first family first,
+    in the column letters [2X+1, 2Y, 2Z] that the enumerator reads.  The
+    index triples are computed from the group and action tables at once.
+    A relator with X = Y is the letter [2Z], as `Word.of` would merge it;
+    one with Y = Z already reads Y^2.  Repeats are dropped by one
+    `np.unique` on a packed key per relator, keeping first occurrences in
+    order."""
     g, h = pair.g, pair.h
     ng, nh = g.order, h.order
     a = np.arange(ng)[:, None, None]
@@ -536,29 +538,29 @@ def _direct_relators(pair: CompatibleActionPair) -> tuple[Word, ...]:
     x, y, z = (np.concatenate([np.broadcast_to(f, (ng, ng, nh)).ravel(),
                                np.broadcast_to(s, (ng, nh, nh)).ravel()])
                for f, s in zip(first, second))
-    merge = ((x == y) | (y == z)).tolist()
-    return tuple(
-        (Word.of if m else Word)(((xi, -1), (yi, 1), (zi, 1)))
-        for xi, yi, zi, m in zip(x.tolist(), y.tolist(), z.tolist(), merge))
+    rows = np.stack([2 * x + 1, 2 * y, 2 * z], axis=1)
+    rows[x == y, :2] = -1  # a merged relator is its last letter alone
+    # One key per relator, each letter and the -1 of a merged one shifted
+    # into 0..2|G||H|: distinct relators get distinct keys.
+    base = 2 * ng * nh + 1
+    key = ((rows[:, 0] + 1) * base + rows[:, 1] + 1) * base + rows[:, 2] + 1
+    rows = rows[np.sort(np.unique(key, return_index=True)[1])]
+    return Relators(f"tensor({g.name},{h.name})", ng * nh, rows[rows >= 0],
+                    np.cumsum((rows >= 0).sum(axis=1)))
 
 
 def build_direct(pair: CompatibleActionPair) -> TensorRealization:
     """The tensor product T = G(x)H from its defining presentation: the
-    biadditivity relators on the |G||H| symbols a(x)b (Brown-Loday 1987).
-    This is the one producer of T: its realization is T by definition, so
-    it needs no certificate, and its enumeration ends near |T| cosets,
-    where eta's ends near |T||G||H|.  T keeps the enumeration's table,
-    labels, generators (the symbols a(x)b in row-major order) and walk, but
-    not the presentation."""
+    biadditivity relators on the |G||H| symbols a(x)b (Brown-Loday 1987),
+    enumerated in the letter form `_direct_relators` builds.  This is the
+    one producer of T: its realization is T by definition, so it needs no
+    certificate, and its enumeration ends near |T| cosets, where eta's
+    ends near |T||G||H|.  T is the group the enumeration realizes, with
+    its table, labels, generators (the symbols a(x)b in row-major order)
+    and walk, and no source presentation."""
     g, h = pair.g, pair.h
-    ng, nh = g.order, h.order
-    gens = tuple(f"t{a}_{b}" for a in range(ng) for b in range(nh))
-    name = f"tensor({g.name},{h.name})"
-    presentation = Presentation(name, gens, _direct_relators(pair))
-    realized, _ = realize_presentation(presentation)
-    group = RealizedGroup(name, realized.table, realized.generator_images,
-                          walk=realized.walk)
-    sym = np.asarray(group.generator_images).reshape(ng, nh)
+    group, _ = realize_presentation(_direct_relators(pair))
+    sym = np.asarray(group.generator_images).reshape(g.order, h.order)
     return TensorRealization(pair, group, sym, _derived_map(pair, group, sym))
 
 

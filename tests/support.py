@@ -1,18 +1,24 @@
-"""Helpers the tests share: catalog groups by name, the commutator read
-off a group's table one product at a time, and the HLT pass in pure Python
-as the reference for the compiled one."""
+"""Helpers the tests share: catalog groups by name, the relators of a
+letter form as tuples, the commutator read off a group's table one product
+at a time, and the HLT pass in pure Python as the reference for the
+compiled one."""
 
 import numpy as np
 
 from ntl.catalog import catalog_lookup, realize_entry
-from ntl.coset import (EnumerationBudget, EnumerationStats, _dedup,
-                       word_letters)
+from ntl.coset import EnumerationBudget, EnumerationStats, Relators
 from ntl.words import Presentation
 
 
 def realize_name(name: str):
     """The catalog group `name`, realized as every command realizes it."""
     return realize_entry(catalog_lookup(name))
+
+
+def relator_letters(relators: Relators) -> list[tuple[int, ...]]:
+    """The relators of a letter form, one tuple of column letters each."""
+    letters, ends = relators.letters.tolist(), relators.ends.tolist()
+    return [tuple(letters[a:b]) for a, b in zip([0, *ends], ends)]
 
 
 def comm(g, x: int, y: int) -> int:
@@ -25,11 +31,14 @@ class ReferenceEnumerator:
     """The HLT pass in pure Python, statement for statement what
     `src/ntl/_hlt.c` does: the reference the kernel must match row for row
     and count for count, budget exhaustion included.  It reads the coset
-    budget only, never a deadline."""
+    budget only, never a deadline.  It reads the letter form the kernel
+    reads, which a presentation is flattened into as the enumerator
+    flattens it."""
 
-    def __init__(self, p: Presentation, max_cosets: int):
+    def __init__(self, p: Presentation | Relators, max_cosets: int):
         self.width = 2 * p.ngens
-        self.relators = _dedup([word_letters(w) for w in p.relators])
+        self.relators = relator_letters(
+            p if isinstance(p, Relators) else Relators.of(p))
         self.budget = EnumerationBudget(max_cosets=max_cosets)
         self.tab: list[list[int]] = [[-1] * self.width]
         self.uf: list[int] = [0]

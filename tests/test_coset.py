@@ -15,10 +15,9 @@ from hypothesis import strategies as st
 
 from ntl import coset, groups, tensor
 from ntl.catalog import catalog_lookup, finite_corpus
-from ntl.coset import (CosetTable, EnumerationBudget, _Enumerator,
+from ntl.coset import (CosetTable, EnumerationBudget, Relators, _Enumerator,
                        budget_scope, current_budget, enumerate_cosets,
-                       realize_presentation, regular_representation,
-                       word_letters)
+                       realize_presentation, regular_representation)
 from ntl.errors import BudgetExceeded, CapExceeded, InternalInconsistency
 from ntl.groups import (GROUP_ORDER_CAP, RealizedGroup, _walk_levels,
                         closure, derived_subgroup, section_invariants)
@@ -27,7 +26,7 @@ from ntl.tensor import (_direct_relators, build_eta, build_nu,
                         conjugation_pair, trivial_pair)
 from ntl.words import Presentation, Word
 
-from support import ReferenceEnumerator, realize_name
+from support import ReferenceEnumerator, realize_name, relator_letters
 
 
 def sympy_felsch_index(p: Presentation) -> int:
@@ -161,11 +160,14 @@ class TestEnumerate:
         # them, can see it.
         a = Word.gen(0)
         p = Presentation("G", ("a",), (a ** 6, a ** 4))
-        skipped = word_letters(a ** 4)
         hlt_pass = coset._hlt_pass
-        monkeypatch.setattr(
-            coset, "_hlt_pass", lambda relators, *rest: hlt_pass(
-                [w for w in relators if w != skipped], *rest))
+
+        def without_a4(relators, *rest):
+            assert relator_letters(relators) == [(0,) * 6, (0,) * 4]
+            return hlt_pass(Relators(p.name, p.ngens, relators.letters[:6],
+                                     relators.ends[:1]), *rest)
+
+        monkeypatch.setattr(coset, "_hlt_pass", without_a4)
         with pytest.raises(InternalInconsistency,
                            match="relator 1 is open"):
             enumerate_cosets(p)
@@ -180,7 +182,8 @@ class TestEnumerate:
         i = np.arange(7)
         step = np.stack([(i + 1) % 7, (i - 1) % 7] * 2)
         enumerator = _Enumerator(p)
-        assert [len(w) for w in enumerator.relators] == [7, 4, 3, 7]
+        lengths = np.diff(enumerator.relators.ends, prepend=0)
+        assert lengths.tolist() == [7, 4, 3, 7]
         assert enumerator._find_violation(step) == \
             "relator 2 is open at coset 0"
         closed = _Enumerator(Presentation("G", ("a", "b"),
@@ -195,6 +198,26 @@ class TestEnumerate:
         enumerator = _Enumerator(Presentation("G", ("a",), (a ** 2, a)))
         assert enumerator._find_violation(cols) == \
             "relator 1 is open at coset 1"
+
+    @pytest.mark.parametrize("letters, ends, message", [
+        ([0, -1, 2], [1, 3], "relator letter out of range"),
+        ([0, 4, 2], [1, 3], "relator letter out of range"),
+        # int32 would wrap 2^32 to letter 0
+        ([0, 2 ** 32, 2], [1, 3], "relator letter out of range"),
+        ([0, 1, 2], [1, 1, 3], "do not cut its letters"),
+        ([0, 1, 2], [1, 4], "do not cut its letters"),
+        ([0, 1, 2], [2, 1], "do not cut its letters"),
+    ], ids=["minus-one", "two-ngens", "wraps-in-int32", "empty-relator",
+            "past-the-letters", "decreasing"])
+    def test_the_letter_form_is_checked_before_the_kernel_reads_it(
+            self, monkeypatch, letters, ends, message):
+        def unreachable():
+            raise AssertionError("the kernel was called")
+
+        monkeypatch.setattr(coset, "_kernel", unreachable)
+        with pytest.raises(InternalInconsistency, match=message):
+            enumerate_cosets(Relators("G", 2, np.array(letters),
+                                      np.array(ends)))
 
     def test_every_relator_closes_at_every_coset(self):
         from ntl.coset import word_letters
@@ -414,7 +437,7 @@ def _outcome(run):
         return str(exc), exc.stats
 
 
-def _kernel_and_reference(p: Presentation, max_cosets: int):
+def _kernel_and_reference(p: Presentation | Relators, max_cosets: int):
     with budget_scope(EnumerationBudget(max_cosets=max_cosets)):
         table = _outcome(lambda: enumerate_cosets(p))
     if isinstance(table[0], CosetTable):
@@ -434,17 +457,15 @@ def _assert_same(got, want, name):
 
 def test_the_kernel_matches_the_python_reference():
     """Same rows and stats as the pure-Python pass on the finite corpus,
-    nu(S3), nu(Q8), a trivial-action eta and the direct presentation of
-    D6(x)D6."""
+    nu(S3), nu(Q8), a trivial-action eta and the letter form of the direct
+    presentation of D6(x)D6, which both read as `build_direct` gives it."""
     d6 = realize_name("D6")
     presentations = [e.presentation for e in finite_corpus()] + [
         build_nu(realize_name("S3")).presentation,
         build_nu(realize_name("Q8")).presentation,
         build_eta(trivial_pair(realize_name("C2"),
                                realize_name("C3"))).presentation,
-        Presentation("tensor(D6,D6)",
-                     tuple(f"t{i}" for i in range(d6.order ** 2)),
-                     _direct_relators(conjugation_pair(d6)))]
+        _direct_relators(conjugation_pair(d6))]
     for p in presentations:
         got, want = _kernel_and_reference(p, 2_000_000)
         assert isinstance(got[0], np.ndarray), p.name

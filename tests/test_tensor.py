@@ -11,10 +11,12 @@ from ntl.catalog import catalog_lookup
 from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
                         IncompleteMap, InternalInconsistency,
                         NotActionHomomorphism, NotAutomorphism)
-from ntl.coset import EnumerationBudget, budget_scope, realize_presentation
+from ntl.coset import (EnumerationBudget, _dedup, budget_scope,
+                       realize_presentation, word_letters)
 from ntl.groups import (Homomorphism, Subgroup, _commutators, _walk_levels,
                         closure, derived_subgroup, subgroup_as_group)
 from ntl.parsing import parse_file
+from ntl.verification import nu_corpus
 from ntl import groups, tensor
 from ntl.tensor import (_conjugation_table, _first_non_automorphism,
                         _validate_tables, build_direct, build_eta, build_nu,
@@ -23,7 +25,7 @@ from ntl.tensor import (_conjugation_table, _first_non_automorphism,
                         trivial_pair, validate_compatibility)
 from ntl.words import Word, commutator, conjugate
 
-from support import comm, realize_name
+from support import comm, realize_name, relator_letters
 
 SMALL = ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "D4", "Q8"]
 
@@ -597,16 +599,58 @@ def test_built_groups_are_not_walked_again(monkeypatch):
         walked.clear()
 
 
+def _assert_direct_relators_match_the_triple_loops(pair):
+    """`_direct_relators` gives the triple loops' words as the enumerator
+    flattens a presentation: letters, and first occurrences in order."""
+    built = tensor._direct_relators(pair)
+    assert built.ngens == pair.g.order * pair.h.order
+    assert relator_letters(built) == _dedup(
+        [word_letters(w) for w in _loop_relators(pair)])
+    return built
+
+
 @pytest.mark.parametrize("pair", [
     lambda: conjugation_pair(realize_name("S3")),
     lambda: trivial_pair(cyc(4), cyc(6)),
     _inversion_pair], ids=["S3-conjugation", "C4xC6-trivial", "C4xC6-file"])
 def test_direct_relators_match_the_triple_loops(pair):
     pair = pair()
-    built = tensor._direct_relators(pair)
-    assert built == _loop_relators(pair)
-    # the relators in which letters merge are built too
-    assert any(len(w.letters) < 3 for w in built)
+    built = _assert_direct_relators_match_the_triple_loops(pair)
+    # the relators in which X = Y merge are built, and repeats dropped
+    assert 1 in np.diff(built.ends, prepend=0)
+    ng, nh = pair.g.order, pair.h.order
+    assert built.ends.size < ng * nh * (ng + nh)
+
+
+def test_direct_relators_match_the_triple_loops_on_every_corpus_pair():
+    """Every nu-corpus group under conjugation and every trivial-action
+    pair Cm, Cn with m, n <= 12: the pairs `ntl verify` builds T of."""
+    for entry in nu_corpus():
+        _assert_direct_relators_match_the_triple_loops(
+            conjugation_pair(realize_name(entry.name)))
+    for m in range(1, 13):
+        for n in range(1, 13):
+            _assert_direct_relators_match_the_triple_loops(
+                trivial_pair(cyc(m), cyc(n)))
+
+
+@pytest.mark.parametrize("pair", [
+    lambda: conjugation_pair(realize_name("S3")),
+    lambda: trivial_pair(cyc(4), cyc(6))], ids=["nu-S3", "C4xC6-trivial"])
+def test_build_direct_makes_no_word_and_realizes_t_once(pair, monkeypatch):
+    """The biadditivity relators go to the enumerator as letters, never as
+    words, and the group the enumeration realizes is T itself."""
+    pair = pair()
+    made = {Word: 0, groups.RealizedGroup: 0}
+    for cls in made:
+        def counted(self, *args, _init=cls.__init__, _cls=cls, **kwargs):
+            made[_cls] += 1
+            _init(self, *args, **kwargs)
+        monkeypatch.setattr(cls, "__init__", counted)
+    r = build_direct(pair)
+    assert made == {Word: 0, groups.RealizedGroup: 1}
+    assert r.group.name == f"tensor({pair.g.name},{pair.h.name})"
+    assert r.group.source_presentation is None
 
 
 class TestTensorDirect:
