@@ -5,11 +5,12 @@
    coset table.
 
    `ntl.coset` compiles this file once and calls it through ctypes:
-   `ntl_hlt_run` fills the table and `ntl_hlt_take` copies the live rows
-   out and unmaps every buffer.  Definitions take the first undefined entry
-   in row-major order, relators are scanned in the order given, a merge
-   keeps the smaller index and every coincidence drains one queue, so
-   identical inputs give identical tables and counts.
+   `ntl_hlt_run` fills the table and `ntl_hlt_take` compresses it, writing
+   the live rows renumbered 0.. into the caller's array, and unmaps every
+   buffer.  Definitions take the first undefined entry in row-major
+   order, relators are scanned in the order given, a merge keeps the
+   smaller index and every coincidence drains one queue, so identical
+   inputs give identical tables and counts.
 
    All state lives in `struct hlt`, which the caller owns.  The table, the
    union-find and the coincidence queue share one anonymous mapping, so a
@@ -78,7 +79,7 @@ static int past_deadline(const struct hlt *h)
 {
     struct timespec now;
     clock_gettime(CLOCK_MONOTONIC, &now);
-    return now.tv_sec + now.tv_nsec * 1e-9 > h->deadline;
+    return (double)now.tv_sec + (double)now.tv_nsec * 1e-9 > h->deadline;
 }
 
 static int64_t find(struct hlt *h, int64_t c)
@@ -221,21 +222,23 @@ int32_t ntl_hlt_run(struct hlt *h, const int32_t *letters,
     return past_deadline(h) ? TIME_EXHAUSTED : DONE;
 }
 
-/* Copy the first `room` live rows and their indices out, in index order,
-   and unmap every buffer; returns the number of live rows. */
-int64_t ntl_hlt_take(struct hlt *h, int64_t *live, int32_t *rows,
-                     int64_t room)
+/* Write the first `room` live rows into `rows`, renumbered 0.. in index
+   order, and unmap every buffer; returns the number of live rows.  The
+   coincidence queue, which a finished pass no longer reads, holds the new
+   numbers.  An entry that is undefined or names a dead coset is written
+   as -1, for the caller's range check to refuse. */
+int64_t ntl_hlt_take(struct hlt *h, int32_t *rows, int64_t room)
 {
+    int32_t *renum = h->queue;
     int64_t n = 0;
-    for (int64_t c = 0; c < h->rows; c++) {
+    for (int64_t c = 0; c < h->rows; c++)
+        renum[c] = h->uf[c] == c ? (int32_t)n++ : -1;
+    for (int64_t c = 0, k = 0; k < room && c < h->rows; c++) {
         if (h->uf[c] != c)
             continue;
-        if (n < room) {
-            live[n] = c;
-            memcpy(rows + n * h->width, &T(c, 0),
-                   (size_t)h->width * sizeof(int32_t));
-        }
-        n++;
+        int32_t *out = rows + k++ * h->width;
+        for (int64_t x = 0; x < h->width; x++)
+            out[x] = T(c, x) < 0 ? -1 : renum[T(c, x)];
     }
     munmap(h->tab, map_bytes(h, h->cap));
     h->tab = h->uf = h->queue = NULL;

@@ -359,8 +359,16 @@ def _cmd_triad(args: argparse.Namespace) -> dict:
                       f"{args.p + args.q + 1}"]}
 
 
+def _not_abelian(name: str) -> NotAbelian:
+    return NotAbelian(f"{name!r} is not abelian; a second homotopy group "
+                      "must be")
+
+
 def _cmd_wedge(args: argparse.Namespace) -> dict:
     g_in, h_in = _lookup_pair(args)
+    for x in (g_in, h_in):  # a recorded fact costs no realization
+        if isinstance(x, CatalogEntry) and x.abelian is False:
+            raise _not_abelian(x.name)
     subjects = [resolve_subject(g_in)]
     subjects.append(subjects[0] if h_in is g_in else resolve_subject(h_in))
     invs = []
@@ -368,8 +376,7 @@ def _cmd_wedge(args: argparse.Namespace) -> dict:
         if s.invariants is None:
             g = s.realized()
             if not g.is_abelian():
-                raise NotAbelian(f"{s.name!r} is not abelian; a second "
-                                 "homotopy group must be")
+                raise _not_abelian(s.name)
             invs.append(g.abelianization())
         else:
             invs.append(s.invariants)

@@ -9,17 +9,20 @@ the enumerator builds.
 The strategy is HLT with row filling and in-place coincidence processing
 on a union-find over cosets.  The pass runs in a small C kernel,
 `_hlt.c`, compiled once with the C compiler Python was built with into the
-`__pycache__` beside it and called through ctypes.  The same kernel fills
-the regular representation's table, row by row along the coset table's
-walk; every other step stays in numpy.  Every relator is scanned at every
-live coset, so the finished table is closed under all of them; a
-vectorized closing check, independent of the kernel, traces every relator
-at every coset once more (relators of one length together, one gather per
-letter) and reports an open one as an engine bug, never as a reason to go
-on enumerating.  The enumerator reads one form of relators, `Relators`:
-the column letters of every distinct relator in one array.  A
-`Presentation` is flattened into it once, when its run starts; the
-biadditivity presentation of a tensor product is built in it directly.
+`__pycache__` beside it and called through ctypes.  The kernel also
+compresses the finished table: it writes the live rows, renumbered 0.. in
+index order, straight into the array numpy allocated.  The same kernel
+fills the regular representation's table, row by row along the coset
+table's walk; every other step stays in numpy.  Every relator is scanned
+at every live coset, so the finished table is closed under all of them;
+after a range check of every entry, a vectorized closing check,
+independent of the kernel, traces every relator at every coset once more
+(relators of one length together, one gather per letter) and reports an
+open one as an engine bug, never as a reason to go on enumerating.  The
+enumerator reads one form of relators, `Relators`: the column letters of
+every distinct relator in one array.  A `Presentation` is flattened into
+it once, when its run starts; the biadditivity presentation of a tensor
+product is built in it directly.
 
 Definitions use the first undefined entry in row-major order, so identical
 inputs give identical tables and stats.  Every run adds its cosets to the
@@ -319,8 +322,7 @@ def _kernel() -> ctypes.CDLL:
     kernel.ntl_hlt_run.argtypes = [state, ctypes.c_void_p, ctypes.c_void_p,
                                    ctypes.c_int64]
     kernel.ntl_hlt_run.restype = ctypes.c_int32
-    kernel.ntl_hlt_take.argtypes = [state, ctypes.c_void_p, ctypes.c_void_p,
-                                    ctypes.c_int64]
+    kernel.ntl_hlt_take.argtypes = [state, ctypes.c_void_p, ctypes.c_int64]
     kernel.ntl_hlt_take.restype = ctypes.c_int64
     kernel.ntl_regular_fill.argtypes = [ctypes.c_int64] * 3 + [
         ctypes.c_void_p] * 6
@@ -330,9 +332,9 @@ def _kernel() -> ctypes.CDLL:
 
 def _hlt_pass(relators: Relators, budget: EnumerationBudget,
               deadline: float | None):
-    """Run the HLT pass in the kernel.  Returns the number of rows it
-    filled, the indices of the live ones, their rows and the run's stats;
-    raises BudgetExceeded as the budget runs out."""
+    """Run the HLT pass in the kernel.  Returns the live rows as the
+    kernel compressed them, renumbered 0.. in index order, and the run's
+    stats; raises BudgetExceeded as the budget runs out."""
     kernel = _kernel()
     width = 2 * relators.ngens
     state = _State(width=width,
@@ -355,53 +357,31 @@ def _hlt_pass(relators: Relators, budget: EnumerationBudget,
             raise MemoryError(f"no memory for a coset table of "
                               f"{state.cap} rows and {width} columns")
         n = state.alive
-        live = np.empty(n, dtype=np.int64)
         rows = np.empty((n, width), dtype=np.int32)
-        found = kernel.ntl_hlt_take(state, live.ctypes.data, rows.ctypes.data,
-                                    n)
+        found = kernel.ntl_hlt_take(state, rows.ctypes.data, n)
     finally:
         if state.tab:  # not yet unmapped by a take
-            kernel.ntl_hlt_take(state, None, None, 0)
+            kernel.ntl_hlt_take(state, None, 0)
     if found != n:
         raise InternalInconsistency(
             f"the HLT pass counted {n} live cosets but left {found}")
-    return state.rows, live, rows, stats
+    return rows, stats
 
 
 class _Enumerator:
     def __init__(self, p: Presentation | Relators):
         self.relators = p if isinstance(p, Relators) else Relators.of(p)
-        self.width = 2 * self.relators.ngens
         self.budget = current_budget()
         self.deadline = _OPEN_SCOPE.get().deadline
 
-    def _compress(self, total: int, live: np.ndarray, rows: np.ndarray):
-        """The live rows renumbered 0.., as columns; taken in bounded
-        blocks (`groups._blocks`).  An incomplete row anywhere is reported
-        before a reference to a dead coset."""
-        n = live.size
-        renum = np.full(total, -1, dtype=np.int32)
-        renum[live] = np.arange(n, dtype=np.int32)
-        cols = np.empty((self.width, n), dtype=np.int32)
-        dead = False
-        for cut in _blocks(n, self.width):
-            raw = rows[cut]
-            if raw.size and raw.min() < 0:
-                raise InternalInconsistency("incomplete row after HLT pass")
-            block = renum[raw]
-            dead = dead or bool(block.size and block.min() < 0)
-            cols[:, cut] = block.T
-        if dead:
-            raise InternalInconsistency("live row references a dead coset")
-        return cols
-
-    def _find_violation(self, cols) -> str | None:
-        """Name the lowest-index relator open at some coset, and the first
-        coset where it is open, or None.  Relators of one length are traced
-        together, one gather per letter, in bounded blocks
-        (`groups._blocks`) of (relator, coset) cells."""
-        n = cols.shape[1]
-        flat = cols.ravel()
+    def _find_violation(self, rows) -> str | None:
+        """Name the lowest-index relator open at some coset of the table
+        `rows`, and the first coset where it is open, or None.  Relators of
+        one length are traced together, one gather per letter, in bounded
+        blocks (`groups._blocks`) of (relator, coset) cells, on one
+        column-major copy of the table."""
+        n = rows.shape[0]
+        flat = rows.T.ravel()
         ar = np.arange(n)
         ends = self.relators.ends
         lengths = np.diff(ends, prepend=0)
@@ -428,13 +408,15 @@ class _Enumerator:
         return f"relator {k} is open at coset {coset}"
 
     def run(self):
-        total, live, rows, stats = _hlt_pass(self.relators, self.budget,
-                                             self.deadline)
-        cols = self._compress(total, live, rows)
-        violation = self._find_violation(cols)
+        rows, stats = _hlt_pass(self.relators, self.budget, self.deadline)
+        # Before the closing check, whose gathers read -1 as the last coset.
+        if not _in_range(rows, rows.shape[0]):
+            raise InternalInconsistency(
+                "the HLT pass left an entry outside the live cosets")
+        violation = self._find_violation(rows)
         if violation is not None:
             raise InternalInconsistency(f"{violation} after the HLT pass")
-        return np.ascontiguousarray(cols.T), stats
+        return rows, stats
 
 
 def enumerate_cosets(p: Presentation | Relators

@@ -285,6 +285,25 @@ class TestTriad:
         assert rc == 0
         assert record["result"]["order"] == 6  # S3(x)S3
 
+    @pytest.mark.parametrize("group,other", [
+        ("C4", "C6"), ("C2xC4", "C6"), ("C3", "C3"), ("C2xC2", "C2xC2"),
+        ("C1", "C5")])
+    def test_both_degrees_above_one_give_the_wedge_answer(self, capsys,
+                                                          group, other):
+        # Both relative groups are abelian, so under trivial actions the
+        # triad group is their abelian tensor product, which `wedge` reads
+        # off the two abelianizations without building T.
+        rc, triad, _ = run_json(capsys, "triad", "--group", group, "--other",
+                                other, "--trivial-actions", "-p", "2",
+                                "-q", "2")
+        assert rc == 0
+        rc, wedge, _ = run_json(capsys, "wedge", "--group", group,
+                                "--other", other)
+        assert rc == 0
+        keys = ("order", "abelian_invariants")
+        assert ({k: triad["result"][k] for k in keys}
+                == {k: wedge["result"][k] for k in keys})
+
     def test_degree_validation(self, capsys):
         for degrees in (["-p", "0"], ["-q", "0"], ["-p", "-1", "-q", "2"]):
             rc, out, err = run(capsys, "triad", "--group", "C2", "--other",
@@ -341,6 +360,21 @@ class TestExitCodes:
         rc, out, err = run(capsys, "wedge", "--group", "S3", "--other", "C2")
         assert (rc, out) == (1, "")
         assert err == ("error NotAbelian: 'S3' is not abelian; a second "
+                       "homotopy group must be\n")
+
+    @pytest.mark.parametrize("argv,name", [
+        (("--group", "F2", "--other", "C2"), "F2"),
+        (("--group", "F3"), "F3")], ids=["F2", "F3"])
+    def test_wedge_refuses_a_catalog_group_recorded_non_abelian(
+            self, capsys, monkeypatch, argv, name):
+        # F2 and F3 are infinite: resolving either could only exhaust the
+        # coset budget, so the catalog's record alone must refuse them.
+        def unreachable(subject):
+            raise AssertionError("resolved a group")
+        monkeypatch.setattr(cli, "resolve_subject", unreachable)
+        rc, out, err = run(capsys, "wedge", *argv)
+        assert (rc, out) == (1, "")
+        assert err == (f"error NotAbelian: '{name}' is not abelian; a second "
                        "homotopy group must be\n")
 
     def test_a_group_file_defining_two_groups_is_a_usage_error(

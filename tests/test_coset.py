@@ -172,6 +172,29 @@ class TestEnumerate:
                            match="relator 1 is open"):
             enumerate_cosets(p)
 
+    @pytest.mark.parametrize("entry", [-1, 6], ids=["undefined", "past-n"])
+    def test_an_entry_outside_the_live_cosets_is_an_engine_bug(
+            self, monkeypatch, entry):
+        # C6's table with one entry undefined, or naming a coset past the
+        # six live ones, is refused before the closing check traces it.
+        p = catalog_lookup("C6").presentation
+        hlt_pass = coset._hlt_pass
+
+        def with_a_bad_entry(*args):
+            rows, stats = hlt_pass(*args)
+            assert rows.shape[0] == 6
+            rows[3, 1] = entry
+            return rows, stats
+
+        def unreachable(self, rows):
+            raise AssertionError("the closing check was called")
+
+        monkeypatch.setattr(coset, "_hlt_pass", with_a_bad_entry)
+        monkeypatch.setattr(_Enumerator, "_find_violation", unreachable)
+        with pytest.raises(InternalInconsistency, match="^the HLT pass left "
+                           "an entry outside the live cosets$"):
+            enumerate_cosets(p)
+
     def test_the_closing_check_names_the_lowest_open_relator(self):
         # Both generators step +1 in the cyclic table of order 7.  Relator
         # 3 (length 7) is traced in the first length group and relator 2
@@ -180,7 +203,7 @@ class TestEnumerate:
         p = Presentation("G", ("a", "b"),
                          (a ** 7, a ** 2 * b ** -2, a ** 3, a ** 6 * ~b))
         i = np.arange(7)
-        step = np.stack([(i + 1) % 7, (i - 1) % 7] * 2)
+        step = np.stack([(i + 1) % 7, (i - 1) % 7] * 2, axis=1)
         enumerator = _Enumerator(p)
         lengths = np.diff(enumerator.relators.ends, prepend=0)
         assert lengths.tolist() == [7, 4, 3, 7]
@@ -194,9 +217,9 @@ class TestEnumerate:
         # a swaps cosets 1 and 2 and fixes 0 and 3, so a^2 closes
         # everywhere and a closes at 0 and 3 only.
         a = Word.gen(0)
-        cols = np.array([[0, 2, 1, 3], [0, 2, 1, 3]])
+        rows = np.array([[0, 0], [2, 2], [1, 1], [3, 3]])
         enumerator = _Enumerator(Presentation("G", ("a",), (a ** 2, a)))
-        assert enumerator._find_violation(cols) == \
+        assert enumerator._find_violation(rows) == \
             "relator 1 is open at coset 1"
 
     @pytest.mark.parametrize("letters, ends, message", [
@@ -544,10 +567,11 @@ class TestKernelBuild:
         assert [f.name for f in tmp_path.iterdir()] == [lib.name]
 
     def test_the_kernel_compiles_without_warnings(self, tmp_path):
-        """-Wall -Wextra -Werror, in a test so that the runtime command and
-        the library's digest stay as they are."""
+        """-Wall -Wextra -Wconversion -Werror, in a test so that the
+        runtime command and the library's digest stay as they are.
+        -Wconversion sees every int64 index narrowed into an int32 entry."""
         argv = [*sysconfig.get_config_var("CC").split(), "-Wall", "-Wextra",
-                "-Werror", "-O2", "-shared", "-fPIC",
+                "-Wconversion", "-Werror", "-O2", "-shared", "-fPIC",
                 "-o", str(tmp_path / "_hlt.so"), str(coset._SOURCE)]
         done = subprocess.run(argv, capture_output=True, text=True)
         assert done.returncode == 0, done.stderr
