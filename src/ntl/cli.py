@@ -202,13 +202,14 @@ def _square_subject(args: argparse.Namespace):
     return resolve_subject(g_in)
 
 
-def _pair_inputs(args: argparse.Namespace):
+def _pair_inputs(args: argparse.Namespace, check=None):
     """The pair of `--group` and `--other` under the actions the flags
     choose, with the query naming them.  The flags are checked, and the
     one block per direction of the `--action` file is found by the
-    looked-up names of both groups, and the known orders are checked
-    (`_check_known_pair`), before either group is resolved, so those
-    errors cost no enumeration."""
+    looked-up names of both groups, the known orders are checked
+    (`_check_known_pair`) and `check`, if given, is called with the two
+    looked-up inputs, before either group is resolved, so those errors
+    cost no enumeration."""
     chosen = [bool(args.trivial_actions), bool(args.conjugation),
               args.action is not None]
     if sum(chosen) > 1:
@@ -231,6 +232,8 @@ def _pair_inputs(args: argparse.Namespace):
                               + " and one ".join(dict.fromkeys(ways)))
         (fwd,), (bwd,) = fwd, bwd
     _check_known_pair(g_in, h_in)
+    if check is not None:
+        check((g_in, h_in))
     g = resolve_subject(g_in).realized()
     h = g if h_in is g_in else resolve_subject(h_in).realized()
     if args.trivial_actions:
@@ -281,7 +284,8 @@ def _eta_record(e: EtaRealization, query: dict) -> dict:
     """The record of `eta` and `nu`: eta with its decomposition."""
     return {"query": query,
             "result": group_result(e.eta, tensor_count_m=e.tensor_count_m),
-            "chain": [f"decomposition: {e.eta.order} = {e.tensor.order} * "
+            "chain": [f"decomposition: {e.eta.order} = "
+                      f"{e.tensor_cosets.size} * "
                       f"{e.pair.g.order} * {e.pair.h.order}"]}
 
 
@@ -336,12 +340,20 @@ def _cmd_invariant(args: argparse.Namespace) -> dict:
             "result": invariants_result(inv), "chain": chain}
 
 
-def _check_triad_degrees(pair, p: int, q: int):
+def _check_triad_degrees(groups, p: int, q: int):
     """The relative groups pi_{p+1}(A, C) and pi_{q+1}(B, C) stand for
     `--group` and `--other`; one of degree p+1 >= 3 (or q+1) is abelian, so
-    a non-abelian group cannot be it."""
-    for degree, g in ((p, pair.g), (q, pair.h)):
-        if degree >= 2 and not g.is_abelian():
+    a non-abelian group cannot be it.  A catalog entry is refused by its
+    recorded fact, which costs no realization, a realized group by its
+    generators; any other input waits for its realization."""
+    for degree, g in zip((p, q), groups):
+        if degree < 2:
+            continue
+        if isinstance(g, CatalogEntry):
+            abelian = g.abelian is not False
+        else:
+            abelian = not isinstance(g, RealizedGroup) or g.is_abelian()
+        if not abelian:
             raise NotAbelian(f"{g.name!r} is not abelian; a relative "
                              f"homotopy group of degree {degree + 1} must be")
 
@@ -349,9 +361,13 @@ def _check_triad_degrees(pair, p: int, q: int):
 def _cmd_triad(args: argparse.Namespace) -> dict:
     if min(args.p, args.q) < 1:  # before anything is built
         raise _UsageError("connectivity degrees must be >= 1")
+
+    def check(groups):
+        _check_triad_degrees(groups, args.p, args.q)
+
     # the triad group is the tensor product of the two relative groups
-    pair, query = _pair_inputs(args)
-    _check_triad_degrees(pair, args.p, args.q)  # before T is built
+    pair, query = _pair_inputs(args, check)
+    check((pair.g, pair.h))  # before T is built
     r = build_direct(pair)
     query = dict(query, p=args.p, q=args.q)
     return {"query": query, "result": group_result(r.group),

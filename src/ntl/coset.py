@@ -24,6 +24,13 @@ every distinct relator in one array.  A `Presentation` is flattened into
 it once, when its run starts; the biadditivity presentation of a tensor
 product is built in it directly.
 
+A finished table also multiplies without a multiplication table:
+`certify_regular` checks that it is its group's regular representation,
+and then the trace of a word from a coset (`trace`) is a product, and a
+walk of right multiplication by the elements of some words gives the
+subgroup they generate (`subgroup_cosets`, `subgroup_representation`),
+traced only at the cosets the walk reaches.
+
 Definitions use the first undefined entry in row-major order, so identical
 inputs give identical tables and stats.  Every run adds its cosets to the
 innermost open `CosetTally`, which is how a command counts its work, and
@@ -46,6 +53,7 @@ from contextvars import ContextVar
 from dataclasses import dataclass
 from itertools import accumulate, chain
 from pathlib import Path
+from typing import Sequence
 
 import numpy as np
 
@@ -55,8 +63,8 @@ except ImportError:  # no builtin module of that name (Python 3.12 on)
     from hashlib import sha256
 
 from .errors import BudgetExceeded, InternalInconsistency
-from .groups import (RealizedGroup, _blocks, _check_order, _in_range,
-                     _table_dtype, _tree_size, _walk_levels)
+from .groups import (_ASSOC_CHECK_MAX, RealizedGroup, _blocks, _check_order,
+                     _in_range, _table_dtype, _tree_size, _walk_levels)
 from .words import Presentation, Word
 
 DEFAULT_MAX_COSETS = 2_000_000
@@ -213,6 +221,14 @@ class CosetTable:
     @property
     def coset_count(self) -> int:
         return self.rows.shape[0]
+
+    @functools.cached_property
+    def walk(self):
+        """The breadth-first tree from coset 0 over the generator columns
+        0, 2, 4, ... (`groups._walk_levels`), walked once: the regular
+        representation and `certify_regular` both read it.  Walk it only
+        after a range check of every entry."""
+        return _walk_levels(self.rows, range(0, self.rows.shape[1], 2))
 
 
 def word_letters(w: Word) -> tuple[int, ...]:
@@ -454,8 +470,7 @@ def regular_representation(t: CosetTable) -> RealizedGroup:
     if not _in_range(t.rows, n):
         raise InternalInconsistency("coset table entry out of range")
     cols = np.ascontiguousarray(t.rows, dtype=np.int32)
-    # Breadth-first spanning tree over the positive generator columns.
-    levels = _walk_levels(cols, range(0, 2 * ngens, 2))
+    levels = t.walk
     if _tree_size(levels) != n:
         raise InternalInconsistency("coset table is not transitive")
     # The tree's edges (vertex, parent, step) in discovery order.
@@ -483,3 +498,129 @@ def realize_presentation(p: Presentation | Relators
     """Enumerate the trivial-subgroup table and realize the group."""
     table, stats = enumerate_cosets(p)
     return regular_representation(table), stats
+
+
+def certify_regular(t: CosetTable, generators: Sequence[int]) -> None:
+    """Check that the table is the right regular representation of the
+    group its columns generate, so that `trace` multiplies without a
+    multiplication table: raises InternalInconsistency otherwise.
+    `generators` must generate the presented group, as its relators show;
+    all of its generators do.
+
+    Every entry is in range and column 2g+1 undoes column 2g, so the
+    columns are permutations and their inverses, and a word acts on the
+    cosets as its letters' columns do, one after another.  The table's
+    walk reaches every coset from 0: the action is transitive; that walk
+    is `_walk_levels`' own, a tree by construction.  A permutation group
+    is a group, so the two-sided identity, the inverses and the
+    associativity that `RealizedGroup` checks on a table hold here with
+    nothing to check.  What is left is regularity, that no element other
+    than 1 fixes coset 0, so that the trace of w from 0 names w.  For
+    n <= `_ASSOC_CHECK_MAX`, as Light's test is bounded, the left
+    multiplication by the element k = 0.k of each of `generators`, spread
+    along the walk as k.(p.s) = (k.p).s, must commute with their columns.
+    The relators close at every coset, so the presented group acts and
+    `generators` generate the permutation group P it acts as: each map
+    commutes with P.  Words in `generators` then reach every coset, so
+    the centralizer of P, which holds a map taking 0 to 0.k for each of
+    them, is transitive; an element of P fixing 0 fixes every coset
+    c(0) = c(0.x) = c(0).x, so it is 1.  Above that bound regularity rests
+    on the enumeration: the table of the trivial subgroup is its group's
+    regular representation (Holt-Eick-O'Brien, Handbook of Computational
+    Group Theory, 2005, ch. 5).
+    """
+    rows = t.rows
+    n, width = rows.shape
+    ar = np.arange(n)
+    if not _in_range(rows, n):
+        raise InternalInconsistency("coset table entry out of range")
+    if not (rows[rows[:, 0::2], np.arange(1, width, 2)] == ar[:, None]).all():
+        raise InternalInconsistency(
+            "an inverse column does not undo its generator column")
+    if _tree_size(t.walk) != n:
+        raise InternalInconsistency("coset table is not transitive")
+    if n > _ASSOC_CHECK_MAX:
+        return
+    columns = rows[:, 2 * np.fromiter(generators, dtype=np.int64)]
+    left = np.empty((columns.shape[1], n), dtype=np.int64)
+    left[:, 0] = columns[0]
+    for level in t.walk:  # a level's parents are all on the level above
+        v, p, s = zip(*level)
+        sizes = [x.size for x in v]
+        left[:, np.concatenate(v)] = rows[left[:, np.concatenate(p)],
+                                          2 * np.repeat(s, sizes)]
+    if not np.array_equal(columns[left], left[:, columns]):
+        raise InternalInconsistency(
+            "coset table is not a regular representation")
+
+
+def trace(t: CosetTable, cosets, letters) -> np.ndarray:
+    """The cosets that the column `letters` reach from `cosets`, read left
+    to right, one gather per letter; each letter is a column or an array
+    of columns, broadcast against the cosets reached so far.  In a table
+    that passed `certify_regular`, the trace of w from x is the element
+    x.w, and the trace from 0 names w."""
+    rows = t.rows
+    for letter in letters:
+        cosets = rows[cosets, letter]
+    return cosets
+
+
+class _WordSteps:
+    """Right multiplication by the elements that the rows of `words`
+    (column letters) trace from 0, read as `groups._walk_levels` reads a
+    table: `shape[0]` cosets, and [xs, steps] the trace of each step's
+    word from each x, indexed [step, x].  A walk then traces a word only at
+    the cosets it reaches."""
+
+    def __init__(self, t: CosetTable, words: np.ndarray):
+        self.t, self.words = t, words
+        self.shape = (t.coset_count, len(words))
+
+    def __getitem__(self, index):
+        xs, steps = index
+        return trace(self.t, xs, np.moveaxis(self.words[steps], -1, 0))
+
+
+def _word_walk(t: CosetTable, words: np.ndarray):
+    """The walk from 0 of right multiplication by the elements of the
+    words, and the cosets it reaches, 0 included, in increasing order."""
+    levels = _walk_levels(_WordSteps(t, words), range(len(words)))
+    return levels, np.sort(np.concatenate(
+        [[0], *(v for level in levels for v, _, _ in level)]))
+
+
+def subgroup_cosets(t: CosetTable, words: np.ndarray) -> np.ndarray:
+    """The cosets of the subgroup generated by the elements that the rows
+    of `words` trace from 0, in increasing order: 0 and the vertices of the
+    walk from 0 of right multiplication by those elements."""
+    return _word_walk(t, words)[1]
+
+
+def subgroup_representation(t: CosetTable, words: np.ndarray,
+                            name: str) -> RealizedGroup:
+    """The subgroup of `subgroup_cosets` realized as a group of its own,
+    element i being the i-th of its cosets, generated by the words'
+    elements in order and keeping that walk as its own.  Its table is
+    filled a column per edge of the walk: the column of x = p.s is that of
+    p traced by the word of s."""
+    levels, cosets = _word_walk(t, words)
+    k = cosets.size
+    _check_order(k)
+    local = np.full(t.coset_count, -1, dtype=np.int64)
+    local[cosets] = np.arange(k)
+    table = np.empty((k, k), dtype=np.int64)
+    table[:, 0] = np.arange(k)
+    walk = []
+    for level in levels:
+        runs = []
+        for v, p, s in level:
+            v, p = local[v], local[p]
+            v.setflags(write=False)
+            p.setflags(write=False)
+            table[:, v] = local[trace(t, cosets[table[:, p]], words[s])]
+            runs.append((v, p, s))
+        walk.append(runs)
+    images = local[trace(t, np.zeros(len(words), dtype=np.int64),
+                         np.moveaxis(words, -1, 0))]
+    return RealizedGroup(name, table, images.tolist(), walk=walk)

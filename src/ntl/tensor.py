@@ -18,10 +18,14 @@ the checks that compare it with T.  eta is presented on the full element
 sets of both factors: Cayley relators on the generator edges of each
 factor plus the two commutator-action relator families on generator
 triples.  The enumerated group is certified to be eta(G,H) with no theorem
-assumed: the factor embeddings are homomorphisms, which proves every
-Cayley relator, and `pairing_relators_hold` checks both families on every
-element triple in the realized table.  The record holds no symbol map and
-no derived map.
+assumed, on its coset table alone, which is eta's regular permutation
+representation: every product the certificate reads is a product by an
+element generator or by a commutator [a, b~], a short trace through that
+table (`coset.trace`).  The factor embeddings are homomorphisms, which
+proves every Cayley relator, and `pairing_relators_hold` checks both
+families on every element triple.  eta's multiplication table is built
+only where a command's record reads it; the record holds no symbol map
+and no derived map.
 
 Every pair builder checks |G|*|H| against `ETA_SIZE_CAP` before it builds
 an action table, so a pair is never too large to tensor.  No group is
@@ -37,7 +41,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coset import EnumerationStats, Relators, realize_presentation
+from .coset import (CosetTable, EnumerationStats, Relators,
+                    certify_regular, enumerate_cosets, realize_presentation,
+                    regular_representation, subgroup_cosets,
+                    subgroup_representation, trace)
 from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
@@ -252,32 +259,64 @@ def _conjugation_table(g: RealizedGroup) -> np.ndarray:
     return _conjugates(g, ar, ar)
 
 
-def _pairing_commutators(pair: CompatibleActionPair, eta: RealizedGroup):
-    """The images of G and H in eta and the commutators [a, b~], indexed
-    [a, b]."""
-    ng = pair.g.order
-    eg = np.asarray(eta.generator_images[:ng], dtype=np.int64)
-    eh = np.asarray(eta.generator_images[ng:], dtype=np.int64)
-    return eg, eh, _commutators(eta, eg, eh)
+def _element_columns(pair: CompatibleActionPair):
+    """The generator columns of eta's coset table that the elements of G
+    and of H name: G's element a is generator a, H's element b generator
+    |G| + b."""
+    ng, nh = pair.g.order, pair.h.order
+    return 2 * np.arange(ng), 2 * (ng + np.arange(nh))
+
+
+def _commutator_letters(x, y):
+    """The column letters of [a, b~] = a^-1 b~^-1 a b~, for the columns x
+    of a and y of b~, broadcast."""
+    return x + 1, y + 1, x, y
+
+
+def _pairing_commutators(pair: CompatibleActionPair,
+                         t: CosetTable) -> np.ndarray:
+    """The cosets of the commutators [a, b~], indexed [a, b]: each the
+    trace of its four letters from coset 0."""
+    gx, hy = _element_columns(pair)
+    return trace(t, 0, _commutator_letters(gx[:, None], hy[None, :]))
+
+
+def _tensor_words(pair: CompatibleActionPair,
+                  comms: np.ndarray) -> np.ndarray:
+    """The letters of one commutator [a, b~] for each distinct element of
+    `comms` (indexed [a, b]), the first (a, b) in row-major order, in that
+    order."""
+    first: dict[int, int] = {}
+    for i, c in enumerate(comms.ravel().tolist()):
+        first.setdefault(c, i)
+    a, b = np.divmod(np.fromiter(first.values(), dtype=np.int64,
+                                 count=len(first)), pair.h.order)
+    gx, hy = _element_columns(pair)
+    return np.stack(_commutator_letters(gx[a], hy[b]), axis=1)
 
 
 def pairing_relators_hold(pair: CompatibleActionPair,
-                          eta: RealizedGroup) -> bool:
-    """Whether both commutator-action relator families hold in eta on every
-    element triple: [a, b~]^x = [a^x, (x.b)~] for x in G and
-    [a, b~]^y~ = [y.a, (b^y)~] for y in H.
+                          t: CosetTable) -> bool:
+    """Whether both commutator-action relator families hold, on every
+    element triple, in the group of eta's coset table t:
+    [a, b~]^x = [a^x, (x.b)~] for x in G and [a, b~]^y~ = [y.a, (b^y)~] for
+    y in H.
 
-    eta is generated by the element generators of G, then those of H, as
-    `build_eta` realizes it.  All |G|^2 |H| + |G| |H|^2 identities are
-    compared at once, indexed [acting element, a, b].
+    Each conjugate u^-1 [a, b~] u is the trace of its six letters from
+    coset 0, compared with the trace of the commutator on the right.  All
+    |G|^2 |H| + |G| |H|^2 identities are compared at once, indexed
+    [acting element, a, b].
     """
-    eg, eh, comms = _pairing_commutators(pair, eta)
+    gx, hy = _element_columns(pair)
+    comms = _pairing_commutators(pair, t)
+    word = _commutator_letters(gx[None, :, None], hy[None, None, :])
     for by, a_to, b_to in (
-            (eg, _conjugation_table(pair.g)[:, :, None],
+            (gx, _conjugation_table(pair.g)[:, :, None],
              pair.g_on_h[:, None, :]),
-            (eh, pair.h_on_g[:, :, None],
+            (hy, pair.h_on_g[:, :, None],
              _conjugation_table(pair.h)[:, None, :])):
-        if not np.array_equal(_conjugates(eta, by, comms),
+        u = by[:, None, None]
+        if not np.array_equal(trace(t, 0, (u + 1, *word, u)),
                               comms[a_to, b_to]):
             return False
     return True
@@ -340,29 +379,57 @@ class TensorRealization:
 
 @dataclass(frozen=True, eq=False)
 class EtaRealization:
-    """eta(G,H) as `build_eta` realizes and certifies it.
+    """eta(G,H) as `build_eta` realizes and certifies it, read off its coset
+    table.
 
-    `eta` is generated by the element generators of G, then those of H.
-    `commutators[a, b]` is [a, b~] in eta, and `tensor` is the subgroup T
-    of eta that they generate: normal, with |eta| = |T||G||H|.
-    `presentation` and `stats` are those of eta's enumeration.
+    `table` is eta's coset table and `stats` its enumeration's; eta is
+    generated by the element generators of G, then those of H, and coset x
+    is the element that x's trace from coset 0 names.  The rest needs no
+    multiplication table of eta: `tensor_cosets` are the cosets of the
+    subgroup T = [G, H~], in increasing order, and `commutators[a, b]` is
+    [a, b~] as the element of T numbered by its place there.
+
+    Two groups are realized only when read, and then kept: `tensor`, T as
+    a group of its own, whose |T|^2 table is filled from the same traces
+    through `table` (`same_tensor` reads it), and `eta`, eta's |eta|^2
+    regular representation, which only the records of `eta` and `nu`
+    read.
     """
 
     pair: CompatibleActionPair
-    presentation: Presentation
+    table: CosetTable
     stats: EnumerationStats
-    eta: RealizedGroup
     commutators: np.ndarray
-    tensor: Subgroup
+    tensor_cosets: np.ndarray
 
     def __post_init__(self):
         self.commutators.setflags(write=False)
+        self.tensor_cosets.setflags(write=False)
+
+    @property
+    def presentation(self) -> Presentation:
+        """eta's presentation, as enumerated."""
+        return self.table.presentation
 
     @property
     def tensor_count_m(self) -> int:
         """The number of distinct commutators [a, b~], the tensors
         a(x)b."""
         return len(set(self.commutators.ravel().tolist()))
+
+    @functools.cached_property
+    def tensor(self) -> RealizedGroup:
+        """T as a group of its own, element i being coset
+        `tensor_cosets[i]`, generated by the distinct commutators."""
+        comms = _pairing_commutators(self.pair, self.table)
+        return subgroup_representation(self.table,
+                                       _tensor_words(self.pair, comms),
+                                       f"{self.presentation.name}|T")
+
+    @functools.cached_property
+    def eta(self) -> RealizedGroup:
+        """eta's regular representation, its |eta|^2 table."""
+        return regular_representation(self.table)
 
 
 def _symbol_map(group: RealizedGroup, sym: np.ndarray,
@@ -399,13 +466,13 @@ def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
 
 def same_tensor(r: TensorRealization, e: EtaRealization) -> bool:
     """Whether a(x)b |-> [a, b~] (`_symbol_map`) is an isomorphism from r's
-    T onto the T inside eta: a homomorphism, injective, onto e.tensor."""
+    T onto e's: a homomorphism, injective, onto e.tensor."""
     try:
-        f = _symbol_map(r.group, r.sym, e.eta, e.commutators)
+        f = _symbol_map(r.group, r.sym, e.tensor, e.commutators)
     except InternalInconsistency:  # the spread map is no homomorphism
         return False
     return (f is not None and f.is_injective()
-            and f.image_members() == e.tensor.members)
+            and len(f.image_members()) == e.tensor.order)
 
 
 def _check_cap(ng: int, nh: int):
@@ -425,12 +492,22 @@ def build_eta(pair: CompatibleActionPair,
 
     The presentation has one generator per element of G and of H, the
     Cayley relators on the generator edges of each factor and the two
-    commutator-action relator families on generator triples.  The realized
-    table is then certified to be eta(G,H) itself: the factor embeddings
-    prove every Cayley relator and `pairing_relators_hold` every
-    element-triple pairing relator.  `skip_pairing_relators` is the
-    test-only fault switch that drops both families; the certificate still
-    runs, so the verification suite can prove its own sensitivity.
+    commutator-action relator families on generator triples.  The
+    enumerated coset table is then certified, with no multiplication table
+    of eta, to be a group that satisfies eta(G,H)'s relators on every
+    element: `certify_regular` makes each trace from coset 0 name an
+    element; the factor embeddings, row 0's generator columns, are
+    injective homomorphisms (column b read at each embedded a is the
+    embedded ab), which proves every Cayley relator; and
+    `pairing_relators_hold` proves every element-triple pairing relator.
+    T's cosets are the vertices of the walk of right multiplication by the
+    distinct commutators, and |eta| = |T||G||H| is checked on them.  T is
+    normal with nothing to check: by [gx, h] = [g, h]^x [x, h], conjugation
+    by an element generator x of G maps [g, h~] to [gx, h~][x, h~]^-1, in
+    T, and likewise for H, and these generators generate eta.
+    `skip_pairing_relators` is the test-only fault switch that drops both
+    families; the certificate still runs, so the verification suite can
+    prove its own sensitivity.
     """
     g, h = pair.g, pair.h
     ng, nh = g.order, h.order
@@ -477,25 +554,38 @@ def build_eta(pair: CompatibleActionPair,
                      for hi in hgens for h1 in hgens]
 
     presentation = Presentation(name, gens, tuple(relators))
-    eta, stats = realize_presentation(presentation)
+    table, stats = enumerate_cosets(presentation)
+    return EtaRealization(pair, table, stats, *_certify(name, pair, table))
 
-    eg, eh, comms = _pairing_commutators(pair, eta)
-    tensor = closure(eta, comms.ravel())
-    if not (Homomorphism(g, eta, eg).is_injective()
-            and Homomorphism(h, eta, eh).is_injective()):
-        raise InternalInconsistency(
-            f"{name}: factor embeddings are not injective")
-    if not pairing_relators_hold(pair, eta):
+
+def _certify(name: str, pair: CompatibleActionPair, table: CosetTable
+             ) -> tuple[np.ndarray, np.ndarray]:
+    """`build_eta`'s certificate of eta's coset table, each branch raising
+    InternalInconsistency; returns the commutators as elements of T and
+    T's cosets.  Order matters: every branch after `certify_regular`
+    reads a trace from coset 0 as the element it names."""
+    ng, nh = pair.g.order, pair.h.order
+    # By the Cayley relators, the element generators of G's and of H's
+    # generators generate eta.
+    certify_regular(table, [*pair.g.generator_images,
+                            *(ng + b for b in pair.h.generator_images)])
+    for grp, cols in zip((pair.g, pair.h), _element_columns(pair)):
+        emb = table.rows[0, cols]
+        if (len(set(emb.tolist())) != grp.order or not np.array_equal(
+                table.rows[emb[:, None], cols], emb[grp.table])):
+            raise InternalInconsistency(
+                f"{name}: factor embeddings are not injective "
+                "homomorphisms")
+    if not pairing_relators_hold(pair, table):
         raise InternalInconsistency(
             f"{name}: an element-triple pairing relator fails")
-    if eta.order != tensor.order * ng * nh:
+    comms = _pairing_commutators(pair, table)
+    cosets = subgroup_cosets(table, _tensor_words(pair, comms))
+    if table.coset_count != cosets.size * ng * nh:
         raise InternalInconsistency(
-            f"{name}: order {eta.order} breaks the semidirect "
-            f"decomposition {tensor.order}*{ng}*{nh}")
-    if not tensor.is_normal():
-        raise InternalInconsistency(
-            f"{name}: tensor subgroup is not normal")
-    return EtaRealization(pair, presentation, stats, eta, comms, tensor)
+            f"{name}: order {table.coset_count} breaks the semidirect "
+            f"decomposition {cosets.size}*{ng}*{nh}")
+    return np.searchsorted(cosets, comms), cosets
 
 
 def build_nu(g: RealizedGroup) -> EtaRealization:

@@ -5,10 +5,11 @@ commutator-pairing build, and kept as a `Profile`: the T that
 `build_direct` returned, the stats of eta's enumeration, and what the two
 builds alone can tell (route agreement and timings).  Every eta build
 certifies its own decomposition |eta| = |T||G||H|, and criterion 2 compares
-the T inside eta with the stored one; eta itself is not kept, and only the
-certificate check and criterion 13's fault scan build it again.  Whatever a
-check builds beyond the store (criterion 3's other cyclic pairs, criterion
-9's pushouts) is T alone, by the direct route.  Every check reads J2, the
+the T inside eta with the stored one, both on eta's coset table, so no
+check fills eta's multiplication table.  eta itself is not kept, and only
+the certificate check and criterion 13's fault scan build it again.
+Whatever a check builds beyond the store (criterion 3's other cyclic
+pairs, criterion 9's pushouts) is T alone, by the direct route.  Every check reads J2, the
 diagonals, H2, pi2S and the Theorem C and finiteness reports from the
 memoized invariants layer on that T (`tensor` and `homotopy`), the T every
 command serves, so nothing is computed twice and a fault injected into one
@@ -418,11 +419,12 @@ def check_pairing_certificate() -> CheckResult:
     under trivial actions, or it certifies nothing."""
     g = realize_entry(catalog_lookup("S3"))
     r = build_nu(g)
-    holds = pairing_relators_hold(r.pair, r.eta)
-    rejects = not pairing_relators_hold(trivial_pair(g, g), r.eta)
+    holds = pairing_relators_hold(r.pair, r.table)
+    rejects = not pairing_relators_hold(trivial_pair(g, g), r.table)
     return CheckResult(
         "invariant: element-triple certificate", holds and rejects,
-        f"certificate {'holds' if holds else 'FAILS'} on {r.eta.name} with "
+        f"certificate {'holds' if holds else 'FAILS'} on "
+        f"{r.presentation.name} with "
         f"its own actions and {'rejects' if rejects else 'ACCEPTS'} it "
         "under trivial actions")
 

@@ -1,12 +1,15 @@
 """Helpers the tests share: catalog groups by name, the relators of a
 letter form as tuples, the commutator read off a group's table one product
-at a time, and the HLT pass in pure Python as the reference for the
-compiled one."""
+at a time, eta's certificate read off its multiplication table, and the
+HLT pass in pure Python as the reference for the compiled one."""
 
 import numpy as np
 
 from ntl.catalog import catalog_lookup, realize_entry
 from ntl.coset import EnumerationBudget, EnumerationStats, Relators
+from ntl.errors import InternalInconsistency
+from ntl.groups import _commutators, _conjugates, closure
+from ntl.tensor import _conjugation_table, _symbol_map
 from ntl.words import Presentation
 
 
@@ -25,6 +28,50 @@ def comm(g, x: int, y: int) -> int:
     """[x, y] = x^-1 y^-1 x y in the realized group g."""
     t, inv = g.table, g.inverse
     return int(t[t[inv[x], inv[y]], t[x, y]])
+
+
+def eta_commutators(e):
+    """The commutators [a, b~], indexed [a, b], read off eta's realized
+    table `e.eta`, whose generators are the element generators of G, then
+    those of H."""
+    ng = e.pair.g.order
+    gens = np.asarray(e.eta.generator_images, dtype=np.int64)
+    return _commutators(e.eta, gens[:ng], gens[ng:])
+
+
+def tensor_in_eta(e):
+    """The subgroup T of `e.eta` that the commutators generate."""
+    return closure(e.eta, eta_commutators(e).ravel())
+
+
+def pairing_relators_hold_in_table(pair, eta) -> bool:
+    """Both pairing families on every element triple, each conjugate read
+    off eta's multiplication table, as the certificate read them before it
+    traced them through the coset table."""
+    ng = pair.g.order
+    gens = np.asarray(eta.generator_images, dtype=np.int64)
+    eg, eh = gens[:ng], gens[ng:]
+    comms = _commutators(eta, eg, eh)
+    for by, a_to, b_to in (
+            (eg, _conjugation_table(pair.g)[:, :, None],
+             pair.g_on_h[:, None, :]),
+            (eh, pair.h_on_g[:, :, None],
+             _conjugation_table(pair.h)[:, None, :])):
+        if not np.array_equal(_conjugates(eta, by, comms),
+                              comms[a_to, b_to]):
+            return False
+    return True
+
+
+def same_tensor_in_table(r, e) -> bool:
+    """The route comparison read off `e.eta`: a(x)b |-> [a, b~] into eta's
+    table is an injective homomorphism onto the T it holds."""
+    try:
+        f = _symbol_map(r.group, r.sym, e.eta, eta_commutators(e))
+    except InternalInconsistency:
+        return False
+    return (f is not None and f.is_injective()
+            and f.image_members() == tensor_in_eta(e).members)
 
 
 class ReferenceEnumerator:

@@ -444,7 +444,9 @@ def test_verify_reports_the_cosets_of_every_enumeration(monkeypatch,
         spent.append(stats)
         return table, stats
 
-    monkeypatch.setattr(coset, "enumerate_cosets", counted)
+    # every binding: `coset` calls its own, `tensor` its imported copy
+    for module in (coset, tensor):
+        monkeypatch.setattr(module, "enumerate_cosets", counted)
     rc = main(["verify", *fault, "--json"])
     record = json.loads(capsys.readouterr().out)
     # under the fault, criterion 13's exhausted attempt is counted too
@@ -452,3 +454,31 @@ def test_verify_reports_the_cosets_of_every_enumeration(monkeypatch,
     assert record["stats"]["cosets_defined"] == sum(
         s.cosets_defined for s in spent)
     assert record["stats"]["elapsed_ms"] >= 0
+
+
+def test_no_check_fills_an_eta_table(monkeypatch, capsys):
+    """`ntl verify`, in catalog scope and in file scope, certifies every eta
+    on its coset table: no coset table of a nu(...) or eta(...)
+    presentation reaches `regular_representation`.  `nu` realizes its
+    one eta table, for the record."""
+    realized = []
+    regular_representation = coset.regular_representation
+
+    def spied(t):
+        realized.append(t.presentation.name)
+        return regular_representation(t)
+
+    for module in (coset, tensor):
+        monkeypatch.setattr(module, "regular_representation", spied)
+
+    def etas():
+        return [name for name in realized
+                if name.startswith(("nu(", "eta("))]
+
+    assert all(c.passed for c in run_catalog_suite())
+    assert all(c.passed for c in verification.run_file_suite(
+        "group G { gens: a b; rels: a^3, b^2, (a b)^2; }"))
+    assert realized and etas() == []
+    assert main(["nu", "--group", "S3", "--json"]) == 0
+    assert etas() == ["nu(S3)"]
+    assert json.loads(capsys.readouterr().out)["result"]["order"] == 216

@@ -271,6 +271,42 @@ class TestTriad:
                        f"relative homotopy group of degree {degree} must "
                        "be\n")
 
+    @pytest.mark.parametrize("argv", [
+        ("--group", "F2", "--other", "C2", "--trivial-actions", "-p", "2"),
+        ("--group", "C2", "--other", "F3", "--trivial-actions", "-q", "2")],
+        ids=["group", "other"])
+    def test_a_catalog_record_refuses_before_any_realization(
+            self, capsys, monkeypatch, argv):
+        # F2 and F3 are infinite: resolving either could only exhaust the
+        # coset budget, so the catalog's record alone must refuse them.
+        def unreachable(subject):
+            raise AssertionError("resolved a group")
+        monkeypatch.setattr(cli, "resolve_subject", unreachable)
+        rc, out, err = run(capsys, "triad", *argv)
+        name = argv[1] if argv[1] != "C2" else argv[3]
+        assert (rc, out) == (1, "")
+        assert err == (f"error NotAbelian: '{name}' is not abelian; a "
+                       "relative homotopy group of degree 3 must be\n")
+
+    def test_a_file_group_is_refused_once_realized(self, capsys, tmp_path):
+        # A file records no facts: S3 from a file is refused by its table.
+        f = tmp_path / "s3.grp"
+        f.write_text("group G { gens: a b; rels: a^3, b^2, (a b)^2; }")
+        rc, out, err = run(capsys, "triad", "--group", str(f), "--other",
+                           "C2", "--trivial-actions", "-p", "2")
+        assert (rc, out) == (1, "")
+        assert err == ("error NotAbelian: 'G' is not abelian; a relative "
+                       "homotopy group of degree 3 must be\n")
+        rc, out, err = run(capsys, "triad", "--group", str(f), "--other",
+                           "C2", "--trivial-actions", "-q", "2")
+        assert (rc, err) == (0, "")
+
+    def test_the_flags_are_checked_before_the_record(self, capsys):
+        rc, out, err = run(capsys, "triad", "--group", "F2", "--other", "C2",
+                           "--trivial-actions", "--conjugation", "-p", "2")
+        assert (rc, out) == (2, "")
+        assert err.startswith("usage error: choose one of")
+
     def test_degree_one_takes_a_non_abelian_group(self, capsys):
         rc, record, _ = run_json(capsys, "triad", "--group", "S3", "--other",
                                  "C2", "--trivial-actions", "-q", "2")

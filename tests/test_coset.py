@@ -13,7 +13,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from ntl import coset, groups, tensor
+from ntl import coset, groups
 from ntl.catalog import catalog_lookup, finite_corpus
 from ntl.coset import (CosetTable, EnumerationBudget, Relators, _Enumerator,
                        budget_scope, current_budget, enumerate_cosets,
@@ -371,19 +371,9 @@ def _regular_table_per_row(t: CosetTable) -> np.ndarray:
     return table
 
 
-def _nu_coset_table(name, monkeypatch) -> CosetTable:
+def _nu_coset_table(name) -> CosetTable:
     """The coset table that `build_nu` enumerates for a catalog group."""
-    tables = []
-
-    def keep(p):
-        table, stats = enumerate_cosets(p)
-        tables.append(table)
-        return regular_representation(table), stats
-
-    with monkeypatch.context() as mp:
-        mp.setattr(tensor, "realize_presentation", keep)
-        build_nu(realize_name(name))
-    return tables[0]
+    return build_nu(realize_name(name)).table
 
 
 @pytest.mark.parametrize("name", [
@@ -397,7 +387,7 @@ def test_regular_representation_matches_the_per_row_spread(name,
     gathered in blocks of one step and of the engine's size.  The kernel
     fills int16 tables only, the one width an order under the cap needs
     (see `test_regular_representation_refuses_a_wider_table`)."""
-    t = _nu_coset_table(name, monkeypatch)
+    t = _nu_coset_table(name)
     want = _regular_table_per_row(t)
     for block in (1, groups._CELLS):
         monkeypatch.setattr(groups, "_CELLS", block)
@@ -412,6 +402,74 @@ def test_regular_representation_refuses_a_wider_table(monkeypatch):
     with pytest.raises(InternalInconsistency,
                        match="^the kernel fills int16 tables, not int32$"):
         regular_representation(t)
+
+
+def _s3_on_three_points():
+    """S3 = <a, b | a^3, b^2, (a b)^2> on the cosets of <b>: a = (0 1 2),
+    b = (1 2).  Transitive, closed under every relator, not regular."""
+    return CosetTable(np.array([[1, 2, 0, 0], [2, 0, 2, 2], [0, 1, 1, 1]],
+                               dtype=np.int32),
+                      catalog_lookup("S3").presentation)
+
+
+def _table(name, rows):
+    return CosetTable(np.array(rows, dtype=np.int32),
+                      catalog_lookup(name).presentation)
+
+
+# Each table breaks one branch of `certify_regular`.
+IRREGULAR_TABLES = {
+    # C3 with the inverse column a copy of the generator's
+    "inverse-column": (lambda: _table("C3", [[1, 1], [2, 2], [0, 0]]),
+                       "^an inverse column does not undo its generator "
+                       "column$"),
+    # two copies of C2's table
+    "transitivity": (lambda: _table("C2", [[1, 1], [0, 0], [3, 3], [2, 2]]),
+                     "^coset table is not transitive$"),
+    "regularity": (_s3_on_three_points,
+                   "^coset table is not a regular representation$"),
+}
+
+
+@pytest.mark.parametrize("fault", IRREGULAR_TABLES)
+def test_every_branch_of_certify_regular_can_fire(fault):
+    table, message = IRREGULAR_TABLES[fault]
+    t = table()
+    with pytest.raises(InternalInconsistency, match=message):
+        coset.certify_regular(t, range(t.presentation.ngens))
+
+
+@pytest.mark.parametrize("name", ["S3", "Q8", "A4", "C2xC4"])
+def test_certify_regular_passes_every_enumerated_table(name):
+    t, _ = enumerate_cosets(catalog_lookup(name).presentation)
+    coset.certify_regular(t, range(t.presentation.ngens))
+    e = build_nu(realize_name(name))
+    coset.certify_regular(e.table, range(e.presentation.ngens))
+
+
+def test_regularity_is_checked_only_up_to_the_light_bound(monkeypatch):
+    """Above `_ASSOC_CHECK_MAX` cosets only the columns and the walk are
+    checked, as Light's test is bounded."""
+    t = _s3_on_three_points()
+    monkeypatch.setattr(coset, "_ASSOC_CHECK_MAX", 2)
+    coset.certify_regular(t, [0, 1])
+
+
+def test_traces_multiply_as_the_regular_representation():
+    """In nu(S3)'s coset table, the trace of a word from x is x times the
+    word's element in eta's table; the realized T is the subgroup of eta
+    its cosets are, with eta's products."""
+    e = build_nu(realize_name("S3"))
+    eta = e.eta
+    x = np.arange(eta.order)
+    for g, image in enumerate(eta.generator_images):
+        assert np.array_equal(coset.trace(e.table, x, [2 * g]),
+                              eta.table[x, image])
+        assert np.array_equal(coset.trace(e.table, x, [2 * g + 1]),
+                              eta.table[x, eta.inverse[image]])
+    cosets = e.tensor_cosets
+    assert np.array_equal(cosets[e.tensor.table],
+                          eta.table[np.ix_(cosets, cosets)])
 
 
 @pytest.mark.parametrize("cells", [1, 97])
@@ -439,7 +497,7 @@ def test_regular_representation_peaks_below_the_table_plus_one_block(
     entries, 48 KiB) and the walk, with the temporaries of its blocks and
     of the realized group's checks: about 0.3 MiB in all.  A second table
     or any whole-level temporary of the fill would exceed the bound."""
-    t = _nu_coset_table("D4", monkeypatch)
+    t = _nu_coset_table("D4")
     tracemalloc.start()
     try:
         base = tracemalloc.get_traced_memory()[0]

@@ -13,8 +13,9 @@ from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
                         NotActionHomomorphism, NotAutomorphism)
 from ntl.coset import (EnumerationBudget, _dedup, budget_scope,
                        realize_presentation, word_letters)
-from ntl.groups import (Homomorphism, Subgroup, _commutators, _walk_levels,
-                        closure, derived_subgroup, subgroup_as_group)
+from ntl.coset import CosetTable
+from ntl.groups import (Homomorphism, RealizedGroup, _commutators,
+                        _conjugates, _walk_levels, closure, derived_subgroup)
 from ntl.parsing import parse_file
 from ntl.verification import nu_corpus
 from ntl import groups, tensor
@@ -25,7 +26,8 @@ from ntl.tensor import (_conjugation_table, _first_non_automorphism,
                         trivial_pair, validate_compatibility)
 from ntl.words import Word, commutator, conjugate
 
-from support import comm, realize_name, relator_letters
+from support import (comm, eta_commutators, realize_name, relator_letters,
+                     same_tensor_in_table, tensor_in_eta)
 
 SMALL = ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "D4", "Q8"]
 
@@ -37,11 +39,6 @@ def cyc(n):
 def square(g):
     """T = G(x)G under conjugation, from the one producer of T."""
     return build_direct(conjugation_pair(g))
-
-
-def tensor_of_eta(e):
-    """The T inside eta, realized as a group of its own."""
-    return subgroup_as_group(e.tensor)[0]
 
 
 def read_action(text):
@@ -314,8 +311,7 @@ class TestBuildEta:
         assert r.eta.order == r.tensor.order * 36
         direct = build_direct(r.pair)
         assert direct.group.order == r.tensor.order
-        assert direct.group.abelianization() == \
-            tensor_of_eta(r).abelianization()
+        assert direct.group.abelianization() == r.tensor.abelianization()
         assert tensor_direct(r.pair).order == r.tensor.order
 
     def test_embeddings(self):
@@ -324,8 +320,8 @@ class TestBuildEta:
         gens = r.eta.generator_images
         assert Homomorphism(g, r.eta, gens[:4]).is_injective()
         assert Homomorphism(h, r.eta, gens[4:]).is_injective()
-        assert _tensor_in_eta(r).is_normal()
-        assert r.tensor.members == _tensor_in_eta(r).members
+        assert tensor_in_eta(r).is_normal()
+        assert tuple(r.tensor_cosets.tolist()) == tensor_in_eta(r).members
 
     @pytest.mark.parametrize("name", ["C3", "S3", "Q8"])
     def test_symbols_are_the_eta_commutators(self, name):
@@ -337,9 +333,9 @@ class TestBuildEta:
             for b in range(g.order):
                 want = comm(r.eta, gens[a], gens[g.order + b])
                 assert incl.images[t.sym[a, b]] == want
-                assert r.commutators[a, b] == want
+                assert r.tensor_cosets[r.commutators[a, b]] == want
         assert incl.is_injective()
-        assert incl.image_members() == _tensor_in_eta(r).members
+        assert incl.image_members() == tensor_in_eta(r).members
         assert not t.sym.flags.writeable
         assert not r.commutators.flags.writeable
 
@@ -410,12 +406,12 @@ class TestBuildEta:
                     rhs = commutator(x(int(r.pair.h_on_g[v, a])),
                                      y(h.conj(b, v)))
                     assert r.eta.evaluate(conjugate(c, y(v)) * ~rhs) == 0
-        assert pairing_relators_hold(r.pair, r.eta)
+        assert pairing_relators_hold(r.pair, r.table)
 
     def test_certificate_rejects_foreign_actions(self):
         s3 = realize_name("S3")
         r = build_nu(s3)
-        assert not pairing_relators_hold(trivial_pair(s3, s3), r.eta)
+        assert not pairing_relators_hold(trivial_pair(s3, s3), r.table)
 
     def test_failed_certificate_is_an_internal_inconsistency(self,
                                                              monkeypatch):
@@ -437,16 +433,10 @@ def _nonidentity_first_commutator(base, a, b):
 # certificate or of `_derived_map` reads; the build must raise that
 # branch's InternalInconsistency.
 CERTIFICATE_FAULTS = {
-    "eta-embedding": (
-        build_nu, Homomorphism, "is_injective", lambda self: False,
-        r"^nu\(S3\): factor embeddings are not injective$"),
     "eta-decomposition": (
-        build_nu, tensor, "closure",
-        lambda parent, gens: closure(parent, []),
+        build_nu, tensor, "subgroup_cosets",
+        lambda t, words: np.zeros(1, dtype=np.int64),
         r"^nu\(S3\): order 216 breaks the semidirect decomposition 1\*6\*6$"),
-    "eta-normality": (
-        build_nu, Subgroup, "is_normal", lambda self: False,
-        r"^nu\(S3\): tensor subgroup is not normal$"),
     "derived-symbols": (
         square, tensor, "_commutators", _nonidentity_first_commutator,
         r"^the derived map does not send a\(x\)b to \[a, b\]$"),
@@ -464,6 +454,85 @@ def test_every_certificate_branch_can_fire(fault, monkeypatch):
     monkeypatch.setattr(owner, name, replacement)
     with pytest.raises(InternalInconsistency, match=message):
         build(s3)
+
+
+def _opposite_left_factor(e):
+    """nu(S3)'s pair with G's table transposed: the opposite group, whose
+    products the embedding of G in eta does not respect."""
+    g = e.pair.g
+    op = RealizedGroup(f"{g.name}op", g.table.T, g.generator_images)
+    return replace(e.pair, g=op), e.table
+
+
+def _action_on_cosets(e, members):
+    """eta acting on the right cosets K y of the subgroup K = `members`,
+    read off eta's table: coset i is the one of the i-th least
+    representative, so K itself is coset 0."""
+    eta = e.eta
+    label = eta.table[np.asarray(members)[:, None], np.arange(eta.order)]
+    reps, index = np.unique(label.min(axis=0), return_inverse=True)
+    rows = index[e.table.rows[reps]].astype(np.int32)
+    return CosetTable(rows, e.table.presentation)
+
+
+def _cosets_of_the_left_factor(e):
+    """eta acting on the 36 right cosets of its copy of S3, which is not
+    normal: a transitive action that closes every relator, not regular."""
+    g_images = e.eta.generator_images[:e.pair.g.order]
+    k = closure(e.eta, g_images)
+    assert not k.is_normal()
+    return e.pair, _action_on_cosets(e, k.members)
+
+
+# Each fault replaces one input that a branch of `tensor._certify` reads,
+# the pair or the coset table; the branch must raise.
+ETA_CERTIFICATE_FAULTS = {
+    "regularity": (_cosets_of_the_left_factor,
+                   r"^coset table is not a regular representation$"),
+    "embedding": (_opposite_left_factor,
+                  r"^nu\(S3\): factor embeddings are not injective "
+                  r"homomorphisms$"),
+    "pairing-relator": (
+        lambda e: (trivial_pair(e.pair.g, e.pair.g), e.table),
+        r"^nu\(S3\): an element-triple pairing relator fails$"),
+}
+
+
+@pytest.mark.parametrize("fault", ETA_CERTIFICATE_FAULTS)
+def test_every_branch_of_the_eta_certificate_can_fire(fault):
+    e = build_nu(realize_name("S3"))
+    commutators, cosets = tensor._certify("nu(S3)", e.pair, e.table)
+    assert np.array_equal(commutators, e.commutators)
+    assert np.array_equal(cosets, e.tensor_cosets)
+    replaced, message = ETA_CERTIFICATE_FAULTS[fault]
+    with pytest.raises(InternalInconsistency, match=message):
+        tensor._certify("nu(S3)", *replaced(e))
+
+
+@pytest.mark.parametrize("build", ELEMENT_TRIPLE_BUILDS)
+def test_the_commutator_identity_makes_t_normal(build):
+    """`build_eta` checks no normality of T, by the identity
+    [gx, h] = [g, h]^x [x, h]: conjugation by an element of G (or of H~)
+    sends [g, h~] to a product of two commutators or their inverses.  Read
+    off eta's table, both forms hold on every element triple, and T is
+    normal."""
+    e = ELEMENT_TRIPLE_BUILDS[build]()
+    eta, g, h = e.eta, e.pair.g, e.pair.h
+    tab, inv = eta.table, eta.inverse
+    gens = np.asarray(eta.generator_images, dtype=np.int64)
+    eg, eh = gens[:g.order], gens[g.order:]
+    c = eta_commutators(e)
+    a = np.arange(g.order)[None, :, None]
+    b = np.arange(h.order)[None, None, :]
+    x = np.arange(g.order)[:, None, None]
+    y = np.arange(h.order)[:, None, None]
+    # [a, b~]^x = [ax, b~] [x, b~]^-1, indexed [x, a, b]
+    assert np.array_equal(_conjugates(eta, eg, c),
+                          tab[c[g.table[a, x], b], inv[c[x, b]]])
+    # [a, b~]^(y~) = [a, y~]^-1 [a, (by)~], indexed [y, a, b]
+    assert np.array_equal(_conjugates(eta, eh, c),
+                          tab[inv[c[a, y]], c[a, h.table[b, y]]])
+    assert tensor_in_eta(e).is_normal()
 
 
 ROUTE_PAIRS = {
@@ -500,6 +569,64 @@ def _swap_two_tensors(e):
     return replace(e, commutators=np.where(c == x, y, np.where(c == y, x, c)))
 
 
+# Trivial-action pairs whose eta the oracle below realizes, and two pairs
+# whose T differ, where both routes must say no.
+ORACLE_PAIRS = {
+    **{f"{a}x{b}": (lambda a=a, b=b: trivial_pair(realize_name(a),
+                                                  realize_name(b)))
+       for a, b in (("C2", "C2"), ("C4", "C6"), ("S3", "C2"), ("Q8", "C2"),
+                    ("C3", "C3"), ("C1", "C5"), ("D4", "C3"))},
+    "S3|S3,A3-pushout": _s3_a3_pair,
+}
+MISMATCHED = {"S3-trivial-vs-nu": ("S3", lambda g: trivial_pair(g, g)),
+              "D4-trivial-vs-nu": ("D4", lambda g: trivial_pair(g, g))}
+
+
+def _assert_the_coset_route_matches_the_table(e, r):
+    """The commutators, T's members and the `same_tensor` verdict read off
+    eta's coset table equal those read off its realized table."""
+    assert np.array_equal(e.tensor_cosets[e.commutators], eta_commutators(e))
+    assert tuple(e.tensor_cosets.tolist()) == tensor_in_eta(e).members
+    assert e.tensor.order == len(e.tensor_cosets)
+    verdict = tensor.same_tensor(r, e)
+    assert verdict == same_tensor_in_table(r, e)
+    return verdict
+
+
+@pytest.mark.parametrize("name", [e.name for e in nu_corpus()])
+def test_the_coset_route_matches_the_table_on_every_nu_group(name):
+    e = build_nu(realize_name(name))
+    assert _assert_the_coset_route_matches_the_table(e, build_direct(e.pair))
+
+
+@pytest.mark.parametrize("pair", ORACLE_PAIRS)
+def test_the_coset_route_matches_the_table_on_named_pairs(pair):
+    pair = ORACLE_PAIRS[pair]()
+    e = build_eta(pair)
+    assert _assert_the_coset_route_matches_the_table(e, build_direct(pair))
+
+
+@pytest.mark.parametrize("case", MISMATCHED)
+def test_the_routes_say_no_alike_where_t_differs(case):
+    name, other = MISMATCHED[case]
+    g = realize_name(name)
+    e = build_nu(g)
+    assert not _assert_the_coset_route_matches_the_table(
+        e, build_direct(other(g)))
+
+
+def _tensor_times_c2(e):
+    """T x C2 in place of T, each element of T keeping its number: every
+    symbol goes where it went, but not onto the whole group."""
+    t = e.tensor.table.astype(np.int64)
+    k = t.shape[0]
+    bigger = RealizedGroup("T x C2", np.block([[t, t + k], [t + k, t]]),
+                           (*e.tensor.generator_images, k))
+    f = replace(e)
+    vars(f)["tensor"] = bigger  # the realized T that `same_tensor` reads
+    return f
+
+
 # Each fault breaks one conjunct of `same_tensor`: the symbol images, the
 # homomorphism, injectivity, the image.
 SAME_TENSOR_FAULTS = {
@@ -507,8 +634,7 @@ SAME_TENSOR_FAULTS = {
     "homomorphism": _swap_two_tensors,
     "injectivity": lambda e: replace(
         e, commutators=np.zeros_like(e.commutators)),
-    "image": lambda e: replace(
-        e, tensor=Subgroup(e.eta, tuple(range(e.eta.order)))),
+    "image": _tensor_times_c2,
 }
 
 
@@ -568,6 +694,7 @@ def test_built_groups_are_not_walked_again(monkeypatch):
     back = read_action("action b { from: C6; to: C4; a => (a -> a^-1); }")
     r = square(realize_name("S3"))
     e = build_nu(r.pair.g)
+    assert e.tensor.order == 6  # T in eta is walked when it is realized
     walk, walked = groups._walk_levels, []
 
     def counted(table, steps):
@@ -674,7 +801,7 @@ class TestTensorDirect:
             AbelianInvariants.from_cyclic_orders([n]))
         assert r.tensor.order == (want.order() or 0)
         assert direct.order == (want.order() or 0)
-        assert tensor_of_eta(r).abelianization() == want
+        assert r.tensor.abelianization() == want
         assert direct.abelianization() == want
 
     def test_nonabelian_pair_reduces_to_abelianizations(self):
@@ -706,7 +833,7 @@ class TestTensorSet:
         assert regen.order == r.group.order
         incl = _inclusion_in_eta(r, e)
         assert closure(e.eta, incl.images[list(ts)]).members == \
-            _tensor_in_eta(e).members
+            tensor_in_eta(e).members
 
     def test_witnesses_evaluate_back(self):
         s3 = realize_name("S3")
@@ -797,15 +924,6 @@ class TestDiagonals:
         assert jsub.is_normal()
         assert dsub.is_normal()
         assert dtsub.is_normal()
-
-
-def _tensor_in_eta(r):
-    """The subgroup of eta generated by the commutators [a, b~]."""
-    gens = r.eta.generator_images
-    ng = r.pair.g.order
-    return closure(r.eta, [comm(r.eta, gens[a], gens[ng + b])
-                           for a in range(ng)
-                           for b in range(r.pair.h.order)])
 
 
 def _walk(table, steps):
