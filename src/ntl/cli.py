@@ -16,8 +16,8 @@ import time
 from pathlib import Path
 
 from .catalog import CatalogEntry, catalog_lookup
-from .coset import (CosetTally, EnumerationBudget, budget_scope,
-                    default_budget)
+from .coset import (DEFAULT_MAX_COSETS, CosetTally, EnumerationBudget,
+                    budget_scope)
 from .errors import NotAbelian, NtlError, Undecided
 from .groups import RealizedGroup, Subgroup, closure, section_invariants
 from .homotopy import (THEOREM_C_PROPERTIES, bound_pushout_pi3,
@@ -47,16 +47,12 @@ def _stats_block(spent: CosetTally, t0: float) -> dict:
             "elapsed_ms": int((time.monotonic() - t0) * 1000)}
 
 
-def _budget_from(args: argparse.Namespace) -> EnumerationBudget | None:
-    """The budget the flags ask for; None without flags, so that every
-    enumeration falls back to `default_budget()`."""
-    max_cosets = getattr(args, "max_cosets", None)
-    budget_ms = getattr(args, "budget_ms", None)
-    if max_cosets is None and budget_ms is None:
-        return None
-    if max_cosets is None:
-        max_cosets = default_budget().max_cosets
-    return EnumerationBudget(max_cosets=max_cosets, max_time_ms=budget_ms)
+def _budget_from(args: argparse.Namespace) -> EnumerationBudget:
+    """The budget the flags ask for, the default where a command has
+    none (`bound`)."""
+    return EnumerationBudget(
+        max_cosets=getattr(args, "max_cosets", DEFAULT_MAX_COSETS),
+        max_time_ms=getattr(args, "budget_ms", None))
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -70,8 +66,9 @@ def build_parser() -> argparse.ArgumentParser:
     json_flag.add_argument("--json", action="store_true",
                            help="emit the machine-readable report")
     common = argparse.ArgumentParser(add_help=False, parents=[json_flag])
-    common.add_argument("--max-cosets", type=int, default=None,
-                        help="coset budget (overrides NTL_MAX_COSETS)")
+    common.add_argument("--max-cosets", type=int, default=DEFAULT_MAX_COSETS,
+                        help="cosets each enumeration may define "
+                             "(default %(default)s)")
     common.add_argument("--budget-ms", type=int, default=None,
                         help="wall-clock budget per command")
 
@@ -340,22 +337,31 @@ def _cmd_invariant(args: argparse.Namespace) -> dict:
             "result": invariants_result(inv), "chain": chain}
 
 
+def _not_abelian(name: str, what: str) -> NotAbelian:
+    return NotAbelian(f"{name!r} is not abelian; {what} must be")
+
+
+def _refuse_non_abelian(x, what: str):
+    """Refuse an input that `what`, an abelian group, cannot stand for: a
+    catalog entry by its recorded fact, before it is resolved, which costs
+    no realization, and a realized group by its generators.  Any other
+    input waits for its realization."""
+    if isinstance(x, CatalogEntry):
+        abelian = x.abelian is not False
+    else:
+        abelian = not isinstance(x, RealizedGroup) or x.is_abelian()
+    if not abelian:
+        raise _not_abelian(x.name, what)
+
+
 def _check_triad_degrees(groups, p: int, q: int):
     """The relative groups pi_{p+1}(A, C) and pi_{q+1}(B, C) stand for
     `--group` and `--other`; one of degree p+1 >= 3 (or q+1) is abelian, so
-    a non-abelian group cannot be it.  A catalog entry is refused by its
-    recorded fact, which costs no realization, a realized group by its
-    generators; any other input waits for its realization."""
+    a non-abelian group cannot be it (`_refuse_non_abelian`)."""
     for degree, g in zip((p, q), groups):
-        if degree < 2:
-            continue
-        if isinstance(g, CatalogEntry):
-            abelian = g.abelian is not False
-        else:
-            abelian = not isinstance(g, RealizedGroup) or g.is_abelian()
-        if not abelian:
-            raise NotAbelian(f"{g.name!r} is not abelian; a relative "
-                             f"homotopy group of degree {degree + 1} must be")
+        if degree >= 2:
+            _refuse_non_abelian(
+                g, f"a relative homotopy group of degree {degree + 1}")
 
 
 def _cmd_triad(args: argparse.Namespace) -> dict:
@@ -375,16 +381,11 @@ def _cmd_triad(args: argparse.Namespace) -> dict:
                       f"{args.p + args.q + 1}"]}
 
 
-def _not_abelian(name: str) -> NotAbelian:
-    return NotAbelian(f"{name!r} is not abelian; a second homotopy group "
-                      "must be")
-
-
 def _cmd_wedge(args: argparse.Namespace) -> dict:
+    what = "a second homotopy group"
     g_in, h_in = _lookup_pair(args)
-    for x in (g_in, h_in):  # a recorded fact costs no realization
-        if isinstance(x, CatalogEntry) and x.abelian is False:
-            raise _not_abelian(x.name)
+    for x in (g_in, h_in):
+        _refuse_non_abelian(x, what)
     subjects = [resolve_subject(g_in)]
     subjects.append(subjects[0] if h_in is g_in else resolve_subject(h_in))
     invs = []
@@ -392,7 +393,7 @@ def _cmd_wedge(args: argparse.Namespace) -> dict:
         if s.invariants is None:
             g = s.realized()
             if not g.is_abelian():
-                raise _not_abelian(s.name)
+                raise _not_abelian(s.name, what)
             invs.append(g.abelianization())
         else:
             invs.append(s.invariants)

@@ -26,10 +26,12 @@ product is built in it directly.
 
 A finished table also multiplies without a multiplication table:
 `certify_regular` checks that it is its group's regular representation,
-and then the trace of a word from a coset (`trace`) is a product, and a
-walk of right multiplication by the elements of some words gives the
-subgroup they generate (`subgroup_cosets`, `subgroup_representation`),
-traced only at the cosets the walk reaches.
+and then the trace of a word from a coset (`trace`) is a product.  Right
+multiplication by the elements of some words (`_WordSteps`) reads like a
+table's columns: a walk of it gives the subgroup they generate as its
+cosets (`subgroup_cosets`), and a map spread along another group's walk
+reads it as it would read a target's table, traced only at the cosets it
+reaches.
 
 Definitions use the first undefined entry in row-major order, so identical
 inputs give identical tables and stats.  Every run adds its cosets to the
@@ -89,14 +91,6 @@ class EnumerationBudget:
             "(possible infinite group or undersized budget)", stats=stats)
 
 
-def default_budget() -> EnumerationBudget:
-    """Budget from the environment; NTL_MAX_COSETS overrides the default."""
-    env = os.environ.get("NTL_MAX_COSETS")
-    if env:
-        return EnumerationBudget(max_cosets=int(env))
-    return EnumerationBudget()
-
-
 @dataclass
 class EnumerationStats:
     cosets_defined: int = 0
@@ -138,7 +132,7 @@ _OPEN_SCOPE: ContextVar[_Scope] = ContextVar("ntl_budget_scope",
 @contextmanager
 def budget_scope(budget: EnumerationBudget | None):
     """Bound every enumeration run inside the block by `budget`; the
-    innermost scope applies, and None defers to `default_budget()`.  Its
+    innermost scope applies, and None defers to the default budget.  Its
     `max_time_ms` is one deadline for the whole block, fixed here."""
     deadline = None
     if budget is not None and budget.max_time_ms is not None:
@@ -157,7 +151,7 @@ def current_tally() -> CosetTally:
 
 def current_budget() -> EnumerationBudget:
     """The budget in force: the innermost scope's, else the default."""
-    return _OPEN_SCOPE.get().budget or default_budget()
+    return _OPEN_SCOPE.get().budget or EnumerationBudget()
 
 
 @dataclass(frozen=True, eq=False)
@@ -568,10 +562,11 @@ def trace(t: CosetTable, cosets, letters) -> np.ndarray:
 
 class _WordSteps:
     """Right multiplication by the elements that the rows of `words`
-    (column letters) trace from 0, read as `groups._walk_levels` reads a
-    table: `shape[0]` cosets, and [xs, steps] the trace of each step's
-    word from each x, indexed [step, x].  A walk then traces a word only at
-    the cosets it reaches."""
+    (column letters) trace from 0, read as a table's columns are read:
+    `shape[0]` cosets, and [xs, steps] the trace of each step's word from
+    each x, broadcast as a table's gather is.  A walk (`groups._walk_levels`)
+    or a spread along one (`groups._spread`) then traces a word only at the
+    cosets it reaches."""
 
     def __init__(self, t: CosetTable, words: np.ndarray):
         self.t, self.words = t, words
@@ -582,45 +577,10 @@ class _WordSteps:
         return trace(self.t, xs, np.moveaxis(self.words[steps], -1, 0))
 
 
-def _word_walk(t: CosetTable, words: np.ndarray):
-    """The walk from 0 of right multiplication by the elements of the
-    words, and the cosets it reaches, 0 included, in increasing order."""
-    levels = _walk_levels(_WordSteps(t, words), range(len(words)))
-    return levels, np.sort(np.concatenate(
-        [[0], *(v for level in levels for v, _, _ in level)]))
-
-
 def subgroup_cosets(t: CosetTable, words: np.ndarray) -> np.ndarray:
     """The cosets of the subgroup generated by the elements that the rows
     of `words` trace from 0, in increasing order: 0 and the vertices of the
     walk from 0 of right multiplication by those elements."""
-    return _word_walk(t, words)[1]
-
-
-def subgroup_representation(t: CosetTable, words: np.ndarray,
-                            name: str) -> RealizedGroup:
-    """The subgroup of `subgroup_cosets` realized as a group of its own,
-    element i being the i-th of its cosets, generated by the words'
-    elements in order and keeping that walk as its own.  Its table is
-    filled a column per edge of the walk: the column of x = p.s is that of
-    p traced by the word of s."""
-    levels, cosets = _word_walk(t, words)
-    k = cosets.size
-    _check_order(k)
-    local = np.full(t.coset_count, -1, dtype=np.int64)
-    local[cosets] = np.arange(k)
-    table = np.empty((k, k), dtype=np.int64)
-    table[:, 0] = np.arange(k)
-    walk = []
-    for level in levels:
-        runs = []
-        for v, p, s in level:
-            v, p = local[v], local[p]
-            v.setflags(write=False)
-            p.setflags(write=False)
-            table[:, v] = local[trace(t, cosets[table[:, p]], words[s])]
-            runs.append((v, p, s))
-        walk.append(runs)
-    images = local[trace(t, np.zeros(len(words), dtype=np.int64),
-                         np.moveaxis(words, -1, 0))]
-    return RealizedGroup(name, table, images.tolist(), walk=walk)
+    levels = _walk_levels(_WordSteps(t, words), range(len(words)))
+    return np.sort(np.concatenate(
+        [[0], *(v for level in levels for v, _, _ in level)]))

@@ -7,10 +7,13 @@ defining presentation, the biadditivity relators on the |G|*|H| symbols
 a(x)b (Brown-Loday 1987), so its T needs no certificate and its enumeration
 ends near |T| cosets.  T keeps the labels and the walk of that
 enumeration and carries its symbol map and derived map.  Every map out of
-T is fixed by the images of the symbols (`_symbol_map`): the derived map,
-and the map onto the T inside eta by which the two routes are compared.
-The invariants below (the tensor set, J2, the diagonal and the
-symmetrized diagonal) are functions of that realization alone.
+T is fixed by the images of the symbols and spread along T's walk
+(`_symbol_map`), reading right multiplication in its target from a table's
+columns, for the derived map into the ambient group, or from traces
+through eta's coset table, for the map onto the T inside eta by which the
+two routes are compared (`same_tensor`); no second T is realized.  The
+invariants below (the tensor set, J2, the diagonal and the symmetrized
+diagonal) are functions of that realization alone.
 
 `build_eta` (and `build_nu`, its conjugation case) is the only producer of
 an `EtaRealization`: eta(G,H), for the commands whose answer is eta and for
@@ -41,10 +44,9 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .coset import (CosetTable, EnumerationStats, Relators,
+from .coset import (CosetTable, EnumerationStats, Relators, _WordSteps,
                     certify_regular, enumerate_cosets, realize_presentation,
-                    regular_representation, subgroup_cosets,
-                    subgroup_representation, trace)
+                    regular_representation, subgroup_cosets, trace)
 from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
@@ -281,16 +283,19 @@ def _pairing_commutators(pair: CompatibleActionPair,
     return trace(t, 0, _commutator_letters(gx[:, None], hy[None, :]))
 
 
-def _tensor_words(pair: CompatibleActionPair,
-                  comms: np.ndarray) -> np.ndarray:
-    """The letters of one commutator [a, b~] for each distinct element of
-    `comms` (indexed [a, b]), the first (a, b) in row-major order, in that
-    order."""
+def _first_positions(values) -> dict[int, int]:
+    """Each distinct value of `values`, read in row-major order, mapped to
+    the first position where it occurs, in order of first occurrence."""
     first: dict[int, int] = {}
-    for i, c in enumerate(comms.ravel().tolist()):
-        first.setdefault(c, i)
-    a, b = np.divmod(np.fromiter(first.values(), dtype=np.int64,
-                                 count=len(first)), pair.h.order)
+    for i, v in enumerate(np.ravel(values).tolist()):
+        first.setdefault(v, i)
+    return first
+
+
+def _commutator_words(pair: CompatibleActionPair, positions) -> np.ndarray:
+    """The letters of [a, b~] for each (a, b) at the row-major `positions`
+    of G x H, one row each, in that order."""
+    a, b = np.divmod(np.asarray(positions, dtype=np.int64), pair.h.order)
     gx, hy = _element_columns(pair)
     return np.stack(_commutator_letters(gx[a], hy[b]), axis=1)
 
@@ -387,13 +392,12 @@ class EtaRealization:
     is the element that x's trace from coset 0 names.  The rest needs no
     multiplication table of eta: `tensor_cosets` are the cosets of the
     subgroup T = [G, H~], in increasing order, and `commutators[a, b]` is
-    [a, b~] as the element of T numbered by its place there.
+    [a, b~] as the element of T numbered by its place there.  T is not
+    realized as a group of its own: `same_tensor` reads its products as
+    traces through `table`.
 
-    Two groups are realized only when read, and then kept: `tensor`, T as
-    a group of its own, whose |T|^2 table is filled from the same traces
-    through `table` (`same_tensor` reads it), and `eta`, eta's |eta|^2
-    regular representation, which only the records of `eta` and `nu`
-    read.
+    `eta`, eta's |eta|^2 regular representation, is realized only when
+    read, and then kept; only the records of `eta` and `nu` read it.
     """
 
     pair: CompatibleActionPair
@@ -415,16 +419,7 @@ class EtaRealization:
     def tensor_count_m(self) -> int:
         """The number of distinct commutators [a, b~], the tensors
         a(x)b."""
-        return len(set(self.commutators.ravel().tolist()))
-
-    @functools.cached_property
-    def tensor(self) -> RealizedGroup:
-        """T as a group of its own, element i being coset
-        `tensor_cosets[i]`, generated by the distinct commutators."""
-        comms = _pairing_commutators(self.pair, self.table)
-        return subgroup_representation(self.table,
-                                       _tensor_words(self.pair, comms),
-                                       f"{self.presentation.name}|T")
+        return len(_first_positions(self.commutators))
 
     @functools.cached_property
     def eta(self) -> RealizedGroup:
@@ -432,31 +427,49 @@ class EtaRealization:
         return regular_representation(self.table)
 
 
-def _symbol_map(group: RealizedGroup, sym: np.ndarray,
-                target: RealizedGroup, want: np.ndarray
-                ) -> Homomorphism | None:
-    """The map T -> target with a(x)b |-> want[a, b], spread along T's walk
-    over its generators, the symbols (`groups._spread`), and verified as a
-    homomorphism; None when some a(x)b does not go to want[a, b]."""
-    image = dict(zip(sym.ravel().tolist(), want.ravel().tolist()))
-    images = _spread(group, target.table,
-                     [image[s] for s in group.generator_images])
-    if not np.array_equal(images[sym], want):
-        return None
-    return Homomorphism(group, target, images)
+def _symbol_map(group: RealizedGroup, sym: np.ndarray, steps,
+                columns: np.ndarray) -> np.ndarray | None:
+    """The images of the map f out of T fixed by the images of the
+    symbols, or None when no homomorphism has them.  `steps[y, c]` is y
+    times the element of column c in the target: a multiplication table's
+    columns, or words traced through a coset table (`coset._WordSteps`).
+    Each generator of T, a symbol s, goes to the element of
+    `columns[a, b]` for the first (a, b) in row-major order with
+    `sym[a, b]` = s (`_first_positions`), so a(x)b itself may go elsewhere:
+    the caller checks where `sym` goes.
+
+    f is spread along T's walk (`groups._spread`) and checked on every
+    element x and distinct generator s, in bounded blocks of x
+    (`groups._blocks`): f(x.s) = f(x) times the element of s's column.
+    Then f(xy) = f(x)f(y) by induction on a positive word for y, which a
+    finite group has for each element."""
+    first = _first_positions(sym)
+    gens = np.fromiter(first, dtype=np.int64, count=len(first))
+    cols = columns.ravel()[list(first.values())]
+    column = dict(zip(first, cols.tolist()))
+    images = _spread(group, steps, [column[s] for s in
+                                    group.generator_images])
+    for cut in _blocks(group.order, gens.size):
+        if not np.array_equal(images[group.table[cut][:, gens]],
+                              steps[images[cut, None], cols]):
+            return None
+    return images
 
 
 def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
                  sym: np.ndarray) -> Homomorphism | None:
-    """a(x)b |-> [a, b] into the ambient group (`_symbol_map`), with the
-    commutator subgroup as its image."""
+    """a(x)b |-> [a, b] into the ambient group (`_symbol_map`, on its
+    table's columns), verified as a homomorphism again on every pair of
+    elements, with the commutator subgroup as its image."""
     if pair.ambient is None:
         return None
     base, g_in, h_in = pair.ambient
-    derived = _symbol_map(group, sym, base, _commutators(base, g_in, h_in))
-    if derived is None:
+    want = _commutators(base, g_in, h_in)
+    images = _symbol_map(group, sym, base.table, want)
+    if images is None or not np.array_equal(images[sym], want):
         raise InternalInconsistency("the derived map does not send a(x)b "
                                     "to [a, b]")
+    derived = Homomorphism(group, base, images)
     comm = commutator_subgroup(closure(base, g_in), closure(base, h_in))
     if derived.image_members() != comm.members:
         raise InternalInconsistency(
@@ -465,14 +478,19 @@ def _derived_map(pair: CompatibleActionPair, group: RealizedGroup,
 
 
 def same_tensor(r: TensorRealization, e: EtaRealization) -> bool:
-    """Whether a(x)b |-> [a, b~] (`_symbol_map`) is an isomorphism from r's
-    T onto e's: a homomorphism, injective, onto e.tensor."""
-    try:
-        f = _symbol_map(r.group, r.sym, e.tensor, e.commutators)
-    except InternalInconsistency:  # the spread map is no homomorphism
-        return False
-    return (f is not None and f.is_injective()
-            and len(f.image_members()) == e.tensor.order)
+    """Whether a(x)b |-> [a, b~] is an isomorphism from r's T onto e's:
+    the map out of T (`_symbol_map`), reading each [a, b~] as its four
+    letters traced through eta's coset table, is a homomorphism, it sends
+    every a(x)b to [a, b~], and its images, sorted, are T's cosets, so it
+    is injective and onto.  No group is realized and nothing is walked."""
+    shape = e.commutators.shape
+    words = _commutator_words(e.pair, range(e.commutators.size))
+    images = _symbol_map(r.group, r.sym, _WordSteps(e.table, words),
+                         np.arange(e.commutators.size).reshape(shape))
+    return (images is not None
+            and np.array_equal(images[r.sym],
+                               e.tensor_cosets[e.commutators])
+            and np.array_equal(np.sort(images), e.tensor_cosets))
 
 
 def _check_cap(ng: int, nh: int):
@@ -580,7 +598,8 @@ def _certify(name: str, pair: CompatibleActionPair, table: CosetTable
         raise InternalInconsistency(
             f"{name}: an element-triple pairing relator fails")
     comms = _pairing_commutators(pair, table)
-    cosets = subgroup_cosets(table, _tensor_words(pair, comms))
+    cosets = subgroup_cosets(table, _commutator_words(
+        pair, list(_first_positions(comms).values())))
     if table.coset_count != cosets.size * ng * nh:
         raise InternalInconsistency(
             f"{name}: order {table.coset_count} breaks the semidirect "
@@ -684,10 +703,7 @@ def tensor_set(r: TensorRealization) -> dict[int, tuple[int, int]]:
     in row-major order, in the order of those witnesses; its length is the
     tensor count m."""
     nh = r.sym.shape[1]
-    first: dict[int, tuple[int, int]] = {}
-    for i, v in enumerate(r.sym.ravel().tolist()):
-        first.setdefault(v, divmod(i, nh))
-    return first
+    return {v: divmod(i, nh) for v, i in _first_positions(r.sym).items()}
 
 
 @_memoized

@@ -8,8 +8,8 @@ import numpy as np
 from ntl.catalog import catalog_lookup, realize_entry
 from ntl.coset import EnumerationBudget, EnumerationStats, Relators
 from ntl.errors import InternalInconsistency
-from ntl.groups import _commutators, _conjugates, closure
-from ntl.tensor import _conjugation_table, _symbol_map
+from ntl.groups import Homomorphism, _commutators, _conjugates, closure
+from ntl.tensor import _conjugation_table
 from ntl.words import Presentation
 
 
@@ -64,13 +64,28 @@ def pairing_relators_hold_in_table(pair, eta) -> bool:
 
 
 def same_tensor_in_table(r, e) -> bool:
-    """The route comparison read off `e.eta`: a(x)b |-> [a, b~] into eta's
-    table is an injective homomorphism onto the T it holds."""
+    """The route comparison read off `e.eta`: each generator a(x)b of T
+    goes to [a, b~] for the first (a, b) in row-major order that names
+    it, and each element of T to the product of its word's images
+    (`element_words`) in eta's table.  That map must be a homomorphism
+    (`groups.Homomorphism`) that sends every a(x)b to [a, b~], injective
+    and onto the T that `e.eta` holds."""
+    want = eta_commutators(e)
+    first = {}
+    for (a, b), s in np.ndenumerate(r.sym):
+        first.setdefault(int(s), int(want[a, b]))
+    gens = [first[s] for s in r.group.generator_images]
+    images = []
+    for word in r.group.element_words:
+        x = 0
+        for g, k in word.letters:
+            x = e.eta.mul(x, e.eta.power(gens[g], k))
+        images.append(x)
     try:
-        f = _symbol_map(r.group, r.sym, e.eta, eta_commutators(e))
+        f = Homomorphism(r.group, e.eta, images)
     except InternalInconsistency:
         return False
-    return (f is not None and f.is_injective()
+    return (np.array_equal(f.images[r.sym], want) and f.is_injective()
             and f.image_members() == tensor_in_eta(e).members)
 
 

@@ -797,32 +797,24 @@ class TestFilesAndEnv:
         assert (record["query"]["group"], record["query"]["other"]) == \
             ("C2", "C3")
 
-    def test_env_budget(self, capsys, monkeypatch):
-        monkeypatch.setenv("NTL_MAX_COSETS", "40")
-        rc, _, err = run(capsys, "nu", "--group", "C4")
+    def test_max_cosets_budget(self, capsys):
+        rc, _, err = run(capsys, "nu", "--group", "C4", "--max-cosets", "40")
         assert rc == 1
         assert "BudgetExceeded" in err
 
-    def test_flag_beats_env(self, capsys, monkeypatch):
-        monkeypatch.setenv("NTL_MAX_COSETS", "40")
-        rc, record, _ = run_json(capsys, "nu", "--group", "C4",
-                                 "--max-cosets", "100000")
-        assert rc == 0
-        assert record["result"]["order"] == 64
-
-    def test_env_budget_reaches_verify(self, capsys, monkeypatch):
-        monkeypatch.setenv("NTL_MAX_COSETS", "40")
-        rc, _, err = run(capsys, "verify")
+    def test_max_cosets_reaches_verify(self, capsys):
+        rc, _, err = run(capsys, "verify", "--max-cosets", "40")
         assert rc == 1
         assert "BudgetExceeded" in err
 
-    def test_no_budget_flag_defers_to_the_environment(self, monkeypatch):
-        monkeypatch.setenv("NTL_MAX_COSETS", "40")
-        assert _budget_from(build_parser().parse_args(["nu", "--group",
-                                                       "C2"])) is None
+    def test_no_budget_flag_defers_to_the_default(self):
+        assert _budget_from(build_parser().parse_args(
+            ["nu", "--group", "C2"])) == EnumerationBudget()
         budget = _budget_from(build_parser().parse_args(
             ["nu", "--group", "C2", "--budget-ms", "500"]))
-        assert budget == EnumerationBudget(max_cosets=40, max_time_ms=500)
+        assert budget == EnumerationBudget(max_time_ms=500)
+        assert _budget_from(build_parser().parse_args(
+            ["bound", "thma", "2", "3", "4", "5"])) == EnumerationBudget()
 
     @pytest.mark.parametrize("flag, value, reason", [
         ("--max-cosets", "0", "max_cosets must be positive"),

@@ -22,8 +22,8 @@ from ntl.errors import BudgetExceeded, CapExceeded, InternalInconsistency
 from ntl.groups import (GROUP_ORDER_CAP, RealizedGroup, _walk_levels,
                         closure, derived_subgroup, section_invariants)
 from ntl.parsing import parse_file
-from ntl.tensor import (_direct_relators, build_eta, build_nu,
-                        conjugation_pair, trivial_pair)
+from ntl.tensor import (_commutator_words, _direct_relators, build_eta,
+                        build_nu, conjugation_pair, trivial_pair)
 from ntl.words import Presentation, Word
 
 from support import ReferenceEnumerator, realize_name, relator_letters
@@ -97,18 +97,17 @@ class TestEnumerate:
         assert err.value.stats is not None
         assert err.value.stats.cosets_defined >= 400
 
-    def test_innermost_budget_scope_applies(self, monkeypatch):
-        monkeypatch.setenv("NTL_MAX_COSETS", "40")
+    def test_innermost_budget_scope_applies(self):
         outer = EnumerationBudget(max_cosets=7)
         inner = EnumerationBudget(max_cosets=9)
-        assert current_budget() == EnumerationBudget(max_cosets=40)
+        assert current_budget() == EnumerationBudget()
         with budget_scope(outer):
             with budget_scope(inner):
                 assert current_budget() is inner
             assert current_budget() is outer
             with budget_scope(None):
-                assert current_budget() == EnumerationBudget(max_cosets=40)
-        assert current_budget() == EnumerationBudget(max_cosets=40)
+                assert current_budget() == EnumerationBudget()
+        assert current_budget() == EnumerationBudget()
 
     def test_time_budget_is_one_deadline_for_the_scope(self):
         # The deadline is fixed when the scope opens, so a run that starts
@@ -457,8 +456,8 @@ def test_regularity_is_checked_only_up_to_the_light_bound(monkeypatch):
 
 def test_traces_multiply_as_the_regular_representation():
     """In nu(S3)'s coset table, the trace of a word from x is x times the
-    word's element in eta's table; the realized T is the subgroup of eta
-    its cosets are, with eta's products."""
+    word's element in eta's table, and `_WordSteps` reads the commutators'
+    words as the columns of eta's table that the commutators name."""
     e = build_nu(realize_name("S3"))
     eta = e.eta
     x = np.arange(eta.order)
@@ -467,9 +466,11 @@ def test_traces_multiply_as_the_regular_representation():
                               eta.table[x, image])
         assert np.array_equal(coset.trace(e.table, x, [2 * g + 1]),
                               eta.table[x, eta.inverse[image]])
-    cosets = e.tensor_cosets
-    assert np.array_equal(cosets[e.tensor.table],
-                          eta.table[np.ix_(cosets, cosets)])
+    comms = e.tensor_cosets[e.commutators].ravel()
+    steps = coset._WordSteps(e.table, _commutator_words(e.pair,
+                                                       range(comms.size)))
+    assert np.array_equal(steps[x[:, None], np.arange(comms.size)],
+                          eta.table[x[:, None], comms])
 
 
 @pytest.mark.parametrize("cells", [1, 97])

@@ -1,7 +1,9 @@
 """Source layout rules that keep one owner per decision."""
 
 import ast
+import importlib
 import os
+import re
 import subprocess
 import sys
 from pathlib import Path
@@ -142,3 +144,28 @@ def test_every_public_engine_name_has_a_caller():
             if node.name not in here | others:
                 uncalled.append(f"{path.stem}.{node.name}")
     assert uncalled == []
+
+
+# A backticked `module.name` (or `ntl.module.name`), `module` an engine
+# submodule: the name a document gives for the engine's code.
+_DOTTED = re.compile(r"`(?:ntl\.)?([A-Za-z_]\w*(?:\.[A-Za-z_]\w*)+)")
+SUBMODULES = {p.stem for p in SRC.glob("*.py")} - {"__init__"}
+
+
+def test_every_dotted_engine_name_in_the_docs_resolves():
+    """Each backticked `module.name` in the engine's sources and README
+    names an attribute of that submodule (or of what it names there), so
+    a reference to a removed name fails here."""
+    stale = []
+    for path in [*sorted(SRC.glob("*.py")), SRC.parents[1] / "README.md"]:
+        for dotted in _DOTTED.findall(path.read_text()):
+            module, *names = dotted.split(".")
+            if module not in SUBMODULES:
+                continue
+            target = importlib.import_module(f"ntl.{module}")
+            for name in names:
+                if not hasattr(target, name):
+                    stale.append(f"{path.name}: `{dotted}`")
+                    break
+                target = getattr(target, name)
+    assert stale == []

@@ -13,12 +13,13 @@ from ntl.errors import (BudgetExceeded, CapExceeded, Incompatible,
                         NotActionHomomorphism, NotAutomorphism)
 from ntl.coset import (EnumerationBudget, _dedup, budget_scope,
                        realize_presentation, word_letters)
-from ntl.coset import CosetTable
+from ntl.coset import CosetTable, _WordSteps
 from ntl.groups import (Homomorphism, RealizedGroup, _commutators,
-                        _conjugates, _walk_levels, closure, derived_subgroup)
+                        _conjugates, _walk_levels, closure, derived_subgroup,
+                        section_invariants)
 from ntl.parsing import parse_file
 from ntl.verification import nu_corpus
-from ntl import groups, tensor
+from ntl import groups, tensor, verification
 from ntl.tensor import (_conjugation_table, _first_non_automorphism,
                         _validate_tables, build_direct, build_eta, build_nu,
                         conjugation_pair, delta, delta_tilde, j2,
@@ -34,6 +35,11 @@ SMALL = ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "D4", "Q8"]
 
 def cyc(n):
     return realize_name(f"C{n}")
+
+
+def _abelianization(s):
+    """The invariant factors of the subgroup s, as a group of its own."""
+    return section_invariants(s, closure(s.parent, ()))
 
 
 def square(g):
@@ -288,31 +294,32 @@ class TestBuildEta:
     def test_eta_of_trivial_pair(self):
         r = build_eta(trivial_pair(cyc(1), cyc(1)))
         assert r.eta.order == 1
-        assert r.tensor.order == 1
+        assert len(r.tensor_cosets) == 1
 
     def test_nu_c2(self):
         r = build_nu(cyc(2))
         assert r.eta.order == 8
-        assert r.tensor.order == 2
+        assert len(r.tensor_cosets) == 2
 
     def test_nu_c3(self):
         r = build_nu(cyc(3))
         assert r.eta.order == 27
-        assert r.tensor.order == 3
+        assert len(r.tensor_cosets) == 3
 
     def test_eta_c2_c3_trivial(self):
         r = build_eta(trivial_pair(cyc(2), cyc(3)))
         assert r.eta.order == 6
-        assert r.tensor.order == 1
+        assert len(r.tensor_cosets) == 1
 
     def test_nu_s3_decomposition_and_cross_route(self):
         s3 = realize_name("S3")
         r = build_nu(s3)
-        assert r.eta.order == r.tensor.order * 36
+        t = tensor_in_eta(r)
+        assert r.eta.order == t.order * 36
         direct = build_direct(r.pair)
-        assert direct.group.order == r.tensor.order
-        assert direct.group.abelianization() == r.tensor.abelianization()
-        assert tensor_direct(r.pair).order == r.tensor.order
+        assert direct.group.order == t.order
+        assert direct.group.abelianization() == _abelianization(t)
+        assert tensor_direct(r.pair).order == t.order
 
     def test_embeddings(self):
         g, h = cyc(4), cyc(6)
@@ -560,13 +567,13 @@ def _swap_first_commutator(e):
     return replace(e, commutators=c.reshape(e.commutators.shape))
 
 
-def _swap_two_tensors(e):
-    """The values of two distinct non-identity tensors exchanged wherever
-    they occur: each symbol still has one image, but no homomorphism
-    gives them."""
-    c = e.commutators
-    x, y = list(dict.fromkeys(c[c != 0].tolist()))[:2]
-    return replace(e, commutators=np.where(c == x, y, np.where(c == y, x, c)))
+def _swap_two_elements_of_g(e):
+    """The columns of G's elements 1 and 2 exchanged in eta's coset table:
+    each [a, b~] is traced as the commutator of the other element, and no
+    homomorphism out of T gives those images."""
+    rows = e.table.rows.copy()
+    rows[:, [2, 3, 4, 5]] = rows[:, [4, 5, 2, 3]]
+    return replace(e, table=CosetTable(rows, e.table.presentation))
 
 
 # Trivial-action pairs whose eta the oracle below realizes, and two pairs
@@ -587,7 +594,6 @@ def _assert_the_coset_route_matches_the_table(e, r):
     eta's coset table equal those read off its realized table."""
     assert np.array_equal(e.tensor_cosets[e.commutators], eta_commutators(e))
     assert tuple(e.tensor_cosets.tolist()) == tensor_in_eta(e).members
-    assert e.tensor.order == len(e.tensor_cosets)
     verdict = tensor.same_tensor(r, e)
     assert verdict == same_tensor_in_table(r, e)
     return verdict
@@ -615,26 +621,26 @@ def test_the_routes_say_no_alike_where_t_differs(case):
         e, build_direct(other(g)))
 
 
-def _tensor_times_c2(e):
-    """T x C2 in place of T, each element of T keeping its number: every
-    symbol goes where it went, but not onto the whole group."""
-    t = e.tensor.table.astype(np.int64)
-    k = t.shape[0]
-    bigger = RealizedGroup("T x C2", np.block([[t, t + k], [t + k, t]]),
-                           (*e.tensor.generator_images, k))
-    f = replace(e)
-    vars(f)["tensor"] = bigger  # the realized T that `same_tensor` reads
-    return f
+def _one_more_tensor_coset(e):
+    """A coset outside T added to T's cosets, the commutators renumbered
+    so that each keeps its coset: every symbol goes where it went, but the
+    images are not all of those cosets."""
+    cosets = e.tensor_cosets
+    outside = np.setdiff1d(np.arange(e.table.coset_count), cosets)
+    more = np.union1d(cosets, outside[:1])
+    return replace(e, tensor_cosets=more,
+                   commutators=np.searchsorted(more, cosets[e.commutators]))
 
 
-# Each fault breaks one conjunct of `same_tensor`: the symbol images, the
-# homomorphism, injectivity, the image.
+# Each fault breaks one conjunct of `same_tensor`: the map out of T is a
+# homomorphism, it sends each a(x)b to [a, b~], it is injective (eta of
+# the trivial actions, whose T is a proper quotient of nu(S3)'s) and it is
+# onto T's cosets.
 SAME_TENSOR_FAULTS = {
+    "homomorphism": _swap_two_elements_of_g,
     "symbol-images": _swap_first_commutator,
-    "homomorphism": _swap_two_tensors,
-    "injectivity": lambda e: replace(
-        e, commutators=np.zeros_like(e.commutators)),
-    "image": _tensor_times_c2,
+    "injectivity": lambda e: build_eta(trivial_pair(e.pair.g, e.pair.h)),
+    "image": _one_more_tensor_coset,
 }
 
 
@@ -686,16 +692,25 @@ def test_built_groups_are_not_walked_again(monkeypatch):
     map and the route comparison read the walk each group kept when it
     was built: none of these groups' tables is walked again.  (The derived
     map's image check walks the commutator subgroup in the ambient group,
-    a closure.)  `build_direct` walks only T's coset table, and keeps that
-    walk."""
+    a closure.)  The route comparison realizes no group either: it reads
+    T's walk and traces through eta's coset table.  `build_direct` walks
+    only T's coset table, and keeps that walk, and one profile of the
+    acceptance battery walks eta's coset table by the commutators once,
+    for T's cosets."""
     s3 = realize_presentation(catalog_lookup("S3").presentation)[0]
     c4, c6 = cyc(4), cyc(6)
     there = read_action("action f { from: C4; to: C6; a => (a -> a^-1); }")
     back = read_action("action b { from: C6; to: C4; a => (a -> a^-1); }")
     r = square(realize_name("S3"))
     e = build_nu(r.pair.g)
-    assert e.tensor.order == 6  # T in eta is walked when it is realized
     walk, walked = groups._walk_levels, []
+    init, built = RealizedGroup.__init__, []
+
+    def counted_init(self, name, *args, **kwargs):
+        built.append(name)
+        init(self, name, *args, **kwargs)
+
+    monkeypatch.setattr(RealizedGroup, "__init__", counted_init)
 
     def counted(table, steps):
         walked.append(table)
@@ -711,8 +726,9 @@ def test_built_groups_are_not_walked_again(monkeypatch):
     assert not any(table is g.table for table in walked
                    for g in (s3, c4, c6, r.group))
     walked.clear()
+    built.clear()
     assert tensor.same_tensor(r, e)
-    assert walked == []
+    assert (walked, built) == ([], [])
     for pair in (trivial_pair(c4, c6), r.pair):
         direct = build_direct(pair)
         ng, nh = pair.g.order, pair.h.order
@@ -724,6 +740,8 @@ def test_built_groups_are_not_walked_again(monkeypatch):
             assert all(table is pair.ambient[0].table
                        for table in walked[1:])
         walked.clear()
+    assert verification._profile("S3", r.pair).routes_agree
+    assert sum(isinstance(table, _WordSteps) for table in walked) == 1
 
 
 def _assert_direct_relators_match_the_triple_loops(pair):
@@ -799,9 +817,9 @@ class TestTensorDirect:
         direct = tensor_direct(pair)
         want = AbelianInvariants.from_cyclic_orders([m]).tensor(
             AbelianInvariants.from_cyclic_orders([n]))
-        assert r.tensor.order == (want.order() or 0)
+        assert len(r.tensor_cosets) == (want.order() or 0)
         assert direct.order == (want.order() or 0)
-        assert r.tensor.abelianization() == want
+        assert _abelianization(tensor_in_eta(r)) == want
         assert direct.abelianization() == want
 
     def test_nonabelian_pair_reduces_to_abelianizations(self):
@@ -881,7 +899,7 @@ class TestDerivedMap:
         s3 = realize_name("S3")
         r = build_direct(conjugation_pair(s3))
         assert r.derived.image_members() == derived_subgroup(s3).members
-        assert j2(r).order == build_nu(s3).tensor.order // 3
+        assert j2(r).order == len(build_nu(s3).tensor_cosets) // 3
 
     def test_kappa_needs_based_build(self):
         r = build_direct(trivial_pair(cyc(2), cyc(3)))
