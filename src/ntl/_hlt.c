@@ -1,8 +1,8 @@
 /* The HLT pass of Todd-Coxeter coset enumeration of the trivial subgroup
    (Holt, Eick and O'Brien, Handbook of Computational Group Theory, ch. 5),
    with row filling and in-place coincidence processing on a union-find,
-   and the fill of the regular representation's table from the finished
-   coset table.
+   and the row copies that fill the regular representation's table from
+   the finished coset table's walk.
 
    `ntl.coset` compiles this file once and calls it through ctypes:
    `ntl_hlt_run` fills the table and `ntl_hlt_take` compresses it, writing
@@ -18,8 +18,9 @@
    entries are int32 (-1 is undefined); index arithmetic is int64.
 
    `ntl_regular_fill` writes the group's int16 multiplication table into
-   an array the caller allocated, along the tree edges of a walk of the
-   coset table; it allocates nothing. */
+   an array the caller allocated, copying rows along the tree edges of a
+   walk of the coset table by the left multiplications the caller spread
+   along that walk; it allocates nothing. */
 
 #define _GNU_SOURCE
 #include <stdint.h>
@@ -245,27 +246,19 @@ int64_t ntl_hlt_take(struct hlt *h, int32_t *rows, int64_t room)
     return n;
 }
 
-/* The regular representation of the group whose complete coset table of
-   the trivial subgroup is `cols` (n rows of `width` entries, every entry
-   in 0..n-1, generator g in column 2g), along the edges
-   (vertex[e], parent[e], step[e]) of a spanning tree of the walk over
-   columns 0, 2, 4, ... from coset 0, in discovery order: vertex[e] is
-   parent[e] times generator step[e].  Fills left[g * n + d] = g.d for
-   each of the `ngens` generators and table[a * n + x] = a.x: row 0 is
-   0..n-1, g.d = (g.c).h for d = c.h, and a = c.h multiplies as
-   a.x = c.(h.x), so row a is row c taken at left[h * n + x]. */
-void ntl_regular_fill(int64_t n, int64_t ngens, int64_t width,
-                      const int32_t *cols, const int64_t *vertex,
+/* The regular representation's table, of the group whose coset table of
+   the trivial subgroup has n rows, along the edges
+   (vertex[e], parent[e], step[e]) of a spanning tree of the walk over its
+   generator columns from coset 0, in discovery order: vertex[e] is
+   parent[e] times generator step[e].  `left[g * n + d]` is g.d, the left
+   multiplication by each generator, which the caller spread along the
+   same tree.  Writes table[a * n + x] = a.x: row 0 is 0..n-1, and
+   a = c.h multiplies as a.x = c.(h.x), so row a is row c taken at
+   left[h * n + x]. */
+void ntl_regular_fill(int64_t n, const int64_t *vertex,
                       const int64_t *parent, const int64_t *step,
-                      int32_t *left, int16_t *table)
+                      const int32_t *left, int16_t *table)
 {
-    for (int64_t g = 0; g < ngens; g++)
-        left[g * n] = cols[2 * g];
-    for (int64_t e = 0; e < n - 1; e++) {
-        int64_t d = vertex[e], c = parent[e], h = 2 * step[e];
-        for (int64_t g = 0; g < ngens; g++)
-            left[g * n + d] = cols[(int64_t)left[g * n + c] * width + h];
-    }
     for (int64_t x = 0; x < n; x++)
         table[x] = (int16_t)x;
     for (int64_t e = 0; e < n - 1; e++) {

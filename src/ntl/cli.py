@@ -337,10 +337,6 @@ def _cmd_invariant(args: argparse.Namespace) -> dict:
             "result": invariants_result(inv), "chain": chain}
 
 
-def _not_abelian(name: str, what: str) -> NotAbelian:
-    return NotAbelian(f"{name!r} is not abelian; {what} must be")
-
-
 def _refuse_non_abelian(x, what: str):
     """Refuse an input that `what`, an abelian group, cannot stand for: a
     catalog entry by its recorded fact, before it is resolved, which costs
@@ -351,7 +347,7 @@ def _refuse_non_abelian(x, what: str):
     else:
         abelian = not isinstance(x, RealizedGroup) or x.is_abelian()
     if not abelian:
-        raise _not_abelian(x.name, what)
+        raise NotAbelian(f"{x.name!r} is not abelian; {what} must be")
 
 
 def _check_triad_degrees(groups, p: int, q: int):
@@ -392,8 +388,7 @@ def _cmd_wedge(args: argparse.Namespace) -> dict:
     for s in subjects:
         if s.invariants is None:
             g = s.realized()
-            if not g.is_abelian():
-                raise _not_abelian(s.name, what)
+            _refuse_non_abelian(g, what)
             invs.append(g.abelianization())
         else:
             invs.append(s.invariants)

@@ -12,13 +12,15 @@ on a union-find over cosets.  The pass runs in a small C kernel,
 `__pycache__` beside it and called through ctypes.  The kernel also
 compresses the finished table: it writes the live rows, renumbered 0.. in
 index order, straight into the array numpy allocated.  The same kernel
-fills the regular representation's table, row by row along the coset
-table's walk; every other step stays in numpy.  Every relator is scanned
-at every live coset, so the finished table is closed under all of them;
-after a range check of every entry, a vectorized closing check,
-independent of the kernel, traces every relator at every coset once more
-(relators of one length together, one gather per letter) and reports an
-open one as an engine bug, never as a reason to go on enumerating.  The
+fills the regular representation's table, copying rows along the coset
+table's walk by the left multiplications by the generators, which
+`groups._spread` spreads along that walk as it spreads every map; every
+other step stays in numpy.  Every relator is scanned at every live coset,
+so the finished table is closed under all of them; after a range check
+of every entry, a vectorized closing check, independent of the kernel,
+traces every relator at every coset once more (relators of one length
+together, one gather per letter) and reports an open one as an engine
+bug, never as a reason to go on enumerating.  The
 enumerator reads one form of relators, `Relators`: the column letters of
 every distinct relator in one array.  A `Presentation` is flattened into
 it once, when its run starts; the biadditivity presentation of a tensor
@@ -66,7 +68,8 @@ except ImportError:  # no builtin module of that name (Python 3.12 on)
 
 from .errors import BudgetExceeded, InternalInconsistency
 from .groups import (_ASSOC_CHECK_MAX, RealizedGroup, _blocks, _check_order,
-                     _in_range, _table_dtype, _tree_size, _walk_levels)
+                     _in_range, _spread, _table_dtype, _tree_size,
+                     _walk_levels)
 from .words import Presentation, Word
 
 DEFAULT_MAX_COSETS = 2_000_000
@@ -334,8 +337,8 @@ def _kernel() -> ctypes.CDLL:
     kernel.ntl_hlt_run.restype = ctypes.c_int32
     kernel.ntl_hlt_take.argtypes = [state, ctypes.c_void_p, ctypes.c_int64]
     kernel.ntl_hlt_take.restype = ctypes.c_int64
-    kernel.ntl_regular_fill.argtypes = [ctypes.c_int64] * 3 + [
-        ctypes.c_void_p] * 6
+    kernel.ntl_regular_fill.argtypes = [ctypes.c_int64] + [
+        ctypes.c_void_p] * 5
     kernel.ntl_regular_fill.restype = None
     return kernel
 
@@ -450,8 +453,11 @@ def enumerate_cosets(p: Presentation | Relators
 def regular_representation(t: CosetTable) -> RealizedGroup:
     """Turn the coset table of the trivial subgroup into a realized group,
     which keeps the table's walk as its own and the enumerated
-    `Presentation`, if it was one, as its source.  The kernel fills the
-    table in the int16 entries that every order under the cap fits."""
+    `Presentation`, if it was one, as its source.  The left multiplication
+    by each generator is spread along the walk (`groups._spread`, from the
+    generators' images in row 0), and the kernel copies rows by it along
+    the walk's edges, into the int16 entries that every order under the cap
+    fits."""
     p = t.presentation
     n = t.coset_count
     _check_order(n)
@@ -459,31 +465,29 @@ def regular_representation(t: CosetTable) -> RealizedGroup:
     if dtype != np.int16:
         raise InternalInconsistency(
             f"the kernel fills int16 tables, not {np.dtype(dtype).name}")
-    ngens = p.ngens
-    # The kernel reads every entry as an index, unchecked.
-    if not _in_range(t.rows, n):
+    rows = t.rows
+    # The kernel reads every left multiplication as an index, unchecked.
+    if not _in_range(rows, n):
         raise InternalInconsistency("coset table entry out of range")
-    cols = np.ascontiguousarray(t.rows, dtype=np.int32)
     levels = t.walk
     if _tree_size(levels) != n:
         raise InternalInconsistency("coset table is not transitive")
     # The tree's edges (vertex, parent, step) in discovery order.
     edges = np.empty((3, n - 1), dtype=np.int64)
-    runs = [run for level in levels for run in level]
-    if runs:
-        vertex, parent, step = zip(*runs)
-        edges[0] = np.concatenate(vertex)
-        edges[1] = np.concatenate(parent)
-        edges[2] = np.repeat(step, [v.size for v in vertex])
-    left = np.empty((ngens, n), dtype=np.int32)
+    for e, arrays in zip(edges, zip(*levels)):
+        np.concatenate(arrays, out=e)
+    images = rows[0, 0::2]
+    # left[h, d] = h.d, since d = c.g gives h.d = (h.c).g
+    left = np.ascontiguousarray(
+        _spread(levels, rows, range(0, rows.shape[1], 2), start=images).T,
+        dtype=np.int32)
     table = np.empty((n, n), dtype=dtype)
-    _kernel().ntl_regular_fill(n, ngens, cols.shape[1], cols.ctypes.data,
-                               *(e.ctypes.data for e in edges),
+    _kernel().ntl_regular_fill(n, *(e.ctypes.data for e in edges),
                                left.ctypes.data, table.ctypes.data)
-    # The image cols[0, 2h] of generator h acts on the table as column 2h
-    # acts on cols, so the walk of cols is a walk of the group too.
+    # The image rows[0, 2h] of generator h acts on the table as column 2h
+    # acts on rows, so the walk of rows is a walk of the group too.
     source = p if isinstance(p, Presentation) else None
-    return RealizedGroup(p.name, table, cols[0, 0::2].tolist(),
+    return RealizedGroup(p.name, table, images.tolist(),
                          source_presentation=source, walk=levels)
 
 
@@ -512,7 +516,8 @@ def certify_regular(t: CosetTable, generators: Sequence[int]) -> None:
     than 1 fixes coset 0, so that the trace of w from 0 names w.  For
     n <= `_ASSOC_CHECK_MAX`, as Light's test is bounded, the left
     multiplication by the element k = 0.k of each of `generators`, spread
-    along the walk as k.(p.s) = (k.p).s, must commute with their columns.
+    along the walk from row 0 as k.(p.s) = (k.p).s (`groups._spread`),
+    must commute with their columns.
     The relators close at every coset, so the presented group acts and
     `generators` generate the permutation group P it acts as: each map
     commutes with P.  Words in `generators` then reach every coset, so
@@ -536,13 +541,7 @@ def certify_regular(t: CosetTable, generators: Sequence[int]) -> None:
     if n > _ASSOC_CHECK_MAX:
         return
     columns = rows[:, 2 * np.fromiter(generators, dtype=np.int64)]
-    left = np.empty((columns.shape[1], n), dtype=np.int64)
-    left[:, 0] = columns[0]
-    for level in t.walk:  # a level's parents are all on the level above
-        v, p, s = zip(*level)
-        sizes = [x.size for x in v]
-        left[:, np.concatenate(v)] = rows[left[:, np.concatenate(p)],
-                                          2 * np.repeat(s, sizes)]
+    left = _spread(t.walk, rows, range(0, width, 2), start=columns[0]).T
     if not np.array_equal(columns[left], left[:, columns]):
         raise InternalInconsistency(
             "coset table is not a regular representation")
@@ -582,5 +581,4 @@ def subgroup_cosets(t: CosetTable, words: np.ndarray) -> np.ndarray:
     of `words` trace from 0, in increasing order: 0 and the vertices of the
     walk from 0 of right multiplication by those elements."""
     levels = _walk_levels(_WordSteps(t, words), range(len(words)))
-    return np.sort(np.concatenate(
-        [[0], *(v for level in levels for v, _, _ in level)]))
+    return np.sort(np.concatenate([[0], *(v for v, _, _ in levels)]))

@@ -9,11 +9,15 @@ O(n^3), on the k generator images that right multiplication by the images
 kept before them does not reach from the identity.  Each group is walked
 once, when it is built, and keeps the breadth-first tree of its Cayley
 graph as `walk` (a table built along a walk, as the regular representation
-is, comes with it, checked rather than walked again).  The inverses and
-every map fixed by its generator images are spread along it (`_spread`),
-and element words are read off it.  Every bounded gather, the walk's
-included, is cut into blocks of `_CELLS` entries.  All values are
-immutable after construction.
+is, comes with it, checked rather than walked again): one triple of edge
+arrays (vertex, parent, step) a level, read directly by every reader of a
+walk.  Every map along a walk, here or in `coset` and `tensor`, is spread
+by the one function `_spread`, a level at a time: the inverses, each map
+fixed by its generator images, and rows of maps, such as an actor's
+action rows and the left multiplications of a coset table.  Element words
+are read off the walk too.  Every bounded gather, the walk's and the
+spread's included, is cut into blocks of `_CELLS` entries.  All values
+are immutable after construction.
 """
 
 from __future__ import annotations
@@ -68,17 +72,18 @@ def _blocks(n: int, per_item: int):
 
 
 def _walk_levels(table: np.ndarray, steps: Sequence[int]
-                 ) -> list[list[tuple[np.ndarray, np.ndarray, int]]]:
+                 ) -> list[tuple[np.ndarray, np.ndarray, np.ndarray]]:
     """Breadth-first spanning tree from 0 of the graph x -> table[x, s],
     one level at a time.
 
-    Each level is a list of runs, one for each step that reaches vertices
-    not seen before, in the order of `steps`: the vertices it reaches first
-    in increasing order, the parent of each and the index in `steps` of the
-    step.  0 is the root and in no run.  A vertex belongs to the first step
-    that reaches it and keeps its first parent in frontier order, so the
-    tree is canonical.  A level is gathered step-major (all of step 0, then
-    all of step 1, ...) in blocks (`_blocks`) of at most `_CELLS`
+    Each level is three arrays of its tree edges, (vertex, parent, step):
+    the vertices it reaches first, the parent of each and the index in
+    `steps` of the step that reaches it, ordered by step and then by
+    vertex.  0 is the root and on no level.  A vertex belongs to the first
+    step that reaches it and keeps its first parent in frontier order, so
+    the tree is canonical, and the levels concatenated are its discovery
+    order.  A level is gathered step-major (all of step 0, then all of
+    step 1, ...) in blocks (`_blocks`) of at most `_CELLS`
     (step, frontier vertex) cells, or of one step, and each block is
     resolved by one `np.unique`.  The arrays are read-only.
     """
@@ -89,10 +94,9 @@ def _walk_levels(table: np.ndarray, steps: Sequence[int]
     levels = []
     while True:
         f = frontier.size
-        level = []
+        edges = []
         for cut in _blocks(steps.size, f):
-            block = steps[cut]
-            t = table[frontier, block[:, None]].ravel()
+            t = table[frontier, steps[cut, None]].ravel()
             # positions in t of the vertices seen first here, each vertex
             # at its first position, in increasing order of vertex
             pos = (~seen[t]).nonzero()[0]
@@ -100,74 +104,58 @@ def _walk_levels(table: np.ndarray, steps: Sequence[int]
                 continue
             if pos.size > 1:
                 pos = pos[np.unique(t[pos], return_index=True)[1]]
-            by = pos // f
-            cuts = [0, pos.size]
-            if block.size > 1 and pos.size > 1:
                 # by step; the sort is stable, so vertices stay in order
-                order = by.argsort(kind="stable")
-                pos, by = pos[order], by[order]
-                cuts[1:1] = ((by[1:] != by[:-1]).nonzero()[0] + 1).tolist()
-            reached, parents = t[pos], frontier[pos % f]
+                pos = pos[(pos // f).argsort(kind="stable")]
+            reached = t[pos]
             seen[reached] = True
-            reached.setflags(write=False)
-            parents.setflags(write=False)
-            for a, b in zip(cuts, cuts[1:]):
-                level.append((reached[a:b], parents[a:b],
-                              cut.start + by[a].item()))
-        if not level:
+            edges.append((reached, frontier[pos % f], cut.start + pos // f))
+        if not edges:
             return levels
+        level = tuple(a[0] if len(edges) == 1 else np.concatenate(a)
+                      for a in zip(*edges))
+        for a in level:
+            a.setflags(write=False)
         levels.append(level)
-        frontier = (level[0][0] if len(level) == 1 else
-                    np.concatenate([v for v, _, _ in level]))
+        frontier = level[0]
 
 
 def _tree_size(levels) -> int:
     """The number of vertices of a walk's tree, the root included."""
-    return 1 + sum(v.size for level in levels for v, _, _ in level)
+    return 1 + sum(v.size for v, _, _ in levels)
 
 
-def _runs(levels, row_cells: int):
-    """The runs of a walk's levels in discovery order, cut by `_blocks`
-    for a gather of `row_cells` entries per edge.  The vertex and parent
-    of a run of one edge come as ints, whose rows are then read and
-    written by plain indexing."""
-    for level in levels:
-        for v, p, s in level:
-            if v.size == 1:
-                yield v.item(), p.item(), s
-                continue
-            for cut in _blocks(v.size, row_cells):
-                yield v[cut], p[cut], s
-
-
-def _spread(g: RealizedGroup, table: np.ndarray, images: Sequence[int]
-            ) -> np.ndarray:
-    """f(x) = table[f(p), images[i]] for each x = p.s of g's walk, s its
-    i-th generator image, and f(0) = 0: in the target's table, the map
-    with those generator images; in `g.table.T` from the generators'
-    inverses, the inverses (x^-1 = s^-1.p^-1).  Nothing is checked here."""
-    out = np.zeros(g.order, dtype=np.int64)
-    for x, p, i in _runs(g.walk, 1):
-        out[x] = table[out[p], images[i]]
+def _spread(walk, table, images: Sequence[int], start=0) -> np.ndarray:
+    """f(x) = table[f(p), images[i]] for each edge (x, p, i) of `walk`, and
+    f(0) = `start`: from 0 along a group's walk, in the target's table, the
+    map with those generator images; in `g.table.T` from the generators'
+    inverses, the inverses (x^-1 = s^-1.p^-1).  When `start` is an array,
+    f(x) is a row, each entry spread from its own start.  A level is
+    gathered in blocks (`_blocks`) of edges, its parents all on the level
+    above.  Nothing is checked here."""
+    start = np.asarray(start, dtype=np.int64)
+    images = np.asarray(images, dtype=np.int64).reshape(
+        (-1,) + (1,) * start.ndim)
+    out = np.empty((_tree_size(walk),) + start.shape, dtype=np.int64)
+    out[0] = start
+    for v, p, s in walk:
+        for cut in _blocks(v.size, start.size):
+            out[v[cut]] = table[out[p[cut]], images[s[cut]]]
     return out
 
 
 def _is_tree(table: np.ndarray, steps: Sequence[int], levels) -> bool:
     """Whether a walk's `levels` hold every element but 0 once, each the
     product of a parent on the level above (0 above the first) and the
-    image of its run's step, as a walk of table over `steps` from 0 does."""
-    runs = [(d, *run) for d, level in enumerate(levels, 1) for run in level]
-    if not runs:
+    image of its step, as a walk of table over `steps` from 0 does."""
+    if not levels:
         return True
-    d, v, p, s = zip(*runs)
-    sizes = [x.size for x in v]
-    v, p = np.concatenate(v), np.concatenate(p)
     depth = np.full(table.shape[0], -1)
     depth[0] = 0
-    depth[v] = np.repeat(d, sizes)
-    images = np.repeat(np.asarray(steps)[list(s)], sizes)
+    for d, (v, _, _) in enumerate(levels, 1):
+        depth[v] = d
+    v, p, s = (np.concatenate(a) for a in zip(*levels))
     return bool((depth >= 0).all() and (depth[p] == depth[v] - 1).all()
-                and (table[p, images] == v).all())
+                and (table[p, np.asarray(steps)[s]] == v).all())
 
 
 def _select_generators(table: np.ndarray, candidates: Sequence[int]
@@ -262,14 +250,14 @@ class RealizedGroup:
         if walk is not None and not _is_tree(tab, images, levels):
             raise InternalInconsistency(
                 f"the walk given with {self.name!r} is not a tree of it")
-        self.walk = tuple(tuple(level) for level in levels)
+        self.walk = tuple(levels)
         hits = tab[list(images)] == 0
         found = hits.any(axis=1)
         if not found.all():
             s = images[int(np.argmin(found))]
             raise InternalInconsistency(
                 f"generator image {s} of {self.name!r} has no inverse")
-        self.inverse = _spread(self, tab.T, hits.argmax(axis=1).tolist()
+        self.inverse = _spread(self.walk, tab.T, hits.argmax(axis=1)
                                ).astype(self.table.dtype)
 
     @functools.cached_property
@@ -277,12 +265,11 @@ class RealizedGroup:
         """Canonical word of each element along the Cayley-graph walk."""
         # A repeated image reaches nothing new, so each element's letter is
         # the first generator with that image.
+        letters = [Word.gen(i) for i in range(len(self.generator_images))]
         words = [Word()] * self.order
-        for level in self.walk:
-            for v, ps, i in level:
-                letter = Word.gen(i)
-                for x, p in zip(v.tolist(), ps.tolist()):
-                    words[x] = words[p] * letter
+        for v, p, s in self.walk:
+            for x, y, i in zip(v.tolist(), p.tolist(), s.tolist()):
+                words[x] = words[y] * letters[i]
         return tuple(words)
 
     def _verify(self):
@@ -443,9 +430,8 @@ def closure(parent: RealizedGroup, gens: Iterable[int]) -> Subgroup:
             raise InternalInconsistency(f"element index {g} out of range")
     inside = np.zeros(parent.order, dtype=bool)
     inside[0] = True
-    for level in _walk_levels(parent.table, gens):
-        for v, _, _ in level:
-            inside[v] = True
+    for v, _, _ in _walk_levels(parent.table, gens):
+        inside[v] = True
     return Subgroup(parent, tuple(inside.nonzero()[0].tolist()))
 
 

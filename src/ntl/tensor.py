@@ -51,7 +51,7 @@ from .errors import (CapExceeded, IncompleteMap, Incompatible,
                      InternalInconsistency, NotActionHomomorphism,
                      NotAutomorphism)
 from .groups import (Homomorphism, RealizedGroup, Subgroup, _blocks,
-                     _commutators, _conjugates, _runs, _same_parent, _spread,
+                     _commutators, _conjugates, _same_parent, _spread,
                      closure, commutator_subgroup, subgroup_as_group)
 from .parsing import ActionSpec
 from .words import Presentation, Word, commutator, conjugate
@@ -107,13 +107,14 @@ def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
                       spec: ActionSpec) -> np.ndarray:
     """Element-level action table induced by a generator-level spec.
 
-    Each generator's map of the target is spread along the target's walk
-    (`groups._spread`), and the actor's rows along the actor's walk (the
-    row of x = p.s is that of p followed by the map of s); walk words have
-    positive exponents only.  Walks skip generators naming the identity or
-    an element already reached, so every target generator must go to its
-    given image and every actor generator's map must be its element's row;
-    `_validate_tables` checks the rest.
+    Both spreads are `groups._spread`: each generator's map of the target
+    along the target's walk, then the actor's rows along the actor's walk
+    from the identity row, the generator maps stacked as the columns of a
+    table (the row of x = p.s is that of p followed by the map of s); walk
+    words have positive exponents only.  Walks skip generators naming the
+    identity or an element already reached, so every target generator must
+    go to its given image and every actor generator's map must be its
+    element's row; `_validate_tables` checks the rest.
     """
     apres = actor.source_presentation
     tpres = target.source_presentation
@@ -128,16 +129,14 @@ def _tables_from_spec(actor: RealizedGroup, target: RealizedGroup,
     for gname in apres.generators:
         images = spec.generator_map[gname]
         img_elems = [target.evaluate(images[t]) for t in tpres.generators]
-        gen_perms.append(_spread(target, target.table, img_elems))
+        gen_perms.append(_spread(target.walk, target.table, img_elems))
         if gen_perms[-1][list(target.generator_images)].tolist() != img_elems:
             raise NotAutomorphism(
                 f"action {spec.name!r}: generator {gname!r} induces no map "
                 f"of {target.name!r} that sends every generator to its "
                 "given image")
-    table = np.empty((actor.order, target.order), dtype=np.int64)
-    table[0] = np.arange(target.order)
-    for x, p, i in _runs(actor.walk, target.order):
-        table[x] = gen_perms[i][table[p]]
+    table = _spread(actor.walk, np.stack(gen_perms, axis=1),
+                    range(len(gen_perms)), start=np.arange(target.order))
     for gname, x, perm in zip(apres.generators, actor.generator_images,
                               gen_perms):
         if not np.array_equal(table[x], perm):
@@ -447,8 +446,8 @@ def _symbol_map(group: RealizedGroup, sym: np.ndarray, steps,
     gens = np.fromiter(first, dtype=np.int64, count=len(first))
     cols = columns.ravel()[list(first.values())]
     column = dict(zip(first, cols.tolist()))
-    images = _spread(group, steps, [column[s] for s in
-                                    group.generator_images])
+    images = _spread(group.walk, steps,
+                     [column[s] for s in group.generator_images])
     for cut in _blocks(group.order, gens.size):
         if not np.array_equal(images[group.table[cut][:, gens]],
                               steps[images[cut, None], cols]):

@@ -8,7 +8,8 @@ import numpy as np
 from ntl.catalog import catalog_lookup, realize_entry
 from ntl.coset import EnumerationBudget, EnumerationStats, Relators
 from ntl.errors import InternalInconsistency
-from ntl.groups import Homomorphism, _commutators, _conjugates, closure
+from ntl.groups import (Homomorphism, _commutators, _conjugates, _walk_levels,
+                        closure)
 from ntl.tensor import _conjugation_table
 from ntl.words import Presentation
 
@@ -16,6 +17,13 @@ from ntl.words import Presentation
 def realize_name(name: str):
     """The catalog group `name`, realized as every command realizes it."""
     return realize_entry(catalog_lookup(name))
+
+
+def walk_edges(table, steps) -> list[tuple[int, int, int]]:
+    """`_walk_levels`' tree as a flat edge list in discovery order: (vertex,
+    parent, index in `steps` of the step that reached it)."""
+    return [edge for level in _walk_levels(table, steps)
+            for edge in zip(*(a.tolist() for a in level))]
 
 
 def relator_letters(relators: Relators) -> list[tuple[int, ...]]:

@@ -19,14 +19,15 @@ from ntl.coset import (CosetTable, EnumerationBudget, Relators, _Enumerator,
                        budget_scope, current_budget, enumerate_cosets,
                        realize_presentation, regular_representation)
 from ntl.errors import BudgetExceeded, CapExceeded, InternalInconsistency
-from ntl.groups import (GROUP_ORDER_CAP, RealizedGroup, _walk_levels,
-                        closure, derived_subgroup, section_invariants)
+from ntl.groups import (GROUP_ORDER_CAP, RealizedGroup, closure,
+                        derived_subgroup, section_invariants)
 from ntl.parsing import parse_file
 from ntl.tensor import (_commutator_words, _direct_relators, build_eta,
                         build_nu, conjugation_pair, trivial_pair)
 from ntl.words import Presentation, Word
 
-from support import ReferenceEnumerator, realize_name, relator_letters
+from support import (ReferenceEnumerator, realize_name, relator_letters,
+                     walk_edges)
 
 
 def sympy_felsch_index(p: Presentation) -> int:
@@ -345,20 +346,13 @@ class TestRegularRepresentation:
         assert g.order == abelian_invariants(rows, ncols=p.ngens).order()
 
 
-def _walk(table, steps):
-    """`_walk_levels`' tree as a flat edge list in discovery order: (vertex,
-    parent, index in `steps` of the step that reached it)."""
-    return [(x, p, s) for level in _walk_levels(table, steps)
-            for v, ps, s in level for x, p in zip(v.tolist(), ps.tolist())]
-
-
 def _regular_table_per_row(t: CosetTable) -> np.ndarray:
     """The regular representation's table spread one tree edge at a time
     in numpy, one row of `left` and one table row per edge: the oracle for
     the kernel's fill.  int32, so that no narrowing is shared with it."""
     cols = t.rows
     n, ngens = t.coset_count, t.presentation.ngens
-    tree = _walk(cols, range(0, 2 * ngens, 2))
+    tree = walk_edges(cols, range(0, 2 * ngens, 2))
     left = np.empty((n, ngens), dtype=np.int64)
     left[0] = cols[0, 0::2]
     for d, c, h in tree:

@@ -17,14 +17,7 @@ from ntl.groups import (Homomorphism, RealizedGroup, Subgroup, _commutators,
                         subgroup_exponent)
 from ntl.tensor import build_nu
 
-from support import comm, realize_name
-
-
-def _walk(table, steps):
-    """`_walk_levels`' tree as a flat edge list in discovery order: (vertex,
-    parent, index in `steps` of the step that reached it)."""
-    return [(x, p, s) for level in _walk_levels(table, steps)
-            for v, ps, s in level for x, p in zip(v.tolist(), ps.tolist())]
+from support import comm, realize_name, walk_edges
 
 
 def naive_closure(g, gens):
@@ -456,24 +449,24 @@ def tables_with_generators(draw):
     n = t.shape[0]
     gens = (first if kind == "product" else []) + draw(
         st.lists(st.integers(0, n - 1), max_size=4))
-    while len(_walk(t, gens)) + 1 < n:
-        reached = {0} | {x for x, _, _ in _walk(t, gens)}
+    while len(walk_edges(t, gens)) + 1 < n:
+        reached = {0} | {x for x, _, _ in walk_edges(t, gens)}
         gens.append(min(set(range(n)) - reached))
     return t, gens
 
 
 def _s3_walk_with(fault):
-    """The walk of S3 = <1, 2> (levels [1 by 0, 2 by 1], [5 = 2.1 by 0,
-    3 = 2.2 4 = 1.2 by 1]) with one fault; a vertex twice keeps every edge
-    a product in the table."""
-    (a, b), (c, d) = _walk_levels(realize_name("S3").table, (1, 2))
+    """The walk of S3 = <1, 2> (levels (1 by 0, 2 by 1) and
+    (5 = 2.1 by 0, 3 = 2.2 and 4 = 1.2 by 1), each as its edge arrays) with
+    one fault; a vertex twice keeps every edge a product in the table."""
+    first, second = _walk_levels(realize_name("S3").table, (1, 2))
     if fault == "wrong step":
-        a = (a[0], a[1], 1)
+        first = (first[0], first[1], np.array([1, 1]))
     elif fault == "vertex twice":
-        c = (d[0][1:], d[1][1:], d[2])
+        second = tuple(a[[2, 1, 2]] for a in second)
     elif fault == "parent below":
-        return [[c, d], [a, b]]
-    return [[a, b], [c, d]]
+        return [second, first]
+    return [first, second]
 
 
 @pytest.mark.parametrize("fault",
@@ -556,15 +549,19 @@ WALK_CELLS = (1, 5, 1 << 13, groups._CELLS)
 @pytest.mark.parametrize("cells", WALK_CELLS)
 def test_walk_matches_the_per_step_walk_on_the_corpus(monkeypatch, cells):
     """Same tree on the table and on the coset table of every finite
-    corpus group."""
+    corpus group; every array of every level is read-only, since every
+    spread along the group's walk shares it."""
     monkeypatch.setattr(groups, "_CELLS", cells)
     for entry in finite_corpus():
         g = realize_entry(entry)
-        assert _walk(g.table, g.generator_images) == _walk_per_step(
+        assert walk_edges(g.table, g.generator_images) == _walk_per_step(
             g.table, g.generator_images)
         rows = enumerate_cosets(entry.presentation)[0].rows
         columns = range(0, rows.shape[1], 2)
-        assert _walk(rows, columns) == _walk_per_step(rows, columns)
+        assert walk_edges(rows, columns) == _walk_per_step(rows, columns)
+        for levels in (g.walk, _walk_levels(rows, columns)):
+            assert not any(a.flags.writeable
+                           for level in levels for a in level), entry.name
 
 
 @settings(max_examples=200, deadline=None)
@@ -573,23 +570,33 @@ def test_walk_matches_the_per_step_walk(case, cells):
     t, gens = case
     with pytest.MonkeyPatch.context() as mp:
         mp.setattr(groups, "_CELLS", cells)
-        assert _walk(t, gens) == _walk_per_step(t, gens)
+        assert walk_edges(t, gens) == _walk_per_step(t, gens)
 
 
-def test_spread_gives_the_identity_and_the_inverses():
+def test_spread_gives_the_identity_and_the_inverses(monkeypatch):
     """Spread along each finite corpus group's walk, its own generator
     images give the identity map and their inverses in the transposed
     table give the inverse of every element (x^-1 = s^-1.p^-1 for x = p.s),
-    by the inverses read off the table."""
-    for entry in finite_corpus():
-        g = realize_entry(entry)
-        inverse = (g.table == 0).argmax(axis=1)
-        assert np.array_equal(
-            groups._spread(g, g.table, g.generator_images),
-            np.arange(g.order)), entry.name
-        assert np.array_equal(
-            groups._spread(g, g.table.T, inverse[list(g.generator_images)]),
-            inverse), entry.name
+    by the inverses read off the table.  From every element at once (an
+    array `start`, f(x) a row), they give the table's columns: the row of
+    x is y.x for each y.  Under each cell bound, so that levels are
+    gathered in blocks."""
+    realized = [realize_entry(entry) for entry in finite_corpus()]
+    for cells in WALK_CELLS:
+        monkeypatch.setattr(groups, "_CELLS", cells)
+        for g in realized:
+            inverse = (g.table == 0).argmax(axis=1)
+            assert np.array_equal(
+                groups._spread(g.walk, g.table, g.generator_images),
+                np.arange(g.order)), (g.name, cells)
+            assert np.array_equal(
+                groups._spread(g.walk, g.table.T,
+                               inverse[list(g.generator_images)]),
+                inverse), (g.name, cells)
+            assert np.array_equal(
+                groups._spread(g.walk, g.table, g.generator_images,
+                               start=np.arange(g.order)),
+                g.table.T), (g.name, cells)
 
 
 def _greedy_generators(g, members):

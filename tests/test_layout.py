@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import ntl
+from ntl import coset
 
 SRC = Path(ntl.__file__).parent
 PERFBENCH = Path(__file__).resolve().parents[1] / "perfbench"
@@ -28,7 +29,10 @@ DOCUMENTED_ONLY = {"print_presentation", "print_action"}
 TABLE_BOUNDS = {"_CELLS", "GROUP_ORDER_CAP"}
 
 # Each realized group is walked once, when it is built, and keeps its
-# walk; only `groups` and the regular representation in `coset` walk.
+# walk, one triple of edge arrays (vertex, parent, step) a level; only
+# `groups` and `coset` (a coset table's walk, which its regular
+# representation keeps, and the walk of a subgroup's cosets) walk.  Every
+# map along a walk, in any module, is spread by `groups._spread`.
 WALKERS = {"groups.py", "coset.py"}
 
 # One producer per object: the one engine function that constructs each
@@ -169,3 +173,27 @@ def test_every_dotted_engine_name_in_the_docs_resolves():
                     break
                 target = getattr(target, name)
     assert stale == []
+
+
+# A function definition at the start of a line that is not `static`: one
+# the kernel exports, with its parameter list.
+_EXPORTED = re.compile(r"^(?!static\b)\w[\w\s*]*?\b(ntl_\w+)\(([^)]*)\)\s*\{",
+                       re.MULTILINE)
+
+
+def test_the_kernel_bindings_match_its_exported_functions():
+    """ctypes checks no binding against the C source, so each function
+    `_hlt.c` exports must be one that `coset._kernel()` binds, with as many
+    argument types as it has parameters, and each bound one exported."""
+    source = re.sub(r"/\*.*?\*/", "", (SRC / "_hlt.c").read_text(),
+                    flags=re.DOTALL)
+    exported = {name: 0 if params.strip() in ("", "void")
+                else params.count(",") + 1
+                for name, params in _EXPORTED.findall(source)}
+    kernel = coset._kernel()
+    bound = {name for name, fn in vars(kernel).items()
+             if name.startswith("ntl_") and fn.argtypes is not None}
+    assert len(exported) >= 3
+    assert bound == set(exported)
+    assert {name: len(getattr(kernel, name).argtypes)
+            for name in exported} == exported

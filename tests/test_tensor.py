@@ -15,7 +15,7 @@ from ntl.coset import (EnumerationBudget, _dedup, budget_scope,
                        realize_presentation, word_letters)
 from ntl.coset import CosetTable, _WordSteps
 from ntl.groups import (Homomorphism, RealizedGroup, _commutators,
-                        _conjugates, _walk_levels, closure, derived_subgroup,
+                        _conjugates, closure, derived_subgroup,
                         section_invariants)
 from ntl.parsing import parse_file
 from ntl.verification import nu_corpus
@@ -28,7 +28,7 @@ from ntl.tensor import (_conjugation_table, _first_non_automorphism,
 from ntl.words import Word, commutator, conjugate
 
 from support import (comm, eta_commutators, realize_name, relator_letters,
-                     same_tensor_in_table, tensor_in_eta)
+                     same_tensor_in_table, tensor_in_eta, walk_edges)
 
 SMALL = ["C1", "C2", "C3", "C4", "C2xC2", "C5", "C6", "S3", "D4", "Q8"]
 
@@ -944,13 +944,6 @@ class TestDiagonals:
         assert dtsub.is_normal()
 
 
-def _walk(table, steps):
-    """`_walk_levels`' tree as a flat edge list in discovery order: (vertex,
-    parent, index in `steps` of the step that reached it)."""
-    return [(x, p, s) for level in _walk_levels(table, steps)
-            for v, ps, s in level for x, p in zip(v.tolist(), ps.tolist())]
-
-
 def _inclusion_in_eta(r, e):
     """The inclusion of T, as `build_direct` gives it, into eta,
     a(x)b |-> [a, b~]: spread from the symbols along T's walk, as the
@@ -964,7 +957,7 @@ def _inclusion_in_eta(r, e):
                             comm(e.eta, gens[a], gens[ng + b]))
     steps = list(want)
     images = np.zeros(r.group.order, dtype=np.int64)
-    for x, p, i in _walk(r.group.table, steps):
+    for x, p, i in walk_edges(r.group.table, steps):
         images[x] = e.eta.mul(int(images[p]), want[steps[i]])
     return Homomorphism(r.group, e.eta, images)
 
