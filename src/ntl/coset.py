@@ -9,9 +9,13 @@ the enumerator builds.
 The strategy is HLT with row filling and in-place coincidence processing
 on a union-find over cosets.  The pass runs in a small C kernel,
 `_hlt.c`, compiled once with the C compiler Python was built with into the
-`__pycache__` beside it and called through ctypes.  The kernel also
-compresses the finished table: it writes the live rows, renumbered 0.. in
-index order, straight into the array numpy allocated.  The same kernel
+`__pycache__` beside it and called through ctypes.  Between cosets the
+pass drops dead rows once they outnumber the live ones, renumbering the
+live rows 0.. in index order; every choice of the pass reads only that
+order, so the tables and stats are what they would be without it, and
+the table holds about the live cosets rather than every coset defined.
+The kernel also compresses the finished table the same way: it writes
+the live rows straight into the array numpy allocated.  The same kernel
 fills the regular representation's table, copying rows along the coset
 table's walk by the left multiplications by the generators, which
 `groups._spread` spreads along that walk as it spreads every map; every
@@ -250,14 +254,16 @@ def _dedup(seqs) -> list[tuple[int, ...]]:
 
 
 class _State(ctypes.Structure):
-    """`struct hlt` of `_hlt.c`: one run's inputs, counts and buffers."""
+    """`struct hlt` of `_hlt.c`: one run's inputs, counts and buffers.
+    `peak`, the most rows the table held at once, is for the tests: no
+    stats or report reads it."""
 
     _fields_ = [("width", ctypes.c_int64), ("max_cosets", ctypes.c_int64),
                 ("deadline", ctypes.c_double),
                 ("rows", ctypes.c_int64), ("cap", ctypes.c_int64),
                 ("defined", ctypes.c_int64), ("alive", ctypes.c_int64),
                 ("coincidences", ctypes.c_int64), ("queued", ctypes.c_int64),
-                ("tab", ctypes.c_void_p), ("uf", ctypes.c_void_p),
+                ("peak", ctypes.c_int64), ("tab", ctypes.c_void_p), ("uf", ctypes.c_void_p),
                 ("queue", ctypes.c_void_p)]
 
 

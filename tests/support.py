@@ -1,13 +1,15 @@
 """Helpers the tests share: catalog groups by name, the relators of a
 letter form as tuples, the commutator read off a group's table one product
 at a time, eta's certificate read off its multiplication table, and the
-HLT pass in pure Python as the reference for the compiled one."""
+HLT pass in pure Python as the reference for the compiled one, with the
+comparison of the two."""
 
 import numpy as np
 
 from ntl.catalog import catalog_lookup, realize_entry
-from ntl.coset import EnumerationBudget, EnumerationStats, Relators
-from ntl.errors import InternalInconsistency
+from ntl.coset import (CosetTable, EnumerationBudget, EnumerationStats,
+                       Relators, budget_scope, enumerate_cosets)
+from ntl.errors import BudgetExceeded, InternalInconsistency
 from ntl.groups import (Homomorphism, _commutators, _conjugates, _walk_levels,
                         closure)
 from ntl.tensor import _conjugation_table
@@ -235,3 +237,34 @@ class ReferenceEnumerator:
             cosets_defined=self.n_defined,
             cosets_final=self.n_alive if final is None else final,
             coincidences=self.n_coincidences)
+
+
+def _outcome(run):
+    """What a run gives: its rows and stats, or its BudgetExceeded message
+    and stats."""
+    try:
+        return run()
+    except BudgetExceeded as exc:
+        return str(exc), exc.stats
+
+
+def kernel_and_reference(p: Presentation | Relators, max_cosets: int):
+    """The outcomes of the compiled HLT pass, through `enumerate_cosets`,
+    and of `ReferenceEnumerator`, each within a budget of `max_cosets`."""
+    with budget_scope(EnumerationBudget(max_cosets=max_cosets)):
+        table = _outcome(lambda: enumerate_cosets(p))
+    if isinstance(table[0], CosetTable):
+        table = (table[0].rows, table[1])
+    return table, _outcome(ReferenceEnumerator(p, max_cosets).run)
+
+
+def assert_same_outcome(got, want, name):
+    """Both runs gave the same int32 rows and stats, or the same
+    BudgetExceeded message and stats."""
+    assert type(got[0]) is type(want[0]), (name, got, want)
+    if isinstance(got[0], np.ndarray):
+        assert got[0].dtype == np.int32, name
+        assert np.array_equal(got[0], want[0]), name
+    else:
+        assert got[0] == want[0], name
+    assert got[1] == want[1], name

@@ -1,11 +1,14 @@
 import ctypes
 import hashlib
+import os
 import re
 import subprocess
+import sys
 import sysconfig
 import time
 import tracemalloc
 from itertools import permutations
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -26,8 +29,8 @@ from ntl.tensor import (_commutator_words, _direct_relators, build_eta,
                         build_nu, conjugation_pair, trivial_pair)
 from ntl.words import Presentation, Word
 
-from support import (ReferenceEnumerator, realize_name, relator_letters,
-                     walk_edges)
+from support import (assert_same_outcome, kernel_and_reference, realize_name,
+                     relator_letters, walk_edges)
 
 
 def sympy_felsch_index(p: Presentation) -> int:
@@ -504,37 +507,26 @@ def test_regular_representation_peaks_below_the_table_plus_one_block(
     assert peak < g.table.nbytes + (1 << 20)
 
 
-def _outcome(run):
-    """What a run gives: its rows and stats, or its BudgetExceeded message
-    and stats."""
-    try:
-        return run()
-    except BudgetExceeded as exc:
-        return str(exc), exc.stats
+@pytest.fixture
+def kernel_states(monkeypatch):
+    """Every `coset._State` that `_hlt_pass` hands the kernel while the test
+    runs, in order, holding each run's counts as the kernel left them."""
+    states = []
+
+    class Recorded(coset._State):
+        def __init__(self, **fields):
+            super().__init__(**fields)
+            states.append(self)
+    coset._kernel()  # binds POINTER(_State), which takes a Recorded too
+    monkeypatch.setattr(coset, "_State", Recorded)
+    return states
 
 
-def _kernel_and_reference(p: Presentation | Relators, max_cosets: int):
-    with budget_scope(EnumerationBudget(max_cosets=max_cosets)):
-        table = _outcome(lambda: enumerate_cosets(p))
-    if isinstance(table[0], CosetTable):
-        table = (table[0].rows, table[1])
-    return table, _outcome(ReferenceEnumerator(p, max_cosets).run)
-
-
-def _assert_same(got, want, name):
-    assert type(got[0]) is type(want[0]), (name, got, want)
-    if isinstance(got[0], np.ndarray):
-        assert got[0].dtype == np.int32, name
-        assert np.array_equal(got[0], want[0]), name
-    else:
-        assert got[0] == want[0], name
-    assert got[1] == want[1], name
-
-
-def test_the_kernel_matches_the_python_reference():
+def test_the_kernel_matches_the_python_reference(kernel_states):
     """Same rows and stats as the pure-Python pass on the finite corpus,
     nu(S3), nu(Q8), a trivial-action eta and the letter form of the direct
-    presentation of D6(x)D6, which both read as `build_direct` gives it."""
+    presentation of D6(x)D6, which both read as `build_direct` gives it.
+    The kernel drops dead rows on nu(Q8), and the reference never does."""
     d6 = realize_name("D6")
     presentations = [e.presentation for e in finite_corpus()] + [
         build_nu(realize_name("S3")).presentation,
@@ -543,18 +535,51 @@ def test_the_kernel_matches_the_python_reference():
                                realize_name("C3"))).presentation,
         _direct_relators(conjugation_pair(d6))]
     for p in presentations:
-        got, want = _kernel_and_reference(p, 2_000_000)
+        got, want = kernel_and_reference(p, 2_000_000)
         assert isinstance(got[0], np.ndarray), p.name
-        _assert_same(got, want, p.name)
+        assert_same_outcome(got, want, p.name)
+    # A finished run holds a row for every coset it defined until one is
+    # dropped.
+    assert any(state.rows < state.defined for state in kernel_states)
 
 
 def test_the_kernel_exhausts_a_budget_as_the_reference_does():
     p = build_nu(realize_name("S3")).presentation
-    got, want = _kernel_and_reference(p, 500)
+    got, want = kernel_and_reference(p, 500)
     assert got[0] == ("coset budget 500 exhausted (possible infinite group "
                       "or undersized budget)")
     assert got[1].cosets_defined == 501
-    _assert_same(got, want, p.name)
+    assert_same_outcome(got, want, p.name)
+
+
+def test_the_kernel_drops_dead_rows_and_keeps_every_choice(kernel_states):
+    """nu(D6) defines 100 452 cosets and keeps 6912: the table never holds
+    more than 0.6 of them at once, and its rows and stats are still those
+    of the reference, which keeps a row for every coset it defines."""
+    p = build_nu(realize_name("D6")).presentation
+    kernel_states.clear()  # the runs that built p
+    got, want = kernel_and_reference(p, 2_000_000)
+    assert isinstance(got[0], np.ndarray)
+    assert_same_outcome(got, want, p.name)
+    [state] = kernel_states
+    assert state.peak <= 0.6 * state.defined
+
+
+def test_the_kernel_exhausts_a_budget_after_dropping_dead_rows(
+        kernel_states):
+    """nu(Q8) drops dead rows before its 25 000th coset, so a budget of
+    30 000 runs out in a compacted table, with the reference's message and
+    stats."""
+    p = build_nu(realize_name("Q8")).presentation
+    kernel_states.clear()  # the runs that built p
+    got, want = kernel_and_reference(p, 30_000)
+    assert got[0] == ("coset budget 30000 exhausted (possible infinite "
+                      "group or undersized budget)")
+    assert got[1].cosets_defined == 30_001
+    assert_same_outcome(got, want, p.name)
+    # Without a compaction the table would hold a row per coset defined.
+    [state] = kernel_states
+    assert state.peak < 30_000
 
 
 @st.composite
@@ -574,8 +599,48 @@ def test_the_kernel_matches_the_reference_on_small_presentations(p,
                                                                  max_cosets):
     """Finished runs give the same rows and stats, and exhausted ones the
     same message and stats."""
-    got, want = _kernel_and_reference(p, max_cosets)
-    _assert_same(got, want, p)
+    got, want = kernel_and_reference(p, max_cosets)
+    assert_same_outcome(got, want, p)
+
+
+def test_the_kernel_runs_clean_under_ubsan(tmp_path):
+    """Built with -fsanitize=undefined -fno-sanitize-recover=all, which
+    aborts at the first undefined behaviour, the kernel matches the
+    reference on runs that drop dead rows: nu(C8), which passes the
+    compaction floor by a few rows, nu(Q8), and nu(Q8)'s budget that runs
+    out after a drop.  (nu(D6)'s reference alone takes a second.)  In a
+    process of its own, with `CC` and `_cache_dir` patched there as a
+    failed compile's test patches them, since a loaded library stays
+    loaded."""
+    code = ("import sys, sysconfig\n"
+            "from pathlib import Path\n"
+            "from ntl import coset\n"
+            "from ntl.tensor import build_nu\n"
+            "from support import (assert_same_outcome, kernel_and_reference,"
+            " realize_name)\n"
+            "config = sysconfig.get_config_var\n"
+            "cc = config('CC') + ' -fsanitize=undefined "
+            "-fno-sanitize-recover=all'\n"
+            "sysconfig.get_config_var = "
+            "lambda name: cc if name == 'CC' else config(name)\n"
+            "coset._cache_dir = lambda: Path(sys.argv[1])\n"
+            "for name, max_cosets in [('C8', 2_000_000), ('Q8', 2_000_000),"
+            " ('Q8', 30_000)]:\n"
+            "    p = build_nu(realize_name(name)).presentation\n"
+            "    got, want = kernel_and_reference(p, max_cosets)\n"
+            "    assert_same_outcome(got, want, p.name)\n"
+            "print(coset._kernel()._name)\n")
+    tests = Path(__file__).parent
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        [str(coset._SOURCE.parents[1]), str(tests)]))
+    done = subprocess.run([sys.executable, "-c", code, str(tmp_path)],
+                          env=env, capture_output=True, text=True,
+                          timeout=120)
+    assert done.returncode == 0, done.stderr
+    assert "runtime error" not in done.stderr
+    lib = Path(done.stdout.strip())
+    assert lib.parent == tmp_path
+    assert b"__ubsan_handle" in lib.read_bytes()
 
 
 class TestKernelBuild:

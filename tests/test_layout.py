@@ -1,6 +1,7 @@
 """Source layout rules that keep one owner per decision."""
 
 import ast
+import ctypes
 import importlib
 import os
 import re
@@ -197,3 +198,29 @@ def test_the_kernel_bindings_match_its_exported_functions():
     assert bound == set(exported)
     assert {name: len(getattr(kernel, name).argtypes)
             for name in exported} == exported
+
+
+# The C type of each `struct hlt` member and the ctypes type that mirrors it.
+_MIRRORED = {"int64_t": ctypes.c_int64, "double": ctypes.c_double,
+             "*": ctypes.c_void_p}
+
+
+def test_the_kernel_state_mirrors_its_struct():
+    """ctypes checks no structure against the C source either: a stale
+    mirror reads every later member at the wrong offset.  `coset._State`
+    has the members of `struct hlt`, in order, each of the type that
+    mirrors its C type; a pointer is a `c_void_p`."""
+    source = re.sub(r"/\*.*?\*/", "", (SRC / "_hlt.c").read_text(),
+                    flags=re.DOTALL)
+    body = re.search(r"^struct hlt \{(.*?)^\};", source,
+                     re.DOTALL | re.MULTILINE).group(1)
+    members = []
+    for declaration in filter(str.strip, body.split(";")):
+        ctype, declarators = declaration.split(None, 1)
+        for name in declarators.split(","):
+            name = name.strip()
+            members.append((name.lstrip("*").strip(),
+                            _MIRRORED["*" if name.startswith("*")
+                                      else ctype]))
+    assert len(members) >= 12
+    assert coset._State._fields_ == members
